@@ -42,10 +42,6 @@ impl ReplacementPolicy for Fifo {
         self.queue.remove_if_linked(page);
     }
 
-    fn prefetch_hint(&self, page: PageId) {
-        self.queue.prefetch(page);
-    }
-
     fn reset(&mut self) {
         self.queue.reset();
     }

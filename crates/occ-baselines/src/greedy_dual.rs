@@ -33,7 +33,7 @@
 //! sees the same bits. A property test in
 //! `tests/policy_equivalence_property.rs` pins the equivalence.
 
-use occ_sim::{prefetch_slice_element, EngineCtx, PageId, PageLists, ReplacementPolicy, UserId};
+use occ_sim::{EngineCtx, PageId, PageLists, ReplacementPolicy, UserId};
 use std::collections::BTreeSet;
 
 /// Totally ordered f64 (no NaNs in this module).
@@ -155,12 +155,6 @@ impl ReplacementPolicy for GreedyDual {
 
     fn on_external_removal(&mut self, _ctx: &EngineCtx, page: PageId) {
         self.lists.remove_if_linked(page);
-    }
-
-    fn prefetch_hint(&self, page: PageId) {
-        self.lists.prefetch(page);
-        prefetch_slice_element(&self.y_at, page.index());
-        prefetch_slice_element(&self.stamp, page.index());
     }
 
     fn reset(&mut self) {

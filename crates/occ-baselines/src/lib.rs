@@ -70,7 +70,7 @@ pub fn standard_suite(costs: &CostProfile) -> Vec<Box<dyn ReplacementPolicy>> {
 mod tests {
     use super::*;
     use occ_core::Monomial;
-    use occ_sim::{Simulator, Trace, Universe};
+    use occ_sim::{EventLog, Simulator, Trace, Universe};
 
     #[test]
     fn suite_runs_end_to_end() {
@@ -133,32 +133,34 @@ mod tests {
             let name = full_policy.name();
 
             // Uninterrupted run.
-            let mut full = SteppingEngine::new(k, u.clone(), &mut full_policy).with_events();
+            let mut full =
+                SteppingEngine::new(k, u.clone(), &mut full_policy).with_recorder(EventLog::new());
             for &r in &reqs {
                 full.step(r);
             }
-            let full_events = full.take_events().unwrap();
             let full_stats = full.stats().clone();
+            let full_events = full.into_recorder();
 
             // Run to the cut, snapshot, resume in a fresh engine + policy.
             let mut head_policy = mk();
-            let mut head = SteppingEngine::new(k, u.clone(), &mut head_policy).with_events();
+            let mut head =
+                SteppingEngine::new(k, u.clone(), &mut head_policy).with_recorder(EventLog::new());
             for &r in &reqs[..cut] {
                 head.step(r);
             }
             let snap = head.snapshot().unwrap_or_else(|e| panic!("{name}: {e}"));
-            let head_events = head.take_events().unwrap();
+            let head_events = head.into_recorder();
 
             let mut tail_policy = mk_resumed();
             let mut tail = SteppingEngine::from_snapshot(&snap, &mut tail_policy)
                 .unwrap_or_else(|e| panic!("{name}: {e}"))
-                .with_events();
+                .with_recorder(EventLog::new());
             for &r in &reqs[cut..] {
                 tail.step(r);
             }
 
             let mut stitched: Vec<_> = head_events.iter().cloned().collect();
-            stitched.extend(tail.take_events().unwrap().iter().cloned());
+            stitched.extend(tail.recorder().iter().cloned());
             let full_events: Vec<_> = full_events.iter().cloned().collect();
             assert_eq!(stitched, full_events, "{name}: event streams diverged");
             assert_eq!(tail.stats(), &full_stats, "{name}: stats diverged");

@@ -60,10 +60,6 @@ impl ReplacementPolicy for Lru {
         self.order.remove_if_linked(page);
     }
 
-    fn prefetch_hint(&self, page: PageId) {
-        self.order.prefetch(page);
-    }
-
     fn reset(&mut self) {
         self.order.reset();
     }

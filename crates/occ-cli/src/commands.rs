@@ -1997,6 +1997,26 @@ impl RequestSource for SoakSource {
     }
 }
 
+impl SoakSource {
+    /// Skip the first `n` requests (a resumed soak continues where its
+    /// checkpoint left off). The synthetic mixer skips without building
+    /// requests; a trace has to decode (and discard) the prefix, and
+    /// reports how many requests it held if it ends first.
+    fn skip(&mut self, n: u64, ctx: &occ_sim::EngineCtx) -> Result<(), u64> {
+        match self {
+            SoakSource::Mix(m) => m.skip(n),
+            SoakSource::File(f) => {
+                for held in 0..n {
+                    if f.next_request(ctx).is_none() {
+                        return Err(held);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Everything `run_soak` needs beyond the engine inputs.
 struct SoakOpts<'a> {
     /// Tumbling-window width in requests.
@@ -2142,24 +2162,12 @@ where
 
     // Fast-forward the source to the checkpoint's position so the
     // resumed stream continues exactly where the interrupted one left
-    // off. The synthetic mixer skips without building requests; the
-    // trace reader has to decode (and discard) the prefix.
-    match source {
-        SoakSource::Mix(m) => m.skip(start_t),
-        SoakSource::File(_) => {
-            for i in 0..start_t {
-                let next = {
-                    let ctx = eng.ctx();
-                    source.next_request(&ctx)
-                };
-                if next.is_none() {
-                    return Err(CliError::Usage(format!(
-                        "checkpoint is at t={start_t} but the trace ended after {i} requests \
-                         (is this the right trace?)"
-                    )));
-                }
-            }
-        }
+    // off.
+    if let Err(held) = source.skip(start_t, &eng.ctx()) {
+        return Err(CliError::Usage(format!(
+            "checkpoint is at t={start_t} but the trace ended after {held} requests \
+             (is this the right trace?)"
+        )));
     }
 
     // The series streams to `<path>.tmp` through a CRC accumulator and
@@ -2194,36 +2202,19 @@ where
     let mut total = WindowDelta::default();
     let mut windows = 0u64;
     let mut served = 0u64;
+    let mut buf = Vec::new();
     loop {
         // Serve in batches clamped to the next window boundary, so the
         // boundary work below still happens at exact multiples of the
         // window width. Trace feeds hand out runs (zero-copy page-id
-        // slices from the mmap path); the mixer and CSV adapters fall
-        // through to the scalar pull.
+        // slices from the mmap path); the mixer and CSV adapters are
+        // pulled into `buf`.
         let to_boundary = opts.window - (eng.time() % opts.window);
         let max = to_boundary.min(occ_sim::DEFAULT_BATCH_SIZE as u64) as usize;
-        let stepped = if let Some(run) = source.next_page_run(max).filter(|r| !r.is_empty()) {
-            let n = run.len() as u64;
-            eng.step_page_batch(run);
-            n
-        } else if let Some(run) = source.next_run(max).filter(|r| !r.is_empty()) {
-            let n = run.len() as u64;
-            eng.step_batch(run);
-            n
-        } else {
-            let next = {
-                let ctx = eng.ctx();
-                source.next_request(&ctx)
-            };
-            match next {
-                Some(r) => {
-                    eng.step(r);
-                    1
-                }
-                None => break,
-            }
-        };
-        served += stepped;
+        match eng.serve_from(source, max, &mut buf) {
+            0 => break,
+            n => served += n as u64,
+        }
         let t = eng.time();
         if !t.is_multiple_of(opts.window) {
             continue;

@@ -80,8 +80,8 @@
 use crate::alg::tiebreak::{Candidate, TieBreak};
 use crate::cost::{CostProfile, Marginals};
 use occ_sim::{
-    prefetch_slice_element, CostAnomaly, EngineCtx, PageId, PageLists, PolicyState,
-    ReplacementPolicy, SnapshotError, UserId,
+    CostAnomaly, EngineCtx, PageId, PageLists, PolicyState, ReplacementPolicy, SnapshotError,
+    UserId,
 };
 use std::collections::BTreeSet;
 
@@ -471,15 +471,6 @@ impl ReplacementPolicy for ConvexCaching {
         }
     }
 
-    fn prefetch_hint(&self, page: PageId) {
-        // Warm every page-indexed line `touch` will hit: the recency-list
-        // links plus the `Y_p`/`seq` stamps. Pure hint — bounds-checked
-        // no-ops before the state is lazily sized.
-        self.lists.prefetch(page);
-        prefetch_slice_element(&self.y_at, page.index());
-        prefetch_slice_element(&self.last_seq, page.index());
-    }
-
     fn reset(&mut self) {
         self.ready = false;
         self.global_y = 0.0;
@@ -637,7 +628,7 @@ impl ReplacementPolicy for ConvexCaching {
 mod tests {
     use super::*;
     use crate::cost::{Linear, Monomial};
-    use occ_sim::{Simulator, Trace, Universe};
+    use occ_sim::{EventLog, Simulator, Trace, Universe};
 
     fn run(costs: CostProfile, universe: &Universe, pages: &[u32], k: usize) -> occ_sim::SimResult {
         let trace = Trace::from_page_indices(universe, pages);
@@ -815,31 +806,33 @@ mod tests {
             let (k, cut) = (5, 231);
 
             let mut full_alg = ConvexCaching::new(costs.clone());
-            let mut full = SteppingEngine::new(k, u.clone(), &mut full_alg).with_events();
+            let mut full =
+                SteppingEngine::new(k, u.clone(), &mut full_alg).with_recorder(EventLog::new());
             for &r in &reqs {
                 full.step(r);
             }
-            let full_events: Vec<_> = full.take_events().unwrap().iter().cloned().collect();
+            let full_events: Vec<_> = full.recorder().iter().cloned().collect();
             let full_stats = full.stats().clone();
             let full_dual = full_alg.cumulative_dual_offset();
             let full_m = full_alg.eviction_counts();
 
             let mut head_alg = ConvexCaching::new(costs.clone());
-            let mut head = SteppingEngine::new(k, u.clone(), &mut head_alg).with_events();
+            let mut head =
+                SteppingEngine::new(k, u.clone(), &mut head_alg).with_recorder(EventLog::new());
             for &r in &reqs[..cut] {
                 head.step(r);
             }
             let snap = head.snapshot().unwrap();
-            let mut stitched: Vec<_> = head.take_events().unwrap().iter().cloned().collect();
+            let mut stitched: Vec<_> = head.recorder().iter().cloned().collect();
 
             let mut tail_alg = ConvexCaching::new(costs.clone());
             let mut tail = SteppingEngine::from_snapshot(&snap, &mut tail_alg)
                 .unwrap()
-                .with_events();
+                .with_recorder(EventLog::new());
             for &r in &reqs[cut..] {
                 tail.step(r);
             }
-            stitched.extend(tail.take_events().unwrap().iter().cloned());
+            stitched.extend(tail.recorder().iter().cloned());
             let tail_stats = tail.stats().clone();
 
             assert_eq!(stitched, full_events, "fast={fast}: events diverged");

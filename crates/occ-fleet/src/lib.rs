@@ -13,7 +13,7 @@
 //! per available hardware thread, each replaying its queue of shards
 //! sequentially, and no thread at all when a single worker suffices —
 //! feeds each shard from a streaming [`RequestSource`] through the
-//! batched engine path ([`SteppingEngine::step_batch`], trace-backed
+//! engine's batch loop ([`SteppingEngine::serve_from`], trace-backed
 //! sources handing over whole slices via [`RequestSource::next_run`]),
 //! and folds the per-shard [`MetricsRecorder`]s into one merged
 //! recorder with the same shard-merge machinery the observability layer
@@ -59,14 +59,12 @@ pub struct FleetConfig {
     /// Cache capacity `k` of every shard (each shard gets its own full
     /// `k` — see the module docs).
     pub capacity: usize,
-    /// Requests per [`SteppingEngine::step_batch`] call.
+    /// Most requests per [`SteppingEngine::serve_from`] batch.
     pub batch_size: usize,
-    /// Apply the paper's end-of-run flush convention per shard.
-    pub flush_at_end: bool,
     /// Attach a [`MetricsRecorder`] to every shard. Costs a monotonic
     /// clock sample per request (the recorder is `TIMED`); turn it off
-    /// for pure-throughput runs, which then take the zero-overhead
-    /// batched path and leave [`ShardReport::recorder`] empty.
+    /// for pure-throughput runs, which then compile the recorder out
+    /// and leave [`ShardReport::recorder`] empty.
     pub record: bool,
     /// Cap on worker threads; `None` means one per available hardware
     /// thread. The runner never uses more workers than shards, and a
@@ -87,7 +85,6 @@ impl FleetConfig {
         FleetConfig {
             capacity,
             batch_size: DEFAULT_BATCH_SIZE,
-            flush_at_end: false,
             record: true,
             max_workers: None,
             window: None,
@@ -262,64 +259,19 @@ impl FleetReport {
     }
 }
 
-/// Run one engine to exhaustion of its source, batch by batch.
-///
-/// Sources that serve bare page-id runs
-/// ([`RequestSource::next_page_run`] — the mmap-backed binary reader)
-/// feed [`SteppingEngine::step_page_batch`] slices of the file mapping
-/// itself; sources that support materialized bulk runs
-/// ([`RequestSource::next_run`] — fixed traces) feed
-/// [`SteppingEngine::step_batch`] slices of their own backing storage;
-/// everything else goes through the per-request pull loop into a reused
-/// batch buffer. The three styles can interleave freely without
-/// changing the served sequence.
+/// Run a fresh engine to exhaustion of its source, `cfg.batch_size`
+/// requests at a time, through [`SteppingEngine::serve_from`] (zero-copy
+/// page runs, borrowed request runs, or per-request pulls, whichever the
+/// source offers). Returns the requests served.
 fn drive<S, P, R>(engine: &mut SteppingEngine<P, R>, source: &mut S, cfg: &FleetConfig) -> u64
 where
     S: RequestSource,
     P: ReplacementPolicy,
     R: Recorder,
 {
-    // The batch buffer is only for the pull loop below; bulk sources
-    // (fixed traces — the throughput path) never enter it, so defer the
-    // allocation until a shard actually needs it.
     let mut buf = Vec::new();
-    let mut served = 0u64;
-    loop {
-        if let Some(run) = source
-            .next_page_run(cfg.batch_size)
-            .filter(|r| !r.is_empty())
-        {
-            served += run.len() as u64;
-            engine.step_page_batch(run);
-            continue;
-        }
-        if let Some(run) = source.next_run(cfg.batch_size).filter(|r| !r.is_empty()) {
-            served += run.len() as u64;
-            engine.step_batch(run);
-            continue;
-        }
-        buf.clear();
-        buf.reserve(cfg.batch_size);
-        while buf.len() < cfg.batch_size {
-            let next = {
-                let ctx = engine.ctx();
-                source.next_request(&ctx)
-            };
-            match next {
-                Some(r) => buf.push(r),
-                None => break,
-            }
-        }
-        if buf.is_empty() {
-            break;
-        }
-        served += buf.len() as u64;
-        engine.step_batch(&buf);
-    }
-    if cfg.flush_at_end {
-        engine.flush();
-    }
-    served
+    while engine.serve_from(source, cfg.batch_size, &mut buf) > 0 {}
+    engine.time()
 }
 
 fn run_shard<S: RequestSource, P: ReplacementPolicy>(
@@ -505,7 +457,7 @@ mod tests {
     use super::*;
     use occ_baselines::Lru;
     use occ_sim::Simulator;
-    use occ_workloads::{sqlvm_like, two_tier, AccessPattern, PatternSource};
+    use occ_workloads::{sqlvm_like, two_tier, PatternSource};
 
     fn lru_factory(_shard: usize) -> Box<dyn ReplacementPolicy> {
         Box::new(Lru::new())
@@ -672,16 +624,6 @@ mod tests {
         );
         assert!(plain.merged_series.is_none());
         assert!(plain.to_json_value().get("series").is_none());
-    }
-
-    #[test]
-    fn flush_at_end_charges_every_cached_page() {
-        let mut cfg = FleetConfig::new(8);
-        cfg.flush_at_end = true;
-        let sources = vec![PatternSource::new(AccessPattern::Scan, 8, 64, 0)];
-        let report = run_fleet(sources, &cfg, lru_factory);
-        assert_eq!(report.shards[0].recorder.flush_evictions(), 8);
-        assert_eq!(report.shards[0].stats.total_evictions(), 8);
     }
 
     #[test]

@@ -143,10 +143,11 @@ fn splitmix64(mut z: u64) -> u64 {
 /// Configuration for [`run_supervised_fleet`].
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
-    /// Shard capacity and worker cap ([`FleetConfig::capacity`],
+    /// Shard capacity, batch size and worker cap
+    /// ([`FleetConfig::capacity`], [`FleetConfig::batch_size`],
     /// [`FleetConfig::max_workers`]). The supervised driver always
-    /// records tumbling windows and pulls per request, so
-    /// `record`/`window`/`batch_size`/`flush_at_end` are ignored here.
+    /// records tumbling windows, so `record`/`window` are ignored here;
+    /// its batches also end at every window boundary and pending kill.
     pub fleet: FleetConfig,
     /// Window width = checkpoint cadence: every shard checkpoints at
     /// every multiple of this many requests.
@@ -507,6 +508,7 @@ struct ShardDriver<'a> {
     shard: usize,
     width: u64,
     capacity: usize,
+    batch_size: usize,
     /// Last durably checkpointed snapshot; restarts resume here.
     last_good: Option<EngineSnapshot>,
     /// Windows covered by `last_good` (plus, after a clean finish, the
@@ -539,21 +541,26 @@ impl ShardDriver<'_> {
         let mut eng = eng.with_recorder(
             WindowedRecorder::<false>::starting_at(self.width, t0).with_ring_capacity(usize::MAX),
         );
+        let mut buf = Vec::new();
         loop {
             let t = eng.time();
-            if self.pending_kills.front() == Some(&t) {
-                self.pending_kills.pop_front();
-                panic::panic_any(InjectedKill {
-                    shard: self.shard,
-                    at: t,
-                });
+            // A batch ends at the next window boundary and at the next
+            // pending kill, so both land at exactly their `t`.
+            let mut max = (self.width - t % self.width).min(self.batch_size as u64);
+            match self.pending_kills.front() {
+                Some(&at) if at == t => {
+                    self.pending_kills.pop_front();
+                    panic::panic_any(InjectedKill {
+                        shard: self.shard,
+                        at: t,
+                    });
+                }
+                Some(&at) if at > t => max = max.min(at - t),
+                _ => {}
             }
-            let next = {
-                let ctx = eng.ctx();
-                source.next_request(&ctx)
-            };
-            let Some(r) = next else { break };
-            eng.step(r);
+            if eng.serve_from(&mut source, max as usize, &mut buf) == 0 {
+                break;
+            }
             let t = eng.time();
             if t % self.width == 0 {
                 eng.recorder_mut().roll_to(t);
@@ -641,6 +648,7 @@ where
         shard,
         width: cfg.window,
         capacity: cfg.fleet.capacity,
+        batch_size: cfg.fleet.batch_size,
         last_good: initial,
         committed: Vec::new(),
         next_commit: resume_t / cfg.window,
@@ -746,7 +754,7 @@ where
 /// telemetry channel for supervised runs — a `MetricsRecorder` cannot
 /// be reconstructed across restarts).
 ///
-/// Panics if `shards == 0` or `cfg.window == 0`.
+/// Panics if `shards`, `cfg.window` or `cfg.fleet.batch_size` is zero.
 pub fn run_supervised_fleet<S, P>(
     shards: usize,
     cfg: &SupervisorConfig,
@@ -760,6 +768,7 @@ where
 {
     assert!(shards > 0, "a fleet needs at least one shard");
     assert!(cfg.window > 0, "supervision needs a positive window width");
+    assert!(cfg.fleet.batch_size > 0, "batch size must be positive");
     let workers = cfg.fleet.workers_for(shards);
     let start = Instant::now();
     let make_source = &make_source;

@@ -1,10 +1,9 @@
 //! A streaming JSONL event sink.
 //!
 //! [`EventLog`](occ_sim::EventLog) keeps events in memory — fine for
-//! tests and short traces, unbounded for long ones (the engine's
-//! `event_capacity` option caps it, but then old events are lost). For
-//! full-fidelity capture of arbitrarily long runs, [`JsonlSink`] streams
-//! one JSON object per event to any [`io::Write`] as the run progresses:
+//! tests and short traces, unbounded for long ones. For full-fidelity
+//! capture of arbitrarily long runs, [`JsonlSink`] streams one JSON
+//! object per event to any [`io::Write`] as the run progresses:
 //! memory use is one line's buffer regardless of trace length, and the
 //! output is greppable / line-parseable without loading the whole file.
 //!

@@ -1,22 +1,25 @@
-//! The simulation engine: exact replay of a request sequence against a
+//! The simulator: exact replay of a request sequence against a
 //! replacement policy, with per-tenant accounting.
 //!
 //! The engine is the single owner of ground truth (cache contents and
 //! counters); policies only pick victims. This guarantees that two policies
 //! run on the same trace see byte-identical hit/miss classification, which
 //! is what makes cross-policy cost comparisons meaningful.
+//!
+//! [`Simulator`] is a thin wrapper over [`SteppingEngine`]: every entry
+//! point builds one engine, feeds it from a source, and packages the
+//! outcome as a [`SimResult`].
 
 use crate::cache::CacheSet;
 use crate::error::{FaultCounters, FaultHandler, FaultPolicy, SimError};
-use crate::event::{EventLog, SimEvent};
+use crate::event::EventLog;
 use crate::ids::{PageId, Time, UserId};
 use crate::policy::ReplacementPolicy;
 use crate::probe::{NoopRecorder, Recorder};
 use crate::source::{RequestSource, TraceSource};
 use crate::stats::SimStats;
 use crate::stepper::SteppingEngine;
-use crate::trace::{Request, Trace, Universe};
-use std::time::Instant;
+use crate::trace::{Trace, Universe};
 
 /// Read-only view of the engine state handed to policies and sources.
 pub struct EngineCtx<'a> {
@@ -35,15 +38,10 @@ pub struct EngineCtx<'a> {
 /// Engine configuration.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimOptions {
-    /// Record a [`SimEvent`] per request (off by default: costs memory
-    /// proportional to the trace).
+    /// Keep a [`SimEvent`](crate::event::SimEvent) per request in
+    /// [`SimResult::events`] (off by default: costs memory proportional
+    /// to the trace — long runs should stream through a recorder).
     pub record_events: bool,
-    /// Retention limit for the event log: `Some(n)` keeps only the `n`
-    /// newest events in a ring (see [`EventLog::bounded`]), so recording
-    /// a long trace costs `O(n)` memory instead of `O(trace)`. `None`
-    /// (the default) retains everything, which the equivalence tests
-    /// rely on. Only meaningful together with `record_events`.
-    pub event_capacity: Option<usize>,
     /// After the last request, evict every cached page and count those
     /// evictions. This models the paper's dummy-user flush (§2.1), making
     /// per-user eviction counts equal per-user miss counts.
@@ -102,6 +100,24 @@ pub struct CheckedRun {
     pub quarantined: Vec<UserId>,
 }
 
+/// How a [`Simulator`] entry point feeds its engine.
+enum Feed<'h> {
+    /// One [`SteppingEngine::step`] per pulled request, so an adaptive
+    /// source observes every step.
+    Pull,
+    /// [`SteppingEngine::serve_from`] batches of at most this many
+    /// requests.
+    Batched(usize),
+    /// One [`SteppingEngine::step_checked`] per pulled record.
+    Checked(&'h mut FaultHandler),
+}
+
+/// The result of an unchecked feed, which cannot fail: a policy contract
+/// violation already panicked inside the engine.
+fn unchecked(run: Result<SimResult, SimError>) -> SimResult {
+    run.unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// The simulator: a cache size plus run options.
 #[derive(Clone, Copy, Debug)]
 pub struct Simulator {
@@ -128,13 +144,6 @@ impl Simulator {
     /// Enable per-request event recording.
     pub fn record_events(mut self, on: bool) -> Self {
         self.options.record_events = on;
-        self
-    }
-
-    /// Bound the event log to the `capacity` newest events (implies
-    /// nothing unless [`Self::record_events`] is also enabled).
-    pub fn event_capacity(mut self, capacity: usize) -> Self {
-        self.options.event_capacity = Some(capacity);
         self
     }
 
@@ -179,7 +188,9 @@ impl Simulator {
     }
 
     /// Run `policy` against a request source with a [`Recorder`]
-    /// observing every decision (see [`crate::probe`]).
+    /// observing every decision (see [`crate::probe`]). Requests are
+    /// pulled one at a time, so an adaptive source sees the engine state
+    /// after every step.
     pub fn run_source_recorded<P, S, R>(
         &self,
         policy: &mut P,
@@ -191,172 +202,32 @@ impl Simulator {
         S: RequestSource,
         R: Recorder,
     {
-        let universe = source.universe().clone();
-        let mut cache = CacheSet::new(self.capacity, universe.num_pages());
-        let mut stats = SimStats::new(universe.num_users());
-        let mut events = self
-            .options
-            .record_events
-            .then(|| match self.options.event_capacity {
-                Some(capacity) => EventLog::bounded(capacity),
-                None => EventLog::new(),
-            });
-        let mut t: Time = 0;
-
-        loop {
-            let req = {
-                let ctx = EngineCtx {
-                    time: t,
-                    cache: &cache,
-                    stats: &stats,
-                    universe: &universe,
-                };
-                match source.next_request(&ctx) {
-                    Some(r) => r,
-                    None => break,
-                }
-            };
-            debug_assert_eq!(
-                universe.owner(req.page),
-                req.user,
-                "request owner disagrees with the universe"
-            );
-
-            let started = if R::TIMED { Some(Instant::now()) } else { None };
-            if cache.contains(req.page) {
-                stats.record_hit(req.user);
-                let ctx = EngineCtx {
-                    time: t,
-                    cache: &cache,
-                    stats: &stats,
-                    universe: &universe,
-                };
-                policy.on_hit(&ctx, req.page);
-                if R::ACTIVE {
-                    recorder.record_hit(&ctx, t, req.page, req.user);
-                }
-                if let Some(log) = events.as_mut() {
-                    log.push(SimEvent::Hit { t, page: req.page });
-                }
-            } else if !cache.is_full() {
-                cache.insert(req.page);
-                stats.record_miss(req.user);
-                let ctx = EngineCtx {
-                    time: t,
-                    cache: &cache,
-                    stats: &stats,
-                    universe: &universe,
-                };
-                policy.on_insert(&ctx, req.page);
-                if R::ACTIVE {
-                    recorder.record_insert(&ctx, t, req.page, req.user);
-                }
-                if let Some(log) = events.as_mut() {
-                    log.push(SimEvent::Insert { t, page: req.page });
-                }
-            } else {
-                // Full cache: the policy picks a victim against the
-                // pre-eviction state (stats exclude this request).
-                let victim = {
-                    let ctx = EngineCtx {
-                        time: t,
-                        cache: &cache,
-                        stats: &stats,
-                        universe: &universe,
-                    };
-                    policy.choose_victim(&ctx, req.page)
-                };
-                assert!(
-                    cache.contains(victim),
-                    "policy {} chose victim {victim} which is not cached",
-                    policy.name()
-                );
-                assert_ne!(
-                    victim,
-                    req.page,
-                    "policy {} tried to evict the incoming page",
-                    policy.name()
-                );
-                let victim_user = universe.owner(victim);
-                cache.remove(victim);
-                stats.record_eviction(victim_user);
-                cache.insert(req.page);
-                stats.record_miss(req.user);
-                let ctx = EngineCtx {
-                    time: t,
-                    cache: &cache,
-                    stats: &stats,
-                    universe: &universe,
-                };
-                policy.on_evicted(&ctx, victim);
-                policy.on_insert(&ctx, req.page);
-                if R::ACTIVE {
-                    recorder.record_eviction(&ctx, t, req.page, req.user, victim, victim_user);
-                }
-                if let Some(log) = events.as_mut() {
-                    log.push(SimEvent::Evict {
-                        t,
-                        page: req.page,
-                        victim,
-                        victim_user,
-                    });
-                }
-            }
-            if let Some(start) = started {
-                recorder.record_latency_ns(t, start.elapsed().as_nanos() as u64);
-            }
-            t += 1;
-        }
-
-        let final_cache = cache.sorted_pages();
-        if self.options.flush_at_end {
-            for page in cache.drain_all() {
-                stats.record_eviction(universe.owner(page));
-                if R::ACTIVE {
-                    recorder.record_flush_eviction(page, universe.owner(page));
-                }
-            }
-        }
-
-        SimResult {
-            stats,
-            events,
-            final_cache,
-            steps: t,
-        }
+        unchecked(self.drive(policy, source, recorder, Feed::Pull))
     }
 
-    /// Run `policy` over a fixed `trace` through the batched hot loop
-    /// (see [`SteppingEngine::step_batch`]): byte-identical results to
-    /// [`Self::run`], with per-request dispatch amortized over
-    /// `batch_size`-request chunks.
+    /// Run `policy` over a fixed `trace` through the batch loop (see
+    /// [`SteppingEngine::step_batch`]): byte-identical results to
+    /// [`Self::run`], served in `batch_size`-request slices of the trace.
     pub fn run_batched<P: ReplacementPolicy>(
         &self,
         policy: &mut P,
         trace: &Trace,
         batch_size: usize,
     ) -> SimResult {
-        let mut engine = SteppingEngine::new(self.capacity, trace.universe().clone(), &mut *policy);
-        if self.options.record_events {
-            engine = match self.options.event_capacity {
-                Some(capacity) => engine.with_bounded_events(capacity),
-                None => engine.with_events(),
-            };
-        }
-        engine.run_batched(trace.requests(), batch_size);
-        Self::finish_batched(self.options, engine)
+        self.run_source_batched(policy, &mut TraceSource::new(trace), batch_size)
     }
 
-    /// Run `policy` against a request source through the batched hot
-    /// loop, buffering at most `batch_size` requests at a time — the
-    /// streaming counterpart of [`Self::run_batched`], with memory
-    /// independent of the stream length.
+    /// Run `policy` against a request source through the batch loop,
+    /// at most `batch_size` requests at a time (see
+    /// [`SteppingEngine::serve_from`]) — the streaming counterpart of
+    /// [`Self::run_batched`], with memory independent of the stream
+    /// length.
     ///
-    /// Every request in a chunk is drawn before the chunk is served, so
-    /// an *adaptive* source observes the engine state as of the previous
-    /// chunk boundary, not the previous request. Non-adaptive sources
-    /// (fixed traces, seeded generators) produce byte-identical results
-    /// to [`Self::run_source`].
+    /// Every request in a pulled batch is drawn before the batch is
+    /// served, so an *adaptive* source observes the engine state as of
+    /// the previous batch boundary, not the previous request.
+    /// Non-adaptive sources (fixed traces, seeded generators) produce
+    /// byte-identical results to [`Self::run_source`].
     pub fn run_source_batched<P, S>(
         &self,
         policy: &mut P,
@@ -368,54 +239,7 @@ impl Simulator {
         S: RequestSource,
     {
         assert!(batch_size > 0, "batch size must be positive");
-        let universe = source.universe().clone();
-        let mut engine = SteppingEngine::new(self.capacity, universe, &mut *policy);
-        if self.options.record_events {
-            engine = match self.options.event_capacity {
-                Some(capacity) => engine.with_bounded_events(capacity),
-                None => engine.with_events(),
-            };
-        }
-        let mut buf: Vec<Request> = Vec::with_capacity(batch_size);
-        let mut done = false;
-        while !done {
-            buf.clear();
-            while buf.len() < batch_size {
-                let req = {
-                    let ctx = engine.ctx();
-                    source.next_request(&ctx)
-                };
-                match req {
-                    Some(r) => buf.push(r),
-                    None => {
-                        done = true;
-                        break;
-                    }
-                }
-            }
-            if !buf.is_empty() {
-                engine.step_batch(&buf);
-            }
-        }
-        Self::finish_batched(self.options, engine)
-    }
-
-    /// Shared tail of the batched entry points: capture the final cache,
-    /// apply the optional end-of-run flush, and package the result.
-    fn finish_batched<P: ReplacementPolicy>(
-        options: SimOptions,
-        mut engine: SteppingEngine<P>,
-    ) -> SimResult {
-        let final_cache = engine.cache().sorted_pages();
-        if options.flush_at_end {
-            engine.flush();
-        }
-        SimResult {
-            steps: engine.time(),
-            stats: engine.stats().clone(),
-            events: engine.take_events(),
-            final_cache,
-        }
+        unchecked(self.drive(policy, source, &mut NoopRecorder, Feed::Batched(batch_size)))
     }
 
     /// Run `policy` over a possibly-corrupt `trace` under a degradation
@@ -449,14 +273,13 @@ impl Simulator {
     }
 
     /// The fault-tolerant counterpart of [`Self::run_source_recorded`]:
-    /// validates every record before serving it and reacts to faults per
+    /// validates every record before serving it
+    /// ([`SteppingEngine::step_checked`]) and reacts to faults per
     /// `fault_policy` instead of panicking.
     ///
-    /// This path lives beside (not inside) the trusting hot loop: the
-    /// unchecked `run*` family stays monomorphized to the unvalidated
-    /// code, so enabling fault tolerance costs nothing when it is not
-    /// used (guarded by `bench_baseline`). On well-formed input a checked
-    /// run produces the identical [`SimResult`] to an unchecked one.
+    /// Only this entry point validates, so fault tolerance costs nothing
+    /// when it is not used. On well-formed input a checked run produces
+    /// the identical [`SimResult`] to an unchecked one.
     pub fn try_run_source_recorded<P, S, R>(
         &self,
         policy: &mut P,
@@ -469,41 +292,83 @@ impl Simulator {
         S: RequestSource,
         R: Recorder,
     {
-        let universe = source.universe().clone();
-        let num_users = universe.num_users();
-        let mut engine = SteppingEngine::new(self.capacity, universe, &mut *policy)
-            .with_recorder(&mut *recorder);
-        if self.options.record_events {
-            engine = match self.options.event_capacity {
-                Some(capacity) => engine.with_bounded_events(capacity),
-                None => engine.with_events(),
-            };
+        let mut handler = FaultHandler::new(fault_policy, source.universe().num_users());
+        let result = self.drive(policy, source, recorder, Feed::Checked(&mut handler))?;
+        Ok(CheckedRun {
+            result,
+            faults: handler.counters().clone(),
+            quarantined: handler.quarantined_users(),
+        })
+    }
+
+    /// The one construct-and-finish path behind every entry point: an
+    /// engine of capacity `k` over `source`'s universe, observed by
+    /// `recorder` — paired with an [`EventLog`] when
+    /// [`SimOptions::record_events`] is set — and driven by `feed`.
+    fn drive<P, S, R>(
+        &self,
+        policy: &mut P,
+        source: &mut S,
+        recorder: &mut R,
+        feed: Feed<'_>,
+    ) -> Result<SimResult, SimError>
+    where
+        P: ReplacementPolicy,
+        S: RequestSource,
+        R: Recorder,
+    {
+        if !self.options.record_events {
+            return self.drive_with(policy, source, recorder, feed);
         }
-        let mut handler = FaultHandler::new(fault_policy, num_users);
-        loop {
-            let req = {
-                let ctx = engine.ctx();
-                source.next_request(&ctx)
-            };
-            let Some(req) = req else { break };
-            engine.step_checked(req, &mut handler)?;
+        let mut log = EventLog::new();
+        let mut result = self.drive_with(policy, source, (recorder, &mut log), feed)?;
+        result.events = Some(log);
+        Ok(result)
+    }
+
+    /// [`Self::drive`] for one concrete recorder: feed the engine until
+    /// the source runs dry, capture the final cache, apply the optional
+    /// end-of-run flush, and package the result.
+    fn drive_with<P, S, R>(
+        &self,
+        policy: &mut P,
+        source: &mut S,
+        recorder: R,
+        feed: Feed<'_>,
+    ) -> Result<SimResult, SimError>
+    where
+        P: ReplacementPolicy,
+        S: RequestSource,
+        R: Recorder,
+    {
+        let universe = source.universe().clone();
+        let mut engine =
+            SteppingEngine::new(self.capacity, universe, policy).with_recorder(recorder);
+        match feed {
+            Feed::Pull => {
+                while let Some(req) = source.next_request(&engine.ctx()) {
+                    engine.step(req);
+                }
+            }
+            Feed::Batched(max) => {
+                let mut buf = Vec::new();
+                while engine.serve_from(source, max, &mut buf) > 0 {}
+            }
+            Feed::Checked(handler) => {
+                while let Some(req) = source.next_request(&engine.ctx()) {
+                    engine.step_checked(req, handler)?;
+                }
+            }
         }
         let final_cache = engine.cache().sorted_pages();
         if self.options.flush_at_end {
             engine.flush();
         }
-        let steps = engine.time();
-        let stats = engine.stats().clone();
-        let events = engine.take_events();
-        Ok(CheckedRun {
-            result: SimResult {
-                stats,
-                events,
-                final_cache,
-                steps,
-            },
-            faults: handler.counters().clone(),
-            quarantined: handler.quarantined_users(),
+        Ok(SimResult {
+            stats: engine.stats().clone(),
+            events: None,
+            final_cache,
+            steps: engine.time(),
         })
     }
 }
@@ -511,7 +376,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::UserId;
+    use crate::event::SimEvent;
     use crate::trace::Universe;
 
     /// Evicts the page cached in physical slot 0 — arbitrary but valid.
@@ -580,27 +445,6 @@ mod tests {
             .filter(|e| matches!(e, SimEvent::Hit { .. }))
             .count() as u64;
         assert_eq!(hits, r.stats.total_hits());
-    }
-
-    #[test]
-    fn bounded_event_log_caps_memory_not_counters() {
-        let u = Universe::uniform(2, 2);
-        let trace = Trace::from_page_indices(&u, &[0, 2, 1, 0, 3, 2]);
-        let full = Simulator::new(2)
-            .record_events(true)
-            .run(&mut EvictFirst, &trace);
-        let capped = Simulator::new(2)
-            .record_events(true)
-            .event_capacity(2)
-            .run(&mut EvictFirst, &trace);
-        // Counters are unaffected by the retention limit.
-        assert_eq!(capped.miss_vector(), full.miss_vector());
-        let log = capped.events.as_ref().unwrap();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.total_seen(), full.steps);
-        // The retained suffix matches the tail of the full log.
-        let full_log = full.events.as_ref().unwrap().to_vec();
-        assert_eq!(log.to_vec(), full_log[full_log.len() - 2..]);
     }
 
     #[test]

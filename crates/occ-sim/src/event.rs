@@ -1,27 +1,24 @@
-//! Optional per-request event log.
+//! Per-request event log.
 //!
 //! Invariant checkers (the primal–dual conditions of §2.3) and the
 //! ALG-CONT ≡ ALG-DISCRETE equivalence experiment need the exact eviction
-//! sequence, not just counts. Event recording is off by default because a
-//! log entry per request would dominate the engine's memory traffic in
-//! throughput benchmarks.
+//! sequence, not just counts. [`EventLog`] is a
+//! [`Recorder`](crate::probe::Recorder): attach it to a
+//! [`SteppingEngine`](crate::SteppingEngine) (alone, or paired with
+//! another recorder) and it keeps one [`SimEvent`] per request, or set
+//! [`Simulator::record_events`](crate::Simulator::record_events) to get
+//! it back in [`SimResult::events`](crate::SimResult). It is off by
+//! default because an entry per request would dominate the engine's
+//! memory traffic in throughput benchmarks.
 //!
-//! Logs come in two flavors:
-//!
-//! * **unbounded** ([`EventLog::new`]) — every event is retained; the
-//!   default, and what the equivalence tests rely on;
-//! * **bounded** ([`EventLog::bounded`]) — a fixed-capacity ring that
-//!   keeps only the newest events and counts the rest as
-//!   [`dropped`](EventLog::dropped), so recording a 10M-request trace
-//!   costs `O(capacity)` memory instead of `O(trace)`. Enabled through
-//!   [`SimOptions::event_capacity`](crate::engine::SimOptions).
-//!
-//! For long traces that need *every* event, stream them instead: the
-//! `occ-probe` crate's JSONL sink implements
-//! [`Recorder`](crate::probe::Recorder) and writes events to any
-//! `io::Write` without retaining them.
+//! The log keeps everything in memory. Long runs should stream instead:
+//! the `occ-probe` crate's `JsonlSink` writes every event to any
+//! `io::Write` without retaining it, and its `WindowedRecorder` keeps
+//! per-window counts.
 
+use crate::engine::EngineCtx;
 use crate::ids::{PageId, Time, UserId};
+use crate::probe::Recorder;
 use serde::{Deserialize, Serialize};
 
 /// What happened at one time step.
@@ -71,100 +68,41 @@ impl SimEvent {
     }
 }
 
-/// An append-only sequence of [`SimEvent`]s, optionally bounded to the
-/// newest `capacity` entries (ring buffer).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// An append-only sequence of [`SimEvent`]s, in time order.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct EventLog {
-    /// Ring storage. For an unbounded log this is plain append order;
-    /// once a bounded log wraps, `head` marks the oldest retained entry.
     events: Vec<SimEvent>,
-    /// Retention limit (`usize::MAX` for unbounded logs).
-    capacity: usize,
-    /// Index of the oldest retained event once the ring has wrapped.
-    head: usize,
-    /// Events discarded because the ring was full.
-    dropped: u64,
-}
-
-impl Default for EventLog {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl EventLog {
-    /// An empty unbounded log.
+    /// An empty log.
     pub fn new() -> Self {
-        EventLog {
-            events: Vec::new(),
-            capacity: usize::MAX,
-            head: 0,
-            dropped: 0,
-        }
+        Self::default()
     }
 
-    /// An empty bounded log retaining at most `capacity` (≥ 1) of the
-    /// newest events.
-    pub fn bounded(capacity: usize) -> Self {
-        assert!(capacity >= 1, "a bounded event log needs capacity >= 1");
-        EventLog {
-            events: Vec::new(),
-            capacity,
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Append an event, displacing the oldest retained one if the log is
-    /// bounded and full.
-    #[inline]
+    /// Append an event.
     pub fn push(&mut self, event: SimEvent) {
-        if self.events.len() < self.capacity {
-            self.events.push(event);
-        } else {
-            self.events[self.head] = event;
-            self.head += 1;
-            if self.head == self.capacity {
-                self.head = 0;
-            }
-            self.dropped += 1;
-        }
+        self.events.push(event);
     }
 
-    /// Retained events in time order.
+    /// Events in time order.
     pub fn iter(&self) -> impl Iterator<Item = &SimEvent> {
-        let (newer, older) = self.events.split_at(self.head);
-        older.iter().chain(newer.iter())
+        self.events.iter()
     }
 
-    /// Retained events in time order, as an owned vector.
+    /// Events in time order, as an owned vector.
     pub fn to_vec(&self) -> Vec<SimEvent> {
-        self.iter().copied().collect()
+        self.events.clone()
     }
 
-    /// Number of retained events.
+    /// Number of events.
     pub fn len(&self) -> usize {
         self.events.len()
     }
 
-    /// Whether the log retains no events.
+    /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Events discarded by a bounded log (0 for unbounded logs).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Total events ever pushed (retained + dropped).
-    pub fn total_seen(&self) -> u64 {
-        self.events.len() as u64 + self.dropped
-    }
-
-    /// The retention limit, if this log is bounded.
-    pub fn capacity(&self) -> Option<usize> {
-        (self.capacity != usize::MAX).then_some(self.capacity)
     }
 
     /// The eviction decisions only, as `(t, victim)` pairs — the canonical
@@ -173,6 +111,35 @@ impl EventLog {
         self.iter()
             .filter_map(|e| e.victim().map(|v| (e.time(), v)))
             .collect()
+    }
+}
+
+/// One event per request, from the same hooks every recorder sees.
+/// End-of-run flush evictions are not requests and are not logged.
+impl Recorder for EventLog {
+    fn record_hit(&mut self, _ctx: &EngineCtx, t: Time, page: PageId, _user: UserId) {
+        self.push(SimEvent::Hit { t, page });
+    }
+
+    fn record_insert(&mut self, _ctx: &EngineCtx, t: Time, page: PageId, _user: UserId) {
+        self.push(SimEvent::Insert { t, page });
+    }
+
+    fn record_eviction(
+        &mut self,
+        _ctx: &EngineCtx,
+        t: Time,
+        page: PageId,
+        _user: UserId,
+        victim: PageId,
+        victim_user: UserId,
+    ) {
+        self.push(SimEvent::Evict {
+            t,
+            page,
+            victim,
+            victim_user,
+        });
     }
 }
 
@@ -198,46 +165,9 @@ mod tests {
             victim_user: UserId(0),
         });
         assert_eq!(log.len(), 3);
-        assert_eq!(log.dropped(), 0);
-        assert_eq!(log.capacity(), None);
         assert_eq!(log.eviction_sequence(), vec![(2, PageId(1))]);
         let events = log.to_vec();
         assert_eq!(events[2].time(), 2);
         assert_eq!(events[0].victim(), None);
-    }
-
-    #[test]
-    fn bounded_log_keeps_newest() {
-        let mut log = EventLog::bounded(3);
-        for t in 0..10 {
-            log.push(SimEvent::Hit { t, page: PageId(0) });
-        }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.dropped(), 7);
-        assert_eq!(log.total_seen(), 10);
-        assert_eq!(log.capacity(), Some(3));
-        let times: Vec<Time> = log.iter().map(|e| e.time()).collect();
-        assert_eq!(times, vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn bounded_log_in_order_at_every_fill_level() {
-        // Order must be right before wrapping, exactly at capacity, and
-        // after wrapping any number of times.
-        for n in 0..12u64 {
-            let mut log = EventLog::bounded(4);
-            for t in 0..n {
-                log.push(SimEvent::Insert { t, page: PageId(0) });
-            }
-            let times: Vec<Time> = log.iter().map(|e| e.time()).collect();
-            let expect: Vec<Time> = (n.saturating_sub(4)..n).collect();
-            assert_eq!(times, expect, "n = {n}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity >= 1")]
-    fn zero_capacity_rejected() {
-        EventLog::bounded(0);
     }
 }

@@ -228,22 +228,6 @@ impl PageLists {
         self.push_back(l, page);
     }
 
-    /// Prefetch the link-array lines a touch of `page` will dirty
-    /// (`prev`/`next`/`list_of` at the page's index). Policies forward
-    /// [`ReplacementPolicy::prefetch_hint`] here so batch drivers that
-    /// use that hook cover policy state, not just the engine's page
-    /// table.
-    ///
-    /// [`ReplacementPolicy::prefetch_hint`]:
-    ///     crate::policy::ReplacementPolicy::prefetch_hint
-    #[inline(always)]
-    pub fn prefetch(&self, page: PageId) {
-        let i = page.index();
-        crate::prefetch::prefetch_slice_element(&self.list_of, i);
-        crate::prefetch::prefetch_slice_element(&self.prev, i);
-        crate::prefetch::prefetch_slice_element(&self.next, i);
-    }
-
     /// Steal every node of `from` and append the whole chain to the back
     /// of `to` in order, in `O(len(from))` (relinks `list_of` per node but
     /// performs no per-node splicing). Used by marking policies whose
@@ -405,13 +389,6 @@ impl PageList {
     #[inline]
     pub fn move_to_back(&mut self, page: PageId) {
         self.inner.move_to_back(0, page);
-    }
-
-    /// Prefetch the link-array lines a touch of `page` will dirty (see
-    /// [`PageLists::prefetch`]).
-    #[inline(always)]
-    pub fn prefetch(&self, page: PageId) {
-        self.inner.prefetch(page);
     }
 
     /// Iterate oldest to newest.

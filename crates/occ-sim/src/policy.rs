@@ -59,24 +59,6 @@ pub trait ReplacementPolicy {
     /// it can keep the default no-op.
     fn on_external_removal(&mut self, _ctx: &EngineCtx, _page: PageId) {}
 
-    /// Hint that `page` will be requested a few steps from now.
-    ///
-    /// An optional hook for batch drivers with lookahead: calling this
-    /// for request `i + D` while serving request `i` lets policies
-    /// software-prefetch their page-indexed structures (recency-list
-    /// links, stamp arrays) and hide the load latency behind the
-    /// current request. The shipping [`SteppingEngine`] batch kernel
-    /// prefetches the engine's own page table but does **not** call
-    /// this hook — through the trait object the call cost more than
-    /// the prefetch saved. Purely a performance hint either way: it
-    /// must have **no observable effect** — no state change, no
-    /// ordering change — and the default no-op is always correct. The
-    /// page is not guaranteed to actually arrive (the batch may end
-    /// first).
-    ///
-    /// [`SteppingEngine`]: crate::stepper::SteppingEngine
-    fn prefetch_hint(&self, _page: PageId) {}
-
     /// Reset internal state so the policy can be reused for another run.
     /// Policies that carry no cross-run state can keep the default no-op.
     fn reset(&mut self) {}
@@ -129,9 +111,6 @@ macro_rules! forward_boxed_policy {
             fn on_external_removal(&mut self, ctx: &EngineCtx, page: PageId) {
                 (**self).on_external_removal(ctx, page)
             }
-            fn prefetch_hint(&self, page: PageId) {
-                (**self).prefetch_hint(page)
-            }
             fn reset(&mut self) {
                 (**self).reset()
             }
@@ -171,9 +150,6 @@ impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for &mut P {
     }
     fn on_external_removal(&mut self, ctx: &EngineCtx, page: PageId) {
         (**self).on_external_removal(ctx, page)
-    }
-    fn prefetch_hint(&self, page: PageId) {
-        (**self).prefetch_hint(page)
     }
     fn reset(&mut self) {
         (**self).reset()

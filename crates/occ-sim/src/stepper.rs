@@ -1,15 +1,26 @@
-//! A step-at-a-time engine for interactive simulations.
+//! The engine: one cache + one policy, and the one hit/insert/evict
+//! state machine in the crate.
 //!
-//! [`Simulator`](crate::Simulator) replays a whole request stream;
-//! [`SteppingEngine`] exposes the same hit/miss/evict state machine one
-//! request at a time, for callers that interleave simulation with other
-//! decisions — the multi-pool system of `occ-pools` (the paper's §5
-//! future-work direction) routes each request to one of several engines
-//! and migrates users between them mid-stream.
+//! [`SteppingEngine`] serves a request at a time ([`step`],
+//! [`step_checked`]) or a batch at a time ([`step_batch`],
+//! [`step_page_batch`], [`serve_from`]); every path runs the same serve
+//! core, so recorded, checked and batched runs cannot drift apart.
+//! [`Simulator`](crate::Simulator) is a thin wrapper that builds an
+//! engine, feeds it a source and packages the result. Callers that
+//! interleave simulation with other decisions — the multi-pool system of
+//! `occ-pools` (the paper's §5 future-work direction) routes each
+//! request to one of several engines and migrates users between them
+//! mid-stream — drive the engine directly.
 //!
-//! The stepping engine also supports *external removal* of pages (a user
-//! migrating away takes its pages with it), which the batch replay never
+//! The engine also supports *external removal* of pages (a user
+//! migrating away takes its pages with it), which a plain replay never
 //! needs.
+//!
+//! [`step`]: SteppingEngine::step
+//! [`step_checked`]: SteppingEngine::step_checked
+//! [`step_batch`]: SteppingEngine::step_batch
+//! [`step_page_batch`]: SteppingEngine::step_page_batch
+//! [`serve_from`]: SteppingEngine::serve_from
 
 use crate::cache::CacheSet;
 use crate::engine::EngineCtx;
@@ -17,11 +28,11 @@ use crate::error::{
     FaultHandler, FaultKind, FaultPolicy, PolicyViolation, PolicyViolationKind, RequestFault,
     SimError, SnapshotError,
 };
-use crate::event::{EventLog, SimEvent};
 use crate::ids::{PageId, Time, UserId};
 use crate::policy::ReplacementPolicy;
 use crate::probe::{NoopRecorder, Recorder};
 use crate::snapshot::{EngineSnapshot, SNAPSHOT_VERSION};
+use crate::source::RequestSource;
 use crate::stats::SimStats;
 use crate::trace::{Request, Universe};
 use std::time::Instant;
@@ -50,9 +61,56 @@ pub enum StepOutcome {
     Evicted(PageId),
 }
 
-/// One cache + one policy, driven request by request, with an optional
-/// [`Recorder`] observing every step (defaults to the free
-/// [`NoopRecorder`]).
+/// The read-only [`EngineCtx`] view over an engine's fields, spelled out
+/// field by field so the policy and recorder can be borrowed mutably
+/// beside it.
+macro_rules! ctx {
+    ($engine:expr) => {
+        EngineCtx {
+            time: $engine.time,
+            cache: &$engine.cache,
+            stats: &$engine.stats,
+            universe: &$engine.universe,
+        }
+    };
+}
+
+/// An element of a batch: a full [`Request`], or a bare [`PageId`] whose
+/// owner is looked up in the universe at the one point it is consumed —
+/// the same lookup a decoding source performs to build a `Request`.
+trait BatchItem: Copy {
+    fn page(self) -> PageId;
+    fn request(self, universe: &Universe) -> Request;
+}
+
+impl BatchItem for Request {
+    #[inline(always)]
+    fn page(self) -> PageId {
+        self.page
+    }
+    #[inline(always)]
+    fn request(self, _universe: &Universe) -> Request {
+        self
+    }
+}
+
+impl BatchItem for PageId {
+    #[inline(always)]
+    fn page(self) -> PageId {
+        self
+    }
+    #[inline(always)]
+    fn request(self, universe: &Universe) -> Request {
+        Request {
+            page: self,
+            user: universe.owner(self),
+        }
+    }
+}
+
+/// One cache + one policy, driven request by request or batch by batch,
+/// with an optional [`Recorder`] observing every step (defaults to the
+/// free [`NoopRecorder`]).
 pub struct SteppingEngine<P, R = NoopRecorder> {
     universe: Universe,
     cache: CacheSet,
@@ -60,7 +118,6 @@ pub struct SteppingEngine<P, R = NoopRecorder> {
     policy: P,
     recorder: R,
     time: Time,
-    events: Option<EventLog>,
 }
 
 impl<P: ReplacementPolicy> SteppingEngine<P, NoopRecorder> {
@@ -75,7 +132,6 @@ impl<P: ReplacementPolicy> SteppingEngine<P, NoopRecorder> {
             policy,
             recorder: NoopRecorder,
             time: 0,
-            events: None,
         }
     }
 
@@ -105,8 +161,10 @@ impl<P: ReplacementPolicy> SteppingEngine<P, NoopRecorder> {
         Ok(engine)
     }
 
-    /// Attach a recorder; subsequent [`step`](SteppingEngine::step)s
-    /// dispatch its hooks (and time each request when `R::TIMED`).
+    /// Attach a recorder; every later step — scalar or batched —
+    /// dispatches its hooks (and times each request when `R::TIMED`).
+    /// An [`EventLog`](crate::EventLog) is a recorder too: attach one,
+    /// alone or paired with another recorder, to keep every event.
     pub fn with_recorder<R: Recorder>(self, recorder: R) -> SteppingEngine<P, R> {
         SteppingEngine {
             universe: self.universe,
@@ -115,35 +173,16 @@ impl<P: ReplacementPolicy> SteppingEngine<P, NoopRecorder> {
             policy: self.policy,
             recorder,
             time: self.time,
-            events: self.events,
         }
     }
 }
 
 impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
-    /// Enable per-request event recording.
-    pub fn with_events(mut self) -> Self {
-        self.events = Some(EventLog::new());
-        self
-    }
-
-    /// Enable per-request event recording bounded to the `capacity`
-    /// newest events (see [`EventLog::bounded`]).
-    pub fn with_bounded_events(mut self, capacity: usize) -> Self {
-        self.events = Some(EventLog::bounded(capacity));
-        self
-    }
-
     /// Read-only view of the engine state, as handed to policies and
-    /// request sources. Lets a [`RequestSource`](crate::source::RequestSource)
-    /// be driven against this engine externally.
+    /// request sources. Lets a [`RequestSource`] be driven against this
+    /// engine externally.
     pub fn ctx(&self) -> EngineCtx<'_> {
-        EngineCtx {
-            time: self.time,
-            cache: &self.cache,
-            stats: &self.stats,
-            universe: &self.universe,
-        }
+        ctx!(self)
     }
 
     /// Serve one request; advances time by one tick.
@@ -152,12 +191,7 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
     /// and a policy contract violation panics. Use
     /// [`step_checked`](Self::step_checked) for untrusted streams.
     pub fn step(&mut self, req: Request) -> StepOutcome {
-        debug_assert_eq!(
-            self.universe.owner(req.page),
-            req.user,
-            "request owner disagrees with the universe"
-        );
-        match self.serve(req) {
+        match self.serve::<false>(req) {
             Ok(outcome) => outcome,
             Err(violation) => panic!("{violation}"),
         }
@@ -192,7 +226,7 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
             Some(_) => None,
         };
         let Some(kind) = kind else {
-            return self.serve(req).map(Some).map_err(SimError::from);
+            return self.serve::<false>(req).map(Some).map_err(SimError::from);
         };
         let fault = RequestFault {
             time: self.time,
@@ -227,27 +261,18 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
         Ok(None)
     }
 
-    /// Serve a chunk of trusted requests through the batched hot loop.
+    /// Serve a chunk of trusted requests through the batch loop.
     ///
-    /// Byte-identical to calling [`step`](Self::step) once per request —
-    /// the scalar path is the reference twin and the equivalence is
-    /// pinned by proptests — but when the engine is uninstrumented (no
-    /// active or timing recorder, no event log) the per-request outcome
-    /// classification, recorder dispatch, timing, and event-log checks
-    /// are hoisted out of the loop, and the cache-fullness branch is
-    /// hoisted once the cache fills. Instrumented engines fall back to
-    /// the scalar path so observers miss nothing.
+    /// Byte-identical to calling [`step`](Self::step) once per request,
+    /// recorder hooks included — both run the same serve core, and the
+    /// equivalence is pinned by proptests — but the loop hoists the
+    /// cache-fullness check once the cache fills and prefetches ahead
+    /// (see [`PREFETCH_DISTANCE`]).
     ///
     /// Like `step`, a policy contract violation panics; use
     /// [`run_batched_checked`](Self::run_batched_checked) for untrusted
     /// streams.
     pub fn step_batch(&mut self, batch: &[Request]) {
-        if R::ACTIVE || R::TIMED || self.events.is_some() {
-            for &req in batch {
-                self.step(req);
-            }
-            return;
-        }
         if let Err(violation) = self.serve_batch(batch) {
             panic!("{violation}");
         }
@@ -255,26 +280,59 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
 
     /// [`step_batch`](Self::step_batch) for a run of bare page ids, the
     /// shape a zero-copy source
-    /// ([`RequestSource::next_page_run`](crate::source::RequestSource::next_page_run))
-    /// hands out: each request's owner is derived from the universe
-    /// inline — the identical lookup a decoding source performs when it
-    /// materializes [`Request`]s, moved to the one place that actually
-    /// consumes the owner. Byte-identical outcome to building the
-    /// `Request` slice and calling `step_batch`; the ids must be in
-    /// range (zero-copy sources validate each run before handing it
-    /// out), out-of-range ids panic just as malformed requests do on
-    /// the trusting path.
+    /// ([`RequestSource::next_page_run`]) hands out: each request's owner
+    /// is derived from the universe inline — the identical lookup a
+    /// decoding source performs when it materializes [`Request`]s, moved
+    /// to the one place that actually consumes the owner. Byte-identical
+    /// outcome to building the `Request` slice and calling `step_batch`;
+    /// the ids must be in range (zero-copy sources validate each run
+    /// before handing it out), out-of-range ids panic just as malformed
+    /// requests do on the trusting path.
     pub fn step_page_batch(&mut self, pages: &[PageId]) {
-        if R::ACTIVE || R::TIMED || self.events.is_some() {
-            for &page in pages {
-                let user = self.universe.owner(page);
-                self.step(Request { page, user });
-            }
-            return;
-        }
-        if let Err(violation) = self.serve_page_batch(pages) {
+        if let Err(violation) = self.serve_batch(pages) {
             panic!("{violation}");
         }
+    }
+
+    /// Serve the next batch of at most `max` (≥ 1) requests from
+    /// `source` and return how many were served; 0 means the source is
+    /// exhausted.
+    ///
+    /// This is the one feed every driver loop uses. The batch comes from
+    /// [`next_page_run`](RequestSource::next_page_run) if the source
+    /// offers one (zero-copy page ids, served through
+    /// [`step_page_batch`](Self::step_page_batch)), else from
+    /// [`next_run`](RequestSource::next_run) (borrowed requests), else by
+    /// pulling [`next_request`](RequestSource::next_request) into `buf`,
+    /// a reusable buffer whose contents are overwritten. The three styles
+    /// interleave freely without changing the served sequence. A pulled
+    /// batch is drawn whole before it is served, so an adaptive source
+    /// observes the engine as of the previous batch; pass `max = 1` for
+    /// per-request observation.
+    pub fn serve_from<S: RequestSource>(
+        &mut self,
+        source: &mut S,
+        max: usize,
+        buf: &mut Vec<Request>,
+    ) -> usize {
+        assert!(max > 0, "serve_from needs room for at least one request");
+        if let Some(run) = source.next_page_run(max).filter(|r| !r.is_empty()) {
+            self.step_page_batch(run);
+            return run.len();
+        }
+        if let Some(run) = source.next_run(max).filter(|r| !r.is_empty()) {
+            self.step_batch(run);
+            return run.len();
+        }
+        buf.clear();
+        while buf.len() < max {
+            let Some(req) = source.next_request(&self.ctx()) else {
+                break;
+            };
+            buf.push(req);
+        }
+        self.step_batch(buf);
+        buf.len()
     }
 
     /// Replay a whole request slice through [`step_batch`](Self::step_batch)
@@ -290,10 +348,10 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
     /// The fault-tolerant counterpart of [`run_batched`](Self::run_batched):
     /// identical semantics to calling [`step_checked`](Self::step_checked)
     /// once per record (same [`FaultCounters`](crate::error::FaultCounters),
-    /// same quarantine set, same engine state), but chunks that a cheap
-    /// pre-scan proves fault-free — every record well-formed, no user
-    /// quarantined — take the batched hot loop instead of the per-record
-    /// validation path.
+    /// same quarantine set, same engine state, same recorder hooks), but
+    /// chunks that a cheap pre-scan proves fault-free — every record
+    /// well-formed, no user quarantined — take the batch loop instead of
+    /// the per-record validation path.
     pub fn run_batched_checked(
         &mut self,
         records: &[Request],
@@ -308,10 +366,7 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
             // records into drops). Faults can only arise inside a chunk
             // from the records themselves, so a clean pre-scan holds for
             // the whole chunk.
-            let clean = !R::ACTIVE
-                && !R::TIMED
-                && self.events.is_none()
-                && !handler.any_quarantined()
+            let clean = !handler.any_quarantined()
                 && chunk
                     .iter()
                     .all(|r| self.universe.try_owner(r.page) == Some(r.user));
@@ -326,235 +381,88 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
         Ok(())
     }
 
-    /// The uninstrumented batched twin of [`serve`](Self::serve): same
-    /// cache/stats/policy calls in the same order, with the recorder,
-    /// timing, and event-log plumbing compiled out. Split into a warmup
-    /// loop (cache still filling) and a steady-state loop with the
-    /// fullness check hoisted — serving never frees a slot, and external
-    /// removals only happen between batches, so once full the cache
-    /// stays full for the rest of the chunk.
+    /// The batch loop behind [`step_batch`](Self::step_batch),
+    /// [`step_page_batch`](Self::step_page_batch) and the clean chunks
+    /// of [`run_batched_checked`](Self::run_batched_checked).
     ///
-    /// The steady-state loop additionally exploits the lookahead the
-    /// batch provides: while serving request `j` it software-prefetches
-    /// the page-table probe ([`CacheSet::prefetch_probe`]) for request
-    /// `j + PREFETCH_DISTANCE`. (The kernel deliberately does *not*
-    /// call [`ReplacementPolicy::prefetch_hint`] — the indirect call
-    /// cost more than the policy-side prefetch saved; the hook remains
-    /// for custom drivers.) The loop is split into a prefetching main
-    /// part and a plain tail of the final [`PREFETCH_DISTANCE`]
-    /// requests, so the hot loop carries no lookahead bounds check.
-    /// Prefetches are pure hints; the served semantics stay
-    /// byte-identical to the scalar path.
-    fn serve_batch(&mut self, batch: &[Request]) -> Result<(), PolicyViolation> {
+    /// A warmup loop serves while the cache is still filling. Once full
+    /// the cache stays full for the rest of the batch — serving never
+    /// frees a slot, and external removals only happen between batches —
+    /// so the steady-state loop runs the `FULL` core with the free-space
+    /// check compiled out. While serving item `j` it software-prefetches
+    /// the page-table probe ([`CacheSet::prefetch_probe`]) for item
+    /// `j + PREFETCH_DISTANCE`; the final [`PREFETCH_DISTANCE`] items run
+    /// in a plain tail, so the hot loop carries no lookahead bounds
+    /// check. Prefetches are pure hints: the outcome is byte-identical to
+    /// serving each item with [`step`](Self::step).
+    fn serve_batch<I: BatchItem>(&mut self, items: &[I]) -> Result<(), PolicyViolation> {
         let mut i = 0;
-        while i < batch.len() && !self.cache.is_full() {
-            let req = batch[i];
-            debug_assert_eq!(
-                self.universe.owner(req.page),
-                req.user,
-                "request owner disagrees with the universe"
-            );
-            self.serve_filling(req);
+        while i < items.len() && !self.cache.is_full() {
+            self.serve::<false>(items[i].request(&self.universe))?;
             i += 1;
         }
-        let steady = &batch[i..];
+        let steady = &items[i..];
         let main = steady.len().saturating_sub(PREFETCH_DISTANCE);
         let lookahead = &steady[PREFETCH_DISTANCE.min(steady.len())..];
-        for (&req, ahead) in steady[..main].iter().zip(lookahead) {
-            self.cache.prefetch_probe(ahead.page);
-            self.serve_full(req)?;
+        for (&item, ahead) in steady[..main].iter().zip(lookahead) {
+            self.cache.prefetch_probe(ahead.page());
+            self.serve::<true>(item.request(&self.universe))?;
         }
-        for &req in &steady[main..] {
-            self.serve_full(req)?;
+        for &item in &steady[main..] {
+            self.serve::<true>(item.request(&self.universe))?;
         }
         Ok(())
     }
 
-    /// [`serve_batch`](Self::serve_batch) over bare page ids: the same
-    /// warmup / prefetching-steady / plain-tail structure, with each
-    /// owner derived from the universe at the single point it is
-    /// consumed.
-    fn serve_page_batch(&mut self, pages: &[PageId]) -> Result<(), PolicyViolation> {
-        let mut i = 0;
-        while i < pages.len() && !self.cache.is_full() {
-            let page = pages[i];
-            self.serve_filling(Request {
-                page,
-                user: self.universe.owner(page),
-            });
-            i += 1;
-        }
-        let steady = &pages[i..];
-        let main = steady.len().saturating_sub(PREFETCH_DISTANCE);
-        let lookahead = &steady[PREFETCH_DISTANCE.min(steady.len())..];
-        for (&page, &ahead) in steady[..main].iter().zip(lookahead) {
-            self.cache.prefetch_probe(ahead);
-            self.serve_full(Request {
-                page,
-                user: self.universe.owner(page),
-            })?;
-        }
-        for &page in &steady[main..] {
-            self.serve_full(Request {
-                page,
-                user: self.universe.owner(page),
-            })?;
-        }
-        Ok(())
-    }
-
-    /// One warmup (cache not yet full) request of the batched kernel:
-    /// hit or free-slot insert, no eviction case, no instrumentation.
-    /// Shared by [`serve_batch`](Self::serve_batch) and
-    /// [`serve_page_batch`](Self::serve_page_batch).
+    /// The hit/insert/evict state machine: the paper's one online step
+    /// (§2.1), with the victim charged to its owner. `FULL` tells the
+    /// core the cache is known to be full (the batch loop's steady
+    /// state), which drops the free-space case. Recorder hooks and the
+    /// latency clock sit behind `R::ACTIVE` / `R::TIMED`, so with
+    /// [`NoopRecorder`] they compile out.
     #[inline(always)]
-    fn serve_filling(&mut self, req: Request) {
-        if self.cache.contains(req.page) {
-            self.stats.record_hit(req.user);
-            let ctx = EngineCtx {
-                time: self.time,
-                cache: &self.cache,
-                stats: &self.stats,
-                universe: &self.universe,
-            };
-            self.policy.on_hit(&ctx, req.page);
-        } else {
-            self.cache.insert(req.page);
-            self.stats.record_miss(req.user);
-            let ctx = EngineCtx {
-                time: self.time,
-                cache: &self.cache,
-                stats: &self.stats,
-                universe: &self.universe,
-            };
-            self.policy.on_insert(&ctx, req.page);
-        }
-        self.time += 1;
-    }
-
-    /// One steady-state (cache already full) request of the batched
-    /// kernel: hit or evict-and-insert, no free-space case, no
-    /// instrumentation. Kept separate so [`serve_batch`](Self::serve_batch)
-    /// can run it from both the prefetching main loop and the plain
-    /// tail loop without duplicating the state machine.
-    #[inline(always)]
-    fn serve_full(&mut self, req: Request) -> Result<(), PolicyViolation> {
+    fn serve<const FULL: bool>(&mut self, req: Request) -> Result<StepOutcome, PolicyViolation> {
         debug_assert_eq!(
             self.universe.owner(req.page),
             req.user,
             "request owner disagrees with the universe"
         );
-        if self.cache.contains(req.page) {
-            self.stats.record_hit(req.user);
-            let ctx = EngineCtx {
-                time: self.time,
-                cache: &self.cache,
-                stats: &self.stats,
-                universe: &self.universe,
-            };
-            self.policy.on_hit(&ctx, req.page);
-        } else {
-            let victim = {
-                let ctx = EngineCtx {
-                    time: self.time,
-                    cache: &self.cache,
-                    stats: &self.stats,
-                    universe: &self.universe,
-                };
-                self.policy.choose_victim(&ctx, req.page)
-            };
-            if !self.cache.contains(victim) {
-                return Err(PolicyViolation {
-                    time: self.time,
-                    policy: self.policy.name(),
-                    kind: PolicyViolationKind::VictimNotCached(victim),
-                });
-            }
-            if victim == req.page {
-                return Err(PolicyViolation {
-                    time: self.time,
-                    policy: self.policy.name(),
-                    kind: PolicyViolationKind::VictimIsIncoming(victim),
-                });
-            }
-            let victim_user = self.universe.owner(victim);
-            self.cache.remove(victim);
-            self.stats.record_eviction(victim_user);
-            self.cache.insert(req.page);
-            self.stats.record_miss(req.user);
-            let ctx = EngineCtx {
-                time: self.time,
-                cache: &self.cache,
-                stats: &self.stats,
-                universe: &self.universe,
-            };
-            self.policy.on_evicted(&ctx, victim);
-            self.policy.on_insert(&ctx, req.page);
-        }
-        self.time += 1;
-        Ok(())
-    }
-
-    /// The shared hit/insert/evict state machine behind [`step`](Self::step)
-    /// and [`step_checked`](Self::step_checked).
-    fn serve(&mut self, req: Request) -> Result<StepOutcome, PolicyViolation> {
+        debug_assert!(!FULL || self.cache.is_full());
         let t = self.time;
         let started = if R::TIMED { Some(Instant::now()) } else { None };
         let outcome = if self.cache.contains(req.page) {
             self.stats.record_hit(req.user);
-            let ctx = EngineCtx {
-                time: t,
-                cache: &self.cache,
-                stats: &self.stats,
-                universe: &self.universe,
-            };
+            let ctx = ctx!(self);
             self.policy.on_hit(&ctx, req.page);
             if R::ACTIVE {
                 self.recorder.record_hit(&ctx, t, req.page, req.user);
             }
-            if let Some(log) = self.events.as_mut() {
-                log.push(SimEvent::Hit { t, page: req.page });
-            }
             StepOutcome::Hit
-        } else if !self.cache.is_full() {
+        } else if !FULL && !self.cache.is_full() {
             self.cache.insert(req.page);
             self.stats.record_miss(req.user);
-            let ctx = EngineCtx {
-                time: t,
-                cache: &self.cache,
-                stats: &self.stats,
-                universe: &self.universe,
-            };
+            let ctx = ctx!(self);
             self.policy.on_insert(&ctx, req.page);
             if R::ACTIVE {
                 self.recorder.record_insert(&ctx, t, req.page, req.user);
             }
-            if let Some(log) = self.events.as_mut() {
-                log.push(SimEvent::Insert { t, page: req.page });
-            }
             StepOutcome::Inserted
         } else {
-            let victim = {
-                let ctx = EngineCtx {
-                    time: t,
-                    cache: &self.cache,
-                    stats: &self.stats,
-                    universe: &self.universe,
-                };
-                self.policy.choose_victim(&ctx, req.page)
+            // The policy picks against the pre-eviction state: the
+            // victim is still cached and the stats exclude this miss.
+            let victim = self.policy.choose_victim(&ctx!(self), req.page);
+            let broken = if !self.cache.contains(victim) {
+                Some(PolicyViolationKind::VictimNotCached(victim))
+            } else if victim == req.page {
+                Some(PolicyViolationKind::VictimIsIncoming(victim))
+            } else {
+                None
             };
-            if !self.cache.contains(victim) {
+            if let Some(kind) = broken {
                 return Err(PolicyViolation {
                     time: t,
                     policy: self.policy.name(),
-                    kind: PolicyViolationKind::VictimNotCached(victim),
-                });
-            }
-            if victim == req.page {
-                return Err(PolicyViolation {
-                    time: t,
-                    policy: self.policy.name(),
-                    kind: PolicyViolationKind::VictimIsIncoming(victim),
+                    kind,
                 });
             }
             let victim_user = self.universe.owner(victim);
@@ -562,25 +470,12 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
             self.stats.record_eviction(victim_user);
             self.cache.insert(req.page);
             self.stats.record_miss(req.user);
-            let ctx = EngineCtx {
-                time: t,
-                cache: &self.cache,
-                stats: &self.stats,
-                universe: &self.universe,
-            };
+            let ctx = ctx!(self);
             self.policy.on_evicted(&ctx, victim);
             self.policy.on_insert(&ctx, req.page);
             if R::ACTIVE {
                 self.recorder
                     .record_eviction(&ctx, t, req.page, req.user, victim, victim_user);
-            }
-            if let Some(log) = self.events.as_mut() {
-                log.push(SimEvent::Evict {
-                    t,
-                    page: req.page,
-                    victim,
-                    victim_user,
-                });
             }
             StepOutcome::Evicted(victim)
         };
@@ -620,13 +515,7 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
             return false;
         }
         self.cache.remove(page);
-        let ctx = EngineCtx {
-            time: self.time,
-            cache: &self.cache,
-            stats: &self.stats,
-            universe: &self.universe,
-        };
-        self.policy.on_external_removal(&ctx, page);
+        self.policy.on_external_removal(&ctx!(self), page);
         true
     }
 
@@ -660,11 +549,6 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
         self.time
     }
 
-    /// The recorded events, if enabled.
-    pub fn events(&self) -> Option<&EventLog> {
-        self.events.as_ref()
-    }
-
     /// Access the wrapped policy.
     pub fn policy(&self) -> &P {
         &self.policy
@@ -686,20 +570,15 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
         self.recorder
     }
 
-    /// Move the event log out of the engine (recording stops).
-    pub fn take_events(&mut self) -> Option<EventLog> {
-        self.events.take()
-    }
-
     /// Capture a versioned checkpoint of the full engine + policy state.
     ///
     /// Fails with [`SnapshotError::Unsupported`] if the policy does not
     /// implement [`ReplacementPolicy::save_state`]. Fault-handling state
     /// is not known to the engine; use
     /// [`snapshot_with_faults`](Self::snapshot_with_faults) for checked
-    /// runs. The event log and recorder are *not* part of the snapshot —
-    /// callers that need continuous telemetry across a resume must
-    /// persist their recorder separately (as `occ observe` does).
+    /// runs. The recorder is *not* part of the snapshot — callers that
+    /// need continuous telemetry across a resume must persist their
+    /// recorder separately (as `occ observe` does).
     pub fn snapshot(&self) -> Result<EngineSnapshot, SnapshotError> {
         let policy = self
             .policy
@@ -740,7 +619,7 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
     /// cache contents (in their original operation-history order),
     /// counters, and policy state are exactly as they were at capture
     /// time, so continuing the run is byte-identical to never having
-    /// stopped. The event log restarts empty (it is not part of the
+    /// stopped. The recorder is left as it is (it is not part of the
     /// snapshot).
     pub fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), SnapshotError> {
         snap.check_version()?;
@@ -777,24 +656,15 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
         self.cache = cache;
         self.stats = SimStats::from_per_user(snap.stats.clone());
         self.time = snap.time;
-        self.events = self.events.as_ref().map(|log| match log.capacity() {
-            Some(c) => EventLog::bounded(c),
-            None => EventLog::new(),
-        });
         self.policy.reset();
-        let ctx = EngineCtx {
-            time: self.time,
-            cache: &self.cache,
-            stats: &self.stats,
-            universe: &self.universe,
-        };
-        self.policy.load_state(&ctx, &snap.policy)
+        self.policy.load_state(&ctx!(self), &snap.policy)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventLog;
     use crate::snapshot::PolicyState;
     use crate::trace::Trace;
 
@@ -871,31 +741,32 @@ mod tests {
         assert_eq!(by_page.time(), by_request.time());
         assert_eq!(by_page.cache().pages(), by_request.cache().pages());
 
-        // The instrumented fallback derives the same owners too.
-        let mut with_events = SteppingEngine::new(3, u.clone(), EvictFirst).with_events();
+        // A recorded engine runs the same loop and derives the same owners.
+        let mut recorded =
+            SteppingEngine::new(3, u.clone(), EvictFirst).with_recorder(EventLog::new());
         for chunk in pages.chunks(16) {
-            with_events.step_page_batch(chunk);
+            recorded.step_page_batch(chunk);
         }
-        assert_eq!(with_events.stats(), by_request.stats());
+        assert_eq!(recorded.stats(), by_request.stats());
+        assert_eq!(recorded.recorder().len(), pages.len());
     }
 
     #[test]
-    fn batched_replay_with_events_falls_back_to_scalar_path() {
+    fn recorded_batches_log_the_scalar_events() {
         let u = Universe::uniform(2, 3);
         let pages: Vec<u32> = (0..40u32).map(|i| (i * 5 + 2) % 6).collect();
         let trace = Trace::from_page_indices(&u, &pages);
 
-        let mut scalar = SteppingEngine::new(3, u.clone(), EvictFirst).with_events();
+        let mut scalar =
+            SteppingEngine::new(3, u.clone(), EvictFirst).with_recorder(EventLog::new());
         for (_, r) in trace.iter() {
             scalar.step(r);
         }
-        let mut batched = SteppingEngine::new(3, u.clone(), EvictFirst).with_events();
+        let mut batched =
+            SteppingEngine::new(3, u.clone(), EvictFirst).with_recorder(EventLog::new());
         batched.run_batched(trace.requests(), 7);
-        assert_eq!(
-            batched.events().unwrap().to_vec(),
-            scalar.events().unwrap().to_vec()
-        );
         assert_eq!(batched.stats(), scalar.stats());
+        assert_eq!(batched.recorder().to_vec(), scalar.recorder().to_vec());
     }
 
     #[test]
@@ -981,12 +852,12 @@ mod tests {
     }
 
     #[test]
-    fn events_recorded_when_enabled() {
+    fn event_log_records_every_step() {
         let u = Universe::single_user(3);
-        let mut eng = SteppingEngine::new(1, u.clone(), EvictFirst).with_events();
+        let mut eng = SteppingEngine::new(1, u.clone(), EvictFirst).with_recorder(EventLog::new());
         eng.step(u.request(PageId(0)));
         eng.step(u.request(PageId(1)));
-        let log = eng.events().unwrap();
+        let log = eng.recorder();
         assert_eq!(log.len(), 2);
         assert_eq!(log.eviction_sequence().len(), 1);
     }
@@ -1115,7 +986,7 @@ mod tests {
         let trace = Trace::from_page_indices(&u, &pages);
 
         // Uninterrupted run.
-        let mut full = SteppingEngine::new(3, u.clone(), EvictFirst).with_events();
+        let mut full = SteppingEngine::new(3, u.clone(), EvictFirst).with_recorder(EventLog::new());
         for (_, r) in trace.iter() {
             full.step(r);
         }
@@ -1123,7 +994,8 @@ mod tests {
         // Run to the midpoint, snapshot, restore into a fresh engine,
         // continue.
         let cut = 31usize;
-        let mut first = SteppingEngine::new(3, u.clone(), EvictFirst).with_events();
+        let mut first =
+            SteppingEngine::new(3, u.clone(), EvictFirst).with_recorder(EventLog::new());
         for (_, r) in trace.iter().take(cut) {
             first.step(r);
         }
@@ -1132,7 +1004,7 @@ mod tests {
 
         let mut resumed = SteppingEngine::from_snapshot(&snap, EvictFirst)
             .unwrap()
-            .with_events();
+            .with_recorder(EventLog::new());
         for (_, r) in trace.iter().skip(cut) {
             resumed.step(r);
         }
@@ -1140,9 +1012,9 @@ mod tests {
         assert_eq!(resumed.time(), full.time());
         assert_eq!(resumed.cache().pages(), full.cache().pages());
         // Prefix events + suffix events = uninterrupted events.
-        let mut stitched = first.events().unwrap().to_vec();
-        stitched.extend(resumed.events().unwrap().to_vec());
-        assert_eq!(stitched, full.events().unwrap().to_vec());
+        let mut stitched = first.recorder().to_vec();
+        stitched.extend(resumed.recorder().to_vec());
+        assert_eq!(stitched, full.recorder().to_vec());
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! multi-user traces, batch sizes (including trailing partial batches),
 //! and cache sizes, the batched replay must be **byte-identical**:
 //! same stats, same event log, same final cache, same engine snapshot.
+//! Recorded and unrecorded engines run the same batch loop, so both are
+//! pinned: the event log comes from an `EventLog` recorder, including
+//! on `step_page_batch`, the zero-copy path the trace pipelines take.
 //! The checked variant must additionally reproduce the scalar
 //! `step_checked` loop's fault counters and quarantine sets on corrupt
 //! request streams.
@@ -17,8 +20,8 @@ use occ_baselines::{
 };
 use occ_core::{ConvexCaching, CostProfile, Monomial};
 use occ_sim::{
-    FaultHandler, FaultPolicy, PageId, ReplacementPolicy, Request, SimEvent, SteppingEngine,
-    Universe, UserId,
+    EventLog, FaultHandler, FaultPolicy, NoopRecorder, PageId, Recorder, ReplacementPolicy,
+    Request, SimEvent, SteppingEngine, Universe, UserId,
 };
 use proptest::prelude::*;
 
@@ -61,20 +64,32 @@ type Outcome = (
     Option<occ_sim::EngineSnapshot>,
 );
 
-fn finish<P: ReplacementPolicy>(mut engine: SteppingEngine<P>) -> Outcome {
+/// The events a run's recorder kept: every one for an `EventLog`, none
+/// for the free `NoopRecorder`.
+trait Kept: Recorder {
+    fn kept(self) -> Vec<SimEvent>;
+}
+
+impl Kept for EventLog {
+    fn kept(self) -> Vec<SimEvent> {
+        self.to_vec()
+    }
+}
+
+impl Kept for NoopRecorder {
+    fn kept(self) -> Vec<SimEvent> {
+        Vec::new()
+    }
+}
+
+fn finish<P: ReplacementPolicy, R: Kept>(engine: SteppingEngine<P, R>) -> Outcome {
     // Some policies may not support snapshotting; compare whatever both
     // paths produce (both must then be None).
     let snap = engine.snapshot().ok();
-    (
-        engine.stats().clone(),
-        engine.time(),
-        engine.cache().sorted_pages(),
-        engine
-            .take_events()
-            .map(|log| log.iter().copied().collect())
-            .unwrap_or_default(),
-        snap,
-    )
+    let stats = engine.stats().clone();
+    let time = engine.time();
+    let cache = engine.cache().sorted_pages();
+    (stats, time, cache, engine.into_recorder().kept(), snap)
 }
 
 fn run_scalar(
@@ -83,7 +98,8 @@ fn run_scalar(
     requests: &[Request],
     k: usize,
 ) -> Outcome {
-    let mut engine = SteppingEngine::new(k, universe.clone(), &mut **policy).with_events();
+    let mut engine =
+        SteppingEngine::new(k, universe.clone(), &mut **policy).with_recorder(EventLog::new());
     for &r in requests {
         engine.step(r);
     }
@@ -97,14 +113,14 @@ fn run_batched(
     k: usize,
     batch: usize,
 ) -> Outcome {
-    let mut engine = SteppingEngine::new(k, universe.clone(), &mut **policy).with_events();
+    let mut engine =
+        SteppingEngine::new(k, universe.clone(), &mut **policy).with_recorder(EventLog::new());
     engine.run_batched(requests, batch);
     finish(engine)
 }
 
-/// Same, without the event log — this is the configuration where
-/// `step_batch` actually takes the `serve_batch` fast path rather than
-/// falling back to scalar, so it pins the fast path itself.
+/// Same, without the event log — the uninstrumented configuration, where
+/// the recorder hooks compile out of the batch loop.
 fn run_fast(
     policy: &mut Box<dyn ReplacementPolicy>,
     universe: &Universe,
@@ -139,7 +155,7 @@ proptest! {
             let batched = run_batched(&mut policy, &universe, &requests, k, batch);
             prop_assert_eq!(&scalar, &batched, "policy {} diverged", policy.name());
 
-            // The unrecorded fast path (serve_batch) must agree too.
+            // The unrecorded batch loop must agree too.
             policy.reset();
             let fast_scalar = run_fast(&mut policy, &universe, &requests, k, batch, false);
             policy.reset();
@@ -182,6 +198,25 @@ fn run_step_batch(
     finish(engine)
 }
 
+/// Replay a run of bare page ids through explicit `step_page_batch`
+/// calls under an `EventLog` recorder — the call pattern of the trace
+/// pipelines, whose windowed recorders are always active.
+fn run_recorded_page_batch(
+    policy: &mut Box<dyn ReplacementPolicy>,
+    universe: &Universe,
+    requests: &[Request],
+    k: usize,
+    batch: usize,
+) -> Outcome {
+    let pages: Vec<PageId> = requests.iter().map(|r| r.page).collect();
+    let mut engine =
+        SteppingEngine::new(k, universe.clone(), &mut **policy).with_recorder(EventLog::new());
+    for chunk in pages.chunks(batch) {
+        engine.step_page_batch(chunk);
+    }
+    finish(engine)
+}
+
 /// A random instance whose batch size is drawn from the boundary set
 /// {1, 2, 4095, 4096, 4097, trace_len}. Traces are mostly shorter than
 /// the default batch, so the large sizes exercise the
@@ -219,6 +254,14 @@ proptest! {
                 &scalar, &batched,
                 "policy {} diverged at batch size {}", policy.name(), batch
             );
+            policy.reset();
+            let recorded = run_scalar(&mut policy, &universe, &requests, k);
+            policy.reset();
+            let paged = run_recorded_page_batch(&mut policy, &universe, &requests, k, batch);
+            prop_assert_eq!(
+                &recorded, &paged,
+                "policy {} recorded page batches diverged at batch size {}", policy.name(), batch
+            );
         }
     }
 }
@@ -239,7 +282,10 @@ fn lcg_requests(universe: &Universe, total_pages: u32, len: usize, mut s: u64) -
 /// A 13k-request trace crosses the default 4096-request batch three
 /// times, and the sizes one either side of it shift every subsequent
 /// chunk boundary by one; `trace_len` runs the whole trace as a single
-/// batch, and the short trace never fills one.
+/// batch, and the short trace never fills one. With k = 96 the cache
+/// fills inside the first batch of every size above 96, so the warmup
+/// to steady-state switch happens mid-batch. Each size runs unrecorded
+/// through `step_batch` and recorded through `step_page_batch`.
 #[test]
 fn step_batch_boundary_sizes_match_scalar_on_long_traces() {
     let (users, per_user) = (3u32, 50u32);
@@ -250,6 +296,8 @@ fn step_batch_boundary_sizes_match_scalar_on_long_traces() {
         let k = 96;
         for mut policy in batched_grid_suite(users) {
             let scalar = run_fast(&mut policy, &universe, requests, k, 1, false);
+            policy.reset();
+            let recorded = run_scalar(&mut policy, &universe, requests, k);
             for batch in [1, 2, 4095, 4096, 4097, requests.len()] {
                 policy.reset();
                 let batched = run_step_batch(&mut policy, &universe, requests, k, batch);
@@ -257,6 +305,14 @@ fn step_batch_boundary_sizes_match_scalar_on_long_traces() {
                     scalar,
                     batched,
                     "policy {} diverged on the {label} trace at batch size {batch}",
+                    policy.name()
+                );
+                policy.reset();
+                let paged = run_recorded_page_batch(&mut policy, &universe, requests, k, batch);
+                assert_eq!(
+                    recorded,
+                    paged,
+                    "policy {} recorded page batches diverged on the {label} trace at batch size {batch}",
                     policy.name()
                 );
             }
