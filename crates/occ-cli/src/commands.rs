@@ -1392,6 +1392,12 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
                 report.wall.as_secs_f64() * 1e3,
                 fnum(report.requests_per_sec()),
             ));
+            let k = &report.outcome.contention;
+            emit(&format!(
+                "contention: {} commits took the capacity mutex ({} revalidated after \
+                 relocking), {} cross-segment evictions",
+                k.slow_path, k.revalidated, k.cross_segment_evictions,
+            ));
             let c = &report.outcome.counters;
             if !c.is_clean() {
                 emit(&format!(

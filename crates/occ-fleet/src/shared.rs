@@ -148,6 +148,15 @@ impl SharedReport {
                 Json::from_u64(c.quarantined_users),
             ),
         ]);
+        let k = &self.outcome.contention;
+        let contention = Json::Obj(vec![
+            ("slow_path".into(), Json::from_u64(k.slow_path)),
+            ("revalidated".into(), Json::from_u64(k.revalidated)),
+            (
+                "cross_segment_evictions".into(),
+                Json::from_u64(k.cross_segment_evictions),
+            ),
+        ]);
         let quarantined = self
             .outcome
             .quarantined
@@ -170,6 +179,7 @@ impl SharedReport {
             ),
             ("users".into(), Json::Arr(users)),
             ("faults".into(), faults),
+            ("contention".into(), contention),
             ("quarantined".into(), Json::Arr(quarantined)),
             ("merged".into(), self.merged.to_json_value()),
             ("wall_ms".into(), Json::Num(self.wall.as_secs_f64() * 1e3)),
@@ -299,6 +309,14 @@ mod tests {
         check_schema_stamp(&v, SHARED_SCHEMA, "shared report").unwrap();
         let text = v.to_json();
         assert!(text.contains("\"identical\": true") || text.contains("\"identical\":true"));
+        let c = &report.outcome.contention;
+        assert!(c.slow_path >= c.revalidated + c.cross_segment_evictions);
+        for key in ["slow_path", "revalidated", "cross_segment_evictions"] {
+            assert!(
+                text.contains(&format!("\"{key}\"")),
+                "contention.{key} missing"
+            );
+        }
     }
 
     #[test]

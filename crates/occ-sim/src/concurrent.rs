@@ -26,23 +26,55 @@
 //! fault counters, and the quarantine set *byte-identically*. The replay
 //! gate ([`replay_schedule`] + [`verify_replay`]) checks all of it.
 //!
+//! # Segment tables
+//!
+//! Page `p` lives in segment `shard(p) = p mod S` under the dense local
+//! id `p / S` ([`local_of`], inverse [`global_of`]). Each segment owns a
+//! segment-local [`Universe`] (owners of `p = s, s+S, …`) plus a
+//! [`CacheSet`] and a policy instance sized to it, so a segment's hot
+//! tables cover 1/S of the page range instead of all of it. Commit
+//! records, stats and victims stay in global ids; the translation
+//! happens at the segment boundary, and the replay's [`ShardedPolicy`]
+//! applies the same one.
+//!
 //! # Locking protocol
 //!
+//! Only *capacity-changing* operations (inserts, purges) and evictions
+//! that must reach into another segment take the capacity mutex; a
+//! steady-state eviction is capacity-neutral and stays inside one
+//! segment lock.
+//!
 //! * **Hit**: lock `shard(page)` only; draw `seq`; `on_hit`.
-//! * **Miss** (insert or evict): release the shard lock, take the
-//!   capacity mutex, relock the shard, re-validate (the page may have
-//!   been inserted by a racing thread — now a hit; the user may have
-//!   been quarantined — now a drop). Capacity-affecting operations are
-//!   totally ordered by the mutex: any lock-free capacity fast path
-//!   lets the sequence order invert the token-grant order, and the
-//!   replay (whose insert-vs-evict branch reads the *global*
-//!   `is_full()`) would diverge.
-//! * **Eviction**: the mutex holder scans the per-shard used counters
-//!   from `shard(page)` upward (mod S) for the first non-empty segment
-//!   and asks *that* shard's policy for the victim. Only the mutex
-//!   holder ever holds two shard locks, so lock order cannot deadlock:
-//!   a thread holding a shard lock never waits on the mutex (misses
-//!   release before acquiring it).
+//! * **Steady-state eviction**: a miss that, under `shard(page)`'s lock
+//!   alone, reads the `full` latch set (`Acquire`) and finds its own
+//!   segment's cache non-empty draws `seq` and evicts inside that
+//!   segment. The replay agrees at that `seq`: its victim scan starts
+//!   at `shard(page)`, which is non-empty there (all ops on a segment
+//!   are ordered by its lock, and `seq` is drawn under it), and its
+//!   cache is full there (below).
+//! * **Slow path** (insert, or a miss whose own segment is empty or
+//!   that missed the latch): release the segment lock, take the capacity
+//!   mutex, relock the segment, re-validate (the page may have been
+//!   inserted by a racing thread — now a hit; the user may have been
+//!   quarantined — now a drop). Inserts are totally ordered by the
+//!   mutex, so the replay's insert-vs-evict branch (which reads the
+//!   *global* `is_full()`) sees the same occupancy.
+//! * **Cross-segment eviction**: the mutex holder scans the per-segment
+//!   used counters from `shard(page)` upward (mod S) for the first
+//!   non-empty segment and asks *that* segment's policy for the victim.
+//!   Only the mutex holder ever holds two segment locks, so lock order
+//!   cannot deadlock: a thread holding a segment lock never waits on the
+//!   mutex (misses release before acquiring it).
+//! * **The `full` latch** is only written under the capacity mutex. The
+//!   insert that takes `free` to 0 sets it (`Release`) *after* drawing
+//!   its `seq`, so any fast path that reads it set draws a later `seq`
+//!   (its draw happens after the setter's). A quarantine purge that
+//!   frees pages clears it while holding every segment lock, so a fast
+//!   path is wholly before the purge (smaller `seq`) or sees the clear
+//!   (or a later re-set, again after its filling insert). Hence at
+//!   every fast path's `seq` the replayed cache holds exactly k pages.
+//!   The fast path changes no `cap.used` count, so it commutes with
+//!   every op on other segments.
 //! * **Quarantine event** (malformed record under
 //!   [`FaultPolicy::QuarantineUser`]): mutex + *all* shard locks in
 //!   ascending order; set the flag, purge the culprit's pages from
@@ -53,12 +85,17 @@
 //!   shared state is touched, the record commutes with everything; a
 //!   bare atomic `seq` draw suffices.
 //!
+//! Each segment mutex, the capacity mutex and `seq` sit on cache lines
+//! of their own.
+//!
 //! # The policy purity contract
 //!
-//! Shard-local policy instances see per-shard `EngineCtx` views (their
-//! own segment's cache, an all-zero stats table), while the replay's
-//! inner instances see the global engine's view. The two agree only for
-//! policies whose decisions are pure functions of their callback
+//! Shard-local policy instances see segment-local `EngineCtx` views
+//! (the segment universe, the segment's cache in local ids, an all-zero
+//! stats table). The replay's inner instances see the same kind of view,
+//! but its cache is updated in callback order and its stats and clock
+//! come from the global replay engine. The two agree only for policies
+//! whose decisions are pure functions of their callback
 //! sequence — which holds for the intrusive-list policies this engine
 //! supports (LRU, FIFO, greedy-dual): they read `ctx.universe` (owner
 //! table, page count) and nothing else. Policies that scan `ctx.cache`
@@ -74,7 +111,7 @@ use crate::policy::ReplacementPolicy;
 use crate::probe::Recorder;
 use crate::source::RequestSource;
 use crate::stats::SimStats;
-use crate::stepper::{StepOutcome, SteppingEngine};
+use crate::stepper::{StepOutcome, SteppingEngine, DEFAULT_BATCH_SIZE};
 use crate::trace::{Request, Universe};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -85,6 +122,20 @@ use std::time::Instant;
 #[inline]
 pub fn shard_of(page: PageId, table_shards: usize) -> usize {
     page.0 as usize % table_shards
+}
+
+/// A page's dense id inside its segment: its rank among the pages that
+/// share its [`shard_of`].
+#[inline]
+pub fn local_of(page: PageId, table_shards: usize) -> PageId {
+    PageId((page.0 as usize / table_shards) as u32)
+}
+
+/// Inverse of [`local_of`]: the global id of local page `local` in
+/// segment `shard`.
+#[inline]
+pub fn global_of(local: PageId, shard: usize, table_shards: usize) -> PageId {
+    PageId((local.0 as usize * table_shards + shard) as u32)
 }
 
 /// What one committed request did to the shared cache.
@@ -211,8 +262,19 @@ pub struct CommitSchedule {
 
 impl CommitSchedule {
     /// Merge per-thread commit logs into one seq-ordered schedule.
-    pub fn from_threads(per_thread: Vec<Vec<CommitRecord>>) -> Result<CommitSchedule, ReplayError> {
-        let mut entries: Vec<CommitRecord> = per_thread.into_iter().flatten().collect();
+    pub fn from_threads(
+        mut per_thread: Vec<Vec<CommitRecord>>,
+    ) -> Result<CommitSchedule, ReplayError> {
+        // Grow the longest log in place instead of copying every log
+        // into a fresh vector: schedules run to tens of MiB.
+        let longest = (0..per_thread.len()).max_by_key(|&t| per_thread[t].len());
+        let mut entries = longest
+            .map(|t| per_thread.swap_remove(t))
+            .unwrap_or_default();
+        entries.reserve(per_thread.iter().map(Vec::len).sum());
+        for log in per_thread {
+            entries.extend(log);
+        }
         entries.sort_unstable_by_key(|e| e.seq);
         let sched = CommitSchedule { entries };
         sched.check_contiguous()?;
@@ -296,30 +358,88 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
+/// The segment-local world one shard's policy instance lives in: the
+/// segment's [`Universe`] (local page `l` of segment `s` is global page
+/// `s + l·S`, same owner), its cache in local ids, and an all-zero stats
+/// table (the supported policies never read stats — see the purity
+/// contract in the module docs). Every table is sized to the segment,
+/// not to the global page range.
+struct SegmentView {
+    universe: Universe,
+    cache: CacheSet,
+    stats: SimStats,
+}
+
+impl SegmentView {
+    fn new(global: &Universe, capacity: usize, shard: usize, table_shards: usize) -> Self {
+        let owners = global
+            .owners()
+            .iter()
+            .copied()
+            .skip(shard)
+            .step_by(table_shards)
+            .collect();
+        let universe = Universe::new(global.num_users(), owners);
+        // A segment never holds more than its own pages, nor more than k.
+        let room = capacity.min(universe.num_pages() as usize).max(1);
+        SegmentView {
+            cache: CacheSet::new(room, universe.num_pages()),
+            stats: SimStats::new(global.num_users()),
+            universe,
+        }
+    }
+
+    fn ctx(&self, time: Time) -> EngineCtx<'_> {
+        EngineCtx {
+            time,
+            cache: &self.cache,
+            stats: &self.stats,
+            universe: &self.universe,
+        }
+    }
+}
+
 /// Mirror of the concurrent engine's shard routing for the
-/// single-threaded replay: S inner policy instances plus per-shard
-/// cached-page counts, driven through the stock [`SteppingEngine`].
+/// single-threaded replay: S inner policy instances, each behind the
+/// same segment-local view (universe, local-id cache) its concurrent
+/// twin has, driven through the stock [`SteppingEngine`].
 ///
-/// `choose_victim` re-runs the concurrent victim-shard scan — first
-/// non-empty segment from `shard(incoming)` upward — and delegates to
-/// that shard's inner instance, so every inner policy sees exactly the
-/// callback subsequence its concurrent twin saw.
+/// Callbacks translate global ids to segment-local ones exactly as the
+/// concurrent engine does, and `choose_victim` re-runs its victim-shard
+/// scan — first non-empty segment from `shard(incoming)` upward — so
+/// every inner policy sees exactly the callback sequence its concurrent
+/// twin saw. The views are built from the first callback's universe and
+/// capacity.
 pub struct ShardedPolicy<P> {
     inners: Vec<P>,
-    counts: Vec<usize>,
+    views: Vec<SegmentView>,
 }
 
 impl<P: ReplacementPolicy> ShardedPolicy<P> {
     /// Wrap one policy instance per shard segment.
     pub fn new(inners: Vec<P>) -> Self {
         assert!(!inners.is_empty(), "need at least one shard");
-        let counts = vec![0; inners.len()];
-        ShardedPolicy { inners, counts }
+        ShardedPolicy {
+            inners,
+            views: Vec::new(),
+        }
     }
 
     /// Number of shard segments.
     pub fn table_shards(&self) -> usize {
         self.inners.len()
+    }
+
+    /// `(shard, local id)` of a global page, building the segment views
+    /// on first use.
+    fn route(&mut self, ctx: &EngineCtx, page: PageId) -> (usize, PageId) {
+        let n = self.inners.len();
+        if self.views.is_empty() {
+            self.views = (0..n)
+                .map(|s| SegmentView::new(ctx.universe, ctx.cache.capacity(), s, n))
+                .collect();
+        }
+        (shard_of(page, n), local_of(page, n))
     }
 }
 
@@ -329,62 +449,98 @@ impl<P: ReplacementPolicy> ReplacementPolicy for ShardedPolicy<P> {
     }
 
     fn on_hit(&mut self, ctx: &EngineCtx, page: PageId) {
-        let s = shard_of(page, self.inners.len());
-        self.inners[s].on_hit(ctx, page);
+        let (s, local) = self.route(ctx, page);
+        self.inners[s].on_hit(&self.views[s].ctx(ctx.time), local);
     }
 
     fn on_insert(&mut self, ctx: &EngineCtx, page: PageId) {
-        let s = shard_of(page, self.inners.len());
-        self.counts[s] += 1;
-        self.inners[s].on_insert(ctx, page);
+        let (s, local) = self.route(ctx, page);
+        self.views[s].cache.insert(local);
+        self.inners[s].on_insert(&self.views[s].ctx(ctx.time), local);
     }
 
     fn choose_victim(&mut self, ctx: &EngineCtx, incoming: PageId) -> PageId {
+        let (start, local) = self.route(ctx, incoming);
         let n = self.inners.len();
-        let start = shard_of(incoming, n);
         let v = (0..n)
             .map(|i| (start + i) % n)
-            .find(|&i| self.counts[i] > 0)
+            .find(|&i| !self.views[i].cache.is_empty())
             .expect("cache is full but no shard holds a page");
-        self.inners[v].choose_victim(ctx, incoming)
+        let victim = self.inners[v].choose_victim(&self.views[v].ctx(ctx.time), local);
+        global_of(victim, v, n)
     }
 
     fn on_evicted(&mut self, ctx: &EngineCtx, victim: PageId) {
-        let s = shard_of(victim, self.inners.len());
-        self.counts[s] -= 1;
-        self.inners[s].on_evicted(ctx, victim);
+        let (s, local) = self.route(ctx, victim);
+        self.views[s].cache.remove(local);
+        self.inners[s].on_evicted(&self.views[s].ctx(ctx.time), local);
     }
 
     fn on_external_removal(&mut self, ctx: &EngineCtx, page: PageId) {
-        let s = shard_of(page, self.inners.len());
-        self.counts[s] -= 1;
-        self.inners[s].on_external_removal(ctx, page);
+        let (s, local) = self.route(ctx, page);
+        self.views[s].cache.remove(local);
+        self.inners[s].on_external_removal(&self.views[s].ctx(ctx.time), local);
     }
 
     fn reset(&mut self) {
         for p in &mut self.inners {
             p.reset();
         }
-        self.counts.fill(0);
+        self.views.clear();
     }
 }
 
-/// One shard segment: its slice of the page table, its policy instance,
-/// and an all-zero stats table used to fabricate per-shard `EngineCtx`
-/// views (the supported policies never read stats — see the purity
-/// contract in the module docs).
-struct ShardState<P> {
-    cache: CacheSet,
+/// One shard segment: its segment-local view and its policy instance.
+struct Segment<P> {
+    view: SegmentView,
     policy: P,
-    stats: SimStats,
 }
 
 /// The sharded capacity counter: per-segment used counts plus the global
-/// free count. Grants (and the victim-shard scan, which is the slow-path
-/// rebalance) are serialized under the owning mutex.
+/// free count. Capacity-changing ops (inserts, purges) and cross-segment
+/// evictions are serialized under the owning mutex.
 struct CapacityState {
     free: usize,
     used: Vec<usize>,
+}
+
+/// Aligns `T` to a 128-byte block of its own (two 64-byte lines, which
+/// also covers adjacent-line prefetch), so a hot lock or counter never
+/// shares a cache line with another.
+#[repr(align(128))]
+struct CachePadded<T>(T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// Where a run's commits went on the locking ladder. Counted per thread
+/// and summed after the workers join.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ContentionCounters {
+    /// Commits that took the capacity mutex: inserts, evictions that
+    /// missed the one-lock path (victim in another segment, or the
+    /// `full` latch not yet seen), quarantine events, and revalidated
+    /// misses.
+    pub slow_path: u64,
+    /// Misses that became a hit or a quarantine drop after relocking
+    /// under the capacity mutex (a racing thread got there first).
+    pub revalidated: u64,
+    /// Evictions whose victim lived in another segment.
+    pub cross_segment_evictions: u64,
+}
+
+impl ContentionCounters {
+    /// Add `other`'s counts into `self`.
+    pub fn merge(&mut self, other: &ContentionCounters) {
+        self.slow_path += other.slow_path;
+        self.revalidated += other.revalidated;
+        self.cross_segment_evictions += other.cross_segment_evictions;
+    }
 }
 
 /// Per-thread accumulation: counters and the thread's slice of the
@@ -395,6 +551,8 @@ pub struct ThreadLane {
     pub stats: SimStats,
     /// Faults absorbed by this thread.
     pub counters: FaultCounters,
+    /// Lock-path counters of this thread's commits.
+    pub contention: ContentionCounters,
     /// Commit records in this thread's local order (seq ascending).
     pub schedule: Vec<CommitRecord>,
 }
@@ -403,8 +561,7 @@ impl ThreadLane {
     fn new(num_users: u32) -> Self {
         ThreadLane {
             stats: SimStats::new(num_users),
-            counters: FaultCounters::default(),
-            schedule: Vec::new(),
+            ..ThreadLane::default()
         }
     }
 }
@@ -416,6 +573,8 @@ pub struct SharedOutcome {
     pub stats: SimStats,
     /// Fault counters merged across threads.
     pub counters: FaultCounters,
+    /// Lock-path counters summed across threads.
+    pub contention: ContentionCounters,
     /// Quarantined users, ascending.
     pub quarantined: Vec<UserId>,
     /// The merged, validated commit schedule.
@@ -441,9 +600,13 @@ pub struct ConcurrentEngine<P> {
     universe: Universe,
     capacity: usize,
     degrade: FaultPolicy,
-    shards: Vec<Mutex<ShardState<P>>>,
-    cap: Mutex<CapacityState>,
-    seq: AtomicU64,
+    shards: Vec<CachePadded<Mutex<Segment<P>>>>,
+    cap: CachePadded<Mutex<CapacityState>>,
+    seq: CachePadded<AtomicU64>,
+    /// Latched while the cache is full (`cap.free == 0`). Only written
+    /// under the capacity mutex; see "Locking protocol" in the module
+    /// docs for why reading it under one segment lock is enough.
+    full: AtomicBool,
     quarantined: Vec<AtomicBool>,
     stop: AtomicBool,
 }
@@ -460,22 +623,17 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
     ) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         assert!(!policies.is_empty(), "need at least one shard");
-        let num_pages = universe.num_pages();
-        let shards: Vec<Mutex<ShardState<P>>> = policies
+        let table_shards = policies.len();
+        let shards = policies
             .into_iter()
-            .map(|policy| {
-                Mutex::new(ShardState {
-                    // Full capacity and page range per segment: global
-                    // occupancy (enforced by the capacity counter) bounds
-                    // any one segment, so per-segment inserts never
-                    // overflow.
-                    cache: CacheSet::new(capacity, num_pages),
+            .enumerate()
+            .map(|(s, policy)| {
+                CachePadded(Mutex::new(Segment {
+                    view: SegmentView::new(&universe, capacity, s, table_shards),
                     policy,
-                    stats: SimStats::new(universe.num_users()),
-                })
+                }))
             })
             .collect();
-        let table_shards = shards.len();
         let quarantined = (0..universe.num_users())
             .map(|_| AtomicBool::new(false))
             .collect();
@@ -484,11 +642,12 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
             capacity,
             degrade,
             shards,
-            cap: Mutex::new(CapacityState {
+            cap: CachePadded(Mutex::new(CapacityState {
                 free: capacity,
                 used: vec![0; table_shards],
-            }),
-            seq: AtomicU64::new(0),
+            })),
+            seq: CachePadded(AtomicU64::new(0)),
+            full: AtomicBool::new(false),
             quarantined,
             stop: AtomicBool::new(false),
         }
@@ -534,6 +693,24 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
             .collect()
     }
 
+    /// Draw the next commit position. Callers hold every lock covering
+    /// the state their op touches.
+    fn draw_seq(&self) -> u64 {
+        self.seq.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn lock_segment(&self, s: usize) -> MutexGuard<'_, Segment<P>> {
+        self.shards[s]
+            .lock()
+            .expect("a worker panicked while holding a segment lock")
+    }
+
+    fn lock_capacity(&self) -> MutexGuard<'_, CapacityState> {
+        self.cap
+            .lock()
+            .expect("a worker panicked while holding the capacity mutex")
+    }
+
     /// Serve one untrusted record on behalf of `thread`, appending its
     /// commit record to `lane`. Mirrors
     /// [`SteppingEngine::step_checked`] classification and effects
@@ -553,49 +730,60 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
         if let Some(kind) = malformed {
             return self.absorb_malformed(thread, req, kind, lane);
         }
-        let s = shard_of(req.page, self.shards.len());
-        // Fast path: quarantine flag and membership under the shard lock
-        // only. The flag read is ordered against quarantine events
-        // because those hold every shard lock.
+        let n = self.shards.len();
+        let s = shard_of(req.page, n);
+        let local = local_of(req.page, n);
+        // Fast path: one segment lock. The quarantine flag read is
+        // ordered against quarantine events because those hold every
+        // segment lock.
         {
-            let mut sh = self.shards[s].lock().unwrap();
+            let mut guard = self.lock_segment(s);
+            let seg = &mut *guard;
             if self.quarantined[req.user.index()].load(Ordering::Relaxed) {
                 return Ok(self.commit_quarantined_drop(s, thread, req, lane));
             }
-            if sh.cache.contains(req.page) {
-                return Ok(self.commit_hit(&mut sh, s, thread, req, lane));
+            if seg.view.cache.contains(local) {
+                return Ok(self.commit_hit(seg, s, local, thread, req, lane));
+            }
+            // Steady-state eviction: the cache is full and this segment
+            // holds a page, so the replay's victim scan (which starts at
+            // this segment) picks a victim here too, and occupancy does
+            // not change — no capacity mutex needed.
+            if self.full.load(Ordering::Acquire) && !seg.view.cache.is_empty() {
+                let seq = self.draw_seq();
+                let evicted = Self::evict_and_insert(seg, s, None, local, req.page, seq, n);
+                return Ok(self.commit_evict(seq, thread, s, req, evicted, lane));
             }
         }
-        // Slow path: a capacity-affecting miss. Release the shard lock
-        // first (holding it while waiting on the mutex would deadlock
-        // against a mutex holder evicting from this shard), then
-        // re-validate everything after relocking.
-        let mut cap = self.cap.lock().unwrap();
-        let mut sh = self.shards[s].lock().unwrap();
+        // Slow path: an insert, or an eviction whose victim may live in
+        // another segment. Release the segment lock first (holding it
+        // while waiting on the mutex would deadlock against a mutex
+        // holder evicting from this segment), then re-validate
+        // everything after relocking.
+        lane.contention.slow_path += 1;
+        let mut cap = self.lock_capacity();
+        let mut guard = self.lock_segment(s);
+        let seg = &mut *guard;
         if self.quarantined[req.user.index()].load(Ordering::Relaxed) {
+            lane.contention.revalidated += 1;
             return Ok(self.commit_quarantined_drop(s, thread, req, lane));
         }
-        if sh.cache.contains(req.page) {
-            return Ok(self.commit_hit(&mut sh, s, thread, req, lane));
+        if seg.view.cache.contains(local) {
+            lane.contention.revalidated += 1;
+            return Ok(self.commit_hit(seg, s, local, thread, req, lane));
         }
         if cap.free > 0 {
             cap.free -= 1;
             cap.used[s] += 1;
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            let ShardState {
-                cache,
-                policy,
-                stats,
-            } = &mut *sh;
-            cache.insert(req.page);
+            let seq = self.draw_seq();
+            if cap.free == 0 {
+                // Set after the draw: a fast path that sees the latch
+                // draws a later seq, so the replay is full there too.
+                self.full.store(true, Ordering::Release);
+            }
+            seg.view.cache.insert(local);
+            seg.policy.on_insert(&seg.view.ctx(seq), local);
             lane.stats.record_miss(req.user);
-            let ctx = EngineCtx {
-                time: seq,
-                cache,
-                stats,
-                universe: &self.universe,
-            };
-            policy.on_insert(&ctx, req.page);
             let outcome = CommitOutcome::Insert;
             lane.schedule
                 .push(self.record(seq, thread, s, req, outcome));
@@ -603,7 +791,6 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
         }
         // Eviction: scan the sharded counter from this segment upward
         // for the first non-empty one; its policy names the victim.
-        let n = self.shards.len();
         let v = (0..n)
             .map(|i| (s + i) % n)
             .find(|&i| cap.used[i] > 0)
@@ -613,134 +800,105 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
         // concurrent hit there could commit with a later seq yet mutate the
         // shard's policy state first, making the schedule non-serializable
         // in seq order.
-        let (seq, victim) = if v == s {
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            let victim = Self::evict_and_insert(&mut sh, None, req.page, seq, &self.universe);
-            (seq, victim)
+        let (seq, evicted) = if v == s {
+            let seq = self.draw_seq();
+            (
+                seq,
+                Self::evict_and_insert(seg, s, None, local, req.page, seq, n),
+            )
         } else {
             // Only the capacity-mutex holder ever takes a second shard
             // lock, so this nested acquisition cannot deadlock.
-            let mut shv = self.shards[v].lock().unwrap();
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            let victim =
-                Self::evict_and_insert(&mut shv, Some(&mut sh), req.page, seq, &self.universe);
-            (seq, victim)
+            let mut victim_guard = self.lock_segment(v);
+            let seq = self.draw_seq();
+            lane.contention.cross_segment_evictions += 1;
+            (
+                seq,
+                Self::evict_and_insert(&mut victim_guard, v, Some(seg), local, req.page, seq, n),
+            )
         };
         cap.used[v] -= 1;
         cap.used[s] += 1;
-        lane.stats.record_eviction(self.universe.owner(victim));
+        Ok(self.commit_evict(seq, thread, s, req, evicted, lane))
+    }
+
+    /// Evict from `victim_seg` (segment `v`) and insert the incoming
+    /// page, local id `local`, into `home` (`None` when the victim lives
+    /// in the incoming page's own segment). Mirrors the sequential serve
+    /// order: `choose_victim`, physical remove + insert, then
+    /// `on_evicted`, then `on_insert`. Returns the victim's global id and
+    /// owner.
+    fn evict_and_insert(
+        victim_seg: &mut Segment<P>,
+        v: usize,
+        home: Option<&mut Segment<P>>,
+        local: PageId,
+        incoming: PageId,
+        seq: u64,
+        table_shards: usize,
+    ) -> (PageId, UserId) {
+        let chosen = victim_seg
+            .policy
+            .choose_victim(&victim_seg.view.ctx(seq), local);
+        assert!(
+            victim_seg.view.cache.contains(chosen),
+            "policy chose a victim that is not cached in its shard"
+        );
+        let victim = global_of(chosen, v, table_shards);
+        // Compared in global ids: across segments, `local` names nothing
+        // in the victim's segment.
+        assert!(victim != incoming, "policy evicted the incoming page");
+        let owner = victim_seg.view.universe.owner(chosen);
+        victim_seg.view.cache.remove(chosen);
+        match home {
+            None => {
+                victim_seg.view.cache.insert(local);
+                let ctx = victim_seg.view.ctx(seq);
+                victim_seg.policy.on_evicted(&ctx, chosen);
+                victim_seg.policy.on_insert(&ctx, local);
+            }
+            Some(home) => {
+                home.view.cache.insert(local);
+                victim_seg
+                    .policy
+                    .on_evicted(&victim_seg.view.ctx(seq), chosen);
+                home.policy.on_insert(&home.view.ctx(seq), local);
+            }
+        }
+        (victim, owner)
+    }
+
+    /// Record an eviction; `(victim, owner)` as returned by
+    /// [`evict_and_insert`](Self::evict_and_insert).
+    fn commit_evict(
+        &self,
+        seq: u64,
+        thread: u32,
+        s: usize,
+        req: Request,
+        (victim, owner): (PageId, UserId),
+        lane: &mut ThreadLane,
+    ) -> CommitOutcome {
+        lane.stats.record_eviction(owner);
         lane.stats.record_miss(req.user);
         let outcome = CommitOutcome::Evict { victim };
         lane.schedule
             .push(self.record(seq, thread, s, req, outcome));
-        Ok(outcome)
-    }
-
-    /// Evict from `victim_shard` and insert `incoming` into `home`
-    /// (`None` when the victim lives in the incoming page's own
-    /// segment). Mirrors the sequential serve order: `choose_victim`,
-    /// physical remove + insert, then `on_evicted`, then `on_insert`.
-    fn evict_and_insert(
-        victim_shard: &mut ShardState<P>,
-        home: Option<&mut ShardState<P>>,
-        incoming: PageId,
-        seq: u64,
-        universe: &Universe,
-    ) -> PageId {
-        let victim = {
-            let ShardState {
-                cache,
-                policy,
-                stats,
-            } = victim_shard;
-            let ctx = EngineCtx {
-                time: seq,
-                cache,
-                stats,
-                universe,
-            };
-            let victim = policy.choose_victim(&ctx, incoming);
-            assert!(
-                cache.contains(victim),
-                "policy chose a victim that is not cached in its shard"
-            );
-            assert!(victim != incoming, "policy evicted the incoming page");
-            cache.remove(victim);
-            victim
-        };
-        match home {
-            None => {
-                // Victim and incoming share a segment.
-                victim_shard.cache.insert(incoming);
-                let ShardState {
-                    cache,
-                    policy,
-                    stats,
-                } = victim_shard;
-                let ctx = EngineCtx {
-                    time: seq,
-                    cache,
-                    stats,
-                    universe,
-                };
-                policy.on_evicted(&ctx, victim);
-                policy.on_insert(&ctx, incoming);
-            }
-            Some(home) => {
-                home.cache.insert(incoming);
-                {
-                    let ShardState {
-                        cache,
-                        policy,
-                        stats,
-                    } = victim_shard;
-                    let ctx = EngineCtx {
-                        time: seq,
-                        cache,
-                        stats,
-                        universe,
-                    };
-                    policy.on_evicted(&ctx, victim);
-                }
-                let ShardState {
-                    cache,
-                    policy,
-                    stats,
-                } = home;
-                let ctx = EngineCtx {
-                    time: seq,
-                    cache,
-                    stats,
-                    universe,
-                };
-                policy.on_insert(&ctx, incoming);
-            }
-        }
-        victim
+        outcome
     }
 
     fn commit_hit(
         &self,
-        sh: &mut ShardState<P>,
+        seg: &mut Segment<P>,
         s: usize,
+        local: PageId,
         thread: u32,
         req: Request,
         lane: &mut ThreadLane,
     ) -> CommitOutcome {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let seq = self.draw_seq();
         lane.stats.record_hit(req.user);
-        let ShardState {
-            cache,
-            policy,
-            stats,
-        } = sh;
-        let ctx = EngineCtx {
-            time: seq,
-            cache,
-            stats,
-            universe: &self.universe,
-        };
-        policy.on_hit(&ctx, req.page);
+        seg.policy.on_hit(&seg.view.ctx(seq), local);
         let outcome = CommitOutcome::Hit;
         lane.schedule
             .push(self.record(seq, thread, s, req, outcome));
@@ -757,7 +915,7 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
         req: Request,
         lane: &mut ThreadLane,
     ) -> CommitOutcome {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let seq = self.draw_seq();
         lane.counters.count(FaultKind::QuarantinedUser);
         let outcome = CommitOutcome::Drop {
             kind: FaultKind::QuarantinedUser,
@@ -796,7 +954,7 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
                 // record commutes with every other op and a bare
                 // sequence draw is a valid commit position.
                 lane.counters.count(kind);
-                let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+                let seq = self.draw_seq();
                 let outcome = CommitOutcome::Drop { kind };
                 lane.schedule
                     .push(self.record(seq, thread, s, req, outcome));
@@ -810,7 +968,7 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
                 let Some(culprit) = culprit else {
                     // Out-of-range page from a nonexistent user: nobody
                     // to quarantine, stateless like skip-and-count.
-                    let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+                    let seq = self.draw_seq();
                     let outcome = CommitOutcome::Drop { kind };
                     lane.schedule
                         .push(self.record(seq, thread, s, req, outcome));
@@ -820,17 +978,24 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
                 // segment. Mutex first, then all shard locks ascending;
                 // flag writes are ordered against every reader because
                 // readers hold at least one shard lock.
-                let mut cap = self.cap.lock().unwrap();
-                let mut guards: Vec<MutexGuard<'_, ShardState<P>>> =
-                    self.shards.iter().map(|m| m.lock().unwrap()).collect();
-                let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+                lane.contention.slow_path += 1;
+                let mut cap = self.lock_capacity();
+                let mut guards: Vec<MutexGuard<'_, Segment<P>>> = (0..self.shards.len())
+                    .map(|i| self.lock_segment(i))
+                    .collect();
+                let seq = self.draw_seq();
                 if !self.quarantined[culprit.index()].load(Ordering::Relaxed) {
                     self.quarantined[culprit.index()].store(true, Ordering::Relaxed);
                     lane.counters.quarantined_users += 1;
                     for (i, guard) in guards.iter_mut().enumerate() {
-                        let removed = Self::purge_user(guard, culprit, seq, &self.universe);
+                        let removed = Self::purge_user(guard, culprit, seq);
                         cap.used[i] -= removed;
                         cap.free += removed;
+                    }
+                    if cap.free > 0 {
+                        // Under every segment lock: no fast path can be
+                        // between its latch read and its seq draw.
+                        self.full.store(false, Ordering::Release);
                     }
                 }
                 let outcome = CommitOutcome::Drop { kind };
@@ -843,28 +1008,16 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
 
     /// Remove every cached page owned by `user` from one segment
     /// (uncharged, like [`SteppingEngine::remove_user_externally`]).
-    fn purge_user(sh: &mut ShardState<P>, user: UserId, seq: u64, universe: &Universe) -> usize {
-        let doomed: Vec<PageId> = sh
+    fn purge_user(seg: &mut Segment<P>, user: UserId, seq: u64) -> usize {
+        let doomed: Vec<PageId> = seg
+            .view
             .cache
-            .pages()
             .iter()
-            .copied()
-            .filter(|&p| universe.owner(p) == user)
+            .filter(|&l| seg.view.universe.owner(l) == user)
             .collect();
-        for &p in &doomed {
-            sh.cache.remove(p);
-            let ShardState {
-                cache,
-                policy,
-                stats,
-            } = sh;
-            let ctx = EngineCtx {
-                time: seq,
-                cache,
-                stats,
-                universe,
-            };
-            policy.on_external_removal(&ctx, p);
+        for &l in &doomed {
+            seg.view.cache.remove(l);
+            seg.policy.on_external_removal(&seg.view.ctx(seq), l);
         }
         doomed.len()
     }
@@ -889,7 +1042,10 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
 
     /// Drive one worker to stream exhaustion (or engine stop), feeding
     /// outcomes to `recorder` with the same hook semantics the
-    /// sequential engines use.
+    /// sequential engines use. Borrowed page runs are served when the
+    /// source offers them; other sources are pulled one request at a
+    /// time, so a chaos source's tallies and a fail-fast stop point stay
+    /// exact.
     fn drive_worker<S: RequestSource, R: Recorder>(
         &self,
         thread: u32,
@@ -902,56 +1058,80 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
         // handed to them views an empty one-slot probe cache.
         let probe_cache = CacheSet::new(1, self.universe.num_pages());
         let probe_stats = SimStats::new(self.universe.num_users());
+        let probe = |time| EngineCtx {
+            time,
+            cache: &probe_cache,
+            stats: &probe_stats,
+            universe: &self.universe,
+        };
         let mut local_t: Time = 0;
-        loop {
-            if self.stop.load(Ordering::Relaxed) {
-                break;
+        while !self.stopped() {
+            if let Some(run) = source
+                .next_page_run(DEFAULT_BATCH_SIZE)
+                .filter(|r| !r.is_empty())
+            {
+                // Zero-copy sources validate each run, so every id is in
+                // range and its owner is the record's user.
+                for &page in run {
+                    if self.stopped() {
+                        break;
+                    }
+                    let req = Request {
+                        page,
+                        user: self.universe.owner(page),
+                    };
+                    self.serve_observed(thread, req, &mut lane, recorder, &probe)?;
+                }
+                local_t += run.len() as Time;
+                continue;
             }
-            let src_ctx = EngineCtx {
-                time: local_t,
-                cache: &probe_cache,
-                stats: &probe_stats,
-                universe: &self.universe,
-            };
-            let Some(req) = source.next_request(&src_ctx) else {
+            let Some(req) = source.next_request(&probe(local_t)) else {
                 break;
             };
             local_t += 1;
-            let started = if R::TIMED { Some(Instant::now()) } else { None };
-            let outcome = self.serve_record(thread, req, &mut lane)?;
-            if R::ACTIVE {
-                let seq = lane.schedule.last().map(|r| r.seq).unwrap_or(0);
-                let ctx = EngineCtx {
-                    time: seq,
-                    cache: &probe_cache,
-                    stats: &probe_stats,
-                    universe: &self.universe,
-                };
-                match outcome {
-                    CommitOutcome::Hit => recorder.record_hit(&ctx, seq, req.page, req.user),
-                    CommitOutcome::Insert => recorder.record_insert(&ctx, seq, req.page, req.user),
-                    CommitOutcome::Evict { victim } => recorder.record_eviction(
-                        &ctx,
-                        seq,
-                        req.page,
-                        req.user,
-                        victim,
-                        self.universe.owner(victim),
-                    ),
-                    CommitOutcome::Drop { kind } => recorder.record_fault(&RequestFault {
-                        time: seq,
-                        kind,
-                        page: req.page,
-                        user: req.user,
-                    }),
-                }
-            }
-            if let Some(started) = started {
-                let seq = lane.schedule.last().map(|r| r.seq).unwrap_or(0);
-                recorder.record_latency_ns(seq, started.elapsed().as_nanos() as u64);
-            }
+            self.serve_observed(thread, req, &mut lane, recorder, &probe)?;
         }
         Ok(lane)
+    }
+
+    /// [`serve_record`](Self::serve_record) plus the recorder hooks.
+    fn serve_observed<'a, R: Recorder>(
+        &self,
+        thread: u32,
+        req: Request,
+        lane: &mut ThreadLane,
+        recorder: &mut R,
+        probe: &impl Fn(Time) -> EngineCtx<'a>,
+    ) -> Result<(), SimError> {
+        let started = if R::TIMED { Some(Instant::now()) } else { None };
+        let outcome = self.serve_record(thread, req, lane)?;
+        let seq = || lane.schedule.last().map(|r| r.seq).unwrap_or(0);
+        if R::ACTIVE {
+            let seq = seq();
+            let ctx = probe(seq);
+            match outcome {
+                CommitOutcome::Hit => recorder.record_hit(&ctx, seq, req.page, req.user),
+                CommitOutcome::Insert => recorder.record_insert(&ctx, seq, req.page, req.user),
+                CommitOutcome::Evict { victim } => recorder.record_eviction(
+                    &ctx,
+                    seq,
+                    req.page,
+                    req.user,
+                    victim,
+                    self.universe.owner(victim),
+                ),
+                CommitOutcome::Drop { kind } => recorder.record_fault(&RequestFault {
+                    time: seq,
+                    kind,
+                    page: req.page,
+                    user: req.user,
+                }),
+            }
+        }
+        if let Some(started) = started {
+            recorder.record_latency_ns(seq(), started.elapsed().as_nanos() as u64);
+        }
+        Ok(())
     }
 }
 
@@ -1002,10 +1182,12 @@ where
     let mut schedules = Vec::with_capacity(lanes.len());
     let mut stats = SimStats::new(engine.universe().num_users());
     let mut counters = FaultCounters::default();
+    let mut contention = ContentionCounters::default();
     for lane in lanes {
         let lane = lane?;
         merge_stats(&mut stats, &lane.stats);
         counters.merge(&lane.counters);
+        contention.merge(&lane.contention);
         per_thread.push((lane.stats, lane.counters));
         schedules.push(lane.schedule);
     }
@@ -1017,6 +1199,7 @@ where
     Ok(SharedOutcome {
         stats,
         counters,
+        contention,
         quarantined: engine.quarantined_users(),
         schedule,
         per_thread,
@@ -1246,6 +1429,208 @@ mod tests {
             assert_eq!(shared.schedule.len(), threads * 200);
             assert!(shared.counters.is_clean());
         }
+    }
+
+    #[test]
+    fn dense_ids_round_trip_and_segment_universes_match() {
+        let universe = small_universe();
+        for n in [1usize, 2, 3, 8, 64] {
+            for p in (0..5_000).chain([u32::MAX - 1, u32::MAX]).map(PageId) {
+                assert_eq!(global_of(local_of(p, n), shard_of(p, n), n), p, "S={n}");
+            }
+            let mut covered = 0;
+            for s in 0..n {
+                let view = SegmentView::new(&universe, 4, s, n);
+                assert_eq!(view.universe.num_users(), universe.num_users());
+                for l in (0..view.universe.num_pages()).map(PageId) {
+                    let g = global_of(l, s, n);
+                    assert_eq!((shard_of(g, n), local_of(g, n)), (s, l));
+                    assert_eq!(view.universe.owner(l), universe.owner(g), "S={n} {g}");
+                }
+                covered += view.universe.num_pages();
+            }
+            assert_eq!(covered, universe.num_pages(), "S={n}");
+        }
+    }
+
+    #[test]
+    fn more_segments_than_pages_leaves_empty_segments() {
+        // 24 pages over 40 segments: segments 24..40 own nothing.
+        for &(threads, k) in &[(1, 1), (3, 5), (4, 24)] {
+            let shared = run_and_verify(threads, 40, k);
+            assert_eq!(shared.schedule.len(), threads * 200);
+        }
+    }
+
+    /// [`VecLru`] that asserts every page id it is handed (and every
+    /// victim it names) is a local id of the universe in its ctx.
+    struct LocalIdProbe(VecLru);
+
+    fn assert_local(ctx: &EngineCtx, page: PageId) {
+        assert!(
+            page.0 < ctx.universe.num_pages(),
+            "{page} is not a local id of a {}-page segment",
+            ctx.universe.num_pages()
+        );
+    }
+
+    impl ReplacementPolicy for LocalIdProbe {
+        fn name(&self) -> String {
+            "local-id-probe".into()
+        }
+        fn on_hit(&mut self, ctx: &EngineCtx, page: PageId) {
+            assert_local(ctx, page);
+            self.0.on_hit(ctx, page);
+        }
+        fn on_insert(&mut self, ctx: &EngineCtx, page: PageId) {
+            assert_local(ctx, page);
+            self.0.on_insert(ctx, page);
+        }
+        // `incoming` is not checked: in a cross-segment eviction it is
+        // the local id in the *incoming* page's segment.
+        fn choose_victim(&mut self, ctx: &EngineCtx, incoming: PageId) -> PageId {
+            let victim = self.0.choose_victim(ctx, incoming);
+            assert_local(ctx, victim);
+            victim
+        }
+        fn on_evicted(&mut self, ctx: &EngineCtx, victim: PageId) {
+            assert_local(ctx, victim);
+        }
+        fn on_external_removal(&mut self, ctx: &EngineCtx, page: PageId) {
+            assert_local(ctx, page);
+            self.0.on_external_removal(ctx, page);
+        }
+    }
+
+    #[test]
+    fn segment_policies_only_see_local_ids() {
+        let universe = small_universe();
+        for &(shards, k) in &[(2, 3), (3, 1), (5, 6), (7, 4), (30, 5)] {
+            let probes = || (0..shards).map(|_| LocalIdProbe(VecLru::new())).collect();
+            let engine =
+                ConcurrentEngine::new(k, universe.clone(), FaultPolicy::QuarantineUser, probes());
+            // Two clean interleaved streams plus one that ends with an
+            // owner mismatch, so a quarantine purge runs too.
+            let mut sources: Vec<RawSource> = interleaved_traces(&universe, 150, 3)
+                .into_iter()
+                .map(|t| RawSource {
+                    universe: universe.clone(),
+                    reqs: t.requests().to_vec(),
+                    pos: 0,
+                })
+                .collect();
+            sources[2].reqs.push(Request {
+                page: PageId(20),
+                user: UserId(0),
+            });
+            let mut recorders = vec![NoopRecorder; 3];
+            let shared = run_shared(&engine, &mut sources, &mut recorders).unwrap();
+            assert_eq!(shared.quarantined, vec![UserId(2)]);
+            let replay = replay_schedule(
+                k,
+                universe.clone(),
+                probes(),
+                FaultPolicy::QuarantineUser,
+                &shared.schedule,
+            )
+            .unwrap();
+            verify_replay(&shared, &replay).unwrap();
+        }
+    }
+
+    #[test]
+    fn steady_state_evictions_skip_the_capacity_mutex() {
+        let universe = small_universe();
+        let k = 5;
+        let engine = ConcurrentEngine::new(
+            k,
+            universe.clone(),
+            FaultPolicy::SkipAndCount,
+            vec![VecLru::new()],
+        );
+        // Cycle over all 24 pages: k inserts fill the cache, then every
+        // request misses and evicts without a purge.
+        let reqs = (0..240).map(|i| universe.request(PageId(i % 24))).collect();
+        let trace = Trace::new(universe.clone(), reqs);
+        let shared = run_shared(
+            &engine,
+            &mut [TraceSource::new(&trace)],
+            &mut [NoopRecorder],
+        )
+        .unwrap();
+        assert_eq!(shared.stats.total_evictions(), 240 - k as u64);
+        assert_eq!(
+            shared.contention,
+            ContentionCounters {
+                slow_path: k as u64,
+                revalidated: 0,
+                cross_segment_evictions: 0,
+            }
+        );
+        let replay = replay_schedule(
+            k,
+            universe,
+            vec![VecLru::new()],
+            FaultPolicy::SkipAndCount,
+            &shared.schedule,
+        )
+        .unwrap();
+        verify_replay(&shared, &replay).unwrap();
+    }
+
+    /// A fixed page-id list that hands out borrowed runs of at most
+    /// `run` pages, like the zero-copy binary readers.
+    struct PageRunSource {
+        universe: Universe,
+        pages: Vec<PageId>,
+        pos: usize,
+        run: usize,
+    }
+
+    impl RequestSource for PageRunSource {
+        fn universe(&self) -> &Universe {
+            &self.universe
+        }
+        fn next_request(&mut self, _ctx: &EngineCtx) -> Option<Request> {
+            let p = *self.pages.get(self.pos)?;
+            self.pos += 1;
+            Some(self.universe.request(p))
+        }
+        fn next_page_run(&mut self, max: usize) -> Option<&[PageId]> {
+            let start = self.pos.min(self.pages.len());
+            let end = (start + max.min(self.run)).min(self.pages.len());
+            self.pos = end;
+            Some(&self.pages[start..end])
+        }
+    }
+
+    #[test]
+    fn page_run_feed_commits_what_per_request_pulls_commit() {
+        let universe = small_universe();
+        let trace = &interleaved_traces(&universe, 300, 1)[0];
+        let engine = || {
+            ConcurrentEngine::new(
+                4,
+                universe.clone(),
+                FaultPolicy::SkipAndCount,
+                (0..3).map(|_| VecLru::new()).collect(),
+            )
+        };
+        let pulled = run_shared(
+            &engine(),
+            &mut [TraceSource::new(trace)],
+            &mut [NoopRecorder],
+        )
+        .unwrap();
+        let mut runs = [PageRunSource {
+            universe: universe.clone(),
+            pages: trace.requests().iter().map(|r| r.page).collect(),
+            pos: 0,
+            run: 7,
+        }];
+        let batched = run_shared(&engine(), &mut runs, &mut [NoopRecorder]).unwrap();
+        assert_eq!(batched.schedule, pulled.schedule);
+        assert_eq!(batched.stats, pulled.stats);
     }
 
     #[test]

@@ -76,9 +76,9 @@ pub use binio2::{
 pub use cache::CacheSet;
 pub use checksum::{crc32, Crc32};
 pub use concurrent::{
-    merge_stats, replay_schedule, run_shared, shard_of, verify_replay, CommitOutcome, CommitRecord,
-    CommitSchedule, ConcurrentEngine, ReplayError, ReplayOutcome, ShardedPolicy, SharedOutcome,
-    ThreadLane,
+    global_of, local_of, merge_stats, replay_schedule, run_shared, shard_of, verify_replay,
+    CommitOutcome, CommitRecord, CommitSchedule, ConcurrentEngine, ContentionCounters, ReplayError,
+    ReplayOutcome, ShardedPolicy, SharedOutcome, ThreadLane,
 };
 pub use engine::{CheckedRun, EngineCtx, SimOptions, SimResult, Simulator};
 pub use error::{

@@ -8,13 +8,21 @@
 //! * under the quarantine-user policy, the single-threaded replay of
 //!   the commit schedule quarantines **the same users** and reproduces
 //!   every per-user vector;
-//! * the same holds at soak length under skip-and-count.
+//! * the same holds at soak length under skip-and-count;
+//! * the one-lock steady-state eviction path agrees with the replay
+//!   while quarantine purges keep clearing the engine's `full` latch.
 
 use occ_baselines::Lru;
-use occ_sim::concurrent::{replay_schedule, run_shared, verify_replay, ConcurrentEngine};
+use occ_sim::concurrent::{
+    replay_schedule, run_shared, verify_replay, CommitOutcome, ConcurrentEngine,
+};
 use occ_sim::probe::NoopRecorder;
-use occ_sim::{FaultCounters, FaultPolicy, ReplacementPolicy, RequestSource};
+use occ_sim::{
+    FaultCounters, FaultPolicy, ReplacementPolicy, RequestSource, Trace, TraceSource, Universe,
+};
 use occ_workloads::{all_scenarios, ChaosSource, FaultPlan};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 type SharedPolicy = Box<dyn ReplacementPolicy + Send>;
 
@@ -130,4 +138,75 @@ fn truncated_streams_still_balance() {
     )
     .expect("schedule must replay");
     verify_replay(&outcome, &replayed).expect("replay must be identical");
+}
+
+/// The `full` latch under churn. Tiny caches (k = 1..3) over a few
+/// segments are full almost all the time, so most misses take the
+/// one-lock steady-state eviction path. Owner-mismatch records under
+/// quarantine-user purge tenants mid-run, which frees room, clears the
+/// latch, and lets inserts set it again while other threads are between
+/// reading it and committing. A loop rather than a proptest: the
+/// vendored proptest replays identical cases on every run, and a race
+/// needs fresh interleavings. Every iteration must pass the replay gate.
+#[test]
+fn full_latch_survives_quarantine_churn() {
+    let universe = Universe::uniform(6, 3);
+    let pages = universe.num_pages();
+    let mut iterations = 0;
+    let mut refills = 0;
+    for seed in 0..24u64 {
+        for k in 1..=3 {
+            for shards in [2, 3, 5] {
+                let traces: Vec<Trace> = (0..THREADS as u64)
+                    .map(|t| {
+                        let mut rng = StdRng::seed_from_u64(seed * 131 + t);
+                        let idxs: Vec<u32> = (0..250).map(|_| rng.gen_range(0..pages)).collect();
+                        Trace::from_page_indices(&universe, &idxs)
+                    })
+                    .collect();
+                let mut sources: Vec<_> = traces
+                    .iter()
+                    .enumerate()
+                    .map(|(t, trace)| {
+                        let plan = FaultPlan::seeded(seed << 8 | t as u64).with_owner_rate(0.004);
+                        ChaosSource::new(TraceSource::new(trace), plan)
+                    })
+                    .collect();
+                let policies = || -> Vec<SharedPolicy> {
+                    (0..shards)
+                        .map(|_| -> SharedPolicy { Box::new(Lru::new()) })
+                        .collect()
+                };
+                let degrade = FaultPolicy::QuarantineUser;
+                let engine = ConcurrentEngine::new(k, universe.clone(), degrade, policies());
+                let mut recorders = vec![NoopRecorder; THREADS];
+                let outcome = run_shared(&engine, &mut sources, &mut recorders)
+                    .expect("quarantine-user never faults the run");
+                let shape = format!("seed {seed}, k={k}, S={shards}");
+                let replayed =
+                    replay_schedule(k, universe.clone(), policies(), degrade, &outcome.schedule)
+                        .unwrap_or_else(|e| panic!("{shape}: {e}"));
+                verify_replay(&outcome, &replayed).unwrap_or_else(|e| panic!("{shape}: {e}"));
+                // Evictions happen only at full capacity and inserts only
+                // below it, and only a purge lowers occupancy: an insert
+                // after the first eviction is a refill after a purge.
+                let entries = outcome.schedule.entries();
+                if let Some(first) = entries
+                    .iter()
+                    .position(|e| matches!(e.outcome, CommitOutcome::Evict { .. }))
+                {
+                    refills += entries[first..]
+                        .iter()
+                        .filter(|e| e.outcome == CommitOutcome::Insert)
+                        .count();
+                }
+                iterations += 1;
+            }
+        }
+    }
+    assert!(iterations >= 200);
+    assert!(
+        refills > 0,
+        "no purge ever freed room in a full cache; the latch was never cleared"
+    );
 }
