@@ -2006,16 +2006,28 @@ impl RequestSource for SoakSource {
 impl SoakSource {
     /// Skip the first `n` requests (a resumed soak continues where its
     /// checkpoint left off). The synthetic mixer skips without building
-    /// requests; a trace has to decode (and discard) the prefix, and
-    /// reports how many requests it held if it ends first.
+    /// requests; a trace has to decode (and discard) the prefix — in
+    /// the same runs it serves, page runs first, then request runs,
+    /// then single pulls — and reports how many requests it held if it
+    /// ends first.
     fn skip(&mut self, n: u64, ctx: &occ_sim::EngineCtx) -> Result<(), u64> {
         match self {
             SoakSource::Mix(m) => m.skip(n),
             SoakSource::File(f) => {
-                for held in 0..n {
-                    if f.next_request(ctx).is_none() {
+                let mut held = 0u64;
+                while held < n {
+                    let max = usize::try_from(n - held).unwrap_or(usize::MAX);
+                    let got = match f.next_page_run(max) {
+                        Some(run) => run.len(),
+                        None => match f.next_run(max) {
+                            Some(run) => run.len(),
+                            None => usize::from(f.next_request(ctx).is_some()),
+                        },
+                    };
+                    if got == 0 {
                         return Err(held);
                     }
+                    held += got as u64;
                 }
             }
         }

@@ -278,3 +278,126 @@ fn soak_streams_binary_traces_but_rejects_text() {
     ]);
     assert_eq!(out.status.code(), Some(4));
 }
+
+/// Generate a two-tier occbin01 trace of `len` requests and pack its
+/// first `keep` requests to occbin02; returns the packed path.
+fn packed_trace(name: &str, len: &str, keep: &str) -> PathBuf {
+    let v1 = tmp(&format!("{name}.occbin01"));
+    let v2 = tmp(&format!("{name}.occbin02"));
+    let out = occ(&[
+        "generate",
+        "--scenario",
+        "two-tier",
+        "--len",
+        len,
+        "--seed",
+        "5",
+        "--format",
+        "binary",
+        "--out",
+        v1.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let out = occ(&[
+        "trace",
+        "pack",
+        "--in",
+        v1.to_str().unwrap(),
+        "--limit",
+        keep,
+        "--out",
+        v2.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "pack failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    v2
+}
+
+/// Run `occ soak` over a trace file with 25k windows and the given
+/// extra flags.
+fn soak_trace(trace: &Path, series: &Path, extra: &[&str]) -> Output {
+    let mut args = vec![
+        "soak",
+        "--scenario",
+        "two-tier",
+        "--trace",
+        trace.to_str().unwrap(),
+        "--window",
+        "25k",
+        "--k",
+        "24",
+        "--heartbeat",
+        "off",
+        "--series",
+        series.to_str().unwrap(),
+    ];
+    args.extend_from_slice(extra);
+    occ(&args)
+}
+
+#[test]
+fn resumed_packed_soak_matches_the_uninterrupted_series() {
+    // The checkpoint lands past the first 65 536-request chunk and
+    // mid-way through the second, so the resumed run fast-forwards
+    // across a chunk boundary and stops inside a chunk.
+    let full_trace = packed_trace("resume-full", "150k", "0");
+    let half_trace = packed_trace("resume-half", "150k", "100k");
+    let (full, half, resumed) = (
+        tmp("packed-full.jsonl"),
+        tmp("packed-half.jsonl"),
+        tmp("packed-resumed.jsonl"),
+    );
+    let ck = tmp("packed-ck.json");
+
+    let out = soak_trace(&full_trace, &full, &[]);
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("via the packed path"));
+    let out = soak_trace(&half_trace, &half, &["--checkpoint", ck.to_str().unwrap()]);
+    assert!(out.status.success());
+    let out = soak_trace(&full_trace, &resumed, &["--from", ck.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "resume failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("resumed from t=100000"),
+        "resumes at the checkpoint"
+    );
+
+    let mut spliced = window_lines(&half);
+    spliced.extend(window_lines(&resumed));
+    assert_eq!(window_lines(&full).len(), 6, "⌈150000/25000⌉ windows");
+    assert_eq!(
+        spliced,
+        window_lines(&full),
+        "interrupted + resumed packed series must equal the uninterrupted one"
+    );
+}
+
+#[test]
+fn resuming_past_the_end_of_a_trace_reports_what_it_held() {
+    let half_trace = packed_trace("short-half", "120k", "100k");
+    let short_trace = packed_trace("short-short", "120k", "70k");
+    let ck = tmp("short-ck.json");
+    let out = soak_trace(
+        &half_trace,
+        &tmp("short-half.jsonl"),
+        &["--checkpoint", ck.to_str().unwrap()],
+    );
+    assert!(out.status.success());
+    let out = soak_trace(
+        &short_trace,
+        &tmp("short-resumed.jsonl"),
+        &["--from", ck.to_str().unwrap()],
+    );
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("checkpoint is at t=100000 but the trace ended after 70000 requests"),
+        "names both counts: {stderr}"
+    );
+}

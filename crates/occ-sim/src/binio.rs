@@ -343,6 +343,9 @@ pub struct BinaryTraceReader<R: Read> {
     chunk: Vec<Request>,
     /// Next index to serve from `chunk`.
     pos: usize,
+    /// Encoded page ids of the chunk being decoded, reused across
+    /// refills.
+    bytes: Vec<u8>,
     error: Option<TraceIoError>,
     crc: Crc32,
     footer_checked: bool,
@@ -361,6 +364,7 @@ impl<R: Read> BinaryTraceReader<R> {
             served: 0,
             chunk: Vec::new(),
             pos: 0,
+            bytes: Vec::new(),
             error: None,
             crc: Crc32::new(),
             footer_checked: false,
@@ -399,13 +403,15 @@ impl<R: Read> BinaryTraceReader<R> {
             return Ok(false);
         }
         let take = (remaining as usize).min(CHUNK_IDS);
-        let mut bytes = vec![0u8; 4 * take];
+        // Grows (and zero-fills) on the first refill only; later
+        // refills overwrite it in place.
+        self.bytes.resize(4 * take, 0);
         self.reader
-            .read_exact(&mut bytes)
+            .read_exact(&mut self.bytes)
             .map_err(|e| classify(e, "the request stream"))?;
-        self.crc.update(&bytes);
+        self.crc.update(&self.bytes);
         self.chunk.clear();
-        for ids in bytes.chunks_exact(4) {
+        for ids in self.bytes.chunks_exact(4) {
             let page = u32::from_le_bytes(ids.try_into().expect("4-byte chunk"));
             match self.universe.try_owner(PageId(page)) {
                 Some(user) => self.chunk.push(Request {

@@ -41,6 +41,30 @@
 //! them through [`RequestSource`], so a packed multi-billion-request
 //! trace replays without ever materializing. The decoder's memory is the
 //! owner table plus one chunk, independent of the request count.
+//!
+//! # Decoding a block at a time
+//!
+//! The reader keeps one input buffer, allocated once, and decodes each
+//! chunk with its coding fixed: the mode tag picks a delta or a raw
+//! instance of the same loop, so no request branches on the mode.
+//! While at least ten bytes (the longest varint) are buffered none can
+//! be cut off, so there is no "incomplete" case to check: the loop
+//! loads a little-endian word, finds the terminator as the lowest byte
+//! whose continuation bit is clear, and decodes varints of up to four
+//! bytes (every id below 2^28) without branching on their bytes;
+//! longer ones take the general byte loop. Only the last few buffered
+//! bytes go through the incremental path, which refills when a varint
+//! is cut off. A refill moves the unconsumed tail to the front of the
+//! buffer and reads into the room behind it.
+//!
+//! The checksum is folded in bulk: the reader remembers where its
+//! unhashed input starts and hashes everything decoded since then once
+//! per chunk and once before each refill — the same bytes in the same
+//! order as hashing varint by varint, so the digest is identical.
+//! Every check of the byte-at-a-time decoder is kept: a delta that
+//! leaves the `i64` range or the universe is an out-of-range page, and
+//! over-long varints, unknown tags, truncation and checksum mismatches
+//! are parse errors, wherever the buffer happens to be cut.
 
 use crate::checksum::Crc32;
 use crate::engine::EngineCtx;
@@ -73,6 +97,15 @@ const RAW_CHUNK: usize = 64 * 1024;
 /// A varint may carry at most 10 bytes for a u64 (9 × 7 payload bits
 /// plus a final byte contributing the top bit).
 const MAX_VARINT_LEN: usize = 10;
+
+/// Footer size: magic plus the u32 checksum.
+const FOOTER_LEN: usize = 12;
+
+/// Room the streaming reader keeps beyond [`RAW_CHUNK`] for the input
+/// still pending when it refills — at most a cut varint (fewer than
+/// [`MAX_VARINT_LEN`] bytes) or a short footer (fewer than
+/// [`FOOTER_LEN`]).
+const RAW_SLACK: usize = 16;
 
 fn parse_err(msg: impl Into<String>) -> TraceIoError {
     TraceIoError::Parse(msg.into())
@@ -122,6 +155,94 @@ fn pop_varint(buf: &[u8]) -> Result<Varint, TraceIoError> {
         )));
     }
     Ok(Varint::Incomplete)
+}
+
+/// Decode every varint of the current chunk that starts at least
+/// [`MAX_VARINT_LEN`] bytes before the end of `raw`, from offset `at`
+/// until `out` holds `take` requests; returns the offset reached. In
+/// that region no varint can be cut off, so each step loads a word and
+/// decodes varints of up to four bytes (every id below 2^28) with
+/// [`short_varint`], without branching on their bytes; longer ones go
+/// through [`pop_varint`].
+fn decode_buffered<const DELTA: bool>(
+    raw: &[u8],
+    mut at: usize,
+    take: usize,
+    prev: &mut i64,
+    owners: &[UserId],
+    out: &mut Vec<Request>,
+) -> Result<usize, TraceIoError> {
+    let fast_end = raw.len().saturating_sub(MAX_VARINT_LEN - 1);
+    while at < fast_end && out.len() < take {
+        let word = u64::from_le_bytes(raw[at..at + 8].try_into().expect("8-byte window"));
+        let (coded, len) = match short_varint(word) {
+            Some(short) => short,
+            None => match pop_varint(&raw[at..])? {
+                Varint::Done(coded, len) => (coded, len),
+                Varint::Incomplete => unreachable!("{MAX_VARINT_LEN} bytes are buffered"),
+            },
+        };
+        at += len;
+        push_page::<DELTA>(coded, prev, owners, out)?;
+    }
+    Ok(at)
+}
+
+/// Decode the varint at the front of `word` (eight buffered bytes,
+/// little-endian) if it is at most four bytes long: the terminator is
+/// the lowest byte with a clear continuation bit, everything past it
+/// is masked off, and the four 7-bit groups are gathered with shifts.
+/// `None` for longer varints.
+#[inline(always)]
+fn short_varint(word: u64) -> Option<(u64, usize)> {
+    let stop = (!word & 0x8080_8080_8080_8080).trailing_zeros();
+    if stop >= 32 {
+        return None;
+    }
+    let v = word & ((2u64 << stop) - 1);
+    let value = (v & 0x7F) | (v >> 1 & 0x3F80) | (v >> 2 & 0x1F_C000) | (v >> 3 & 0xFE0_0000);
+    Some((value, (stop / 8 + 1) as usize))
+}
+
+/// Resolve one decoded varint to a page — added to the base `prev` in
+/// a delta chunk, taken as is in a raw one — check it against the
+/// owner table, and append it with its owner. A delta that leaves the
+/// `i64` range is as out of range as one that leaves the universe.
+#[inline(always)]
+fn push_page<const DELTA: bool>(
+    coded: u64,
+    prev: &mut i64,
+    owners: &[UserId],
+    out: &mut Vec<Request>,
+) -> Result<(), TraceIoError> {
+    let page = if DELTA {
+        let delta = unzigzag(coded);
+        match prev.checked_add(delta) {
+            Some(page) => page,
+            None => return Err(page_out_of_range(format_args!("{prev}{delta:+}"))),
+        }
+    } else {
+        match i64::try_from(coded) {
+            Ok(page) => page,
+            Err(_) => return Err(page_out_of_range(coded)),
+        }
+    };
+    let Some(&user) = usize::try_from(page).ok().and_then(|i| owners.get(i)) else {
+        return Err(page_out_of_range(page));
+    };
+    *prev = page;
+    out.push(Request {
+        page: PageId(page as u32),
+        user,
+    });
+    Ok(())
+}
+
+/// The parse error for a page outside the universe; cold, since only
+/// corrupt input gets here.
+#[cold]
+fn page_out_of_range(page: impl std::fmt::Display) -> TraceIoError {
+    parse_err(format!("page {page} out of range"))
 }
 
 /// Encoded length of `value` as an LEB128 varint, without encoding it.
@@ -425,9 +546,15 @@ pub struct Binary2TraceReader<R: Read> {
     /// Previous decoded page id (the delta base), as a signed value so
     /// the first delta (base 0) needs no special case.
     prev: i64,
-    /// Raw undecoded bytes: `raw[raw_start..]` is pending input.
-    raw: Vec<u8>,
+    /// Input buffer, allocated (and zeroed) once: `raw[raw_start..raw_end]`
+    /// is pending input, `raw[raw_end..]` is room for the next read.
+    raw: Box<[u8]>,
     raw_start: usize,
+    raw_end: usize,
+    /// `raw[crc_mark..raw_start]` has been decoded but not yet folded
+    /// into `crc`; it is hashed in one call per chunk and before every
+    /// compaction, in stream order.
+    crc_mark: usize,
     /// Whether the underlying reader has reached EOF.
     raw_eof: bool,
     chunk: Vec<Request>,
@@ -450,8 +577,10 @@ impl<R: Read> Binary2TraceReader<R> {
             total,
             served: 0,
             prev: 0,
-            raw: Vec::with_capacity(RAW_CHUNK),
+            raw: vec![0u8; RAW_CHUNK + RAW_SLACK].into_boxed_slice(),
             raw_start: 0,
+            raw_end: 0,
+            crc_mark: 0,
             raw_eof: false,
             chunk: Vec::new(),
             pos: 0,
@@ -480,35 +609,43 @@ impl<R: Read> Binary2TraceReader<R> {
         }
     }
 
-    /// Pull more bytes from the reader into `raw`, compacting first.
-    /// Returns how many new bytes arrived (0 at EOF).
+    /// Fold the decoded-but-unhashed bytes into the running CRC.
+    fn fold_crc(&mut self) {
+        self.crc.update(&self.raw[self.crc_mark..self.raw_start]);
+        self.crc_mark = self.raw_start;
+    }
+
+    /// Pull more bytes from the reader into `raw`, first hashing the
+    /// consumed prefix and moving the pending tail to the front.
+    /// Returns how many new bytes arrived (0 at EOF). Callers only get
+    /// here with fewer than [`RAW_SLACK`] bytes pending (a cut varint,
+    /// a missing tag, a short footer), so a read always has room.
     fn fill_raw(&mut self) -> Result<usize, TraceIoError> {
+        self.fold_crc();
         if self.raw_start > 0 {
-            self.raw.drain(..self.raw_start);
+            self.raw.copy_within(self.raw_start..self.raw_end, 0);
+            self.raw_end -= self.raw_start;
             self.raw_start = 0;
+            self.crc_mark = 0;
         }
         if self.raw_eof {
             return Ok(0);
         }
-        let old = self.raw.len();
-        self.raw.resize(old + RAW_CHUNK, 0);
-        let mut got = 0usize;
-        while got == 0 {
-            match self.reader.read(&mut self.raw[old + got..]) {
+        debug_assert!(self.raw_end < RAW_SLACK, "fill_raw with a full buffer");
+        loop {
+            match self.reader.read(&mut self.raw[self.raw_end..]) {
                 Ok(0) => {
                     self.raw_eof = true;
-                    break;
+                    return Ok(0);
                 }
-                Ok(n) => got += n,
+                Ok(n) => {
+                    self.raw_end += n;
+                    return Ok(n);
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.raw.truncate(old);
-                    return Err(TraceIoError::Io(e));
-                }
+                Err(e) => return Err(TraceIoError::Io(e)),
             }
         }
-        self.raw.truncate(old + got);
-        Ok(got)
     }
 
     /// Decode the next chunk of requests. `Ok(true)` leaves a fresh
@@ -530,43 +667,51 @@ impl<R: Read> Binary2TraceReader<R> {
         let take = (remaining as usize).min(CHUNK_REQS);
         self.chunk.clear();
         self.pos = 0;
-        let mode = loop {
-            if let Some(&m) = self.raw.get(self.raw_start) {
-                self.crc.update(&[m]);
-                self.raw_start += 1;
-                break m;
-            }
-            if self.fill_raw()? == 0 {
-                return Err(parse_err(
-                    "truncated binary trace: unexpected EOF at a chunk tag",
-                ));
-            }
-        };
-        if mode != CHUNK_MODE_DELTA && mode != CHUNK_MODE_RAW {
-            return Err(parse_err(format!("unknown chunk mode tag {mode}")));
+        if self.raw_start == self.raw_end && self.fill_raw()? == 0 {
+            return Err(parse_err(
+                "truncated binary trace: unexpected EOF at a chunk tag",
+            ));
         }
-        let num_pages = self.universe.num_pages() as i64;
-        while self.chunk.len() < take {
-            match pop_varint(&self.raw[self.raw_start..])? {
+        let mode = self.raw[self.raw_start];
+        self.raw_start += 1;
+        match mode {
+            CHUNK_MODE_DELTA => self.decode_chunk::<true>(take)?,
+            CHUNK_MODE_RAW => self.decode_chunk::<false>(take)?,
+            _ => return Err(parse_err(format!("unknown chunk mode tag {mode}"))),
+        }
+        self.fold_crc();
+        Ok(true)
+    }
+
+    /// Decode `take` varints of one chunk into `self.chunk`, with the
+    /// chunk's coding fixed at compile time (`DELTA`: zigzag deltas,
+    /// otherwise raw ids). [`decode_buffered`] takes every varint that
+    /// starts at least [`MAX_VARINT_LEN`] bytes before the end of the
+    /// buffer; the last few buffered bytes take the incremental path,
+    /// which refills when a varint is cut off.
+    fn decode_chunk<const DELTA: bool>(&mut self, take: usize) -> Result<(), TraceIoError> {
+        self.chunk.reserve(take);
+        loop {
+            self.raw_start = decode_buffered::<DELTA>(
+                &self.raw[..self.raw_end],
+                self.raw_start,
+                take,
+                &mut self.prev,
+                self.universe.owners(),
+                &mut self.chunk,
+            )?;
+            if self.chunk.len() == take {
+                return Ok(());
+            }
+            match pop_varint(&self.raw[self.raw_start..self.raw_end])? {
                 Varint::Done(coded, len) => {
-                    self.crc
-                        .update(&self.raw[self.raw_start..self.raw_start + len]);
                     self.raw_start += len;
-                    let page = if mode == CHUNK_MODE_DELTA {
-                        self.prev + unzigzag(coded)
-                    } else {
-                        i64::try_from(coded)
-                            .map_err(|_| parse_err(format!("page {coded} out of range")))?
-                    };
-                    if page < 0 || page >= num_pages {
-                        return Err(parse_err(format!("page {page} out of range")));
-                    }
-                    self.prev = page;
-                    let page = PageId(page as u32);
-                    self.chunk.push(Request {
-                        page,
-                        user: self.universe.owner(page),
-                    });
+                    push_page::<DELTA>(
+                        coded,
+                        &mut self.prev,
+                        self.universe.owners(),
+                        &mut self.chunk,
+                    )?;
                 }
                 Varint::Incomplete => {
                     if self.fill_raw()? == 0 {
@@ -578,7 +723,6 @@ impl<R: Read> Binary2TraceReader<R> {
                 }
             }
         }
-        Ok(true)
     }
 
     /// Verify the mandatory footer once the promised requests have all
@@ -586,13 +730,14 @@ impl<R: Read> Binary2TraceReader<R> {
     /// form: a missing or short footer is truncation, a wrong magic is
     /// corruption.
     fn check_footer(&mut self) -> Result<(), TraceIoError> {
-        while self.raw.len() - self.raw_start < 12 {
+        debug_assert_eq!(self.crc_mark, self.raw_start, "every chunk is folded");
+        while self.raw_end - self.raw_start < FOOTER_LEN {
             if self.fill_raw()? == 0 {
                 break;
             }
         }
-        let foot = &self.raw[self.raw_start..];
-        if foot.len() < 12 {
+        let foot = &self.raw[self.raw_start..self.raw_end];
+        if foot.len() < FOOTER_LEN {
             return Err(parse_err(
                 "truncated binary trace: unexpected EOF in the footer",
             ));
@@ -958,6 +1103,49 @@ mod tests {
         assert!(err.to_string().contains("out of range"), "{err}");
     }
 
+    /// A reader that hands out one byte per call, so every varint of
+    /// the request stream goes through the incremental tail path.
+    struct OneByte<'a>(&'a [u8]);
+
+    impl Read for OneByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match (self.0.split_first(), buf.first_mut()) {
+                (Some((&b, rest)), Some(slot)) => {
+                    *slot = b;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn delta_overflowing_i64_is_an_out_of_range_page() {
+        // Page 3, then a 10-byte delta of i64::MAX: the sum leaves the
+        // i64 range, which must be a parse error, not an overflow.
+        let u = Universe::single_user(4);
+        let mut bad = encode_header(&u, 2);
+        let payload_at = bad.len();
+        bad.push(CHUNK_MODE_DELTA);
+        push_varint(&mut bad, zigzag(3));
+        push_varint(&mut bad, zigzag(i64::MAX));
+        assert_eq!(bad.len() - payload_at, 1 + 1 + MAX_VARINT_LEN);
+        let mut crc = Crc32::new();
+        crc.update(&bad[payload_at..]);
+        bad.extend_from_slice(&BINARY2_TRACE_FOOTER_MAGIC);
+        bad.extend_from_slice(&crc.value().to_le_bytes());
+
+        // Whole slice: the long delta is decoded with the footer still
+        // buffered behind it. One byte per read: it arrives piecemeal.
+        let whole = read_trace_binary_v2(bad.as_slice()).unwrap_err();
+        assert!(whole.to_string().contains("out of range"), "{whole}");
+        let mut src = Binary2TraceReader::new(OneByte(&bad)).unwrap();
+        assert!(src.next_run(8).is_none());
+        let piecemeal = src.finish().unwrap_err();
+        assert_eq!(piecemeal.to_string(), whole.to_string());
+    }
+
     #[test]
     fn overlong_varint_is_a_parse_error() {
         let mut bad = Vec::new();
@@ -1032,6 +1220,52 @@ mod tests {
             }
             pulled.finish().unwrap();
             sought.finish().unwrap();
+        }
+    }
+
+    #[test]
+    fn short_varint_agrees_with_pop_varint() {
+        // Canonical and zero-padded encodings of 1–10 bytes, followed
+        // by continuation-heavy garbage that must be ignored.
+        let values = [
+            0u64,
+            1,
+            127,
+            128,
+            300,
+            (1 << 14) - 1,
+            1 << 14,
+            (1 << 21) - 1,
+            1 << 21,
+            0x0AB_CDEF,
+            (1 << 28) - 1,
+            1 << 28,
+            u32::MAX as u64,
+            u64::MAX,
+        ];
+        for v in values {
+            let mut canonical = Vec::new();
+            push_varint(&mut canonical, v);
+            for width in canonical.len()..=MAX_VARINT_LEN {
+                let mut buf = canonical.clone();
+                if width > buf.len() {
+                    *buf.last_mut().unwrap() |= 0x80;
+                    buf.resize(width - 1, 0x80);
+                    buf.push(0);
+                }
+                let Varint::Done(want, len) = pop_varint(&buf).unwrap() else {
+                    panic!("complete varint reported incomplete");
+                };
+                assert_eq!((want, len), (v, width));
+                buf.resize(buf.len().max(8), 0xFF);
+                let word = u64::from_le_bytes(buf[..8].try_into().unwrap());
+                let short = short_varint(word);
+                if width <= 4 {
+                    assert_eq!(short, Some((v, width)), "{v} in {width} bytes");
+                } else {
+                    assert_eq!(short, None, "{v} in {width} bytes");
+                }
+            }
         }
     }
 

@@ -4,6 +4,8 @@
 //! * arbitrary traces survive a binary write → read round trip
 //!   byte-identically, and the text and binary loaders agree through
 //!   the auto-detecting reader;
+//! * the packed occbin02 decoder serves the same requests and reaches
+//!   the same footer verdict however its input is split into reads;
 //! * streamed workloads replay byte-identically to their materialized
 //!   twins through the batched engine;
 //! * a 10-million-request streamed run completes with source state
@@ -13,12 +15,13 @@
 use occ_baselines::Lru;
 use occ_sim::{
     read_trace, read_trace_auto, read_trace_binary, read_trace_binary_v2, write_trace,
-    write_trace_binary, write_trace_binary_v2, BinaryTraceReader, MmapTraceSource, PageId,
-    RequestSource, Simulator, SteppingEngine, Trace, TraceBuilder, Universe, DEFAULT_BATCH_SIZE,
+    write_trace_binary, write_trace_binary_v2, Binary2TraceReader, BinaryTraceReader, Crc32,
+    MmapTraceSource, PageId, Request, RequestSource, Simulator, SteppingEngine, Trace,
+    TraceBuilder, Universe, UserId, DEFAULT_BATCH_SIZE,
 };
 use occ_workloads::{zipf_trace, AccessPattern, PatternSource, TenantMixSource, TenantSpec};
 use proptest::prelude::*;
-use std::io::Cursor;
+use std::io::{Cursor, Read};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// An arbitrary multi-user trace (including empty request streams).
@@ -175,12 +178,206 @@ proptest! {
         buffered.finish().unwrap();
         std::fs::remove_file(&path).ok();
 
+        // The packed twin through the streaming occbin02 decoder.
+        let mut v2 = Vec::new();
+        write_trace_binary_v2(&trace, &mut v2).unwrap();
+        let mut packed = Binary2TraceReader::new(v2.as_slice()).unwrap();
+        let mut packed_pages = Vec::new();
+        let mut packed_engine = SteppingEngine::new(8, packed.universe().clone(), Lru::new());
+        while let Some(run) = packed.next_run(batch) {
+            packed_pages.extend(run.iter().map(|r| r.page));
+            packed_engine.step_batch(run);
+        }
+        packed.finish().unwrap();
+
         prop_assert_eq!(&mmap_pages, &buf_pages);
+        prop_assert_eq!(&mmap_pages, &packed_pages);
         prop_assert_eq!(
             mmap_pages,
             trace.requests().iter().map(|r| r.page).collect::<Vec<_>>()
         );
         prop_assert_eq!(mmap_engine.stats(), buf_engine.stats());
+        prop_assert_eq!(mmap_engine.stats(), packed_engine.stats());
+    }
+}
+
+/// SplitMix64: the hand-built packed files below draw everything from
+/// one seed.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Append `value` as an LEB128 varint stretched to `width` bytes by
+/// padding with zero-payload continuation bytes — a non-canonical but
+/// valid encoding (`width` is clamped to 1..=10 and to at least the
+/// canonical length).
+fn put_varint(out: &mut Vec<u8>, mut value: u64, width: usize) {
+    let canonical = (64 - value.leading_zeros() as usize).max(1).div_ceil(7);
+    let width = width.clamp(canonical, 10);
+    for i in 0..width {
+        let more = if i + 1 < width { 0x80 } else { 0 };
+        out.push((value & 0x7F) as u8 | more);
+        value >>= 7;
+    }
+}
+
+/// Users and pages per user of the hand-built packed traces: 2^22
+/// pages, so raw ids take 1–4 varint bytes and deltas up to 2^23 do
+/// too. A canonical 5-byte varint needs a raw id of 2^28 or a delta of
+/// 2^27 (an owner table of 512 MiB or more), so 5- to 10-byte varints
+/// come from padding.
+const PACKED_USERS: u32 = 4;
+const PACKED_PER_USER: u32 = 1 << 20;
+
+/// Hand-build an occbin02 file of `len` requests: chunk `c` uses raw
+/// coding when bit `c` of `raw_modes` is set, roughly one varint in
+/// eight is padded to up to 10 bytes, and `damage` leaves it intact
+/// (0, 1), flips a checksum bit (2) or cuts 1–16 bytes, never into
+/// the header, off the end (3).
+/// Returns the bytes and the page ids they encode.
+fn hand_packed(seed: u64, len: usize, raw_modes: u8, damage: u8) -> (Vec<u8>, Vec<u32>) {
+    const CHUNK: usize = 64 * 1024;
+    let pages_total = u64::from(PACKED_USERS * PACKED_PER_USER);
+    let mut rng = seed;
+    let mut pages = Vec::with_capacity(len);
+    let mut page = 0u64;
+    for _ in 0..len {
+        let r = splitmix(&mut rng);
+        page = match r % 5 {
+            // A short step either way: one-byte deltas.
+            0 | 1 => (page + pages_total + (r >> 8) % 7 - 3) % pages_total,
+            // Small ids: one-byte raw varints.
+            2 => (r >> 8) % 128,
+            3 => (r >> 8) % (1 << 14),
+            // Anywhere: up to four bytes either way.
+            _ => (r >> 8) % pages_total,
+        };
+        pages.push(page as u32);
+    }
+
+    let mut bytes = b"occbin02".to_vec();
+    put_varint(&mut bytes, u64::from(PACKED_USERS), 1);
+    put_varint(&mut bytes, pages_total, 1);
+    for user in 0..PACKED_USERS {
+        put_varint(&mut bytes, u64::from(user), 1);
+        put_varint(&mut bytes, u64::from(PACKED_PER_USER), 1);
+    }
+    put_varint(&mut bytes, len as u64, 1);
+    let payload_at = bytes.len();
+    let mut prev = 0i64;
+    for (c, chunk) in pages.chunks(CHUNK).enumerate() {
+        let raw = raw_modes >> (c % 8) & 1 == 1;
+        bytes.push(u8::from(raw));
+        for &p in chunk {
+            let r = splitmix(&mut rng);
+            let width = if r.is_multiple_of(8) {
+                (r >> 8) as usize % 10 + 1
+            } else {
+                1
+            };
+            let coded = if raw {
+                u64::from(p)
+            } else {
+                let d = i64::from(p) - prev;
+                ((d << 1) ^ (d >> 63)) as u64
+            };
+            put_varint(&mut bytes, coded, width);
+            prev = i64::from(p);
+        }
+    }
+    let mut crc = Crc32::new();
+    crc.update(&bytes[payload_at..]);
+    bytes.extend_from_slice(b"occsum02");
+    bytes.extend_from_slice(&crc.value().to_le_bytes());
+    match damage {
+        2 => {
+            let at = bytes.len() - 1 - (splitmix(&mut rng) % 4) as usize;
+            bytes[at] ^= 0x10;
+        }
+        3 => {
+            // Never into the header: the readers must get that far.
+            let room = (bytes.len() - payload_at).min(16);
+            let cut = 1 + splitmix(&mut rng) as usize % room;
+            bytes.truncate(bytes.len() - cut);
+        }
+        _ => {}
+    }
+    (bytes, pages)
+}
+
+/// A reader that hands out 1–13 bytes per call, so chunk tags, varints
+/// and the footer arrive cut at every offset.
+struct Dribble<'a> {
+    bytes: &'a [u8],
+    rng: u64,
+}
+
+impl Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = (1 + (splitmix(&mut self.rng) % 13) as usize)
+            .min(buf.len())
+            .min(self.bytes.len());
+        let (head, rest) = self.bytes.split_at(n);
+        buf[..n].copy_from_slice(head);
+        self.bytes = rest;
+        Ok(n)
+    }
+}
+
+/// Drain a packed reader in runs of `batch`; returns what it served and
+/// its verdict.
+fn drain_packed<R: Read>(reader: R, batch: usize) -> (Vec<Request>, Result<(), String>) {
+    let mut src = Binary2TraceReader::new(reader).expect("the header is intact");
+    let mut got = Vec::new();
+    while let Some(run) = src.next_run(batch) {
+        got.extend_from_slice(run);
+    }
+    (got, src.finish().map_err(|e| e.to_string()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn packed_decode_is_independent_of_read_sizes(
+        seed in 0u64..u64::MAX,
+        // Short traces, and traces straddling the first and second
+        // chunk boundaries so a tag lands mid-buffer.
+        len in prop_oneof![1usize..300, 65_530usize..65_545, 131_066usize..131_080],
+        raw_modes in 0u8..8,
+        damage in 0u8..4,
+        batch in prop_oneof![Just(DEFAULT_BATCH_SIZE), 1usize..5_000],
+    ) {
+        let (bytes, pages) = hand_packed(seed, len, raw_modes, damage);
+        let (whole, whole_verdict) = drain_packed(bytes.as_slice(), batch);
+        let dribble = Dribble { bytes: &bytes, rng: seed ^ 0xD1B5 };
+        let (piecemeal, piecemeal_verdict) = drain_packed(dribble, batch);
+        prop_assert_eq!(&piecemeal, &whole);
+        prop_assert_eq!(&piecemeal_verdict, &whole_verdict);
+
+        let expected: Vec<Request> = pages
+            .iter()
+            .map(|&p| Request { page: PageId(p), user: UserId(p / PACKED_PER_USER) })
+            .collect();
+        match damage {
+            0 | 1 => {
+                prop_assert_eq!(whole_verdict, Ok(()));
+                prop_assert_eq!(whole, expected);
+            }
+            2 => {
+                let err = whole_verdict.unwrap_err();
+                prop_assert!(err.contains("footer checksum mismatch"), "{}", err);
+                prop_assert_eq!(whole, expected);
+            }
+            _ => {
+                prop_assert!(whole_verdict.is_err());
+                prop_assert!(expected.starts_with(&whole));
+            }
+        }
     }
 }
 
