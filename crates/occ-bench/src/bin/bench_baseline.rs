@@ -25,8 +25,9 @@
 //! separate so percentile instrumentation cannot distort the
 //! throughput number). Total runtime is well under two minutes.
 //!
-//! Schema 3 adds a `mode` per entry (committed entries without one are
-//! `scalar`):
+//! The file's `host` object records `nproc` and the CPU model of the
+//! machine that wrote it. Schema 3 adds a `mode` per entry (committed
+//! entries without one are `scalar`):
 //!
 //! * `scalar` — the classic one-request-at-a-time replay above, driven
 //!   through `Box<dyn ReplacementPolicy>` like the CLI does;
@@ -38,11 +39,16 @@
 //!   untimed throughput number stays clean (the untimed/timed pair);
 //! * `fleet` — `shards` independent caches on worker threads, each
 //!   replaying a pre-materialized Zipf(0.9) trace through the
-//!   monomorphized [`run_fleet_typed`] path with recording off
-//!   (`requests_per_sec` is the per-shard best-of-N composite — each
-//!   shard's fastest replay window across the reps, summed — the same
-//!   statistic for every shard count, so 1-shard and 4-shard cells
-//!   compare fairly). Shard 0 replays the *same* trace as the scalar
+//!   monomorphized [`run_fleet_typed`] path with recording off.
+//!   `requests_per_sec` is **per core** (`"measures": "per-core"`):
+//!   served requests over the sum of per-shard replay times, taken as
+//!   the per-shard best-of-N composite — each shard's fastest replay
+//!   window across the reps — the same statistic for every shard
+//!   count, so 1-shard and 4-shard cells compare fairly.
+//!   `wall_requests_per_sec` is the wall-clock aggregate (served
+//!   requests over the fleet's best wall time), the only number that
+//!   can show parallel scaling, bounded by the stamped `host.nproc`.
+//!   Shard 0 replays the *same* trace as the scalar
 //!   zipf-0.9 cell, and every shard is asserted byte-identical to its
 //!   own sequential replay;
 //! * `concurrent` — M worker threads contending for ONE shared k-sized
@@ -50,6 +56,11 @@
 //!   recorded run's commit schedule is replayed single-threaded and
 //!   asserted identical (per-user vectors, fault counters, quarantine
 //!   set); the timed reps then run unrecorded and unverified.
+//! * `tenant-scale` — ALG-DISCRETE at n ∈ {4, 64, 1024} tenants and
+//!   fixed `k = 1024` over one 4096-page universe, stats asserted
+//!   identical to the literal Figure 3 `DiscreteReference` before any
+//!   rep; the row's rate is the batched kernel's, with the paired scalar
+//!   rate beside it;
 //! * `ingest` — pure trace-ingestion throughput (decode + validation +
 //!   running CRC, no cache attached) over the three binary access
 //!   strategies: zero-copy `mmap` of occbin01, `buffered` chunked reads
@@ -72,7 +83,7 @@
 //! delta gate cancels host-speed waves instead of flapping with them.
 
 use occ_baselines::{Fifo, GreedyDual, Lru, LruReference, Marking};
-use occ_core::{ConvexCaching, CostProfile, Monomial};
+use occ_core::{ConvexCaching, CostProfile, DiscreteReference, Monomial};
 use occ_fleet::{run_fleet_typed, run_shared_fleet, FleetConfig, SharedConfig};
 use occ_probe::{Json, MetricsRecorder};
 use occ_sim::{
@@ -106,6 +117,15 @@ const INGEST_TRACE_LEN: usize = 10_000_000;
 const SMOKE_INGEST_TRACE_LEN: usize = 1_000_000;
 const INGEST_K: usize = 4096;
 const INGEST_PATHS: [&str; 3] = ["mmap", "buffered", "packed"];
+/// ALG-DISCRETE tenant-scale cells: tenant count and workload name, at
+/// one fixed cache size over a universe of `4 * TENANT_K` pages split
+/// evenly between the tenants.
+const TENANT_SCALE: [(u32, &str); 3] = [
+    (4, "tenants-4x-zipf-0.8"),
+    (64, "tenants-64x-zipf-0.8"),
+    (1024, "tenants-1024x-zipf-0.8"),
+];
+const TENANT_K: usize = 1024;
 /// `--smoke` fails the run when a cell's *drift-normalized* throughput
 /// lands this far below the committed baseline. Batched cells gate on
 /// their batched/scalar ratio vs the committed ratio (both sides of the
@@ -120,6 +140,37 @@ struct Workload {
     name: &'static str,
     num_users: u32,
     trace: Trace,
+}
+
+/// The machine a baseline was measured on, stamped into the file: a
+/// wall-clock multi-thread row means little without the core count.
+struct Host {
+    nproc: usize,
+    cpu_model: String,
+}
+
+impl Host {
+    fn detect() -> Host {
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines().find_map(|l| {
+                    let (key, value) = l.split_once(':')?;
+                    (key.trim() == "model name").then(|| value.trim().to_string())
+                })
+            })
+            .unwrap_or_else(|| "unknown".into());
+        Host { nproc, cpu_model }
+    }
+
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"nproc\": {}, \"cpu_model\": {}}}",
+            self.nproc,
+            Json::Str(self.cpu_model.clone()).to_json()
+        )
+    }
 }
 
 /// Spin the core to steady clock before any timed cell: frequency
@@ -420,9 +471,8 @@ fn fleet_traces(shards: usize, k: usize) -> Vec<Trace> {
 
 /// One fleet cell: `shards` independent LRU caches of size `k`, each
 /// replaying its pre-materialized trace through the monomorphized
-/// typed path with recording off. Returns (best-of-N aggregate req/s,
-/// total misses).
-fn measure_fleet(traces: &[Trace], k: usize) -> (f64, u64) {
+/// typed path with recording off.
+fn measure_fleet(traces: &[Trace], k: usize) -> FleetRates {
     let mut cell = FleetCellTimer::new(traces.len());
     for _ in 0..THROUGHPUT_REPS {
         cell.rep(traces, k);
@@ -430,16 +480,29 @@ fn measure_fleet(traces: &[Trace], k: usize) -> (f64, u64) {
     cell.result()
 }
 
-/// Accumulates fleet throughput as the **per-shard best-of-N
-/// composite**: each shard's fastest replay window across the reps,
-/// summed. For one shard this is exactly the classic best-of-N; for
-/// many shards it is the *same statistic* — whereas best-of-N of the
-/// run-level aggregate takes the max of a mean of several noisy shard
-/// times, which sits systematically below the max of a single one and
-/// makes multi-shard cells look ~2% slower than they are on this
-/// machine.
+/// A fleet cell's two throughputs. They answer different questions:
+/// `per_core` is what one busy core serves (requests over the *sum* of
+/// per-shard replay times), `wall` is what the fleet serves
+/// (requests over the fleet's wall-clock time). Only `wall` can show
+/// parallel scaling, and only up to the host's core count.
+struct FleetRates {
+    per_core: f64,
+    wall: f64,
+    misses: u64,
+}
+
+/// Accumulates fleet throughput. The per-core rate is the **per-shard
+/// best-of-N composite**: each shard's fastest replay window across
+/// the reps, summed. For one shard this is exactly the classic
+/// best-of-N; for many shards it is the *same statistic* — whereas
+/// best-of-N of the run-level aggregate takes the max of a mean of
+/// several noisy shard times, which sits systematically below the max
+/// of a single one and makes multi-shard cells look ~2% slower than
+/// they are on this machine. The wall-clock rate is best-of-N of the
+/// whole fleet run.
 struct FleetCellTimer {
     best: Vec<f64>,
+    best_wall: f64,
     served: u64,
     misses: u64,
 }
@@ -448,6 +511,7 @@ impl FleetCellTimer {
     fn new(shards: usize) -> Self {
         FleetCellTimer {
             best: vec![f64::INFINITY; shards],
+            best_wall: f64::INFINITY,
             served: 0,
             misses: 0,
         }
@@ -464,13 +528,15 @@ impl FleetCellTimer {
         for (b, s) in self.best.iter_mut().zip(&report.shards) {
             *b = b.min(s.elapsed.as_secs_f64());
         }
+        self.best_wall = self.best_wall.min(report.wall.as_secs_f64());
     }
 
-    fn result(&self) -> (f64, u64) {
-        (
-            self.served as f64 / self.best.iter().sum::<f64>(),
-            self.misses,
-        )
+    fn result(&self) -> FleetRates {
+        FleetRates {
+            per_core: self.served as f64 / self.best.iter().sum::<f64>(),
+            wall: self.served as f64 / self.best_wall,
+            misses: self.misses,
+        }
     }
 }
 
@@ -746,6 +812,98 @@ fn ingest_block(
     rows
 }
 
+/// `n` tenants over a `4 * TENANT_K`-page universe, Zipf(0.8) within
+/// each, arrival weights cycling through 1..=4. At `n = 4` this is the
+/// `tenants-4x-zipf-0.8` trace of the `k = 1024` grid cells.
+fn tenant_scale_workload(n: u32, name: &'static str) -> Workload {
+    let pages = 4 * TENANT_K as u32 / n;
+    let tenants: Vec<TenantSpec> = (0..n)
+        .map(|i| TenantSpec::new(pages, 1.0 + (i % 4) as f64, AccessPattern::Zipf { s: 0.8 }))
+        .collect();
+    Workload {
+        name,
+        num_users: n,
+        trace: generate_multi_tenant(&tenants, TRACE_LEN, 5),
+    }
+}
+
+/// ALG-DISCRETE as the tenant count grows at fixed `k`: each eviction
+/// scans every tenant's lane, so this is where that `O(n)` term shows.
+/// Per tenant count, the run's stats are first asserted identical to
+/// the literal Figure 3 [`DiscreteReference`], then scalar and batched
+/// reps are measured paired. Rows carry the batched (kernel) rate with
+/// the scalar rate beside it.
+fn tenant_scale_block(
+    reps: usize,
+    committed: &[CommittedCell],
+    regressions: &mut u32,
+) -> Vec<String> {
+    let mut rows = Vec::new();
+    for (n, name) in TENANT_SCALE {
+        let wl = tenant_scale_workload(n, name);
+        let costs = CostProfile::uniform(n, Monomial::power(2.0));
+        let reference = Simulator::new(TENANT_K)
+            .run(&mut DiscreteReference::new(costs.clone()), &wl.trace)
+            .stats;
+        let fast = Simulator::new(TENANT_K)
+            .run(&mut ConvexCaching::new(costs.clone()), &wl.trace)
+            .stats;
+        assert_eq!(
+            fast, reference,
+            "alg-discrete diverged from Figure 3 at n={n}"
+        );
+
+        let mut policy: Box<dyn ReplacementPolicy> = Box::new(ConvexCaching::new(costs.clone()));
+        let (ms, mb) = measure_pair(
+            || ConvexCaching::new(costs.clone()),
+            &mut policy,
+            &wl,
+            TENANT_K,
+            reps,
+        );
+        let delta = delta_text(
+            committed,
+            "alg-discrete",
+            name,
+            TENANT_K,
+            "tenant-scale",
+            mb.requests_per_sec,
+            regressions,
+        );
+        println!(
+            "{:>16}  k={TENANT_K:<5} {name:<22} {:>12.0} req/s   (scalar {:.0})   p50 {:>6} ns   p99 {:>7} ns   p999 {:>7} ns   misses {} (= Figure 3){delta}",
+            "alg-discrete",
+            mb.requests_per_sec,
+            ms.requests_per_sec,
+            mb.p50_ns,
+            mb.p99_ns,
+            mb.p999_ns,
+            mb.misses
+        );
+        let mut row = String::new();
+        write!(
+            row,
+            "    {{\"policy\": \"alg-discrete\", \"workload\": \"{name}\", \"k\": {TENANT_K}, \
+             \"universe_pages\": {}, \"trace_len\": {}, \"mode\": \"tenant-scale\", \
+             \"tenants\": {n}, \"batch_size\": {DEFAULT_BATCH_SIZE}, \
+             \"requests_per_sec\": {:.0}, \"scalar_requests_per_sec\": {:.0}, \
+             \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"misses\": {}}}",
+            4 * TENANT_K,
+            wl.trace.len(),
+            mb.requests_per_sec,
+            ms.requests_per_sec,
+            mb.p50_ns,
+            mb.p90_ns,
+            mb.p99_ns,
+            mb.p999_ns,
+            mb.misses
+        )
+        .unwrap();
+        rows.push(row);
+    }
+    rows
+}
+
 /// `--ingest`: just the ingest block, on the full-sized fixture. The
 /// baseline file is left untouched — this mode exists for iterating on
 /// the ingestion paths without re-running the whole grid.
@@ -838,7 +996,11 @@ fn run_smoke(committed: &[CommittedCell]) {
         // only a shortfall can fail the gate).
         let traces = fleet_traces(1, k);
         let expected = assert_fleet_matches_scalar(&traces, k, lru_scalar_misses);
-        let (rps, misses) = measure_fleet(&traces, k);
+        let FleetRates {
+            per_core: rps,
+            misses,
+            ..
+        } = measure_fleet(&traces, k);
         assert_eq!(misses, expected, "fleet-1 misses diverged from scalar");
         scalar_factors.sort_by(|a, b| a.total_cmp(b));
         let factor = scalar_factors
@@ -857,7 +1019,9 @@ fn run_smoke(committed: &[CommittedCell]) {
             }
             None => String::new(),
         };
-        println!("SMOKE lru/fleet-1 k={k}: {rps:.0} req/s, misses {misses} (identical){delta}");
+        println!(
+            "SMOKE lru/fleet-1 k={k}: {rps:.0} req/s per core, misses {misses} (identical){delta}"
+        );
 
         // Shared-cache concurrent cell: replay identity is asserted
         // inside `measure_concurrent` before its first timed rep; the
@@ -924,6 +1088,7 @@ fn main() {
         return;
     }
 
+    let host = Host::detect();
     warm_up();
     let mut regressions = 0u32;
 
@@ -1060,10 +1225,13 @@ fn main() {
                 timer.rep(traces, k);
             }
         }
-        for ((shards, _, expected), (rps, misses)) in
-            cells.iter().zip(timers.iter().map(|t| t.result()))
-        {
+        for ((shards, _, expected), rates) in cells.iter().zip(timers.iter().map(|t| t.result())) {
             let (shards, expected) = (*shards, *expected);
+            let FleetRates {
+                per_core: rps,
+                wall,
+                misses,
+            } = rates;
             assert_eq!(
                 misses, expected,
                 "fleet-{shards} misses diverged from the per-shard scalar replays"
@@ -1078,9 +1246,11 @@ fn main() {
                 &mut regressions,
             );
             println!(
-                "{:>16}  k={k:<5} {:<20} {rps:>12.0} req/s   ({shards} shard(s), aggregate)       misses {misses}{delta}",
+                "{:>16}  k={k:<5} {:<20} {rps:>12.0} req/s   ({shards} shard(s), per core; \
+                 wall-clock aggregate {wall:.0} req/s on {} cores)   misses {misses}{delta}",
                 format!("lru/fleet-{shards}"),
-                "zipf-0.9"
+                "zipf-0.9",
+                host.nproc
             );
             let mut row = String::new();
             write!(
@@ -1088,7 +1258,8 @@ fn main() {
                 "    {{\"policy\": \"lru/fleet-{shards}\", \"workload\": \"zipf-0.9\", \"k\": {k}, \
                  \"universe_pages\": {}, \"trace_len\": {TRACE_LEN}, \"mode\": \"fleet\", \
                  \"shards\": {shards}, \"batch_size\": {DEFAULT_BATCH_SIZE}, \
-                 \"requests_per_sec\": {rps:.0}, \"misses\": {misses}}}",
+                 \"measures\": \"per-core\", \"requests_per_sec\": {rps:.0}, \
+                 \"wall_requests_per_sec\": {wall:.0}, \"misses\": {misses}}}",
                 4 * k,
             )
             .unwrap();
@@ -1128,6 +1299,12 @@ fn main() {
         rows.push(row);
     }
 
+    rows.extend(tenant_scale_block(
+        THROUGHPUT_REPS,
+        &committed,
+        &mut regressions,
+    ));
+
     // Ingest cells: decode-only throughput of the three binary access
     // strategies, full-sized fixture, miss-identity asserted first.
     rows.extend(ingest_block(
@@ -1139,7 +1316,8 @@ fn main() {
     ));
 
     let json = format!(
-        "{{\n  \"benchmark\": \"bench_baseline\",\n  \"schema\": 3,\n  \"entries\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"bench_baseline\",\n  \"schema\": 3,\n  \"host\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
+        host.to_json(),
         rows.join(",\n")
     );
     occ_probe::write_atomic_with_trailer(&out, &json).expect("write BENCH_throughput.json");

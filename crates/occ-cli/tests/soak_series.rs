@@ -401,3 +401,73 @@ fn resuming_past_the_end_of_a_trace_reports_what_it_held() {
         "names both counts: {stderr}"
     );
 }
+
+/// A committed checkpoint and its series files, written by an earlier
+/// build of `occ soak --scenario sqlvm-like --seed 9 --window 5k` (a
+/// 10k-request run checkpointed every 5k, and the uninterrupted 20k
+/// run). Pins the checkpoint format across releases: whatever the
+/// policies keep in memory, an old checkpoint must resume to the old
+/// uninterrupted series.
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
+/// `occ soak` on sqlvm-like with the fixture's seed and window.
+fn soak_sqlvm(len: &str, series: &Path, extra: &[&str]) -> Output {
+    let mut args = vec![
+        "soak",
+        "--scenario",
+        "sqlvm-like",
+        "--len",
+        len,
+        "--window",
+        "5k",
+        "--seed",
+        "9",
+        "--heartbeat",
+        "off",
+        "--series",
+        series.to_str().unwrap(),
+    ];
+    args.extend_from_slice(extra);
+    occ(&args)
+}
+
+#[test]
+fn committed_checkpoint_resumes_to_the_committed_series() {
+    let ck = fixture("sqlvm-like-seed9-10k.ckpt.json");
+    let head = fixture("sqlvm-like-seed9-10k.series.jsonl");
+    let full = fixture("sqlvm-like-seed9-20k.series.jsonl");
+    assert_eq!(window_lines(&full).len(), 4, "⌈20000/5000⌉ windows");
+
+    let resumed = tmp("fixture-resumed.jsonl");
+    let out = soak_sqlvm("20k", &resumed, &["--from", ck.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "resume failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("resumed from t=10000"),
+        "resumes at the checkpoint"
+    );
+    let mut spliced = window_lines(&head);
+    spliced.extend(window_lines(&resumed));
+    assert_eq!(
+        spliced,
+        window_lines(&full),
+        "the committed checkpoint must resume to the committed uninterrupted series"
+    );
+
+    // And this build's own uninterrupted run writes that series too.
+    let fresh = tmp("fixture-fresh.jsonl");
+    let out = soak_sqlvm("20k", &fresh, &[]);
+    assert!(out.status.success());
+    assert_eq!(
+        std::fs::read(&fresh).unwrap(),
+        std::fs::read(&full).unwrap(),
+        "an uninterrupted run must reproduce the committed series file byte for byte"
+    );
+}

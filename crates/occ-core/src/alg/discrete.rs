@@ -39,10 +39,20 @@
 //! pages are non-decreasing in touch order, so ordering a user's cached
 //! pages by `(Y_p, seq)` is *identical* to ordering them by touch
 //! recency. The per-user minimum is simply the least-recently-touched
-//! page — maintained in an intrusive doubly-linked list
-//! ([`occ_sim::PageLists`], one shared arena for all users since each
-//! page has one owner) at `O(1)` per request with no allocation, instead
-//! of `O(log k)` in an ordered set.
+//! page — maintained in an intrusive doubly-linked list per user at
+//! `O(1)` per request with no allocation, instead of `O(log k)` in an
+//! ordered set.
+//!
+//! The list links live *inside* the per-page node, next to the only
+//! other per-page state the closed form needs: one 24-byte `Node
+//! { y: Y_p, seq, prev, next }` per page in one `Vec`. A touch therefore
+//! writes one line of per-page state — the node, in a single store —
+//! plus the neighbours it splices, where separate `y_at`/`last_seq`/
+//! `prev`/`next`/`list_of` arrays dirtied up to five lines scattered
+//! across the universe. The list ends sit in the owner's `UserLane`,
+//! and no per-page list id is stored: each page has exactly one owner,
+//! so a page is linked iff `prev != NIL` or it is its owner lane's
+//! `head`.
 //!
 //! This holds in floating point, not just in exact arithmetic: `Y` is
 //! always set to the minimum key, every surviving key is `≥` that
@@ -56,9 +66,10 @@
 //! order no longer agrees with key order. The policy then falls back to
 //! the original per-user `BTreeSet` keyed by `(Y_p, seq, page)`, which
 //! stays correct because it orders by `Y_p` directly rather than relying
-//! on insertion order. Equivalence of both paths against the literal
-//! Figure 3 transcription is enforced by `DiscreteReference` property
-//! tests.
+//! on insertion order; it reads and writes `(Y_p, seq)` in the same
+//! nodes and leaves their links unused. Equivalence of both paths
+//! against the literal Figure 3 transcription is enforced by
+//! `DiscreteReference` property tests.
 //!
 //! # The per-user arena
 //!
@@ -67,21 +78,21 @@
 //! scan re-evaluates it through an `Arc<dyn CostFunction>` for every
 //! user on every eviction, which is `n` virtual calls (plus `exp`/`ln`
 //! for monomial costs) per victim and is exactly what halves
-//! multi-tenant throughput. All per-user dual bookkeeping therefore
-//! lives in one contiguous arena (`UserLane`, one `Vec` indexed by
-//! user id): the eviction count `m_u` next to the **memoized, already
-//! NaN-clamped** marginal `g_u(m_u)`. The marginal is recomputed only
-//! when a user's `m` changes (once per eviction, for the victim's owner
-//! — and once per user at startup/restore), so the scan reads one
-//! 16-byte lane per user and does pure float compares. Decisions are
+//! multi-tenant throughput. All per-user state therefore lives in one
+//! contiguous arena (`UserLane`, one `Vec` indexed by user id): the
+//! eviction count `m_u` next to the **memoized, already NaN-clamped**
+//! marginal `g_u(m_u)` and the `head`/`tail` of the user's recency
+//! list. The marginal is recomputed only when a user's `m` changes (once
+//! per eviction, for the victim's owner — and once per user at
+//! startup/restore), so the scan reads one 24-byte lane and one head
+//! node per user and does pure float compares. Decisions are
 //! bit-identical to recomputation: the marginal is a pure function of
 //! `(mode, u, m)` and the clamp commutes with memoization.
 
 use crate::alg::tiebreak::{Candidate, TieBreak};
 use crate::cost::{CostProfile, Marginals};
 use occ_sim::{
-    CostAnomaly, EngineCtx, PageId, PageLists, PolicyState, ReplacementPolicy, SnapshotError,
-    UserId,
+    CostAnomaly, EngineCtx, PageId, PolicyState, ReplacementPolicy, SnapshotError, UserId,
 };
 use std::collections::BTreeSet;
 
@@ -105,6 +116,9 @@ impl Ord for Key {
 /// float resolution (budgets are differences of same-magnitude keys).
 const RENORMALIZE_AT: f64 = 1e13;
 
+/// The "no page" link.
+const NIL: u32 = u32::MAX;
+
 /// Runtime diagnostics exposed for tests and experiments.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AlgDiagnostics {
@@ -124,9 +138,33 @@ pub struct AlgDiagnostics {
     pub nan_marginals: u64,
 }
 
-/// One lane of the contiguous per-user arena: all dual bookkeeping the
-/// eviction scan needs for one user, packed so the `O(n)` victim scan
-/// touches a single sequential allocation.
+/// All per-page state: the closed form's `(Y_p, seq)` and, on the fast
+/// path, the page's links in its owner's recency list (oldest at the
+/// lane's `head`). Unlinked pages have `prev == next == NIL`.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    /// Global offset `Y_p` at the page's last request.
+    y: f64,
+    /// Sequence number of the page's last request.
+    seq: u64,
+    /// Next-older page of the same owner, or `NIL`.
+    prev: u32,
+    /// Next-newer page of the same owner, or `NIL`.
+    next: u32,
+}
+
+impl Node {
+    const FRESH: Node = Node {
+        y: 0.0,
+        seq: 0,
+        prev: NIL,
+        next: NIL,
+    };
+}
+
+/// One lane of the contiguous per-user arena: all per-user state the
+/// eviction scan needs, packed so the `O(n)` victim scan touches a
+/// single sequential allocation.
 #[derive(Clone, Copy, Debug)]
 struct UserLane {
     /// Eviction count `m(u, t)`.
@@ -135,7 +173,25 @@ struct UserLane {
     /// Invariant: equals `clamp(next_eviction_cost(mode, u, m))` for the
     /// lane's current `m` — recomputed exactly when `m` changes.
     g: f64,
+    /// Oldest page of the user's recency list (fast path), or `NIL`.
+    head: u32,
+    /// Newest page of the user's recency list (fast path), or `NIL`.
+    tail: u32,
 }
+
+impl UserLane {
+    fn new(m: u64, g: f64) -> Self {
+        UserLane {
+            m,
+            g,
+            head: NIL,
+            tail: NIL,
+        }
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 24);
+const _: () = assert!(std::mem::size_of::<UserLane>() == 24);
 
 /// The paper's cost-aware online replacement policy (ALG-DISCRETE).
 #[derive(Debug)]
@@ -151,19 +207,16 @@ pub struct ConvexCaching {
     /// trajectory `Σ_t y_t` regardless of rebasing.
     y_shifted: f64,
     seq: u64,
-    /// The per-user arena: eviction count and memoized marginal per
-    /// user, one contiguous allocation indexed by user id.
+    /// The per-user arena: eviction count, memoized marginal and
+    /// recency-list ends per user, one contiguous allocation indexed by
+    /// user id.
     users: Vec<UserLane>,
-    /// Per-page: global offset at the page's last request.
-    y_at: Vec<f64>,
-    /// Per-page: sequence number of the page's last request.
-    last_seq: Vec<u64>,
+    /// The per-page nodes, indexed by page id.
+    nodes: Vec<Node>,
     /// Whether the `O(1)` convex fast path is active (decided at
-    /// construction from [`CostProfile::all_convex`]).
+    /// construction from [`CostProfile::all_convex`]). Touch order
+    /// equals `(Y_p, seq)` order when `Y` is monotone.
     fast: bool,
-    /// Fast path: per-user intrusive recency lists over one shared arena.
-    /// Touch order equals `(Y_p, seq)` order when `Y` is monotone.
-    lists: PageLists,
     /// Slow path (non-convex costs): per-user ordered set of cached
     /// pages, `(Y_p, seq, page)`.
     sets: Vec<BTreeSet<(Key, u64, u32)>>,
@@ -185,10 +238,8 @@ impl ConvexCaching {
             y_shifted: 0.0,
             seq: 0,
             users: Vec::new(),
-            y_at: Vec::new(),
-            last_seq: Vec::new(),
+            nodes: Vec::new(),
             fast,
-            lists: PageLists::new(),
             sets: Vec::new(),
             diag: AlgDiagnostics {
                 min_budget: f64::INFINITY,
@@ -289,10 +340,11 @@ impl ConvexCaching {
         }
     }
 
-    fn ensure_ready(&mut self, ctx: &EngineCtx) {
-        if self.ready {
-            return;
-        }
+    /// Size the state for the universe on first use. Out of line and
+    /// cold: callers keep only the `ready` test on their hot path.
+    #[cold]
+    #[inline(never)]
+    fn init(&mut self, ctx: &EngineCtx) {
         let users = ctx.universe.num_users() as usize;
         let pages = ctx.universe.num_pages() as usize;
         assert!(
@@ -304,13 +356,10 @@ impl ConvexCaching {
         self.users.reserve_exact(users);
         for u in 0..users {
             let g = self.clamped_marginal(u, 0);
-            self.users.push(UserLane { m: 0, g });
+            self.users.push(UserLane::new(0, g));
         }
-        self.y_at = vec![0.0; pages];
-        self.last_seq = vec![0; pages];
-        if self.fast {
-            self.lists.ensure(users, pages);
-        } else {
+        self.nodes = vec![Node::FRESH; pages];
+        if !self.fast {
             self.sets = vec![BTreeSet::new(); users];
         }
         self.ready = true;
@@ -318,37 +367,132 @@ impl ConvexCaching {
 
     /// Record a request of `page` (hit or fresh insert): open a new
     /// interval, i.e. reset the page's budget to `g_u(m_u)`.
+    #[inline]
     fn touch(&mut self, ctx: &EngineCtx, page: PageId) {
-        self.ensure_ready(ctx);
-        let user = ctx.universe.owner(page);
-        if self.fast {
-            // Monotone `Y` makes touch order equal key order: moving the
-            // page to the back of its owner's recency list is the whole
-            // update. O(1), no allocation.
-            self.lists.move_to_back(user.index(), page);
-        } else {
-            let set = &mut self.sets[user.index()];
-            // Drop the page's previous entry if it is still in the set
-            // (hit).
-            let old = (
-                Key(self.y_at[page.index()]),
-                self.last_seq[page.index()],
-                page.0,
-            );
-            set.remove(&old);
+        if !self.ready {
+            self.init(ctx);
         }
+        let u = ctx.universe.owner(page).index();
         self.seq += 1;
-        self.last_seq[page.index()] = self.seq;
-        self.y_at[page.index()] = self.global_y;
-        if !self.fast {
-            self.sets[user.index()].insert((Key(self.global_y), self.seq, page.0));
+        if self.fast {
+            self.touch_listed(u, page.0);
+        } else {
+            self.touch_ordered(u, page.0);
         }
+    }
+
+    /// Fast-path touch: monotone `Y` makes touch order equal key order,
+    /// so moving the page to the back of its owner's list is the whole
+    /// update. O(1), no allocation, and the page's node is written in
+    /// one store.
+    #[inline]
+    fn touch_listed(&mut self, u: usize, p: u32) {
+        let lane = &mut self.users[u];
+        let node = self.nodes[p as usize];
+        // Already the newest page (a re-touch of the hottest page, the
+        // common case under skew): the links stay as they are.
+        let prev = if lane.tail == p {
+            node.prev
+        } else {
+            if node.prev != NIL || lane.head == p {
+                // Linked but not the tail, so it has a successor.
+                if node.prev == NIL {
+                    lane.head = node.next;
+                } else {
+                    self.nodes[node.prev as usize].next = node.next;
+                }
+                self.nodes[node.next as usize].prev = node.prev;
+            }
+            let old_tail = lane.tail;
+            if old_tail == NIL {
+                lane.head = p;
+            } else {
+                self.nodes[old_tail as usize].next = p;
+            }
+            lane.tail = p;
+            old_tail
+        };
+        self.nodes[p as usize] = Node {
+            y: self.global_y,
+            seq: self.seq,
+            prev,
+            next: NIL,
+        };
+    }
+
+    /// Slow-path touch: re-key the page's entry in its owner's set (a
+    /// hit drops the previous entry; a fresh insert has none).
+    fn touch_ordered(&mut self, u: usize, p: u32) {
+        let node = &mut self.nodes[p as usize];
+        let set = &mut self.sets[u];
+        set.remove(&(Key(node.y), node.seq, p));
+        node.y = self.global_y;
+        node.seq = self.seq;
+        set.insert((Key(self.global_y), self.seq, p));
+    }
+
+    /// Unlink fast-path page `p` from owner `u`'s list. It must be linked.
+    fn unlink(&mut self, u: usize, p: u32) {
+        let Node { prev, next, .. } = self.nodes[p as usize];
+        let lane = &mut self.users[u];
+        if prev == NIL {
+            lane.head = next;
+        } else {
+            self.nodes[prev as usize].next = next;
+        }
+        if next == NIL {
+            lane.tail = prev;
+        } else {
+            self.nodes[next as usize].prev = prev;
+        }
+        let node = &mut self.nodes[p as usize];
+        node.prev = NIL;
+        node.next = NIL;
+    }
+
+    /// Append fast-path page `p` to the back of owner `u`'s list. It must
+    /// be unlinked.
+    fn push_back(&mut self, u: usize, p: u32) {
+        let lane = &mut self.users[u];
+        self.nodes[p as usize].prev = lane.tail;
+        if lane.tail == NIL {
+            lane.head = p;
+        } else {
+            self.nodes[lane.tail as usize].next = p;
+        }
+        lane.tail = p;
+    }
+
+    /// The best victim across users, given each user's minimum page as
+    /// `(Y_p, seq, page)`. Pure float arithmetic over the arena with the
+    /// memoized, already-clamped marginals — no cost-function calls.
+    #[inline(always)]
+    fn best_candidate(
+        &self,
+        user_min: impl Fn(usize, &UserLane) -> Option<(f64, u64, u32)>,
+    ) -> Option<Candidate> {
+        let mut best: Option<Candidate> = None;
+        for (u, lane) in self.users.iter().enumerate() {
+            let Some((y_p, seq, page)) = user_min(u, lane) else {
+                continue;
+            };
+            let cand = Candidate {
+                key: lane.g + y_p,
+                seq,
+                page,
+                user: u as u32,
+            };
+            if best.is_none_or(|b| cand.beats(&b, self.tiebreak, 0.0)) {
+                best = Some(cand);
+            }
+        }
+        best
     }
 
     fn renormalize(&mut self) {
         let shift = self.global_y;
         // The fast path orders by recency, not by stored keys, so rebasing
-        // is just the subtraction from `y_at`; only the slow path must
+        // is just the subtraction from the nodes; only the slow path must
         // rebuild its ordered sets.
         for set in &mut self.sets {
             let rebased: BTreeSet<_> = set
@@ -357,8 +501,8 @@ impl ConvexCaching {
                 .collect();
             *set = rebased;
         }
-        for y in &mut self.y_at {
-            *y -= shift;
+        for node in &mut self.nodes {
+            node.y -= shift;
         }
         self.y_shifted += shift;
         self.global_y = 0.0;
@@ -368,7 +512,7 @@ impl ConvexCaching {
     /// Current budget of a cached page (diagnostic; `O(1)` — reads the
     /// memoized marginal, no cost-function call).
     pub fn budget_of(&self, user: UserId, page: PageId) -> f64 {
-        self.users[user.index()].g - (self.global_y - self.y_at[page.index()])
+        self.users[user.index()].g - (self.global_y - self.nodes[page.index()].y)
     }
 }
 
@@ -386,36 +530,21 @@ impl ReplacementPolicy for ConvexCaching {
     }
 
     fn choose_victim(&mut self, ctx: &EngineCtx, _incoming: PageId) -> PageId {
-        self.ensure_ready(ctx);
-        let mut best: Option<Candidate> = None;
-        let num_users = self.users.len();
-        for u in 0..num_users {
-            // Per-user minimum: list front on the fast path (touch order
-            // equals key order under monotone `Y`), set minimum otherwise.
-            let (y_p, seq, page) = if self.fast {
-                match self.lists.front(u) {
-                    Some(p) => (self.y_at[p.index()], self.last_seq[p.index()], p.0),
-                    None => continue,
-                }
-            } else {
-                match self.sets[u].first() {
-                    Some(&(Key(y), s, p)) => (y, s, p),
-                    None => continue,
-                }
-            };
-            // The memoized, already-clamped marginal: the scan is pure
-            // float arithmetic over the arena, no cost-function calls.
-            let g = self.users[u].g;
-            let cand = Candidate {
-                key: g + y_p,
-                seq,
-                page,
-                user: u as u32,
-            };
-            if best.is_none_or(|b| cand.beats(&b, self.tiebreak, 0.0)) {
-                best = Some(cand);
-            }
+        if !self.ready {
+            self.init(ctx);
         }
+        // Per-user minimum: list head on the fast path (touch order
+        // equals key order under monotone `Y`), set minimum otherwise.
+        let best = if self.fast {
+            self.best_candidate(|_, lane| {
+                (lane.head != NIL).then(|| {
+                    let node = &self.nodes[lane.head as usize];
+                    (node.y, node.seq, lane.head)
+                })
+            })
+        } else {
+            self.best_candidate(|u, _| self.sets[u].first().map(|&(Key(y), s, p)| (y, s, p)))
+        };
         let c = best.expect("full cache implies at least one cached page");
         debug_assert!(ctx.cache.contains(PageId(c.page)));
 
@@ -439,9 +568,10 @@ impl ReplacementPolicy for ConvexCaching {
 
         let u = c.user as usize;
         if self.fast {
-            self.lists.remove(PageId(c.page));
+            self.unlink(u, c.page);
         } else {
-            self.sets[u].remove(&(Key(self.y_at[c.page as usize]), c.seq, c.page));
+            let y = self.nodes[c.page as usize].y;
+            self.sets[u].remove(&(Key(y), c.seq, c.page));
         }
         // `m` changed for exactly one user: refresh exactly that lane's
         // memoized marginal. Every other lane stays valid.
@@ -459,15 +589,14 @@ impl ReplacementPolicy for ConvexCaching {
         // Drop the page's entry from its owner's structure so it can
         // never be selected as a victim while uncached. The dual state
         // (Y, m) is untouched: an external removal is not an eviction.
+        let u = ctx.universe.owner(page).index();
+        let node = self.nodes[page.index()];
         if self.fast {
-            self.lists.remove_if_linked(page);
+            if node.prev != NIL || self.users[u].head == page.0 {
+                self.unlink(u, page.0);
+            }
         } else {
-            let user = ctx.universe.owner(page);
-            self.sets[user.index()].remove(&(
-                Key(self.y_at[page.index()]),
-                self.last_seq[page.index()],
-                page.0,
-            ));
+            self.sets[u].remove(&(Key(node.y), node.seq, page.0));
         }
     }
 
@@ -477,9 +606,7 @@ impl ReplacementPolicy for ConvexCaching {
         self.y_shifted = 0.0;
         self.seq = 0;
         self.users.clear();
-        self.y_at.clear();
-        self.last_seq.clear();
-        self.lists.reset();
+        self.nodes.clear();
         self.sets.clear();
         self.diag = AlgDiagnostics {
             min_budget: f64::INFINITY,
@@ -500,8 +627,11 @@ impl ReplacementPolicy for ConvexCaching {
         s.set_f64("y_shifted", self.y_shifted);
         s.set_u64("seq", self.seq);
         s.set_u64s("m", self.eviction_counts());
-        s.set_f64s("y_at", self.y_at.clone());
-        s.set_u64s("last_seq", self.last_seq.clone());
+        // The nodes travel as the two per-page columns; the links are
+        // rebuilt from the cache on load.
+        let (y_at, last_seq) = self.nodes.iter().map(|n| (n.y, n.seq)).unzip();
+        s.set_f64s("y_at", y_at);
+        s.set_u64s("last_seq", last_seq);
         s.set_f64("diag_min_budget", self.diag.min_budget);
         s.set_u64("diag_evictions", self.diag.evictions);
         s.set_u64("diag_renormalizations", self.diag.renormalizations);
@@ -547,9 +677,9 @@ impl ReplacementPolicy for ConvexCaching {
         if min_budget.is_nan() {
             return Err(corrupt("policy.diag_min_budget is NaN".into()));
         }
-        let m = state.u64s_len("m", users)?.to_vec();
-        let y_at = state.f64s_len("y_at", pages)?.to_vec();
-        let last_seq = state.u64s_len("last_seq", pages)?.to_vec();
+        let m = state.u64s_len("m", users)?;
+        let y_at = state.f64s_len("y_at", pages)?;
+        let last_seq = state.u64s_len("last_seq", pages)?;
         if let Some(y) = y_at.iter().find(|y| !y.is_finite()) {
             return Err(corrupt(format!("policy.y_at holds non-finite value {y}")));
         }
@@ -576,14 +706,18 @@ impl ReplacementPolicy for ConvexCaching {
                 let g = self
                     .costs
                     .next_eviction_cost(self.mode, UserId(u as u32), m);
-                UserLane {
-                    m,
-                    g: if g.is_nan() { f64::INFINITY } else { g },
-                }
+                UserLane::new(m, if g.is_nan() { f64::INFINITY } else { g })
             })
             .collect();
-        self.y_at = y_at;
-        self.last_seq = last_seq;
+        self.nodes = y_at
+            .iter()
+            .zip(last_seq)
+            .map(|(&y, &seq)| Node {
+                y,
+                seq,
+                ..Node::FRESH
+            })
+            .collect();
         self.diag = AlgDiagnostics {
             min_budget,
             evictions: state.u64("diag_evictions")?,
@@ -593,30 +727,26 @@ impl ReplacementPolicy for ConvexCaching {
         };
 
         // Rebuild the per-user page structures from the restored cache.
-        // Fast path: ascending `last_seq` *is* touch order (monotone `Y`),
-        // so sorting each user's cached pages by it reproduces the
-        // recency lists exactly. Slow path: the sets are keyed by stored
+        // Fast path: ascending `seq` *is* touch order (monotone `Y`), so
+        // sorting each user's cached pages by it reproduces the recency
+        // lists exactly. Slow path: the sets are keyed by stored
         // `(Y_p, seq, page)` values, which round-tripped bit-exactly.
         if self.fast {
-            let mut by_user: Vec<Vec<PageId>> = vec![Vec::new(); users];
+            let mut by_user: Vec<Vec<u32>> = vec![Vec::new(); users];
             for p in ctx.cache.iter() {
-                by_user[ctx.universe.owner(p).index()].push(p);
+                by_user[ctx.universe.owner(p).index()].push(p.0);
             }
-            self.lists.ensure(users, pages);
             for (u, mut cached) in by_user.into_iter().enumerate() {
-                cached.sort_by_key(|p| self.last_seq[p.index()]);
+                cached.sort_by_key(|&p| self.nodes[p as usize].seq);
                 for p in cached {
-                    self.lists.push_back(u, p);
+                    self.push_back(u, p);
                 }
             }
         } else {
             self.sets = vec![BTreeSet::new(); users];
             for p in ctx.cache.iter() {
-                self.sets[ctx.universe.owner(p).index()].insert((
-                    Key(self.y_at[p.index()]),
-                    self.last_seq[p.index()],
-                    p.0,
-                ));
+                let node = self.nodes[p.index()];
+                self.sets[ctx.universe.owner(p).index()].insert((Key(node.y), node.seq, p.0));
             }
         }
         self.ready = true;

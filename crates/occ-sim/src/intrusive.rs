@@ -1,8 +1,8 @@
 //! Intrusive doubly-linked recency lists over dense page ids.
 //!
-//! Every policy in this workspace that needs "oldest page first" ordering
-//! (LRU, FIFO, marking phases, the per-user queues of ALG-DISCRETE's
-//! convex fast path) used to pay `O(log k)` per request on a `BTreeSet`.
+//! The recency-ordered policies in this workspace (LRU, FIFO, marking
+//! phases, GreedyDual's per-user queues) used to pay `O(log k)` per
+//! request on a `BTreeSet`.
 //! Page ids are dense (`0..P`, see [`crate::PageId`]), so the classic
 //! paging structure applies instead: store `prev`/`next` links in flat
 //! arrays indexed by page id and splice nodes in `O(1)` with no
@@ -16,6 +16,12 @@
 //! All operations are `O(1)` except [`PageLists::clear_list`] /
 //! iteration (linear in the list length) and the one-time `ensure`
 //! growth.
+//!
+//! These lists suit policies whose only per-page state is the links.
+//! ALG-DISCRETE (`occ_core::ConvexCaching`) also keeps `(Y_p, seq)` per
+//! page, so it does not use them: it embeds the links in one 24-byte
+//! node per page and keeps each user's list ends in its per-user lane,
+//! so a touch writes one line of per-page state instead of five.
 
 use crate::ids::PageId;
 

@@ -8,7 +8,9 @@
 //! must be **byte-identical** on arbitrary traces and cache sizes.
 //! ALG-DISCRETE is additionally pinned on its *slow* path: a non-convex
 //! cost profile disables the intrusive-list fast path and must still
-//! reproduce the literal Figure 3 sweeps decision-for-decision.
+//! reproduce the literal Figure 3 sweeps decision-for-decision, also
+//! when pages and whole users leave the cache externally between
+//! requests.
 
 use occ_baselines::{
     Fifo, FifoReference, GreedyDual, GreedyDualReference, Lru, LruK, LruKReference, LruReference,
@@ -18,7 +20,9 @@ use occ_core::{
     ConvexCaching, CostFn, CostProfile, DiscreteReference, Linear, Marginals, Monomial,
     ThresholdCost,
 };
-use occ_sim::{ReplacementPolicy, Simulator, Trace, Universe};
+use occ_sim::{
+    PageId, ReplacementPolicy, Simulator, StepOutcome, SteppingEngine, Trace, Universe, UserId,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -208,5 +212,110 @@ proptest! {
             evictions(&mut slow, &trace, k),
             evictions(&mut reference, &trace, k)
         );
+    }
+}
+
+/// One operation of a mixed stream: a request, or an external removal
+/// of one page or of every cached page of one user.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Step(u32),
+    RemovePage(u32),
+    RemoveUser(u32),
+}
+
+/// What an operation did, compared across implementations.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Effect {
+    Step(StepOutcome),
+    RemovedPage(bool),
+    RemovedUser(usize),
+}
+
+/// A random multi-user instance with a mixed op stream (about one op
+/// in five is an external removal) and two cost profiles over the same
+/// users: an all-convex one (the fast path) and the same with user 0
+/// switched to a non-convex threshold cost (the slow path).
+fn arb_removal_instance(
+) -> impl Strategy<Value = (Universe, Vec<Op>, CostProfile, CostProfile, usize)> {
+    (2u32..=4, 2u32..=4).prop_flat_map(|(users, pages_per)| {
+        let total = users * pages_per;
+        (
+            proptest::collection::vec((0u32..10, 0..total), 30..250),
+            proptest::collection::vec((1u32..=5, 0u32..=2), users as usize),
+            ((1u32..=3), (1u64..=6), (2u32..=12)),
+            2..=((total - 1).max(2) as usize),
+        )
+            .prop_map(move |(raw_ops, shapes, (slope, th, jump), k)| {
+                let ops = raw_ops
+                    .into_iter()
+                    .map(|(kind, p)| match kind {
+                        0 | 1 => Op::RemovePage(p),
+                        2 => Op::RemoveUser(p % users),
+                        _ => Op::Step(p),
+                    })
+                    .collect();
+                let convex: Vec<CostFn> = shapes
+                    .iter()
+                    .map(|&(w, shape)| match shape {
+                        0 => Arc::new(Linear::new(w as f64)) as CostFn,
+                        s => Arc::new(Monomial::power(s as f64 + 1.0)) as CostFn,
+                    })
+                    .collect();
+                let mut threshold = convex.clone();
+                threshold[0] =
+                    Arc::new(ThresholdCost::new(slope as f64, th, jump as f64)) as CostFn;
+                (
+                    Universe::uniform(users, pages_per),
+                    ops,
+                    CostProfile::new(convex),
+                    CostProfile::new(threshold),
+                    k.min(total as usize - 1),
+                )
+            })
+    })
+}
+
+/// Drive `policy` through `ops`; returns each op's effect and the final
+/// per-user miss vector.
+fn drive_ops<P: ReplacementPolicy>(
+    policy: P,
+    universe: &Universe,
+    ops: &[Op],
+    k: usize,
+) -> (Vec<Effect>, Vec<u64>) {
+    let mut engine = SteppingEngine::new(k, universe.clone(), policy);
+    let effects = ops
+        .iter()
+        .map(|&op| match op {
+            Op::Step(p) => Effect::Step(engine.step(universe.request(PageId(p)))),
+            Op::RemovePage(p) => Effect::RemovedPage(engine.remove_externally(PageId(p))),
+            Op::RemoveUser(u) => Effect::RemovedUser(engine.remove_user_externally(UserId(u))),
+        })
+        .collect();
+    (effects, engine.stats().miss_vector())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn alg_discrete_matches_figure3_under_external_removals(
+        (universe, ops, convex, threshold, k) in arb_removal_instance()
+    ) {
+        // An externally removed page must leave its owner's recency list
+        // (fast path) or ordered set (slow path) and never come back as
+        // a victim; re-requesting it must link it afresh. The reference
+        // scans the cache itself, so it is the oracle for both.
+        for (costs, fast) in [(convex, true), (threshold, false)] {
+            let alg = ConvexCaching::new(costs.clone()).with_marginals(Marginals::Discrete);
+            prop_assert_eq!(alg.uses_fast_path(), fast);
+            let reference = DiscreteReference::new(costs).with_marginals(Marginals::Discrete);
+            prop_assert_eq!(
+                drive_ops(alg, &universe, &ops, k),
+                drive_ops(reference, &universe, &ops, k),
+                "fast path: {}", fast
+            );
+        }
     }
 }
