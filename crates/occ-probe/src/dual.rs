@@ -9,8 +9,9 @@
 //!
 //! The trace is driven from *outside* the engine (the policy is
 //! mutably borrowed while engine hooks run, so a [`Recorder`] cannot
-//! also read it): the observing loop calls
-//! [`maybe_sample`](DualTrace::maybe_sample) between steps with
+//! also read it): the CLI's one drive loop serves requests in batches
+//! that end on every multiple of the sampling cadence, and at each such
+//! boundary calls [`maybe_sample`](DualTrace::maybe_sample) with
 //! `engine.policy()`, then [`finalize`](DualTrace::finalize) once the
 //! trace is exhausted. The final sample's `primal_cost` is exact — it
 //! is `Σ_i f_i(m_i)` over the algorithm's own eviction counts, which
@@ -20,6 +21,7 @@
 //! [`Recorder`]: occ_sim::probe::Recorder
 
 use crate::json::Json;
+use crate::timeseries::DualPoint;
 use occ_core::ConvexCaching;
 use occ_sim::ids::Time;
 
@@ -61,11 +63,12 @@ impl DualTrace {
     }
 
     fn snapshot(t: Time, alg: &ConvexCaching) -> DualSample {
+        let p = DualPoint::of(alg);
         DualSample {
             t,
-            dual_offset: alg.cumulative_dual_offset(),
-            total_evictions: alg.eviction_counts().iter().sum(),
-            primal_cost: alg.primal_cost(),
+            dual_offset: p.dual_offset,
+            total_evictions: p.total_evictions,
+            primal_cost: p.primal_cost,
         }
     }
 

@@ -31,6 +31,7 @@ use std::io::{self, Write};
 
 use crate::histogram::LogHistogram;
 use crate::json::{check_schema_stamp, Json};
+use occ_core::ConvexCaching;
 use occ_sim::engine::EngineCtx;
 use occ_sim::error::{FaultCounters, RequestFault};
 use occ_sim::ids::{PageId, Time, UserId};
@@ -53,6 +54,18 @@ pub struct DualPoint {
     pub total_evictions: u64,
     /// Primal objective so far (`Σ_i f_i(m_i)`).
     pub primal_cost: f64,
+}
+
+impl DualPoint {
+    /// Read the triple `(Y, Σ_i m_i, Σ_i f_i(m_i))` off the algorithm's
+    /// live state.
+    pub fn of(alg: &ConvexCaching) -> Self {
+        DualPoint {
+            dual_offset: alg.cumulative_dual_offset(),
+            total_evictions: alg.eviction_counts().iter().sum(),
+            primal_cost: alg.primal_cost(),
+        }
+    }
 }
 
 /// Everything that happened inside one tumbling window

@@ -67,32 +67,47 @@ pub trait SeekableSource: RequestSource {
     fn seek_forward(&mut self, n: u64);
 }
 
-/// A fixed trace replayed in order.
+/// A fixed request sequence replayed in order: a [`Trace`], or a raw
+/// request slice over a universe.
 pub struct TraceSource<'a> {
-    trace: &'a Trace,
+    universe: &'a Universe,
+    requests: &'a [Request],
     pos: usize,
 }
 
 impl<'a> TraceSource<'a> {
     /// Replay `trace` from the beginning.
     pub fn new(trace: &'a Trace) -> Self {
-        TraceSource { trace, pos: 0 }
+        Self::raw(trace.universe(), trace.requests())
+    }
+
+    /// Replay `requests` over `universe` from the beginning. Unlike a
+    /// [`Trace`], the records are not checked against the universe; when
+    /// they may be corrupt (a chaos-injected stream, say), serve them
+    /// through a checked path
+    /// ([`run_batched_checked`](crate::SteppingEngine::run_batched_checked)).
+    pub fn raw(universe: &'a Universe, requests: &'a [Request]) -> Self {
+        TraceSource {
+            universe,
+            requests,
+            pos: 0,
+        }
     }
 }
 
 impl RequestSource for TraceSource<'_> {
     fn universe(&self) -> &Universe {
-        self.trace.universe()
+        self.universe
     }
 
     fn next_request(&mut self, _ctx: &EngineCtx) -> Option<Request> {
-        let r = self.trace.requests().get(self.pos).copied();
+        let r = self.requests.get(self.pos).copied();
         self.pos += 1;
         r
     }
 
     fn next_run(&mut self, max: usize) -> Option<&[Request]> {
-        let rest = &self.trace.requests()[self.pos.min(self.trace.len())..];
+        let rest = &self.requests[self.pos.min(self.requests.len())..];
         if rest.is_empty() {
             return None;
         }
@@ -105,7 +120,7 @@ impl RequestSource for TraceSource<'_> {
 impl SeekableSource for TraceSource<'_> {
     fn seek_forward(&mut self, n: u64) {
         let n = usize::try_from(n).unwrap_or(usize::MAX);
-        self.pos = self.pos.saturating_add(n).min(self.trace.len());
+        self.pos = self.pos.saturating_add(n).min(self.requests.len());
     }
 }
 
