@@ -7,7 +7,7 @@ use occ_baselines::{CostGreedy, Fifo, GreedyDual, Lfu, Lru, LruK, Marking, Rando
 use occ_core::{ConvexCaching, CostProfile};
 use occ_fleet::{
     run_fleet, run_shared_fleet, run_supervised_fleet, BackoffPolicy, DirPersist, FleetConfig,
-    NoPersist, ShardKill, ShardPersist, SharedConfig, SharedError, StoreFault, SupervisorConfig,
+    ShardKill, SharedConfig, SharedError, StoreFault, SupervisorConfig,
 };
 use occ_offline::{Belady, CostAwareBelady};
 use occ_probe::{
@@ -114,7 +114,7 @@ USAGE:
                [--policy NAME] [--k K] [--batch B] [--window W]
                [--trace FILE [--csv-flavor F]]
                [--format table|json] [--out FILE]
-               [--supervise on|off|auto] [--max-restarts N] [--backoff-ms MS]
+               [--max-restarts N] [--backoff-ms MS]
                [--checkpoint-dir DIR] [--from-dir DIR] [--series-out FILE]
                [--chaos-shard-kill S@T,..] [--chaos-store-fail S@N,..]
                run F independent cache shards of the scenario in
@@ -129,10 +129,11 @@ USAGE:
                and merges them in shard order. Offline policies
                (belady*) are rejected: the fleet never materializes a
                trace.
-               Supervision (implied by any of the flags below; requires
-               --window, ignores --batch): shards run under panic
-               isolation, checkpoint on window boundaries, and are
-               restarted from their last checkpoint with seeded
+               Supervision (implied by any of --max-restarts,
+               --backoff-ms, --checkpoint-dir, --from-dir, --series-out
+               and the --chaos-* flags; requires --window): shards run
+               under panic isolation, checkpoint on window boundaries,
+               and are restarted from their last checkpoint with seeded
                exponential backoff (--backoff-ms 0 = no sleeping); a
                shard that fails more than --max-restarts times is
                quarantined and the run exits 7 with a degraded report.
@@ -549,12 +550,12 @@ fn trace_transcode(args: &Args, pack: bool) -> Result<(), CliError> {
     // `occ generate`); the read side still streams in chunk-sized runs.
     let mut served = 0u64;
     let buf = if pack {
-        let mut w = Binary2TraceWriter::new(universe, keep, Vec::new())?;
-        copy_requests(&mut feed, keep, &mut served, |req| w.push(req))?;
+        let mut w = Binary2TraceWriter::new(universe.clone(), keep, Vec::new())?;
+        copy_requests(&mut feed, &universe, keep, &mut served, |req| w.push(req))?;
         w.finish()?
     } else {
-        let mut w = BinaryTraceWriter::new(universe, std::io::Cursor::new(Vec::new()))?;
-        copy_requests(&mut feed, keep, &mut served, |req| w.push(req))?;
+        let mut w = BinaryTraceWriter::new(universe.clone(), std::io::Cursor::new(Vec::new()))?;
+        copy_requests(&mut feed, &universe, keep, &mut served, |req| w.push(req))?;
         w.finish()?.into_inner()
     };
     if let Some(e) = feed.error() {
@@ -569,9 +570,11 @@ fn trace_transcode(args: &Args, pack: bool) -> Result<(), CliError> {
 }
 
 /// Pull up to `keep` requests out of `feed` in runs and hand each to
-/// `push`. Chunked by the feed's own serving granularity.
+/// `push`, straight from the borrowed run. Chunked by the feed's own
+/// serving granularity; `universe` is the feed's.
 fn copy_requests(
     feed: &mut FileFeed,
+    universe: &Universe,
     keep: u64,
     served: &mut u64,
     mut push: impl FnMut(Request) -> Result<(), TraceIoError>,
@@ -585,17 +588,11 @@ fn copy_requests(
             if run.is_empty() {
                 break;
             }
-            let run: Vec<PageId> = run.to_vec();
-            let universe = RequestSource::universe(feed);
-            let reqs: Vec<Request> = run
-                .iter()
-                .map(|&page| Request {
+            for &page in run {
+                push(Request {
                     page,
                     user: universe.owner(page),
-                })
-                .collect();
-            for req in reqs {
-                push(req)?;
+                })?;
             }
             *served += run.len() as u64;
             continue;
@@ -604,11 +601,10 @@ fn copy_requests(
             if run.is_empty() {
                 break;
             }
-            let reqs: Vec<Request> = run.to_vec();
-            for req in &reqs {
-                push(*req)?;
+            for &req in run {
+                push(req)?;
             }
-            *served += reqs.len() as u64;
+            *served += run.len() as u64;
             continue;
         }
         // CSV feeds serve per-request.
@@ -813,9 +809,9 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
     let window = uarg(args.scaled_or("window", 0))?;
 
     // Supervision flags. Any of them implies the supervised engine
-    // (per-shard panic isolation + checkpoint/restart); `--supervise on`
-    // forces it for a plain run too, e.g. to get the supervisor section
-    // in the report.
+    // (per-shard panic isolation + checkpoint/restart); an explicit
+    // --max-restarts or --backoff-ms alone supervises a plain run, e.g.
+    // to get the supervisor section in the report.
     let kills: Vec<ShardKill> = parse_chaos_plan(
         &args.str_or("chaos-shard-kill", ""),
         shards,
@@ -843,28 +839,18 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
     let ckpt_dir = args.str_or("checkpoint-dir", "");
     let from_dir = args.str_or("from-dir", "");
     let series_out = args.str_or("series-out", "");
-    let wants_supervision = !kills.is_empty()
+    let given = |flag: &str| !args.str_or(flag, "").is_empty();
+    let supervised = !kills.is_empty()
         || !store_faults.is_empty()
-        || !ckpt_dir.is_empty()
-        || !from_dir.is_empty()
-        || !series_out.is_empty();
-    let supervised = match args.str_or("supervise", "auto").as_str() {
-        "on" => true,
-        "off" if wants_supervision => {
-            return Err(CliError::Usage(
-                "--supervise off conflicts with the chaos/checkpoint/series flags, \
-                 which all need the supervisor"
-                    .into(),
-            ))
-        }
-        "off" => false,
-        "auto" => wants_supervision,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --supervise mode '{other}' (on, off, auto)"
-            )))
-        }
-    };
+        || [
+            "checkpoint-dir",
+            "from-dir",
+            "series-out",
+            "max-restarts",
+            "backoff-ms",
+        ]
+        .into_iter()
+        .any(given);
     if supervised && window == 0 {
         return Err(CliError::Usage(
             "supervised fleet runs checkpoint on window boundaries; pass --window W".into(),
@@ -883,6 +869,7 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
     let shard_seed = |i: usize| seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let report = if supervised {
         let mut scfg = SupervisorConfig::new(k, window);
+        scfg.fleet.batch_size = batch;
         scfg.max_restarts = max_restarts;
         scfg.backoff = if backoff_ms == 0 {
             BackoffPolicy::none()
@@ -896,23 +883,19 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         // checkpoint directory. A missing file means that shard never
         // reached its first checkpoint: it starts fresh. A corrupt one
         // is exit 4, before any thread spawns.
-        let mut resume_index = vec![0u64; shards];
         if !from_dir.is_empty() {
             let probe = scenario.stream(len, seed);
-            let mut resume = Vec::with_capacity(shards);
-            for (i, slot) in resume_index.iter_mut().enumerate() {
+            for i in 0..shards {
                 let path = DirPersist::ckpt_path(Path::new(&from_dir), i);
                 if !path.exists() {
-                    resume.push(None);
+                    scfg.resume.push(None);
                     continue;
                 }
                 let snap = read_checkpoint(&path)?;
                 let what = format!("shard {i} checkpoint");
                 check_snapshot(&what, &snap, probe.universe(), k, Some(window), false)?;
-                *slot = snap.time / window;
-                resume.push(Some(snap));
+                scfg.resume.push(Some(snap));
             }
-            scfg.resume = resume;
         }
 
         let meta = [
@@ -923,30 +906,26 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
             ("len", Json::from_u64(len)),
         ];
         // Open every shard's persist files up front so filesystem
-        // problems are classified errors here, not worker panics.
-        let mut persists: Vec<Option<Box<dyn ShardPersist>>> = Vec::with_capacity(shards);
-        for (i, &idx) in resume_index.iter().enumerate() {
-            persists.push(Some(if ckpt_dir.is_empty() {
-                Box::new(NoPersist)
-            } else {
-                Box::new(
-                    DirPersist::open(Path::new(&ckpt_dir), i, window, idx, &meta).map_err(|e| {
-                        CliError::Io(format!("open checkpoint dir {ckpt_dir} for shard {i}: {e}"))
-                    })?,
-                )
-            }));
+        // problems are classified errors here, not worker panics. Each
+        // series resumes at its checkpoint's window.
+        let mut persist = Vec::new();
+        if !ckpt_dir.is_empty() {
+            let dir = Path::new(&ckpt_dir);
+            for i in 0..shards {
+                let snap = scfg.resume.get(i).and_then(Option::as_ref);
+                let resume_index = snap.map_or(0, |s| s.time / window);
+                let p = DirPersist::open(dir, i, window, resume_index, &meta).map_err(|e| {
+                    CliError::Io(format!("open checkpoint dir {ckpt_dir} for shard {i}: {e}"))
+                })?;
+                persist.push(Some(p));
+            }
         }
-        let persists = std::sync::Mutex::new(persists);
         let report = run_supervised_fleet(
             shards,
             &scfg,
             |i| scenario.stream(len, shard_seed(i)),
             |_| make_online_policy(&policy_name, costs).expect("validated above"),
-            |i| {
-                persists.lock().expect("persist handoff")[i]
-                    .take()
-                    .expect("one persist per shard")
-            },
+            persist,
         );
 
         if !series_out.is_empty() {
@@ -1245,21 +1224,8 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
         }
     };
 
-    let page_rate: f64 = uarg(args.num_or("chaos-page-rate", 0.0f64))?;
-    let owner_rate: f64 = uarg(args.num_or("chaos-owner-rate", 0.0f64))?;
-    let truncate: u64 = uarg(args.scaled_or("chaos-truncate", 0))?;
-    let chaos_seed: u64 = uarg(args.num_or("chaos-seed", 0xC4A05u64))?;
-    for (name, rate) in [
-        ("chaos-page-rate", page_rate),
-        ("chaos-owner-rate", owner_rate),
-    ] {
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(CliError::Usage(format!(
-                "--{name} must be in [0, 1], got {rate}"
-            )));
-        }
-    }
-    let chaos_active = page_rate > 0.0 || owner_rate > 0.0 || truncate > 0;
+    let chaos = chaos_plan(args)?;
+    let chaos_active = !chaos.is_clean();
     let degrade = degrade_from_args(args, chaos_active)?.unwrap_or(FaultPolicy::SkipAndCount);
 
     let mut cfg = SharedConfig::new(k);
@@ -1298,12 +1264,10 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
     } else if chaos_active {
         let mut sources: Vec<_> = (0..threads)
             .map(|t| {
-                let mut plan = FaultPlan::seeded(chaos_seed ^ thread_seed(t))
-                    .with_page_rate(page_rate)
-                    .with_owner_rate(owner_rate);
-                if truncate > 0 {
-                    plan = plan.with_truncate_at(truncate as usize);
-                }
+                let plan = FaultPlan {
+                    seed: chaos.seed ^ thread_seed(t),
+                    ..chaos
+                };
                 ChaosSource::new(scenario.stream(len, thread_seed(t)), plan)
             })
             .collect();
@@ -1788,12 +1752,14 @@ fn observe_with<P: ReplacementPolicy + DualView>(
     Ok((stats, name, dual))
 }
 
-/// Parse the `--chaos-*` flags into a fault plan (`None` when no fault
-/// injection was requested) and apply it to the trace.
-fn chaos_records(args: &Args, trace: &Trace) -> Result<(Vec<Request>, bool), CliError> {
+/// Parse the record-chaos flags into a fault plan: `--chaos-page-rate`
+/// and `--chaos-owner-rate` (each in [0, 1]), `--chaos-truncate`
+/// (k/M/B suffixes) and `--chaos-seed`. A clean plan means no fault
+/// injection was requested.
+fn chaos_plan(args: &Args) -> Result<FaultPlan, CliError> {
     let page_rate: f64 = uarg(args.num_or("chaos-page-rate", 0.0f64))?;
     let owner_rate: f64 = uarg(args.num_or("chaos-owner-rate", 0.0f64))?;
-    let truncate: u64 = uarg(args.num_or("chaos-truncate", 0u64))?;
+    let truncate = uarg(args.scaled_or("chaos-truncate", 0))?;
     let seed: u64 = uarg(args.num_or("chaos-seed", 0xC4A05u64))?;
     for (name, rate) in [
         ("chaos-page-rate", page_rate),
@@ -1805,18 +1771,26 @@ fn chaos_records(args: &Args, trace: &Trace) -> Result<(Vec<Request>, bool), Cli
             )));
         }
     }
-    let mut plan = FaultPlan::seeded(seed)
+    let plan = FaultPlan::seeded(seed)
         .with_page_rate(page_rate)
         .with_owner_rate(owner_rate);
-    if truncate > 0 {
-        plan = plan.with_truncate_at(truncate as usize);
-    }
+    Ok(if truncate > 0 {
+        plan.with_truncate_at(truncate as usize)
+    } else {
+        plan
+    })
+}
+
+/// Apply the `--chaos-*` fault plan to the trace; the flag is whether
+/// any fault injection was requested.
+fn chaos_records(args: &Args, trace: &Trace) -> Result<(Vec<Request>, bool), CliError> {
+    let plan = chaos_plan(args)?;
     if plan.is_clean() {
         return Ok((trace.requests().to_vec(), false));
     }
     let (records, injected) = plan.corrupt_trace(trace);
     eprintln!(
-        "chaos: injected {} corrupt pages, {} wrong owners{} (seed {seed})",
+        "chaos: injected {} corrupt pages, {} wrong owners{} (seed {})",
         injected.pages,
         injected.owners,
         if injected.truncated {
@@ -1824,6 +1798,7 @@ fn chaos_records(args: &Args, trace: &Trace) -> Result<(Vec<Request>, bool), Cli
         } else {
             ""
         },
+        plan.seed,
     );
     Ok((records, true))
 }
@@ -3407,7 +3382,7 @@ mod tests {
         let snap = read_checkpoint(&shard0).unwrap();
         assert_eq!(snap.time, 2000);
         assert!(!snap.faults.is_clean(), "the checkpoint absorbed faults");
-        let from = ["--supervise", "on", "--from-dir", ckpts.to_str().unwrap()];
+        let from = ["--from-dir", ckpts.to_str().unwrap()];
         let err = fleet_json(&dir, "degraded", &from).unwrap_err();
         assert_eq!(err.exit_code(), 2, "got: {err}");
         assert!(err.to_string().contains("degraded run"), "got: {err}");
@@ -3426,12 +3401,7 @@ mod tests {
         let clean = fleet_json(
             &dir,
             "clean",
-            &[
-                "--supervise",
-                "on",
-                "--series-out",
-                clean_series.to_str().unwrap(),
-            ],
+            &["--series-out", clean_series.to_str().unwrap()],
         )
         .unwrap();
         let chaos = fleet_json(
@@ -3538,6 +3508,45 @@ mod tests {
     }
 
     #[test]
+    fn fleet_supervision_follows_the_flags_that_need_it() {
+        let dir = std::env::temp_dir().join("occ-cli-fleet-selection");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // An explicit --max-restarts alone supervises the run.
+        let r = fleet_json(&dir, "restarts", &["--max-restarts", "3"]).unwrap();
+        let sup = r.get("supervisor").expect("supervisor section");
+        assert_eq!(sup.get("total_restarts").and_then(Json::as_u64), Some(0));
+        // The benchmark's argv shape (a window, no supervision flag)
+        // stays plain: no supervisor section, a populated recorder.
+        let out = dir.join("plain.json");
+        fleet(&args(&[
+            "fleet",
+            "--scenario",
+            "sqlvm-like",
+            "--shards",
+            "2",
+            "--len",
+            "4000",
+            "--seed",
+            "3",
+            "--policy",
+            "convex",
+            "--window",
+            "1000",
+            "--format",
+            "json",
+            "--out",
+            out.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let r = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+        assert!(r.get("supervisor").is_none(), "plain run was supervised");
+        let merged = r.get("merged").and_then(|m| m.get("requests"));
+        assert_eq!(merged.and_then(Json::as_u64), Some(8000));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn fleet_supervision_flags_are_validated() {
         let base = |extra: &[&str]| {
             let mut v = vec![
@@ -3553,18 +3562,7 @@ mod tests {
             args(&v)
         };
         // Supervision without a window cannot checkpoint.
-        let err = fleet(&base(&["--supervise", "on"])).unwrap_err();
-        assert_eq!(err.exit_code(), 2, "got: {err}");
-        // --supervise off fights the chaos flags.
-        let err = fleet(&base(&[
-            "--supervise",
-            "off",
-            "--chaos-shard-kill",
-            "0@1",
-            "--window",
-            "50",
-        ]))
-        .unwrap_err();
+        let err = fleet(&base(&["--max-restarts", "3"])).unwrap_err();
         assert_eq!(err.exit_code(), 2, "got: {err}");
         // Malformed and out-of-range plans.
         for bad in [
@@ -3633,6 +3631,45 @@ mod tests {
         // An unknown degradation policy is a usage error.
         let err = observe(&with(&["--degrade", "explode"])).unwrap_err();
         assert_eq!(err.exit_code(), 2, "got: {err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn chaos_truncate_takes_magnitude_suffixes_everywhere() {
+        let dir = std::env::temp_dir().join("occ-cli-chaos-truncate");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("ckpt.json");
+        let out = dir.join("report.json");
+        let run = |cmd: &str, truncate: &str, extra: &[&str]| {
+            let mut v = vec![
+                cmd,
+                "--scenario",
+                "two-tier",
+                "--len",
+                "3000",
+                "--chaos-truncate",
+                truncate,
+                "--out",
+                out.to_str().unwrap(),
+            ];
+            v.extend_from_slice(extra);
+            args(&v)
+        };
+        observe(&run(
+            "observe",
+            "1k",
+            &["--checkpoint", ckpt.to_str().unwrap()],
+        ))
+        .unwrap();
+        assert_eq!(read_report(&out).requests, 1000);
+        resume(&run("resume", "2k", &["--from", ckpt.to_str().unwrap()])).unwrap();
+        assert_eq!(read_report(&out).requests, 2000);
+        concurrent(&run(
+            "concurrent",
+            "1k",
+            &["--threads", "2", "--format", "json"],
+        ))
+        .unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

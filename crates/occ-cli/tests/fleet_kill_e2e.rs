@@ -39,8 +39,6 @@ fn fleet_args(cmd: &mut Command, ckpt_dir: &Path) {
         "lru",
         "--window",
         WINDOW,
-        "--supervise",
-        "on",
         "--checkpoint-dir",
         ckpt_dir.to_str().unwrap(),
     ]);

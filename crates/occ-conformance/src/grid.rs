@@ -46,14 +46,6 @@ impl CheckKind {
             CheckKind::LowerBound14 => "t14",
         }
     }
-
-    /// The offline cache size for this check, given the online `k`.
-    pub fn offline_k(self, k: usize) -> usize {
-        match self {
-            CheckKind::Theorem13 { h } => h,
-            _ => k,
-        }
-    }
 }
 
 /// Which online policy the cell runs.

@@ -91,9 +91,7 @@
 
 use crate::alg::tiebreak::{Candidate, TieBreak};
 use crate::cost::{CostProfile, Marginals};
-use occ_sim::{
-    CostAnomaly, EngineCtx, PageId, PolicyState, ReplacementPolicy, SnapshotError, UserId,
-};
+use occ_sim::{EngineCtx, PageId, PolicyState, ReplacementPolicy, SnapshotError, UserId};
 use std::collections::BTreeSet;
 
 /// Totally ordered `f64` key (never NaN in this module).
@@ -299,16 +297,6 @@ impl ConvexCaching {
             .enumerate()
             .map(|(u, lane)| self.costs.user(UserId(u as u32)).eval(lane.m as f64))
             .sum()
-    }
-
-    /// [`primal_cost`](Self::primal_cost) with the arithmetic checked: a
-    /// non-finite per-user cost or sum is a typed [`CostAnomaly`].
-    pub fn primal_cost_checked(&self) -> Result<f64, CostAnomaly> {
-        // The arena covers the universe's users, which may be fewer than
-        // the profile covers; the missing users have zero evictions.
-        let mut misses = self.eviction_counts();
-        misses.resize(self.costs.num_users() as usize, 0);
-        self.costs.total_cost_checked(&misses)
     }
 
     /// Whether the `O(1)` intrusive-list fast path is active (true iff

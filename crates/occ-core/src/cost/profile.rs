@@ -44,11 +44,6 @@ impl CostProfile {
         &*self.fns[user.index()]
     }
 
-    /// Shared handle to one user's cost function.
-    pub fn user_fn(&self, user: UserId) -> CostFn {
-        Arc::clone(&self.fns[user.index()])
-    }
-
     /// The paper's objective: `Σ_i f_i(misses[i])`. `misses` must have one
     /// entry per user.
     pub fn total_cost(&self, misses: &[u64]) -> f64 {

@@ -27,9 +27,10 @@
 //!
 //! Two entry points share one implementation: [`run_fleet`] takes boxed
 //! policies for heterogeneous fleets, and [`run_fleet_typed`] is the
-//! monomorphized fast path for throughput work — concrete policy type,
-//! statically dispatched callbacks, and (with recording off) no
-//! recorder merge.
+//! monomorphized fast path for throughput work — concrete policy type
+//! and statically dispatched callbacks. The supervised runner
+//! ([`run_supervised_fleet`]) shares the same worker pool and the same
+//! report assembly.
 
 pub mod shared;
 pub mod supervisor;
@@ -42,8 +43,8 @@ use std::time::{Duration, Instant};
 pub use occ_probe::Json;
 pub use shared::{run_shared_fleet, SharedConfig, SharedError, SharedReport, SHARED_SCHEMA};
 pub use supervisor::{
-    run_supervised_fleet, BackoffPolicy, DirPersist, FaultyPersist, NoPersist, ShardKill,
-    ShardPersist, ShardState, ShardStatus, StoreFault, SupervisorConfig, SupervisorReport,
+    run_supervised_fleet, BackoffPolicy, DirPersist, ShardKill, ShardState, ShardStatus,
+    StoreFault, SupervisorConfig, SupervisorReport,
 };
 
 /// Schema stamp for [`FleetReport::to_json_value`].
@@ -89,19 +90,6 @@ impl FleetConfig {
             max_workers: None,
             window: None,
         }
-    }
-
-    /// Worker threads this config would use for `shards` shards: the
-    /// explicit cap if set, else the machine's available parallelism,
-    /// never more than the shard count and never zero.
-    fn workers_for(&self, shards: usize) -> usize {
-        self.max_workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .clamp(1, shards.max(1))
     }
 }
 
@@ -363,81 +351,107 @@ where
 /// policy callbacks statically dispatched and inlinable — the
 /// zero-overhead fast path for throughput measurement, where a virtual
 /// call per request is the difference between the fleet and a bare
-/// [`SteppingEngine`] loop. Combined with `cfg.record = false` (which
-/// also skips the recorder merge below) a one-shard fleet run is the
-/// same machine code as the scalar engine loop, modulo thread spawn.
+/// [`SteppingEngine`] loop. Combined with `cfg.record = false` a
+/// one-shard fleet run is the same machine code as the scalar engine
+/// loop.
 pub fn run_fleet_typed<S, P, F>(sources: Vec<S>, cfg: &FleetConfig, make_policy: F) -> FleetReport
 where
     S: RequestSource + Send,
     P: ReplacementPolicy,
     F: Fn(usize) -> P + Sync,
 {
-    assert!(!sources.is_empty(), "a fleet needs at least one shard");
-    assert!(cfg.batch_size > 0, "batch size must be positive");
-    let workers = cfg.workers_for(sources.len());
     let start = Instant::now();
-    let make_policy = &make_policy;
-    let shards: Vec<ShardReport> = if workers == 1 {
-        // One worker (one shard, a one-core machine, or an explicit
-        // cap): run the shards sequentially right here — no spawn, no
-        // join, no context switches. Per-shard results are identical
-        // either way (see the module docs on determinism).
-        sources
+    let shards = run_pool(sources, cfg, |i, source| {
+        run_shard(i, source, cfg, make_policy(i))
+    });
+    let window = cfg.window.filter(|_| cfg.record);
+    fleet_report(shards, window, start.elapsed(), None)
+}
+
+/// Run `job(i, item)` for every shard's item on at most
+/// [`FleetConfig::max_workers`] scoped threads (default: the machine's
+/// available parallelism, never more than the shard count), dealing
+/// the items round-robin so each worker replays its queue in order.
+/// One worker (one shard, a one-core machine, or an explicit cap) runs
+/// everything on the calling thread: no spawn, no join, no context
+/// switches. Results come back in shard order either way, and a
+/// worker's panic is propagated.
+///
+/// Panics if `items` is empty or `cfg.batch_size` is zero.
+fn run_pool<T, R>(items: Vec<T>, cfg: &FleetConfig, job: impl Fn(usize, T) -> R + Sync) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+{
+    assert!(!items.is_empty(), "a fleet needs at least one shard");
+    assert!(cfg.batch_size > 0, "batch size must be positive");
+    let workers = cfg
+        .max_workers
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+        .clamp(1, items.len());
+    if workers == 1 {
+        return items
             .into_iter()
             .enumerate()
-            .map(|(i, source)| run_shard(i, source, cfg, make_policy(i)))
-            .collect()
-    } else {
-        std::thread::scope(|scope| {
-            // Deal shards round-robin onto `workers` threads; each
-            // worker replays its queue sequentially. Shard order is
-            // restored afterwards so reports are position-stable.
-            let mut queues: Vec<Vec<(usize, S)>> = Vec::new();
-            queues.resize_with(workers, Vec::new);
-            for (i, source) in sources.into_iter().enumerate() {
-                queues[i % workers].push((i, source));
-            }
-            let handles: Vec<_> = queues
-                .into_iter()
-                .map(|queue| {
-                    scope.spawn(move || {
-                        queue
-                            .into_iter()
-                            .map(|(i, source)| run_shard(i, source, cfg, make_policy(i)))
-                            .collect::<Vec<ShardReport>>()
-                    })
-                })
-                .collect();
-            let mut shards: Vec<ShardReport> = handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(reports) => reports,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect();
-            shards.sort_by_key(|s| s.shard);
-            shards
-        })
-    };
-    let wall = start.elapsed();
-    let mut merged = MetricsRecorder::new();
-    if cfg.record {
-        // With recording off every shard recorder is empty; skip the
-        // merge entirely so the unrecorded path does no folding work.
-        for s in &shards {
-            merged.merge(&s.recorder);
-        }
+            .map(|(i, item)| job(i, item))
+            .collect();
     }
-    let merged_series = cfg.window.filter(|_| cfg.record).map(|width| {
+    let mut queues: Vec<Vec<(usize, T)>> = Vec::new();
+    queues.resize_with(workers, Vec::new);
+    for (i, item) in items.into_iter().enumerate() {
+        queues[i % workers].push((i, item));
+    }
+    let job = &job;
+    let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = queues
+            .into_iter()
+            .map(|queue| {
+                scope.spawn(move || {
+                    queue
+                        .into_iter()
+                        .map(|(i, item)| (i, job(i, item)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    results.sort_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Assemble the fleet report from per-shard outcomes in shard order:
+/// the shard recorders fold into one, and with a `window` width every
+/// shard's series folds window by window (window `i` of the merge is
+/// the sum of every shard's window `i`).
+fn fleet_report(
+    shards: Vec<ShardReport>,
+    window: Option<u64>,
+    wall: Duration,
+    supervisor: Option<SupervisorReport>,
+) -> FleetReport {
+    let mut merged = MetricsRecorder::new();
+    for s in &shards {
+        merged.merge(&s.recorder);
+    }
+    let merged_series = window.map(|width| {
         let mut folded = WindowSeries {
             width,
             dropped: 0,
             windows: Vec::new(),
         };
-        for s in &shards {
-            if let Some(series) = &s.series {
-                folded.merge(series);
-            }
+        for series in shards.iter().filter_map(|s| s.series.as_ref()) {
+            folded.merge(series);
         }
         folded
     });
@@ -448,7 +462,7 @@ where
         merged_series,
         total_requests,
         wall,
-        supervisor: None,
+        supervisor,
     }
 }
 

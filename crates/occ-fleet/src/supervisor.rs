@@ -37,8 +37,8 @@
 //! schedules, shard counts, and window widths.
 //!
 //! **Crash ordering.** At every window boundary the driver (1) appends
-//! the closed windows to the shard's persist target, (2) saves the
-//! checkpoint, (3) commits both to memory. A crash between (1) and (2)
+//! the closed windows to the shard's [`DirPersist`] (when it has one),
+//! (2) saves the checkpoint, (3) commits both to memory. A crash between (1) and (2)
 //! re-appends the same windows after restart; [`DirPersist`] drops
 //! duplicates by window index, so the on-disk series never tears or
 //! double-counts. Writing the series line *before* its checkpoint is
@@ -46,7 +46,7 @@
 //! preceding window was never written, and nothing would ever
 //! regenerate it.
 
-use crate::{FleetConfig, FleetReport, ShardReport};
+use crate::{fleet_report, run_pool, FleetConfig, FleetReport, ShardReport};
 use occ_probe::atomicio;
 use occ_probe::{
     snapshot_to_json, Json, MetricsRecorder, SeriesSink, WindowDelta, WindowSeries,
@@ -70,7 +70,8 @@ pub struct ShardKill {
 }
 
 /// Fail shard `shard`'s `nth` checkpoint save (1-based, counted across
-/// restarts) with an injected I/O error — the failing-writer shim.
+/// restarts, whether or not the shard persists to disk) with an
+/// injected error.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StoreFault {
     /// Target shard index.
@@ -299,50 +300,12 @@ impl SupervisorReport {
     }
 }
 
-/// Where a supervised shard persists its recovery state: checkpoints
-/// (latest wins) and the append-only window series. Implementations
-/// need not be thread-safe — each shard owns its own target — but must
-/// be `Send`: the factory may build them on one thread (e.g. the CLI
-/// pre-opening files to classify errors) and hand them to the worker
-/// that drives the shard.
-pub trait ShardPersist: Send {
-    /// Durably save `snap` as the shard's latest checkpoint. Failure
-    /// aborts the attempt (and is retried like a panic).
-    fn save_checkpoint(&mut self, snap: &EngineSnapshot) -> io::Result<()>;
-    /// Append one closed window. Called before the checkpoint covering
-    /// it is saved; implementations must drop windows they have
-    /// already appended (restart replays regenerate them).
-    fn append_window(&mut self, w: &WindowDelta) -> io::Result<()>;
-    /// Called once when the shard finishes (clean or recovered);
-    /// flushes and seals the series (checksum trailer).
-    fn finish(&mut self) -> io::Result<()>;
-}
-
-/// Persist nothing (in-memory supervision only — the property tests'
-/// setting; recovery state lives in the supervisor's address space).
-#[derive(Debug, Default)]
-pub struct NoPersist;
-
-impl ShardPersist for NoPersist {
-    fn save_checkpoint(&mut self, _snap: &EngineSnapshot) -> io::Result<()> {
-        Ok(())
-    }
-    fn append_window(&mut self, _w: &WindowDelta) -> io::Result<()> {
-        Ok(())
-    }
-    fn finish(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 /// Persist into a directory: `shard-NNNN.ckpt.json` written atomically
 /// with a CRC trailer on every save, and `shard-NNNN.series.jsonl`
 /// appended line-by-line (flushed per window, duplicate indices
 /// dropped) so a SIGKILLed process leaves a resumable prefix. The
-/// series file gains its checksum trailer at [`finish`]; a mid-run
-/// kill leaves it trailer-less, which readers accept.
-///
-/// [`finish`]: ShardPersist::finish
+/// series file gains its checksum trailer at [`finish`](Self::finish);
+/// a mid-run kill leaves it trailer-less, which readers accept.
 #[derive(Debug)]
 pub struct DirPersist {
     ckpt_path: PathBuf,
@@ -393,15 +356,19 @@ impl DirPersist {
             finished: false,
         })
     }
-}
 
-impl ShardPersist for DirPersist {
-    fn save_checkpoint(&mut self, snap: &EngineSnapshot) -> io::Result<()> {
+    /// Durably save `snap` as the shard's latest checkpoint (atomic
+    /// rename, CRC trailer). Failure aborts the attempt, which is then
+    /// retried like a panic.
+    pub fn save_checkpoint(&mut self, snap: &EngineSnapshot) -> io::Result<()> {
         let body = snapshot_to_json(snap) + "\n";
         atomicio::write_atomic_with_trailer(&self.ckpt_path, &body)
     }
 
-    fn append_window(&mut self, w: &WindowDelta) -> io::Result<()> {
+    /// Append one closed window, flushed. Called before the checkpoint
+    /// covering it is saved; windows already on disk (regenerated by a
+    /// restart's replay) are dropped.
+    pub fn append_window(&mut self, w: &WindowDelta) -> io::Result<()> {
         if w.index < self.next_index {
             // Regenerated after a restart; already on disk.
             return Ok(());
@@ -414,7 +381,9 @@ impl ShardPersist for DirPersist {
         Ok(())
     }
 
-    fn finish(&mut self) -> io::Result<()> {
+    /// Seal the series with its checksum trailer. Called once the shard
+    /// finishes (clean or recovered); later calls do nothing.
+    pub fn finish(&mut self) -> io::Result<()> {
         if self.finished {
             return Ok(());
         }
@@ -425,48 +394,6 @@ impl ShardPersist for DirPersist {
         self.series.flush()?;
         self.finished = true;
         Ok(())
-    }
-}
-
-/// Wrap another persist target and fail chosen checkpoint saves with an
-/// injected I/O error — the failing-writer shim behind
-/// `--chaos-store-fail`. The save counter persists across restarts, so
-/// "fail the 2nd save" fires exactly once.
-pub struct FaultyPersist {
-    inner: Box<dyn ShardPersist>,
-    fail_nths: Vec<u64>,
-    saves: u64,
-}
-
-impl FaultyPersist {
-    /// Fail the `nth` (1-based) checkpoint saves listed in `fail_nths`.
-    pub fn new(inner: Box<dyn ShardPersist>, fail_nths: Vec<u64>) -> Self {
-        FaultyPersist {
-            inner,
-            fail_nths,
-            saves: 0,
-        }
-    }
-}
-
-impl ShardPersist for FaultyPersist {
-    fn save_checkpoint(&mut self, snap: &EngineSnapshot) -> io::Result<()> {
-        self.saves += 1;
-        if self.fail_nths.contains(&self.saves) {
-            return Err(io::Error::other(format!(
-                "injected checkpoint-store fault (save #{})",
-                self.saves
-            )));
-        }
-        self.inner.save_checkpoint(snap)
-    }
-
-    fn append_window(&mut self, w: &WindowDelta) -> io::Result<()> {
-        self.inner.append_window(w)
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        self.inner.finish()
     }
 }
 
@@ -504,7 +431,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Cross-attempt state of one supervised shard. Mutated only at commit
 /// points (see the module docs on poison safety).
-struct ShardDriver<'a> {
+struct ShardDriver {
     shard: usize,
     width: u64,
     capacity: usize,
@@ -518,10 +445,17 @@ struct ShardDriver<'a> {
     next_commit: u64,
     /// Pending kill times for this shard, ascending; consumed as fired.
     pending_kills: std::collections::VecDeque<u64>,
-    persist: &'a mut dyn ShardPersist,
+    /// Where checkpoints and windows go; `None` keeps recovery state in
+    /// memory only.
+    persist: Option<DirPersist>,
+    /// Checkpoint saves attempted so far, across restarts.
+    saves: u64,
+    /// Saves (1-based) that fail with an injected error
+    /// ([`SupervisorConfig::store_faults`]).
+    fail_saves: Vec<u64>,
 }
 
-impl ShardDriver<'_> {
+impl ShardDriver {
     /// One attempt: rebuild everything from `last_good`, replay to the
     /// end of the stream, committing at each window boundary. Returns
     /// the engine's final stats and end time on success; any `Err` or
@@ -576,11 +510,10 @@ impl ShardDriver<'_> {
         // without a snapshot. A crash after this point is impossible —
         // the attempt only returns.
         self.commit(&mut eng, drained, end % self.width == 0)?;
-        let stats = eng.stats().clone();
-        self.persist
-            .finish()
-            .map_err(|e| format!("sealing series: {e}"))?;
-        Ok((stats, end))
+        if let Some(p) = &mut self.persist {
+            p.finish().map_err(|e| format!("sealing series: {e}"))?;
+        }
+        Ok((eng.stats().clone(), end))
     }
 
     /// Commit point: persist the windows, then (at boundaries) the
@@ -592,16 +525,25 @@ impl ShardDriver<'_> {
         drained: Vec<WindowDelta>,
         checkpoint: bool,
     ) -> Result<(), String> {
-        for w in &drained {
-            self.persist
-                .append_window(w)
-                .map_err(|e| format!("appending window {}: {e}", w.index))?;
+        if let Some(p) = &mut self.persist {
+            for w in &drained {
+                p.append_window(w)
+                    .map_err(|e| format!("appending window {}: {e}", w.index))?;
+            }
         }
         let snap = if checkpoint {
             let snap = eng.snapshot().map_err(|e| format!("snapshotting: {e}"))?;
-            self.persist
-                .save_checkpoint(&snap)
-                .map_err(|e| format!("saving checkpoint: {e}"))?;
+            self.saves += 1;
+            if self.fail_saves.contains(&self.saves) {
+                return Err(format!(
+                    "saving checkpoint: injected checkpoint-store fault (save #{})",
+                    self.saves
+                ));
+            }
+            if let Some(p) = &mut self.persist {
+                p.save_checkpoint(&snap)
+                    .map_err(|e| format!("saving checkpoint: {e}"))?;
+            }
             Some(snap)
         } else {
             None
@@ -621,13 +563,12 @@ impl ShardDriver<'_> {
 }
 
 /// Drive one shard under supervision to a terminal state.
-#[allow(clippy::too_many_arguments)]
 fn supervise_shard<S, P>(
     shard: usize,
     cfg: &SupervisorConfig,
     make_source: &(impl Fn(usize) -> S + Sync),
     make_policy: &(impl Fn(usize) -> P + Sync),
-    persist: &mut dyn ShardPersist,
+    persist: Option<DirPersist>,
 ) -> (ShardReport, ShardStatus)
 where
     S: SeekableSource,
@@ -654,11 +595,18 @@ where
         next_commit: resume_t / cfg.window,
         pending_kills: kills.into(),
         persist,
+        saves: 0,
+        fail_saves: cfg
+            .store_faults
+            .iter()
+            .filter(|f| f.shard == shard)
+            .map(|f| f.nth)
+            .collect(),
     };
     let mut restarts = 0u32;
     let mut backoff_ms = Vec::new();
     let mut last_error = None;
-    loop {
+    let (state, stats, end) = loop {
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             driver.attempt(make_source(shard), make_policy(shard))
         }));
@@ -669,35 +617,13 @@ where
                 } else {
                     ShardState::Recovered
                 };
-                let series = WindowSeries {
-                    width: cfg.window,
-                    dropped: 0,
-                    windows: std::mem::take(&mut driver.committed),
-                };
-                let report = ShardReport {
-                    shard,
-                    stats,
-                    served: end - resume_t,
-                    elapsed: start.elapsed(),
-                    recorder: MetricsRecorder::new(),
-                    series: Some(series),
-                };
-                let status = ShardStatus {
-                    shard,
-                    state,
-                    restarts,
-                    backoff_ms,
-                    error: last_error,
-                    windows_lost: 0,
-                };
-                return (report, status);
+                break (state, stats, end);
             }
             Ok(Err(msg)) => msg,
             Err(payload) => panic_message(payload),
         };
-        restarts += 1;
         last_error = Some(error);
-        if restarts > cfg.max_restarts {
+        if restarts == cfg.max_restarts {
             // Quarantine: contribute the last checkpoint's stats and
             // the committed windows; nothing past the checkpoint.
             let (stats, end) = match &driver.last_good {
@@ -707,35 +633,36 @@ where
                     (SimStats::new(n), resume_t)
                 }
             };
-            let series = WindowSeries {
-                width: cfg.window,
-                dropped: 0,
-                windows: std::mem::take(&mut driver.committed),
-            };
-            let report = ShardReport {
-                shard,
-                stats,
-                served: end - resume_t,
-                elapsed: start.elapsed(),
-                recorder: MetricsRecorder::new(),
-                series: Some(series),
-            };
-            let status = ShardStatus {
-                shard,
-                state: ShardState::Quarantined,
-                restarts: restarts - 1,
-                backoff_ms,
-                error: last_error,
-                windows_lost: 0,
-            };
-            return (report, status);
+            break (ShardState::Quarantined, stats, end);
         }
+        restarts += 1;
         let delay = cfg.backoff.delay_ms(shard, restarts);
         backoff_ms.push(delay);
         if delay > 0 {
             std::thread::sleep(Duration::from_millis(delay));
         }
-    }
+    };
+    let report = ShardReport {
+        shard,
+        stats,
+        served: end - resume_t,
+        elapsed: start.elapsed(),
+        recorder: MetricsRecorder::new(),
+        series: Some(WindowSeries {
+            width: cfg.window,
+            dropped: 0,
+            windows: driver.committed,
+        }),
+    };
+    let status = ShardStatus {
+        shard,
+        state,
+        restarts,
+        backoff_ms,
+        error: last_error,
+        windows_lost: 0,
+    };
+    (report, status)
 }
 
 /// Run `shards` supervised shards: each one panic-isolated,
@@ -746,8 +673,9 @@ where
 ///
 /// `make_source` and `make_policy` are called once per *attempt* (a
 /// restart rebuilds both; the source is then fast-forwarded to the
-/// checkpoint via [`SeekableSource::seek_forward`]). `make_persist` is
-/// called once per shard from the worker that owns it.
+/// checkpoint via [`SeekableSource::seek_forward`]). `persist[i]` is
+/// shard `i`'s on-disk target; a missing or `None` entry keeps that
+/// shard's recovery state in memory only.
 ///
 /// The returned report always carries [`FleetReport::supervisor`];
 /// [`FleetReport::merged`] stays empty (the window series is the
@@ -760,89 +688,22 @@ pub fn run_supervised_fleet<S, P>(
     cfg: &SupervisorConfig,
     make_source: impl Fn(usize) -> S + Sync,
     make_policy: impl Fn(usize) -> P + Sync,
-    make_persist: impl Fn(usize) -> Box<dyn ShardPersist> + Sync,
+    mut persist: Vec<Option<DirPersist>>,
 ) -> FleetReport
 where
     S: SeekableSource,
     P: ReplacementPolicy,
 {
-    assert!(shards > 0, "a fleet needs at least one shard");
     assert!(cfg.window > 0, "supervision needs a positive window width");
-    assert!(cfg.fleet.batch_size > 0, "batch size must be positive");
-    let workers = cfg.fleet.workers_for(shards);
+    persist.resize_with(shards, || None);
     let start = Instant::now();
-    let make_source = &make_source;
-    let make_policy = &make_policy;
-    let make_persist = &make_persist;
-    let run_one = |i: usize| {
-        let mut persist = make_persist(i);
-        // Injected store faults wrap the shard's persist target in the
-        // failing-writer shim; the fault counter lives in the wrapper,
-        // so it survives restarts and each listed save fails once.
-        let fail_nths: Vec<u64> = cfg
-            .store_faults
-            .iter()
-            .filter(|f| f.shard == i)
-            .map(|f| f.nth)
-            .collect();
-        if !fail_nths.is_empty() {
-            persist = Box::new(FaultyPersist::new(persist, fail_nths));
-        }
-        supervise_shard(i, cfg, make_source, make_policy, persist.as_mut())
-    };
-    let mut results: Vec<(ShardReport, ShardStatus)> = if workers == 1 {
-        (0..shards).map(run_one).collect()
-    } else {
-        std::thread::scope(|scope| {
-            let mut queues: Vec<Vec<usize>> = Vec::new();
-            queues.resize_with(workers, Vec::new);
-            for i in 0..shards {
-                queues[i % workers].push(i);
-            }
-            let handles: Vec<_> = queues
-                .into_iter()
-                .map(|queue| {
-                    scope.spawn(move || queue.into_iter().map(run_one).collect::<Vec<_>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(r) => r,
-                    // Only a bug in the supervisor itself can get here:
-                    // shard panics are caught inside supervise_shard.
-                    Err(panic) => panic::resume_unwind(panic),
-                })
-                .collect()
-        })
-    };
-    results.sort_by_key(|(r, _)| r.shard);
-    let wall = start.elapsed();
-    let mut shard_reports = Vec::with_capacity(shards);
-    let mut statuses = Vec::with_capacity(shards);
-    for (r, s) in results {
-        shard_reports.push(r);
-        statuses.push(s);
-    }
-    let mut merged_series = WindowSeries {
-        width: cfg.window,
-        dropped: 0,
-        windows: Vec::new(),
-    };
-    for s in &shard_reports {
-        if let Some(series) = &s.series {
-            merged_series.merge(series);
-        }
-    }
-    let total_requests = shard_reports.iter().map(|s| s.served).sum();
-    FleetReport {
-        shards: shard_reports,
-        merged: MetricsRecorder::new(),
-        merged_series: Some(merged_series),
-        total_requests,
-        wall,
-        supervisor: Some(SupervisorReport { shards: statuses }),
-    }
+    let (reports, statuses) = run_pool(persist, &cfg.fleet, |i, persist| {
+        supervise_shard(i, cfg, &make_source, &make_policy, persist)
+    })
+    .into_iter()
+    .unzip();
+    let supervisor = SupervisorReport { shards: statuses };
+    fleet_report(reports, Some(cfg.window), start.elapsed(), Some(supervisor))
 }
 
 #[cfg(test)]
@@ -862,12 +723,8 @@ mod tests {
         sqlvm_like().stream(LEN, 60 + shard as u64)
     }
 
-    fn no_persist(_shard: usize) -> Box<dyn ShardPersist> {
-        Box::new(NoPersist)
-    }
-
     fn supervised(cfg: &SupervisorConfig) -> crate::FleetReport {
-        run_supervised_fleet(SHARDS, cfg, source_for, |_| Lru::new(), no_persist)
+        run_supervised_fleet(SHARDS, cfg, source_for, |_| Lru::new(), Vec::new())
     }
 
     fn base_cfg() -> SupervisorConfig {
@@ -1078,18 +935,12 @@ mod tests {
             ShardKill { shard: 0, at: 400 },
             ShardKill { shard: 2, at: 750 },
         ];
-        let dir_ref = &dir;
-        let report = run_supervised_fleet(
-            SHARDS,
-            &cfg,
-            source_for,
-            |_| Lru::new(),
-            move |shard| {
-                Box::new(
-                    DirPersist::open(dir_ref, shard, WIDTH, 0, &[]).expect("persist dir opens"),
-                )
-            },
-        );
+        let persist = (0..SHARDS)
+            .map(|shard| {
+                Some(DirPersist::open(&dir, shard, WIDTH, 0, &[]).expect("persist dir opens"))
+            })
+            .collect();
+        let report = run_supervised_fleet(SHARDS, &cfg, source_for, |_| Lru::new(), persist);
         assert_matches_plain(&report, &plain_fleet(), "dir-persist");
         for shard in 0..SHARDS {
             // Checkpoints carry a mandatory trailer and restore to the

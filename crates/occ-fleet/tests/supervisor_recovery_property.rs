@@ -6,9 +6,7 @@
 //! of the fault-tolerance work: recovery must be invisible in the data.
 
 use occ_baselines::Lru;
-use occ_fleet::{
-    run_supervised_fleet, NoPersist, ShardKill, ShardPersist, StoreFault, SupervisorConfig,
-};
+use occ_fleet::{run_supervised_fleet, ShardKill, StoreFault, SupervisorConfig};
 use occ_workloads::presets::two_tier;
 use proptest::prelude::*;
 
@@ -31,7 +29,7 @@ fn run(
         &cfg,
         |shard| two_tier().stream(LEN, 7 + shard as u64),
         |_shard| Lru::new(),
-        |_shard| Box::new(NoPersist) as Box<dyn ShardPersist>,
+        Vec::new(),
     )
 }
 

@@ -390,11 +390,6 @@ impl<const WITH_LATENCY: bool> WindowedRecorder<WITH_LATENCY> {
         self.dropped
     }
 
-    /// Index of the window currently accumulating.
-    pub fn current_index(&self) -> u64 {
-        self.cur.index
-    }
-
     fn close_current(&mut self) {
         let next_index = self.cur.index + 1;
         let next_start = self.cur.index * self.width + self.width;

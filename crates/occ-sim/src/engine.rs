@@ -135,12 +135,6 @@ impl Simulator {
         }
     }
 
-    /// Replace the options wholesale.
-    pub fn with_options(mut self, options: SimOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Enable per-request event recording.
     pub fn record_events(mut self, on: bool) -> Self {
         self.options.record_events = on;
@@ -252,24 +246,6 @@ impl Simulator {
     ) -> Result<CheckedRun, SimError> {
         let mut source = TraceSource::new(trace);
         self.try_run_source_recorded(policy, &mut source, &mut NoopRecorder, fault_policy)
-    }
-
-    /// [`Self::try_run`] with a [`Recorder`] observing every decision
-    /// (including absorbed faults, via
-    /// [`Recorder::record_fault`](crate::probe::Recorder::record_fault)).
-    pub fn try_run_recorded<P, R>(
-        &self,
-        policy: &mut P,
-        trace: &Trace,
-        recorder: &mut R,
-        fault_policy: FaultPolicy,
-    ) -> Result<CheckedRun, SimError>
-    where
-        P: ReplacementPolicy,
-        R: Recorder,
-    {
-        let mut source = TraceSource::new(trace);
-        self.try_run_source_recorded(policy, &mut source, recorder, fault_policy)
     }
 
     /// The fault-tolerant counterpart of [`Self::run_source_recorded`]:

@@ -53,17 +53,6 @@ impl PatternSource {
         self.universe.num_pages() as usize * std::mem::size_of::<occ_sim::UserId>()
             + self.gen.state_bytes()
     }
-
-    /// Draw and discard the next `n` requests, advancing the RNG state
-    /// exactly as `n` calls to `next_request` would. `occ soak` uses
-    /// this to fast-forward a source to a checkpoint's position so the
-    /// resumed stream continues byte-identically.
-    pub fn skip(&mut self, n: u64) {
-        for _ in 0..n.min(self.remaining) {
-            self.remaining -= 1;
-            self.gen.next_page();
-        }
-    }
 }
 
 impl RequestSource for PatternSource {
@@ -81,8 +70,13 @@ impl RequestSource for PatternSource {
 }
 
 impl SeekableSource for PatternSource {
+    /// Draw and discard the next `n` requests, advancing the RNG state
+    /// exactly as `n` calls to `next_request` would.
     fn seek_forward(&mut self, n: u64) {
-        self.skip(n);
+        for _ in 0..n.min(self.remaining) {
+            self.remaining -= 1;
+            self.gen.next_page();
+        }
     }
 }
 
@@ -158,21 +152,9 @@ impl TenantMixSource {
             + self.gens.iter().map(|g| g.state_bytes()).sum::<usize>()
     }
 
-    /// Draw and discard the next `n` requests, advancing the mixer RNG
-    /// and the chosen tenants' generators exactly as `n` calls to
-    /// `next_request` would. `occ soak` uses this to fast-forward a
-    /// source to a checkpoint's position so the resumed stream
-    /// continues byte-identically.
-    pub fn skip(&mut self, n: u64) {
-        for _ in 0..n.min(self.remaining) {
-            self.remaining -= 1;
-            self.draw();
-        }
-    }
-
     /// One mixed draw: pick a tenant by arrival weight, then its next
-    /// page. Shared by `next_request` and `skip` so the two advance the
-    /// RNG state identically.
+    /// page. Shared by `next_request` and `seek_forward` so the two
+    /// advance the RNG state identically.
     fn draw(&mut self) -> PageId {
         let u: f64 = self.rng.gen();
         let tenant = self.cum.partition_point(|&c| c < u).min(self.cum.len() - 1);
@@ -197,8 +179,14 @@ impl RequestSource for TenantMixSource {
 }
 
 impl SeekableSource for TenantMixSource {
+    /// Draw and discard the next `n` requests, advancing the mixer RNG
+    /// and the chosen tenants' generators exactly as `n` calls to
+    /// `next_request` would.
     fn seek_forward(&mut self, n: u64) {
-        self.skip(n);
+        for _ in 0..n.min(self.remaining) {
+            self.remaining -= 1;
+            self.draw();
+        }
     }
 }
 
@@ -274,19 +262,19 @@ mod tests {
         let full = drain(&mut whole);
 
         let mut skipped = TenantMixSource::new(&specs, 1000, 42);
-        skipped.skip(400);
+        skipped.seek_forward(400);
         assert_eq!(skipped.remaining(), 600);
         assert_eq!(drain(&mut skipped), full[400..]);
 
         // Skipping past the end just runs the source dry.
         let mut over = TenantMixSource::new(&specs, 100, 42);
-        over.skip(1_000_000);
+        over.seek_forward(1_000_000);
         assert_eq!(over.remaining(), 0);
 
         let mut p_whole = PatternSource::new(AccessPattern::Zipf { s: 0.9 }, 32, 500, 7);
         let p_full = drain(&mut p_whole);
         let mut p_skip = PatternSource::new(AccessPattern::Zipf { s: 0.9 }, 32, 500, 7);
-        p_skip.skip(123);
+        p_skip.seek_forward(123);
         assert_eq!(drain(&mut p_skip), p_full[123..]);
     }
 
