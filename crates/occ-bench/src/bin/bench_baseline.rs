@@ -88,8 +88,8 @@ use occ_fleet::{run_fleet_typed, run_shared_fleet, FleetConfig, SharedConfig};
 use occ_probe::{Json, MetricsRecorder};
 use occ_sim::{
     write_trace_binary, write_trace_binary_v2, Binary2TraceReader, BinarySource, BinaryTraceReader,
-    MmapTraceSource, ReplacementPolicy, Request, RequestSource, SimStats, Simulator,
-    SteppingEngine, Trace, TraceSource, DEFAULT_BATCH_SIZE,
+    ReplacementPolicy, Request, RequestSource, SimStats, Simulator, SteppingEngine, Trace,
+    TraceSource, DEFAULT_BATCH_SIZE,
 };
 use occ_workloads::{generate_multi_tenant, zipf_trace, AccessPattern, TenantSpec};
 use std::fmt::Write as _;
@@ -663,10 +663,13 @@ impl Drop for IngestFixture {
 /// file.
 fn open_ingest_source(fx: &IngestFixture, strategy: &str) -> BinarySource {
     let src = match strategy {
-        "mmap" => BinarySource::Mmap(MmapTraceSource::open(&fx.v1).expect("map occbin01 fixture")),
+        "mmap" => {
+            let file = File::open(&fx.v1).expect("open occbin01 fixture");
+            BinarySource::Fixed(BinaryTraceReader::map(&file).expect("map occbin01 fixture"))
+        }
         "buffered" => {
             let r = BufReader::new(File::open(&fx.v1).expect("open occbin01 fixture"));
-            BinarySource::Buffered(BinaryTraceReader::new(r).expect("parse occbin01 header"))
+            BinarySource::Fixed(BinaryTraceReader::new(r).expect("parse occbin01 header"))
         }
         _ => {
             let r = BufReader::new(File::open(&fx.v2).expect("open occbin02 fixture"));

@@ -74,6 +74,16 @@ impl Args {
         }
     }
 
+    /// `on|off` flag with a default.
+    pub fn on_off(&self, name: &str, default: bool) -> Result<bool, String> {
+        match self.flags.get(name).map(String::as_str) {
+            None => Ok(default),
+            Some("on") => Ok(true),
+            Some("off") => Ok(false),
+            Some(other) => Err(format!("unknown --{name} mode '{other}' (on, off)")),
+        }
+    }
+
     /// Unsigned flag with a default, accepting `k`/`M`/`B` (or `G`)
     /// magnitude suffixes: `500k` = 500_000, `5M` = 5_000_000,
     /// `1B` = 1_000_000_000. Soak runs are specified in these units.
@@ -149,6 +159,27 @@ mod tests {
         assert_eq!(a.command.as_deref(), Some("trace"));
         assert_eq!(a.action.as_deref(), Some("pack"));
         assert!(parse(&["trace", "pack", "again"]).is_err());
+    }
+
+    #[test]
+    fn on_off_flags() {
+        let a = parse(&[
+            "soak",
+            "--timing",
+            "on",
+            "--heartbeat",
+            "off",
+            "--verify",
+            "yes",
+        ])
+        .unwrap();
+        assert_eq!(a.on_off("timing", false), Ok(true));
+        assert_eq!(a.on_off("heartbeat", true), Ok(false));
+        assert_eq!(a.on_off("shrink", true), Ok(true));
+        assert_eq!(
+            a.on_off("verify", true),
+            Err("unknown --verify mode 'yes' (on, off)".to_string())
+        );
     }
 
     #[test]

@@ -371,24 +371,23 @@ fn csv_flavor_from_args(args: &Args) -> Result<Option<CsvFlavor>, CliError> {
     }
 }
 
-/// A streaming `--trace FILE` feed: one of the binary formats
-/// ([`BinarySource`] picks mmap / buffered / packed by sniffing the
-/// magic) or a real-trace CSV adapted on the fly. Holds O(1) heap
-/// regardless of trace length (the mmap path's pages are file-backed).
-enum FileFeed {
+/// A streaming request feed: the scenario's synthetic mixer, or a
+/// `--trace FILE` in one of the binary formats ([`BinarySource`] picks
+/// mmap / buffered / packed by sniffing the magic) or a real-trace CSV
+/// adapted on the fly. Holds O(1) heap regardless of length (the mmap
+/// path's pages are file-backed): no command behind it materializes a
+/// trace.
+enum Feed {
+    Mix(TenantMixSource),
     Bin(Box<BinarySource>),
     Csv(Box<CsvAdapter>),
 }
 
-impl FileFeed {
-    /// Sniff the leading bytes and open the right reader: binary magic
-    /// goes to [`BinarySource`], anything else to the CSV adapter
-    /// (whose own sniffer rejects files that are neither).
-    fn open(
-        path: &str,
-        flavor: Option<CsvFlavor>,
-        tenants: Option<u32>,
-    ) -> Result<FileFeed, CliError> {
+impl Feed {
+    /// Open a trace file, sniffing the leading bytes: binary magic goes
+    /// to [`BinarySource`], anything else to the CSV adapter (whose own
+    /// sniffer rejects files that are neither).
+    fn open(path: &str, flavor: Option<CsvFlavor>, tenants: Option<u32>) -> Result<Feed, CliError> {
         use std::io::Read as _;
         // A pipe can only be read once: the probing open below would
         // consume the magic bytes, so hand non-regular files straight
@@ -400,95 +399,104 @@ impl FileFeed {
             .unwrap_or(false);
         if !regular {
             let src = BinarySource::open(Path::new(path)).map_err(|e| feed_err(path, e))?;
-            return Ok(FileFeed::Bin(Box::new(src)));
+            return Ok(Feed::Bin(Box::new(src)));
         }
-        let mut probe = [0u8; 8];
-        let mut got = 0;
-        {
-            let mut f = File::open(path).map_err(|e| CliError::Io(format!("open {path}: {e}")))?;
-            while got < probe.len() {
-                match f.read(&mut probe[got..]) {
-                    Ok(0) => break,
-                    Ok(n) => got += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(CliError::Io(format!("read {path}: {e}"))),
-                }
-            }
-        }
-        let head = &probe[..got];
+        let mut head = Vec::with_capacity(8);
+        let f = File::open(path).map_err(|e| CliError::Io(format!("open {path}: {e}")))?;
+        f.take(8)
+            .read_to_end(&mut head)
+            .map_err(|e| CliError::Io(format!("read {path}: {e}")))?;
         if head == BINARY_TRACE_MAGIC || head == BINARY2_TRACE_MAGIC {
             let src = BinarySource::open(Path::new(path)).map_err(|e| feed_err(path, e))?;
-            Ok(FileFeed::Bin(Box::new(src)))
+            Ok(Feed::Bin(Box::new(src)))
         } else {
             let csv = CsvAdapter::open(Path::new(path), flavor, tenants)
                 .map_err(|e| feed_err(path, e))?;
-            Ok(FileFeed::Csv(Box::new(csv)))
+            Ok(Feed::Csv(Box::new(csv)))
         }
     }
 
+    /// Requests the feed will serve; asked before the run starts.
     fn total_requests(&self) -> u64 {
         match self {
-            FileFeed::Bin(b) => b.total_requests(),
-            FileFeed::Csv(c) => c.total_requests(),
+            Feed::Mix(m) => m.remaining(),
+            Feed::Bin(b) => b.total_requests(),
+            Feed::Csv(c) => c.total_requests(),
         }
     }
 
-    /// How the feed serves requests, for logs and reports.
+    /// How a trace feed serves requests, for logs and reports.
     fn strategy(&self) -> &'static str {
         match self {
-            FileFeed::Bin(b) => b.strategy(),
-            FileFeed::Csv(c) => match c.flavor() {
+            Feed::Mix(_) => "mixer",
+            Feed::Bin(b) => b.strategy(),
+            Feed::Csv(c) => match c.flavor() {
                 CsvFlavor::Msr => "csv-msr",
                 CsvFlavor::Twitter => "csv-twitter",
             },
         }
     }
 
-    fn error(&self) -> Option<&TraceIoError> {
+    /// Tear down the feed; returns the error a trace parked if it ended
+    /// early.
+    fn finish(self) -> Result<(), TraceIoError> {
         match self {
-            FileFeed::Bin(b) => b.error(),
-            FileFeed::Csv(c) => c.error(),
+            Feed::Mix(_) => Ok(()),
+            Feed::Bin(b) => b.finish(),
+            Feed::Csv(c) => c.finish(),
         }
     }
 }
 
-impl RequestSource for FileFeed {
+impl RequestSource for Feed {
     fn universe(&self) -> &Universe {
         match self {
-            FileFeed::Bin(b) => RequestSource::universe(b.as_ref()),
-            FileFeed::Csv(c) => RequestSource::universe(c.as_ref()),
+            Feed::Mix(m) => m.universe(),
+            Feed::Bin(b) => RequestSource::universe(b.as_ref()),
+            Feed::Csv(c) => RequestSource::universe(c.as_ref()),
         }
     }
 
     fn next_request(&mut self, ctx: &occ_sim::EngineCtx) -> Option<Request> {
         match self {
-            FileFeed::Bin(b) => b.next_request(ctx),
-            FileFeed::Csv(c) => c.next_request(ctx),
+            Feed::Mix(m) => m.next_request(ctx),
+            Feed::Bin(b) => b.next_request(ctx),
+            Feed::Csv(c) => c.next_request(ctx),
         }
     }
 
     fn next_run(&mut self, max: usize) -> Option<&[Request]> {
         match self {
-            FileFeed::Bin(b) => b.next_run(max),
-            FileFeed::Csv(_) => None,
+            Feed::Bin(b) => b.next_run(max),
+            Feed::Mix(_) | Feed::Csv(_) => None,
         }
     }
 
     fn next_page_run(&mut self, max: usize) -> Option<&[PageId]> {
         match self {
-            FileFeed::Bin(b) => b.next_page_run(max),
-            FileFeed::Csv(_) => None,
+            Feed::Bin(b) => b.next_page_run(max),
+            Feed::Mix(_) | Feed::Csv(_) => None,
         }
     }
+}
+
+/// Check every feed once its run is over: a trace that failed mid-stream
+/// parked its error and ended early, and must not pass as a shorter
+/// run — exit 4 for a parse error, 3 for an I/O error.
+fn finish_feeds(feeds: impl IntoIterator<Item = Feed>) -> Result<(), CliError> {
+    for feed in feeds {
+        feed.finish()?;
+    }
+    Ok(())
 }
 
 /// Open a `--trace` feed for a scenario-driven command, enforcing that
 /// the trace's tenant structure matches the scenario's cost profile.
 /// CSV tenants are hashed into the scenario's user count, so only the
 /// binary formats can disagree.
-fn open_trace_feed(args: &Args, path: &str, scenario: &Scenario) -> Result<FileFeed, CliError> {
+fn open_trace_feed(args: &Args, path: &str, scenario: &Scenario) -> Result<Feed, CliError> {
     let flavor = csv_flavor_from_args(args)?;
-    let feed = FileFeed::open(path, flavor, Some(scenario.costs.num_users()))?;
+    let feed = Feed::open(path, flavor, Some(scenario.costs.num_users()))?;
     let users = RequestSource::universe(&feed).num_users();
     if users != scenario.costs.num_users() {
         return Err(CliError::Usage(format!(
@@ -524,7 +532,7 @@ fn trace_transcode(args: &Args, pack: bool) -> Result<(), CliError> {
     let out_path = uarg(args.str_required("out"))?;
     let limit = uarg(args.scaled_or("limit", 0))?;
 
-    let mut feed = match FileFeed::open(&in_path, None, None) {
+    let mut feed = match Feed::open(&in_path, None, None) {
         Ok(f) => f,
         Err(CliError::Parse(_)) => {
             // Not binary and not CSV — maybe the v1 text format. Parse
@@ -558,9 +566,8 @@ fn trace_transcode(args: &Args, pack: bool) -> Result<(), CliError> {
         copy_requests(&mut feed, &universe, keep, &mut served, |req| w.push(req))?;
         w.finish()?.into_inner()
     };
-    if let Some(e) = feed.error() {
-        return Err(feed_err(&in_path, TraceIoError::Parse(e.to_string())));
-    }
+    feed.finish()
+        .map_err(|e| feed_err(&in_path, TraceIoError::Parse(e.to_string())))?;
     if served != keep {
         return Err(CliError::Parse(format!(
             "{in_path}: trace ended after {served} of {keep} requests"
@@ -573,7 +580,7 @@ fn trace_transcode(args: &Args, pack: bool) -> Result<(), CliError> {
 /// `push`, straight from the borrowed run. Chunked by the feed's own
 /// serving granularity; `universe` is the feed's.
 fn copy_requests(
-    feed: &mut FileFeed,
+    feed: &mut Feed,
     universe: &Universe,
     keep: u64,
     served: &mut u64,
@@ -609,8 +616,8 @@ fn copy_requests(
         }
         // CSV feeds serve per-request.
         let Some(req) = (match feed {
-            FileFeed::Csv(c) => c.pull(),
-            FileFeed::Bin(_) => None,
+            Feed::Csv(c) => c.pull(),
+            Feed::Mix(_) | Feed::Bin(_) => None,
         }) else {
             break;
         };
@@ -967,20 +974,20 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
             // Every shard replays the same trace file through its own
             // feed; occbin01 shards each map the file (the kernel
             // shares the cached pages) and serve zero-copy runs.
-            let sources = (0..shards)
+            let mut feeds = (0..shards)
                 .map(|_| open_trace_feed(args, &trace_path, &scenario))
                 .collect::<Result<Vec<_>, _>>()?;
-            if let Some(f) = sources.first() {
-                eprintln!(
-                    "fleet: replaying {trace_path} ({} requests) on every shard \
-                     via the {} path",
-                    f.total_requests(),
-                    f.strategy()
-                );
-            }
-            run_fleet(sources, &cfg, |_| {
+            eprintln!(
+                "fleet: replaying {trace_path} ({} requests) on every shard \
+                 via the {} path",
+                feeds[0].total_requests(),
+                feeds[0].strategy()
+            );
+            let report = run_fleet(feeds.iter_mut().collect(), &cfg, |_| {
                 make_online_policy(&policy_name, costs).expect("validated above")
-            })
+            });
+            finish_feeds(feeds)?;
+            report
         }
     };
 
@@ -1214,15 +1221,7 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
              instances must have pure callbacks (available: lru, fifo, greedy-dual)"
         )));
     }
-    let verify = match args.str_or("verify", "on").as_str() {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --verify mode '{other}' (on, off)"
-            )))
-        }
-    };
+    let verify = uarg(args.on_off("verify", true))?;
 
     let chaos = chaos_plan(args)?;
     let chaos_active = !chaos.is_clean();
@@ -1244,24 +1243,8 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
                 .into(),
         ));
     }
-    let universe = scenario.stream(1, 0).universe().clone();
-    let result = if !trace_path.is_empty() {
-        // Every worker thread replays the same trace file through its
-        // own feed (occbin01 threads share the kernel's cached pages).
-        let mut sources = (0..threads)
-            .map(|_| open_trace_feed(args, &trace_path, &scenario))
-            .collect::<Result<Vec<_>, _>>()?;
-        let universe = RequestSource::universe(&sources[0]).clone();
-        eprintln!(
-            "concurrent: replaying {trace_path} ({} requests) on every thread \
-             via the {} path",
-            sources[0].total_requests(),
-            sources[0].strategy()
-        );
-        run_shared_fleet(universe, &cfg, &mut sources, |_| {
-            make_shared_policy(&policy_name, costs).expect("validated above")
-        })
-    } else if chaos_active {
+    let result = if chaos_active {
+        let universe = scenario.stream(1, 0).universe().clone();
         let mut sources: Vec<_> = (0..threads)
             .map(|t| {
                 let plan = FaultPlan {
@@ -1275,12 +1258,31 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
             make_shared_policy(&policy_name, costs).expect("validated above")
         })
     } else {
-        let mut sources: Vec<_> = (0..threads)
-            .map(|t| scenario.stream(len, thread_seed(t)))
-            .collect();
-        run_shared_fleet(universe, &cfg, &mut sources, |_| {
+        let mut feeds = if trace_path.is_empty() {
+            (0..threads)
+                .map(|t| Feed::Mix(scenario.stream(len, thread_seed(t))))
+                .collect()
+        } else {
+            // Every worker thread replays the same trace file through
+            // its own feed (occbin01 threads share the kernel's cached
+            // pages).
+            let feeds = (0..threads)
+                .map(|_| open_trace_feed(args, &trace_path, &scenario))
+                .collect::<Result<Vec<_>, _>>()?;
+            eprintln!(
+                "concurrent: replaying {trace_path} ({} requests) on every thread \
+                 via the {} path",
+                feeds[0].total_requests(),
+                feeds[0].strategy()
+            );
+            feeds
+        };
+        let universe = RequestSource::universe(&feeds[0]).clone();
+        let result = run_shared_fleet(universe, &cfg, &mut feeds, |_| {
             make_shared_policy(&policy_name, costs).expect("validated above")
-        })
+        });
+        finish_feeds(feeds)?;
+        result
     };
     let report = result.map_err(|e| match e {
         SharedError::Sim(e) => CliError::from(e),
@@ -1855,7 +1857,7 @@ fn emit_report(report: &ObserveReport, out_path: &str) -> Result<(), CliError> {
     if out_path.is_empty() {
         emit(&text);
     } else {
-        std::fs::write(out_path, text + "\n")
+        write_atomic(Path::new(out_path), (text + "\n").as_bytes())
             .map_err(|e| CliError::Io(format!("write {out_path}: {e}")))?;
         eprintln!("wrote report to {out_path}");
     }
@@ -1922,45 +1924,6 @@ fn observe_from(args: &Args, snap: Option<&EngineSnapshot>) -> Result<(), CliErr
     }
     let report = build_report(name, k, &stats, &scenario.costs, &rec, dual.as_ref())?;
     emit_report(&report, &args.str_or("out", ""))
-}
-
-/// Streaming request feed for `occ soak`: a synthetic scenario mix or a
-/// trace file (binary occbin01/occbin02 — mmap-served where possible —
-/// or a real-trace CSV). All hold O(1) heap regardless of run length —
-/// soak never materializes a trace.
-enum SoakSource {
-    Mix(TenantMixSource),
-    File(FileFeed),
-}
-
-impl RequestSource for SoakSource {
-    fn universe(&self) -> &Universe {
-        match self {
-            SoakSource::Mix(m) => m.universe(),
-            SoakSource::File(f) => RequestSource::universe(f),
-        }
-    }
-
-    fn next_request(&mut self, ctx: &occ_sim::EngineCtx) -> Option<Request> {
-        match self {
-            SoakSource::Mix(m) => m.next_request(ctx),
-            SoakSource::File(f) => f.next_request(ctx),
-        }
-    }
-
-    fn next_run(&mut self, max: usize) -> Option<&[Request]> {
-        match self {
-            SoakSource::Mix(_) => None,
-            SoakSource::File(f) => f.next_run(max),
-        }
-    }
-
-    fn next_page_run(&mut self, max: usize) -> Option<&[PageId]> {
-        match self {
-            SoakSource::Mix(_) => None,
-            SoakSource::File(f) => f.next_page_run(max),
-        }
-    }
 }
 
 /// Everything `run_soak` needs beyond the engine inputs.
@@ -2070,7 +2033,7 @@ fn run_soak<P, const TIMED: bool>(
     k: usize,
     snap: Option<&EngineSnapshot>,
     policy: P,
-    source: &mut SoakSource,
+    mut source: Feed,
     opts: &SoakOpts,
 ) -> Result<(), CliError>
 where
@@ -2086,7 +2049,7 @@ where
     );
     let base = eng.stats().clone();
 
-    skip_served(&eng, source)?;
+    skip_served(&eng, &mut source)?;
 
     // The series streams to `<path>.tmp` through a CRC accumulator and
     // only moves to its final name — trailer appended, fsynced, renamed
@@ -2171,7 +2134,7 @@ where
     let ckpt = (opts.checkpoint_path, opts.checkpoint_every);
     let served = drive(
         &mut eng,
-        source,
+        &mut source,
         opts.window,
         ckpt,
         None,
@@ -2180,16 +2143,7 @@ where
     )?;
     let end_t = eng.time();
 
-    // A trace that failed mid-stream parked its error and ended the
-    // stream early; surface it instead of reporting a short run.
-    if let SoakSource::File(f) = source {
-        if let Some(e) = f.error() {
-            return Err(match e {
-                TraceIoError::Io(io) => CliError::Io(format!("reading trace: {io}")),
-                TraceIoError::Parse(m) => CliError::Parse(format!("trace parse error: {m}")),
-            });
-        }
-    }
+    finish_feeds([source])?;
     // Sticky sink errors surface here (exit 3) rather than silently
     // dropping the tail of the series.
     let series_lines = match sink {
@@ -2294,25 +2248,8 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
         return Err(CliError::Usage(format!("unknown policy '{policy_name}'")));
     }
     let series_path = args.str_or("series", "");
-    let timed = match args.str_or("timing", "off").as_str() {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --timing mode '{other}' (on, off; timed windows carry wall-clock \
-                 latency histograms and are not byte-reproducible)"
-            )))
-        }
-    };
-    let heartbeat = match args.str_or("heartbeat", "on").as_str() {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --heartbeat mode '{other}' (on, off)"
-            )))
-        }
-    };
+    let timed = uarg(args.on_off("timing", false))?;
+    let heartbeat = uarg(args.on_off("heartbeat", true))?;
     let checkpoint_path = args.str_or("checkpoint", "");
     let mut checkpoint_every = uarg(args.scaled_or("checkpoint-every", 0))?;
     if !checkpoint_path.is_empty() && checkpoint_every == 0 {
@@ -2335,20 +2272,17 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
     // (occbin01/occbin02/CSV — `open_trace_feed` sniffs and checks the
     // tenant structure against the scenario).
     let trace_path = args.str_or("trace", "");
-    let mut source = if trace_path.is_empty() {
-        SoakSource::Mix(scenario.stream(len, seed))
+    let source = if trace_path.is_empty() {
+        Feed::Mix(scenario.stream(len, seed))
     } else {
         let feed = open_trace_feed(args, &trace_path, &scenario)?;
         eprintln!(
             "soak: streaming {trace_path} via the {} path",
             feed.strategy()
         );
-        SoakSource::File(feed)
+        feed
     };
-    let target = match &source {
-        SoakSource::Mix(_) => len,
-        SoakSource::File(f) => f.total_requests(),
-    };
+    let target = source.total_requests();
 
     // Resume from a checkpoint written by an earlier soak.
     let from = args.str_or("from", "");
@@ -2385,16 +2319,16 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
     if policy_name == "convex" {
         let alg = ConvexCaching::new(scenario.costs.clone());
         if timed {
-            run_soak::<_, true>(k, snap.as_ref(), alg, &mut source, &opts)
+            run_soak::<_, true>(k, snap.as_ref(), alg, source, &opts)
         } else {
-            run_soak::<_, false>(k, snap.as_ref(), alg, &mut source, &opts)
+            run_soak::<_, false>(k, snap.as_ref(), alg, source, &opts)
         }
     } else {
         let policy = make_online_policy(&policy_name, &scenario.costs).expect("validated above");
         if timed {
-            run_soak::<_, true>(k, snap.as_ref(), policy, &mut source, &opts)
+            run_soak::<_, true>(k, snap.as_ref(), policy, source, &opts)
         } else {
-            run_soak::<_, false>(k, snap.as_ref(), policy, &mut source, &opts)
+            run_soak::<_, false>(k, snap.as_ref(), policy, source, &opts)
         }
     }
 }
@@ -2515,15 +2449,7 @@ pub fn conformance(args: &Args) -> Result<(), CliError> {
             "--weaken must be a positive finite factor".into(),
         ));
     }
-    let shrink = match args.str_or("shrink", "on").as_str() {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --shrink mode '{other}' (on, off)"
-            )))
-        }
-    };
+    let shrink = uarg(args.on_off("shrink", true))?;
     let cfg = occ_conformance::RunConfig {
         seed,
         weaken,
@@ -2547,7 +2473,7 @@ pub fn conformance(args: &Args) -> Result<(), CliError> {
     let json = outcome.verdicts.to_json();
     let out_path = args.str_or("out", "");
     if !out_path.is_empty() {
-        std::fs::write(&out_path, format!("{json}\n"))
+        write_atomic(Path::new(&out_path), format!("{json}\n").as_bytes())
             .map_err(|e| CliError::Io(format!("write {out_path}: {e}")))?;
         eprintln!("verdicts written to {out_path}");
     }

@@ -41,6 +41,34 @@ fn generate_binary(path: &Path) {
     );
 }
 
+/// Replay `trace` through every command that takes `--trace`: `run`,
+/// which loads it whole, and `fleet` and `concurrent`, which stream it
+/// on two shards or threads. Returns each command's name and output.
+fn replay_everywhere(trace: &Path) -> Vec<(&'static str, Output)> {
+    let trace = trace.to_str().unwrap();
+    let common = [
+        "--scenario",
+        "two-tier",
+        "--policy",
+        "lru",
+        "--k",
+        "24",
+        "--trace",
+        trace,
+    ];
+    [
+        ("run", vec!["run"]),
+        ("fleet", vec!["fleet", "--shards", "2"]),
+        ("concurrent", vec!["concurrent", "--threads", "2"]),
+    ]
+    .into_iter()
+    .map(|(name, mut argv)| {
+        argv.extend(common);
+        (name, occ(&argv))
+    })
+    .collect()
+}
+
 #[test]
 fn binary_and_text_traces_replay_identically() {
     let bin_path = tmp("trace.bin");
@@ -95,32 +123,24 @@ fn truncated_binary_trace_exits_with_parse_code() {
     let path = tmp("trace-truncated.bin");
     generate_binary(&path);
     let full = std::fs::read(&path).unwrap();
-    // Cut mid-header and mid-request-stream; both are parse failures.
-    for cut in [10, full.len() - 3] {
+    // Cut mid-header, mid-request-stream and mid-footer; all are parse
+    // failures, whether the command loads the trace or streams it.
+    for cut in [10, full.len() / 2, full.len() - 3] {
         let cut_path = tmp("cut.bin");
         std::fs::write(&cut_path, &full[..cut]).unwrap();
-        let out = occ(&[
-            "run",
-            "--scenario",
-            "two-tier",
-            "--policy",
-            "lru",
-            "--k",
-            "24",
-            "--trace",
-            cut_path.to_str().unwrap(),
-        ]);
-        assert_eq!(
-            out.status.code(),
-            Some(4),
-            "truncation at {cut} must exit 4; stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("truncated") || stderr.contains("unexpected EOF"),
-            "error names the truncation: {stderr}"
-        );
+        for (cmd, out) in replay_everywhere(&cut_path) {
+            assert_eq!(
+                out.status.code(),
+                Some(4),
+                "{cmd}: truncation at {cut} must exit 4; stderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("truncated") || stderr.contains("unexpected EOF"),
+                "{cmd}: error names the truncation: {stderr}"
+            );
+        }
     }
 }
 
@@ -128,30 +148,28 @@ fn truncated_binary_trace_exits_with_parse_code() {
 fn corrupt_binary_trace_exits_with_parse_code() {
     let path = tmp("trace-corrupt.bin");
     generate_binary(&path);
-    let mut bytes = std::fs::read(&path).unwrap();
+    let full = std::fs::read(&path).unwrap();
     // Blow up the first owner-table entry (offset 16: after the magic
     // and the two u32 counts) so it falls outside the user range.
-    bytes[16] = 0xFF;
-    bytes[17] = 0xFF;
-    let bad = tmp("bad.bin");
-    std::fs::write(&bad, &bytes).unwrap();
-    let out = occ(&[
-        "run",
-        "--scenario",
-        "two-tier",
-        "--policy",
-        "lru",
-        "--k",
-        "24",
-        "--trace",
-        bad.to_str().unwrap(),
-    ]);
-    assert_eq!(
-        out.status.code(),
-        Some(4),
-        "corrupt header must exit 4; stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let mut owner = full.clone();
+    owner[16] = 0xFF;
+    owner[17] = 0xFF;
+    // Flip the low bit of a request id mid-stream: the page stays in
+    // range, so only the footer checksum can tell.
+    let mut payload = full.clone();
+    payload[full.len() - 12 - 4 * 1000] ^= 0x01;
+    for (label, bytes) in [("owner table", owner), ("payload", payload)] {
+        let bad = tmp("bad.bin");
+        std::fs::write(&bad, &bytes).unwrap();
+        for (cmd, out) in replay_everywhere(&bad) {
+            assert_eq!(
+                out.status.code(),
+                Some(4),
+                "{cmd}: corrupt {label} must exit 4; stderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+    }
 }
 
 fn generate_packed(path: &Path) {
@@ -224,23 +242,14 @@ fn truncated_packed_trace_exits_with_parse_code() {
     for cut in [10, full.len() - 3, full.len() - 20] {
         let cut_path = tmp("packed-cut.bin");
         std::fs::write(&cut_path, &full[..cut]).unwrap();
-        let out = occ(&[
-            "run",
-            "--scenario",
-            "two-tier",
-            "--policy",
-            "lru",
-            "--k",
-            "24",
-            "--trace",
-            cut_path.to_str().unwrap(),
-        ]);
-        assert_eq!(
-            out.status.code(),
-            Some(4),
-            "packed truncation at {cut} must exit 4; stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+        for (cmd, out) in replay_everywhere(&cut_path) {
+            assert_eq!(
+                out.status.code(),
+                Some(4),
+                "{cmd}: packed truncation at {cut} must exit 4; stderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
     }
 }
 
@@ -262,23 +271,14 @@ fn corrupt_packed_trace_exits_with_parse_code() {
     for (label, bytes) in [("footer", footer_flip), ("payload", payload_flip)] {
         let bad = tmp("packed-bad.bin");
         std::fs::write(&bad, &bytes).unwrap();
-        let out = occ(&[
-            "run",
-            "--scenario",
-            "two-tier",
-            "--policy",
-            "lru",
-            "--k",
-            "24",
-            "--trace",
-            bad.to_str().unwrap(),
-        ]);
-        assert_eq!(
-            out.status.code(),
-            Some(4),
-            "flipped {label} byte must exit 4; stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+        for (cmd, out) in replay_everywhere(&bad) {
+            assert_eq!(
+                out.status.code(),
+                Some(4),
+                "{cmd}: flipped {label} byte must exit 4; stderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
     }
 }
 

@@ -25,25 +25,12 @@ use crate::timeseries::DualPoint;
 use occ_core::ConvexCaching;
 use occ_sim::ids::Time;
 
-/// One snapshot of the algorithm's primal/dual state.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DualSample {
-    /// Simulation time of the snapshot (requests served so far).
-    pub t: Time,
-    /// Cumulative global dual offset `Y` (monotone across
-    /// renormalizations).
-    pub dual_offset: f64,
-    /// Total evictions charged so far (`Σ_i m_i`).
-    pub total_evictions: u64,
-    /// Primal objective so far (`Σ_i f_i(m_i)`).
-    pub primal_cost: f64,
-}
-
 /// Samples [`ConvexCaching`] state every `every` requests.
 #[derive(Clone, Debug)]
 pub struct DualTrace {
     every: u64,
-    samples: Vec<DualSample>,
+    /// `(t, point)`: the state after `t` requests served.
+    samples: Vec<(Time, DualPoint)>,
     final_m: Vec<u64>,
 }
 
@@ -62,34 +49,24 @@ impl DualTrace {
         self.every
     }
 
-    fn snapshot(t: Time, alg: &ConvexCaching) -> DualSample {
-        let p = DualPoint::of(alg);
-        DualSample {
-            t,
-            dual_offset: p.dual_offset,
-            total_evictions: p.total_evictions,
-            primal_cost: p.primal_cost,
-        }
-    }
-
     /// Record a sample if `t` falls on the cadence (call once per step).
     pub fn maybe_sample(&mut self, t: Time, alg: &ConvexCaching) {
         if t.is_multiple_of(self.every) {
-            self.samples.push(Self::snapshot(t, alg));
+            self.samples.push((t, DualPoint::of(alg)));
         }
     }
 
     /// Record the end-of-run sample unconditionally and capture the
     /// final per-user eviction counts `m(i, T)`.
     pub fn finalize(&mut self, t: Time, alg: &ConvexCaching) {
-        if self.samples.last().map(|s| s.t) != Some(t) {
-            self.samples.push(Self::snapshot(t, alg));
+        if self.samples.last().map(|&(last, _)| last) != Some(t) {
+            self.samples.push((t, DualPoint::of(alg)));
         }
         self.final_m = alg.eviction_counts();
     }
 
     /// The recorded trajectory, in time order.
-    pub fn samples(&self) -> &[DualSample] {
+    pub fn samples(&self) -> &[(Time, DualPoint)] {
         &self.samples
     }
 
@@ -102,7 +79,7 @@ impl DualTrace {
     /// The last sample's exact primal cost `Σ_i f_i(m_i)`, if any
     /// sample was taken.
     pub fn final_primal_cost(&self) -> Option<f64> {
-        self.samples.last().map(|s| s.primal_cost)
+        self.samples.last().map(|(_, p)| p.primal_cost)
     }
 
     /// The trajectory as a JSON object:
@@ -111,12 +88,12 @@ impl DualTrace {
         let samples = self
             .samples
             .iter()
-            .map(|s| {
+            .map(|(t, p)| {
                 Json::Obj(vec![
-                    ("t".into(), Json::from_u64(s.t)),
-                    ("dual_offset".into(), Json::Num(s.dual_offset)),
-                    ("total_evictions".into(), Json::from_u64(s.total_evictions)),
-                    ("primal_cost".into(), Json::Num(s.primal_cost)),
+                    ("t".into(), Json::from_u64(*t)),
+                    ("dual_offset".into(), Json::Num(p.dual_offset)),
+                    ("total_evictions".into(), Json::from_u64(p.total_evictions)),
+                    ("primal_cost".into(), Json::Num(p.primal_cost)),
                 ])
             })
             .collect();
@@ -155,9 +132,10 @@ mod tests {
         let samples = dt.samples();
         assert!(samples.len() > 2);
         for w in samples.windows(2) {
-            assert!(w[1].dual_offset >= w[0].dual_offset, "dual offset fell");
-            assert!(w[1].primal_cost >= w[0].primal_cost, "primal cost fell");
-            assert!(w[1].total_evictions >= w[0].total_evictions);
+            let ((_, a), (_, b)) = (&w[0], &w[1]);
+            assert!(b.dual_offset >= a.dual_offset, "dual offset fell");
+            assert!(b.primal_cost >= a.primal_cost, "primal cost fell");
+            assert!(b.total_evictions >= a.total_evictions);
         }
         // Exactness: the algorithm's m vector is the engine's per-user
         // eviction counters, so Σ f_i(m_i) matches the stats-derived

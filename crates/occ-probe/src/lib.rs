@@ -10,7 +10,7 @@
 //! * [`MetricsRecorder`] — counters + latency histogram for a run;
 //! * [`JsonlSink`] — streams one JSON line per engine event, bounded
 //!   memory for arbitrarily long traces;
-//! * [`DualTrace`] / [`DualSample`] — the paper algorithm's dual offset
+//! * [`DualTrace`] — the paper algorithm's dual offset
 //!   `Y`, eviction counts `m(i,t)`, and primal objective `Σ f_i(m_i)`
 //!   over time;
 //! * [`timeseries`] — tumbling-window deltas ([`WindowedRecorder`],
@@ -48,7 +48,7 @@ pub use atomicio::{
     CrcWriter, CRC_TRAILER_PREFIX,
 };
 pub use checkpoint::{snapshot_from_json, snapshot_to_json};
-pub use dual::{DualSample, DualTrace};
+pub use dual::DualTrace;
 pub use histogram::LogHistogram;
 pub use json::{check_schema_stamp, Json};
 pub use recorder::MetricsRecorder;

@@ -18,14 +18,17 @@
 //! ```
 //!
 //! Requests carry only the page id — the owner is implied by the owner
-//! table, exactly as in the text format. Readers and writers move data in
-//! bounded chunks, so a billion-request trace streams from disk without
-//! full residency: [`BinaryTraceReader`] is a
-//! [`RequestSource`](crate::source::RequestSource) whose memory footprint
-//! is the owner table plus one chunk, independent of the request count.
+//! table, exactly as in the text format. [`BinaryTraceReader`] is the
+//! one occbin01 reader, a [`RequestSource`](crate::source::RequestSource)
+//! with two byte modes: it serves runs of ids straight from a read-only
+//! mapping of the file where the host allows it, and otherwise reads
+//! them from any stream a chunk at a time into one reused buffer. Either
+//! way its memory footprint is the owner table plus one chunk,
+//! independent of the request count, so a billion-request trace streams
+//! from disk without full residency.
 //!
-//! The footer is a torn-write guard: both writers append it, and both
-//! readers verify it when present (a payload whose CRC-32 disagrees with
+//! The footer is a torn-write guard: both writers append it, and the
+//! reader verifies it when present (a payload whose CRC-32 disagrees with
 //! the footer is a parse error, exit 4 at the CLI). Traces written before
 //! the footer existed have nothing after the last request and stay
 //! accepted. The checksum covers the request-id bytes only — the header's
@@ -118,30 +121,11 @@ fn read_universe<R: Read>(r: &mut R) -> Result<Universe, TraceIoError> {
     Ok(Universe::new(num_users, owners))
 }
 
-/// After the last request, look for the optional checksum footer and
-/// verify it against the CRC-32 of the request-id bytes just consumed.
-/// Zero bytes after the payload is a legacy (pre-footer) trace and is
+/// Verify an occbin01 footer given the (up to 12) bytes that follow the
+/// request payload. Zero bytes is a legacy (pre-footer) trace and is
 /// accepted; a footer magic followed by too few bytes is truncation; a
 /// checksum disagreement is corruption. Trailing bytes that are not the
 /// footer magic are ignored, as they were before the footer existed.
-fn check_footer<R: Read>(r: &mut R, payload_crc: u32) -> Result<(), TraceIoError> {
-    let mut foot = [0u8; 12];
-    let mut got = 0usize;
-    while got < foot.len() {
-        match r.read(&mut foot[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(TraceIoError::Io(e)),
-        }
-    }
-    verify_footer_probe(&foot[..got], payload_crc)
-}
-
-/// Verify an occbin01 footer given the (up to 12) bytes that follow the
-/// request payload. Shared by the buffered reader (which pulls the probe
-/// from its stream) and the mmap source (which slices it off the
-/// mapping), so both paths accept and reject exactly the same files.
 fn verify_footer_probe(foot: &[u8], payload_crc: u32) -> Result<(), TraceIoError> {
     if foot.len() >= 8 && foot[..8] == BINARY_TRACE_FOOTER_MAGIC {
         if foot.len() < 12 {
@@ -191,30 +175,15 @@ pub fn write_trace_binary<W: Write>(trace: &Trace, mut w: W) -> Result<(), Trace
 
 /// Read a whole binary trace into memory. For traces that do not fit,
 /// use [`BinaryTraceReader`] and stream instead.
-pub fn read_trace_binary<R: Read>(mut r: R) -> Result<Trace, TraceIoError> {
-    let universe = read_universe(&mut r)?;
-    let num_pages = universe.num_pages();
-    let count = read_u64(&mut r, "the request count")?;
-    let mut builder = TraceBuilder::new(universe);
-    let mut buf = vec![0u8; 4 * CHUNK_IDS];
-    let mut remaining = count;
-    let mut crc = Crc32::new();
-    while remaining > 0 {
-        let take = (remaining as usize).min(CHUNK_IDS);
-        let bytes = &mut buf[..4 * take];
-        r.read_exact(bytes)
-            .map_err(|e| classify(e, "the request stream"))?;
-        crc.update(bytes);
-        for ids in bytes.chunks_exact(4) {
-            let page = u32::from_le_bytes(ids.try_into().expect("4-byte chunk"));
-            if page >= num_pages {
-                return Err(parse_err(format!("page {page} out of range")));
-            }
-            builder.push(PageId(page));
+pub fn read_trace_binary<R: Read>(r: R) -> Result<Trace, TraceIoError> {
+    let mut src = BinaryTraceReader::new(r)?;
+    let mut builder = TraceBuilder::new(src.universe.clone());
+    while let Some(run) = src.next_page_run(CHUNK_IDS) {
+        for &page in run {
+            builder.push(page);
         }
-        remaining -= take as u64;
     }
-    check_footer(&mut r, crc.value())?;
+    src.finish()?;
     Ok(builder.build())
 }
 
@@ -326,49 +295,123 @@ impl<W: Write + Seek> BinaryTraceWriter<W> {
     }
 }
 
-/// Chunked binary-trace reader that serves as a
-/// [`RequestSource`]: requests stream from the underlying reader
-/// `CHUNK_IDS` at a time, so memory stays bounded regardless of how many
-/// requests the file holds.
+/// The occbin01 reader: a [`RequestSource`] over one fixed-width trace,
+/// with the bytes arriving one of two ways.
+///
+/// * **Mapped** ([`map`](BinaryTraceReader::map)): the file is mapped
+///   read-only and runs of ids are handed out as slices of the mapping.
+///   The ids are little-endian on disk and [`PageId`] is
+///   `repr(transparent)` over `u32`, so on a little-endian host a mapped
+///   run *is* a `&[PageId]`: no read syscalls, no kernel→user copy, no
+///   decode.
+/// * **Read** ([`new`](BinaryTraceReader::new)): any [`Read`] is read
+///   64 Ki ids at a time into one reused buffer and decoded with
+///   `u32::from_le_bytes`, which works on every host and every stream
+///   (pipes, `/dev/stdin`).
+///
+/// Both serve [`next_page_run`] through one core: each chunk of ids is
+/// range-validated against the universe (a max-scan, so the hot loop
+/// stays branch-light and vectorizable) and folded into the running CRC
+/// before any of it is handed out, and the footer is verified when the
+/// stream drains — the two modes accept and reject exactly the same
+/// files. The batched engine derives each request's owner from the
+/// universe.
 ///
 /// [`RequestSource::next_request`] has no error channel, so a mid-stream
-/// failure (truncation, disk error, out-of-range page) ends the stream
-/// early and parks the error in [`error`](Self::error) — run loops should
-/// check it (or call [`finish`](Self::finish)) after the source runs dry.
-pub struct BinaryTraceReader<R: Read> {
-    reader: R,
+/// failure (truncation, disk error, out-of-range page, checksum
+/// mismatch) ends the stream early and parks the error in
+/// [`error`](Self::error) — run loops should check it (or call
+/// [`finish`](Self::finish)) after the source runs dry.
+///
+/// [`next_page_run`]: crate::source::RequestSource::next_page_run
+pub struct BinaryTraceReader<R = BufReader<File>> {
+    bytes: Bytes<R>,
     universe: Universe,
     total: u64,
     served: u64,
-    chunk: Vec<Request>,
-    /// Next index to serve from `chunk`.
+    /// Ids `pos..end` of the loaded chunk are validated and checksummed
+    /// but not yet served: indices into the payload when mapped, into
+    /// the decoded chunk when read.
     pos: usize,
-    /// Encoded page ids of the chunk being decoded, reused across
-    /// refills.
-    bytes: Vec<u8>,
+    end: usize,
     error: Option<TraceIoError>,
     crc: Crc32,
     footer_checked: bool,
 }
 
-impl<R: Read> BinaryTraceReader<R> {
-    /// Read the header (universe + request count) and return a source
-    /// positioned at the first request.
-    pub fn new(mut reader: R) -> Result<Self, TraceIoError> {
-        let universe = read_universe(&mut reader)?;
-        let total = read_u64(&mut reader, "the request count")?;
-        Ok(BinaryTraceReader {
-            reader,
+/// Where a [`BinaryTraceReader`]'s ids come from.
+enum Bytes<R> {
+    /// The whole file, mapped; the payload starts at byte
+    /// `payload_start`, which is 4-aligned in memory.
+    Mapped {
+        map: mmap::Mmap,
+        payload_start: usize,
+    },
+    /// A stream read one chunk at a time: `raw` holds the chunk's bytes
+    /// and `ids` the same ids decoded.
+    Read {
+        reader: R,
+        raw: Vec<u8>,
+        ids: Vec<PageId>,
+    },
+}
+
+impl<R> Bytes<R> {
+    /// The ids loaded so far, `end` of them: the mapped payload's first
+    /// `end` ids, or the decoded chunk.
+    fn ids(&self, end: usize) -> &[PageId] {
+        match self {
+            Bytes::Mapped { map, payload_start } => {
+                let bytes = &map[*payload_start..*payload_start + 4 * end];
+                // SAFETY: `bytes` is an in-bounds region of `end` whole
+                // ids (the slice above is bounds-checked), 4-aligned
+                // (`map` asserts the payload start is), and immutable
+                // for the mapping's lifetime, which the returned borrow
+                // cannot outlive. `PageId` is `repr(transparent)` over
+                // `u32`, and mappings are only made on little-endian
+                // hosts, so each 4-byte id reads as its own value.
+                unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<PageId>(), end) }
+            }
+            Bytes::Read { ids, .. } => ids,
+        }
+    }
+}
+
+/// Check a run of ids against a `num_pages` universe with a branch-light
+/// max-scan; only on failure (never in a healthy replay) rescan for the
+/// first offender to name it.
+fn check_range(ids: &[PageId], num_pages: u32) -> Result<(), TraceIoError> {
+    if ids.iter().fold(0, |worst, p| worst.max(p.0)) < num_pages {
+        return Ok(());
+    }
+    let bad = ids
+        .iter()
+        .find(|p| p.0 >= num_pages)
+        .expect("max-scan saw an out-of-range id");
+    Err(parse_err(format!("page {} out of range", bad.0)))
+}
+
+impl<R> BinaryTraceReader<R> {
+    fn with_bytes(bytes: Bytes<R>, universe: Universe, total: u64) -> Self {
+        BinaryTraceReader {
+            bytes,
             universe,
             total,
             served: 0,
-            chunk: Vec::new(),
             pos: 0,
-            bytes: Vec::new(),
+            end: 0,
             error: None,
             crc: Crc32::new(),
             footer_checked: false,
-        })
+        }
+    }
+
+    /// How the bytes arrive: "mmap" or "buffered".
+    pub fn strategy(&self) -> &'static str {
+        match self.bytes {
+            Bytes::Mapped { .. } => "mmap",
+            Bytes::Read { .. } => "buffered",
+        }
     }
 
     /// Total requests promised by the header.
@@ -389,40 +432,162 @@ impl<R: Read> BinaryTraceReader<R> {
             None => Ok(()),
         }
     }
+}
 
-    fn refill(&mut self) -> Result<bool, TraceIoError> {
-        // `served` counts requests handed out; buffered-but-unserved
-        // requests must be included when computing what is left on disk.
-        let buffered = (self.chunk.len() - self.pos) as u64;
-        let remaining = self.total - self.served - buffered;
+impl BinaryTraceReader {
+    /// Map `file` read-only and parse its header, for zero-copy serving.
+    /// Emits the `madvise(MADV_SEQUENTIAL)` readahead hint immediately:
+    /// trace replay is a single front-to-back pass.
+    ///
+    /// Fails with `ErrorKind::Unsupported` on non-unix and big-endian
+    /// hosts and for non-regular files (pipes, sockets, `/dev/stdin`);
+    /// [`BinarySource::open`] reads those with [`new`](Self::new).
+    pub fn map(file: &File) -> Result<Self, TraceIoError> {
+        let unsupported =
+            |why: &str| TraceIoError::Io(std::io::Error::new(std::io::ErrorKind::Unsupported, why));
+        if cfg!(not(all(unix, target_endian = "little"))) {
+            // Serving ids in place needs the host to read the on-disk
+            // little-endian ids as they are (and mmap needs unix).
+            return Err(unsupported(
+                "zero-copy traces need a little-endian unix host; use the buffered reader",
+            ));
+        }
+        if !file.metadata()?.is_file() {
+            return Err(unsupported("not a regular file; use the buffered reader"));
+        }
+        let map = mmap::Mmap::map_readonly(file)?;
+        map.advise_sequential();
+        // `&[u8]` is a `Read` that consumes from the front, so the
+        // header parser (and its error vocabulary) is the read mode's.
+        let mut cursor: &[u8] = &map;
+        let universe = read_universe(&mut cursor)?;
+        let total = read_u64(&mut cursor, "the request count")?;
+        let payload_start = map.len() - cursor.len();
+        // The header is 8 + 4 + 4 + 4·pages + 8 bytes and mappings are
+        // page-aligned, so this holds for every file that parses.
+        assert_eq!(
+            (map.as_ptr() as usize + payload_start) % std::mem::align_of::<PageId>(),
+            0,
+            "mapped occbin01 payload is not 4-aligned"
+        );
+        let bytes = Bytes::Mapped { map, payload_start };
+        Ok(Self::with_bytes(bytes, universe, total))
+    }
+}
+
+impl<R: Read> BinaryTraceReader<R> {
+    /// Read the header (universe + request count) from `reader` and
+    /// return a source positioned at the first request.
+    pub fn new(mut reader: R) -> Result<Self, TraceIoError> {
+        let universe = read_universe(&mut reader)?;
+        let total = read_u64(&mut reader, "the request count")?;
+        let bytes = Bytes::Read {
+            reader,
+            raw: Vec::new(),
+            ids: Vec::new(),
+        };
+        Ok(Self::with_bytes(bytes, universe, total))
+    }
+
+    /// The serve core: hand out up to `max` validated ids, loading the
+    /// next chunk first when the current one is used up. Errors park
+    /// and end the stream.
+    fn serve_run(&mut self, max: usize) -> Option<&[PageId]> {
+        if max == 0 || self.error.is_some() {
+            return None;
+        }
+        if self.pos == self.end {
+            if let Err(e) = self.load(max) {
+                self.error = Some(e);
+                return None;
+            }
+            if self.pos == self.end {
+                return None;
+            }
+        }
+        let start = self.pos;
+        let take = (self.end - start).min(max);
+        self.pos += take;
+        self.served += take as u64;
+        Some(&self.bytes.ids(self.end)[start..start + take])
+    }
+
+    /// Load the next chunk — up to `max` ids from the mapping, up to
+    /// [`CHUNK_IDS`] from a stream — fold its bytes into the CRC and
+    /// validate it. With the payload drained, verify the footer instead
+    /// (once) and load nothing.
+    fn load(&mut self, max: usize) -> Result<(), TraceIoError> {
+        let remaining = self.total - self.served;
         if remaining == 0 {
             if !self.footer_checked {
                 self.footer_checked = true;
-                check_footer(&mut self.reader, self.crc.value())?;
+                self.check_footer()?;
             }
-            return Ok(false);
+            return Ok(());
         }
-        let take = (remaining as usize).min(CHUNK_IDS);
-        // Grows (and zero-fills) on the first refill only; later
-        // refills overwrite it in place.
-        self.bytes.resize(4 * take, 0);
-        self.reader
-            .read_exact(&mut self.bytes)
-            .map_err(|e| classify(e, "the request stream"))?;
-        self.crc.update(&self.bytes);
-        self.chunk.clear();
-        for ids in self.bytes.chunks_exact(4) {
-            let page = u32::from_le_bytes(ids.try_into().expect("4-byte chunk"));
-            match self.universe.try_owner(PageId(page)) {
-                Some(user) => self.chunk.push(Request {
-                    page: PageId(page),
-                    user,
-                }),
-                None => return Err(parse_err(format!("page {page} out of range"))),
+        match &mut self.bytes {
+            Bytes::Mapped { map, payload_start } => {
+                let take = remaining.min(max as u64) as usize;
+                // Ids before `pos` lie in the mapping, so `start` does
+                // too; the header's count is compared in ids, so a
+                // corrupt one cannot overflow the byte arithmetic.
+                let start = *payload_start + 4 * self.pos;
+                if take > (map.len() - start) / 4 {
+                    return Err(parse_err(
+                        "truncated binary trace: unexpected EOF in the request stream",
+                    ));
+                }
+                self.crc.update(&map[start..start + 4 * take]);
+                self.end = self.pos + take;
+            }
+            Bytes::Read { reader, raw, ids } => {
+                let take = remaining.min(CHUNK_IDS as u64) as usize;
+                // Grows (and zero-fills) on the first load only; later
+                // loads overwrite it in place.
+                raw.resize(4 * take, 0);
+                reader
+                    .read_exact(raw)
+                    .map_err(|e| classify(e, "the request stream"))?;
+                self.crc.update(raw);
+                ids.clear();
+                ids.extend(
+                    raw.chunks_exact(4)
+                        .map(|id| PageId(u32::from_le_bytes(id.try_into().expect("4-byte chunk")))),
+                );
+                (self.pos, self.end) = (0, take);
             }
         }
-        self.pos = 0;
-        Ok(true)
+        check_range(
+            &self.bytes.ids(self.end)[self.pos..],
+            self.universe.num_pages(),
+        )
+    }
+
+    /// Verify the optional footer against the bytes after the payload:
+    /// sliced off the mapping, or read from the stream.
+    fn check_footer(&mut self) -> Result<(), TraceIoError> {
+        let mut foot = [0u8; 12];
+        let probe = match &mut self.bytes {
+            Bytes::Mapped { map, payload_start } => {
+                // Every id was served, so the payload fit in the mapping
+                // and this offset is in bounds.
+                let after = *payload_start + 4 * self.pos;
+                &map[after..(after + 12).min(map.len())]
+            }
+            Bytes::Read { reader, .. } => {
+                let mut got = 0usize;
+                while got < foot.len() {
+                    match reader.read(&mut foot[got..]) {
+                        Ok(0) => break,
+                        Ok(n) => got += n,
+                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                        Err(e) => return Err(TraceIoError::Io(e)),
+                    }
+                }
+                &foot[..got]
+            }
+        };
+        verify_footer_probe(probe, self.crc.value())
     }
 }
 
@@ -432,258 +597,7 @@ impl<R: Read> RequestSource for BinaryTraceReader<R> {
     }
 
     fn next_request(&mut self, _ctx: &EngineCtx) -> Option<Request> {
-        if self.error.is_some() {
-            return None;
-        }
-        if self.pos >= self.chunk.len() {
-            match self.refill() {
-                Ok(true) => {}
-                Ok(false) => return None,
-                Err(e) => {
-                    self.error = Some(e);
-                    return None;
-                }
-            }
-        }
-        let req = self.chunk[self.pos];
-        self.pos += 1;
-        self.served += 1;
-        Some(req)
-    }
-
-    fn next_run(&mut self, max: usize) -> Option<&[Request]> {
-        if max == 0 || self.error.is_some() {
-            return None;
-        }
-        if self.pos >= self.chunk.len() {
-            match self.refill() {
-                Ok(true) => {}
-                Ok(false) => return None,
-                Err(e) => {
-                    self.error = Some(e);
-                    return None;
-                }
-            }
-        }
-        let take = (self.chunk.len() - self.pos).min(max);
-        let run = &self.chunk[self.pos..self.pos + take];
-        self.pos += take;
-        self.served += take as u64;
-        Some(run)
-    }
-}
-
-impl<R: Read> SeekableSource for BinaryTraceReader<R> {
-    /// Decode-and-discard fast-forward through the same chunked refill
-    /// path as serving, so validation (page range, truncation, footer
-    /// checksum) and the running CRC see exactly the bytes a full
-    /// replay would. Errors park in [`error`](Self::error) as usual.
-    fn seek_forward(&mut self, n: u64) {
-        let mut remaining = n;
-        while remaining > 0 {
-            if self.error.is_some() {
-                return;
-            }
-            let avail = (self.chunk.len() - self.pos) as u64;
-            if avail == 0 {
-                match self.refill() {
-                    Ok(true) => continue,
-                    Ok(false) => return,
-                    Err(e) => {
-                        self.error = Some(e);
-                        return;
-                    }
-                }
-            }
-            let take = avail.min(remaining);
-            self.pos += take as usize;
-            self.served += take;
-            remaining -= take;
-        }
-    }
-}
-
-/// Zero-copy occbin01 source backed by a read-only memory mapping.
-///
-/// The fixed-width format stores requests as bare little-endian page
-/// ids, and [`PageId`] is `repr(transparent)` over `u32`, so on a
-/// little-endian machine a mapped run of ids *is* a `&[PageId]` — no
-/// read syscalls, no kernel→user copy, no per-refill allocation, no
-/// per-request `Request` construction. [`next_page_run`] hands out
-/// slices straight from the mapping; the batched engine derives each
-/// request's owner from the universe exactly as the buffered decoder
-/// would have.
-///
-/// What is *not* skipped: every served run is still range-validated
-/// against the universe before the engine sees it (a max-scan, so the
-/// hot loop stays branch-light and vectorizable), the running CRC still
-/// covers every payload byte, and the footer is still verified when the
-/// stream drains — the mmap path accepts and rejects exactly the same
-/// files as [`BinaryTraceReader`], byte for byte.
-///
-/// Construction fails (`ErrorKind::Unsupported`) on non-unix targets,
-/// big-endian targets, and non-regular files (pipes, sockets,
-/// `/dev/stdin`); [`BinarySource::open`] falls back to the buffered
-/// reader in all those cases.
-///
-/// [`next_page_run`]: crate::source::RequestSource::next_page_run
-pub struct MmapTraceSource {
-    map: mmap::Mmap,
-    universe: Universe,
-    total: u64,
-    /// Byte offset of the first request id within the mapping.
-    payload_start: usize,
-    served: u64,
-    error: Option<TraceIoError>,
-    crc: Crc32,
-    footer_checked: bool,
-}
-
-impl MmapTraceSource {
-    /// Map `path` and parse its occbin01 header. Emits the
-    /// `madvise(MADV_SEQUENTIAL)` readahead hint immediately: trace
-    /// replay is a single front-to-back pass.
-    pub fn open(path: &Path) -> Result<Self, TraceIoError> {
-        if cfg!(not(all(unix, target_endian = "little"))) {
-            // The id bytes are little-endian on disk; reinterpreting
-            // them in place needs a little-endian host (and mmap needs
-            // unix). Everything else falls back to the buffered reader.
-            return Err(TraceIoError::Io(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "zero-copy traces need a little-endian unix host; use the buffered reader",
-            )));
-        }
-        let file = File::open(path)?;
-        let meta = file.metadata()?;
-        if !meta.is_file() {
-            return Err(TraceIoError::Io(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "not a regular file; use the buffered reader",
-            )));
-        }
-        let map = mmap::Mmap::map_readonly(&file)?;
-        map.advise_sequential();
-        Self::from_map(map)
-    }
-
-    fn from_map(map: mmap::Mmap) -> Result<Self, TraceIoError> {
-        // `&[u8]` is a `Read` that consumes from the front, so the
-        // header parser (and its error vocabulary) is shared verbatim
-        // with the buffered path.
-        let mut cursor: &[u8] = &map;
-        let universe = read_universe(&mut cursor)?;
-        let total = read_u64(&mut cursor, "the request count")?;
-        let payload_start = map.len() - cursor.len();
-        // Header layout guarantees 4-byte alignment of the payload
-        // (8 + 4 + 4 + 4·pages + 8), and mappings are page-aligned.
-        debug_assert_eq!(payload_start % 4, 0);
-        Ok(MmapTraceSource {
-            map,
-            universe,
-            total,
-            payload_start,
-            served: 0,
-            error: None,
-            crc: Crc32::new(),
-            footer_checked: false,
-        })
-    }
-
-    /// Total requests promised by the header.
-    pub fn total_requests(&self) -> u64 {
-        self.total
-    }
-
-    /// The error that ended the stream early, if any.
-    pub fn error(&self) -> Option<&TraceIoError> {
-        self.error.as_ref()
-    }
-
-    /// Tear down the source; returns the parked error if the stream
-    /// ended early, so callers can surface truncation with a `?`.
-    pub fn finish(self) -> Result<(), TraceIoError> {
-        match self.error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Verify the optional footer against the mapped bytes after the
-    /// payload, once, parking any mismatch.
-    fn check_footer_once(&mut self) {
-        if self.footer_checked {
-            return;
-        }
-        self.footer_checked = true;
-        // `served == total` implies the payload fit in the mapping, so
-        // this offset is in bounds.
-        let after = self.payload_start + (self.total as usize) * 4;
-        let probe = &self.map[after..(after + 12).min(self.map.len())];
-        if let Err(e) = verify_footer_probe(probe, self.crc.value()) {
-            self.error = Some(e);
-        }
-    }
-
-    /// The run-serving core: validate, checksum, and hand out up to
-    /// `max` ids as a slice of the mapping.
-    fn serve_run(&mut self, max: usize) -> Option<&[PageId]> {
-        if max == 0 || self.error.is_some() {
-            return None;
-        }
-        let remaining = self.total - self.served;
-        if remaining == 0 {
-            self.check_footer_once();
-            return None;
-        }
-        let take = (remaining).min(max as u64) as usize;
-        let start = self.payload_start + (self.served as usize) * 4;
-        let end = start + take * 4;
-        if end > self.map.len() {
-            self.error = Some(parse_err(
-                "truncated binary trace: unexpected EOF in the request stream",
-            ));
-            return None;
-        }
-        let bytes = &self.map[start..end];
-        // Range-validate with a branch-light max-scan; only on failure
-        // (never in a healthy replay) rescan for the first offender so
-        // the report matches the buffered reader's.
-        let num_pages = self.universe.num_pages();
-        let mut worst = 0u32;
-        for id in bytes.chunks_exact(4) {
-            worst = worst.max(u32::from_le_bytes(id.try_into().expect("4-byte chunk")));
-        }
-        if worst >= num_pages {
-            let bad = bytes
-                .chunks_exact(4)
-                .map(|id| u32::from_le_bytes(id.try_into().expect("4-byte chunk")))
-                .find(|&id| id >= num_pages)
-                .expect("max-scan saw an out-of-range id");
-            self.error = Some(parse_err(format!("page {bad} out of range")));
-            return None;
-        }
-        self.crc.update(bytes);
-        self.served += take as u64;
-        // Safety: `bytes` is a 4-aligned (payload_start ≡ 0 mod 4 on a
-        // page-aligned mapping, and we advance in whole ids), in-bounds
-        // region of `take` little-endian u32s; `PageId` is
-        // `repr(transparent)` over `u32`, and construction is gated to
-        // little-endian hosts, so the reinterpretation is exact.
-        debug_assert_eq!(bytes.as_ptr() as usize % std::mem::align_of::<PageId>(), 0);
-        Some(unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const PageId, take) })
-    }
-}
-
-impl RequestSource for MmapTraceSource {
-    fn universe(&self) -> &Universe {
-        &self.universe
-    }
-
-    fn next_request(&mut self, _ctx: &EngineCtx) -> Option<Request> {
-        let page = *self
-            .serve_run(1)?
-            .first()
-            .expect("serve_run(1) is non-empty");
+        let page = self.serve_run(1)?[0];
         Some(Request {
             page,
             user: self.universe.owner(page),
@@ -695,10 +609,11 @@ impl RequestSource for MmapTraceSource {
     }
 }
 
-impl SeekableSource for MmapTraceSource {
-    /// Fast-forward through the same serving core as replay, so
+impl<R: Read> SeekableSource for BinaryTraceReader<R> {
+    /// Fast-forward through the same serve core as replay, so
     /// validation, the running CRC and the footer check see exactly the
-    /// bytes a full replay would.
+    /// bytes a full replay would. Errors park in [`error`](Self::error)
+    /// as usual.
     fn seek_forward(&mut self, n: u64) {
         let mut remaining = n;
         while remaining > 0 {
@@ -711,71 +626,59 @@ impl SeekableSource for MmapTraceSource {
     }
 }
 
-/// A binary trace opened from a path, with the access strategy chosen
-/// automatically from the file's magic and nature:
+/// A binary trace opened from a path, with the reader chosen from the
+/// file's magic and the byte mode from its nature:
 ///
-/// * occbin01, regular file, little-endian unix host → [`Mmap`]
-///   (zero-copy, [`MmapTraceSource`]),
-/// * occbin01 otherwise (pipe, `/dev/stdin`, exotic platform, or a
-///   filesystem where mapping fails) → [`Buffered`]
-///   ([`BinaryTraceReader`]),
+/// * occbin01 → [`Fixed`] ([`BinaryTraceReader`]), mapped when the file
+///   is regular and the host a little-endian unix one, read in chunks
+///   otherwise (a pipe, `/dev/stdin`, another platform, or a filesystem
+///   where mapping fails);
 /// * occbin02 → [`Packed`] (streaming delta/varint decode,
 ///   [`crate::binio2::Binary2TraceReader`]).
 ///
-/// All three serve identical request streams for identical traces; the
-/// choice only affects throughput. Callers that care can log
+/// All serve identical request streams for identical traces; the choice
+/// only affects throughput. Callers that care can log
 /// [`strategy`](Self::strategy).
 ///
-/// [`Mmap`]: BinarySource::Mmap
-/// [`Buffered`]: BinarySource::Buffered
+/// [`Fixed`]: BinarySource::Fixed
 /// [`Packed`]: BinarySource::Packed
 pub enum BinarySource {
-    /// Zero-copy mapping of a fixed-width trace.
-    Mmap(MmapTraceSource),
-    /// Chunked buffered reads of a fixed-width trace.
-    Buffered(BinaryTraceReader<BufReader<File>>),
+    /// A fixed-width (occbin01) trace, mapped or read.
+    Fixed(BinaryTraceReader),
     /// Streaming decode of a packed (delta/varint) trace.
     Packed(crate::binio2::Binary2TraceReader<BufReader<File>>),
 }
 
 impl BinarySource {
     /// Open `path`, sniff its magic, and pick the fastest applicable
-    /// strategy. Unreadable headers are parse errors regardless of
+    /// strategy, all through one file handle (a pipe can be read only
+    /// once). Unreadable headers are parse errors regardless of
     /// strategy.
     pub fn open(path: &Path) -> Result<BinarySource, TraceIoError> {
-        let file = File::open(path)?;
-        let mut reader = BufReader::new(file);
-        let head = reader.fill_buf()?;
-        let is_v2 = head.len() >= 8 && head[..8] == crate::binio2::BINARY2_TRACE_MAGIC;
-        if is_v2 {
-            return Ok(BinarySource::Packed(
-                crate::binio2::Binary2TraceReader::new(reader)?,
-            ));
+        let mut reader = BufReader::new(File::open(path)?);
+        if reader
+            .fill_buf()?
+            .starts_with(&crate::binio2::BINARY2_TRACE_MAGIC)
+        {
+            let src = crate::binio2::Binary2TraceReader::new(reader)?;
+            return Ok(BinarySource::Packed(src));
         }
-        let regular = reader
-            .get_ref()
-            .metadata()
-            .map(|m| m.is_file())
-            .unwrap_or(false);
-        if regular && cfg!(all(unix, target_endian = "little")) {
-            match MmapTraceSource::open(path) {
-                Ok(src) => return Ok(BinarySource::Mmap(src)),
-                // A malformed header is malformed however it is read —
-                // report it rather than re-parsing the same bytes.
-                Err(e @ TraceIoError::Parse(_)) => return Err(e),
-                // Mapping itself failed: fall through to buffered reads.
-                Err(TraceIoError::Io(_)) => {}
-            }
+        match BinaryTraceReader::map(reader.get_ref()) {
+            Ok(src) => return Ok(BinarySource::Fixed(src)),
+            // A malformed header is malformed however it is read —
+            // report it rather than re-parsing the same bytes.
+            Err(e @ TraceIoError::Parse(_)) => return Err(e),
+            // Mapping itself failed: fall through to reads.
+            Err(TraceIoError::Io(_)) => {}
         }
-        Ok(BinarySource::Buffered(BinaryTraceReader::new(reader)?))
+        Ok(BinarySource::Fixed(BinaryTraceReader::new(reader)?))
     }
 
     /// Which access strategy was chosen ("mmap", "buffered" or
     /// "packed") — for logs and reports.
     pub fn strategy(&self) -> &'static str {
         match self {
-            BinarySource::Mmap(_) => "mmap",
-            BinarySource::Buffered(_) => "buffered",
+            BinarySource::Fixed(s) => s.strategy(),
             BinarySource::Packed(_) => "packed",
         }
     }
@@ -783,8 +686,7 @@ impl BinarySource {
     /// Total requests promised by the header.
     pub fn total_requests(&self) -> u64 {
         match self {
-            BinarySource::Mmap(s) => s.total_requests(),
-            BinarySource::Buffered(s) => s.total_requests(),
+            BinarySource::Fixed(s) => s.total_requests(),
             BinarySource::Packed(s) => s.total_requests(),
         }
     }
@@ -792,8 +694,7 @@ impl BinarySource {
     /// The error that ended the stream early, if any.
     pub fn error(&self) -> Option<&TraceIoError> {
         match self {
-            BinarySource::Mmap(s) => s.error(),
-            BinarySource::Buffered(s) => s.error(),
+            BinarySource::Fixed(s) => s.error(),
             BinarySource::Packed(s) => s.error(),
         }
     }
@@ -802,8 +703,7 @@ impl BinarySource {
     /// ended early.
     pub fn finish(self) -> Result<(), TraceIoError> {
         match self {
-            BinarySource::Mmap(s) => s.finish(),
-            BinarySource::Buffered(s) => s.finish(),
+            BinarySource::Fixed(s) => s.finish(),
             BinarySource::Packed(s) => s.finish(),
         }
     }
@@ -812,33 +712,29 @@ impl BinarySource {
 impl RequestSource for BinarySource {
     fn universe(&self) -> &Universe {
         match self {
-            BinarySource::Mmap(s) => s.universe(),
-            BinarySource::Buffered(s) => s.universe(),
+            BinarySource::Fixed(s) => s.universe(),
             BinarySource::Packed(s) => s.universe(),
         }
     }
 
     fn next_request(&mut self, ctx: &EngineCtx) -> Option<Request> {
         match self {
-            BinarySource::Mmap(s) => s.next_request(ctx),
-            BinarySource::Buffered(s) => s.next_request(ctx),
+            BinarySource::Fixed(s) => s.next_request(ctx),
             BinarySource::Packed(s) => s.next_request(ctx),
         }
     }
 
     fn next_run(&mut self, max: usize) -> Option<&[Request]> {
         match self {
-            BinarySource::Mmap(s) => s.next_run(max),
-            BinarySource::Buffered(s) => s.next_run(max),
+            BinarySource::Fixed(_) => None,
             BinarySource::Packed(s) => s.next_run(max),
         }
     }
 
     fn next_page_run(&mut self, max: usize) -> Option<&[PageId]> {
         match self {
-            BinarySource::Mmap(s) => s.next_page_run(max),
-            BinarySource::Buffered(s) => s.next_page_run(max),
-            BinarySource::Packed(s) => s.next_page_run(max),
+            BinarySource::Fixed(s) => s.next_page_run(max),
+            BinarySource::Packed(_) => None,
         }
     }
 }
@@ -846,8 +742,7 @@ impl RequestSource for BinarySource {
 impl SeekableSource for BinarySource {
     fn seek_forward(&mut self, n: u64) {
         match self {
-            BinarySource::Mmap(s) => s.seek_forward(n),
-            BinarySource::Buffered(s) => s.seek_forward(n),
+            BinarySource::Fixed(s) => s.seek_forward(n),
             BinarySource::Packed(s) => s.seek_forward(n),
         }
     }
@@ -1196,14 +1091,14 @@ mod tests {
     }
 
     #[test]
-    fn buffered_next_run_matches_scalar() {
+    fn buffered_page_runs_match_scalar() {
         let t = sample();
         let mut buf = Vec::new();
         write_trace_binary(&t, &mut buf).unwrap();
         let mut src = BinaryTraceReader::new(buf.as_slice()).unwrap();
         let mut got = Vec::new();
-        while let Some(run) = src.next_run(2) {
-            got.extend_from_slice(run);
+        while let Some(run) = src.next_page_run(2) {
+            got.extend(run.iter().map(|&page| t.universe().request(page)));
         }
         assert_eq!(got.as_slice(), t.requests());
         src.finish().unwrap();
@@ -1221,7 +1116,13 @@ mod tests {
     mod zero_copy {
         use super::*;
 
-        fn drain_pages(src: &mut MmapTraceSource) -> Vec<Request> {
+        fn mapped(path: &Path) -> BinaryTraceReader {
+            let src = BinaryTraceReader::map(&File::open(path).unwrap()).unwrap();
+            assert_eq!(src.strategy(), "mmap");
+            src
+        }
+
+        fn drain_pages(src: &mut BinaryTraceReader) -> Vec<Request> {
             let universe = src.universe().clone();
             let mut got = Vec::new();
             while let Some(run) = src.next_page_run(3) {
@@ -1241,7 +1142,7 @@ mod tests {
             let mut buf = Vec::new();
             write_trace_binary(&t, &mut buf).unwrap();
             let path = tmp_file("mmap-replay", &buf);
-            let mut src = MmapTraceSource::open(&path).unwrap();
+            let mut src = mapped(&path);
             assert_eq!(src.total_requests(), t.len() as u64);
             assert_eq!(drain_pages(&mut src).as_slice(), t.requests());
             src.finish().unwrap();
@@ -1260,7 +1161,7 @@ mod tests {
             let stats = crate::stats::SimStats::new(u.num_users());
             let ctx = ctx_for(&u, &cache, &stats);
             for skip in [0u64, 1, 49, 50, 80] {
-                let mut mapped = MmapTraceSource::open(&path).unwrap();
+                let mut mapped = mapped(&path);
                 mapped.seek_forward(skip);
                 let mut buffered = BinaryTraceReader::new(buf.as_slice()).unwrap();
                 buffered.seek_forward(skip);
@@ -1288,7 +1189,7 @@ mod tests {
             let mut bad = good.clone();
             bad.truncate(bad.len() - 12 - 3);
             let path = tmp_file("mmap-trunc", &bad);
-            let mut src = MmapTraceSource::open(&path).unwrap();
+            let mut src = mapped(&path);
             let served = drain_pages(&mut src).len();
             assert!(served < t.len());
             let err = src.finish().unwrap_err();
@@ -1300,7 +1201,7 @@ mod tests {
             let first_req = bad.len() - 12 - 4 * t.len();
             bad[first_req..first_req + 4].copy_from_slice(&1u32.to_le_bytes());
             let path = tmp_file("mmap-crc", &bad);
-            let mut src = MmapTraceSource::open(&path).unwrap();
+            let mut src = mapped(&path);
             assert_eq!(drain_pages(&mut src).len(), t.len());
             let err = src.finish().unwrap_err();
             assert!(
@@ -1314,7 +1215,7 @@ mod tests {
             let mut legacy = good.clone();
             legacy.truncate(legacy.len() - 12);
             let path = tmp_file("mmap-legacy", &legacy);
-            let mut src = MmapTraceSource::open(&path).unwrap();
+            let mut src = mapped(&path);
             assert_eq!(drain_pages(&mut src).len(), t.len());
             src.finish().unwrap();
             std::fs::remove_file(&path).ok();
@@ -1324,10 +1225,22 @@ mod tests {
             let last = bad.len() - 12 - 4;
             bad[last..last + 4].copy_from_slice(&9u32.to_le_bytes());
             let path = tmp_file("mmap-range", &bad);
-            let mut src = MmapTraceSource::open(&path).unwrap();
+            let mut src = mapped(&path);
             let _ = drain_pages(&mut src);
             let err = src.finish().unwrap_err();
             assert!(err.to_string().contains("page 9 out of range"), "{err}");
+            std::fs::remove_file(&path).ok();
+
+            // A header promising far more requests than the file holds,
+            // asked for in one unbounded run: truncation, not overflow.
+            let mut bad = good.clone();
+            let count_at = 16 + 4 * t.universe().num_pages() as usize;
+            bad[count_at..count_at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+            let path = tmp_file("mmap-count", &bad);
+            let mut src = mapped(&path);
+            assert!(src.next_page_run(usize::MAX).is_none());
+            let err = src.finish().unwrap_err();
+            assert!(err.to_string().contains("truncated"), "{err}");
             std::fs::remove_file(&path).ok();
         }
     }

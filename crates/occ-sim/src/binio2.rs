@@ -417,22 +417,14 @@ pub fn write_trace_binary_v2<W: Write>(trace: &Trace, mut w: W) -> Result<(), Tr
 /// Read a whole packed trace into memory. For traces that do not fit,
 /// use [`Binary2TraceReader`] and stream instead.
 pub fn read_trace_binary_v2<R: Read>(r: R) -> Result<Trace, TraceIoError> {
-    let mut reader = Binary2TraceReader::new(r)?;
-    let mut builder = TraceBuilder::new(reader.universe.clone());
-    loop {
-        match reader.refill() {
-            Ok(true) => {
-                for req in &reader.chunk {
-                    builder.push(req.page);
-                }
-                let n = reader.chunk.len();
-                reader.pos = n;
-                reader.served += n as u64;
-            }
-            Ok(false) => break,
-            Err(e) => return Err(e),
+    let mut src = Binary2TraceReader::new(r)?;
+    let mut builder = TraceBuilder::new(src.universe.clone());
+    while let Some(run) = src.next_run(CHUNK_REQS) {
+        for req in run {
+            builder.push(req.page);
         }
     }
+    src.finish()?;
     Ok(builder.build())
 }
 
@@ -766,23 +758,7 @@ impl<R: Read> RequestSource for Binary2TraceReader<R> {
     }
 
     fn next_request(&mut self, _ctx: &EngineCtx) -> Option<Request> {
-        if self.error.is_some() {
-            return None;
-        }
-        if self.pos >= self.chunk.len() {
-            match self.refill() {
-                Ok(true) => {}
-                Ok(false) => return None,
-                Err(e) => {
-                    self.error = Some(e);
-                    return None;
-                }
-            }
-        }
-        let req = self.chunk[self.pos];
-        self.pos += 1;
-        self.served += 1;
-        Some(req)
+        Some(self.next_run(1)?[0])
     }
 
     fn next_run(&mut self, max: usize) -> Option<&[Request]> {
@@ -808,31 +784,17 @@ impl<R: Read> RequestSource for Binary2TraceReader<R> {
 }
 
 impl<R: Read> SeekableSource for Binary2TraceReader<R> {
-    /// Decode-and-discard fast-forward through the same chunked refill
-    /// path as serving, so validation (delta range, truncation, footer
-    /// checksum) and the running CRC see exactly the bytes a full
-    /// replay would.
+    /// Fast-forward through the same serving path as replay, so
+    /// validation (delta range, truncation, footer checksum) and the
+    /// running CRC see exactly the bytes a full replay would.
     fn seek_forward(&mut self, n: u64) {
         let mut remaining = n;
         while remaining > 0 {
-            if self.error.is_some() {
-                return;
+            let max = remaining.min(CHUNK_REQS as u64) as usize;
+            match self.next_run(max) {
+                Some(run) => remaining -= run.len() as u64,
+                None => return,
             }
-            let avail = (self.chunk.len() - self.pos) as u64;
-            if avail == 0 {
-                match self.refill() {
-                    Ok(true) => continue,
-                    Ok(false) => return,
-                    Err(e) => {
-                        self.error = Some(e);
-                        return;
-                    }
-                }
-            }
-            let take = avail.min(remaining);
-            self.pos += take as usize;
-            self.served += take;
-            remaining -= take;
         }
     }
 }

@@ -67,7 +67,7 @@ pub mod trace;
 
 pub use binio::{
     read_trace_auto, read_trace_binary, write_trace_binary, BinarySource, BinaryTraceReader,
-    BinaryTraceWriter, MmapTraceSource, BINARY_TRACE_FOOTER_MAGIC, BINARY_TRACE_MAGIC,
+    BinaryTraceWriter, BINARY_TRACE_FOOTER_MAGIC, BINARY_TRACE_MAGIC,
 };
 pub use binio2::{
     read_trace_binary_v2, write_trace_binary_v2, Binary2TraceReader, Binary2TraceWriter,

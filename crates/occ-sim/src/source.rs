@@ -52,6 +52,27 @@ pub trait RequestSource {
     }
 }
 
+/// A borrowed source is a source: runners that consume their sources
+/// (the fleet's shard pool) can be handed `&mut` ones, so the caller
+/// still owns each source afterwards and can read its parked error.
+impl<S: RequestSource + ?Sized> RequestSource for &mut S {
+    fn universe(&self) -> &Universe {
+        (**self).universe()
+    }
+
+    fn next_request(&mut self, ctx: &EngineCtx) -> Option<Request> {
+        (**self).next_request(ctx)
+    }
+
+    fn next_run(&mut self, max: usize) -> Option<&[Request]> {
+        (**self).next_run(max)
+    }
+
+    fn next_page_run(&mut self, max: usize) -> Option<&[PageId]> {
+        (**self).next_page_run(max)
+    }
+}
+
 /// A [`RequestSource`] that can deterministically fast-forward.
 ///
 /// `seek_forward(n)` must leave the source in *exactly* the state it

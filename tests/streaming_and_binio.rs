@@ -16,8 +16,8 @@ use occ_baselines::Lru;
 use occ_sim::{
     read_trace, read_trace_auto, read_trace_binary, read_trace_binary_v2, write_trace,
     write_trace_binary, write_trace_binary_v2, Binary2TraceReader, BinaryTraceReader, Crc32,
-    MmapTraceSource, PageId, Request, RequestSource, Simulator, SteppingEngine, Trace,
-    TraceBuilder, Universe, UserId, DEFAULT_BATCH_SIZE,
+    PageId, Request, RequestSource, Simulator, SteppingEngine, Trace, TraceBuilder, Universe,
+    UserId, DEFAULT_BATCH_SIZE,
 };
 use occ_workloads::{zipf_trace, AccessPattern, PatternSource, TenantMixSource, TenantSpec};
 use proptest::prelude::*;
@@ -158,7 +158,8 @@ proptest! {
         // each through its own engine; the straddle cases around
         // DEFAULT_BATCH_SIZE exercise run splits at the mmap serve
         // boundary.
-        let mut mmap = MmapTraceSource::open(&path).unwrap();
+        let mut mmap = BinaryTraceReader::map(&std::fs::File::open(&path).unwrap()).unwrap();
+        prop_assert_eq!(mmap.strategy(), "mmap");
         let mut mmap_pages = Vec::new();
         let mut mmap_engine = SteppingEngine::new(8, mmap.universe().clone(), Lru::new());
         while let Some(run) = mmap.next_page_run(batch) {
@@ -171,9 +172,9 @@ proptest! {
         let mut buffered = BinaryTraceReader::new(std::io::BufReader::new(file)).unwrap();
         let mut buf_pages = Vec::new();
         let mut buf_engine = SteppingEngine::new(8, buffered.universe().clone(), Lru::new());
-        while let Some(run) = buffered.next_run(batch) {
-            buf_pages.extend(run.iter().map(|r| r.page));
-            buf_engine.step_batch(run);
+        while let Some(run) = buffered.next_page_run(batch) {
+            buf_pages.extend_from_slice(run);
+            buf_engine.step_page_batch(run);
         }
         buffered.finish().unwrap();
         std::fs::remove_file(&path).ok();
@@ -450,16 +451,8 @@ fn non_regular_file_falls_back_to_buffered_strategy() {
     let mut source = BinarySource::open(&fifo).unwrap();
     assert_eq!(source.strategy(), "buffered", "a FIFO cannot be mapped");
     let mut pages = Vec::new();
-    loop {
-        if let Some(run) = source.next_page_run(DEFAULT_BATCH_SIZE) {
-            pages.extend_from_slice(run);
-            continue;
-        }
-        if let Some(run) = source.next_run(DEFAULT_BATCH_SIZE) {
-            pages.extend(run.iter().map(|r| r.page));
-            continue;
-        }
-        break;
+    while let Some(run) = source.next_page_run(DEFAULT_BATCH_SIZE) {
+        pages.extend_from_slice(run);
     }
     source.finish().unwrap();
     writer.join().unwrap();
