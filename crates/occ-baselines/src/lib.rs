@@ -126,9 +126,13 @@ mod tests {
             .collect();
         let trace = Trace::from_page_indices(&u, &pages);
         let reqs: Vec<Request> = trace.requests().to_vec();
-        let (k, cut) = (6, 173);
+        let k = 6;
 
-        for (mk, mk_resumed) in policies {
+        // Cut 0 snapshots a policy that has not been touched yet.
+        for (cut, (mk, mk_resumed)) in [0, 173]
+            .into_iter()
+            .flat_map(|cut| policies.iter().map(move |p| (cut, p)))
+        {
             let mut full_policy = mk();
             let name = full_policy.name();
 
@@ -162,8 +166,11 @@ mod tests {
             let mut stitched: Vec<_> = head_events.iter().cloned().collect();
             stitched.extend(tail.recorder().iter().cloned());
             let full_events: Vec<_> = full_events.iter().cloned().collect();
-            assert_eq!(stitched, full_events, "{name}: event streams diverged");
-            assert_eq!(tail.stats(), &full_stats, "{name}: stats diverged");
+            assert_eq!(
+                stitched, full_events,
+                "{name}@{cut}: event streams diverged"
+            );
+            assert_eq!(tail.stats(), &full_stats, "{name}@{cut}: stats diverged");
         }
     }
 

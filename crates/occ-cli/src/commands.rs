@@ -6,8 +6,8 @@ use occ_analysis::{compare_policies, evaluate_policy, fnum, lru_cost_curve, lru_
 use occ_baselines::{CostGreedy, Fifo, GreedyDual, Lfu, Lru, LruK, Marking, RandomEvict};
 use occ_core::{ConvexCaching, CostProfile};
 use occ_fleet::{
-    run_fleet, run_shared_fleet, run_supervised_fleet, BackoffPolicy, DirPersist, FleetConfig,
-    ShardKill, SharedConfig, SharedError, StoreFault, SupervisorConfig,
+    faults_json, run_fleet, run_shared_fleet, run_supervised_fleet, users_json, BackoffPolicy,
+    DirPersist, FleetConfig, ShardKill, SharedConfig, SharedError, StoreFault, SupervisorConfig,
 };
 use occ_offline::{Belady, CostAwareBelady};
 use occ_probe::{
@@ -18,9 +18,9 @@ use occ_probe::{
 use occ_sim::concurrent::{replay_schedule, CommitSchedule, ReplayError, ReplayOutcome};
 use occ_sim::{
     read_trace_auto, write_trace, write_trace_binary, write_trace_binary_v2, Binary2TraceWriter,
-    BinarySource, BinaryTraceWriter, EngineSnapshot, FaultCounters, FaultHandler, FaultPolicy,
-    PageId, ReplacementPolicy, Request, RequestSource, SimStats, SteppingEngine, Time, Trace,
-    TraceIoError, TraceSource, Universe, UserId, BINARY2_TRACE_MAGIC, BINARY_TRACE_MAGIC,
+    BinarySource, BinaryTraceWriter, EngineSnapshot, FaultHandler, FaultPolicy, PageId,
+    ReplacementPolicy, Request, RequestSource, SimStats, SteppingEngine, Time, Trace, TraceIoError,
+    TraceSource, Universe, UserId, BINARY2_TRACE_MAGIC, BINARY_TRACE_MAGIC,
 };
 use occ_workloads::{
     all_scenarios, ChaosSource, CsvAdapter, CsvFlavor, FaultPlan, Scenario, TenantMixSource,
@@ -1149,43 +1149,6 @@ fn parse_schedule_header(line: &str) -> Result<ScheduleMeta, String> {
     })
 }
 
-/// Per-user hit/miss/eviction vectors in the exact shape
-/// `SharedReport::to_json_value` uses, so run and replay reports can be
-/// diffed section-for-section.
-fn users_json(stats: &SimStats) -> Json {
-    Json::Arr(
-        stats
-            .per_user()
-            .iter()
-            .map(|u| {
-                Json::Obj(vec![
-                    ("hits".into(), Json::from_u64(u.hits)),
-                    ("misses".into(), Json::from_u64(u.misses)),
-                    ("evictions".into(), Json::from_u64(u.evictions)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn faults_json(c: &FaultCounters) -> Json {
-    Json::Obj(vec![
-        (
-            "page_out_of_range".into(),
-            Json::from_u64(c.page_out_of_range),
-        ),
-        ("owner_mismatch".into(), Json::from_u64(c.owner_mismatch)),
-        (
-            "quarantined_drops".into(),
-            Json::from_u64(c.quarantined_drops),
-        ),
-        (
-            "quarantined_users".into(),
-            Json::from_u64(c.quarantined_users),
-        ),
-    ])
-}
-
 /// `occ concurrent`
 pub fn concurrent(args: &Args) -> Result<(), CliError> {
     let replay_path = args.str_or("replay", "");
@@ -1618,8 +1581,8 @@ type BoundaryHook<'a, R> =
 /// between batches happens at exact request counts. Without a fault
 /// handler a batch goes through
 /// [`serve_from`](SteppingEngine::serve_from); with one it is pulled
-/// into a buffer and served by `run_batched_checked`, which is
-/// equivalent to `step_checked` per record. At each multiple of
+/// into a buffer, then each record is served by
+/// [`step_checked`](SteppingEngine::step_checked). At each multiple of
 /// `cadence` the dual state is read off `eng.policy()` into `dual` and
 /// handed to `on_boundary` with the recorder and the time; the hook
 /// runs once more at the end (last argument `true`) with the dual point
@@ -1668,8 +1631,8 @@ where
                     };
                     buf.push(req);
                 }
-                if !buf.is_empty() {
-                    eng.run_batched_checked(&buf, max, h)?;
+                for &req in &buf {
+                    eng.step_checked(req, h)?;
                 }
                 buf.len()
             }
@@ -1891,7 +1854,7 @@ fn observe_from(args: &Args, snap: Option<&EngineSnapshot>) -> Result<(), CliErr
     if let Some(s) = snap {
         check_snapshot("snapshot", s, trace.universe(), k, None, degrade.is_some())?;
         if let Some(h) = &mut handler {
-            h.restore(s.faults.clone(), &s.quarantined)?;
+            h.restore(s)?;
         }
     }
 
@@ -3673,6 +3636,63 @@ mod tests {
         assert_eq!(a.misses, b.misses);
         assert_eq!(a.evictions, b.evictions);
         assert_eq!(a.total_cost, b.total_cost);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_rejects_contradictory_quarantine_state_with_exit_4() {
+        let dir = std::env::temp_dir().join("occ-cli-quarantine-resume");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("ckpt.json");
+        let base: &[&str] = &[
+            "--scenario",
+            "sqlvm-like",
+            "--len",
+            "700",
+            "--chaos-page-rate",
+            "0.01",
+            "--chaos-owner-rate",
+            "0.01",
+            "--chaos-seed",
+            "7",
+            "--degrade",
+            "quarantine",
+        ];
+        let mut v = vec!["observe"];
+        v.extend_from_slice(base);
+        v.extend_from_slice(&["--chaos-truncate", "300", "--checkpoint"]);
+        v.push(ckpt.to_str().unwrap());
+        observe(&args(&v)).unwrap();
+        let snap = read_checkpoint(&ckpt).unwrap();
+        let held = snap.quarantined.clone();
+        assert!(!held.is_empty(), "the seeded chaos must quarantine a user");
+        let cached_owner = snap.owners[snap.cache_pages[0].index()];
+
+        let bad = dir.join("bad.json");
+        for (quarantined, count, why) in [
+            (
+                [&held[..], &held[..1]].concat(),
+                held.len() + 1,
+                "listed twice",
+            ),
+            (held.clone(), held.len() + 1, "quarantined_users is"),
+            (
+                [&held[..], &[cached_owner]].concat(),
+                held.len() + 1,
+                "owns cached page",
+            ),
+        ] {
+            let mut edited = snap.clone();
+            edited.quarantined = quarantined;
+            edited.faults.quarantined_users = count as u64;
+            let text = occ_probe::with_trailer(&(snapshot_to_json(&edited) + "\n"));
+            std::fs::write(&bad, text).unwrap();
+            let mut v = vec!["resume", "--from", bad.to_str().unwrap()];
+            v.extend_from_slice(base);
+            let err = resume(&args(&v)).unwrap_err();
+            assert_eq!(err.exit_code(), 4, "got: {err}");
+            assert!(err.to_string().contains(why), "got: {err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -41,7 +41,10 @@ use occ_sim::{ReplacementPolicy, RequestSource, SimStats, SteppingEngine, DEFAUL
 use std::time::{Duration, Instant};
 
 pub use occ_probe::Json;
-pub use shared::{run_shared_fleet, SharedConfig, SharedError, SharedReport, SHARED_SCHEMA};
+pub use shared::{
+    faults_json, run_shared_fleet, users_json, SharedConfig, SharedError, SharedReport,
+    SHARED_SCHEMA,
+};
 pub use supervisor::{
     run_supervised_fleet, BackoffPolicy, DirPersist, ShardKill, ShardState, ShardStatus,
     StoreFault, SupervisorConfig, SupervisorReport,

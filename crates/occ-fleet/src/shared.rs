@@ -16,12 +16,51 @@ use occ_sim::concurrent::{
     SharedOutcome,
 };
 use occ_sim::probe::NoopRecorder;
-use occ_sim::{FaultPolicy, ReplacementPolicy, RequestSource, SimError, Universe};
+use occ_sim::{
+    FaultCounters, FaultPolicy, ReplacementPolicy, RequestSource, SimError, SimStats, Universe,
+};
 use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Schema stamp for [`SharedReport::to_json_value`].
 pub const SHARED_SCHEMA: u64 = 1;
+
+/// The `users` section of the concurrent reports (a run's and a
+/// replay's alike): per-user hit/miss/eviction counts, by user id.
+pub fn users_json(stats: &SimStats) -> Json {
+    Json::Arr(
+        stats
+            .per_user()
+            .iter()
+            .map(|u| {
+                Json::Obj(vec![
+                    ("hits".into(), Json::from_u64(u.hits)),
+                    ("misses".into(), Json::from_u64(u.misses)),
+                    ("evictions".into(), Json::from_u64(u.evictions)),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// The `faults` section of the concurrent reports.
+pub fn faults_json(c: &FaultCounters) -> Json {
+    Json::Obj(vec![
+        (
+            "page_out_of_range".into(),
+            Json::from_u64(c.page_out_of_range),
+        ),
+        ("owner_mismatch".into(), Json::from_u64(c.owner_mismatch)),
+        (
+            "quarantined_drops".into(),
+            Json::from_u64(c.quarantined_drops),
+        ),
+        (
+            "quarantined_users".into(),
+            Json::from_u64(c.quarantined_users),
+        ),
+    ])
+}
 
 /// Configuration of a shared-cache run.
 #[derive(Clone, Copy, Debug)]
@@ -119,35 +158,6 @@ impl SharedReport {
 
     /// The schema-stamped JSON report behind `occ concurrent --format json`.
     pub fn to_json_value(&self) -> Json {
-        let users = self
-            .outcome
-            .stats
-            .per_user()
-            .iter()
-            .map(|u| {
-                Json::Obj(vec![
-                    ("hits".into(), Json::from_u64(u.hits)),
-                    ("misses".into(), Json::from_u64(u.misses)),
-                    ("evictions".into(), Json::from_u64(u.evictions)),
-                ])
-            })
-            .collect();
-        let c = &self.outcome.counters;
-        let faults = Json::Obj(vec![
-            (
-                "page_out_of_range".into(),
-                Json::from_u64(c.page_out_of_range),
-            ),
-            ("owner_mismatch".into(), Json::from_u64(c.owner_mismatch)),
-            (
-                "quarantined_drops".into(),
-                Json::from_u64(c.quarantined_drops),
-            ),
-            (
-                "quarantined_users".into(),
-                Json::from_u64(c.quarantined_users),
-            ),
-        ]);
         let k = &self.outcome.contention;
         let contention = Json::Obj(vec![
             ("slow_path".into(), Json::from_u64(k.slow_path)),
@@ -177,8 +187,8 @@ impl SharedReport {
                 "commits".into(),
                 Json::from_u64(self.outcome.schedule.len() as u64),
             ),
-            ("users".into(), Json::Arr(users)),
-            ("faults".into(), faults),
+            ("users".into(), users_json(&self.outcome.stats)),
+            ("faults".into(), faults_json(&self.outcome.counters)),
             ("contention".into(), contention),
             ("quarantined".into(), Json::Arr(quarantined)),
             ("merged".into(), self.merged.to_json_value()),

@@ -712,22 +712,18 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
     }
 
     /// Serve one untrusted record on behalf of `thread`, appending its
-    /// commit record to `lane`. Mirrors
-    /// [`SteppingEngine::step_checked`] classification and effects
-    /// exactly; the only error is a fail-fast fault, which also raises
-    /// the engine-wide stop flag.
+    /// commit record to `lane`. Classifies with the sequential engine's
+    /// rules ([`Universe::malformed`], then the quarantine flag under the
+    /// segment lock) and mirrors [`SteppingEngine::step_checked`]'s
+    /// effects exactly; the only error is a fail-fast fault, which also
+    /// raises the engine-wide stop flag.
     pub fn serve_record(
         &self,
         thread: u32,
         req: Request,
         lane: &mut ThreadLane,
     ) -> Result<CommitOutcome, SimError> {
-        let malformed = match self.universe.try_owner(req.page) {
-            None => Some(FaultKind::PageOutOfRange),
-            Some(owner) if owner != req.user => Some(FaultKind::OwnerMismatch),
-            Some(_) => None,
-        };
-        if let Some(kind) = malformed {
+        if let Some(kind) = self.universe.malformed(req) {
             return self.absorb_malformed(thread, req, kind, lane);
         }
         let n = self.shards.len();
@@ -927,7 +923,8 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
 
     /// Absorb a malformed record (page out of range / owner mismatch)
     /// under the engine's degradation policy, mirroring
-    /// `step_checked`'s policy table.
+    /// `step_checked`'s policy table and quarantining
+    /// [`Universe::culprit`].
     fn absorb_malformed(
         &self,
         thread: u32,
@@ -962,10 +959,7 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
             }
             FaultPolicy::QuarantineUser => {
                 lane.counters.count(kind);
-                let culprit = self.universe.try_owner(req.page).or_else(|| {
-                    (req.user.index() < self.universe.num_users() as usize).then_some(req.user)
-                });
-                let Some(culprit) = culprit else {
+                let Some(culprit) = self.universe.culprit(req) else {
                     // Out-of-range page from a nonexistent user: nobody
                     // to quarantine, stateless like skip-and-count.
                     let seq = self.draw_seq();
@@ -1244,17 +1238,9 @@ pub fn replay_schedule<P: ReplacementPolicy>(
             page: entry.page,
             user: entry.user,
         };
-        // Predict the drop classification before stepping (step_checked
-        // reports drops as a bare `Ok(None)`).
-        let predicted = {
-            let ctx = engine.ctx();
-            match ctx.universe.try_owner(req.page) {
-                None => Some(FaultKind::PageOutOfRange),
-                Some(owner) if owner != req.user => Some(FaultKind::OwnerMismatch),
-                Some(_) if handler.is_quarantined(req.user) => Some(FaultKind::QuarantinedUser),
-                Some(_) => None,
-            }
-        };
+        // Classify before stepping: step_checked reports drops as a bare
+        // `Ok(None)`.
+        let predicted = handler.classify(engine.ctx().universe, req);
         let stepped = engine
             .step_checked(req, &mut handler)
             .map_err(ReplayError::Fault)?;

@@ -11,9 +11,8 @@
 //! outcome as a [`SimResult`].
 
 use crate::cache::CacheSet;
-use crate::error::{FaultCounters, FaultHandler, FaultPolicy, SimError};
 use crate::event::EventLog;
-use crate::ids::{PageId, Time, UserId};
+use crate::ids::{PageId, Time};
 use crate::policy::ReplacementPolicy;
 use crate::probe::{NoopRecorder, Recorder};
 use crate::source::{RequestSource, TraceSource};
@@ -82,40 +81,14 @@ impl SimResult {
     }
 }
 
-/// Outcome of a checked (fault-tolerant) run: the ordinary result plus
-/// everything the degradation policy absorbed along the way.
-///
-/// Note that [`SimResult::steps`] counts *consumed records* here, not
-/// served requests: records dropped under skip-and-count or
-/// quarantine-user still advance the clock, keeping the timeline aligned
-/// with the input stream.
-#[derive(Clone, Debug)]
-pub struct CheckedRun {
-    /// The ordinary run result.
-    pub result: SimResult,
-    /// Faults absorbed by the degradation policy.
-    pub faults: FaultCounters,
-    /// Users quarantined during the run (empty unless the policy was
-    /// [`FaultPolicy::QuarantineUser`]).
-    pub quarantined: Vec<UserId>,
-}
-
 /// How a [`Simulator`] entry point feeds its engine.
-enum Feed<'h> {
+enum Feed {
     /// One [`SteppingEngine::step`] per pulled request, so an adaptive
     /// source observes every step.
     Pull,
     /// [`SteppingEngine::serve_from`] batches of at most this many
     /// requests.
     Batched(usize),
-    /// One [`SteppingEngine::step_checked`] per pulled record.
-    Checked(&'h mut FaultHandler),
-}
-
-/// The result of an unchecked feed, which cannot fail: a policy contract
-/// violation already panicked inside the engine.
-fn unchecked(run: Result<SimResult, SimError>) -> SimResult {
-    run.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The simulator: a cache size plus run options.
@@ -196,7 +169,7 @@ impl Simulator {
         S: RequestSource,
         R: Recorder,
     {
-        unchecked(self.drive(policy, source, recorder, Feed::Pull))
+        self.drive(policy, source, recorder, Feed::Pull)
     }
 
     /// Run `policy` over a fixed `trace` through the batch loop (see
@@ -233,48 +206,7 @@ impl Simulator {
         S: RequestSource,
     {
         assert!(batch_size > 0, "batch size must be positive");
-        unchecked(self.drive(policy, source, &mut NoopRecorder, Feed::Batched(batch_size)))
-    }
-
-    /// Run `policy` over a possibly-corrupt `trace` under a degradation
-    /// [`FaultPolicy`] (see [`Self::try_run_source_recorded`]).
-    pub fn try_run<P: ReplacementPolicy>(
-        &self,
-        policy: &mut P,
-        trace: &Trace,
-        fault_policy: FaultPolicy,
-    ) -> Result<CheckedRun, SimError> {
-        let mut source = TraceSource::new(trace);
-        self.try_run_source_recorded(policy, &mut source, &mut NoopRecorder, fault_policy)
-    }
-
-    /// The fault-tolerant counterpart of [`Self::run_source_recorded`]:
-    /// validates every record before serving it
-    /// ([`SteppingEngine::step_checked`]) and reacts to faults per
-    /// `fault_policy` instead of panicking.
-    ///
-    /// Only this entry point validates, so fault tolerance costs nothing
-    /// when it is not used. On well-formed input a checked run produces
-    /// the identical [`SimResult`] to an unchecked one.
-    pub fn try_run_source_recorded<P, S, R>(
-        &self,
-        policy: &mut P,
-        source: &mut S,
-        recorder: &mut R,
-        fault_policy: FaultPolicy,
-    ) -> Result<CheckedRun, SimError>
-    where
-        P: ReplacementPolicy,
-        S: RequestSource,
-        R: Recorder,
-    {
-        let mut handler = FaultHandler::new(fault_policy, source.universe().num_users());
-        let result = self.drive(policy, source, recorder, Feed::Checked(&mut handler))?;
-        Ok(CheckedRun {
-            result,
-            faults: handler.counters().clone(),
-            quarantined: handler.quarantined_users(),
-        })
+        self.drive(policy, source, &mut NoopRecorder, Feed::Batched(batch_size))
     }
 
     /// The one construct-and-finish path behind every entry point: an
@@ -286,8 +218,8 @@ impl Simulator {
         policy: &mut P,
         source: &mut S,
         recorder: &mut R,
-        feed: Feed<'_>,
-    ) -> Result<SimResult, SimError>
+        feed: Feed,
+    ) -> SimResult
     where
         P: ReplacementPolicy,
         S: RequestSource,
@@ -297,9 +229,9 @@ impl Simulator {
             return self.drive_with(policy, source, recorder, feed);
         }
         let mut log = EventLog::new();
-        let mut result = self.drive_with(policy, source, (recorder, &mut log), feed)?;
+        let mut result = self.drive_with(policy, source, (recorder, &mut log), feed);
         result.events = Some(log);
-        Ok(result)
+        result
     }
 
     /// [`Self::drive`] for one concrete recorder: feed the engine until
@@ -310,8 +242,8 @@ impl Simulator {
         policy: &mut P,
         source: &mut S,
         recorder: R,
-        feed: Feed<'_>,
-    ) -> Result<SimResult, SimError>
+        feed: Feed,
+    ) -> SimResult
     where
         P: ReplacementPolicy,
         S: RequestSource,
@@ -330,29 +262,26 @@ impl Simulator {
                 let mut buf = Vec::new();
                 while engine.serve_from(source, max, &mut buf) > 0 {}
             }
-            Feed::Checked(handler) => {
-                while let Some(req) = source.next_request(&engine.ctx()) {
-                    engine.step_checked(req, handler)?;
-                }
-            }
         }
         let final_cache = engine.cache().sorted_pages();
         if self.options.flush_at_end {
             engine.flush();
         }
-        Ok(SimResult {
+        SimResult {
             stats: engine.stats().clone(),
             events: None,
             final_cache,
             steps: engine.time(),
-        })
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::{FaultHandler, FaultPolicy, SimError};
     use crate::event::SimEvent;
+    use crate::ids::UserId;
     use crate::trace::Universe;
 
     /// Evicts the page cached in physical slot 0 — arbitrary but valid.
@@ -452,28 +381,43 @@ mod tests {
         assert!(r.final_cache.is_empty());
     }
 
+    /// Serve `source` to exhaustion through `step_checked`, stopping at
+    /// the first error.
+    fn run_checked<S: RequestSource, R: Recorder>(
+        engine: &mut SteppingEngine<EvictFirst, R>,
+        source: &mut S,
+        handler: &mut FaultHandler,
+    ) -> Result<(), SimError> {
+        while let Some(req) = source.next_request(&engine.ctx()) {
+            engine.step_checked(req, handler)?;
+        }
+        Ok(())
+    }
+
     #[test]
     fn checked_run_matches_unchecked_on_clean_input() {
         let trace = two_user_trace();
         let sim = Simulator::new(2).record_events(true).flush_at_end(true);
         let plain = sim.run(&mut EvictFirst, &trace);
-        let checked = sim
-            .try_run(&mut EvictFirst, &trace, FaultPolicy::FailFast)
-            .unwrap();
-        assert!(checked.faults.is_clean());
-        assert!(checked.quarantined.is_empty());
-        assert_eq!(checked.result.stats, plain.stats);
-        assert_eq!(checked.result.steps, plain.steps);
-        assert_eq!(checked.result.final_cache, plain.final_cache);
+        let mut checked = SteppingEngine::new(2, trace.universe().clone(), EvictFirst)
+            .with_recorder(EventLog::new());
+        let mut handler = FaultHandler::new(FaultPolicy::FailFast, 2);
+        run_checked(&mut checked, &mut TraceSource::new(&trace), &mut handler).unwrap();
+        let final_cache = checked.cache().sorted_pages();
+        checked.flush();
+        assert!(handler.counters().is_clean());
+        assert!(handler.quarantined_users().is_empty());
+        assert_eq!(checked.stats(), &plain.stats);
+        assert_eq!(checked.time(), plain.steps);
+        assert_eq!(final_cache, plain.final_cache);
         assert_eq!(
-            checked.result.events.as_ref().unwrap().to_vec(),
+            checked.recorder().to_vec(),
             plain.events.as_ref().unwrap().to_vec()
         );
     }
 
     #[test]
     fn checked_run_skips_corrupt_source_records() {
-        use crate::source::RequestSource;
         use crate::trace::Request;
 
         // A source that interleaves out-of-range pages with a clean
@@ -508,29 +452,22 @@ mod tests {
             universe: universe.clone(),
             t: 0,
         };
-        let checked = Simulator::new(2)
-            .try_run_source_recorded(
-                &mut EvictFirst,
-                &mut src,
-                &mut NoopRecorder,
-                FaultPolicy::SkipAndCount,
-            )
-            .unwrap();
-        assert_eq!(checked.faults.page_out_of_range, 3);
-        assert_eq!(checked.result.steps, 9); // dropped records consume ticks
-        assert_eq!(checked.result.stats.total_misses(), 2);
-        assert_eq!(checked.result.stats.total_hits(), 4);
+        let mut checked = SteppingEngine::new(2, universe.clone(), EvictFirst);
+        let mut handler = FaultHandler::new(FaultPolicy::SkipAndCount, 1);
+        run_checked(&mut checked, &mut src, &mut handler).unwrap();
+        assert_eq!(handler.counters().page_out_of_range, 3);
+        assert_eq!(checked.time(), 9); // dropped records consume ticks
+        assert_eq!(checked.stats().total_misses(), 2);
+        assert_eq!(checked.stats().total_hits(), 4);
 
         // The same stream under fail-fast dies on the first glitch.
-        let mut src = Glitchy { universe, t: 0 };
-        let err = Simulator::new(2)
-            .try_run_source_recorded(
-                &mut EvictFirst,
-                &mut src,
-                &mut NoopRecorder,
-                FaultPolicy::FailFast,
-            )
-            .unwrap_err();
+        let mut src = Glitchy {
+            universe: universe.clone(),
+            t: 0,
+        };
+        let mut checked = SteppingEngine::new(2, universe, EvictFirst);
+        let mut handler = FaultHandler::new(FaultPolicy::FailFast, 1);
+        let err = run_checked(&mut checked, &mut src, &mut handler).unwrap_err();
         assert!(matches!(err, SimError::Request(_)));
     }
 

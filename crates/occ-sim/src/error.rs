@@ -4,10 +4,12 @@
 //! SLA replays) must survive pathological inputs: corrupt trace records,
 //! out-of-range page ids, owner tables that disagree with the stream, and
 //! non-finite cost evaluations. The plain engine treats all of these as
-//! programmer error and panics; the *checked* entry points
-//! ([`SteppingEngine::step_checked`], [`Simulator::try_run`]) classify them
-//! into the [`SimError`] hierarchy instead and apply a configurable
-//! [`FaultPolicy`]:
+//! programmer error and panics; the *checked* engines
+//! ([`SteppingEngine::step_checked`], and the concurrent engine's
+//! [`ConcurrentEngine::serve_record`]) classify them into the
+//! [`SimError`] hierarchy instead — all with the one classifier,
+//! [`Universe::malformed`] plus the quarantine set — and apply a
+//! configurable [`FaultPolicy`]:
 //!
 //! * **fail-fast** — surface the first fault as an error (default);
 //! * **skip-and-count** — drop the faulty record, count it, keep going;
@@ -20,9 +22,11 @@
 //! returned `SimError` itself.
 //!
 //! [`SteppingEngine::step_checked`]: crate::stepper::SteppingEngine::step_checked
-//! [`Simulator::try_run`]: crate::engine::Simulator::try_run
+//! [`ConcurrentEngine::serve_record`]: crate::concurrent::ConcurrentEngine::serve_record
 
 use crate::ids::{PageId, Time, UserId};
+use crate::snapshot::EngineSnapshot;
+use crate::trace::{Request, Universe};
 use std::fmt;
 
 /// Everything that can go wrong while building, running, checkpointing or
@@ -387,11 +391,14 @@ impl FaultHandler {
         self.quarantined.get(user.index()).copied().unwrap_or(false)
     }
 
-    /// Whether any user is quarantined at all. Batched replay uses this
-    /// to decide whether a chunk can skip the per-request quarantine
-    /// lookup entirely.
-    pub fn any_quarantined(&self) -> bool {
-        self.quarantined.iter().any(|&q| q)
+    /// Why `req` is a faulty record, if it is: malformed against
+    /// `universe` ([`Universe::malformed`]), or from a quarantined user.
+    #[inline]
+    pub fn classify(&self, universe: &Universe, req: Request) -> Option<FaultKind> {
+        universe.malformed(req).or_else(|| {
+            self.is_quarantined(req.user)
+                .then_some(FaultKind::QuarantinedUser)
+        })
     }
 
     /// The quarantined users, ascending.
@@ -404,27 +411,40 @@ impl FaultHandler {
             .collect()
     }
 
-    /// Restore quarantine membership and counters (used when resuming
-    /// from a snapshot). Users outside `0..num_users` are rejected.
-    pub fn restore(
-        &mut self,
-        counters: FaultCounters,
-        quarantined: &[UserId],
-    ) -> Result<(), SnapshotError> {
-        for &u in quarantined {
-            if u.index() >= self.quarantined.len() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "quarantined user {u} outside the universe"
-                )));
+    /// Restore the fault counters and quarantine membership of `snap`
+    /// (used when resuming from a checkpoint). Rejects, as
+    /// [`SnapshotError::Corrupt`], fault state no engine writes: a
+    /// quarantined user outside `0..num_users` or listed twice, a
+    /// `quarantined_users` count that differs from the list, or a
+    /// quarantined user that still owns a cached page.
+    pub fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), SnapshotError> {
+        let corrupt = |msg: String| Err(SnapshotError::Corrupt(msg));
+        let mut quarantined = vec![false; self.quarantined.len()];
+        for &u in &snap.quarantined {
+            match quarantined.get_mut(u.index()) {
+                None => return corrupt(format!("quarantined user {u} outside the universe")),
+                Some(true) => return corrupt(format!("quarantined user {u} is listed twice")),
+                Some(q) => *q = true,
             }
         }
-        self.counters = counters;
-        for q in &mut self.quarantined {
-            *q = false;
+        if snap.faults.quarantined_users != snap.quarantined.len() as u64 {
+            return corrupt(format!(
+                "faults.quarantined_users is {} but {} users are listed as quarantined",
+                snap.faults.quarantined_users,
+                snap.quarantined.len()
+            ));
         }
-        for &u in quarantined {
-            self.quarantined[u.index()] = true;
+        for &p in &snap.cache_pages {
+            if let Some(&u) = snap
+                .owners
+                .get(p.index())
+                .filter(|u| quarantined.get(u.index()) == Some(&true))
+            {
+                return corrupt(format!("quarantined user {u} owns cached page {p}"));
+            }
         }
+        self.counters = snap.faults.clone();
+        self.quarantined = quarantined;
         Ok(())
     }
 
@@ -501,23 +521,57 @@ mod tests {
         assert!(!h.is_quarantined(UserId(99)));
     }
 
+    /// A snapshot of a two-user universe (u0: p0 p1, u1: p2 p3) with the
+    /// given fault state and cached pages.
+    fn faulty_snapshot(quarantined: &[u32], counted: u64, cache_pages: &[u32]) -> EngineSnapshot {
+        EngineSnapshot {
+            version: crate::snapshot::SNAPSHOT_VERSION,
+            time: 9,
+            capacity: 2,
+            num_users: 2,
+            owners: vec![UserId(0), UserId(0), UserId(1), UserId(1)],
+            cache_pages: cache_pages.iter().map(|&p| PageId(p)).collect(),
+            stats: vec![Default::default(); 2],
+            policy_name: "lru".into(),
+            policy: crate::snapshot::PolicyState::new(),
+            faults: FaultCounters {
+                owner_mismatch: 2,
+                quarantined_users: counted,
+                ..FaultCounters::default()
+            },
+            quarantined: quarantined.iter().map(|&u| UserId(u)).collect(),
+        }
+    }
+
     #[test]
     fn handler_restore_validates_users() {
         let mut h = FaultHandler::new(FaultPolicy::QuarantineUser, 2);
-        let err = h
-            .restore(FaultCounters::default(), &[UserId(5)])
-            .unwrap_err();
+        let err = h.restore(&faulty_snapshot(&[5], 1, &[])).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)));
-        h.restore(
-            FaultCounters {
-                owner_mismatch: 2,
-                ..FaultCounters::default()
-            },
-            &[UserId(1)],
-        )
-        .unwrap();
+        h.restore(&faulty_snapshot(&[1], 1, &[0, 1])).unwrap();
         assert!(h.is_quarantined(UserId(1)));
+        assert!(!h.is_quarantined(UserId(0)));
         assert_eq!(h.counters().owner_mismatch, 2);
+    }
+
+    #[test]
+    fn handler_restore_rejects_contradictory_quarantine_state() {
+        for (snap, why) in [
+            (faulty_snapshot(&[0, 0, 1], 1, &[]), "listed twice"),
+            (faulty_snapshot(&[0, 0], 2, &[]), "listed twice"),
+            (faulty_snapshot(&[1], 0, &[]), "quarantined_users is 0"),
+            (faulty_snapshot(&[0, 1], 1, &[]), "quarantined_users is 1"),
+            (faulty_snapshot(&[1], 1, &[0, 3]), "owns cached page p3"),
+        ] {
+            let mut h = FaultHandler::new(FaultPolicy::QuarantineUser, 2);
+            match h.restore(&snap) {
+                Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("{:?} restored as {other:?}", snap.quarantined),
+            }
+            // A rejected restore leaves the handler untouched.
+            assert!(h.counters().is_clean());
+            assert!(h.quarantined_users().is_empty());
+        }
     }
 
     #[test]

@@ -261,11 +261,12 @@ impl PageLists {
         to_core.len += from_core.len;
     }
 
-    /// Iterate list `l` from oldest to newest.
+    /// Iterate list `l` from oldest to newest. A list the arena was
+    /// never sized for is empty (a policy saved before its first touch).
     pub fn iter(&self, l: usize) -> PageListIter<'_> {
         PageListIter {
             lists: self,
-            node: self.lists[l].head,
+            node: self.lists.get(l).map_or(NIL, |c| c.head),
         }
     }
 
@@ -419,6 +420,12 @@ mod tests {
 
     fn collect(l: &PageList) -> Vec<u32> {
         l.iter().map(|p| p.0).collect()
+    }
+
+    #[test]
+    fn unsized_list_iterates_empty() {
+        assert!(collect(&PageList::new()).is_empty());
+        assert_eq!(PageLists::new().iter(3).count(), 0);
     }
 
     #[test]

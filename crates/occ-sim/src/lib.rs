@@ -80,7 +80,7 @@ pub use concurrent::{
     CommitOutcome, CommitRecord, CommitSchedule, ConcurrentEngine, ContentionCounters, ReplayError,
     ReplayOutcome, ShardedPolicy, SharedOutcome, ThreadLane,
 };
-pub use engine::{CheckedRun, EngineCtx, SimOptions, SimResult, Simulator};
+pub use engine::{EngineCtx, SimOptions, SimResult, Simulator};
 pub use error::{
     CostAnomaly, FaultCounters, FaultHandler, FaultKind, FaultPolicy, PolicyViolation,
     PolicyViolationKind, RequestFault, SimError, SnapshotError,
@@ -106,7 +106,7 @@ pub mod prelude {
         replay_schedule, run_shared, verify_replay, CommitOutcome, CommitRecord, CommitSchedule,
         ConcurrentEngine, ReplayError, ReplayOutcome, ShardedPolicy, SharedOutcome,
     };
-    pub use crate::engine::{CheckedRun, EngineCtx, SimOptions, SimResult, Simulator};
+    pub use crate::engine::{EngineCtx, SimOptions, SimResult, Simulator};
     pub use crate::error::{
         FaultCounters, FaultHandler, FaultKind, FaultPolicy, RequestFault, SimError, SnapshotError,
     };

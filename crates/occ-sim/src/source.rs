@@ -104,9 +104,8 @@ impl<'a> TraceSource<'a> {
 
     /// Replay `requests` over `universe` from the beginning. Unlike a
     /// [`Trace`], the records are not checked against the universe; when
-    /// they may be corrupt (a chaos-injected stream, say), serve them
-    /// through a checked path
-    /// ([`run_batched_checked`](crate::SteppingEngine::run_batched_checked)).
+    /// they may be corrupt (a chaos-injected stream, say), serve each one
+    /// with [`step_checked`](crate::SteppingEngine::step_checked).
     pub fn raw(universe: &'a Universe, requests: &'a [Request]) -> Self {
         TraceSource {
             universe,

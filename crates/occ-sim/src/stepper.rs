@@ -203,7 +203,7 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
     /// Well-formed requests are served exactly as [`step`](Self::step)
     /// would. Malformed records (page out of range, owner mismatch) and
     /// requests from quarantined users are classified per
-    /// [`FaultKind`], reported through
+    /// [`FaultKind`] by [`FaultHandler::classify`], reported through
     /// [`Recorder::record_fault`], and then handled per the handler's
     /// [`FaultPolicy`]: fail-fast returns the fault as an error;
     /// skip-and-count and quarantine-user absorb it and return
@@ -219,13 +219,7 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
         req: Request,
         handler: &mut FaultHandler,
     ) -> Result<Option<StepOutcome>, SimError> {
-        let kind = match self.universe.try_owner(req.page) {
-            None => Some(FaultKind::PageOutOfRange),
-            Some(owner) if owner != req.user => Some(FaultKind::OwnerMismatch),
-            Some(_) if handler.is_quarantined(req.user) => Some(FaultKind::QuarantinedUser),
-            Some(_) => None,
-        };
-        let Some(kind) = kind else {
+        let Some(kind) = handler.classify(&self.universe, req) else {
             return self.serve::<false>(req).map(Some).map_err(SimError::from);
         };
         let fault = RequestFault {
@@ -243,13 +237,7 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
             }
             (FaultPolicy::QuarantineUser, FaultKind::PageOutOfRange | FaultKind::OwnerMismatch) => {
                 handler.count(kind);
-                // Quarantine the page's true owner when the page is in
-                // range (owner mismatch), else the user the record claims
-                // — if either is a real user.
-                let culprit = self.universe.try_owner(req.page).or_else(|| {
-                    (req.user.index() < self.universe.num_users() as usize).then_some(req.user)
-                });
-                if let Some(user) = culprit {
+                if let Some(user) = self.universe.culprit(req) {
                     if handler.quarantine(user) {
                         self.remove_user_externally(user);
                     }
@@ -269,9 +257,8 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
     /// cache-fullness check once the cache fills and prefetches ahead
     /// (see [`PREFETCH_DISTANCE`]).
     ///
-    /// Like `step`, a policy contract violation panics; use
-    /// [`run_batched_checked`](Self::run_batched_checked) for untrusted
-    /// streams.
+    /// Like `step`, a policy contract violation panics; serve untrusted
+    /// streams record by record with [`step_checked`](Self::step_checked).
     pub fn step_batch(&mut self, batch: &[Request]) {
         if let Err(violation) = self.serve_batch(batch) {
             panic!("{violation}");
@@ -345,45 +332,8 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
         }
     }
 
-    /// The fault-tolerant counterpart of [`run_batched`](Self::run_batched):
-    /// identical semantics to calling [`step_checked`](Self::step_checked)
-    /// once per record (same [`FaultCounters`](crate::error::FaultCounters),
-    /// same quarantine set, same engine state, same recorder hooks), but
-    /// chunks that a cheap pre-scan proves fault-free — every record
-    /// well-formed, no user quarantined — take the batch loop instead of
-    /// the per-record validation path.
-    pub fn run_batched_checked(
-        &mut self,
-        records: &[Request],
-        batch_size: usize,
-        handler: &mut FaultHandler,
-    ) -> Result<(), SimError> {
-        assert!(batch_size > 0, "batch size must be positive");
-        for chunk in records.chunks(batch_size) {
-            // A chunk may use the trusting loop only if no record in it
-            // would fault: pre-scan owners, and require an empty
-            // quarantine set (a quarantined user turns even well-formed
-            // records into drops). Faults can only arise inside a chunk
-            // from the records themselves, so a clean pre-scan holds for
-            // the whole chunk.
-            let clean = !handler.any_quarantined()
-                && chunk
-                    .iter()
-                    .all(|r| self.universe.try_owner(r.page) == Some(r.user));
-            if clean {
-                self.serve_batch(chunk)?;
-            } else {
-                for &req in chunk {
-                    self.step_checked(req, handler)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The batch loop behind [`step_batch`](Self::step_batch),
-    /// [`step_page_batch`](Self::step_page_batch) and the clean chunks
-    /// of [`run_batched_checked`](Self::run_batched_checked).
+    /// The batch loop behind [`step_batch`](Self::step_batch) and
+    /// [`step_page_batch`](Self::step_page_batch).
     ///
     /// A warmup loop serves while the cache is still filling. Once full
     /// the cache stays full for the rest of the batch — serving never
@@ -767,44 +717,6 @@ mod tests {
         batched.run_batched(trace.requests(), 7);
         assert_eq!(batched.stats(), scalar.stats());
         assert_eq!(batched.recorder().to_vec(), scalar.recorder().to_vec());
-    }
-
-    #[test]
-    fn batched_checked_matches_scalar_on_faulty_stream() {
-        let u = Universe::uniform(2, 2); // u0: p0 p1, u1: p2 p3
-        let mut records = Vec::new();
-        for i in 0..50u32 {
-            records.push(u.request(PageId(i % 4)));
-            if i % 7 == 3 {
-                records.push(Request {
-                    page: PageId(100 + i),
-                    user: UserId(0),
-                });
-            }
-            if i == 20 {
-                // Owner-mismatch record: quarantines p1's true owner u0.
-                records.push(Request {
-                    page: PageId(1),
-                    user: UserId(1),
-                });
-            }
-        }
-
-        for policy in [FaultPolicy::SkipAndCount, FaultPolicy::QuarantineUser] {
-            let mut scalar = SteppingEngine::new(2, u.clone(), EvictFirst);
-            let mut hs = FaultHandler::new(policy, u.num_users());
-            for &r in &records {
-                scalar.step_checked(r, &mut hs).unwrap();
-            }
-            let mut batched = SteppingEngine::new(2, u.clone(), EvictFirst);
-            let mut hb = FaultHandler::new(policy, u.num_users());
-            batched.run_batched_checked(&records, 8, &mut hb).unwrap();
-            assert_eq!(hb.counters(), hs.counters(), "{policy}");
-            assert_eq!(hb.quarantined_users(), hs.quarantined_users(), "{policy}");
-            assert_eq!(batched.stats(), scalar.stats(), "{policy}");
-            assert_eq!(batched.time(), scalar.time(), "{policy}");
-            assert_eq!(batched.cache().pages(), scalar.cache().pages(), "{policy}");
-        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! used by the convex program of the paper (§2.1). Both are properties of
 //! the sequence alone, independent of any algorithm.
 
+use crate::error::FaultKind;
 use crate::ids::{PageId, Time, UserId};
 use serde::{Deserialize, Serialize};
 
@@ -100,6 +101,27 @@ impl Universe {
     #[inline]
     pub fn try_owner(&self, page: PageId) -> Option<UserId> {
         self.owner.get(page.index()).copied()
+    }
+
+    /// How a request record from outside the program breaks the model's
+    /// one-owner rule, if it does: its page is outside the universe, or
+    /// the user it claims is not the page's owner. Every checked engine
+    /// classifies records with this; a quarantine check comes after it.
+    #[inline]
+    pub fn malformed(&self, req: Request) -> Option<FaultKind> {
+        match self.try_owner(req.page) {
+            None => Some(FaultKind::PageOutOfRange),
+            Some(owner) if owner != req.user => Some(FaultKind::OwnerMismatch),
+            Some(_) => None,
+        }
+    }
+
+    /// The user a [`malformed`](Self::malformed) record quarantines: the
+    /// page's true owner when the page is in range, else the user the
+    /// record claims if that user exists.
+    pub fn culprit(&self, req: Request) -> Option<UserId> {
+        self.try_owner(req.page)
+            .or_else(|| (req.user.0 < self.num_users).then_some(req.user))
     }
 
     /// The full owner table, indexed by page id (snapshots embed it so a

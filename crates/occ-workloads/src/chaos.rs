@@ -226,6 +226,21 @@ mod tests {
     use super::*;
     use occ_sim::prelude::*;
 
+    /// Serve `src` to exhaustion with LRU at capacity `k` under
+    /// skip-and-count, one `step_checked` per pulled record.
+    fn run_checked<S: RequestSource>(
+        k: usize,
+        src: &mut S,
+    ) -> (SteppingEngine<occ_baselines::Lru>, FaultHandler) {
+        let universe = src.universe().clone();
+        let mut handler = FaultHandler::new(FaultPolicy::SkipAndCount, universe.num_users());
+        let mut eng = SteppingEngine::new(k, universe, occ_baselines::Lru::new());
+        while let Some(req) = src.next_request(&eng.ctx()) {
+            eng.step_checked(req, &mut handler).unwrap();
+        }
+        (eng, handler)
+    }
+
     fn trace() -> Trace {
         let u = Universe::uniform(3, 4);
         let pages: Vec<u32> = (0..200).map(|i| (i * 7 + 3) % 12).collect();
@@ -302,19 +317,11 @@ mod tests {
         let (expect, injected_up_front) = plan.corrupt_trace(&t);
 
         let mut src = ChaosSource::new(TraceSource::new(&t), plan);
-        let mut lru = occ_baselines::Lru::new();
-        let run = Simulator::new(4)
-            .try_run_source_recorded(
-                &mut lru,
-                &mut src,
-                &mut NoopRecorder,
-                FaultPolicy::SkipAndCount,
-            )
-            .unwrap();
-        assert_eq!(run.result.steps, expect.len() as u64);
+        let (eng, handler) = run_checked(4, &mut src);
+        assert_eq!(eng.time(), expect.len() as u64);
         assert_eq!(src.injected(), injected_up_front);
         assert_eq!(
-            run.faults.page_out_of_range + run.faults.owner_mismatch,
+            handler.counters().page_out_of_range + handler.counters().owner_mismatch,
             injected_up_front.total(),
             "the engine detects exactly what was injected"
         );
@@ -333,17 +340,9 @@ mod tests {
         });
         let plan = FaultPlan::seeded(5).with_page_rate(0.5);
         let mut src = ChaosSource::new(inner, plan);
-        let mut lru = occ_baselines::Lru::new();
-        let run = Simulator::new(2)
-            .try_run_source_recorded(
-                &mut lru,
-                &mut src,
-                &mut NoopRecorder,
-                FaultPolicy::SkipAndCount,
-            )
-            .unwrap();
-        assert_eq!(run.result.steps, 40);
-        assert!(run.faults.page_out_of_range > 0);
-        assert_eq!(run.faults.page_out_of_range, src.injected().pages);
+        let (eng, handler) = run_checked(2, &mut src);
+        assert_eq!(eng.time(), 40);
+        assert!(handler.counters().page_out_of_range > 0);
+        assert_eq!(handler.counters().page_out_of_range, src.injected().pages);
     }
 }

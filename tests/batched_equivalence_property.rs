@@ -10,9 +10,6 @@
 //! Recorded and unrecorded engines run the same batch loop, so both are
 //! pinned: the event log comes from an `EventLog` recorder, including
 //! on `step_page_batch`, the zero-copy path the trace pipelines take.
-//! The checked variant must additionally reproduce the scalar
-//! `step_checked` loop's fault counters and quarantine sets on corrupt
-//! request streams.
 
 use occ_baselines::{
     Fifo, FifoReference, GreedyDual, Lru, LruK, LruKReference, LruReference, Marking,
@@ -20,8 +17,8 @@ use occ_baselines::{
 };
 use occ_core::{ConvexCaching, CostProfile, Monomial};
 use occ_sim::{
-    EventLog, FaultHandler, FaultPolicy, NoopRecorder, PageId, Recorder, ReplacementPolicy,
-    Request, SimEvent, SteppingEngine, Universe, UserId,
+    EventLog, NoopRecorder, PageId, Recorder, ReplacementPolicy, Request, SimEvent, SteppingEngine,
+    Universe,
 };
 use proptest::prelude::*;
 
@@ -316,69 +313,6 @@ fn step_batch_boundary_sizes_match_scalar_on_long_traces() {
                     policy.name()
                 );
             }
-        }
-    }
-}
-
-/// A request stream with seeded corruption: out-of-universe pages and
-/// wrong-owner records sprinkled through valid requests.
-fn arb_faulty_stream() -> impl Strategy<Value = (Universe, Vec<Request>, usize, usize)> {
-    (2u32..=3, 3u32..=5).prop_flat_map(|(users, per_user)| {
-        let total = users * per_user;
-        (
-            proptest::collection::vec((0u32..total + 4, 0u32..users), 20..150),
-            1..=(total as usize - 1),
-            1usize..=33,
-        )
-            .prop_map(move |(raw, k, batch)| {
-                let universe = Universe::uniform(users, per_user);
-                let requests: Vec<Request> = raw
-                    .iter()
-                    .map(|&(p, u)| Request {
-                        page: PageId(p),
-                        user: UserId(u),
-                    })
-                    .collect();
-                (universe, requests, k, batch)
-            })
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn batched_checked_replay_matches_scalar_on_corrupt_streams(
-        (universe, requests, k, batch) in arb_faulty_stream()
-    ) {
-        for fault_policy in [FaultPolicy::SkipAndCount, FaultPolicy::QuarantineUser] {
-            let mut scalar_policy = Lru::new();
-            let mut scalar_handler = FaultHandler::new(fault_policy, universe.num_users());
-            let mut scalar =
-                SteppingEngine::new(k, universe.clone(), &mut scalar_policy);
-            for &r in &requests {
-                scalar.step_checked(r, &mut scalar_handler).unwrap();
-            }
-
-            let mut batched_policy = Lru::new();
-            let mut batched_handler = FaultHandler::new(fault_policy, universe.num_users());
-            let mut batched =
-                SteppingEngine::new(k, universe.clone(), &mut batched_policy);
-            batched
-                .run_batched_checked(&requests, batch, &mut batched_handler)
-                .unwrap();
-
-            prop_assert_eq!(scalar_handler.counters(), batched_handler.counters());
-            prop_assert_eq!(
-                scalar_handler.quarantined_users(),
-                batched_handler.quarantined_users()
-            );
-            prop_assert_eq!(scalar.stats(), batched.stats());
-            prop_assert_eq!(scalar.time(), batched.time());
-            prop_assert_eq!(
-                scalar.cache().sorted_pages(),
-                batched.cache().sorted_pages()
-            );
         }
     }
 }

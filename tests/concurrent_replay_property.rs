@@ -1,9 +1,10 @@
 //! Property tests for the concurrent shared-cache engine's determinism
-//! contract: for ANY thread count, shard count, shareable policy, and
-//! seeded per-thread request schedule, the single-threaded replay of the
-//! recorded commit schedule must reproduce the concurrent run exactly —
-//! per-user hit/miss/eviction vectors, fault counters, and the
-//! quarantine set. Plus the deterministic edge-case sweep: k=1, S=1,
+//! contract: for ANY thread count, shard count, shareable policy,
+//! degradation policy, and seeded per-thread request schedule — corrupted
+//! at a seeded rate by a `ChaosSource` — the single-threaded replay of
+//! the recorded commit schedule must reproduce the concurrent run
+//! exactly: per-user hit/miss/eviction vectors, every drop's fault kind,
+//! fault counters, and the quarantine set. Plus the deterministic edge-case sweep: k=1, S=1,
 //! more threads than shards, one user owning every page, and empty
 //! request streams.
 
@@ -11,6 +12,7 @@ use occ_baselines::{Fifo, GreedyDual, Lru};
 use occ_sim::concurrent::{replay_schedule, run_shared, verify_replay, ConcurrentEngine};
 use occ_sim::probe::NoopRecorder;
 use occ_sim::{FaultPolicy, ReplacementPolicy, SharedOutcome, Trace, TraceSource, Universe};
+use occ_workloads::{ChaosSource, FaultPlan};
 use proptest::prelude::*;
 
 type SharedPolicy = Box<dyn ReplacementPolicy + Send>;
@@ -29,14 +31,17 @@ fn shared_policies(idx: usize, table_shards: usize, num_users: u32) -> Vec<Share
         .collect()
 }
 
-/// Run `traces` concurrently (one worker per trace) against one shared
-/// cache, then replay the recorded schedule and demand exact equality.
+/// Run `traces` concurrently (one worker per trace, each corrupted at
+/// `chaos = (seed, rate)`: that rate of out-of-range pages and of wrong
+/// owners) against one shared cache, then replay the recorded schedule
+/// and demand exact equality.
 fn run_and_replay(
     traces: &[Trace],
     k: usize,
     table_shards: usize,
     policy_idx: usize,
     degrade: FaultPolicy,
+    (seed, rate): (u64, f64),
 ) -> (SharedOutcome, occ_sim::concurrent::ReplayOutcome) {
     let universe = traces[0].universe().clone();
     let num_users = universe.num_users();
@@ -46,9 +51,23 @@ fn run_and_replay(
         degrade,
         shared_policies(policy_idx, table_shards, num_users),
     );
-    let mut sources: Vec<TraceSource> = traces.iter().map(TraceSource::new).collect();
+    let mut sources: Vec<ChaosSource<TraceSource>> = traces
+        .iter()
+        .enumerate()
+        .map(|(t, trace)| {
+            let plan = FaultPlan::seeded(seed.wrapping_add(t as u64))
+                .with_page_rate(rate)
+                .with_owner_rate(rate);
+            ChaosSource::new(TraceSource::new(trace), plan)
+        })
+        .collect();
     let mut recorders = vec![NoopRecorder; sources.len()];
     let outcome = run_shared(&engine, &mut sources, &mut recorders).expect("run cannot fault");
+    // Every engine classifies a malformed record before any quarantine
+    // check, so the drops of those kinds are exactly the injected ones.
+    let injected: u64 = sources.iter().map(|s| s.injected().total()).sum();
+    let c = &outcome.counters;
+    assert_eq!(c.page_out_of_range + c.owner_mismatch, injected);
     let replayed = replay_schedule(
         k,
         universe,
@@ -85,6 +104,11 @@ proptest! {
     #[test]
     fn concurrent_equals_replay_for_any_shape(
         ((threads, table_shards, policy_idx), k, users, pages_per, schedules) in arb_shape(),
+        degrade in prop_oneof![
+            Just(FaultPolicy::SkipAndCount),
+            Just(FaultPolicy::QuarantineUser),
+        ],
+        chaos in (0u64..u64::MAX, 0.0f64..0.2),
     ) {
         prop_assert_eq!(schedules.len(), threads);
         let universe = Universe::uniform(users, pages_per);
@@ -93,7 +117,7 @@ proptest! {
             .map(|idxs| Trace::from_page_indices(&universe, idxs))
             .collect();
         let (outcome, replayed) =
-            run_and_replay(&traces, k, table_shards, policy_idx, FaultPolicy::SkipAndCount);
+            run_and_replay(&traces, k, table_shards, policy_idx, degrade, chaos);
 
         // The explicit satellite contract, beyond verify_replay's own
         // check: per-user miss vectors and fault counters byte-equal.
@@ -108,6 +132,9 @@ proptest! {
     }
 }
 
+/// No corruption, for the edge-case sweep.
+const CLEAN: (u64, f64) = (0, 0.0);
+
 /// A trace of `n` round-robin pages over `universe`.
 fn cyclic_trace(universe: &Universe, n: usize) -> Trace {
     let total = universe.num_pages();
@@ -119,7 +146,7 @@ fn cyclic_trace(universe: &Universe, n: usize) -> Trace {
 fn edge_case_k1_thrashes_identically() {
     let universe = Universe::uniform(2, 4);
     let traces: Vec<Trace> = (0..4).map(|_| cyclic_trace(&universe, 200)).collect();
-    let (outcome, _) = run_and_replay(&traces, 1, 4, 0, FaultPolicy::SkipAndCount);
+    let (outcome, _) = run_and_replay(&traces, 1, 4, 0, FaultPolicy::SkipAndCount, CLEAN);
     assert_eq!(outcome.schedule.len(), 800);
     // k=1: after the first insert every miss is an eviction.
     assert_eq!(
@@ -132,7 +159,7 @@ fn edge_case_k1_thrashes_identically() {
 fn edge_case_single_segment_is_one_big_lock() {
     let universe = Universe::uniform(3, 3);
     let traces: Vec<Trace> = (0..4).map(|_| cyclic_trace(&universe, 150)).collect();
-    let (outcome, _) = run_and_replay(&traces, 4, 1, 1, FaultPolicy::SkipAndCount);
+    let (outcome, _) = run_and_replay(&traces, 4, 1, 1, FaultPolicy::SkipAndCount, CLEAN);
     assert_eq!(outcome.schedule.len(), 600);
     for e in outcome.schedule.entries() {
         assert_eq!(e.shard, 0, "S=1 maps every page to segment 0");
@@ -143,7 +170,7 @@ fn edge_case_single_segment_is_one_big_lock() {
 fn edge_case_more_threads_than_segments() {
     let universe = Universe::uniform(2, 5);
     let traces: Vec<Trace> = (0..6).map(|_| cyclic_trace(&universe, 100)).collect();
-    let (outcome, _) = run_and_replay(&traces, 3, 2, 2, FaultPolicy::SkipAndCount);
+    let (outcome, _) = run_and_replay(&traces, 3, 2, 2, FaultPolicy::SkipAndCount, CLEAN);
     assert_eq!(outcome.schedule.len(), 600);
     let threads: std::collections::BTreeSet<u32> = outcome
         .schedule
@@ -158,7 +185,7 @@ fn edge_case_more_threads_than_segments() {
 fn edge_case_one_user_owns_every_page() {
     let universe = Universe::single_user(8);
     let traces: Vec<Trace> = (0..4).map(|_| cyclic_trace(&universe, 120)).collect();
-    let (outcome, replayed) = run_and_replay(&traces, 3, 4, 0, FaultPolicy::SkipAndCount);
+    let (outcome, replayed) = run_and_replay(&traces, 3, 4, 0, FaultPolicy::SkipAndCount, CLEAN);
     assert_eq!(outcome.stats.per_user().len(), 1);
     assert_eq!(
         outcome.stats.per_user()[0].evictions,
@@ -172,7 +199,7 @@ fn edge_case_empty_streams_commit_nothing() {
     let traces: Vec<Trace> = (0..4)
         .map(|_| Trace::from_page_indices(&universe, &[]))
         .collect();
-    let (outcome, replayed) = run_and_replay(&traces, 2, 4, 0, FaultPolicy::SkipAndCount);
+    let (outcome, replayed) = run_and_replay(&traces, 2, 4, 0, FaultPolicy::SkipAndCount, CLEAN);
     assert!(outcome.schedule.is_empty());
     assert_eq!(outcome.stats.total_misses(), 0);
     assert_eq!(replayed.stats.total_misses(), 0);
