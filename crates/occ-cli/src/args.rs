@@ -3,6 +3,12 @@
 
 use std::collections::BTreeMap;
 
+/// The largest integer a JSON number (an IEEE double) carries exactly.
+const JSON_INT_MAX: u64 = 1 << 53;
+
+/// Count flags that reports, series and checkpoints write into JSON.
+const JSON_COUNT_FLAGS: [&str; 4] = ["seed", "len", "window", "k"];
+
 /// Parsed command line: a subcommand, an optional action (the second
 /// positional, used by `occ trace pack|unpack|import`), plus
 /// `--key value` flags.
@@ -92,6 +98,24 @@ impl Args {
             None => Ok(default),
             Some(v) => parse_scaled(v).map_err(|e| format!("bad value for --{name}: {e}")),
         }
+    }
+
+    /// Reject a `--seed`, `--len`, `--window` or `--k` value above
+    /// [`JSON_INT_MAX`]: reports, series and checkpoints write these
+    /// values into JSON, which could not carry them exactly. Values that
+    /// do not parse as a count are left to the typed getters.
+    pub fn check_json_range(&self) -> Result<(), String> {
+        for name in JSON_COUNT_FLAGS {
+            if let Some(Ok(v)) = self.flags.get(name).map(|v| parse_scaled(v)) {
+                if v > JSON_INT_MAX {
+                    return Err(format!(
+                        "--{name} {v} exceeds 2^53 = {JSON_INT_MAX}, the largest \
+                         integer a JSON report, series or checkpoint carries exactly"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 }
 

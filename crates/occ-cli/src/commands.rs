@@ -2111,25 +2111,13 @@ where
     // dropping the tail of the series.
     let series_lines = match sink {
         None => 0,
-        Some(s) => {
+        Some(mut s) => {
             let ioerr =
                 |e: std::io::Error| CliError::Io(format!("writing {}: {e}", opts.series_path));
             let lines = s.lines();
-            let mut w = s.finish().map_err(ioerr)?;
-            let crc = w.crc();
-            {
-                use std::io::Write as _;
-                // The trailer bypasses the CRC accumulator: it carries
-                // the checksum of everything before it.
-                w.inner_mut()
-                    .write_all(occ_probe::atomicio::trailer_line(crc).as_bytes())
-                    .and_then(|()| w.flush())
-                    .map_err(ioerr)?;
-            }
-            let (buf, _) = w.into_parts();
-            let file = buf
-                .into_inner()
-                .map_err(|e| CliError::Io(format!("writing {}: {e}", opts.series_path)))?;
+            s.seal().map_err(ioerr)?;
+            let (buf, _) = s.finish().map_err(ioerr)?.into_parts();
+            let file = buf.into_inner().map_err(|e| ioerr(e.into_error()))?;
             if series_direct {
                 // In-place target: nothing to rename, and fsync is not
                 // meaningful on devices/fifos.

@@ -57,7 +57,9 @@ fn main() {
         eprintln!("{}", commands::USAGE);
         std::process::exit(2);
     }
-    let result = match args.command.as_deref() {
+    // One limit for every command, checked before any work starts.
+    let checked = args.check_json_range().map_err(CliError::Usage);
+    let result = checked.and_then(|()| match args.command.as_deref() {
         Some("generate") => commands::generate(&args),
         Some("trace") => commands::trace(&args),
         Some("run") => commands::run(&args),
@@ -76,7 +78,7 @@ fn main() {
             Ok(())
         }
         Some(other) => Err(CliError::Usage(format!("unknown command '{other}'"))),
-    };
+    });
     if let Err(e) = result {
         eprintln!("error({}): {e}", e.class());
         std::process::exit(e.exit_code());

@@ -1,0 +1,170 @@
+//! Black-box limits on numeric input through the real binary: flag
+//! values that a command writes into JSON must fit JSON's exact integer
+//! range (2^53) and are rejected up front as usage errors (exit 2), and
+//! a cache size far beyond the page universe — from a flag or from a
+//! checkpoint — runs instead of aborting on a huge allocation.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+/// One past the largest integer JSON carries exactly.
+const OVER_2_53: &str = "9007199254740993";
+/// A `--len`/`--window` value well past 2^53: 10^16.
+const TEN_16: &str = "10000000000000000";
+/// A cache size whose slot table alone would need 400 TB.
+const HUGE_K: &str = "100000000000000";
+
+fn occ(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_occ"))
+        .args(args)
+        .output()
+        .expect("run occ")
+}
+
+fn tmp(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("occ-flag-limits-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir.join(name)
+}
+
+/// Assert `args` exits 2 with a message naming the 2^53 limit for
+/// `flag`, and without touching `out` (no work started).
+fn rejected(args: &[&str], flag: &str, out: Option<&PathBuf>) {
+    let o = occ(args);
+    let stderr = String::from_utf8_lossy(&o.stderr);
+    assert_eq!(o.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(&format!("--{flag} ")) && stderr.contains("2^53"),
+        "{args:?}: {stderr}"
+    );
+    if let Some(out) = out {
+        assert!(!out.exists(), "{args:?} wrote {}", out.display());
+    }
+}
+
+fn soak_args<'a>(extra: &[&'a str]) -> Vec<&'a str> {
+    let mut v = vec!["soak", "--scenario", "two-tier", "--heartbeat", "off"];
+    v.extend_from_slice(extra);
+    v
+}
+
+#[test]
+fn soak_seed_above_2_53_is_a_usage_error() {
+    let seed = "18446744073709551615";
+    rejected(
+        &soak_args(&["--len", "10", "--window", "5", "--seed", seed]),
+        "seed",
+        None,
+    );
+    let series = tmp("seed.jsonl");
+    let path = series.to_str().unwrap();
+    rejected(
+        &soak_args(&[
+            "--len", "10", "--window", "5", "--seed", seed, "--series", path,
+        ]),
+        "seed",
+        Some(&series),
+    );
+}
+
+#[test]
+fn soak_len_above_2_53_is_a_usage_error() {
+    rejected(&soak_args(&["--len", TEN_16, "--window", "5"]), "len", None);
+}
+
+#[test]
+fn soak_window_above_2_53_is_a_usage_error() {
+    let series = tmp("window.jsonl");
+    rejected(
+        &soak_args(&[
+            "--len",
+            "10",
+            "--window",
+            TEN_16,
+            "--series",
+            series.to_str().unwrap(),
+        ]),
+        "window",
+        Some(&series),
+    );
+}
+
+#[test]
+fn fleet_len_above_2_53_is_a_usage_error() {
+    let series = tmp("fleet.jsonl");
+    rejected(
+        &[
+            "fleet",
+            "--scenario",
+            "two-tier",
+            "--shards",
+            "2",
+            "--len",
+            TEN_16,
+            "--window",
+            "5",
+            "--series-out",
+            series.to_str().unwrap(),
+        ],
+        "len",
+        Some(&series),
+    );
+}
+
+#[test]
+fn k_above_2_53_is_a_usage_error() {
+    rejected(
+        &soak_args(&["--len", "10", "--window", "5", "--k", OVER_2_53]),
+        "k",
+        None,
+    );
+}
+
+#[test]
+fn the_limit_itself_is_accepted() {
+    let o = occ(&soak_args(&[
+        "--len",
+        "10",
+        "--window",
+        "5",
+        "--seed",
+        "9007199254740992",
+    ]));
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+}
+
+#[test]
+fn a_cache_larger_than_the_universe_runs() {
+    let o = occ(&soak_args(&["--len", "10", "--window", "5", "--k", HUGE_K]));
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+}
+
+#[test]
+fn resume_from_a_checkpoint_with_a_huge_capacity_runs() {
+    let ckpt = tmp("huge-k.ckpt.json");
+    let report = tmp("huge-k.json");
+    let base = ["--scenario", "two-tier", "--seed", "5", "--out"];
+    let mut args = vec!["observe", "--len", "400", "--k", "24", "--checkpoint"];
+    args.push(ckpt.to_str().unwrap());
+    args.extend_from_slice(&base);
+    args.push(report.to_str().unwrap());
+    let o = occ(&args);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+
+    // Edit the capacity and re-seal, so only the value is untrusted.
+    let text = std::fs::read_to_string(&ckpt).unwrap();
+    let body = occ_probe::require_trailer(&text).unwrap();
+    assert!(body.contains("\"capacity\":24,"), "{body}");
+    let edited = body.replacen("\"capacity\":24,", &format!("\"capacity\":{HUGE_K},"), 1);
+    std::fs::write(&ckpt, occ_probe::with_trailer(&edited)).unwrap();
+
+    let mut args = vec!["resume", "--len", "800", "--from", ckpt.to_str().unwrap()];
+    args.extend_from_slice(&base);
+    args.push(report.to_str().unwrap());
+    let o = occ(&args);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    let out = std::fs::read_to_string(&report).unwrap();
+    assert!(out.contains(&format!("\"capacity\":{HUGE_K}")), "{out}");
+    std::fs::remove_file(&ckpt).ok();
+    std::fs::remove_file(&report).ok();
+}

@@ -383,7 +383,7 @@ mod tests {
         assert_eq!(e.alpha, Some(2.0));
         assert!(e.lhs <= e.rhs);
         // Recorder hooks really fired: one record per request.
-        assert_eq!(rec.requests(), 200);
+        assert_eq!(rec.total().requests(), 200);
     }
 
     #[test]
@@ -446,7 +446,11 @@ mod tests {
         assert_eq!(e.verdict, Verdict::Pass, "ratio {} vs {}", e.lhs, e.rhs);
         assert_eq!(e.op, ">=");
         assert!((e.rhs - 1.5625).abs() < 1e-12, "required (5/4)^2");
-        assert_eq!(rec.requests(), 200, "replay goes through the recorder");
+        assert_eq!(
+            rec.total().requests(),
+            200,
+            "replay goes through the recorder"
+        );
     }
 
     #[test]

@@ -177,7 +177,7 @@ mod tests {
         let g = mini_grid();
         let out = run_grid(&g, &RunConfig::default());
         let total_requests: usize = g.cells.iter().map(|c| c.len).sum();
-        assert_eq!(out.metrics.requests(), total_requests as u64);
+        assert_eq!(out.metrics.total().requests(), total_requests as u64);
         assert_eq!(out.cell_elapsed_ns.len(), g.cells.len());
         // The JSON carries no timing keys at all.
         let json = out.verdicts.to_json();

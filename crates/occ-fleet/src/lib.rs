@@ -507,13 +507,16 @@ mod tests {
         let sources: Vec<_> = (0..3).map(|i| scenario.stream(2_000, i)).collect();
         let report = run_fleet(sources, &cfg, lru_factory);
 
-        let shard_requests: u64 = report.shards.iter().map(|s| s.recorder.requests()).sum();
-        assert_eq!(report.merged.requests(), shard_requests);
-        assert_eq!(report.merged.requests(), report.total_requests);
-        assert_eq!(
-            report.merged.hits() + report.merged.inserts() + report.merged.evictions(),
-            6_000
-        );
+        let shard_requests: u64 = report
+            .shards
+            .iter()
+            .map(|s| s.recorder.total().requests())
+            .sum();
+        assert_eq!(report.merged.total().requests(), shard_requests);
+        assert_eq!(report.merged.total().requests(), report.total_requests);
+        let merged = report.merged.total();
+        assert_eq!(merged.hits + merged.misses(), 6_000);
+        assert_eq!(merged.misses_by_user.iter().sum::<u64>(), merged.misses());
         assert_eq!(report.total_hits() + report.total_misses(), 6_000);
     }
 
@@ -535,7 +538,7 @@ mod tests {
         for (a, b) in recorded.shards.iter().zip(&bare.shards) {
             assert_eq!(a.stats, b.stats, "record flag must not change replay");
         }
-        assert_eq!(bare.merged.requests(), 0, "no recorder attached");
+        assert_eq!(bare.merged.total().requests(), 0, "no recorder attached");
         assert_eq!(bare.total_misses(), recorded.total_misses());
     }
 
@@ -563,7 +566,10 @@ mod tests {
                 assert_eq!(a.served, b.served);
             }
             assert_eq!(boxed.total_requests, typed.total_requests);
-            assert_eq!(boxed.merged.requests(), typed.merged.requests());
+            assert_eq!(
+                boxed.merged.total().requests(),
+                typed.merged.total().requests()
+            );
         }
     }
 
@@ -590,7 +596,10 @@ mod tests {
                 assert_eq!(a.stats, b.stats, "cap {cap:?}: stats diverged");
                 assert_eq!(a.served, b.served);
             }
-            assert_eq!(capped.merged.requests(), sequential.merged.requests());
+            assert_eq!(
+                capped.merged.total().requests(),
+                sequential.merged.total().requests()
+            );
         }
     }
 
@@ -626,8 +635,8 @@ mod tests {
         }
         // And the merged series sums to the merged recorder's totals.
         let total = merged.total();
-        assert_eq!(total.requests(), report.merged.requests());
-        assert_eq!(total.hits, report.merged.hits());
+        assert_eq!(total.requests(), report.merged.total().requests());
+        assert_eq!(total.hits, report.merged.total().hits);
 
         // The JSON report gains a `series` key only when windowing is on.
         let v = report.to_json_value();

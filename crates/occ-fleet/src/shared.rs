@@ -310,11 +310,10 @@ mod tests {
             run_shared_fleet(universe, &cfg, &mut sources, |_| Lru::new()).expect("run + replay");
         assert_eq!(report.outcome.schedule.len(), 8_000);
         assert!(report.replay.is_some());
-        assert_eq!(report.merged.requests(), 8_000);
-        assert_eq!(
-            report.merged.hits() + report.merged.inserts() + report.merged.evictions(),
-            8_000
-        );
+        assert_eq!(report.merged.total().requests(), 8_000);
+        let merged = report.merged.total();
+        assert_eq!(merged.hits + merged.misses(), 8_000);
+        assert_eq!(merged.misses_by_user.iter().sum::<u64>(), merged.misses());
         let v = report.to_json_value();
         check_schema_stamp(&v, SHARED_SCHEMA, "shared report").unwrap();
         let text = v.to_json();
@@ -352,8 +351,8 @@ mod tests {
         // No — interleaving changes outcomes. What must hold: each run
         // equals its own replay (checked inside), and the unrecorded
         // run's merged recorder is empty.
-        assert_eq!(bare.merged.requests(), 0);
-        assert_eq!(recorded.merged.requests(), 4_500);
+        assert_eq!(bare.merged.total().requests(), 0);
+        assert_eq!(recorded.merged.total().requests(), 4_500);
         assert_eq!(bare.outcome.schedule.len(), 4_500);
     }
 }

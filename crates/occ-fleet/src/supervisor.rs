@@ -49,12 +49,12 @@
 use crate::{fleet_report, run_pool, FleetConfig, FleetReport, ShardReport};
 use occ_probe::atomicio;
 use occ_probe::{
-    snapshot_to_json, Json, MetricsRecorder, SeriesSink, WindowDelta, WindowSeries,
+    snapshot_to_json, CrcWriter, Json, MetricsRecorder, SeriesSink, WindowDelta, WindowSeries,
     WindowedRecorder,
 };
 use occ_sim::{EngineSnapshot, ReplacementPolicy, SeekableSource, SimStats, SteppingEngine};
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -309,7 +309,7 @@ impl SupervisorReport {
 #[derive(Debug)]
 pub struct DirPersist {
     ckpt_path: PathBuf,
-    series: occ_probe::CrcWriter<BufWriter<File>>,
+    series: SeriesSink<CrcWriter<BufWriter<File>>>,
     /// Next window index the series file expects (the duplicate guard).
     next_index: u64,
     finished: bool,
@@ -340,14 +340,8 @@ impl DirPersist {
     ) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         let file = File::create(Self::series_path(dir, shard))?;
-        let mut series = occ_probe::CrcWriter::new(BufWriter::new(file));
-        // Reuse SeriesSink's header line so SeriesFile::parse reads
-        // these state files like any other series.
-        let mut sink = SeriesSink::new(&mut series);
-        sink.write_header(width, header_meta);
-        if let Some(e) = sink.error() {
-            return Err(io::Error::new(e.kind(), e.to_string()));
-        }
+        let mut series = SeriesSink::new(CrcWriter::new(BufWriter::new(file)));
+        series.write_header(width, header_meta);
         series.flush()?;
         Ok(DirPersist {
             ckpt_path: Self::ckpt_path(dir, shard),
@@ -373,9 +367,7 @@ impl DirPersist {
             // Regenerated after a restart; already on disk.
             return Ok(());
         }
-        let line = w.to_json_value().to_json();
-        self.series.write_all(line.as_bytes())?;
-        self.series.write_all(b"\n")?;
+        self.series.write_window(w);
         self.series.flush()?;
         self.next_index = w.index + 1;
         Ok(())
@@ -387,11 +379,7 @@ impl DirPersist {
         if self.finished {
             return Ok(());
         }
-        let crc = self.series.crc();
-        self.series
-            .inner_mut()
-            .write_all(atomicio::trailer_line(crc).as_bytes())?;
-        self.series.flush()?;
+        self.series.seal()?;
         self.finished = true;
         Ok(())
     }

@@ -76,9 +76,9 @@ proptest! {
         // And the merged series sums to the fleet's merged recorder,
         // i.e. merge-then-sum equals sum-then-merge.
         let total = merged.total();
-        prop_assert_eq!(total.hits, report.merged.hits());
-        prop_assert_eq!(total.inserts, report.merged.inserts());
-        prop_assert_eq!(total.evictions, report.merged.evictions());
-        prop_assert_eq!(total.requests(), report.merged.requests());
+        prop_assert_eq!(total.hits, report.merged.total().hits);
+        prop_assert_eq!(total.inserts, report.merged.total().inserts);
+        prop_assert_eq!(total.evictions, report.merged.total().evictions);
+        prop_assert_eq!(total.requests(), report.merged.total().requests());
     }
 }

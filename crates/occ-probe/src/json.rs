@@ -112,14 +112,11 @@ impl Json {
 
     /// Parse a JSON document (must consume the whole input).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(format!("trailing input at byte {}", p.pos));
         }
         Ok(v)
@@ -197,13 +194,14 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset into `text`; always on a char boundary.
     pos: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -213,7 +211,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -231,7 +229,7 @@ impl Parser<'_> {
     }
 
     fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             true
         } else {
@@ -357,14 +355,11 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|e| format!("bad \\u escape: {e}"))?;
+                                .ok_or("truncated or bad \\u escape")?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|e| format!("bad \\u escape: {e}"))?;
                             // Surrogate pairs are not emitted by our writer;
                             // map lone surrogates to the replacement char.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -375,11 +370,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance over one UTF-8 scalar (input is &str, so
-                    // byte boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().ok_or("unterminated string")?;
+                    // Advance over one UTF-8 scalar; the checked slice
+                    // refuses any offset that is not a char boundary.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("string scan lost its char boundary")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -398,7 +395,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|e| format!("bad number '{text}': {e}"))
@@ -408,6 +405,27 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn multibyte_chars_next_to_escapes_round_trip() {
+        // Hand-written input: multi-byte scalars (2, 3 and 4 bytes)
+        // directly before and after `\uXXXX` escapes and `\"`.
+        let text = r#"["é\u00e9\"ü", "\u4e2d中\"\u4e2d", "\"🦀\u0041🦀\"", "\u00ff\u00ffÿ"]"#;
+        let v = Json::parse(text).unwrap();
+        let got: Vec<&str> = v
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|s| s.as_str().unwrap())
+            .collect();
+        assert_eq!(got, ["éé\"ü", "中中\"中", "\"🦀A🦀\"", "ÿÿÿ"]);
+        // Emit and reparse: every string comes back unchanged, including
+        // control characters the writer escapes as `\u00XX`.
+        let mut strings: Vec<Json> = got.iter().map(|s| Json::Str((*s).into())).collect();
+        strings.push(Json::Str("é\u{1}\"\u{1f}中\\".into()));
+        let all = Json::Arr(strings);
+        assert_eq!(Json::parse(&all.to_json()).unwrap(), all);
+    }
 
     #[test]
     fn round_trip_basic_values() {

@@ -7,14 +7,18 @@
 //!
 //! * [`LogHistogram`] — mergeable log-linear histogram with bounded
 //!   relative error, used for latency and value distributions;
-//! * [`MetricsRecorder`] — counters + latency histogram for a run;
+//! * [`MetricsRecorder`] — the whole-run tally: one [`WindowDelta`]
+//!   that never closes, fed by the same per-event updates as every
+//!   window, plus a latency histogram;
 //! * [`JsonlSink`] — streams one JSON line per engine event, bounded
-//!   memory for arbitrarily long traces;
+//!   memory for arbitrarily long traces, through the sticky-error line
+//!   writer it shares with [`SeriesSink`];
 //! * [`DualTrace`] — the paper algorithm's dual offset
 //!   `Y`, eviction counts `m(i,t)`, and primal objective `Σ f_i(m_i)`
 //!   over time;
 //! * [`timeseries`] — tumbling-window deltas ([`WindowedRecorder`],
-//!   [`SeriesSink`]) behind `occ soak`'s streaming JSONL series;
+//!   [`SeriesSink`]) behind `occ soak`'s streaming JSONL series, sealed
+//!   with a CRC trailer by [`SeriesSink::seal`];
 //! * [`ObserveReport`] — the JSON/table report `occ observe` emits and
 //!   `occ report` renders;
 //! * [`atomicio`] — torn-write-safe persistence: atomic-rename writes

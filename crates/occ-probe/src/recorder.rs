@@ -1,28 +1,37 @@
 //! Ready-made [`Recorder`] implementations.
 //!
-//! [`MetricsRecorder`] is the workhorse behind `occ observe`: counters
-//! for every engine decision, per-user eviction tallies, and a
+//! [`MetricsRecorder`] is the workhorse behind `occ observe`: the
+//! whole-run tally — a [`WindowDelta`] whose window never closes — fed
+//! through the same per-event updates as every
+//! [`WindowedRecorder`](crate::WindowedRecorder) window, plus a
 //! [`LogHistogram`] of per-request service latency (it sets
 //! [`Recorder::TIMED`], so the engine samples a monotonic clock around
 //! each request).
 
 use crate::histogram::LogHistogram;
 use crate::json::Json;
+use crate::timeseries::WindowDelta;
 use occ_sim::engine::EngineCtx;
-use occ_sim::error::{FaultCounters, RequestFault};
+use occ_sim::error::RequestFault;
 use occ_sim::ids::{PageId, Time, UserId};
 use occ_sim::probe::Recorder;
 
 /// Counters + latency histogram for a whole run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct MetricsRecorder {
-    hits: u64,
-    inserts: u64,
-    evictions: u64,
-    flush_evictions: u64,
-    evictions_by_user: Vec<u64>,
-    faults: FaultCounters,
-    latency_ns: LogHistogram,
+    /// Invariant: `total.latency_ns` is always `Some`.
+    total: WindowDelta,
+}
+
+impl Default for MetricsRecorder {
+    fn default() -> Self {
+        MetricsRecorder {
+            total: WindowDelta {
+                latency_ns: Some(LogHistogram::new()),
+                ..WindowDelta::default()
+            },
+        }
+    }
 }
 
 impl MetricsRecorder {
@@ -31,121 +40,50 @@ impl MetricsRecorder {
         Self::default()
     }
 
-    #[inline]
-    fn bump_user(&mut self, user: UserId) {
-        let i = user.index();
-        if i >= self.evictions_by_user.len() {
-            self.evictions_by_user.resize(i + 1, 0);
-        }
-        self.evictions_by_user[i] += 1;
-    }
-
-    /// Requests served from cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses that filled free space (no eviction).
-    pub fn inserts(&self) -> u64 {
-        self.inserts
-    }
-
-    /// Misses that evicted a victim (excludes flush evictions).
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Evictions charged by the end-of-run flush convention.
-    pub fn flush_evictions(&self) -> u64 {
-        self.flush_evictions
-    }
-
-    /// Total requests observed.
-    pub fn requests(&self) -> u64 {
-        self.hits + self.inserts + self.evictions
-    }
-
-    /// Eviction count per victim's owner (flush included), indexed by
-    /// user id; users beyond the highest evicted-from id are omitted.
-    pub fn evictions_by_user(&self) -> &[u64] {
-        &self.evictions_by_user
+    /// The whole-run tally: counters, per-user vectors (the
+    /// eviction vector counts flush victims) and fault counts. Its
+    /// `quarantined_users` stays 0: membership belongs to the engine's
+    /// [`FaultHandler`](occ_sim::FaultHandler).
+    pub fn total(&self) -> &WindowDelta {
+        &self.total
     }
 
     /// Per-request service latency (only populated when the engine runs
     /// with this recorder attached, since `TIMED = true`).
     pub fn latency_ns(&self) -> &LogHistogram {
-        &self.latency_ns
-    }
-
-    /// Faulty/dropped records observed via [`Recorder::record_fault`]
-    /// (only populated by the checked engine paths; `quarantined_users`
-    /// is left to the engine's [`FaultHandler`], which owns membership).
-    ///
-    /// [`FaultHandler`]: occ_sim::FaultHandler
-    pub fn faults(&self) -> &FaultCounters {
-        &self.faults
+        self.total
+            .latency_ns
+            .as_ref()
+            .expect("a MetricsRecorder always carries a latency histogram")
     }
 
     /// Fold another recorder's observations into this one.
     pub fn merge(&mut self, other: &MetricsRecorder) {
-        self.hits += other.hits;
-        self.inserts += other.inserts;
-        self.evictions += other.evictions;
-        self.flush_evictions += other.flush_evictions;
-        if self.evictions_by_user.len() < other.evictions_by_user.len() {
-            self.evictions_by_user
-                .resize(other.evictions_by_user.len(), 0);
-        }
-        for (a, &b) in self
-            .evictions_by_user
-            .iter_mut()
-            .zip(&other.evictions_by_user)
-        {
-            *a += b;
-        }
-        self.faults.merge(&other.faults);
-        self.latency_ns.merge(&other.latency_ns);
+        self.total.merge_from(&other.total);
     }
 
     /// The recorder's counters and histogram as a JSON object.
     pub fn to_json_value(&self) -> Json {
+        let (t, n) = (&self.total, Json::from_u64);
+        let by_user = t.evictions_by_user.iter().map(|&e| n(e)).collect();
+        let f = &t.faults;
         Json::Obj(vec![
-            ("requests".into(), Json::from_u64(self.requests())),
-            ("hits".into(), Json::from_u64(self.hits)),
-            ("inserts".into(), Json::from_u64(self.inserts)),
-            ("evictions".into(), Json::from_u64(self.evictions)),
-            (
-                "flush_evictions".into(),
-                Json::from_u64(self.flush_evictions),
-            ),
-            (
-                "evictions_by_user".into(),
-                Json::Arr(
-                    self.evictions_by_user
-                        .iter()
-                        .map(|&n| Json::from_u64(n))
-                        .collect(),
-                ),
-            ),
+            ("requests".into(), n(t.requests())),
+            ("hits".into(), n(t.hits)),
+            ("inserts".into(), n(t.inserts)),
+            ("evictions".into(), n(t.evictions)),
+            ("flush_evictions".into(), n(t.flush_evictions)),
+            ("evictions_by_user".into(), Json::Arr(by_user)),
             (
                 "faults".into(),
                 Json::Obj(vec![
-                    (
-                        "page_out_of_range".into(),
-                        Json::from_u64(self.faults.page_out_of_range),
-                    ),
-                    (
-                        "owner_mismatch".into(),
-                        Json::from_u64(self.faults.owner_mismatch),
-                    ),
-                    (
-                        "quarantined_drops".into(),
-                        Json::from_u64(self.faults.quarantined_drops),
-                    ),
-                    ("total".into(), Json::from_u64(self.faults.total_records())),
+                    ("page_out_of_range".into(), n(f.page_out_of_range)),
+                    ("owner_mismatch".into(), n(f.owner_mismatch)),
+                    ("quarantined_drops".into(), n(f.quarantined_drops)),
+                    ("total".into(), n(f.total_records())),
                 ]),
             ),
-            ("latency_ns".into(), self.latency_ns.to_json_value()),
+            ("latency_ns".into(), self.latency_ns().to_json_value()),
         ])
     }
 }
@@ -153,12 +91,12 @@ impl MetricsRecorder {
 impl Recorder for MetricsRecorder {
     const TIMED: bool = true;
 
-    fn record_hit(&mut self, _ctx: &EngineCtx, _t: Time, _page: PageId, _user: UserId) {
-        self.hits += 1;
+    fn record_hit(&mut self, _ctx: &EngineCtx, _t: Time, _page: PageId, user: UserId) {
+        self.total.count_hit(user);
     }
 
-    fn record_insert(&mut self, _ctx: &EngineCtx, _t: Time, _page: PageId, _user: UserId) {
-        self.inserts += 1;
+    fn record_insert(&mut self, _ctx: &EngineCtx, _t: Time, _page: PageId, user: UserId) {
+        self.total.count_insert(user);
     }
 
     fn record_eviction(
@@ -166,25 +104,23 @@ impl Recorder for MetricsRecorder {
         _ctx: &EngineCtx,
         _t: Time,
         _page: PageId,
-        _user: UserId,
+        user: UserId,
         _victim: PageId,
         victim_user: UserId,
     ) {
-        self.evictions += 1;
-        self.bump_user(victim_user);
+        self.total.count_eviction(user, victim_user);
     }
 
     fn record_flush_eviction(&mut self, _page: PageId, user: UserId) {
-        self.flush_evictions += 1;
-        self.bump_user(user);
+        self.total.count_flush_eviction(user);
     }
 
     fn record_latency_ns(&mut self, _t: Time, ns: u64) {
-        self.latency_ns.record(ns);
+        self.total.count_latency(ns);
     }
 
     fn record_fault(&mut self, fault: &RequestFault) {
-        self.faults.count(fault.kind);
+        self.total.count_fault(fault);
     }
 }
 
@@ -201,14 +137,15 @@ mod tests {
         let trace = Trace::from_page_indices(&u, &pages);
         let mut rec = MetricsRecorder::new();
         let result = Simulator::new(6).run_recorded(&mut Lru::default(), &trace, &mut rec);
-        assert_eq!(rec.hits(), result.stats.total_hits());
-        assert_eq!(rec.inserts() + rec.evictions(), result.stats.total_misses());
-        assert_eq!(rec.evictions(), result.stats.total_evictions());
-        assert_eq!(rec.requests(), result.steps);
+        let total = rec.total();
+        assert_eq!(total.hits, result.stats.total_hits());
+        assert_eq!(total.misses(), result.stats.total_misses());
+        assert_eq!(total.evictions, result.stats.total_evictions());
+        assert_eq!(total.requests(), result.steps);
         assert_eq!(rec.latency_ns().count(), result.steps);
-        let by_user: Vec<u64> = rec.evictions_by_user().to_vec();
-        assert_eq!(by_user.iter().sum::<u64>(), rec.evictions());
-        assert_eq!(rec.flush_evictions(), 0);
+        assert_eq!(total.evictions_by_user.iter().sum::<u64>(), total.evictions);
+        assert_eq!(total.misses_by_user, result.stats.miss_vector());
+        assert_eq!(total.flush_evictions, 0);
     }
 
     #[test]
@@ -221,23 +158,26 @@ mod tests {
             &trace,
             &mut rec,
         );
-        assert_eq!(rec.evictions(), 0);
-        assert_eq!(rec.flush_evictions(), 3);
+        assert_eq!(rec.total().evictions, 0);
+        assert_eq!(rec.total().flush_evictions, 3);
         assert_eq!(result.stats.total_evictions(), 3);
-        assert_eq!(rec.evictions_by_user(), &[3]);
+        assert_eq!(rec.total().evictions_by_user, [3]);
     }
 
     #[test]
     fn merge_adds_counters() {
         let mut a = MetricsRecorder::new();
         let mut b = MetricsRecorder::new();
-        a.hits = 2;
-        a.bump_user(UserId(0));
-        b.hits = 3;
-        b.bump_user(UserId(2));
+        a.total.count_hit(UserId(0));
+        a.total.count_flush_eviction(UserId(0));
+        b.total.count_hit(UserId(1));
+        b.total.count_flush_eviction(UserId(2));
+        b.total.count_latency(40);
         a.merge(&b);
-        assert_eq!(a.hits(), 5);
-        assert_eq!(a.evictions_by_user(), &[1, 0, 1]);
+        assert_eq!(a.total().hits, 2);
+        assert_eq!(a.total().hits_by_user, [1, 1]);
+        assert_eq!(a.total().evictions_by_user, [1, 0, 1]);
+        assert_eq!(a.latency_ns().count(), 1);
     }
 
     #[test]
@@ -278,7 +218,7 @@ mod tests {
         };
         assert_eq!(eng.step_checked(wrong_owner, &mut h).unwrap(), None);
 
-        let faults = eng.recorder().faults();
+        let faults = &eng.recorder().total().faults;
         assert_eq!(faults.page_out_of_range, 1);
         assert_eq!(faults.owner_mismatch, 1);
         assert_eq!(faults, h.counters(), "recorder mirrors the handler");

@@ -1,4 +1,4 @@
-//! A streaming JSONL event sink.
+//! Streaming JSONL writers.
 //!
 //! [`EventLog`](occ_sim::EventLog) keeps events in memory — fine for
 //! tests and short traces, unbounded for long ones. For full-fidelity
@@ -7,17 +7,22 @@
 //! memory use is one line's buffer regardless of trace length, and the
 //! output is greppable / line-parseable without loading the whole file.
 //!
-//! I/O errors are *sticky*: after the first failure the sink stops
-//! writing (hooks become cheap no-ops) and the error is reported once at
-//! the end via [`JsonlSink::error`], rather than panicking inside the
-//! engine loop or spamming one error per remaining event.
+//! The sink is also the crate's one JSONL line writer: the window
+//! series' [`SeriesSink`](crate::SeriesSink) writes through one. I/O
+//! errors are *sticky*: after the first failure it stops writing (hooks
+//! become cheap no-ops) and the error is reported once at the end, via
+//! [`JsonlSink::error`] or [`JsonlSink::finish`], rather than panicking
+//! inside the engine loop or spamming one error per remaining event.
 
 use occ_sim::engine::EngineCtx;
 use occ_sim::ids::{PageId, Time, UserId};
 use occ_sim::probe::Recorder;
+use std::fmt;
 use std::io::{self, Write};
 
-/// Streams one JSON line per engine event to a writer.
+/// The crate's one sticky-error JSONL writer. As a [`Recorder`] it
+/// streams one line per engine event; [`SeriesSink`](crate::SeriesSink)
+/// writes window lines through one.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     out: W,
@@ -47,6 +52,14 @@ impl<W: Write> JsonlSink<W> {
         self.error.as_ref()
     }
 
+    /// Flush the writer, or report the sticky error.
+    pub(crate) fn flush(&mut self) -> io::Result<()> {
+        match &self.error {
+            Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
+            None => self.out.flush(),
+        }
+    }
+
     /// Flush the writer and tear down, returning it — or the sticky
     /// error if one occurred at any point.
     pub fn finish(mut self) -> io::Result<W> {
@@ -57,12 +70,18 @@ impl<W: Write> JsonlSink<W> {
         Ok(self.out)
     }
 
+    /// The writer, for appending bytes that are not lines.
+    pub(crate) fn get_mut(&mut self) -> &mut W {
+        &mut self.out
+    }
+
+    /// Write one line; `line` carries its own terminating newline.
     #[inline]
-    fn emit(&mut self, args: std::fmt::Arguments<'_>) {
+    pub(crate) fn emit(&mut self, line: fmt::Arguments<'_>) {
         if self.error.is_some() {
             return;
         }
-        match self.out.write_fmt(args) {
+        match self.out.write_fmt(line) {
             Ok(()) => self.lines += 1,
             Err(e) => self.error = Some(e),
         }

@@ -10,13 +10,15 @@
 //! attached ALG-DISCRETE dual sample ([`DualPoint`]).
 //!
 //! Deltas are *exact*, not sampled: summed over all windows they equal
-//! the whole-run totals bitwise (a property test pins this), because the
-//! recorder sees every engine hook and each event lands in exactly one
-//! window. Closed windows go into a bounded ring (oldest dropped first),
-//! and a streaming loop can [`drain_new`](WindowedRecorder::drain_new)
-//! them as they close and hand them to a [`SeriesSink`], which writes a
-//! schema-stamped JSONL series: one header line, then one line per
-//! window, in O(1) memory no matter how long the run is. The same
+//! the whole-run totals bitwise, because the recorder sees every engine
+//! hook, each event lands in exactly one window, and the whole-run
+//! [`MetricsRecorder`](crate::MetricsRecorder) is itself a `WindowDelta`
+//! fed by the same per-event updates. Closed windows go into a bounded
+//! ring (oldest dropped first), and a streaming loop can
+//! [`drain_new`](WindowedRecorder::drain_new) them as they close and
+//! hand them to a [`SeriesSink`], which writes a schema-stamped JSONL
+//! series: one header line, then one line per window, in O(1) memory no
+//! matter how long the run is. The same
 //! discipline as the rest of the probe layer applies: the recorder is a
 //! [`Recorder`] generic parameter, so the uninstrumented hot path still
 //! compiles to the unrecorded code, and sink I/O errors are sticky.
@@ -29,8 +31,10 @@
 use std::collections::VecDeque;
 use std::io::{self, Write};
 
+use crate::atomicio::CrcWriter;
 use crate::histogram::LogHistogram;
 use crate::json::{check_schema_stamp, Json};
+use crate::sink::JsonlSink;
 use occ_core::ConvexCaching;
 use occ_sim::engine::EngineCtx;
 use occ_sim::error::{FaultCounters, RequestFault};
@@ -131,6 +135,43 @@ impl WindowDelta {
             end,
             ..WindowDelta::default()
         }
+    }
+
+    /// A request served from cache, charged to its requester.
+    pub(crate) fn count_hit(&mut self, user: UserId) {
+        self.hits += 1;
+        bump(&mut self.hits_by_user, user);
+    }
+
+    /// A miss that filled free space, charged to its requester.
+    pub(crate) fn count_insert(&mut self, user: UserId) {
+        self.inserts += 1;
+        bump(&mut self.misses_by_user, user);
+    }
+
+    /// A miss by `user` that evicted a page owned by `victim_user`.
+    pub(crate) fn count_eviction(&mut self, user: UserId, victim_user: UserId) {
+        self.evictions += 1;
+        bump(&mut self.misses_by_user, user);
+        bump(&mut self.evictions_by_user, victim_user);
+    }
+
+    /// An end-of-run flush eviction of a page owned by `user`.
+    pub(crate) fn count_flush_eviction(&mut self, user: UserId) {
+        self.flush_evictions += 1;
+        bump(&mut self.evictions_by_user, user);
+    }
+
+    /// One per-request service latency sample.
+    pub(crate) fn count_latency(&mut self, ns: u64) {
+        self.latency_ns
+            .get_or_insert_with(LogHistogram::new)
+            .record(ns);
+    }
+
+    /// One faulty record absorbed by a checked path.
+    pub(crate) fn count_fault(&mut self, fault: &RequestFault) {
+        self.faults.count(fault.kind);
     }
 
     /// Requests observed in this window.
@@ -419,9 +460,7 @@ impl<const WITH_LATENCY: bool> WindowedRecorder<WITH_LATENCY> {
     /// windows for gaps). Idempotent; called by the hooks automatically,
     /// and by driving loops at boundaries before draining.
     pub fn roll_to(&mut self, t: Time) {
-        while t >= self.cur.end {
-            self.close_current();
-        }
+        self.window_for(t);
     }
 
     /// Attach a dual-state sample to the window currently accumulating.
@@ -480,15 +519,11 @@ impl<const WITH_LATENCY: bool> Recorder for WindowedRecorder<WITH_LATENCY> {
     const TIMED: bool = WITH_LATENCY;
 
     fn record_hit(&mut self, _ctx: &EngineCtx, t: Time, _page: PageId, user: UserId) {
-        let w = self.window_for(t);
-        w.hits += 1;
-        bump(&mut w.hits_by_user, user);
+        self.window_for(t).count_hit(user);
     }
 
     fn record_insert(&mut self, _ctx: &EngineCtx, t: Time, _page: PageId, user: UserId) {
-        let w = self.window_for(t);
-        w.inserts += 1;
-        bump(&mut w.misses_by_user, user);
+        self.window_for(t).count_insert(user);
     }
 
     fn record_eviction(
@@ -500,30 +535,21 @@ impl<const WITH_LATENCY: bool> Recorder for WindowedRecorder<WITH_LATENCY> {
         _victim: PageId,
         victim_user: UserId,
     ) {
-        let w = self.window_for(t);
-        w.evictions += 1;
-        bump(&mut w.misses_by_user, user);
-        bump(&mut w.evictions_by_user, victim_user);
+        self.window_for(t).count_eviction(user, victim_user);
     }
 
     fn record_flush_eviction(&mut self, _page: PageId, user: UserId) {
         // The flush hook carries no time: it lands in the window that is
         // open when the run flushes, which `finalize` then closes.
-        let w = &mut self.cur;
-        w.flush_evictions += 1;
-        bump(&mut w.evictions_by_user, user);
+        self.cur.count_flush_eviction(user);
     }
 
     fn record_latency_ns(&mut self, t: Time, ns: u64) {
-        let w = self.window_for(t);
-        w.latency_ns
-            .get_or_insert_with(LogHistogram::new)
-            .record(ns);
+        self.window_for(t).count_latency(ns);
     }
 
     fn record_fault(&mut self, fault: &RequestFault) {
-        let w = self.window_for(fault.time);
-        w.faults.count(fault.kind);
+        self.window_for(fault.time).count_fault(fault);
     }
 }
 
@@ -683,49 +709,32 @@ impl SeriesFile {
 /// then one line per window, written as windows close — memory use is
 /// one line's buffer no matter how many windows the run emits.
 ///
-/// I/O errors are sticky, exactly like [`JsonlSink`](crate::JsonlSink):
-/// after the first failure writes become no-ops and the error surfaces
-/// once via [`error`](Self::error) / [`finish`](Self::finish), which the
-/// CLI turns into exit code 3.
+/// I/O errors are sticky: the sink writes its lines through a
+/// [`JsonlSink`], so after the first failure writes become no-ops and
+/// the error surfaces once via [`error`](Self::error),
+/// [`flush`](Self::flush) or [`finish`](Self::finish), which the CLI
+/// turns into exit code 3.
 #[derive(Debug)]
 pub struct SeriesSink<W: Write> {
-    out: W,
-    lines: u64,
-    error: Option<io::Error>,
+    out: JsonlSink<W>,
 }
 
 impl<W: Write> SeriesSink<W> {
     /// Wrap a writer (hand a `File` in via `BufWriter`).
     pub fn new(out: W) -> Self {
         SeriesSink {
-            out,
-            lines: 0,
-            error: None,
+            out: JsonlSink::new(out),
         }
     }
 
     /// Lines successfully written so far (header included).
     pub fn lines(&self) -> u64 {
-        self.lines
+        self.out.lines()
     }
 
     /// The first I/O error hit, if any (writing stopped there).
     pub fn error(&self) -> Option<&io::Error> {
-        self.error.as_ref()
-    }
-
-    fn emit(&mut self, line: &str) {
-        if self.error.is_some() {
-            return;
-        }
-        match self
-            .out
-            .write_all(line.as_bytes())
-            .and_then(|()| self.out.write_all(b"\n"))
-        {
-            Ok(()) => self.lines += 1,
-            Err(e) => self.error = Some(e),
-        }
+        self.out.error()
     }
 
     /// Write the header line: the schema stamp, the window width, and
@@ -741,26 +750,41 @@ impl<W: Write> SeriesSink<W> {
             fields.push(((*k).into(), v.clone()));
         }
         let line = Json::Obj(fields).to_json();
-        self.emit(&line);
+        self.out.emit(format_args!("{line}\n"));
     }
 
     /// Write one window line.
     pub fn write_window(&mut self, w: &WindowDelta) {
-        if self.error.is_some() {
+        if self.out.error().is_some() {
             return;
         }
         let line = w.to_json_value().to_json();
-        self.emit(&line);
+        self.out.emit(format_args!("{line}\n"));
+    }
+
+    /// Flush what has been written so far, or report the sticky error.
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
     }
 
     /// Flush and tear down, returning the writer — or the sticky error
     /// if one occurred at any point.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
+    pub fn finish(self) -> io::Result<W> {
+        self.out.finish()
+    }
+}
+
+impl<W: Write> SeriesSink<CrcWriter<W>> {
+    /// Seal the series: flush, then append the `#crc32:` trailer
+    /// carrying the checksum of every byte before it, and flush again.
+    /// Call once, after the last window.
+    pub fn seal(&mut self) -> io::Result<()> {
         self.out.flush()?;
-        Ok(self.out)
+        let w = self.out.get_mut();
+        let trailer = crate::atomicio::trailer_line(w.crc());
+        // The trailer bypasses the checksum it carries.
+        w.inner_mut().write_all(trailer.as_bytes())?;
+        w.flush()
     }
 }
 
@@ -976,14 +1000,17 @@ mod tests {
     fn series_sink_writes_header_then_windows_and_parses_back() {
         let trace = zipfish_trace(256);
         let (series, _) = run_windowed(&trace, 6, 100);
-        let mut sink = SeriesSink::new(Vec::new());
+        let mut sink = SeriesSink::new(CrcWriter::new(Vec::new()));
         sink.write_header(100, &[("scenario", Json::Str("test".into()))]);
         for w in &series.windows {
             sink.write_window(w);
         }
         assert_eq!(sink.lines(), 1 + 3);
-        let buf = sink.finish().unwrap();
+        sink.seal().unwrap();
+        let (buf, _) = sink.finish().unwrap().into_parts();
         let text = String::from_utf8(buf).unwrap();
+        let body = crate::atomicio::require_trailer(&text).expect("sealed with a valid trailer");
+        assert_eq!(body.lines().count(), 1 + 3);
         let file = SeriesFile::parse(&text).unwrap();
         assert_eq!(file.width, 100);
         assert_eq!(
@@ -1008,13 +1035,15 @@ mod tests {
                 Ok(())
             }
         }
-        let mut sink = SeriesSink::new(FailAfter(3));
+        let mut sink = SeriesSink::new(CrcWriter::new(FailAfter(3)));
         sink.write_header(10, &[]);
         for i in 0..5 {
             sink.write_window(&WindowDelta::fresh(i, i * 10, (i + 1) * 10));
         }
         assert!(sink.lines() < 6);
         assert!(sink.error().is_some());
+        assert!(sink.flush().is_err());
+        assert!(sink.seal().is_err(), "no trailer seals a torn series");
         assert!(sink.finish().is_err());
     }
 

@@ -51,13 +51,11 @@ fn run_both<P: ReplacementPolicy>(make: impl Fn() -> P, trace: &Trace, k: usize)
         recorded.events.as_ref().unwrap().eviction_sequence()
     );
     // The recorder's own counters agree with the engine's.
-    prop_assert_eq!(rec.hits(), recorded.stats.total_hits());
+    let total = rec.total();
+    prop_assert_eq!(total.hits, recorded.stats.total_hits());
+    prop_assert_eq!(total.misses(), recorded.stats.total_misses());
     prop_assert_eq!(
-        rec.inserts() + rec.evictions(),
-        recorded.stats.total_misses()
-    );
-    prop_assert_eq!(
-        rec.evictions() + rec.flush_evictions(),
+        total.evictions + total.flush_evictions,
         recorded.stats.total_evictions()
     );
 }

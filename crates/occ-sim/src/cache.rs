@@ -29,7 +29,9 @@ impl CacheSet {
         assert!(capacity > 0, "cache capacity must be positive");
         CacheSet {
             slot: vec![NONE; num_pages as usize],
-            pages: Vec::with_capacity(capacity),
+            // A cache never holds more than the whole universe, and
+            // `capacity` is caller input (a CLI flag, a checkpoint).
+            pages: Vec::with_capacity(capacity.min(num_pages as usize)),
             capacity,
         }
     }

@@ -657,6 +657,24 @@ mod tests {
     }
 
     #[test]
+    fn a_cache_far_larger_than_the_universe_runs_like_one_that_holds_it() {
+        let u = Universe::uniform(2, 8);
+        let pages: Vec<u32> = (0..300u32).map(|i| (i * 7 + 3) % 16).collect();
+        let trace = Trace::from_page_indices(&u, &pages);
+        let run = |k: usize| {
+            let mut eng = SteppingEngine::new(k, u.clone(), EvictFirst);
+            for (_, r) in trace.iter() {
+                eng.step(r);
+            }
+            (eng.stats().clone(), eng.cache().pages().to_vec())
+        };
+        // 10^14 slots would be a 400 TB table if sized by capacity.
+        let fits = run(16);
+        assert_eq!(run(100_000_000_000_000), fits);
+        assert_eq!(fits.0.total_evictions(), 0, "the whole universe fits");
+    }
+
+    #[test]
     fn batched_replay_matches_scalar_including_partial_tail() {
         let u = Universe::uniform(2, 3);
         let pages: Vec<u32> = (0..121u32).map(|i| (i * 7 + 1) % 6).collect();
