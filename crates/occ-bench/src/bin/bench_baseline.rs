@@ -61,6 +61,14 @@
 //!   identical to the literal Figure 3 `DiscreteReference` before any
 //!   rep; the row's rate is the batched kernel's, with the paired scalar
 //!   rate beside it;
+//! * `recorded` — the recorder layer in isolation: batched replay of
+//!   the 4-tenant trace at `k = 1024` with the fleet's
+//!   `(MetricsRecorder, WindowedRecorder<false>)` pair attached (timed,
+//!   so every request is stamped), for lru and alg-discrete. Stats are
+//!   asserted identical to the untimed batched replay before any rep,
+//!   the reps of the two run interleaved in one window, and the row
+//!   carries the recorded/untimed ratio. `--recorded` runs just this
+//!   block and leaves the baseline file untouched;
 //! * `ingest` — pure trace-ingestion throughput (decode + validation +
 //!   running CRC, no cache attached) over the three binary access
 //!   strategies: zero-copy `mmap` of occbin01, `buffered` chunked reads
@@ -85,7 +93,7 @@
 use occ_baselines::{Fifo, GreedyDual, Lru, LruReference, Marking};
 use occ_core::{ConvexCaching, CostProfile, DiscreteReference, Monomial};
 use occ_fleet::{run_fleet_typed, run_shared_fleet, FleetConfig, SharedConfig};
-use occ_probe::{Json, MetricsRecorder};
+use occ_probe::{Json, MetricsRecorder, WindowedRecorder};
 use occ_sim::{
     write_trace_binary, write_trace_binary_v2, Binary2TraceReader, BinarySource, BinaryTraceReader,
     ReplacementPolicy, Request, RequestSource, SimStats, Simulator, SteppingEngine, Trace,
@@ -126,6 +134,11 @@ const TENANT_SCALE: [(u32, &str); 3] = [
     (1024, "tenants-1024x-zipf-0.8"),
 ];
 const TENANT_K: usize = 1024;
+/// Recorder-layer cells: the policies, the one cache size, and the
+/// tumbling-window width of the attached `WindowedRecorder`.
+const RECORDED_POLICIES: [&str; 2] = ["lru", "alg-discrete"];
+const RECORDED_K: usize = 1024;
+const RECORDED_WINDOW: u64 = 10_000;
 /// `--smoke` fails the run when a cell's *drift-normalized* throughput
 /// lands this far below the committed baseline. Batched cells gate on
 /// their batched/scalar ratio vs the committed ratio (both sides of the
@@ -241,10 +254,10 @@ fn measure(policy: &mut Box<dyn ReplacementPolicy>, wl: &Workload, k: usize) -> 
     }
     let requests_per_sec = wl.trace.len() as f64 / best;
 
-    // Latency percentiles: a stepping pass with a timed recorder, so
-    // the engine samples a clock around each request and feeds the
-    // shared log-linear histogram. Timer overhead (~tens of ns) is
-    // included in every sample equally.
+    // Latency percentiles: a scalar stepping pass with a timed
+    // recorder, so the engine reads a clock before and after each
+    // request and feeds the shared log-linear histogram. Timer overhead
+    // (~tens of ns) is included in every sample equally.
     policy.reset();
     let requests: Vec<Request> = wl.trace.iter().map(|(_, r)| r).collect();
     let mut rec = MetricsRecorder::new();
@@ -907,6 +920,88 @@ fn tenant_scale_block(
     rows
 }
 
+/// One recorder-layer cell: untimed batched replay and batched replay
+/// with the fleet's recorder pair, stats asserted identical before any
+/// rep, then best-of-`reps` of each with the reps interleaved. Returns
+/// (untimed req/s, recorded req/s, misses).
+fn measure_recorded<P: ReplacementPolicy>(
+    make: impl Fn() -> P,
+    wl: &Workload,
+    k: usize,
+    reps: usize,
+) -> (f64, f64, u64) {
+    let requests = wl.trace.requests();
+    let untimed = || {
+        let mut engine = SteppingEngine::new(k, wl.trace.universe().clone(), make());
+        engine.run_batched(requests, DEFAULT_BATCH_SIZE);
+        engine.stats().clone()
+    };
+    let recorded = || {
+        let windows =
+            WindowedRecorder::<false>::new(RECORDED_WINDOW).with_ring_capacity(usize::MAX);
+        let mut engine = SteppingEngine::new(k, wl.trace.universe().clone(), make())
+            .with_recorder((MetricsRecorder::new(), windows));
+        engine.run_batched(requests, DEFAULT_BATCH_SIZE);
+        let samples = engine.recorder().0.latency_ns().count();
+        assert_eq!(samples, requests.len() as u64, "one sample per request");
+        engine.stats().clone()
+    };
+    let stats = untimed();
+    assert_eq!(recorded(), stats, "recorded replay diverged from untimed");
+    let (mut best_u, mut best_r) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        let start = Instant::now();
+        std::hint::black_box(untimed());
+        best_u = best_u.min(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        std::hint::black_box(recorded());
+        best_r = best_r.min(start.elapsed().as_secs_f64());
+    }
+    let n = requests.len() as f64;
+    (n / best_u, n / best_r, stats.total_misses())
+}
+
+/// The `recorded` rows: what the fleet's recorder pair costs on top of
+/// the batched kernel, per policy in [`RECORDED_POLICIES`].
+fn recorded_block(reps: usize) -> Vec<String> {
+    let wl = workloads(RECORDED_K)
+        .into_iter()
+        .find(|w| w.name == "tenants-4x-zipf-0.8")
+        .expect("the 4-tenant workload");
+    let mut rows = Vec::new();
+    for label in RECORDED_POLICIES {
+        let (untimed, recorded, misses) = match label {
+            "lru" => measure_recorded(Lru::new, &wl, RECORDED_K, reps),
+            _ => {
+                let costs = CostProfile::uniform(wl.num_users, Monomial::power(2.0));
+                measure_recorded(|| ConvexCaching::new(costs.clone()), &wl, RECORDED_K, reps)
+            }
+        };
+        let ratio = recorded / untimed;
+        println!(
+            "{:>16}  k={RECORDED_K:<5} {:<20} {recorded:>12.0} req/s   (untimed batched {untimed:.0}, \
+             recorded/untimed {ratio:.3}, paired best-of-{reps})   misses {misses} (= untimed)",
+            format!("{label}/recorded"),
+            wl.name,
+        );
+        let mut row = String::new();
+        write!(
+            row,
+            "    {{\"policy\": \"{label}\", \"workload\": \"{}\", \"k\": {RECORDED_K}, \
+             \"universe_pages\": {}, \"trace_len\": {}, \"mode\": \"recorded\", \
+             \"batch_size\": {DEFAULT_BATCH_SIZE}, \"window\": {RECORDED_WINDOW}, \
+             \"requests_per_sec\": {recorded:.0}, \"untimed_requests_per_sec\": {untimed:.0}, \
+             \"recorded_over_untimed\": {ratio:.3}, \"misses\": {misses}}}",
+            wl.name,
+            4 * RECORDED_K,
+            wl.trace.len(),
+        )
+        .unwrap();
+        rows.push(row);
+    }
+    rows
+}
+
 /// `--ingest`: just the ingest block, on the full-sized fixture. The
 /// baseline file is left untouched — this mode exists for iterating on
 /// the ingestion paths without re-running the whole grid.
@@ -1088,6 +1183,11 @@ fn main() {
     }
     if std::env::args().any(|a| a == "--ingest") {
         run_ingest(&committed);
+        return;
+    }
+    if std::env::args().any(|a| a == "--recorded") {
+        warm_up();
+        recorded_block(THROUGHPUT_REPS);
         return;
     }
 
@@ -1307,6 +1407,7 @@ fn main() {
         &committed,
         &mut regressions,
     ));
+    rows.extend(recorded_block(THROUGHPUT_REPS));
 
     // Ingest cells: decode-only throughput of the three binary access
     // strategies, full-sized fixture, miss-identity asserted first.

@@ -9,11 +9,16 @@ const JSON_INT_MAX: u64 = 1 << 53;
 /// Count flags that reports, series and checkpoints write into JSON.
 const JSON_COUNT_FLAGS: [&str; 4] = ["seed", "len", "window", "k"];
 
+/// Cache-size flags: every engine needs at least one slot.
+const CACHE_SIZE_FLAGS: [&str; 2] = ["k", "max-k"];
+
 /// Parsed command line: a subcommand, an optional action (the second
 /// positional, used by `occ trace pack|unpack|import`), plus
-/// `--key value` flags.
+/// `--key value` flags and the valueless `--help`/`-h`.
 #[derive(Debug, Default)]
 pub struct Args {
+    /// `--help` or `-h` appeared anywhere a flag may.
+    pub help: bool,
     /// First positional argument.
     pub command: Option<String>,
     /// Second positional argument. Only `occ trace` accepts one; the
@@ -28,7 +33,9 @@ impl Args {
         let mut out = Args::default();
         let mut iter = raw.into_iter().peekable();
         while let Some(tok) = iter.next() {
-            if let Some(name) = tok.strip_prefix("--") {
+            if tok == "--help" || tok == "-h" {
+                out.help = true;
+            } else if let Some(name) = tok.strip_prefix("--") {
                 let value = iter
                     .next()
                     .ok_or_else(|| format!("flag --{name} needs a value"))?;
@@ -117,6 +124,17 @@ impl Args {
         }
         Ok(())
     }
+
+    /// Reject `--k 0` and `--max-k 0`: no engine can run a cache with
+    /// no slot. Values that do not parse are left to the typed getters.
+    pub fn check_cache_sizes(&self) -> Result<(), String> {
+        for name in CACHE_SIZE_FLAGS {
+            if self.flags.get(name).map(|v| parse_scaled(v)) == Some(Ok(0)) {
+                return Err(format!("--{name} must be positive: a cache needs a slot"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Parse `"123"`, `"500k"`, `"5M"`, `"1B"` (case-insensitive suffix,
@@ -170,6 +188,26 @@ mod tests {
     #[test]
     fn missing_value_is_error() {
         assert!(parse(&["run", "--k"]).is_err());
+    }
+
+    #[test]
+    fn help_takes_no_value_anywhere() {
+        for tokens in [&["--help"][..], &["-h"], &["soak", "--help", "--len", "5"]] {
+            let a = parse(tokens).unwrap();
+            assert!(a.help, "{tokens:?}");
+        }
+        let a = parse(&["soak", "--len", "5"]).unwrap();
+        assert!(!a.help);
+        assert_eq!(a.command.as_deref(), Some("soak"));
+    }
+
+    #[test]
+    fn zero_cache_sizes_are_rejected() {
+        let check = |tokens: &[&str]| parse(tokens).unwrap().check_cache_sizes();
+        assert!(check(&["run", "--k", "0"]).is_err());
+        assert!(check(&["mrc", "--max-k", "0"]).is_err());
+        assert!(check(&["run", "--k", "1"]).is_ok());
+        assert!(check(&["run"]).is_ok());
     }
 
     #[test]

@@ -35,6 +35,7 @@ pub const USAGE: &str = "\
 occ — online caching with convex costs
 
 USAGE:
+  occ help | occ --help | occ COMMAND --help    print this text
   occ scenarios                                 list built-in scenarios
   occ generate --scenario NAME [--len N] [--seed S]
                [--format text|binary|binary-v2] --out FILE
@@ -1174,9 +1175,6 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
     let len: u64 = uarg(args.scaled_or("len", 20_000))?;
     let seed: u64 = uarg(args.num_or("seed", 7u64))?;
     let k: usize = uarg(args.num_or("k", scenario.suggested_k))?;
-    if k == 0 {
-        return Err(CliError::Usage("--k must be positive".into()));
-    }
     let policy_name = args.str_or("policy", "lru");
     if make_shared_policy(&policy_name, &scenario.costs).is_none() {
         return Err(CliError::Usage(format!(
@@ -2640,7 +2638,6 @@ mod tests {
                 "--table-shards",
                 "0",
             ],
-            vec!["concurrent", "--scenario", "two-tier", "--k", "0"],
             vec!["concurrent", "--scenario", "two-tier", "--policy", "convex"],
             vec!["concurrent", "--scenario", "two-tier", "--policy", "lfu"],
             vec!["concurrent", "--scenario", "two-tier", "--verify", "maybe"],

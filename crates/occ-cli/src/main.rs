@@ -48,6 +48,10 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if args.help {
+        println!("{}", commands::USAGE);
+        return;
+    }
     // Only `occ trace` takes a second positional (its action).
     if args.action.is_some() && args.command.as_deref() != Some("trace") {
         eprintln!(
@@ -57,8 +61,11 @@ fn main() {
         eprintln!("{}", commands::USAGE);
         std::process::exit(2);
     }
-    // One limit for every command, checked before any work starts.
-    let checked = args.check_json_range().map_err(CliError::Usage);
+    // One set of limits for every command, checked before any work starts.
+    let checked = args
+        .check_json_range()
+        .and_then(|()| args.check_cache_sizes())
+        .map_err(CliError::Usage);
     let result = checked.and_then(|()| match args.command.as_deref() {
         Some("generate") => commands::generate(&args),
         Some("trace") => commands::trace(&args),

@@ -1,8 +1,10 @@
-//! Black-box limits on numeric input through the real binary: flag
+//! Black-box limits on command-line input through the real binary: flag
 //! values that a command writes into JSON must fit JSON's exact integer
-//! range (2^53) and are rejected up front as usage errors (exit 2), and
-//! a cache size far beyond the page universe — from a flag or from a
-//! checkpoint — runs instead of aborting on a huge allocation.
+//! range (2^53) and a cache size must be positive, or the command is
+//! rejected up front as a usage error (exit 2); a cache size far beyond
+//! the page universe — from a flag or from a checkpoint — runs instead
+//! of aborting on a huge allocation; and `--help`/`-h` prints the usage
+//! and exits 0 wherever it appears.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -167,4 +169,80 @@ fn resume_from_a_checkpoint_with_a_huge_capacity_runs() {
     assert!(out.contains(&format!("\"capacity\":{HUGE_K}")), "{out}");
     std::fs::remove_file(&ckpt).ok();
     std::fs::remove_file(&report).ok();
+}
+
+/// Assert the command line `cmd` exits 2 with a message that `flag`
+/// must be positive.
+fn zero_rejected(cmd: &str, flag: &str) {
+    let args: Vec<&str> = cmd.split_whitespace().collect();
+    let o = occ(&args);
+    let stderr = String::from_utf8_lossy(&o.stderr);
+    assert_eq!(o.status.code(), Some(2), "{cmd}: {stderr}");
+    assert!(
+        stderr.contains(&format!("--{flag} must be positive")),
+        "{cmd}: {stderr}"
+    );
+}
+
+#[test]
+fn run_with_k_zero_is_a_usage_error() {
+    zero_rejected("run --policy lru --k 0 --scenario two-tier --len 100", "k");
+}
+
+#[test]
+fn compare_with_k_zero_is_a_usage_error() {
+    zero_rejected("compare --scenario two-tier --k 0 --len 100", "k");
+}
+
+#[test]
+fn soak_with_k_zero_is_a_usage_error() {
+    zero_rejected(
+        "soak --scenario two-tier --heartbeat off --len 100 --window 50 --k 0",
+        "k",
+    );
+}
+
+#[test]
+fn fleet_with_k_zero_is_a_usage_error() {
+    zero_rejected("fleet --scenario two-tier --shards 2 --len 100 --k 0", "k");
+}
+
+#[test]
+fn observe_with_k_zero_is_a_usage_error() {
+    let report = tmp("k-zero.json");
+    let cmd = format!(
+        "observe --scenario two-tier --len 100 --k 0 --out {}",
+        report.display()
+    );
+    zero_rejected(&cmd, "k");
+    assert!(!report.exists(), "a rejected observe wrote its report");
+}
+
+#[test]
+fn mrc_with_max_k_zero_is_a_usage_error() {
+    zero_rejected("mrc --scenario two-tier --max-k 0 --len 100", "max-k");
+}
+
+#[test]
+fn concurrent_with_k_zero_is_a_usage_error() {
+    zero_rejected("concurrent --scenario two-tier --len 100 --k 0", "k");
+}
+
+#[test]
+fn help_prints_the_usage_to_stdout_and_exits_0() {
+    for cmd in [
+        "help",
+        "--help",
+        "-h",
+        "soak --help",
+        "fleet --scenario two-tier -h",
+    ] {
+        let args: Vec<&str> = cmd.split_whitespace().collect();
+        let o = occ(&args);
+        let stdout = String::from_utf8_lossy(&o.stdout);
+        let stderr = String::from_utf8_lossy(&o.stderr);
+        assert_eq!(o.status.code(), Some(0), "{cmd}: {stderr}");
+        assert!(stdout.contains("USAGE:"), "{cmd}: {stdout}");
+        assert!(stderr.is_empty(), "{cmd}: {stderr}");
+    }
 }

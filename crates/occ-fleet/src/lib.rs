@@ -65,8 +65,9 @@ pub struct FleetConfig {
     pub capacity: usize,
     /// Most requests per [`SteppingEngine::serve_from`] batch.
     pub batch_size: usize,
-    /// Attach a [`MetricsRecorder`] to every shard. Costs a monotonic
-    /// clock sample per request (the recorder is `TIMED`); turn it off
+    /// Attach a [`MetricsRecorder`] to every shard. Costs one monotonic
+    /// clock read per request (the recorder is `TIMED`; stamps chain
+    /// within a batch, see `occ_sim::probe::LapClock`); turn it off
     /// for pure-throughput runs, which then compile the recorder out
     /// and leave [`ShardReport::recorder`] empty.
     pub record: bool,

@@ -5,8 +5,11 @@
 //! through the same per-event updates as every
 //! [`WindowedRecorder`](crate::WindowedRecorder) window, plus a
 //! [`LogHistogram`] of per-request service latency (it sets
-//! [`Recorder::TIMED`], so the engine samples a monotonic clock around
-//! each request).
+//! [`Recorder::TIMED`], so the engine stamps each request with a
+//! [`LapClock`](occ_sim::probe::LapClock)). Stamps chain within a
+//! batch: a sample runs from the previous request's stamp to this one's,
+//! hooks included, so a batch's samples sum to its serving time and a
+//! lone `step` is timed from its own start.
 
 use crate::histogram::LogHistogram;
 use crate::json::Json;
@@ -48,8 +51,9 @@ impl MetricsRecorder {
         &self.total
     }
 
-    /// Per-request service latency (only populated when the engine runs
-    /// with this recorder attached, since `TIMED = true`).
+    /// Per-request service latency, one sample per served request (only
+    /// populated when the engine runs with this recorder attached, since
+    /// `TIMED = true`).
     pub fn latency_ns(&self) -> &LogHistogram {
         self.total
             .latency_ns

@@ -356,7 +356,7 @@ impl WindowDelta {
 /// of `width` requests.
 ///
 /// `WITH_LATENCY` mirrors [`Recorder::TIMED`]: when `true` the engine
-/// samples a monotonic clock per request and each window carries an
+/// stamps every request with a monotonic clock and each window carries an
 /// exact latency histogram delta — and the series stops being
 /// deterministic, since wall-clock samples differ run to run. The
 /// default `false` keeps windows a pure function of the request stream,

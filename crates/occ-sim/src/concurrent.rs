@@ -108,7 +108,7 @@ use crate::engine::EngineCtx;
 use crate::error::{FaultCounters, FaultHandler, FaultKind, FaultPolicy, RequestFault, SimError};
 use crate::ids::{PageId, Time, UserId};
 use crate::policy::ReplacementPolicy;
-use crate::probe::Recorder;
+use crate::probe::{LapClock, Recorder};
 use crate::source::RequestSource;
 use crate::stats::SimStats;
 use crate::stepper::{StepOutcome, SteppingEngine, DEFAULT_BATCH_SIZE};
@@ -116,7 +116,6 @@ use crate::trace::{Request, Universe};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use std::time::Instant;
 
 /// Which shard segment a page hashes to: dense page ids stripe round-robin.
 #[inline]
@@ -1037,8 +1036,9 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
     /// Drive one worker to stream exhaustion (or engine stop), feeding
     /// outcomes to `recorder` with the same hook semantics the
     /// sequential engines use. Borrowed page runs are served when the
-    /// source offers them; other sources are pulled one request at a
-    /// time, so a chaos source's tallies and a fail-fast stop point stay
+    /// source offers them, timed on one chained [`LapClock`] per run;
+    /// other sources are pulled one request at a time, each on a fresh
+    /// clock, so a chaos source's tallies and a fail-fast stop point stay
     /// exact.
     fn drive_worker<S: RequestSource, R: Recorder>(
         &self,
@@ -1066,6 +1066,7 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
             {
                 // Zero-copy sources validate each run, so every id is in
                 // range and its owner is the record's user.
+                let mut lap = LapClock::default();
                 for &page in run {
                     if self.stopped() {
                         break;
@@ -1074,7 +1075,7 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
                         page,
                         user: self.universe.owner(page),
                     };
-                    self.serve_observed(thread, req, &mut lane, recorder, &probe)?;
+                    self.serve_observed(thread, req, &mut lane, recorder, &mut lap, &probe)?;
                 }
                 local_t += run.len() as Time;
                 continue;
@@ -1083,7 +1084,8 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
                 break;
             };
             local_t += 1;
-            self.serve_observed(thread, req, &mut lane, recorder, &probe)?;
+            let lap = &mut LapClock::default();
+            self.serve_observed(thread, req, &mut lane, recorder, lap, &probe)?;
         }
         Ok(lane)
     }
@@ -1095,13 +1097,13 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
         req: Request,
         lane: &mut ThreadLane,
         recorder: &mut R,
+        lap: &mut LapClock,
         probe: &impl Fn(Time) -> EngineCtx<'a>,
     ) -> Result<(), SimError> {
-        let started = if R::TIMED { Some(Instant::now()) } else { None };
+        lap.start::<R>();
         let outcome = self.serve_record(thread, req, lane)?;
-        let seq = || lane.schedule.last().map(|r| r.seq).unwrap_or(0);
+        let seq = lane.schedule.last().map(|r| r.seq).unwrap_or(0);
         if R::ACTIVE {
-            let seq = seq();
             let ctx = probe(seq);
             match outcome {
                 CommitOutcome::Hit => recorder.record_hit(&ctx, seq, req.page, req.user),
@@ -1122,9 +1124,7 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
                 }),
             }
         }
-        if let Some(started) = started {
-            recorder.record_latency_ns(seq(), started.elapsed().as_nanos() as u64);
-        }
+        lap.lap(recorder, seq);
         Ok(())
     }
 }

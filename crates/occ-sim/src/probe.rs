@@ -12,7 +12,8 @@
 //!
 //! Recorders see the same classification the engine commits to its
 //! counters — one hook per request, in time order — plus an optional
-//! per-request latency sample when [`Recorder::TIMED`] is set. Heavier
+//! per-request latency sample when [`Recorder::TIMED`] is set, taken by
+//! the one [`LapClock`] both engines share. Heavier
 //! consumers (histograms, streaming JSONL sinks, dual-variable traces)
 //! live in the `occ-probe` crate; this module only defines the contract
 //! so the engine does not depend on them.
@@ -20,6 +21,7 @@
 use crate::engine::EngineCtx;
 use crate::error::RequestFault;
 use crate::ids::{PageId, Time, UserId};
+use std::time::Instant;
 
 /// Observer of engine decisions, threaded through a run as a generic
 /// parameter.
@@ -36,9 +38,9 @@ pub trait Recorder {
     /// constant, so an inactive recorder compiles out of the engine.
     const ACTIVE: bool = true;
 
-    /// Whether the engine should sample a monotonic clock around each
-    /// request and report it via [`Self::record_latency_ns`]. Off by
-    /// default: two `Instant::now()` calls per request are measurable.
+    /// Whether the engine should time each request with a [`LapClock`]
+    /// and report it via [`Self::record_latency_ns`]. Off by default:
+    /// even chained, one `Instant::now()` per request is measurable.
     const TIMED: bool = false;
 
     /// The requested page was already cached.
@@ -63,8 +65,9 @@ pub trait Recorder {
     /// ([`SimOptions::flush_at_end`](crate::engine::SimOptions)).
     fn record_flush_eviction(&mut self, _page: PageId, _user: UserId) {}
 
-    /// Wall-clock nanoseconds spent serving the request at time `t`
-    /// (only called when [`Self::TIMED`] is `true`).
+    /// Wall-clock nanoseconds from the previous stamp to the stamp taken
+    /// after the request at time `t` and its hooks (see [`LapClock`];
+    /// only called when [`Self::TIMED`] is `true`).
     fn record_latency_ns(&mut self, _t: Time, _ns: u64) {}
 
     /// A faulty request record was absorbed by a checked run (skipped or
@@ -72,6 +75,41 @@ pub trait Recorder {
     /// [`FaultPolicy`](crate::error::FaultPolicy)). Never fired by the
     /// unchecked hot paths.
     fn record_fault(&mut self, _fault: &RequestFault) {}
+}
+
+/// The per-request latency clock both engines time requests with.
+///
+/// Stamps are chained: the stamp that ends one request also starts the
+/// next, so a run of requests costs one `Instant::now()` each, and its
+/// samples partition the run's serving time (they sum to the time from
+/// its first stamp to its last). A fresh clock holds no stamp and its
+/// first request reads the clock to start, so a lone request costs two
+/// reads. Both methods do nothing unless `R::TIMED`, so an untimed
+/// recorder compiles the clock out.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LapClock(Option<Instant>);
+
+impl LapClock {
+    /// Start a request, unless the previous request's end stamp already
+    /// did.
+    #[inline(always)]
+    pub fn start<R: Recorder>(&mut self) {
+        if R::TIMED && self.0.is_none() {
+            self.0 = Some(Instant::now());
+        }
+    }
+
+    /// End the request served at `t`: report the time since its start to
+    /// `recorder` and keep the end stamp as the next request's start.
+    #[inline(always)]
+    pub fn lap<R: Recorder>(&mut self, recorder: &mut R, t: Time) {
+        if R::TIMED {
+            let now = Instant::now();
+            if let Some(start) = self.0.replace(now) {
+                recorder.record_latency_ns(t, now.duration_since(start).as_nanos() as u64);
+            }
+        }
+    }
 }
 
 /// The default recorder: records nothing, costs nothing.

@@ -30,12 +30,11 @@ use crate::error::{
 };
 use crate::ids::{PageId, Time, UserId};
 use crate::policy::ReplacementPolicy;
-use crate::probe::{NoopRecorder, Recorder};
+use crate::probe::{LapClock, NoopRecorder, Recorder};
 use crate::snapshot::{EngineSnapshot, SNAPSHOT_VERSION};
 use crate::source::RequestSource;
 use crate::stats::SimStats;
 use crate::trace::{Request, Universe};
-use std::time::Instant;
 
 /// Default chunk size for [`SteppingEngine::run_batched`] and friends:
 /// 4096 requests × 8 bytes keeps a whole chunk (32 KiB) resident in L1
@@ -191,7 +190,7 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
     /// and a policy contract violation panics. Use
     /// [`step_checked`](Self::step_checked) for untrusted streams.
     pub fn step(&mut self, req: Request) -> StepOutcome {
-        match self.serve::<false>(req) {
+        match self.serve::<false>(req, &mut LapClock::default()) {
             Ok(outcome) => outcome,
             Err(violation) => panic!("{violation}"),
         }
@@ -220,7 +219,8 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
         handler: &mut FaultHandler,
     ) -> Result<Option<StepOutcome>, SimError> {
         let Some(kind) = handler.classify(&self.universe, req) else {
-            return self.serve::<false>(req).map(Some).map_err(SimError::from);
+            let outcome = self.serve::<false>(req, &mut LapClock::default());
+            return outcome.map(Some).map_err(SimError::from);
         };
         let fault = RequestFault {
             time: self.time,
@@ -344,11 +344,14 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
     /// `j + PREFETCH_DISTANCE`; the final [`PREFETCH_DISTANCE`] items run
     /// in a plain tail, so the hot loop carries no lookahead bounds
     /// check. Prefetches are pure hints: the outcome is byte-identical to
-    /// serving each item with [`step`](Self::step).
+    /// serving each item with [`step`](Self::step). One [`LapClock`]
+    /// spans all three loops, so a timed batch reads the clock once per
+    /// request plus once to start.
     fn serve_batch<I: BatchItem>(&mut self, items: &[I]) -> Result<(), PolicyViolation> {
+        let mut lap = LapClock::default();
         let mut i = 0;
         while i < items.len() && !self.cache.is_full() {
-            self.serve::<false>(items[i].request(&self.universe))?;
+            self.serve::<false>(items[i].request(&self.universe), &mut lap)?;
             i += 1;
         }
         let steady = &items[i..];
@@ -356,10 +359,10 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
         let lookahead = &steady[PREFETCH_DISTANCE.min(steady.len())..];
         for (&item, ahead) in steady[..main].iter().zip(lookahead) {
             self.cache.prefetch_probe(ahead.page());
-            self.serve::<true>(item.request(&self.universe))?;
+            self.serve::<true>(item.request(&self.universe), &mut lap)?;
         }
         for &item in &steady[main..] {
-            self.serve::<true>(item.request(&self.universe))?;
+            self.serve::<true>(item.request(&self.universe), &mut lap)?;
         }
         Ok(())
     }
@@ -371,7 +374,11 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
     /// latency clock sit behind `R::ACTIVE` / `R::TIMED`, so with
     /// [`NoopRecorder`] they compile out.
     #[inline(always)]
-    fn serve<const FULL: bool>(&mut self, req: Request) -> Result<StepOutcome, PolicyViolation> {
+    fn serve<const FULL: bool>(
+        &mut self,
+        req: Request,
+        lap: &mut LapClock,
+    ) -> Result<StepOutcome, PolicyViolation> {
         debug_assert_eq!(
             self.universe.owner(req.page),
             req.user,
@@ -379,7 +386,7 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
         );
         debug_assert!(!FULL || self.cache.is_full());
         let t = self.time;
-        let started = if R::TIMED { Some(Instant::now()) } else { None };
+        lap.start::<R>();
         let outcome = if self.cache.contains(req.page) {
             self.stats.record_hit(req.user);
             let ctx = ctx!(self);
@@ -429,10 +436,7 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
             }
             StepOutcome::Evicted(victim)
         };
-        if let Some(start) = started {
-            self.recorder
-                .record_latency_ns(t, start.elapsed().as_nanos() as u64);
-        }
+        lap.lap(&mut self.recorder, t);
         self.time += 1;
         Ok(outcome)
     }
