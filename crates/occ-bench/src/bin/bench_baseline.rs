@@ -79,7 +79,12 @@
 //!   generating trace; the timed reps then run interleaved (one rep of
 //!   every strategy per round) so the mmap/buffered ratio is immune to
 //!   host-speed drift. `--ingest` runs just this block on the
-//!   full-sized (10M-request) fixture.
+//!   full-sized (10M-request) fixture, followed by an `encode/packed`
+//!   row: occbin02 encode of the fixture through the writer's run-level
+//!   appends (64 Ki-page runs, as `occ trace pack` feeds it) into an
+//!   in-memory sink, asserted byte-identical to the whole-trace writer's
+//!   file and to decode back before any rep. That row is printed only,
+//!   never written to the baseline file.
 //!
 //! `--smoke` runs a reduced matrix (lru/fifo/greedy-dual/alg-discrete ×
 //! zipf-0.9 × both cache sizes, scalar vs batched, plus a 1-shard
@@ -95,9 +100,9 @@ use occ_core::{ConvexCaching, CostProfile, DiscreteReference, Monomial};
 use occ_fleet::{run_fleet_typed, run_shared_fleet, FleetConfig, SharedConfig};
 use occ_probe::{Json, MetricsRecorder, WindowedRecorder};
 use occ_sim::{
-    write_trace_binary, write_trace_binary_v2, Binary2TraceReader, BinarySource, BinaryTraceReader,
-    ReplacementPolicy, Request, RequestSource, SimStats, Simulator, SteppingEngine, Trace,
-    TraceSource, DEFAULT_BATCH_SIZE,
+    read_trace_binary_v2, write_trace_binary, write_trace_binary_v2, Binary2TraceReader,
+    Binary2TraceWriter, BinarySource, BinaryTraceReader, PageId, ReplacementPolicy, Request,
+    RequestSource, SimStats, Simulator, SteppingEngine, Trace, TraceSource, DEFAULT_BATCH_SIZE,
 };
 use occ_workloads::{generate_multi_tenant, zipf_trace, AccessPattern, TenantSpec};
 use std::fmt::Write as _;
@@ -770,15 +775,15 @@ fn measure_ingest(fx: &IngestFixture, reps: usize) -> Vec<(&'static str, f64)> {
 /// `prefix` in front, so `--smoke` emits greppable `SMOKE ingest/...`
 /// rows) and returns JSON rows for the baseline file.
 fn ingest_block(
-    len: usize,
+    fx: &IngestFixture,
     reps: usize,
     prefix: &str,
     committed: &[CommittedCell],
     regressions: &mut u32,
 ) -> Vec<String> {
-    let fx = IngestFixture::materialize(len);
-    assert_ingest_identity(&fx, INGEST_K);
-    let cells = measure_ingest(&fx, reps);
+    let len = fx.trace.len();
+    assert_ingest_identity(fx, INGEST_K);
+    let cells = measure_ingest(fx, reps);
     let mut rows = Vec::new();
     let rps_of = |s: &str| {
         cells
@@ -1008,19 +1013,67 @@ fn recorded_block(reps: usize) -> Vec<String> {
 fn run_ingest(committed: &[CommittedCell]) {
     warm_up();
     let mut regressions = 0u32;
-    ingest_block(
-        INGEST_TRACE_LEN,
-        THROUGHPUT_REPS,
-        "",
-        committed,
-        &mut regressions,
-    );
+    let fx = IngestFixture::materialize(INGEST_TRACE_LEN);
+    ingest_block(&fx, THROUGHPUT_REPS, "", committed, &mut regressions);
+    encode_row(&fx, THROUGHPUT_REPS);
     if regressions > 0 {
         eprintln!(
             "warning: {regressions} ingest cell(s) regressed more than 20% vs the committed baseline"
         );
     }
-    println!("INGEST OK: all three strategies replay miss-identical to the in-memory trace");
+    println!(
+        "INGEST OK: all three strategies replay miss-identical to the in-memory trace, and the \
+         run-level encode is byte-identical to the whole-trace writer"
+    );
+}
+
+/// Requests per run in the `encode/packed` row: what `occ trace pack`
+/// hands the writer per call when it reads an occbin01 trace.
+const ENCODE_RUN: usize = 64 * 1024;
+
+/// The `encode/packed` row (`--ingest` only): occbin02 encode of the
+/// fixture through [`Binary2TraceWriter::push_run`] in page runs, as
+/// `occ trace pack` drives it, into an in-memory sink — varint coding,
+/// checks and the running CRC, no file I/O. Before any rep, the output
+/// is asserted byte-identical to the fixture's `write_trace_binary_v2`
+/// file and to decode back to the trace. Best of `reps`.
+fn encode_row(fx: &IngestFixture, reps: usize) {
+    let universe = fx.trace.universe();
+    let len = fx.trace.len() as u64;
+    let pages: Vec<PageId> = fx.trace.requests().iter().map(|r| r.page).collect();
+    let encode = || {
+        let sink = Vec::with_capacity(fx.v2_bytes as usize);
+        let mut w = Binary2TraceWriter::new(universe.clone(), len, sink).expect("header");
+        for run in pages.chunks(ENCODE_RUN) {
+            w.push_run(run).expect("fixture pages are in range");
+        }
+        w.finish().expect("every promised request was pushed")
+    };
+    let bytes = encode();
+    assert!(
+        bytes == std::fs::read(&fx.v2).expect("read occbin02 fixture"),
+        "run-level encode differs from write_trace_binary_v2"
+    );
+    let back = read_trace_binary_v2(bytes.as_slice()).expect("decode the encoded fixture");
+    assert!(
+        back.requests() == fx.trace.requests(),
+        "encoded fixture decodes to a different trace"
+    );
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let start = Instant::now();
+        std::hint::black_box(encode());
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    let rps = len as f64 / best;
+    println!(
+        "{:>16}  k={:<5} {:<20} {rps:>12.0} req/s   ({:.2} ns/req, {} B, byte-identical, decodes back)",
+        "encode/packed",
+        "-",
+        "zipf-0.9",
+        1e9 / rps,
+        bytes.len()
+    );
 }
 
 /// `--smoke`: lru/fifo/greedy-dual/alg-discrete on zipf-0.9 at both
@@ -1150,7 +1203,7 @@ fn run_smoke(committed: &[CommittedCell]) {
     // 1M-request drain).
     let mut ingest_regressions = 0u32;
     ingest_block(
-        SMOKE_INGEST_TRACE_LEN,
+        &IngestFixture::materialize(SMOKE_INGEST_TRACE_LEN),
         SMOKE_REPS,
         "SMOKE ",
         committed,
@@ -1412,7 +1465,7 @@ fn main() {
     // Ingest cells: decode-only throughput of the three binary access
     // strategies, full-sized fixture, miss-identity asserted first.
     rows.extend(ingest_block(
-        INGEST_TRACE_LEN,
+        &IngestFixture::materialize(INGEST_TRACE_LEN),
         THROUGHPUT_REPS,
         "",
         &committed,

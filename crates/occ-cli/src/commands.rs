@@ -12,21 +12,21 @@ use occ_fleet::{
 use occ_offline::{Belady, CostAwareBelady};
 use occ_probe::{
     require_trailer, snapshot_from_json, snapshot_to_json, write_atomic, write_atomic_with_trailer,
-    CrcWriter, DualPoint, DualTrace, Json, JsonlSink, MetricsRecorder, ObserveReport, SeriesFile,
-    SeriesSink, WindowDelta, WindowedRecorder,
+    AtomicFile, CrcWriter, DualPoint, DualTrace, Json, JsonlSink, MetricsRecorder, ObserveReport,
+    SeriesFile, SeriesSink, WindowDelta, WindowedRecorder,
 };
 use occ_sim::concurrent::{replay_schedule, CommitSchedule, ReplayError, ReplayOutcome};
 use occ_sim::{
     read_trace_auto, write_trace, write_trace_binary, write_trace_binary_v2, Binary2TraceWriter,
     BinarySource, BinaryTraceWriter, EngineSnapshot, FaultHandler, FaultPolicy, PageId,
     ReplacementPolicy, Request, RequestSource, SimStats, SteppingEngine, Time, Trace, TraceIoError,
-    TraceSource, Universe, UserId, BINARY2_TRACE_MAGIC, BINARY_TRACE_MAGIC,
+    TraceRecord, TraceSource, Universe, UserId, BINARY2_TRACE_MAGIC, BINARY_TRACE_MAGIC,
 };
 use occ_workloads::{
     all_scenarios, ChaosSource, CsvAdapter, CsvFlavor, FaultPlan, Scenario, TenantMixSource,
 };
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Seek};
 use std::path::Path;
 use std::time::Instant;
 
@@ -525,29 +525,30 @@ pub fn trace(args: &Args) -> Result<(), CliError> {
 }
 
 /// Streaming transcode between the binary trace formats (`pack` writes
-/// occbin02, `unpack` writes occbin01). Reads chunk runs, never
-/// materializes the trace; text-format inputs are the one exception
-/// (they are parsed whole, which is what the text reader does anyway).
+/// occbin02, `unpack` writes occbin01). Reads chunk runs and writes each
+/// encoded chunk straight to the output file; never materializes the
+/// trace. Text-format inputs are the one exception (they are parsed
+/// whole, which is what the text reader does anyway).
 fn trace_transcode(args: &Args, pack: bool) -> Result<(), CliError> {
     let in_path = uarg(args.str_required("in"))?;
     let out_path = uarg(args.str_required("out"))?;
     let limit = uarg(args.scaled_or("limit", 0))?;
+    let werr = |e| write_err(&in_path, &out_path, e);
 
     let mut feed = match Feed::open(&in_path, None, None) {
         Ok(f) => f,
         Err(CliError::Parse(_)) => {
             // Not binary and not CSV — maybe the v1 text format. Parse
-            // it whole and re-serve it as runs.
+            // it whole and write it as one run.
             let file =
                 File::open(&in_path).map_err(|e| CliError::Io(format!("open {in_path}: {e}")))?;
             let trace = read_trace_auto(BufReader::new(file)).map_err(|e| feed_err(&in_path, e))?;
-            let mut buf = Vec::new();
-            if pack {
-                write_trace_binary_v2(&trace, &mut buf)?;
-            } else {
-                write_trace_binary(&trace, &mut buf)?;
-            }
-            return finish_transcode(&in_path, &out_path, buf, trace.len() as u64, pack);
+            let count = trace.len() as u64;
+            let mut out =
+                TraceOut::create(&out_path, pack, trace.universe().clone(), count).map_err(werr)?;
+            out.push_run(trace.requests()).map_err(werr)?;
+            let size = out.finish().map_err(werr)?;
+            return report_transcode(&in_path, &out_path, size, count, pack);
         }
         Err(e) => return Err(e),
     };
@@ -555,18 +556,11 @@ fn trace_transcode(args: &Args, pack: bool) -> Result<(), CliError> {
     let keep = if limit == 0 { total } else { limit.min(total) };
     let universe = RequestSource::universe(&feed).clone();
 
-    // Render to memory, then land atomically (same discipline as
-    // `occ generate`); the read side still streams in chunk-sized runs.
-    let mut served = 0u64;
-    let buf = if pack {
-        let mut w = Binary2TraceWriter::new(universe.clone(), keep, Vec::new())?;
-        copy_requests(&mut feed, &universe, keep, &mut served, |req| w.push(req))?;
-        w.finish()?
-    } else {
-        let mut w = BinaryTraceWriter::new(universe.clone(), std::io::Cursor::new(Vec::new()))?;
-        copy_requests(&mut feed, &universe, keep, &mut served, |req| w.push(req))?;
-        w.finish()?.into_inner()
-    };
+    let mut out = TraceOut::create(&out_path, pack, universe, keep).map_err(werr)?;
+    let served = copy_requests(&mut feed, keep, &mut out).map_err(werr)?;
+    // The input's own fault (a torn or corrupt trace) ends the feed
+    // early; report it, and a short count, before sealing the output,
+    // whose promised count such a feed has already broken.
     feed.finish()
         .map_err(|e| feed_err(&in_path, TraceIoError::Parse(e.to_string())))?;
     if served != keep {
@@ -574,72 +568,108 @@ fn trace_transcode(args: &Args, pack: bool) -> Result<(), CliError> {
             "{in_path}: trace ended after {served} of {keep} requests"
         )));
     }
-    finish_transcode(&in_path, &out_path, buf, keep, pack)
+    let size = out.finish().map_err(werr)?;
+    report_transcode(&in_path, &out_path, size, keep, pack)
 }
 
-/// Pull up to `keep` requests out of `feed` in runs and hand each to
-/// `push`, straight from the borrowed run. Chunked by the feed's own
-/// serving granularity; `universe` is the feed's.
-fn copy_requests(
-    feed: &mut Feed,
-    universe: &Universe,
-    keep: u64,
-    served: &mut u64,
-    mut push: impl FnMut(Request) -> Result<(), TraceIoError>,
-) -> Result<(), CliError> {
-    const RUN: usize = 64 * 1024;
-    while *served < keep {
-        let max = (keep - *served).min(RUN as u64) as usize;
-        // The universe lookup for page runs matches what the buffered
-        // reader would have done to build each Request.
-        if let Some(run) = feed.next_page_run(max) {
-            if run.is_empty() {
-                break;
-            }
-            for &page in run {
-                push(Request {
-                    page,
-                    user: universe.owner(page),
-                })?;
-            }
-            *served += run.len() as u64;
-            continue;
+/// Attach context to a trace-writer error: an I/O failure is writing
+/// `out_path`; a record the writer rejects came from `in_path`.
+fn write_err(in_path: &str, out_path: &str, e: TraceIoError) -> CliError {
+    match e {
+        TraceIoError::Io(io) => CliError::Io(format!("write {out_path}: {io}")),
+        TraceIoError::Parse(m) => CliError::Parse(format!("{in_path}: {m}")),
+    }
+}
+
+/// The output side of `occ trace pack|unpack|import`: a writer for
+/// either binary format that streams each encoded chunk into one
+/// [`AtomicFile`], so the file lands whole on
+/// [`finish`](TraceOut::finish) or not at all.
+enum TraceOut {
+    Packed(Binary2TraceWriter<AtomicFile>),
+    Fixed(BinaryTraceWriter<AtomicFile>),
+}
+
+impl TraceOut {
+    /// Start `path` as occbin02 (`packed`, promising `count` requests up
+    /// front) or occbin01 (whose count is patched in at the end).
+    fn create(
+        path: &str,
+        packed: bool,
+        universe: Universe,
+        count: u64,
+    ) -> Result<TraceOut, TraceIoError> {
+        let file = AtomicFile::create(Path::new(path))?;
+        Ok(if packed {
+            TraceOut::Packed(Binary2TraceWriter::new(universe, count, file)?)
+        } else {
+            TraceOut::Fixed(BinaryTraceWriter::new(universe, file)?)
+        })
+    }
+
+    fn push_run<T: TraceRecord>(&mut self, run: &[T]) -> Result<(), TraceIoError> {
+        match self {
+            TraceOut::Packed(w) => w.push_run(run),
+            TraceOut::Fixed(w) => w.push_run(run),
         }
-        if let Some(run) = feed.next_run(max) {
-            if run.is_empty() {
-                break;
-            }
-            for &req in run {
-                push(req)?;
-            }
-            *served += run.len() as u64;
-            continue;
-        }
-        // CSV feeds serve per-request.
-        let Some(req) = (match feed {
+    }
+
+    /// Seal the trace and land the file; returns its size in bytes.
+    fn finish(self) -> Result<u64, TraceIoError> {
+        let mut file = match self {
+            TraceOut::Packed(w) => w.finish()?,
+            TraceOut::Fixed(w) => w.finish()?,
+        };
+        let size = file.stream_position()?;
+        file.commit()?;
+        Ok(size)
+    }
+}
+
+/// Copy up to `keep` requests out of `feed` into `out` a run at a time,
+/// straight from the borrowed run: page runs (occbin01) and request runs
+/// (occbin02) go over in one call each, CSV feeds one request at a
+/// time. A whole-trace copy asks once more after the last request,
+/// which is when a trace checks its footer checksum. Returns how many
+/// were copied.
+fn copy_requests(feed: &mut Feed, keep: u64, out: &mut TraceOut) -> Result<u64, TraceIoError> {
+    const RUN: u64 = 64 * 1024;
+    let whole = keep == feed.total_requests();
+    let mut served = 0u64;
+    while served < keep || whole {
+        let max = keep.saturating_sub(served).clamp(1, RUN) as usize;
+        let copied = if let Some(run) = feed.next_page_run(max) {
+            out.push_run(run)?;
+            run.len()
+        } else if let Some(run) = feed.next_run(max) {
+            out.push_run(run)?;
+            run.len()
+        } else if let Some(req) = match feed {
             Feed::Csv(c) => c.pull(),
             Feed::Mix(_) | Feed::Bin(_) => None,
-        }) else {
-            break;
+        } {
+            out.push_run(&[req])?;
+            1
+        } else {
+            0
         };
-        push(req)?;
-        *served += 1;
+        if copied == 0 {
+            break;
+        }
+        served += copied as u64;
     }
-    Ok(())
+    Ok(served)
 }
 
-/// Write the transcoded bytes atomically and report the size change.
-fn finish_transcode(
+/// Report a landed transcode and its size change.
+fn report_transcode(
     in_path: &str,
     out_path: &str,
-    buf: Vec<u8>,
+    out_size: u64,
     requests: u64,
     pack: bool,
 ) -> Result<(), CliError> {
     let in_size = std::fs::metadata(in_path).map(|m| m.len()).unwrap_or(0);
-    let out_size = buf.len() as u64;
-    write_atomic(Path::new(out_path), &buf)
-        .map_err(|e| CliError::Io(format!("write {out_path}: {e}")))?;
     let verb = if pack { "packed" } else { "unpacked" };
     let ratio = if in_size > 0 {
         format!("{:.2}x", out_size as f64 / in_size as f64)
@@ -661,44 +691,36 @@ fn trace_import(args: &Args) -> Result<(), CliError> {
     let tenants: u32 = uarg(args.num_or("tenants", 0u32))?;
     let tenants = if tenants == 0 { None } else { Some(tenants) };
     let format = args.str_or("format", "binary-v2");
+    let werr = |e| write_err(&in_path, &out_path, e);
 
     let mut csv = CsvAdapter::open(Path::new(&in_path), flavor, tenants)
         .map_err(|e| feed_err(&in_path, e))?;
     let universe = RequestSource::universe(&csv).clone();
     let total = csv.total_requests();
 
-    let buf = match format.as_str() {
-        "binary-v2" => {
-            let mut w = Binary2TraceWriter::new(universe.clone(), total, Vec::new())?;
-            while let Some(req) = csv.pull() {
-                w.push(req)?;
-            }
-            w.finish()?
-        }
-        "binary" => {
-            let mut w = BinaryTraceWriter::new(universe.clone(), std::io::Cursor::new(Vec::new()))?;
-            while let Some(req) = csv.pull() {
-                w.push(req)?;
-            }
-            w.finish()?.into_inner()
-        }
+    let packed = match format.as_str() {
+        "binary-v2" => true,
+        "binary" => false,
         other => {
             return Err(CliError::Usage(format!(
                 "unknown trace format '{other}' (expected binary or binary-v2)"
             )))
         }
     };
+    let mut out = TraceOut::create(&out_path, packed, universe.clone(), total).map_err(werr)?;
+    while let Some(req) = csv.pull() {
+        out.push_run(&[req]).map_err(werr)?;
+    }
     if let Some(e) = csv.error() {
         return Err(feed_err(&in_path, TraceIoError::Parse(e.to_string())));
     }
     let mut dict_buf = Vec::new();
     csv.key_dict().write_to(&mut dict_buf)?;
-    write_atomic(Path::new(&out_path), &buf)
-        .map_err(|e| CliError::Io(format!("write {out_path}: {e}")))?;
+    let size = out.finish().map_err(werr)?;
     write_atomic(Path::new(&dict_path), &dict_buf)
         .map_err(|e| CliError::Io(format!("write {dict_path}: {e}")))?;
     println!(
-        "imported {total} requests over {} pages / {} users ({}) to {out_path} ({format}, {} B); \
+        "imported {total} requests over {} pages / {} users ({}) to {out_path} ({format}, {size} B); \
          dictionary: {dict_path} ({} keys)",
         universe.num_pages(),
         universe.num_users(),
@@ -706,7 +728,6 @@ fn trace_import(args: &Args) -> Result<(), CliError> {
             CsvFlavor::Msr => "msr",
             CsvFlavor::Twitter => "twitter",
         },
-        buf.len(),
         csv.key_dict().len(),
     );
     Ok(())

@@ -326,6 +326,75 @@ fn pack_unpack_round_trip_is_byte_identical() {
 }
 
 #[test]
+fn transcoding_a_damaged_trace_names_it_and_leaves_no_output() {
+    let v1 = tmp("damaged-src.bin");
+    generate_binary(&v1);
+    let full = std::fs::read(&v1).unwrap();
+    // A torn occbin01 (cut mid-stream) and one with a payload bit
+    // flipped (every id still in range: only the footer checksum can
+    // tell), and the torn packed twin of the intact one.
+    let mut flipped = full.clone();
+    flipped[full.len() - 12 - 4 * 1000] ^= 0x01;
+    let packed = tmp("damaged-src.occbin02");
+    let out = occ(&[
+        "trace",
+        "pack",
+        "--in",
+        v1.to_str().unwrap(),
+        "--out",
+        packed.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let packed_bytes = std::fs::read(&packed).unwrap();
+    let cases = [
+        (
+            "pack",
+            "torn.occbin01",
+            full[..full.len() / 2].to_vec(),
+            "truncated",
+        ),
+        ("pack", "flipped.occbin01", flipped, "checksum mismatch"),
+        (
+            "unpack",
+            "torn.occbin02",
+            packed_bytes[..packed_bytes.len() - 20].to_vec(),
+            "truncated",
+        ),
+    ];
+    for (action, name, bytes, fault) in cases {
+        let input = tmp(name);
+        std::fs::write(&input, &bytes).unwrap();
+        let dest = tmp(&format!("{name}.out"));
+        let dest_tmp = tmp(&format!("{name}.out.tmp"));
+        std::fs::remove_file(&dest).ok();
+        std::fs::remove_file(&dest_tmp).ok();
+        let out = occ(&[
+            "trace",
+            action,
+            "--in",
+            input.to_str().unwrap(),
+            "--out",
+            dest.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(4),
+            "{action} of {name} must exit 4; stderr: {stderr}"
+        );
+        assert!(
+            stderr.contains(input.to_str().unwrap()) && stderr.contains(fault),
+            "{action} of {name}: the error names the input and its fault ({fault}): {stderr}"
+        );
+        assert!(!dest.exists(), "{action} of {name} left its output behind");
+        assert!(
+            !dest_tmp.exists(),
+            "{action} of {name} left its temp file behind"
+        );
+    }
+}
+
+#[test]
 fn scaled_len_suffixes_generate_identical_traces() {
     let spelled = tmp("len-spelled.bin");
     let suffixed = tmp("len-suffixed.bin");

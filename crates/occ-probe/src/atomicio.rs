@@ -20,7 +20,7 @@
 //! this workspace all strip it via [`verify_trailer`] first.
 
 use std::fs::{self, File};
-use std::io::{self, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 
 pub use occ_sim::checksum::{crc32, Crc32};
@@ -95,17 +95,83 @@ pub fn require_trailer(text: &str) -> Result<&str, String> {
 /// any point leaves either the old file or the complete new one,
 /// never a prefix.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = tmp_path(path);
-    let mut f = File::create(&tmp)?;
+    let mut f = AtomicFile::create(path)?;
     f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
-    if let Err(e) = fs::rename(&tmp, path) {
-        let _ = fs::remove_file(&tmp);
-        return Err(e);
+    f.commit()
+}
+
+/// A file written in place of `path` and landed atomically: bytes go to
+/// the temp file [`tmp_path`]`(path)` as they are written, and
+/// [`commit`](Self::commit) `fsync`s it, renames it over `path` and
+/// `fsync`s the directory. Dropping it uncommitted (an error, a panic)
+/// removes the temp file, so a failed writer leaves neither `path` nor
+/// its temp file behind — only a killed process leaves the temp file.
+/// Output that is produced as it is computed streams through this
+/// instead of being held whole in memory first.
+#[derive(Debug)]
+pub struct AtomicFile {
+    path: std::path::PathBuf,
+    tmp: std::path::PathBuf,
+    /// `None` once committed.
+    file: Option<File>,
+}
+
+impl AtomicFile {
+    /// Create (or truncate) the temp file for `path`.
+    pub fn create(path: &Path) -> io::Result<Self> {
+        let tmp = tmp_path(path);
+        let file = File::create(&tmp)?;
+        Ok(AtomicFile {
+            path: path.to_path_buf(),
+            tmp,
+            file: Some(file),
+        })
     }
-    sync_parent_dir(path);
-    Ok(())
+
+    fn file(&mut self) -> &mut File {
+        self.file
+            .as_mut()
+            .expect("an uncommitted AtomicFile has a file")
+    }
+
+    /// Make the written bytes durable and move them to the destination.
+    /// On failure the temp file is removed and the destination is
+    /// untouched.
+    pub fn commit(mut self) -> io::Result<()> {
+        let file = self.file.take().expect("commit runs once");
+        let synced = file.sync_all();
+        drop(file);
+        if let Err(e) = synced.and_then(|()| fs::rename(&self.tmp, &self.path)) {
+            let _ = fs::remove_file(&self.tmp);
+            return Err(e);
+        }
+        sync_parent_dir(&self.path);
+        Ok(())
+    }
+}
+
+impl Write for AtomicFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.file().write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file().flush()
+    }
+}
+
+impl Seek for AtomicFile {
+    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+        self.file().seek(pos)
+    }
+}
+
+impl Drop for AtomicFile {
+    fn drop(&mut self) {
+        if self.file.take().is_some() {
+            let _ = fs::remove_file(&self.tmp);
+        }
+    }
 }
 
 /// [`write_atomic`] with the CRC trailer appended: the standard write
@@ -114,7 +180,7 @@ pub fn write_atomic_with_trailer(path: &Path, body: &str) -> io::Result<()> {
     write_atomic(path, with_trailer(body).as_bytes())
 }
 
-/// The temp-file name used by [`write_atomic`]: `<path>.tmp`, in the
+/// The temp-file name used by [`AtomicFile`]: `<path>.tmp`, in the
 /// same directory so the rename cannot cross filesystems.
 pub fn tmp_path(path: &Path) -> std::path::PathBuf {
     let mut os = path.as_os_str().to_os_string();
@@ -286,6 +352,35 @@ mod tests {
         write_atomic_with_trailer(&path, "{\"x\":2}\n").unwrap();
         let text = fs::read_to_string(&path).unwrap();
         assert_eq!(require_trailer(&text).unwrap(), "{\"x\":2}\n");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn atomic_file_lands_only_on_commit() {
+        let dir = tdir("stream");
+        let path = dir.join("trace.bin");
+        fs::write(&path, b"old").unwrap();
+        // Dropped uncommitted: the destination keeps its old bytes and
+        // the temp file is gone.
+        let mut f = AtomicFile::create(&path).unwrap();
+        f.write_all(b"half of the new").unwrap();
+        assert!(tmp_path(&path).exists());
+        drop(f);
+        assert!(
+            !tmp_path(&path).exists(),
+            "an abandoned temp file must be removed"
+        );
+        assert_eq!(fs::read(&path).unwrap(), b"old");
+        // Committed: the destination holds exactly what was streamed,
+        // including a seek back to patch a header.
+        let mut f = AtomicFile::create(&path).unwrap();
+        f.write_all(b"new....").unwrap();
+        f.write_all(b" body").unwrap();
+        f.seek(SeekFrom::Start(3)).unwrap();
+        f.write_all(b"HDR").unwrap();
+        f.commit().unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"newHDR. body");
+        assert!(!tmp_path(&path).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

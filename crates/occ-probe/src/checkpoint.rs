@@ -15,107 +15,105 @@
 //! else on read: an unknown version is rejected as
 //! [`SnapshotError::UnsupportedVersion`], never mis-parsed.
 
-use crate::json::Json;
+use crate::json::{write_escaped, Json};
 use occ_sim::error::{FaultCounters, SnapshotError};
 use occ_sim::ids::{PageId, UserId};
 use occ_sim::snapshot::{EngineSnapshot, PolicyState, StateValue};
 use occ_sim::stats::UserStats;
+use std::fmt::Write as _;
 
-/// Encode a snapshot as a compact JSON string.
+/// Encode a snapshot as a compact JSON string, written straight into
+/// one `String`: the fields in order, every `u64` and `f64` as a decimal
+/// string, ids and sizes as plain numbers — the same text a [`Json`]
+/// tree of the snapshot would print, without building the tree.
 pub fn snapshot_to_json(snap: &EngineSnapshot) -> String {
-    snapshot_to_json_value(snap).to_json()
+    let mut out = String::with_capacity(256 + 8 * snap.owners.len());
+    out.push_str("{\"version\":");
+    plain(&mut out, snap.version);
+    out.push_str(",\"time\":");
+    quoted(&mut out, snap.time);
+    out.push_str(",\"capacity\":");
+    plain(&mut out, snap.capacity as u64);
+    out.push_str(",\"num_users\":");
+    plain(&mut out, snap.num_users as u64);
+    out.push_str(",\"owners\":");
+    list(&mut out, &snap.owners, |out, u| plain(out, u.0 as u64));
+    out.push_str(",\"cache_pages\":");
+    list(&mut out, &snap.cache_pages, |out, p| plain(out, p.0 as u64));
+    out.push_str(",\"stats\":");
+    list(&mut out, &snap.stats, |out, s| {
+        out.push_str("{\"hits\":");
+        quoted(out, s.hits);
+        out.push_str(",\"misses\":");
+        quoted(out, s.misses);
+        out.push_str(",\"evictions\":");
+        quoted(out, s.evictions);
+        out.push('}');
+    });
+    out.push_str(",\"policy_name\":");
+    write_escaped(&snap.policy_name, &mut out);
+    out.push_str(",\"policy\":");
+    list(&mut out, snap.policy.fields(), |out, (k, v)| {
+        out.push_str("{\"key\":");
+        write_escaped(k, out);
+        out.push_str(",\"type\":\"");
+        out.push_str(match v {
+            StateValue::U64(_) => "u64",
+            StateValue::F64(_) => "f64",
+            StateValue::U64s(_) => "u64s",
+            StateValue::F64s(_) => "f64s",
+            StateValue::Text(_) => "text",
+        });
+        out.push_str("\",\"value\":");
+        match v {
+            StateValue::U64(x) => quoted(out, *x),
+            StateValue::F64(x) => quoted(out, x.to_bits()),
+            StateValue::U64s(xs) => list(out, xs, |out, &x| quoted(out, x)),
+            StateValue::F64s(xs) => list(out, xs, |out, x| quoted(out, x.to_bits())),
+            StateValue::Text(s) => write_escaped(s, out),
+        }
+        out.push('}');
+    });
+    let f = &snap.faults;
+    out.push_str(",\"faults\":{\"page_out_of_range\":");
+    quoted(&mut out, f.page_out_of_range);
+    out.push_str(",\"owner_mismatch\":");
+    quoted(&mut out, f.owner_mismatch);
+    out.push_str(",\"quarantined_drops\":");
+    quoted(&mut out, f.quarantined_drops);
+    out.push_str(",\"quarantined_users\":");
+    quoted(&mut out, f.quarantined_users);
+    out.push_str("},\"quarantined\":");
+    list(&mut out, &snap.quarantined, |out, u| plain(out, u.0 as u64));
+    out.push('}');
+    out
 }
 
-/// Encode a snapshot as a JSON value.
-pub fn snapshot_to_json_value(snap: &EngineSnapshot) -> Json {
-    let stats = snap
-        .stats
-        .iter()
-        .map(|s| {
-            Json::Obj(vec![
-                ("hits".into(), u64_str(s.hits)),
-                ("misses".into(), u64_str(s.misses)),
-                ("evictions".into(), u64_str(s.evictions)),
-            ])
-        })
-        .collect();
-    let policy = snap
-        .policy
-        .fields()
-        .iter()
-        .map(|(k, v)| {
-            let (tag, value) = match v {
-                StateValue::U64(x) => ("u64", u64_str(*x)),
-                StateValue::F64(x) => ("f64", f64_bits(*x)),
-                StateValue::U64s(xs) => {
-                    ("u64s", Json::Arr(xs.iter().map(|&x| u64_str(x)).collect()))
-                }
-                StateValue::F64s(xs) => {
-                    ("f64s", Json::Arr(xs.iter().map(|&x| f64_bits(x)).collect()))
-                }
-                StateValue::Text(s) => ("text", Json::Str(s.clone())),
-            };
-            Json::Obj(vec![
-                ("key".into(), Json::Str(k.clone())),
-                ("type".into(), Json::Str(tag.into())),
-                ("value".into(), value),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("version".into(), Json::from_u64(snap.version)),
-        ("time".into(), u64_str(snap.time)),
-        ("capacity".into(), Json::from_u64(snap.capacity as u64)),
-        ("num_users".into(), Json::from_u64(snap.num_users as u64)),
-        (
-            "owners".into(),
-            Json::Arr(
-                snap.owners
-                    .iter()
-                    .map(|u| Json::from_u64(u.0 as u64))
-                    .collect(),
-            ),
-        ),
-        (
-            "cache_pages".into(),
-            Json::Arr(
-                snap.cache_pages
-                    .iter()
-                    .map(|p| Json::from_u64(p.0 as u64))
-                    .collect(),
-            ),
-        ),
-        ("stats".into(), Json::Arr(stats)),
-        ("policy_name".into(), Json::Str(snap.policy_name.clone())),
-        ("policy".into(), Json::Arr(policy)),
-        (
-            "faults".into(),
-            Json::Obj(vec![
-                (
-                    "page_out_of_range".into(),
-                    u64_str(snap.faults.page_out_of_range),
-                ),
-                ("owner_mismatch".into(), u64_str(snap.faults.owner_mismatch)),
-                (
-                    "quarantined_drops".into(),
-                    u64_str(snap.faults.quarantined_drops),
-                ),
-                (
-                    "quarantined_users".into(),
-                    u64_str(snap.faults.quarantined_users),
-                ),
-            ]),
-        ),
-        (
-            "quarantined".into(),
-            Json::Arr(
-                snap.quarantined
-                    .iter()
-                    .map(|u| Json::from_u64(u.0 as u64))
-                    .collect(),
-            ),
-        ),
-    ])
+/// A number field. Like [`Json::from_u64`], refuses values JSON cannot
+/// hold exactly.
+fn plain(out: &mut String, v: u64) {
+    assert!(
+        v <= (1u64 << 53),
+        "counter {v} exceeds exact f64 range; widen the JSON layer first"
+    );
+    let _ = write!(out, "{v}");
+}
+
+/// A lossless `u64` field: its decimal digits in a string.
+fn quoted(out: &mut String, v: u64) {
+    let _ = write!(out, "\"{v}\"");
+}
+
+/// A JSON array of `items`, each written by `item`.
+fn list<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
 }
 
 /// Parse and decode a snapshot from JSON text.
@@ -232,14 +230,6 @@ pub fn snapshot_from_json_value(v: &Json) -> Result<EngineSnapshot, SnapshotErro
     })
 }
 
-fn u64_str(v: u64) -> Json {
-    Json::Str(v.to_string())
-}
-
-fn f64_bits(v: f64) -> Json {
-    Json::Str(v.to_bits().to_string())
-}
-
 fn nested(at: &str, e: SnapshotError) -> SnapshotError {
     match e {
         SnapshotError::MissingField(k) => SnapshotError::MissingField(format!("{at}.{k}")),
@@ -321,6 +311,108 @@ mod tests {
             eng.step(u.request(PageId((i * 7 + 1) % 12)));
         }
         eng.snapshot().unwrap()
+    }
+
+    /// The snapshot as a [`Json`] tree, field by field: the reference
+    /// [`snapshot_to_json`] must print the same text as.
+    fn tree(snap: &EngineSnapshot) -> Json {
+        let u64_str = |v: u64| Json::Str(v.to_string());
+        let ids =
+            |xs: Vec<u32>| Json::Arr(xs.into_iter().map(|x| Json::from_u64(x as u64)).collect());
+        let stats = snap
+            .stats
+            .iter()
+            .map(|s| {
+                Json::Obj(vec![
+                    ("hits".into(), u64_str(s.hits)),
+                    ("misses".into(), u64_str(s.misses)),
+                    ("evictions".into(), u64_str(s.evictions)),
+                ])
+            })
+            .collect();
+        let policy = snap
+            .policy
+            .fields()
+            .iter()
+            .map(|(k, v)| {
+                let (tag, value) = match v {
+                    StateValue::U64(x) => ("u64", u64_str(*x)),
+                    StateValue::F64(x) => ("f64", u64_str(x.to_bits())),
+                    StateValue::U64s(xs) => {
+                        ("u64s", Json::Arr(xs.iter().map(|&x| u64_str(x)).collect()))
+                    }
+                    StateValue::F64s(xs) => (
+                        "f64s",
+                        Json::Arr(xs.iter().map(|x| u64_str(x.to_bits())).collect()),
+                    ),
+                    StateValue::Text(s) => ("text", Json::Str(s.clone())),
+                };
+                Json::Obj(vec![
+                    ("key".into(), Json::Str(k.clone())),
+                    ("type".into(), Json::Str(tag.into())),
+                    ("value".into(), value),
+                ])
+            })
+            .collect();
+        let f = &snap.faults;
+        Json::Obj(vec![
+            ("version".into(), Json::from_u64(snap.version)),
+            ("time".into(), u64_str(snap.time)),
+            ("capacity".into(), Json::from_u64(snap.capacity as u64)),
+            ("num_users".into(), Json::from_u64(snap.num_users as u64)),
+            (
+                "owners".into(),
+                ids(snap.owners.iter().map(|u| u.0).collect()),
+            ),
+            (
+                "cache_pages".into(),
+                ids(snap.cache_pages.iter().map(|p| p.0).collect()),
+            ),
+            ("stats".into(), Json::Arr(stats)),
+            ("policy_name".into(), Json::Str(snap.policy_name.clone())),
+            ("policy".into(), Json::Arr(policy)),
+            (
+                "faults".into(),
+                Json::Obj(vec![
+                    ("page_out_of_range".into(), u64_str(f.page_out_of_range)),
+                    ("owner_mismatch".into(), u64_str(f.owner_mismatch)),
+                    ("quarantined_drops".into(), u64_str(f.quarantined_drops)),
+                    ("quarantined_users".into(), u64_str(f.quarantined_users)),
+                ]),
+            ),
+            (
+                "quarantined".into(),
+                ids(snap.quarantined.iter().map(|u| u.0).collect()),
+            ),
+        ])
+    }
+
+    #[test]
+    fn direct_writer_prints_the_tree_text() {
+        let mut snap = live_snapshot();
+        assert_eq!(snapshot_to_json(&snap), tree(&snap).to_json());
+        // Every value type, text that needs escaping, and the widest
+        // numbers either side of the string/number split.
+        snap.policy.set_f64("nan", f64::NAN);
+        snap.policy.set_f64("neg zero", -0.0);
+        snap.policy.set_u64("big", u64::MAX);
+        snap.policy.set_u64s("words", vec![0, 1, u64::MAX, 1 << 53]);
+        snap.policy
+            .set_f64s("mix", vec![f64::INFINITY, 1e300, -f64::EPSILON]);
+        snap.policy.set(
+            "note\t\"q\"",
+            StateValue::Text("line\nbreak \\ \u{1}é".into()),
+        );
+        snap.policy_name = "weird \"name\"".into();
+        snap.capacity = 1 << 53;
+        snap.time = u64::MAX;
+        snap.faults.owner_mismatch = u64::MAX - 1;
+        snap.quarantined = vec![UserId(2), UserId(0)];
+        assert_eq!(snapshot_to_json(&snap), tree(&snap).to_json());
+        assert_eq!(
+            snapshot_from_json(&snapshot_to_json(&snap)).unwrap().time,
+            u64::MAX
+        );
     }
 
     #[test]

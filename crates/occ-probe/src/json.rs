@@ -175,7 +175,7 @@ fn write_f64(v: f64, out: &mut String) {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -49,7 +49,7 @@ pub mod timeseries;
 
 pub use atomicio::{
     crc32, require_trailer, verify_trailer, with_trailer, write_atomic, write_atomic_with_trailer,
-    CrcWriter, CRC_TRAILER_PREFIX,
+    AtomicFile, CrcWriter, CRC_TRAILER_PREFIX,
 };
 pub use checkpoint::{snapshot_from_json, snapshot_to_json};
 pub use dual::DualTrace;

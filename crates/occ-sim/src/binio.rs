@@ -37,10 +37,11 @@
 
 use crate::checksum::Crc32;
 use crate::engine::EngineCtx;
+use crate::error::FaultKind;
 use crate::ids::{PageId, UserId};
 use crate::source::{RequestSource, SeekableSource};
 use crate::textio::TraceIoError;
-use crate::trace::{Request, Trace, TraceBuilder, Universe};
+use crate::trace::{Request, Trace, TraceBuilder, TraceRecord, Universe};
 use std::fs::File;
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -142,6 +143,27 @@ fn verify_footer_probe(foot: &[u8], payload_crc: u32) -> Result<(), TraceIoError
         }
     }
     Ok(())
+}
+
+/// Check a run a trace writer is about to append, whose first record
+/// will be request `first` of the file. On a rejected record, returns
+/// how many records precede it and the error naming it.
+pub(crate) fn check_run<T: TraceRecord>(
+    universe: &Universe,
+    run: &[T],
+    first: u64,
+) -> Result<(), (usize, TraceIoError)> {
+    let Some(bad) = run.iter().position(|&r| universe.rejects(r).is_some()) else {
+        return Ok(());
+    };
+    let (rec, at) = (run[bad], first + bad as u64);
+    let msg = match (universe.rejects(rec), rec.claim()) {
+        (Some(FaultKind::OwnerMismatch), Some(user)) => {
+            format!("request {at}: {user} does not own {}", rec.page())
+        }
+        _ => format!("request {at}: page {} outside the universe", rec.page()),
+    };
+    Err((bad, parse_err(msg)))
 }
 
 /// Write an entire in-memory `trace` in the binary format.
@@ -249,30 +271,31 @@ impl<W: Write + Seek> BinaryTraceWriter<W> {
     /// claims that disagree with it (the same invariant [`Trace::new`]
     /// enforces, as a typed error instead of a panic).
     pub fn push(&mut self, req: Request) -> Result<(), TraceIoError> {
-        match self.universe.try_owner(req.page) {
-            None => {
-                return Err(parse_err(format!(
-                    "request {}: page {} outside the universe",
-                    self.written, req.page
-                )))
+        self.push_run(std::slice::from_ref(&req))
+    }
+
+    /// Append a run of requests or bare pages, checked as [`push`] checks
+    /// each one: the records before the first rejected one are written,
+    /// and the error names that record's index in the file.
+    ///
+    /// [`push`]: Self::push
+    pub fn push_run<T: TraceRecord>(&mut self, run: &[T]) -> Result<(), TraceIoError> {
+        let (keep, err) = match check_run(&self.universe, run, self.written) {
+            Ok(()) => (run.len(), None),
+            Err((bad, e)) => (bad, Some(e)),
+        };
+        for part in run[..keep].chunks(CHUNK_IDS) {
+            let start = self.buf.len();
+            self.buf
+                .extend(part.iter().flat_map(|r| r.page().0.to_le_bytes()));
+            self.crc.update(&self.buf[start..]);
+            if self.buf.len() >= 4 * CHUNK_IDS {
+                self.sink.write_all(&self.buf)?;
+                self.buf.clear();
             }
-            Some(owner) if owner != req.user => {
-                return Err(parse_err(format!(
-                    "request {}: {} does not own {}",
-                    self.written, req.user, req.page
-                )))
-            }
-            Some(_) => {}
+            self.written += part.len() as u64;
         }
-        let id = req.page.0.to_le_bytes();
-        self.crc.update(&id);
-        self.buf.extend_from_slice(&id);
-        if self.buf.len() >= 4 * CHUNK_IDS {
-            self.sink.write_all(&self.buf)?;
-            self.buf.clear();
-        }
-        self.written += 1;
-        Ok(())
+        err.map_or(Ok(()), Err)
     }
 
     /// Flush buffered requests, append the checksum footer, patch the

@@ -65,13 +65,40 @@
 //! leaves the `i64` range or the universe is an out-of-range page, and
 //! over-long varints, unknown tags, truncation and checksum mismatches
 //! are parse errors, wherever the buffer happens to be cut.
+//!
+//! # Encoding a block at a time
+//!
+//! The writer mirrors the decoder. A chunk's sizing pass, which costs
+//! both codings to pick one, also gives the chunk's exact length, so the
+//! output buffer grows once per chunk, with a few bytes of slack behind
+//! it. Each varint is then stored in place: a value below 2^28 (at most
+//! four bytes) has its 7-bit groups spread one byte apart with shifts
+//! and masks and the continuation bits of its length OR'd in — the
+//! inverse of the decoder's gather — and all eight bytes of that word
+//! are stored at once, the position advancing by the varint's length;
+//! longer values take a byte loop. A varint's length, in the sizing
+//! pass and the stores alike, is a table lookup on the value's leading
+//! zeros. No output byte costs a `Vec::push` or a branch on its value.
+//!
+//! [`Binary2TraceWriter::push_run`] takes a whole run — requests, or
+//! the bare pages an occbin01 reader serves — cuts it at chunk
+//! boundaries, and checks the promised count once per run. A chunk the
+//! run covers whole is encoded straight from it; only the ragged ends
+//! are copied into the pending chunk. Every record is still checked
+//! (a page against the universe, a claimed owner against the owner
+//! table), with the error and request index [`push`] gives for it, and
+//! `push` is a one-request run, so the bytes are the same however the
+//! requests arrive.
+//!
+//! [`push`]: Binary2TraceWriter::push
 
+use crate::binio::check_run;
 use crate::checksum::Crc32;
 use crate::engine::EngineCtx;
 use crate::ids::{PageId, UserId};
 use crate::source::{RequestSource, SeekableSource};
 use crate::textio::TraceIoError;
-use crate::trace::{Request, Trace, TraceBuilder, Universe};
+use crate::trace::{Request, Trace, TraceBuilder, TraceRecord, Universe};
 use std::io::{Read, Write};
 
 /// First eight bytes of every packed (delta/varint) binary trace.
@@ -111,17 +138,63 @@ fn parse_err(msg: impl Into<String>) -> TraceIoError {
     TraceIoError::Parse(msg.into())
 }
 
-/// Append `value` as an LEB128 varint.
-fn push_varint(buf: &mut Vec<u8>, mut value: u64) {
-    loop {
-        let byte = (value & 0x7F) as u8;
-        value >>= 7;
-        if value == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
+/// Append `value` as an LEB128 varint (the header fields; request
+/// chunks are stored in place by [`encode_chunk`]).
+fn push_varint(buf: &mut Vec<u8>, value: u64) {
+    let at = buf.len();
+    buf.resize(at + MAX_VARINT_LEN, 0);
+    let len = store_varint(buf, at, value);
+    buf.truncate(at + len);
+}
+
+/// Store `value` as an LEB128 varint at `out[at..]` and return its
+/// length. A value below 2^28 (at most four varint bytes) is spread
+/// into one little-endian word by [`short_varint_word`] and stored as
+/// all eight bytes of it, so `out` needs eight bytes of room at `at`
+/// even when the varint is shorter — the bytes past it are overwritten
+/// by whatever is stored next. Longer values are stored a byte at a
+/// time.
+#[inline(always)]
+fn store_varint(out: &mut [u8], at: usize, value: u64) -> usize {
+    if value < 1 << 28 {
+        let (word, len) = short_varint_word(value);
+        out[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        len
+    } else {
+        store_long_varint(&mut out[at..], value)
     }
+}
+
+/// The inverse of [`short_varint`]: the four 7-bit groups of a value
+/// below 2^28 moved one byte apart with shifts and masks, with the
+/// continuation bit set on every byte before the last of its
+/// [`varint_len`] bytes. Returns the word and that length.
+#[inline(always)]
+fn short_varint_word(value: u64) -> (u64, usize) {
+    debug_assert!(value < 1 << 28);
+    let len = varint_len(value);
+    let spread = (value & 0x7F)
+        | (value << 1 & 0x7F00)
+        | (value << 2 & 0x7F_0000)
+        | (value << 3 & 0x7F00_0000);
+    (spread | CONTINUATION_BY_LEN[len], len)
+}
+
+/// The continuation bits of a varint of up to four bytes, by its
+/// length: set on every byte but the last.
+const CONTINUATION_BY_LEN: [u64; 5] = [0, 0, 0x80, 0x8080, 0x80_8080];
+
+/// Store a varint of any length a byte at a time; `out` must have room
+/// for all of it.
+fn store_long_varint(out: &mut [u8], mut value: u64) -> usize {
+    let mut len = 0;
+    while value >= 0x80 {
+        out[len] = value as u8 | 0x80;
+        value >>= 7;
+        len += 1;
+    }
+    out[len] = value as u8;
+    len + 1
 }
 
 /// Outcome of decoding one varint from the front of a buffer.
@@ -245,41 +318,73 @@ fn page_out_of_range(page: impl std::fmt::Display) -> TraceIoError {
     parse_err(format!("page {page} out of range"))
 }
 
-/// Encoded length of `value` as an LEB128 varint, without encoding it.
+/// Encoded length of `value` as an LEB128 varint, without encoding it:
+/// looked up by its leading zeros.
+#[inline(always)]
 fn varint_len(value: u64) -> usize {
-    (64 - value.leading_zeros() as usize).max(1).div_ceil(7)
+    VARINT_LEN_BY_LZ[value.leading_zeros() as usize] as usize
 }
 
+/// [`varint_len`] of a value with `lz` leading zeros: one byte per
+/// started group of 7 significant bits, and one byte for zero.
+const VARINT_LEN_BY_LZ: [u8; 65] = {
+    let mut table = [1u8; 65];
+    let mut lz = 0;
+    while lz < 64 {
+        table[lz] = (64 - lz).div_ceil(7) as u8;
+        lz += 1;
+    }
+    table
+};
+
+/// Bytes past a chunk's end that [`encode_chunk`] needs as room: the
+/// last word store writes eight bytes where the varint may take one.
+const STORE_SLACK: usize = 7;
+
 /// Encode one chunk of page ids: cost both codings in a sizing pass,
-/// tag the chunk with the winner (ties go to delta), and emit it.
+/// tag the chunk with the winner (ties go to delta), and append it.
 /// `prev` is the delta base — the last page of the previous chunk — and
 /// leaves as the last page of this one regardless of the mode chosen,
-/// so a delta chunk can follow a raw chunk seamlessly.
-fn encode_chunk(buf: &mut Vec<u8>, pages: &[u32], prev: &mut i64) {
-    if pages.is_empty() {
+/// so a delta chunk can follow a raw chunk seamlessly. The sizing pass
+/// gives the chunk's exact length, so `buf` grows once and every varint
+/// is stored in place with [`store_varint`].
+fn encode_chunk<T: TraceRecord>(buf: &mut Vec<u8>, records: &[T], prev: &mut i64) {
+    let Some(last) = records.last() else {
         return;
-    }
+    };
+    let pages = || records.iter().map(|r| r.page().0);
     let mut delta_bytes = 0usize;
     let mut raw_bytes = 0usize;
     let mut base = *prev;
-    for &page in pages {
+    for page in pages() {
         delta_bytes += varint_len(zigzag(page as i64 - base));
         raw_bytes += varint_len(page as u64);
         base = page as i64;
     }
-    if delta_bytes <= raw_bytes {
-        buf.push(CHUNK_MODE_DELTA);
-        for &page in pages {
-            push_varint(buf, zigzag(page as i64 - *prev));
-            *prev = page as i64;
+    let delta = delta_bytes <= raw_bytes;
+    let start = buf.len();
+    let end = start + 1 + delta_bytes.min(raw_bytes);
+    buf.resize(end + STORE_SLACK, 0);
+    buf[start] = if delta {
+        CHUNK_MODE_DELTA
+    } else {
+        CHUNK_MODE_RAW
+    };
+    let mut at = start + 1;
+    if delta {
+        let mut base = *prev;
+        for page in pages() {
+            at += store_varint(buf, at, zigzag(page as i64 - base));
+            base = page as i64;
         }
     } else {
-        buf.push(CHUNK_MODE_RAW);
-        for &page in pages {
-            push_varint(buf, page as u64);
+        for page in pages() {
+            at += store_varint(buf, at, page as u64);
         }
-        *prev = pages[pages.len() - 1] as i64;
     }
+    debug_assert_eq!(at, end, "the sizing pass and the stores agree");
+    buf.truncate(end);
+    *prev = last.page().0 as i64;
 }
 
 /// Map a signed delta onto an unsigned varint domain: small magnitudes
@@ -394,23 +499,12 @@ fn encode_header(universe: &Universe, count: u64) -> Vec<u8> {
     buf
 }
 
-/// Write an entire in-memory `trace` in the packed format.
-pub fn write_trace_binary_v2<W: Write>(trace: &Trace, mut w: W) -> Result<(), TraceIoError> {
-    w.write_all(&encode_header(trace.universe(), trace.len() as u64))?;
-    let mut crc = Crc32::new();
-    let mut buf = Vec::new();
-    let mut pages = Vec::with_capacity(CHUNK_REQS.min(trace.len()));
-    let mut prev: i64 = 0;
-    for reqs in trace.requests().chunks(CHUNK_REQS) {
-        pages.clear();
-        pages.extend(reqs.iter().map(|r| r.page.0));
-        buf.clear();
-        encode_chunk(&mut buf, &pages, &mut prev);
-        crc.update(&buf);
-        w.write_all(&buf)?;
-    }
-    w.write_all(&BINARY2_TRACE_FOOTER_MAGIC)?;
-    w.write_all(&crc.value().to_le_bytes())?;
+/// Write an entire in-memory `trace` in the packed format: one
+/// [`Binary2TraceWriter`] run.
+pub fn write_trace_binary_v2<W: Write>(trace: &Trace, w: W) -> Result<(), TraceIoError> {
+    let mut writer = Binary2TraceWriter::new(trace.universe().clone(), trace.len() as u64, w)?;
+    writer.push_run(trace.requests())?;
+    writer.finish()?;
     Ok(())
 }
 
@@ -432,15 +526,21 @@ pub fn read_trace_binary_v2<R: Read>(r: R) -> Result<Trace, TraceIoError> {
 /// in place, so the request count must be promised up front (every call
 /// site — `occ trace pack`, `occ generate` — knows it);
 /// [`finish`](Self::finish) fails if the promise was not kept.
+///
+/// Requests arrive a run at a time ([`push_run`](Self::push_run)) or
+/// one at a time ([`push`](Self::push), a one-request run); either way
+/// the bytes are the same. Each full chunk is encoded and handed to the
+/// sink in one write, so the writer holds one chunk, never the file.
 pub struct Binary2TraceWriter<W: Write> {
     sink: W,
     universe: Universe,
     promised: u64,
     written: u64,
     prev: i64,
-    /// Page ids of the chunk being accumulated — the adaptive coder
-    /// needs the whole chunk in hand to cost both codings.
-    pending: Vec<u32>,
+    /// Pages of a chunk being accumulated from runs that do not cover
+    /// it whole — the adaptive coder needs the whole chunk in hand to
+    /// cost both codings.
+    pending: Vec<PageId>,
     buf: Vec<u8>,
     crc: Crc32,
 }
@@ -462,46 +562,68 @@ impl<W: Write> Binary2TraceWriter<W> {
         })
     }
 
-    /// Encode and write the accumulated chunk (a no-op when empty).
-    fn flush_chunk(&mut self) -> Result<(), TraceIoError> {
+    /// Encode and write one chunk of records (a no-op when empty).
+    fn write_chunk<T: TraceRecord>(&mut self, records: &[T]) -> Result<(), TraceIoError> {
         self.buf.clear();
-        encode_chunk(&mut self.buf, &self.pending, &mut self.prev);
-        self.pending.clear();
+        encode_chunk(&mut self.buf, records, &mut self.prev);
         self.crc.update(&self.buf);
         self.sink.write_all(&self.buf)?;
         Ok(())
     }
 
+    /// Encode and write the accumulated chunk (a no-op when empty).
+    fn flush_chunk(&mut self) -> Result<(), TraceIoError> {
+        let pending = std::mem::take(&mut self.pending);
+        let written = self.write_chunk(&pending);
+        self.pending = pending;
+        self.pending.clear();
+        written
+    }
+
     /// Append one request. Rejects pages outside the universe, owner
     /// claims that disagree with it, and pushes past the promised count.
     pub fn push(&mut self, req: Request) -> Result<(), TraceIoError> {
-        match self.universe.try_owner(req.page) {
-            None => {
-                return Err(parse_err(format!(
-                    "request {}: page {} outside the universe",
-                    self.written, req.page
-                )))
-            }
-            Some(owner) if owner != req.user => {
-                return Err(parse_err(format!(
-                    "request {}: {} does not own {}",
-                    self.written, req.user, req.page
-                )))
-            }
-            Some(_) => {}
+        self.push_run(std::slice::from_ref(&req))
+    }
+
+    /// Append a run of requests or bare pages, cut at chunk boundaries.
+    /// Checked as [`push`](Self::push) checks each record, in the same
+    /// order: the records before the first rejected one are appended,
+    /// and the error is the one `push` would give for that record — a
+    /// page outside the universe or a wrong claimed owner, else a record
+    /// past the promised count. The promise is checked once per run.
+    pub fn push_run<T: TraceRecord>(&mut self, run: &[T]) -> Result<(), TraceIoError> {
+        let room = usize::try_from(self.promised - self.written).unwrap_or(usize::MAX);
+        let checked = &run[..run.len().min(room.saturating_add(1))];
+        let (keep, err) = match check_run(&self.universe, checked, self.written) {
+            Err((bad, e)) => (bad, Some(e)),
+            Ok(()) if run.len() > room => (
+                room,
+                Some(parse_err(format!(
+                    "more requests than the promised {}",
+                    self.promised
+                ))),
+            ),
+            Ok(()) => (run.len(), None),
+        };
+        let mut rest = &run[..keep];
+        while !rest.is_empty() {
+            // A chunk the run covers whole is encoded straight from it.
+            let take = if self.pending.is_empty() && rest.len() >= CHUNK_REQS {
+                self.write_chunk(&rest[..CHUNK_REQS])?;
+                CHUNK_REQS
+            } else {
+                let take = rest.len().min(CHUNK_REQS - self.pending.len());
+                self.pending.extend(rest[..take].iter().map(|r| r.page()));
+                if self.pending.len() == CHUNK_REQS {
+                    self.flush_chunk()?;
+                }
+                take
+            };
+            self.written += take as u64;
+            rest = &rest[take..];
         }
-        if self.written == self.promised {
-            return Err(parse_err(format!(
-                "more requests than the promised {}",
-                self.promised
-            )));
-        }
-        self.pending.push(req.page.0);
-        if self.pending.len() == CHUNK_REQS {
-            self.flush_chunk()?;
-        }
-        self.written += 1;
-        Ok(())
+        err.map_or(Ok(()), Err)
     }
 
     /// Encode the ragged final chunk, append the checksum footer, and
@@ -1227,6 +1349,102 @@ mod tests {
                 } else {
                     assert_eq!(short, None, "{v} in {width} bytes");
                 }
+            }
+        }
+    }
+
+    /// LEB128 a byte at a time, one `Vec::push` per byte: the reference
+    /// the word store must reproduce.
+    fn leb128(mut value: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        while value >= 0x80 {
+            out.push(value as u8 | 0x80);
+            value >>= 7;
+        }
+        out.push(value as u8);
+        out
+    }
+
+    #[test]
+    fn word_store_matches_the_byte_loop() {
+        let mut values = vec![0u64, u64::MAX];
+        for j in 1..=9 {
+            values.extend([(1u64 << (7 * j)) - 1, 1 << (7 * j)]);
+        }
+        // SplitMix64 draws at every width: shifting by a random amount
+        // spreads them over all varint lengths.
+        let mut x = 0x5EED_u64;
+        for _ in 0..10_000 {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            values.push(z >> (z % 64));
+        }
+        for v in values {
+            let want = leb128(v);
+            let mut pushed = vec![0xEE];
+            push_varint(&mut pushed, v);
+            assert_eq!(&pushed[1..], want.as_slice(), "push_varint({v})");
+            // Stored in place over stale bytes: only the varint's own
+            // bytes count, and the ones after it may be clobbered.
+            let mut out = [0xAAu8; 3 + MAX_VARINT_LEN + STORE_SLACK];
+            let len = store_varint(&mut out, 3, v);
+            assert_eq!(len, want.len(), "length of {v}");
+            assert_eq!(len, varint_len(v), "varint_len({v})");
+            assert_eq!(&out[3..3 + len], want.as_slice(), "store_varint({v})");
+            assert_eq!(out[..3], [0xAA; 3], "bytes before the varint are kept");
+        }
+    }
+
+    #[test]
+    fn chunks_near_u32_max_decode_through_the_block_decoder() {
+        // Ids past 2^28 take the over-four-byte store in both codings;
+        // the universe they index is never built (it would be 16 GiB),
+        // so the chunk is decoded with the block decoder's own word and
+        // byte readers, exactly as `decode_buffered` reads it.
+        let top = u32::MAX;
+        let rising: Vec<u32> = (0..300).map(|i| top - 299 + i).collect();
+        let mut jumping = Vec::new();
+        for i in 0..300u32 {
+            jumping.extend([top - i, i % 100, 1 << 28, (1 << 28) - 1]);
+        }
+        for (pages, mode) in [(rising, CHUNK_MODE_DELTA), (jumping, CHUNK_MODE_RAW)] {
+            for start in [0i64, top as i64] {
+                let mut buf = vec![0xEE];
+                let mut prev = start;
+                let ids: Vec<PageId> = pages.iter().map(|&p| PageId(p)).collect();
+                encode_chunk(&mut buf, &ids, &mut prev);
+                assert_eq!(prev, *pages.last().unwrap() as i64);
+                assert_eq!(buf[1], mode, "coding picked for the chunk");
+                // Footer-sized padding, as a real file has behind its
+                // last chunk, so every varint is read from a full word.
+                buf.extend_from_slice(&[0; FOOTER_LEN]);
+                let (mut at, mut base) = (2, start);
+                for &page in &pages {
+                    let word = u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
+                    let (coded, len) = match short_varint(word) {
+                        Some(short) => short,
+                        None => match pop_varint(&buf[at..]).unwrap() {
+                            Varint::Done(coded, len) => (coded, len),
+                            Varint::Incomplete => panic!("varint cut off at {at}"),
+                        },
+                    };
+                    at += len;
+                    let got = if mode == CHUNK_MODE_DELTA {
+                        base + unzigzag(coded)
+                    } else {
+                        coded as i64
+                    };
+                    assert_eq!(got, page as i64);
+                    base = got;
+                }
+                assert_eq!(
+                    at,
+                    buf.len() - FOOTER_LEN,
+                    "the chunk ends where its varints do"
+                );
             }
         }
     }

@@ -97,7 +97,7 @@ pub use source::{AdaptiveSource, RequestSource, SeekableSource, TraceSource};
 pub use stats::{SimStats, UserStats};
 pub use stepper::{StepOutcome, SteppingEngine, DEFAULT_BATCH_SIZE, PREFETCH_DISTANCE};
 pub use textio::{read_trace, write_trace, TraceIoError};
-pub use trace::{Request, Trace, TraceBuilder, Universe};
+pub use trace::{Request, Trace, TraceBuilder, TraceRecord, Universe};
 
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {

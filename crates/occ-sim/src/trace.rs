@@ -21,6 +21,42 @@ pub struct Request {
     pub user: UserId,
 }
 
+/// A record a trace writer appends: a [`Request`], whose claimed owner
+/// must be the page's owner, or a bare [`PageId`] (a page run served by
+/// an occbin01 reader), which claims no owner and only has to be in
+/// range. Writers take runs of either, so a page run is written without
+/// first being widened into requests.
+pub trait TraceRecord: Copy {
+    /// The requested page.
+    fn page(self) -> PageId;
+    /// The user the record claims owns its page, if it claims one.
+    fn claim(self) -> Option<UserId>;
+}
+
+impl TraceRecord for Request {
+    #[inline(always)]
+    fn page(self) -> PageId {
+        self.page
+    }
+
+    #[inline(always)]
+    fn claim(self) -> Option<UserId> {
+        Some(self.user)
+    }
+}
+
+impl TraceRecord for PageId {
+    #[inline(always)]
+    fn page(self) -> PageId {
+        self
+    }
+
+    #[inline(always)]
+    fn claim(self) -> Option<UserId> {
+        None
+    }
+}
+
 /// The static structure of an instance: how many users there are and which
 /// user owns each page. Page ids are dense (`0..num_pages`).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -113,6 +149,20 @@ impl Universe {
             None => Some(FaultKind::PageOutOfRange),
             Some(owner) if owner != req.user => Some(FaultKind::OwnerMismatch),
             Some(_) => None,
+        }
+    }
+
+    /// Why a record handed to a trace writer is rejected, if it is: a
+    /// claimed owner goes through [`malformed`](Self::malformed), and a
+    /// bare page, which claims none, is only range-checked.
+    #[inline(always)]
+    pub(crate) fn rejects<T: TraceRecord>(&self, rec: T) -> Option<FaultKind> {
+        match rec.claim() {
+            Some(user) => self.malformed(Request {
+                page: rec.page(),
+                user,
+            }),
+            None => (rec.page().index() >= self.owner.len()).then_some(FaultKind::PageOutOfRange),
         }
     }
 
