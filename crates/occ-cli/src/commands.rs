@@ -533,27 +533,28 @@ fn trace_transcode(args: &Args, pack: bool) -> Result<(), CliError> {
     let in_path = uarg(args.str_required("in"))?;
     let out_path = uarg(args.str_required("out"))?;
     let limit = uarg(args.scaled_or("limit", 0))?;
+    let kept = |total: u64| if limit == 0 { total } else { limit.min(total) };
     let werr = |e| write_err(&in_path, &out_path, e);
 
     let mut feed = match Feed::open(&in_path, None, None) {
         Ok(f) => f,
         Err(CliError::Parse(_)) => {
             // Not binary and not CSV — maybe the v1 text format. Parse
-            // it whole and write it as one run.
+            // it whole and write the kept prefix as one run.
             let file =
                 File::open(&in_path).map_err(|e| CliError::Io(format!("open {in_path}: {e}")))?;
             let trace = read_trace_auto(BufReader::new(file)).map_err(|e| feed_err(&in_path, e))?;
-            let count = trace.len() as u64;
+            let count = kept(trace.len() as u64);
             let mut out =
                 TraceOut::create(&out_path, pack, trace.universe().clone(), count).map_err(werr)?;
-            out.push_run(trace.requests()).map_err(werr)?;
+            out.push_run(&trace.requests()[..count as usize])
+                .map_err(werr)?;
             let size = out.finish().map_err(werr)?;
             return report_transcode(&in_path, &out_path, size, count, pack);
         }
         Err(e) => return Err(e),
     };
-    let total = feed.total_requests();
-    let keep = if limit == 0 { total } else { limit.min(total) };
+    let keep = kept(feed.total_requests());
     let universe = RequestSource::universe(&feed).clone();
 
     let mut out = TraceOut::create(&out_path, pack, universe, keep).map_err(werr)?;
@@ -3059,11 +3060,11 @@ mod tests {
         // the checksum — is what fires.
         let text = std::fs::read_to_string(&ckpt).unwrap();
         let body = occ_probe::require_trailer(&text).unwrap();
-        assert!(body.contains("\"version\":1"), "checkpoint format changed");
+        assert!(body.contains("\"version\":2"), "checkpoint format changed");
         let bad = dir.join("bad.json");
         std::fs::write(
             &bad,
-            occ_probe::with_trailer(&body.replacen("\"version\":1", "\"version\":99", 1)),
+            occ_probe::with_trailer(&body.replacen("\"version\":2", "\"version\":99", 1)),
         )
         .unwrap();
         let err = resume(&args(&[

@@ -523,3 +523,46 @@ fn unknown_generate_format_is_a_usage_error() {
     ]);
     assert_eq!(out.status.code(), Some(2));
 }
+
+#[test]
+fn transcoding_a_text_trace_honours_limit() {
+    let text = tmp("limit-src.txt");
+    let out = occ(&[
+        "generate",
+        "--scenario",
+        "two-tier",
+        "--len",
+        "3000",
+        "--format",
+        "text",
+        "--out",
+        text.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let read = |path: &Path| {
+        let file = std::fs::File::open(path).unwrap();
+        occ_sim::binio::read_trace_auto(std::io::BufReader::new(file)).unwrap()
+    };
+    let whole = read(&text);
+    assert_eq!(whole.len(), 3000);
+    for (action, name) in [("pack", "limit.occbin02"), ("unpack", "limit.occbin01")] {
+        let dest = tmp(name);
+        let out = occ(&[
+            "trace",
+            action,
+            "--in",
+            text.to_str().unwrap(),
+            "--out",
+            dest.to_str().unwrap(),
+            "--limit",
+            "1000",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let said = format!("{}{stderr}", String::from_utf8_lossy(&out.stdout));
+        assert!(out.status.success(), "{action} failed: {stderr}");
+        assert!(said.contains("1000 requests"), "{action} said: {said}");
+        let kept = read(&dest);
+        assert_eq!(kept.universe(), whole.universe(), "{action}");
+        assert_eq!(kept.requests(), &whole.requests()[..1000], "{action}");
+    }
+}

@@ -471,3 +471,49 @@ fn committed_checkpoint_resumes_to_the_committed_series() {
         "an uninterrupted run must reproduce the committed series file byte for byte"
     );
 }
+
+#[test]
+fn checkpoint_written_now_resumes_to_the_committed_series() {
+    let head_fixture = fixture("sqlvm-like-seed9-10k.series.jsonl");
+    let full = fixture("sqlvm-like-seed9-20k.series.jsonl");
+    let ck = tmp("fixture-v2.ckpt.json");
+    let head = tmp("fixture-v2-head.jsonl");
+    let out = soak_sqlvm(
+        "10k",
+        &head,
+        &[
+            "--checkpoint",
+            ck.to_str().unwrap(),
+            "--checkpoint-every",
+            "5k",
+        ],
+    );
+    assert!(out.status.success());
+    assert_eq!(window_lines(&head), window_lines(&head_fixture));
+    // Format v2: owner runs, and ALG-DISCRETE state for cached pages.
+    let text = std::fs::read_to_string(&ck).unwrap();
+    assert!(text.starts_with("{\"version\":2,"), "format v2");
+    assert!(text.contains("\"owner_runs\":[[0,64],[1,64],[2,96],[3,32]]"));
+    assert!(!text.contains("\"owners\""));
+    assert!(
+        text.len()
+            < std::fs::metadata(fixture("sqlvm-like-seed9-10k.ckpt.json"))
+                .unwrap()
+                .len() as usize
+    );
+
+    let resumed = tmp("fixture-v2-resumed.jsonl");
+    let out = soak_sqlvm("20k", &resumed, &["--from", ck.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "resume failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut spliced = window_lines(&head);
+    spliced.extend(window_lines(&resumed));
+    assert_eq!(
+        spliced,
+        window_lines(&full),
+        "a checkpoint this build writes must resume to the committed uninterrupted series"
+    );
+}

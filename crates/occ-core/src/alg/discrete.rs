@@ -502,6 +502,58 @@ impl ConvexCaching {
     pub fn budget_of(&self, user: UserId, page: PageId) -> f64 {
         self.users[user.index()].g - (self.global_y - self.nodes[page.index()].y)
     }
+
+    /// The pages the policy tracks (exactly the cached ones), user by
+    /// user in victim order: each recency list head to tail on the fast
+    /// path, each ordered set in key order on the slow path.
+    fn cached_pages(&self) -> Vec<u64> {
+        let mut pages = Vec::new();
+        if self.fast {
+            for lane in &self.users {
+                let mut p = lane.head;
+                while p != NIL {
+                    pages.push(p as u64);
+                    p = self.nodes[p as usize].next;
+                }
+            }
+        } else {
+            for set in &self.sets {
+                pages.extend(set.iter().map(|&(_, _, p)| p as u64));
+            }
+        }
+        pages
+    }
+}
+
+/// Check a checkpoint's `pages` list against the restored cache: every
+/// entry a cached page of the universe, none listed twice, and none of
+/// the cached pages left out.
+fn check_cached_list(ctx: &EngineCtx, listed: &[u64]) -> Result<(), SnapshotError> {
+    let corrupt = |msg: String| Err(SnapshotError::Corrupt(msg));
+    let pages = ctx.universe.num_pages() as u64;
+    for &p in listed {
+        if p >= pages {
+            return corrupt(format!(
+                "policy.pages lists page {p} outside the {pages}-page universe"
+            ));
+        }
+        if !ctx.cache.contains(PageId(p as u32)) {
+            return corrupt(format!("policy.pages lists page {p}, which is not cached"));
+        }
+    }
+    let mut sorted = listed.to_vec();
+    sorted.sort_unstable();
+    if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+        return corrupt(format!("policy.pages lists page {} twice", w[0]));
+    }
+    if listed.len() != ctx.cache.len() {
+        return corrupt(format!(
+            "policy.pages lists {} pages but {} are cached",
+            listed.len(),
+            ctx.cache.len()
+        ));
+    }
+    Ok(())
 }
 
 impl ReplacementPolicy for ConvexCaching {
@@ -615,9 +667,21 @@ impl ReplacementPolicy for ConvexCaching {
         s.set_f64("y_shifted", self.y_shifted);
         s.set_u64("seq", self.seq);
         s.set_u64s("m", self.eviction_counts());
-        // The nodes travel as the two per-page columns; the links are
-        // rebuilt from the cache on load.
-        let (y_at, last_seq) = self.nodes.iter().map(|n| (n.y, n.seq)).unzip();
+        // Only the cached pages' nodes travel, as `(Y_p, seq)` columns
+        // aligned with `pages`: an evicted page's pair is overwritten by
+        // its next touch before anything reads it. The list is each
+        // user's victim order (recency list head to tail, or set order),
+        // so it holds at most k pages; the links are rebuilt from the
+        // cache on load.
+        let pages = self.cached_pages();
+        let (y_at, last_seq) = pages
+            .iter()
+            .map(|&p| {
+                let n = &self.nodes[p as usize];
+                (n.y, n.seq)
+            })
+            .unzip();
+        s.set_u64s("pages", pages);
         s.set_f64s("y_at", y_at);
         s.set_u64s("last_seq", last_seq);
         s.set_f64("diag_min_budget", self.diag.min_budget);
@@ -666,8 +730,15 @@ impl ReplacementPolicy for ConvexCaching {
             return Err(corrupt("policy.diag_min_budget is NaN".into()));
         }
         let m = state.u64s_len("m", users)?;
-        let y_at = state.f64s_len("y_at", pages)?;
-        let last_seq = state.u64s_len("last_seq", pages)?;
+        // A bag without `pages` is the dense layout of format v1: one
+        // `(Y_p, seq)` pair per universe page.
+        let listed = state
+            .get("pages")
+            .map(|_| state.u64s("pages"))
+            .transpose()?;
+        let columns = listed.map_or(pages, <[u64]>::len);
+        let y_at = state.f64s_len("y_at", columns)?;
+        let last_seq = state.u64s_len("last_seq", columns)?;
         if let Some(y) = y_at.iter().find(|y| !y.is_finite()) {
             return Err(corrupt(format!("policy.y_at holds non-finite value {y}")));
         }
@@ -676,6 +747,9 @@ impl ReplacementPolicy for ConvexCaching {
             return Err(corrupt(format!(
                 "policy.last_seq holds {s} beyond the clock {seq}"
             )));
+        }
+        if let Some(listed) = listed {
+            check_cached_list(ctx, listed)?;
         }
 
         self.global_y = global_y;
@@ -697,15 +771,17 @@ impl ReplacementPolicy for ConvexCaching {
                 UserLane::new(m, if g.is_nan() { f64::INFINITY } else { g })
             })
             .collect();
-        self.nodes = y_at
-            .iter()
-            .zip(last_seq)
-            .map(|(&y, &seq)| Node {
+        // Entry `i` of the columns is page `listed[i]` (v2) or page `i`
+        // (v1); every other node stays fresh.
+        self.nodes = vec![Node::FRESH; pages];
+        for (i, (&y, &seq)) in y_at.iter().zip(last_seq).enumerate() {
+            let p = listed.map_or(i, |l| l[i] as usize);
+            self.nodes[p] = Node {
                 y,
                 seq,
                 ..Node::FRESH
-            })
-            .collect();
+            };
+        }
         self.diag = AlgDiagnostics {
             min_budget,
             evictions: state.u64("diag_evictions")?,
@@ -965,6 +1041,179 @@ mod tests {
                 full_m,
                 "fast={fast}: eviction counts diverged"
             );
+        }
+    }
+
+    /// The convex (list) and non-convex (set) profiles over three
+    /// users, a 12-page universe and a 400-request xorshift stream.
+    fn two_paths() -> (Vec<CostProfile>, Universe, Vec<occ_sim::Request>) {
+        use crate::cost::ThresholdCost;
+        let convex = CostProfile::uniform(3, Monomial::power(2.0));
+        let non_convex = CostProfile::new(vec![
+            std::sync::Arc::new(Linear::unit()) as crate::cost::CostFn,
+            std::sync::Arc::new(ThresholdCost::new(1.0, 2, 5.0)) as crate::cost::CostFn,
+            std::sync::Arc::new(Linear::new(2.0)) as crate::cost::CostFn,
+        ]);
+        let u = Universe::uniform(3, 4);
+        let mut state = 0x5EED_CAFEu64;
+        let pages: Vec<u32> = (0..400)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % 12) as u32
+            })
+            .collect();
+        let reqs = Trace::from_page_indices(&u, &pages).requests().to_vec();
+        (vec![convex, non_convex], u, reqs)
+    }
+
+    #[test]
+    fn checkpoint_lists_only_cached_pages_in_victim_order() {
+        use occ_sim::SteppingEngine;
+        let (profiles, u, reqs) = two_paths();
+        for costs in profiles {
+            let k = 5;
+            let mut alg = ConvexCaching::new(costs);
+            let mut eng = SteppingEngine::new(k, u.clone(), &mut alg);
+            for (i, &r) in reqs.iter().enumerate() {
+                eng.step(r);
+                let snap = eng.snapshot().unwrap();
+                let listed = snap.policy.u64s("pages").unwrap();
+                assert!(listed.len() <= k);
+                let mut cached: Vec<u64> = eng.cache().iter().map(|p| p.0 as u64).collect();
+                let mut sorted = listed.to_vec();
+                cached.sort_unstable();
+                sorted.sort_unstable();
+                assert_eq!(sorted, cached, "step {i}: pages must be the cached set");
+                assert_eq!(snap.policy.f64s("y_at").unwrap().len(), listed.len());
+                assert_eq!(snap.policy.u64s("last_seq").unwrap().len(), listed.len());
+            }
+            // Per user, the list runs oldest key first: the next victim
+            // among that user's pages leads.
+            let snap = eng.snapshot().unwrap();
+            let listed = snap.policy.u64s("pages").unwrap();
+            let y = snap.policy.f64s("y_at").unwrap();
+            let seq = snap.policy.u64s("last_seq").unwrap();
+            for i in 1..listed.len() {
+                let owner = |j: usize| u.owner(PageId(listed[j] as u32));
+                if owner(i) == owner(i - 1) {
+                    assert!((y[i - 1], seq[i - 1]) < (y[i], seq[i]));
+                } else {
+                    assert!(owner(i) > owner(i - 1), "users in id order");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_v1_state_resumes_like_the_sparse_list() {
+        use occ_sim::{PolicyState, SteppingEngine};
+        let (profiles, u, reqs) = two_paths();
+        for costs in profiles {
+            let (k, cut) = (5, 173);
+            let mut full = SteppingEngine::new(k, u.clone(), ConvexCaching::new(costs.clone()));
+            for &r in &reqs {
+                full.step(r);
+            }
+            let mut head_alg = ConvexCaching::new(costs.clone());
+            let mut head = SteppingEngine::new(k, u.clone(), &mut head_alg);
+            for &r in &reqs[..cut] {
+                head.step(r);
+            }
+            let mut snap = head.snapshot().unwrap();
+            // The v1 bag: no `pages`, one `(Y_p, seq)` pair per page.
+            let mut dense = PolicyState::new();
+            for (key, v) in snap.policy.fields() {
+                match key.as_str() {
+                    "pages" => {}
+                    "y_at" => {
+                        dense.set_f64s(key, head_alg.nodes.iter().map(|n| n.y).collect());
+                    }
+                    "last_seq" => {
+                        dense.set_u64s(key, head_alg.nodes.iter().map(|n| n.seq).collect());
+                    }
+                    _ => {
+                        dense.set(key, v.clone());
+                    }
+                }
+            }
+            snap.policy = dense;
+            let mut tail =
+                SteppingEngine::from_snapshot(&snap, ConvexCaching::new(costs.clone())).unwrap();
+            for &r in &reqs[cut..] {
+                tail.step(r);
+            }
+            assert_eq!(tail.stats(), full.stats());
+            assert_eq!(tail.snapshot().unwrap(), full.snapshot().unwrap());
+        }
+    }
+
+    #[test]
+    fn malformed_page_lists_are_corrupt() {
+        use occ_sim::{SnapshotError, StateValue, SteppingEngine};
+        let (profiles, u, reqs) = two_paths();
+        for costs in profiles {
+            let k = 5;
+            let mut eng = SteppingEngine::new(k, u.clone(), ConvexCaching::new(costs.clone()));
+            for &r in &reqs[..100] {
+                eng.step(r);
+            }
+            let snap = eng.snapshot().unwrap();
+            let listed = snap.policy.u64s("pages").unwrap().to_vec();
+            assert_eq!(listed.len(), k);
+            let uncached = (0..12u64).find(|p| !listed.contains(p)).unwrap();
+            let edit = |key: &str, f: &dyn Fn(&mut StateValue)| {
+                let mut bad = snap.clone();
+                let mut v = bad.policy.get(key).unwrap().clone();
+                f(&mut v);
+                bad.policy.set(key, v);
+                bad
+            };
+            let pages = |f: &dyn Fn(&mut Vec<u64>)| {
+                edit("pages", &|v| {
+                    let StateValue::U64s(xs) = v else { panic!() };
+                    f(xs)
+                })
+            };
+            let cases = [
+                ("out of range", pages(&|xs| xs[0] = 12)),
+                ("far out of range", pages(&|xs| xs[0] = u64::MAX)),
+                ("uncached", pages(&|xs| xs[0] = uncached)),
+                ("listed twice", pages(&|xs| xs[1] = xs[0])),
+                (
+                    "short y_at",
+                    edit("y_at", &|v| {
+                        let StateValue::F64s(xs) = v else { panic!() };
+                        xs.pop();
+                    }),
+                ),
+                (
+                    "long last_seq",
+                    edit("last_seq", &|v| {
+                        let StateValue::U64s(xs) = v else { panic!() };
+                        xs.push(1);
+                    }),
+                ),
+                ("cached page missing", {
+                    let mut bad = snap.clone();
+                    for key in ["pages", "last_seq"] {
+                        let mut xs = bad.policy.u64s(key).unwrap().to_vec();
+                        xs.pop();
+                        bad.policy.set_u64s(key, xs);
+                    }
+                    let mut ys = bad.policy.f64s("y_at").unwrap().to_vec();
+                    ys.pop();
+                    bad.policy.set_f64s("y_at", ys);
+                    bad
+                }),
+            ];
+            for (why, bad) in cases {
+                let err = SteppingEngine::from_snapshot(&bad, ConvexCaching::new(costs.clone()))
+                    .err()
+                    .unwrap_or_else(|| panic!("{why}: must be rejected"));
+                assert!(matches!(err, SnapshotError::Corrupt(_)), "{why}: got {err}");
+            }
         }
     }
 

@@ -14,6 +14,12 @@
 //! The document leads with a `version` field, checked before anything
 //! else on read: an unknown version is rejected as
 //! [`SnapshotError::UnsupportedVersion`], never mis-parsed.
+//!
+//! Format v2 (the only one written) stores the owner table as
+//! `"num_pages"` plus `"owner_runs": [[user, length], …]`, so a
+//! checkpoint's size follows the cache and the owner runs, not the page
+//! universe. The reader also takes v1, whose `"owners"` array holds one
+//! entry per page; both decode to the same [`EngineSnapshot`].
 
 use crate::json::{write_escaped, Json};
 use occ_sim::error::{FaultCounters, SnapshotError};
@@ -22,12 +28,15 @@ use occ_sim::snapshot::{EngineSnapshot, PolicyState, StateValue};
 use occ_sim::stats::UserStats;
 use std::fmt::Write as _;
 
-/// Encode a snapshot as a compact JSON string, written straight into
-/// one `String`: the fields in order, every `u64` and `f64` as a decimal
-/// string, ids and sizes as plain numbers — the same text a [`Json`]
-/// tree of the snapshot would print, without building the tree.
+/// Encode a snapshot as a compact format-v2 JSON string, written
+/// straight into one `String`: the fields in order, every `u64` and
+/// `f64` as a decimal string, ids and sizes as plain numbers — the same
+/// text a [`Json`] tree of the snapshot would print, without building
+/// the tree.
 pub fn snapshot_to_json(snap: &EngineSnapshot) -> String {
-    let mut out = String::with_capacity(256 + 8 * snap.owners.len());
+    // The cached pages, and the per-page state policies keep for them,
+    // are nearly all of the text.
+    let mut out = String::with_capacity(256 + 64 * snap.cache_pages.len());
     out.push_str("{\"version\":");
     plain(&mut out, snap.version);
     out.push_str(",\"time\":");
@@ -36,8 +45,17 @@ pub fn snapshot_to_json(snap: &EngineSnapshot) -> String {
     plain(&mut out, snap.capacity as u64);
     out.push_str(",\"num_users\":");
     plain(&mut out, snap.num_users as u64);
-    out.push_str(",\"owners\":");
-    list(&mut out, &snap.owners, |out, u| plain(out, u.0 as u64));
+    out.push_str(",\"num_pages\":");
+    plain(&mut out, snap.owners.len() as u64);
+    out.push_str(",\"owner_runs\":");
+    let runs: Vec<&[UserId]> = snap.owners.chunk_by(|a, b| a == b).collect();
+    list(&mut out, &runs, |out, run| {
+        out.push('[');
+        plain(out, run[0].0 as u64);
+        out.push(',');
+        plain(out, run.len() as u64);
+        out.push(']');
+    });
     out.push_str(",\"cache_pages\":");
     list(&mut out, &snap.cache_pages, |out, p| plain(out, p.0 as u64));
     out.push_str(",\"stats\":");
@@ -124,14 +142,19 @@ pub fn snapshot_from_json(text: &str) -> Result<EngineSnapshot, SnapshotError> {
 }
 
 /// Decode a snapshot from a JSON value. The `version` field is checked
-/// before any other field is touched.
+/// before any other field is touched. A v1 document decodes to the same
+/// in-memory snapshot as v2 (stamped [`SNAPSHOT_VERSION`]): only the
+/// owner table's layout differs, and policies still load the dense
+/// state bags v1 builds wrote.
+///
+/// [`SNAPSHOT_VERSION`]: occ_sim::SNAPSHOT_VERSION
 pub fn snapshot_from_json_value(v: &Json) -> Result<EngineSnapshot, SnapshotError> {
     let version = v
         .get("version")
         .ok_or_else(|| SnapshotError::MissingField("version".into()))?
         .as_u64()
         .ok_or_else(|| SnapshotError::Corrupt("version is not an unsigned integer".into()))?;
-    if version != occ_sim::SNAPSHOT_VERSION {
+    if version != 1 && version != occ_sim::SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             expected: occ_sim::SNAPSHOT_VERSION,
@@ -140,10 +163,14 @@ pub fn snapshot_from_json_value(v: &Json) -> Result<EngineSnapshot, SnapshotErro
     let time = read_u64(v, "time")?;
     let capacity = read_plain_u64(v, "capacity")? as usize;
     let num_users = read_u32(v, "num_users")?;
-    let owners = read_id_array(v, "owners")?
-        .into_iter()
-        .map(UserId)
-        .collect();
+    let owners = if version == 1 {
+        read_id_array(v, "owners")?
+            .into_iter()
+            .map(UserId)
+            .collect()
+    } else {
+        read_owner_runs(v, num_users)?
+    };
     let cache_pages = read_id_array(v, "cache_pages")?
         .into_iter()
         .map(PageId)
@@ -216,7 +243,7 @@ pub fn snapshot_from_json_value(v: &Json) -> Result<EngineSnapshot, SnapshotErro
         .map(UserId)
         .collect();
     Ok(EngineSnapshot {
-        version,
+        version: occ_sim::SNAPSHOT_VERSION,
         time,
         capacity,
         num_users,
@@ -228,6 +255,67 @@ pub fn snapshot_from_json_value(v: &Json) -> Result<EngineSnapshot, SnapshotErro
         faults,
         quarantined,
     })
+}
+
+/// The largest page universe a checkpoint may describe, the same
+/// ceiling as occbin02's header: page ids are `u32`.
+const MAX_PAGES: u64 = 1 << 32;
+
+/// Expand v2's `num_pages` and `owner_runs` into the owner table. Every
+/// run is checked (user in range, length ≥ 1) and the lengths must sum
+/// to `num_pages` before the table is allocated, so a hostile length
+/// costs nothing.
+fn read_owner_runs(v: &Json, num_users: u32) -> Result<Vec<UserId>, SnapshotError> {
+    let corrupt = |msg: String| Err(SnapshotError::Corrupt(msg));
+    let num_pages = read_plain_u64(v, "num_pages")?;
+    if num_pages > MAX_PAGES {
+        return corrupt(format!(
+            "num_pages = {num_pages} exceeds the 2^32-page ceiling"
+        ));
+    }
+    let runs = read_array(v, "owner_runs")?;
+    let run = |i: usize, r: &Json| -> Result<(u32, u64), SnapshotError> {
+        let bad =
+            || SnapshotError::Corrupt(format!("owner_runs[{i}] is not a [user, length] pair"));
+        match r.as_array().ok_or_else(bad)? {
+            [u, len] => {
+                let u = u.as_u64().ok_or_else(bad)?;
+                let len = len.as_u64().ok_or_else(bad)?;
+                if u >= num_users as u64 {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "owner_runs[{i}] names user {u} but the snapshot has {num_users} users"
+                    )));
+                }
+                if len == 0 {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "owner_runs[{i}] has length 0"
+                    )));
+                }
+                Ok((u as u32, len))
+            }
+            _ => Err(bad()),
+        }
+    };
+    let mut total = 0u64;
+    for (i, r) in runs.iter().enumerate() {
+        total = total.saturating_add(run(i, r)?.1);
+        if total > num_pages {
+            return corrupt(format!(
+                "owner_runs cover more than num_pages = {num_pages} pages"
+            ));
+        }
+    }
+    if total != num_pages {
+        return corrupt(format!(
+            "owner_runs cover {total} pages but num_pages = {num_pages}"
+        ));
+    }
+    let mut owners = Vec::with_capacity(num_pages as usize);
+    for (i, r) in runs.iter().enumerate() {
+        let (u, len) = run(i, r)?;
+        owners.resize(owners.len() + len as usize, UserId(u));
+    }
+    Ok(owners)
 }
 
 fn nested(at: &str, e: SnapshotError) -> SnapshotError {
@@ -360,9 +448,15 @@ mod tests {
             ("time".into(), u64_str(snap.time)),
             ("capacity".into(), Json::from_u64(snap.capacity as u64)),
             ("num_users".into(), Json::from_u64(snap.num_users as u64)),
+            ("num_pages".into(), Json::from_u64(snap.owners.len() as u64)),
             (
-                "owners".into(),
-                ids(snap.owners.iter().map(|u| u.0).collect()),
+                "owner_runs".into(),
+                Json::Arr(
+                    snap.owners
+                        .chunk_by(|a, b| a == b)
+                        .map(|run| ids(vec![run[0].0, run.len() as u32]))
+                        .collect(),
+                ),
             ),
             (
                 "cache_pages".into(),
@@ -489,6 +583,131 @@ mod tests {
             snapshot_from_json(&bad).unwrap_err(),
             SnapshotError::Corrupt(m) if m.contains("time")
         ));
+    }
+
+    /// `good` with its owner table replaced by `num_pages` and `runs`.
+    fn with_runs(good: &str, num_pages: &str, runs: &str) -> String {
+        let start = good.find(",\"num_pages\":").unwrap();
+        let end = good.find(",\"cache_pages\":").unwrap();
+        format!(
+            "{},\"num_pages\":{num_pages},\"owner_runs\":{runs}{}",
+            &good[..start],
+            &good[end..]
+        )
+    }
+
+    #[test]
+    fn owner_table_travels_as_runs() {
+        let snap = live_snapshot();
+        let text = snapshot_to_json(&snap);
+        assert!(text.contains(",\"num_pages\":12,\"owner_runs\":[[0,4],[1,4],[2,4]],"));
+        assert!(!text.contains("\"owners\""));
+        // Runs split wherever the owner changes, however often.
+        let mut snap = snap;
+        snap.owners = [0, 0, 1, 0, 2, 2].map(UserId).to_vec();
+        let text = snapshot_to_json(&snap);
+        assert!(text.contains("\"owner_runs\":[[0,2],[1,1],[0,1],[2,2]]"));
+        assert_eq!(snapshot_from_json(&text).unwrap().owners, snap.owners);
+        snap.owners.clear();
+        let text = snapshot_to_json(&snap);
+        assert!(text.contains("\"num_pages\":0,\"owner_runs\":[]"));
+        assert!(snapshot_from_json(&text).unwrap().owners.is_empty());
+    }
+
+    #[test]
+    fn malformed_owner_runs_are_corrupt() {
+        let good = snapshot_to_json(&live_snapshot());
+        assert!(snapshot_from_json(&with_runs(&good, "12", "[[0,4],[1,4],[2,4]]")).is_ok());
+        for (why, num_pages, runs) in [
+            ("zero length", "12", "[[0,4],[1,0],[2,8]]"),
+            ("user out of range", "12", "[[0,4],[3,4],[2,4]]"),
+            ("sum below num_pages", "12", "[[0,4],[1,4]]"),
+            ("sum above num_pages", "12", "[[0,4],[1,4],[2,5]]"),
+            ("num_pages above 2^32", "4294967297", "[[0,4294967297]]"),
+            ("a run of 2^40", "12", "[[0,1099511627776]]"),
+            (
+                "a run of 2^40 under a 2^32 universe",
+                "4294967296",
+                "[[0,1099511627776]]",
+            ),
+            ("not a pair", "12", "[[0,4,1],[1,4],[2,4]]"),
+            ("not an array", "12", "{}"),
+            ("negative length", "12", "[[0,-4]]"),
+            ("missing num_pages", "null", "[[0,12]]"),
+        ] {
+            let err = snapshot_from_json(&with_runs(&good, num_pages, runs)).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{why}: got {err}");
+        }
+        let no_pages = good.replace(",\"num_pages\":12", "");
+        assert!(matches!(
+            snapshot_from_json(&no_pages).unwrap_err(),
+            SnapshotError::MissingField(f) if f == "num_pages"
+        ));
+    }
+
+    #[test]
+    fn version_1_documents_still_decode() {
+        // v1 carried the owner table as one entry per page; the rest of
+        // the document is laid out as in v2.
+        let snap = live_snapshot();
+        let good = snapshot_to_json(&snap);
+        let owners = format!(
+            "[{}]",
+            snap.owners
+                .iter()
+                .map(|u| u.0.to_string())
+                .collect::<Vec<_>>()
+                .join(",")
+        );
+        let start = good.find(",\"num_pages\":").unwrap();
+        let end = good.find(",\"cache_pages\":").unwrap();
+        let v1 = format!(
+            "{{\"version\":1{},\"owners\":{owners}{}",
+            &good["{\"version\":2".len()..start],
+            &good[end..]
+        );
+        assert!(v1.starts_with("{\"version\":1,\"time\":"));
+        assert_eq!(snapshot_from_json(&v1).unwrap(), snap);
+        // Owner runs are not v1, nor a dense table v2.
+        let mixed = v1.replacen("{\"version\":1", "{\"version\":2", 1);
+        assert!(matches!(
+            snapshot_from_json(&mixed).unwrap_err(),
+            SnapshotError::MissingField(f) if f == "num_pages"
+        ));
+        let mixed = good.replacen("{\"version\":2", "{\"version\":1", 1);
+        assert!(matches!(
+            snapshot_from_json(&mixed).unwrap_err(),
+            SnapshotError::MissingField(f) if f == "owners"
+        ));
+        for version in [0, 3] {
+            let text = good.replacen("{\"version\":2", &format!("{{\"version\":{version}"), 1);
+            assert!(matches!(
+                snapshot_from_json(&text).unwrap_err(),
+                SnapshotError::UnsupportedVersion { found, .. } if found == version
+            ));
+        }
+    }
+
+    #[test]
+    fn alg_discrete_checkpoint_is_sized_by_the_cache() {
+        use occ_core::{ConvexCaching, CostProfile, Monomial};
+        // 65,536 pages in four owner runs, k = 64: the checkpoint holds
+        // the k cached pages' state and four runs, not 65,536 of either.
+        let u = Universe::uniform(4, 16_384);
+        let costs = CostProfile::uniform(4, Monomial::power(2.0));
+        let mut eng = SteppingEngine::new(64, u.clone(), ConvexCaching::new(costs));
+        let mut x = 0x9E37_79B9u32;
+        for _ in 0..5_000 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            eng.step(u.request(PageId(x % 65_536)));
+        }
+        let snap = eng.snapshot().unwrap();
+        assert_eq!(snap.policy.u64s("pages").unwrap().len(), 64);
+        let text = snapshot_to_json(&snap);
+        assert!(text.len() < 8 * 1024, "checkpoint is {} bytes", text.len());
+        assert_eq!(snapshot_from_json(&text).unwrap(), snap);
     }
 
     #[test]

@@ -9,13 +9,137 @@
 //!
 //! The "relay" form below is stronger than a single cut: the engine is
 //! torn down and rebuilt from JSON every `stride` steps, so one case
-//! exercises many resume points.
+//! exercises many resume points. ALG-DISCRETE runs on both of its paths
+//! (convex list, non-convex ordered set), and one suite interleaves
+//! external removals, user purges and quarantines with the requests,
+//! since its checkpoint keeps state for cached pages only.
 
 use occ_baselines::{Fifo, Lfu, Lru, Marking, RandomizedMarking};
-use occ_core::{ConvexCaching, CostProfile, Linear, Monomial};
+use occ_core::{ConvexCaching, CostFn, CostProfile, Linear, Monomial, ThresholdCost};
 use occ_probe::{snapshot_from_json, snapshot_to_json};
 use occ_sim::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
+
+/// A non-convex profile (threshold costs on even users), which puts
+/// ALG-DISCRETE on its ordered-set slow path.
+fn non_convex(users: u32) -> CostProfile {
+    CostProfile::new(
+        (0..users)
+            .map(|u| {
+                if u % 2 == 0 {
+                    Arc::new(ThresholdCost::new(1.0, 2, 5.0)) as CostFn
+                } else {
+                    Arc::new(Linear::new(2.0)) as CostFn
+                }
+            })
+            .collect(),
+    )
+}
+
+/// One operation on an engine besides plain requests: pages and users
+/// leave the cache from outside the policy, and a wrong-owner record
+/// quarantines (and purges) the page's owner.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Request(u32),
+    WrongOwner(u32),
+    Remove(u32),
+    Purge(u32),
+}
+
+fn arb_ops() -> impl Strategy<Value = (Universe, Vec<Op>, usize, usize)> {
+    (2u32..=4, 2u32..=6).prop_flat_map(|(users, pages_per)| {
+        let total = users * pages_per;
+        (
+            proptest::collection::vec((0u8..24, 0..total), 20..300),
+            2..=(total as usize - 1).max(2),
+            1usize..60,
+        )
+            .prop_map(move |(raw, k, stride)| {
+                let ops = raw
+                    .into_iter()
+                    .map(|(kind, x)| match kind {
+                        0 => Op::WrongOwner(x),
+                        1 | 2 => Op::Remove(x),
+                        3 => Op::Purge(x % users),
+                        _ => Op::Request(x),
+                    })
+                    .collect();
+                (
+                    Universe::uniform(users, pages_per),
+                    ops,
+                    k.min(total as usize - 1),
+                    stride,
+                )
+            })
+    })
+}
+
+/// Apply `op` under a quarantining handler; what it did, for comparing
+/// two runs step by step.
+fn apply<P: ReplacementPolicy>(
+    eng: &mut SteppingEngine<P>,
+    handler: &mut FaultHandler,
+    universe: &Universe,
+    op: Op,
+) -> (Option<StepOutcome>, usize) {
+    match op {
+        Op::Request(p) => (
+            eng.step_checked(universe.request(PageId(p)), handler)
+                .unwrap(),
+            0,
+        ),
+        Op::WrongOwner(p) => {
+            let mut req = universe.request(PageId(p));
+            req.user = UserId((req.user.0 + 1) % universe.num_users());
+            (eng.step_checked(req, handler).unwrap(), 0)
+        }
+        Op::Remove(p) => (None, eng.remove_externally(PageId(p)) as usize),
+        Op::Purge(u) => (None, eng.remove_user_externally(UserId(u))),
+    }
+}
+
+/// The relay over an op stream: requests, external removals, user
+/// purges and quarantines, with a JSON-round-tripped teardown every
+/// `stride` ops.
+fn relay_ops_match<P: ReplacementPolicy>(
+    make: impl Fn() -> P,
+    universe: &Universe,
+    ops: &[Op],
+    k: usize,
+    stride: usize,
+) {
+    let policy = FaultPolicy::QuarantineUser;
+    let mut full = SteppingEngine::new(k, universe.clone(), make());
+    let mut full_handler = FaultHandler::new(policy, universe.num_users());
+    let full_effects: Vec<_> = ops
+        .iter()
+        .map(|&op| apply(&mut full, &mut full_handler, universe, op))
+        .collect();
+    let full_snap = full.snapshot_with_faults(&full_handler).unwrap();
+
+    let mut eng = SteppingEngine::new(k, universe.clone(), make());
+    let mut handler = FaultHandler::new(policy, universe.num_users());
+    let mut effects = Vec::with_capacity(ops.len());
+    for (i, &op) in ops.iter().enumerate() {
+        if i > 0 && i % stride == 0 {
+            let snap = eng.snapshot_with_faults(&handler).unwrap();
+            let restored = snapshot_from_json(&snapshot_to_json(&snap)).unwrap();
+            prop_assert_eq!(&restored, &snap);
+            eng = SteppingEngine::from_snapshot(&restored, make()).unwrap();
+            handler = FaultHandler::new(policy, universe.num_users());
+            handler.restore(&restored).unwrap();
+        }
+        effects.push(apply(&mut eng, &mut handler, universe, op));
+    }
+
+    prop_assert_eq!(&full_effects, &effects);
+    prop_assert_eq!(full.stats(), eng.stats());
+    let final_snap = eng.snapshot_with_faults(&handler).unwrap();
+    prop_assert_eq!(&full_snap, &final_snap);
+    prop_assert_eq!(snapshot_to_json(&full_snap), snapshot_to_json(&final_snap));
+}
 
 fn arb_world() -> impl Strategy<Value = (Universe, Vec<u32>, usize, usize)> {
     (2u32..=4, 2u32..=6).prop_flat_map(|(users, pages_per)| {
@@ -148,6 +272,22 @@ proptest! {
             || ConvexCaching::new(costs.clone()),
             &universe, reqs, k, stride,
         );
+        let costs = non_convex(universe.num_users());
+        relay_matches_uninterrupted(
+            || ConvexCaching::new(costs.clone()),
+            &universe, reqs, k, stride,
+        );
+    }
+
+    #[test]
+    fn resume_is_byte_identical_across_removals_and_purges(
+        (universe, ops, k, stride) in arb_ops(),
+    ) {
+        relay_ops_match(Lru::new, &universe, &ops, k, stride);
+        let convex = CostProfile::uniform(universe.num_users(), Monomial::power(2.0));
+        relay_ops_match(|| ConvexCaching::new(convex.clone()), &universe, &ops, k, stride);
+        let costs = non_convex(universe.num_users());
+        relay_ops_match(|| ConvexCaching::new(costs.clone()), &universe, &ops, k, stride);
     }
 
     #[test]
@@ -171,6 +311,11 @@ proptest! {
         };
         relay_matches_checked(Lru::new, &universe, &reqs, k, stride, policy);
         let costs = CostProfile::uniform(universe.num_users(), Linear::unit());
+        relay_matches_checked(
+            || ConvexCaching::new(costs.clone()),
+            &universe, &reqs, k, stride, policy,
+        );
+        let costs = non_convex(universe.num_users());
         relay_matches_checked(
             || ConvexCaching::new(costs.clone()),
             &universe, &reqs, k, stride, policy,

@@ -260,24 +260,49 @@ pub struct CommitSchedule {
 }
 
 impl CommitSchedule {
-    /// Merge per-thread commit logs into one seq-ordered schedule.
+    /// Merge per-thread commit logs (each in any order) into one
+    /// seq-ordered schedule.
+    ///
+    /// A worker's log is already seq-ascending, so the merge is linear:
+    /// the longest log's buffer grows once to the total (schedules run to
+    /// tens of MiB, so no log is copied into a fresh vector) and is filled
+    /// from the back, position `w` taking the log tail whose seq is `w`.
+    /// No such tail means a gap or a duplicate.
     pub fn from_threads(
         mut per_thread: Vec<Vec<CommitRecord>>,
     ) -> Result<CommitSchedule, ReplayError> {
-        // Grow the longest log in place instead of copying every log
-        // into a fresh vector: schedules run to tens of MiB.
+        for log in &mut per_thread {
+            if !log.is_sorted_by_key(|e| e.seq) {
+                log.sort_unstable_by_key(|e| e.seq);
+            }
+        }
         let longest = (0..per_thread.len()).max_by_key(|&t| per_thread[t].len());
         let mut entries = longest
             .map(|t| per_thread.swap_remove(t))
             .unwrap_or_default();
-        entries.reserve(per_thread.iter().map(Vec::len).sum());
-        for log in per_thread {
-            entries.extend(log);
+        let mut own = entries.len();
+        let total = own + per_thread.iter().map(Vec::len).sum::<usize>();
+        let Some(&filler) = entries.first() else {
+            return Ok(CommitSchedule { entries });
+        };
+        entries.resize(total, filler);
+        for w in (0..total).rev() {
+            let seq = w as u64;
+            if own > 0 && entries[own - 1].seq == seq {
+                own -= 1;
+                entries.swap(w, own);
+            } else if let Some(log) = per_thread
+                .iter_mut()
+                .find(|log| log.last().is_some_and(|e| e.seq == seq))
+            {
+                entries[w] = log.pop().expect("a log with a tail");
+            } else {
+                return Err(ReplayError::Schedule(format!(
+                    "schedule is not contiguous: no commit holds seq {seq} of {total}"
+                )));
+            }
         }
-        entries.sort_unstable_by_key(|e| e.seq);
-        let sched = CommitSchedule { entries };
-        sched.check_contiguous()?;
-        Ok(sched)
+        Ok(CommitSchedule { entries })
     }
 
     /// Rebuild a schedule from serialized entry lines (any order).
@@ -1693,6 +1718,67 @@ mod tests {
         assert!(CommitSchedule::from_threads(vec![vec![mk(0), mk(2)]]).is_err());
         assert!(CommitSchedule::from_threads(vec![vec![mk(0)], vec![mk(0)]]).is_err());
         assert!(CommitSchedule::from_threads(vec![vec![mk(1), mk(0)]]).is_ok());
+    }
+
+    #[test]
+    fn linear_merge_equals_a_sort() {
+        let mk = |seq, thread| CommitRecord {
+            seq,
+            thread,
+            shard: 0,
+            page: PageId(seq as u32 * 3),
+            user: UserId(thread),
+            outcome: CommitOutcome::Hit,
+        };
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for case in 0..200 {
+            let threads = 1 + next(4) as usize;
+            let len = next(300);
+            let mut logs = vec![Vec::new(); threads];
+            for seq in 0..len {
+                let t = next(threads as u64) as usize;
+                logs[t].push(mk(seq, t as u32));
+            }
+            // Every fifth case hands one log over out of order.
+            if case % 5 == 0 && logs[0].len() > 1 {
+                logs[0].reverse();
+            }
+            let mut sorted: Vec<CommitRecord> = logs.concat();
+            sorted.sort_unstable_by_key(|e| e.seq);
+            let sched = CommitSchedule::from_threads(logs.clone()).unwrap();
+            assert_eq!(sched.entries(), &sorted[..], "case {case}");
+
+            if len < 2 {
+                continue;
+            }
+            // A gap (one commit dropped) and a duplicate (one commit
+            // repeated, in its own or another thread's log).
+            let (t, i) = loop {
+                let t = next(threads as u64) as usize;
+                if !logs[t].is_empty() {
+                    break (t, next(logs[t].len() as u64) as usize);
+                }
+            };
+            let twin = logs[t][i];
+            let mut gap = logs.clone();
+            gap[t].remove(i);
+            // Dropping the last commit leaves `0..len - 1`: no gap.
+            let merged = CommitSchedule::from_threads(gap);
+            assert_eq!(merged.is_ok(), twin.seq == len - 1, "case {case}: gap");
+            let mut dup = logs.clone();
+            let u = next(threads as u64) as usize;
+            dup[u].push(twin);
+            assert!(
+                CommitSchedule::from_threads(dup).is_err(),
+                "case {case}: duplicate"
+            );
+        }
     }
 
     #[test]

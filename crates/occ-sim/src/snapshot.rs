@@ -17,8 +17,11 @@ use crate::error::{FaultCounters, SnapshotError};
 use crate::ids::{PageId, Time, UserId};
 use crate::stats::UserStats;
 
-/// The snapshot format version this build writes and reads.
-pub const SNAPSHOT_VERSION: u64 = 1;
+/// The snapshot format version this build writes. Version 2 stores
+/// the owner table as runs and ALG-DISCRETE's per-page state for cached
+/// pages only; the JSON reader in `occ-probe` also reads version 1 and
+/// decodes it to this version's in-memory form.
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// A serializable value inside a [`PolicyState`].
 ///
