@@ -119,7 +119,7 @@ const BATCHED_POLICIES: [&str; 4] = ["lru", "fifo", "greedy-dual", "alg-discrete
 /// Shard counts for the fleet entries.
 const FLEET_SHARDS: [usize; 2] = [1, 4];
 /// Shared-cache concurrent cell geometry: M worker threads contending
-/// for ONE k-sized cache striped over S page-table segments.
+/// for ONE k-sized cache whose policy keeps S segments.
 const CONCURRENT_THREADS: usize = 4;
 const CONCURRENT_TABLE_SHARDS: usize = 8;
 /// Ingest cells: Zipf(0.9) fixture sizes for the full grid / `--ingest`

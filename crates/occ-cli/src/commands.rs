@@ -90,8 +90,9 @@ USAGE:
                telemetry window every W requests (default 1M) and
                appending each closed window to the JSONL series file.
                --len/--window/--checkpoint-every accept k/M/B suffixes
-               (500k, 5M, 1B). --trace streams a trace file instead of
-               the scenario mixer: occbin01 (served zero-copy from a
+               (500k, 5M, 1B). --trace streams a whole trace file (a
+               usage error beside --len; cut a prefix with `occ trace
+               pack|unpack --limit N`) instead of the scenario mixer: occbin01 (served zero-copy from a
                memory mapping where the platform allows, buffered
                otherwise), occbin02, or a real-trace CSV (msr/twitter
                shapes, tenants hashed into the scenario's user count;
@@ -122,8 +123,8 @@ USAGE:
                parallel (one worker thread each, seeds derived per
                shard), streaming requests in O(1) memory, and merge the
                per-shard telemetry into one fleet report. --trace FILE
-               replays a trace file (occbin01/occbin02/CSV, as in soak)
-               on every shard instead of the mixer — occbin01 shards
+               replays a whole trace file (occbin01/occbin02/CSV, as in
+               soak; not with --len) on every shard instead of the mixer — occbin01 shards
                serve batches zero-copy from a shared memory mapping
                (unsupervised runs only). --window W
                additionally collects tumbling-window series per shard
@@ -148,25 +149,29 @@ USAGE:
                --chaos-store-fail fails shard S's Nth checkpoint save
                (both seeded, deterministic, counts accept k/M/B).
   occ concurrent --scenario NAME [--threads M] [--table-shards S] [--len N]
-               [--seed S] [--k K] [--policy lru|fifo|greedy-dual]
+               [--seed S] [--k K] [--policy lru|fifo|greedy-dual|convex]
                [--trace FILE [--csv-flavor F]]
                [--verify on|off] [--format table|json] [--out FILE]
                [--schedule-out FILE]
                [--chaos-page-rate P] [--chaos-owner-rate P]
                [--chaos-truncate N] [--chaos-seed S] [--degrade POLICY]
                run M worker threads against ONE shared k-sized cache
-               (lock-striped over S page-table segments), each thread
-               streaming N scenario requests with a per-thread seed
-               (or, with --trace, each thread replaying the same trace
-               file — occbin01/occbin02/CSV; chaos flags need the
-               synthetic stream).
+               (one engine behind one lock, a page run or up to 4096
+               pulled requests per lock hold; the policy keeps S
+               segment instances), each thread streaming N scenario
+               requests with a per-thread seed (or, with --trace and no
+               --len, each thread replaying the same whole trace file —
+               occbin01/occbin02/CSV; chaos flags need the synthetic
+               stream).
                Every commit is recorded as (seq, thread, shard, page,
                user, outcome); --verify on (the default) replays the
                schedule single-threaded through the stock engine and
                fails (exit 5) unless per-user hit/miss/eviction vectors,
                fault counters and the quarantine set are identical.
-               Only policies with pure callbacks may share the cache
-               (lru, fifo, greedy-dual). --schedule-out writes the
+               Only policies whose segment instances read nothing but
+               the universe may share the cache (lru, fifo,
+               greedy-dual; convex, the paper's ALG-DISCRETE, at
+               --table-shards 1 only). --schedule-out writes the
                commit schedule (CRC-sealed, self-describing header) for
                offline replay. The --chaos-*/--degrade flags match
                observe; chaos without --degrade fails fast.
@@ -813,6 +818,7 @@ pub fn mrc(args: &Args) -> Result<(), CliError> {
 
 /// `occ fleet`
 pub fn fleet(args: &Args) -> Result<(), CliError> {
+    reject_len_with_trace(args, "fleet")?;
     let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
     let shards: usize = uarg(args.num_or("shards", 4usize))?;
     if shards == 0 {
@@ -1088,13 +1094,16 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The policies whose callbacks are *pure* in the shared-cache sense:
-/// they read only `ctx.universe` (never `ctx.cache`, `ctx.stats`, or the
-/// clock), so S per-shard instances behave identically to the replay's
-/// sharded mirror. Everything else is rejected for `occ concurrent`.
+/// The policies whose decisions read only `ctx.universe`, so each of
+/// the shared cache's S segment instances behaves as that policy on its
+/// own segment. ALG-DISCRETE (`convex`) qualifies only at S = 1: its one
+/// instance is then the global algorithm, while S > 1 instances would
+/// each keep their own dual offset and eviction counts. Everything else
+/// is rejected for `occ concurrent`.
 fn make_shared_policy(
     name: &str,
     costs: &CostProfile,
+    table_shards: usize,
 ) -> Option<Box<dyn ReplacementPolicy + Send>> {
     let weights: Vec<f64> = (0..costs.num_users())
         .map(|u| costs.user(UserId(u)).eval(1.0).max(1e-9))
@@ -1103,8 +1112,21 @@ fn make_shared_policy(
         "lru" => Box::new(Lru::new()),
         "fifo" => Box::new(Fifo::new()),
         "greedy-dual" => Box::new(GreedyDual::new(weights)),
+        "convex" if table_shards == 1 => Box::new(ConvexCaching::new(costs.clone())),
         _ => return None,
     })
+}
+
+/// `--trace` serves the whole file, so a `--len` beside it would be
+/// ignored; the pair is a usage error that points at the prefix tools.
+fn reject_len_with_trace(args: &Args, command: &str) -> Result<(), CliError> {
+    if args.str_or("len", "").is_empty() || args.str_or("trace", "").is_empty() {
+        return Ok(());
+    }
+    Err(CliError::Usage(format!(
+        "{command}: --len does not combine with --trace, which serves the whole \
+         file; cut a prefix with `occ trace pack|unpack --limit N` instead"
+    )))
 }
 
 /// First line of a `--schedule-out` file. The header carries everything
@@ -1178,6 +1200,7 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
     if !replay_path.is_empty() {
         return concurrent_replay(args, &replay_path);
     }
+    reject_len_with_trace(args, "concurrent")?;
 
     let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
     let threads: usize = uarg(args.num_or("threads", 4usize))?;
@@ -1198,10 +1221,12 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
     let seed: u64 = uarg(args.num_or("seed", 7u64))?;
     let k: usize = uarg(args.num_or("k", scenario.suggested_k))?;
     let policy_name = args.str_or("policy", "lru");
-    if make_shared_policy(&policy_name, &scenario.costs).is_none() {
+    if make_shared_policy(&policy_name, &scenario.costs, table_shards).is_none() {
         return Err(CliError::Usage(format!(
-            "policy '{policy_name}' cannot share a cache across threads: shard \
-             instances must have pure callbacks (available: lru, fifo, greedy-dual)"
+            "policy '{policy_name}' cannot share a cache across threads at \
+             --table-shards {table_shards}: segment instances must read only the \
+             universe (available: lru, fifo, greedy-dual, and convex at \
+             --table-shards 1)"
         )));
     }
     let verify = uarg(args.on_off("verify", true))?;
@@ -1238,7 +1263,7 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
             })
             .collect();
         run_shared_fleet(universe, &cfg, &mut sources, |_| {
-            make_shared_policy(&policy_name, costs).expect("validated above")
+            make_shared_policy(&policy_name, costs, table_shards).expect("validated above")
         })
     } else {
         let mut feeds = if trace_path.is_empty() {
@@ -1262,7 +1287,7 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
         };
         let universe = RequestSource::universe(&feeds[0]).clone();
         let result = run_shared_fleet(universe, &cfg, &mut feeds, |_| {
-            make_shared_policy(&policy_name, costs).expect("validated above")
+            make_shared_policy(&policy_name, costs, table_shards).expect("validated above")
         });
         finish_feeds(feeds)?;
         result
@@ -1316,19 +1341,13 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
             }
             emit(&t.to_markdown());
             emit(&format!(
-                "concurrent: {threads} threads x {len} requests on one k={k} cache \
+                "concurrent: {threads} threads on one k={k} cache behind one lock \
                  ({} segments, {policy_name}, degrade={}) — {} commits in {:.1} ms, {} req/s",
                 table_shards,
                 degrade.name(),
                 report.outcome.schedule.len(),
                 report.wall.as_secs_f64() * 1e3,
                 fnum(report.requests_per_sec()),
-            ));
-            let k = &report.outcome.contention;
-            emit(&format!(
-                "contention: {} commits took the capacity mutex ({} revalidated after \
-                 relocking), {} cross-segment evictions",
-                k.slow_path, k.revalidated, k.cross_segment_evictions,
             ));
             let c = &report.outcome.counters;
             if !c.is_clean() {
@@ -1367,7 +1386,7 @@ fn concurrent_replay(args: &Args, path: &str) -> Result<(), CliError> {
     let meta =
         parse_schedule_header(header).map_err(|m| CliError::Parse(format!("{path}: {m}")))?;
     let scenario = find_scenario(&meta.scenario)?;
-    if make_shared_policy(&meta.policy, &scenario.costs).is_none() {
+    if make_shared_policy(&meta.policy, &scenario.costs, meta.table_shards).is_none() {
         return Err(CliError::Parse(format!(
             "{path}: schedule header names non-shareable policy '{}'",
             meta.policy
@@ -1379,7 +1398,10 @@ fn concurrent_replay(args: &Args, path: &str) -> Result<(), CliError> {
 
     let universe = scenario.stream(1, 0).universe().clone();
     let policies: Vec<Box<dyn ReplacementPolicy + Send>> = (0..meta.table_shards)
-        .map(|_| make_shared_policy(&meta.policy, &scenario.costs).expect("validated above"))
+        .map(|_| {
+            make_shared_policy(&meta.policy, &scenario.costs, meta.table_shards)
+                .expect("validated above")
+        })
         .collect();
     let started = Instant::now();
     let outcome: ReplayOutcome =
@@ -2201,6 +2223,7 @@ where
 
 /// `occ soak`
 pub fn soak(args: &Args) -> Result<(), CliError> {
+    reject_len_with_trace(args, "soak")?;
     let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
     let len = uarg(args.scaled_or("len", 10_000_000))?;
     let seed: u64 = uarg(args.num_or("seed", 7u64))?;
@@ -2580,33 +2603,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn concurrent_run_schedule_roundtrip_and_replay() {
-        let dir = std::env::temp_dir().join("occ-cli-concurrent-test");
+    /// Run `occ concurrent` with `flags` and `--schedule-out`, replay
+    /// the schedule with `--replay`, and demand the two reports agree.
+    fn concurrent_round_trip(name: &str, flags: &[&str]) {
+        let dir = std::env::temp_dir().join(format!("occ-cli-concurrent-{name}"));
         std::fs::create_dir_all(&dir).unwrap();
         let sched = dir.join("schedule.txt");
         let run_json = dir.join("run.json");
         let replay_json = dir.join("replay.json");
-        concurrent(&args(&[
-            "concurrent",
-            "--scenario",
-            "two-tier",
-            "--threads",
-            "4",
-            "--table-shards",
-            "4",
-            "--len",
-            "800",
-            "--k",
-            "8",
-            "--format",
-            "json",
+        let mut run_args = vec!["concurrent", "--scenario", "two-tier", "--format", "json"];
+        run_args.extend_from_slice(flags);
+        run_args.extend_from_slice(&[
             "--schedule-out",
             sched.to_str().unwrap(),
             "--out",
             run_json.to_str().unwrap(),
-        ]))
-        .unwrap();
+        ]);
+        concurrent(&args(&run_args)).unwrap();
         concurrent(&args(&[
             "concurrent",
             "--replay",
@@ -2627,6 +2640,42 @@ mod tests {
             rep.get("commits").unwrap().to_json()
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_run_schedule_roundtrip_and_replay() {
+        concurrent_round_trip(
+            "test",
+            &[
+                "--threads",
+                "4",
+                "--table-shards",
+                "4",
+                "--len",
+                "800",
+                "--k",
+                "8",
+            ],
+        );
+    }
+
+    #[test]
+    fn concurrent_runs_convex_at_one_segment() {
+        concurrent_round_trip(
+            "convex",
+            &[
+                "--threads",
+                "2",
+                "--table-shards",
+                "1",
+                "--len",
+                "800",
+                "--k",
+                "8",
+                "--policy",
+                "convex",
+            ],
+        );
     }
 
     #[test]

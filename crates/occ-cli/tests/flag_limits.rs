@@ -246,3 +246,73 @@ fn help_prints_the_usage_to_stdout_and_exits_0() {
         assert!(stderr.is_empty(), "{cmd}: {stderr}");
     }
 }
+
+/// A 2,000-request two-tier occbin01 trace, written once per test.
+fn small_trace(name: &str) -> PathBuf {
+    let path = tmp(name);
+    let p = path.to_str().expect("utf-8 temp path");
+    let o = occ(&[
+        "generate",
+        "--scenario",
+        "two-tier",
+        "--len",
+        "2000",
+        "--seed",
+        "5",
+        "--format",
+        "binary",
+        "--out",
+        p,
+    ]);
+    assert_eq!(o.status.code(), Some(0), "{o:?}");
+    path
+}
+
+/// `--trace` serves the whole file, so `--len` beside it is a usage
+/// error naming the prefix tools, and nothing is written to the file
+/// `out_flag` names.
+fn len_with_trace_rejected(cmd: &str, out_flag: &str, name: &str) {
+    let trace = small_trace(&format!("{name}.occbin01"));
+    let out = tmp(&format!("{name}.out"));
+    let line = format!(
+        "{cmd} --trace {} --len 1000 --{out_flag} {}",
+        trace.display(),
+        out.display()
+    );
+    let args: Vec<&str> = line.split_whitespace().collect();
+    let o = occ(&args);
+    let stderr = String::from_utf8_lossy(&o.stderr);
+    assert_eq!(o.status.code(), Some(2), "{line}: {stderr}");
+    assert!(
+        stderr.contains("--len") && stderr.contains("--limit"),
+        "{line}: {stderr}"
+    );
+    assert!(!out.exists(), "{line} wrote {}", out.display());
+}
+
+#[test]
+fn soak_len_with_trace_is_a_usage_error() {
+    len_with_trace_rejected(
+        "soak --scenario two-tier --heartbeat off --window 500",
+        "series",
+        "soak-len-trace",
+    );
+}
+
+#[test]
+fn fleet_len_with_trace_is_a_usage_error() {
+    len_with_trace_rejected(
+        "fleet --scenario two-tier --shards 2 --format json",
+        "out",
+        "fleet-len-trace",
+    );
+}
+
+#[test]
+fn concurrent_len_with_trace_is_a_usage_error() {
+    len_with_trace_rejected(
+        "concurrent --scenario two-tier --threads 2 --format json",
+        "out",
+        "concurrent-len-trace",
+    );
+}

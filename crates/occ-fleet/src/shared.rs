@@ -1,21 +1,20 @@
 //! Shared-cache fleet mode: M worker threads, **one** k-sized cache.
 //!
 //! The plain fleet ([`run_fleet`](crate::run_fleet)) scales by cloning
-//! independent caches; this module drives the page-sharded
-//! [`ConcurrentEngine`] instead — every worker contends for the same
-//! capacity, which is the deployment the paper's shared-cache model
-//! actually describes. It layers on top of `occ_sim::concurrent`:
+//! independent caches; this module drives the [`ConcurrentEngine`]
+//! instead — one engine behind one lock, every worker committing into
+//! the same capacity, which is the deployment the paper's shared-cache
+//! model actually describes. It layers on top of `occ_sim::concurrent`:
 //! per-thread [`MetricsRecorder`]s merged in thread order, the
-//! deterministic replay gate run in-process (on by default), and a
-//! schema-stamped JSON report for `occ concurrent`.
+//! deterministic replay gate run in-process beside the workers (on by
+//! default), and a schema-stamped JSON report for `occ concurrent`.
 
 use crate::Json;
 use occ_probe::MetricsRecorder;
 use occ_sim::concurrent::{
-    replay_schedule, run_shared, verify_replay, ConcurrentEngine, ReplayError, ReplayOutcome,
-    SharedOutcome,
+    run_shared, run_shared_replayed, ConcurrentEngine, ReplayError, ReplayOutcome, SharedOutcome,
 };
-use occ_sim::probe::NoopRecorder;
+use occ_sim::probe::{NoopRecorder, Recorder};
 use occ_sim::{
     FaultCounters, FaultPolicy, ReplacementPolicy, RequestSource, SimError, SimStats, Universe,
 };
@@ -23,7 +22,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Schema stamp for [`SharedReport::to_json_value`].
-pub const SHARED_SCHEMA: u64 = 1;
+pub const SHARED_SCHEMA: u64 = 2;
 
 /// The `users` section of the concurrent reports (a run's and a
 /// replay's alike): per-user hit/miss/eviction counts, by user id.
@@ -67,14 +66,14 @@ pub fn faults_json(c: &FaultCounters) -> Json {
 pub struct SharedConfig {
     /// Capacity `k` of the single shared cache.
     pub capacity: usize,
-    /// Number of lock-striped page-table segments S.
+    /// Number of policy segments S (see `ShardedPolicy`).
     pub table_shards: usize,
     /// Degradation policy applied to malformed records.
     pub degrade: FaultPolicy,
     /// Attach a [`MetricsRecorder`] per worker (merged in thread
     /// order). Off = zero-overhead [`NoopRecorder`] workers.
     pub record: bool,
-    /// Run the deterministic replay gate after the concurrent run and
+    /// Run the deterministic replay gate beside the concurrent run and
     /// fail on any divergence. On by default; turning it off only
     /// skips the in-process check — the schedule is always recorded.
     pub verify: bool,
@@ -130,7 +129,7 @@ impl From<ReplayError> for SharedError {
 pub struct SharedReport {
     /// Worker thread count M.
     pub threads: usize,
-    /// Page-table segment count S.
+    /// Policy segment count S.
     pub table_shards: usize,
     /// Shared cache capacity `k`.
     pub capacity: usize,
@@ -143,7 +142,8 @@ pub struct SharedReport {
     /// The replay gate's aggregate state; `None` when verification was
     /// disabled. When `Some`, the replay matched (mismatch is an error).
     pub replay: Option<ReplayOutcome>,
-    /// Wall-clock time of the concurrent phase (excludes the replay).
+    /// Wall-clock time of the concurrent run, including the tail of the
+    /// replay that runs beside it when verifying.
     pub wall: Duration,
 }
 
@@ -158,15 +158,6 @@ impl SharedReport {
 
     /// The schema-stamped JSON report behind `occ concurrent --format json`.
     pub fn to_json_value(&self) -> Json {
-        let k = &self.outcome.contention;
-        let contention = Json::Obj(vec![
-            ("slow_path".into(), Json::from_u64(k.slow_path)),
-            ("revalidated".into(), Json::from_u64(k.revalidated)),
-            (
-                "cross_segment_evictions".into(),
-                Json::from_u64(k.cross_segment_evictions),
-            ),
-        ]);
         let quarantined = self
             .outcome
             .quarantined
@@ -189,7 +180,6 @@ impl SharedReport {
             ),
             ("users".into(), users_json(&self.outcome.stats)),
             ("faults".into(), faults_json(&self.outcome.counters)),
-            ("contention".into(), contention),
             ("quarantined".into(), Json::Arr(quarantined)),
             ("merged".into(), self.merged.to_json_value()),
             ("wall_ms".into(), Json::Num(self.wall.as_secs_f64() * 1e3)),
@@ -239,39 +229,29 @@ where
     let threads = sources.len();
     let engine = ConcurrentEngine::new(
         cfg.capacity,
-        universe.clone(),
+        universe,
         cfg.degrade,
         (0..cfg.table_shards).map(&make_policy).collect(),
     );
+    let replay_policies = cfg
+        .verify
+        .then(|| (0..cfg.table_shards).map(&make_policy).collect());
     let started = Instant::now();
-    let (outcome, merged) = if cfg.record {
+    let ((outcome, replay), merged) = if cfg.record {
         let mut recorders: Vec<MetricsRecorder> =
             (0..threads).map(|_| MetricsRecorder::new()).collect();
-        let outcome = run_shared(&engine, sources, &mut recorders)?;
+        let run = run_gated(&engine, sources, &mut recorders, replay_policies)?;
         let mut merged = MetricsRecorder::new();
         for r in &recorders {
             merged.merge(r);
         }
-        (outcome, merged)
+        (run, merged)
     } else {
         let mut recorders = vec![NoopRecorder; threads];
-        let outcome = run_shared(&engine, sources, &mut recorders)?;
-        (outcome, MetricsRecorder::new())
+        let run = run_gated(&engine, sources, &mut recorders, replay_policies)?;
+        (run, MetricsRecorder::new())
     };
     let wall = started.elapsed();
-    let replay = if cfg.verify {
-        let replayed = replay_schedule(
-            cfg.capacity,
-            universe,
-            (0..cfg.table_shards).map(&make_policy).collect(),
-            cfg.degrade,
-            &outcome.schedule,
-        )?;
-        verify_replay(&outcome, &replayed)?;
-        Some(replayed)
-    } else {
-        None
-    };
     Ok(SharedReport {
         threads,
         table_shards: cfg.table_shards,
@@ -282,6 +262,28 @@ where
         replay,
         wall,
     })
+}
+
+/// One run, gated on its replay when `replay_policies` is given (the
+/// replay then runs beside the workers; see `run_shared_replayed`).
+fn run_gated<P, S, R>(
+    engine: &ConcurrentEngine<P>,
+    sources: &mut [S],
+    recorders: &mut [R],
+    replay_policies: Option<Vec<P>>,
+) -> Result<(SharedOutcome, Option<ReplayOutcome>), SharedError>
+where
+    P: ReplacementPolicy + Send,
+    S: RequestSource + Send,
+    R: Recorder + Send,
+{
+    match replay_policies {
+        None => Ok((run_shared(engine, sources, recorders)?, None)),
+        Some(policies) => {
+            let (outcome, replayed) = run_shared_replayed(engine, sources, recorders, policies)?;
+            Ok((outcome, Some(replayed?)))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -318,14 +320,10 @@ mod tests {
         check_schema_stamp(&v, SHARED_SCHEMA, "shared report").unwrap();
         let text = v.to_json();
         assert!(text.contains("\"identical\": true") || text.contains("\"identical\":true"));
-        let c = &report.outcome.contention;
-        assert!(c.slow_path >= c.revalidated + c.cross_segment_evictions);
-        for key in ["slow_path", "revalidated", "cross_segment_evictions"] {
-            assert!(
-                text.contains(&format!("\"{key}\"")),
-                "contention.{key} missing"
-            );
-        }
+        assert!(
+            !text.contains("\"contention\""),
+            "schema 2 has no contention"
+        );
     }
 
     #[test]

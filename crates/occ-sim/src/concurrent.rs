@@ -1,107 +1,69 @@
-//! A page-sharded concurrent engine: one k-sized cache, many writers.
+//! One k-sized cache, many writers: the shared-cache engine.
 //!
 //! `occ-fleet` scales by cloning *independent* caches; this module is the
 //! other axis — M worker threads serving interleaved per-user streams
 //! against a **single** shared cache of capacity `k`, which is the
 //! setting the paper actually reasons about (one cache, n users, convex
-//! per-user costs). The page table is striped into S lock-guarded shard
-//! segments; global capacity lives in a sharded per-segment counter whose
-//! grants are serialized on a slow-path mutex; evictions are routed
-//! through the per-shard policy instances, so the existing flat-array
-//! policies (LRU / FIFO / greedy-dual) are *reused*, not forked.
+//! per-user costs).
+//!
+//! # One engine behind one lock
+//!
+//! The cache is one [`SteppingEngine`] over a [`ShardedPolicy`], kept
+//! with its [`FaultHandler`] and the commit log behind one `Mutex`. A
+//! worker takes the lock once per *hold* and serves every record of the
+//! hold with [`SteppingEngine::step_checked`] — the same call the replay
+//! makes — so the run has one hit/insert/evict state machine, and skips,
+//! quarantine purges and fail-fast stops all go through the one handler.
+//! A hold is one borrowed page run of at most [`DEFAULT_BATCH_SIZE`]
+//! requests from a zero-copy source, or up to that many requests pulled
+//! one at a time from any other source (the mixer, a chaos source); it
+//! ends early when the source runs dry or at a fail-fast fault, so chaos
+//! tallies and the fail-fast stop point stay exact.
+//!
+//! A lock-striped protocol (per-segment mutexes, a capacity mutex, a
+//! `full` latch and an atomic commit counter) served this engine before;
+//! it is in the git history. On a 2-core host its two workers committed
+//! at about 0.6× the rate of one, most of their CPU spent moving locks,
+//! list heads and page nodes between the cores, and it lost to the one
+//! lock on every measured metric. Many-core scaling may justify striping
+//! again; that needs numbers first.
 //!
 //! # Correctness: the commit schedule and the replay gate
 //!
-//! Concurrency bugs are silent, so every run carries its own proof
-//! obligation. Each consumed record commits exactly one
-//! [`CommitRecord`] — `(seq, thread, shard, page, user, outcome)` —
-//! where `seq` is drawn from a global counter **while the op's locks are
-//! held**. Because every operation holds all locks covering the state it
-//! touches from validation to commit (strict two-phase locking with the
-//! sequence draw inside the critical section), the concurrent execution
-//! is conflict-serializable in `seq` order. A single-threaded replay of
-//! the merged schedule through the stock [`SteppingEngine`] — wrapped in
-//! a [`ShardedPolicy`] that mirrors the shard routing — must therefore
-//! reproduce every per-request outcome, the per-user miss vectors, the
-//! fault counters, and the quarantine set *byte-identically*. The replay
-//! gate ([`replay_schedule`] + [`verify_replay`]) checks all of it.
+//! Each consumed record commits exactly one [`CommitRecord`] —
+//! `(seq, thread, shard, page, user, outcome)` — where `seq` is the
+//! engine's clock before the record's step. The run is therefore a
+//! sequential history in `seq` order by construction, and the log is
+//! contiguous with no merge. A single-threaded replay of the schedule
+//! through a fresh [`SteppingEngine`] + [`ShardedPolicy`] must reproduce
+//! every per-request outcome, the per-user miss vectors, the fault
+//! counters and the quarantine set *byte-identically*; the replay gate
+//! ([`replay_schedule`] + [`verify_replay`]) checks all of it.
+//! [`run_shared_replayed`] runs the same replay beside the workers, on
+//! the core the one lock leaves idle: each hold hands its commits over
+//! before it releases the lock, so the replay sees them in commit order.
 //!
 //! # Segment tables
 //!
-//! Page `p` lives in segment `shard(p) = p mod S` under the dense local
-//! id `p / S` ([`local_of`], inverse [`global_of`]). Each segment owns a
-//! segment-local [`Universe`] (owners of `p = s, s+S, …`) plus a
-//! [`CacheSet`] and a policy instance sized to it, so a segment's hot
-//! tables cover 1/S of the page range instead of all of it. Commit
-//! records, stats and victims stay in global ids; the translation
-//! happens at the segment boundary, and the replay's [`ShardedPolicy`]
-//! applies the same one.
-//!
-//! # Locking protocol
-//!
-//! Only *capacity-changing* operations (inserts, purges) and evictions
-//! that must reach into another segment take the capacity mutex; a
-//! steady-state eviction is capacity-neutral and stays inside one
-//! segment lock.
-//!
-//! * **Hit**: lock `shard(page)` only; draw `seq`; `on_hit`.
-//! * **Steady-state eviction**: a miss that, under `shard(page)`'s lock
-//!   alone, reads the `full` latch set (`Acquire`) and finds its own
-//!   segment's cache non-empty draws `seq` and evicts inside that
-//!   segment. The replay agrees at that `seq`: its victim scan starts
-//!   at `shard(page)`, which is non-empty there (all ops on a segment
-//!   are ordered by its lock, and `seq` is drawn under it), and its
-//!   cache is full there (below).
-//! * **Slow path** (insert, or a miss whose own segment is empty or
-//!   that missed the latch): release the segment lock, take the capacity
-//!   mutex, relock the segment, re-validate (the page may have been
-//!   inserted by a racing thread — now a hit; the user may have been
-//!   quarantined — now a drop). Inserts are totally ordered by the
-//!   mutex, so the replay's insert-vs-evict branch (which reads the
-//!   *global* `is_full()`) sees the same occupancy.
-//! * **Cross-segment eviction**: the mutex holder scans the per-segment
-//!   used counters from `shard(page)` upward (mod S) for the first
-//!   non-empty segment and asks *that* segment's policy for the victim.
-//!   Only the mutex holder ever holds two segment locks, so lock order
-//!   cannot deadlock: a thread holding a segment lock never waits on the
-//!   mutex (misses release before acquiring it).
-//! * **The `full` latch** is only written under the capacity mutex. The
-//!   insert that takes `free` to 0 sets it (`Release`) *after* drawing
-//!   its `seq`, so any fast path that reads it set draws a later `seq`
-//!   (its draw happens after the setter's). A quarantine purge that
-//!   frees pages clears it while holding every segment lock, so a fast
-//!   path is wholly before the purge (smaller `seq`) or sees the clear
-//!   (or a later re-set, again after its filling insert). Hence at
-//!   every fast path's `seq` the replayed cache holds exactly k pages.
-//!   The fast path changes no `cap.used` count, so it commutes with
-//!   every op on other segments.
-//! * **Quarantine event** (malformed record under
-//!   [`FaultPolicy::QuarantineUser`]): mutex + *all* shard locks in
-//!   ascending order; set the flag, purge the culprit's pages from
-//!   every segment, draw `seq` under the full lock set. Quarantine
-//!   flags are only read under at least one shard lock, so a reader is
-//!   always strictly before or strictly after the whole event.
-//! * **Stateless drops** (malformed records under skip-and-count): no
-//!   shared state is touched, the record commutes with everything; a
-//!   bare atomic `seq` draw suffices.
-//!
-//! Each segment mutex, the capacity mutex and `seq` sit on cache lines
-//! of their own.
+//! [`ShardedPolicy`] keeps S policy instances. Page `p` lives in segment
+//! `shard(p) = p mod S` under the dense local id `p / S` ([`local_of`],
+//! inverse [`global_of`]). Each segment owns a segment-local
+//! [`Universe`] (owners of `p = s, s+S, …`) plus a [`CacheSet`] sized to
+//! it; a victim comes from the first non-empty segment from
+//! `shard(incoming)` upward. Commit records, stats and victims stay in
+//! global ids.
 //!
 //! # The policy purity contract
 //!
-//! Shard-local policy instances see segment-local `EngineCtx` views
-//! (the segment universe, the segment's cache in local ids, an all-zero
-//! stats table). The replay's inner instances see the same kind of view,
-//! but its cache is updated in callback order and its stats and clock
-//! come from the global replay engine. The two agree only for policies
-//! whose decisions are pure functions of their callback
-//! sequence — which holds for the intrusive-list policies this engine
-//! supports (LRU, FIFO, greedy-dual): they read `ctx.universe` (owner
-//! table, page count) and nothing else. Policies that scan `ctx.cache`
-//! (e.g. the self-cleaning `FifoReference`) or read `ctx.stats` /
-//! `ctx.time` (the convex-cost family) are **not** shard-safe and must
-//! not be handed to [`ConcurrentEngine`].
+//! Segment instances see segment-local `EngineCtx` views: the segment
+//! universe, the segment's cache in local ids, and an all-zero stats
+//! table. A policy whose decisions read only `ctx.universe` (LRU, FIFO,
+//! greedy-dual) behaves in each segment as it would on that segment
+//! alone. ALG-DISCRETE also reads only the universe, and at S = 1 its
+//! one instance is the global algorithm; at S > 1 each segment would keep
+//! its own `Y` and `m_u`, which is not the paper's algorithm. Policies
+//! that read `ctx.stats` (the cost-greedy family) see zeros in a segment
+//! and should not be handed to [`ConcurrentEngine`].
 
 use crate::cache::CacheSet;
 use crate::engine::EngineCtx;
@@ -114,7 +76,7 @@ use crate::stats::SimStats;
 use crate::stepper::{StepOutcome, SteppingEngine, DEFAULT_BATCH_SIZE};
 use crate::trace::{Request, Universe};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Mutex, MutexGuard};
 
 /// Which shard segment a page hashes to: dense page ids stripe round-robin.
@@ -249,7 +211,7 @@ impl CommitRecord {
     }
 }
 
-/// The merged, seq-sorted commit schedule of one concurrent run.
+/// The commit schedule of one concurrent run.
 ///
 /// Construction validates the defining invariant: sequence numbers are
 /// exactly `0..len` with no gap or duplicate — every consumed record
@@ -260,51 +222,6 @@ pub struct CommitSchedule {
 }
 
 impl CommitSchedule {
-    /// Merge per-thread commit logs (each in any order) into one
-    /// seq-ordered schedule.
-    ///
-    /// A worker's log is already seq-ascending, so the merge is linear:
-    /// the longest log's buffer grows once to the total (schedules run to
-    /// tens of MiB, so no log is copied into a fresh vector) and is filled
-    /// from the back, position `w` taking the log tail whose seq is `w`.
-    /// No such tail means a gap or a duplicate.
-    pub fn from_threads(
-        mut per_thread: Vec<Vec<CommitRecord>>,
-    ) -> Result<CommitSchedule, ReplayError> {
-        for log in &mut per_thread {
-            if !log.is_sorted_by_key(|e| e.seq) {
-                log.sort_unstable_by_key(|e| e.seq);
-            }
-        }
-        let longest = (0..per_thread.len()).max_by_key(|&t| per_thread[t].len());
-        let mut entries = longest
-            .map(|t| per_thread.swap_remove(t))
-            .unwrap_or_default();
-        let mut own = entries.len();
-        let total = own + per_thread.iter().map(Vec::len).sum::<usize>();
-        let Some(&filler) = entries.first() else {
-            return Ok(CommitSchedule { entries });
-        };
-        entries.resize(total, filler);
-        for w in (0..total).rev() {
-            let seq = w as u64;
-            if own > 0 && entries[own - 1].seq == seq {
-                own -= 1;
-                entries.swap(w, own);
-            } else if let Some(log) = per_thread
-                .iter_mut()
-                .find(|log| log.last().is_some_and(|e| e.seq == seq))
-            {
-                entries[w] = log.pop().expect("a log with a tail");
-            } else {
-                return Err(ReplayError::Schedule(format!(
-                    "schedule is not contiguous: no commit holds seq {seq} of {total}"
-                )));
-            }
-        }
-        Ok(CommitSchedule { entries })
-    }
-
     /// Rebuild a schedule from serialized entry lines (any order).
     pub fn from_lines<'a, I: IntoIterator<Item = &'a str>>(
         lines: I,
@@ -423,17 +340,14 @@ impl SegmentView {
     }
 }
 
-/// Mirror of the concurrent engine's shard routing for the
-/// single-threaded replay: S inner policy instances, each behind the
-/// same segment-local view (universe, local-id cache) its concurrent
-/// twin has, driven through the stock [`SteppingEngine`].
+/// The shared cache's policy: S inner policy instances, each behind a
+/// segment-local view (universe, local-id cache), driven through the
+/// stock [`SteppingEngine`] by the concurrent run and its replay alike.
 ///
-/// Callbacks translate global ids to segment-local ones exactly as the
-/// concurrent engine does, and `choose_victim` re-runs its victim-shard
-/// scan — first non-empty segment from `shard(incoming)` upward — so
-/// every inner policy sees exactly the callback sequence its concurrent
-/// twin saw. The views are built from the first callback's universe and
-/// capacity.
+/// Callbacks translate global ids to segment-local ones, and
+/// `choose_victim` takes the victim from the first non-empty segment
+/// from `shard(incoming)` upward. The views are built from the first
+/// callback's universe and capacity.
 pub struct ShardedPolicy<P> {
     inners: Vec<P>,
     views: Vec<SegmentView>,
@@ -514,71 +428,12 @@ impl<P: ReplacementPolicy> ReplacementPolicy for ShardedPolicy<P> {
     }
 }
 
-/// One shard segment: its segment-local view and its policy instance.
-struct Segment<P> {
-    view: SegmentView,
-    policy: P,
-}
-
-/// The sharded capacity counter: per-segment used counts plus the global
-/// free count. Capacity-changing ops (inserts, purges) and cross-segment
-/// evictions are serialized under the owning mutex.
-struct CapacityState {
-    free: usize,
-    used: Vec<usize>,
-}
-
-/// Aligns `T` to a 128-byte block of its own (two 64-byte lines, which
-/// also covers adjacent-line prefetch), so a hot lock or counter never
-/// shares a cache line with another.
-#[repr(align(128))]
-struct CachePadded<T>(T);
-
-impl<T> std::ops::Deref for CachePadded<T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-/// Where a run's commits went on the locking ladder. Counted per thread
-/// and summed after the workers join.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ContentionCounters {
-    /// Commits that took the capacity mutex: inserts, evictions that
-    /// missed the one-lock path (victim in another segment, or the
-    /// `full` latch not yet seen), quarantine events, and revalidated
-    /// misses.
-    pub slow_path: u64,
-    /// Misses that became a hit or a quarantine drop after relocking
-    /// under the capacity mutex (a racing thread got there first).
-    pub revalidated: u64,
-    /// Evictions whose victim lived in another segment.
-    pub cross_segment_evictions: u64,
-}
-
-impl ContentionCounters {
-    /// Add `other`'s counts into `self`.
-    pub fn merge(&mut self, other: &ContentionCounters) {
-        self.slow_path += other.slow_path;
-        self.revalidated += other.revalidated;
-        self.cross_segment_evictions += other.cross_segment_evictions;
-    }
-}
-
-/// Per-thread accumulation: counters and the thread's slice of the
-/// commit schedule. Merged after the workers join.
+/// One worker's tallies of its own commits. The merged counters come
+/// from the shared engine; the lanes must sum to them.
 #[derive(Clone, Debug, Default)]
-pub struct ThreadLane {
-    /// Per-user hit/miss/eviction counters observed by this thread.
-    pub stats: SimStats,
-    /// Faults absorbed by this thread.
-    pub counters: FaultCounters,
-    /// Lock-path counters of this thread's commits.
-    pub contention: ContentionCounters,
-    /// Commit records in this thread's local order (seq ascending).
-    pub schedule: Vec<CommitRecord>,
+struct ThreadLane {
+    stats: SimStats,
+    counters: FaultCounters,
 }
 
 impl ThreadLane {
@@ -590,21 +445,19 @@ impl ThreadLane {
     }
 }
 
-/// The merged result of a concurrent run.
+/// The result of a concurrent run.
 #[derive(Clone, Debug)]
 pub struct SharedOutcome {
-    /// Per-user counters summed across threads.
+    /// The shared engine's per-user counters.
     pub stats: SimStats,
-    /// Fault counters merged across threads.
+    /// The shared handler's fault counters.
     pub counters: FaultCounters,
-    /// Lock-path counters summed across threads.
-    pub contention: ContentionCounters,
     /// Quarantined users, ascending.
     pub quarantined: Vec<UserId>,
-    /// The merged, validated commit schedule.
+    /// The commit schedule, in commit order.
     pub schedule: CommitSchedule,
-    /// Per-thread `(stats, counters)` before merging, for exactness
-    /// assertions (the merged counters must *sum* to these).
+    /// Per-thread `(stats, counters)`, for exactness assertions (they
+    /// must *sum* to the merged counters).
     pub per_thread: Vec<(SimStats, FaultCounters)>,
 }
 
@@ -619,505 +472,40 @@ pub struct ReplayOutcome {
     pub quarantined: Vec<UserId>,
 }
 
-/// M writers, one cache: the concurrent shared-cache engine.
-pub struct ConcurrentEngine<P> {
-    universe: Universe,
-    capacity: usize,
-    degrade: FaultPolicy,
-    shards: Vec<CachePadded<Mutex<Segment<P>>>>,
-    cap: CachePadded<Mutex<CapacityState>>,
-    seq: CachePadded<AtomicU64>,
-    /// Latched while the cache is full (`cap.free == 0`). Only written
-    /// under the capacity mutex; see "Locking protocol" in the module
-    /// docs for why reading it under one segment lock is enough.
-    full: AtomicBool,
-    quarantined: Vec<AtomicBool>,
-    stop: AtomicBool,
+/// Everything behind the engine's one lock.
+struct Shared<P> {
+    engine: SteppingEngine<ShardedPolicy<P>>,
+    handler: FaultHandler,
+    /// Commit records in `seq` order; entry `i` holds seq `i`.
+    log: Vec<CommitRecord>,
+    /// Set by a fail-fast fault; every later hold ends at once.
+    stopped: bool,
+    /// Where each hold's commits go when a replay runs beside the run.
+    feed: Option<Sender<Vec<CommitRecord>>>,
+    /// How much of `log` the feed has been handed.
+    fed: usize,
 }
 
-impl<P: ReplacementPolicy> ConcurrentEngine<P> {
-    /// Build an engine of capacity `capacity` with one policy instance
-    /// per shard segment (`policies.len()` = S). Panics on zero capacity
-    /// or an empty shard list, like the sequential engines.
-    pub fn new(
-        capacity: usize,
-        universe: Universe,
-        degrade: FaultPolicy,
-        policies: Vec<P>,
-    ) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        assert!(!policies.is_empty(), "need at least one shard");
-        let table_shards = policies.len();
-        let shards = policies
-            .into_iter()
-            .enumerate()
-            .map(|(s, policy)| {
-                CachePadded(Mutex::new(Segment {
-                    view: SegmentView::new(&universe, capacity, s, table_shards),
-                    policy,
-                }))
-            })
-            .collect();
-        let quarantined = (0..universe.num_users())
-            .map(|_| AtomicBool::new(false))
-            .collect();
-        ConcurrentEngine {
-            universe,
-            capacity,
-            degrade,
-            shards,
-            cap: CachePadded(Mutex::new(CapacityState {
-                free: capacity,
-                used: vec![0; table_shards],
-            })),
-            seq: CachePadded(AtomicU64::new(0)),
-            full: AtomicBool::new(false),
-            quarantined,
-            stop: AtomicBool::new(false),
-        }
-    }
-
-    /// The page/user universe.
-    pub fn universe(&self) -> &Universe {
-        &self.universe
-    }
-
-    /// Cache capacity `k`.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of shard segments S.
-    pub fn table_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The degradation policy in force.
-    pub fn degrade(&self) -> FaultPolicy {
-        self.degrade
-    }
-
-    /// Records committed so far.
-    pub fn committed(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
-    }
-
-    /// Whether a fail-fast fault has stopped the run.
-    pub fn stopped(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
-    }
-
-    /// Quarantined users, ascending.
-    pub fn quarantined_users(&self) -> Vec<UserId> {
-        self.quarantined
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| q.load(Ordering::Relaxed))
-            .map(|(i, _)| UserId(i as u32))
-            .collect()
-    }
-
-    /// Draw the next commit position. Callers hold every lock covering
-    /// the state their op touches.
-    fn draw_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn lock_segment(&self, s: usize) -> MutexGuard<'_, Segment<P>> {
-        self.shards[s]
-            .lock()
-            .expect("a worker panicked while holding a segment lock")
-    }
-
-    fn lock_capacity(&self) -> MutexGuard<'_, CapacityState> {
-        self.cap
-            .lock()
-            .expect("a worker panicked while holding the capacity mutex")
-    }
-
-    /// Serve one untrusted record on behalf of `thread`, appending its
-    /// commit record to `lane`. Classifies with the sequential engine's
-    /// rules ([`Universe::malformed`], then the quarantine flag under the
-    /// segment lock) and mirrors [`SteppingEngine::step_checked`]'s
-    /// effects exactly; the only error is a fail-fast fault, which also
-    /// raises the engine-wide stop flag.
-    pub fn serve_record(
-        &self,
-        thread: u32,
-        req: Request,
-        lane: &mut ThreadLane,
-    ) -> Result<CommitOutcome, SimError> {
-        if let Some(kind) = self.universe.malformed(req) {
-            return self.absorb_malformed(thread, req, kind, lane);
-        }
-        let n = self.shards.len();
-        let s = shard_of(req.page, n);
-        let local = local_of(req.page, n);
-        // Fast path: one segment lock. The quarantine flag read is
-        // ordered against quarantine events because those hold every
-        // segment lock.
-        {
-            let mut guard = self.lock_segment(s);
-            let seg = &mut *guard;
-            if self.quarantined[req.user.index()].load(Ordering::Relaxed) {
-                return Ok(self.commit_quarantined_drop(s, thread, req, lane));
-            }
-            if seg.view.cache.contains(local) {
-                return Ok(self.commit_hit(seg, s, local, thread, req, lane));
-            }
-            // Steady-state eviction: the cache is full and this segment
-            // holds a page, so the replay's victim scan (which starts at
-            // this segment) picks a victim here too, and occupancy does
-            // not change — no capacity mutex needed.
-            if self.full.load(Ordering::Acquire) && !seg.view.cache.is_empty() {
-                let seq = self.draw_seq();
-                let evicted = Self::evict_and_insert(seg, s, None, local, req.page, seq, n);
-                return Ok(self.commit_evict(seq, thread, s, req, evicted, lane));
-            }
-        }
-        // Slow path: an insert, or an eviction whose victim may live in
-        // another segment. Release the segment lock first (holding it
-        // while waiting on the mutex would deadlock against a mutex
-        // holder evicting from this segment), then re-validate
-        // everything after relocking.
-        lane.contention.slow_path += 1;
-        let mut cap = self.lock_capacity();
-        let mut guard = self.lock_segment(s);
-        let seg = &mut *guard;
-        if self.quarantined[req.user.index()].load(Ordering::Relaxed) {
-            lane.contention.revalidated += 1;
-            return Ok(self.commit_quarantined_drop(s, thread, req, lane));
-        }
-        if seg.view.cache.contains(local) {
-            lane.contention.revalidated += 1;
-            return Ok(self.commit_hit(seg, s, local, thread, req, lane));
-        }
-        if cap.free > 0 {
-            cap.free -= 1;
-            cap.used[s] += 1;
-            let seq = self.draw_seq();
-            if cap.free == 0 {
-                // Set after the draw: a fast path that sees the latch
-                // draws a later seq, so the replay is full there too.
-                self.full.store(true, Ordering::Release);
-            }
-            seg.view.cache.insert(local);
-            seg.policy.on_insert(&seg.view.ctx(seq), local);
-            lane.stats.record_miss(req.user);
-            let outcome = CommitOutcome::Insert;
-            lane.schedule
-                .push(self.record(seq, thread, s, req, outcome));
-            return Ok(outcome);
-        }
-        // Eviction: scan the sharded counter from this segment upward
-        // for the first non-empty one; its policy names the victim.
-        let v = (0..n)
-            .map(|i| (s + i) % n)
-            .find(|&i| cap.used[i] > 0)
-            .expect("cache is full but no shard holds a page");
-        // seq must be drawn only once every covering lock is held; for a
-        // cross-shard eviction that includes the victim shard's lock, or a
-        // concurrent hit there could commit with a later seq yet mutate the
-        // shard's policy state first, making the schedule non-serializable
-        // in seq order.
-        let (seq, evicted) = if v == s {
-            let seq = self.draw_seq();
-            (
-                seq,
-                Self::evict_and_insert(seg, s, None, local, req.page, seq, n),
-            )
-        } else {
-            // Only the capacity-mutex holder ever takes a second shard
-            // lock, so this nested acquisition cannot deadlock.
-            let mut victim_guard = self.lock_segment(v);
-            let seq = self.draw_seq();
-            lane.contention.cross_segment_evictions += 1;
-            (
-                seq,
-                Self::evict_and_insert(&mut victim_guard, v, Some(seg), local, req.page, seq, n),
-            )
-        };
-        cap.used[v] -= 1;
-        cap.used[s] += 1;
-        Ok(self.commit_evict(seq, thread, s, req, evicted, lane))
-    }
-
-    /// Evict from `victim_seg` (segment `v`) and insert the incoming
-    /// page, local id `local`, into `home` (`None` when the victim lives
-    /// in the incoming page's own segment). Mirrors the sequential serve
-    /// order: `choose_victim`, physical remove + insert, then
-    /// `on_evicted`, then `on_insert`. Returns the victim's global id and
-    /// owner.
-    fn evict_and_insert(
-        victim_seg: &mut Segment<P>,
-        v: usize,
-        home: Option<&mut Segment<P>>,
-        local: PageId,
-        incoming: PageId,
-        seq: u64,
-        table_shards: usize,
-    ) -> (PageId, UserId) {
-        let chosen = victim_seg
-            .policy
-            .choose_victim(&victim_seg.view.ctx(seq), local);
-        assert!(
-            victim_seg.view.cache.contains(chosen),
-            "policy chose a victim that is not cached in its shard"
-        );
-        let victim = global_of(chosen, v, table_shards);
-        // Compared in global ids: across segments, `local` names nothing
-        // in the victim's segment.
-        assert!(victim != incoming, "policy evicted the incoming page");
-        let owner = victim_seg.view.universe.owner(chosen);
-        victim_seg.view.cache.remove(chosen);
-        match home {
-            None => {
-                victim_seg.view.cache.insert(local);
-                let ctx = victim_seg.view.ctx(seq);
-                victim_seg.policy.on_evicted(&ctx, chosen);
-                victim_seg.policy.on_insert(&ctx, local);
-            }
-            Some(home) => {
-                home.view.cache.insert(local);
-                victim_seg
-                    .policy
-                    .on_evicted(&victim_seg.view.ctx(seq), chosen);
-                home.policy.on_insert(&home.view.ctx(seq), local);
-            }
-        }
-        (victim, owner)
-    }
-
-    /// Record an eviction; `(victim, owner)` as returned by
-    /// [`evict_and_insert`](Self::evict_and_insert).
-    fn commit_evict(
-        &self,
-        seq: u64,
-        thread: u32,
-        s: usize,
-        req: Request,
-        (victim, owner): (PageId, UserId),
-        lane: &mut ThreadLane,
-    ) -> CommitOutcome {
-        lane.stats.record_eviction(owner);
-        lane.stats.record_miss(req.user);
-        let outcome = CommitOutcome::Evict { victim };
-        lane.schedule
-            .push(self.record(seq, thread, s, req, outcome));
-        outcome
-    }
-
-    fn commit_hit(
-        &self,
-        seg: &mut Segment<P>,
-        s: usize,
-        local: PageId,
-        thread: u32,
-        req: Request,
-        lane: &mut ThreadLane,
-    ) -> CommitOutcome {
-        let seq = self.draw_seq();
-        lane.stats.record_hit(req.user);
-        seg.policy.on_hit(&seg.view.ctx(seq), local);
-        let outcome = CommitOutcome::Hit;
-        lane.schedule
-            .push(self.record(seq, thread, s, req, outcome));
-        outcome
-    }
-
-    /// Drop a well-formed record from a quarantined user. Caller must
-    /// hold the page's shard lock (which orders the flag read against
-    /// quarantine events).
-    fn commit_quarantined_drop(
-        &self,
-        s: usize,
-        thread: u32,
-        req: Request,
-        lane: &mut ThreadLane,
-    ) -> CommitOutcome {
-        let seq = self.draw_seq();
-        lane.counters.count(FaultKind::QuarantinedUser);
-        let outcome = CommitOutcome::Drop {
-            kind: FaultKind::QuarantinedUser,
-        };
-        lane.schedule
-            .push(self.record(seq, thread, s, req, outcome));
-        outcome
-    }
-
-    /// Absorb a malformed record (page out of range / owner mismatch)
-    /// under the engine's degradation policy, mirroring
-    /// `step_checked`'s policy table and quarantining
-    /// [`Universe::culprit`].
-    fn absorb_malformed(
-        &self,
-        thread: u32,
-        req: Request,
-        kind: FaultKind,
-        lane: &mut ThreadLane,
-    ) -> Result<CommitOutcome, SimError> {
-        let s = shard_of(req.page, self.shards.len());
-        match self.degrade {
-            FaultPolicy::FailFast => {
-                self.stop.store(true, Ordering::Relaxed);
-                let fault = RequestFault {
-                    // No commit position is drawn for a fail-fast abort;
-                    // the committed count is the best timestamp there is.
-                    time: self.committed(),
-                    kind,
-                    page: req.page,
-                    user: req.user,
-                };
-                Err(fault.into())
-            }
-            FaultPolicy::SkipAndCount => {
-                // Stateless: only this thread's counters move, so the
-                // record commutes with every other op and a bare
-                // sequence draw is a valid commit position.
-                lane.counters.count(kind);
-                let seq = self.draw_seq();
-                let outcome = CommitOutcome::Drop { kind };
-                lane.schedule
-                    .push(self.record(seq, thread, s, req, outcome));
-                Ok(outcome)
-            }
-            FaultPolicy::QuarantineUser => {
-                lane.counters.count(kind);
-                let Some(culprit) = self.universe.culprit(req) else {
-                    // Out-of-range page from a nonexistent user: nobody
-                    // to quarantine, stateless like skip-and-count.
-                    let seq = self.draw_seq();
-                    let outcome = CommitOutcome::Drop { kind };
-                    lane.schedule
-                        .push(self.record(seq, thread, s, req, outcome));
-                    return Ok(outcome);
-                };
-                // Quarantine event: the one op that touches every
-                // segment. Mutex first, then all shard locks ascending;
-                // flag writes are ordered against every reader because
-                // readers hold at least one shard lock.
-                lane.contention.slow_path += 1;
-                let mut cap = self.lock_capacity();
-                let mut guards: Vec<MutexGuard<'_, Segment<P>>> = (0..self.shards.len())
-                    .map(|i| self.lock_segment(i))
-                    .collect();
-                let seq = self.draw_seq();
-                if !self.quarantined[culprit.index()].load(Ordering::Relaxed) {
-                    self.quarantined[culprit.index()].store(true, Ordering::Relaxed);
-                    lane.counters.quarantined_users += 1;
-                    for (i, guard) in guards.iter_mut().enumerate() {
-                        let removed = Self::purge_user(guard, culprit, seq);
-                        cap.used[i] -= removed;
-                        cap.free += removed;
-                    }
-                    if cap.free > 0 {
-                        // Under every segment lock: no fast path can be
-                        // between its latch read and its seq draw.
-                        self.full.store(false, Ordering::Release);
-                    }
-                }
-                let outcome = CommitOutcome::Drop { kind };
-                lane.schedule
-                    .push(self.record(seq, thread, s, req, outcome));
-                Ok(outcome)
+impl<P: ReplacementPolicy> Shared<P> {
+    /// Hand the commits since the last hand-over to the replay feed, if
+    /// one is attached. Holds hand over under the lock, so the replay
+    /// receives them in commit order.
+    fn hand_over(&mut self) {
+        if let Some(feed) = &self.feed {
+            if self.fed < self.log.len() {
+                // A closed feed means the replay has already diverged,
+                // and its verdict is the one that counts.
+                let _ = feed.send(self.log[self.fed..].to_vec());
+                self.fed = self.log.len();
             }
         }
     }
 
-    /// Remove every cached page owned by `user` from one segment
-    /// (uncharged, like [`SteppingEngine::remove_user_externally`]).
-    fn purge_user(seg: &mut Segment<P>, user: UserId, seq: u64) -> usize {
-        let doomed: Vec<PageId> = seg
-            .view
-            .cache
-            .iter()
-            .filter(|&l| seg.view.universe.owner(l) == user)
-            .collect();
-        for &l in &doomed {
-            seg.view.cache.remove(l);
-            seg.policy.on_external_removal(&seg.view.ctx(seq), l);
-        }
-        doomed.len()
-    }
-
-    fn record(
-        &self,
-        seq: u64,
-        thread: u32,
-        shard: usize,
-        req: Request,
-        outcome: CommitOutcome,
-    ) -> CommitRecord {
-        CommitRecord {
-            seq,
-            thread,
-            shard: shard as u32,
-            page: req.page,
-            user: req.user,
-            outcome,
-        }
-    }
-
-    /// Drive one worker to stream exhaustion (or engine stop), feeding
-    /// outcomes to `recorder` with the same hook semantics the
-    /// sequential engines use. Borrowed page runs are served when the
-    /// source offers them, timed on one chained [`LapClock`] per run;
-    /// other sources are pulled one request at a time, each on a fresh
-    /// clock, so a chaos source's tallies and a fail-fast stop point stay
-    /// exact.
-    fn drive_worker<S: RequestSource, R: Recorder>(
-        &self,
-        thread: u32,
-        source: &mut S,
-        recorder: &mut R,
-    ) -> Result<ThreadLane, SimError> {
-        let mut lane = ThreadLane::new(self.universe.num_users());
-        // Sources in shared mode must be non-adaptive (an adaptive
-        // source cannot observe a sharded cache coherently), so the ctx
-        // handed to them views an empty one-slot probe cache.
-        let probe_cache = CacheSet::new(1, self.universe.num_pages());
-        let probe_stats = SimStats::new(self.universe.num_users());
-        let probe = |time| EngineCtx {
-            time,
-            cache: &probe_cache,
-            stats: &probe_stats,
-            universe: &self.universe,
-        };
-        let mut local_t: Time = 0;
-        while !self.stopped() {
-            if let Some(run) = source
-                .next_page_run(DEFAULT_BATCH_SIZE)
-                .filter(|r| !r.is_empty())
-            {
-                // Zero-copy sources validate each run, so every id is in
-                // range and its owner is the record's user.
-                let mut lap = LapClock::default();
-                for &page in run {
-                    if self.stopped() {
-                        break;
-                    }
-                    let req = Request {
-                        page,
-                        user: self.universe.owner(page),
-                    };
-                    self.serve_observed(thread, req, &mut lane, recorder, &mut lap, &probe)?;
-                }
-                local_t += run.len() as Time;
-                continue;
-            }
-            let Some(req) = source.next_request(&probe(local_t)) else {
-                break;
-            };
-            local_t += 1;
-            let lap = &mut LapClock::default();
-            self.serve_observed(thread, req, &mut lane, recorder, lap, &probe)?;
-        }
-        Ok(lane)
-    }
-
-    /// [`serve_record`](Self::serve_record) plus the recorder hooks.
-    fn serve_observed<'a, R: Recorder>(
-        &self,
+    /// Serve one untrusted record for `thread` with `step_checked`, log
+    /// its commit, tally it into `lane`, and fire `recorder`'s hooks. The
+    /// only error is a fail-fast fault, which also stops the run.
+    fn commit<'a, R: Recorder>(
+        &mut self,
         thread: u32,
         req: Request,
         lane: &mut ThreadLane,
@@ -1125,9 +513,50 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
         lap: &mut LapClock,
         probe: &impl Fn(Time) -> EngineCtx<'a>,
     ) -> Result<(), SimError> {
-        lap.start::<R>();
-        let outcome = self.serve_record(thread, req, lane)?;
-        let seq = lane.schedule.last().map(|r| r.seq).unwrap_or(0);
+        let seq = self.engine.time();
+        let quarantined = self.handler.counters().quarantined_users;
+        let stepped = self.engine.step_checked(req, &mut self.handler);
+        let outcome = match stepped {
+            Ok(Some(StepOutcome::Hit)) => {
+                lane.stats.record_hit(req.user);
+                CommitOutcome::Hit
+            }
+            Ok(Some(StepOutcome::Inserted)) => {
+                lane.stats.record_miss(req.user);
+                CommitOutcome::Insert
+            }
+            Ok(Some(StepOutcome::Evicted(victim))) => {
+                lane.stats
+                    .record_eviction(self.engine.ctx().universe.owner(victim));
+                lane.stats.record_miss(req.user);
+                CommitOutcome::Evict { victim }
+            }
+            Ok(None) => {
+                // Quarantine is never lifted, so the record classifies
+                // after its step as it did before.
+                let kind = self
+                    .handler
+                    .classify(self.engine.ctx().universe, req)
+                    .expect("step_checked dropped a record it classified as clean");
+                lane.counters.count(kind);
+                lane.counters.quarantined_users +=
+                    self.handler.counters().quarantined_users - quarantined;
+                CommitOutcome::Drop { kind }
+            }
+            Err(e) => {
+                self.stopped = true;
+                return Err(e);
+            }
+        };
+        let universe = self.engine.ctx().universe;
+        self.log.push(CommitRecord {
+            seq,
+            thread,
+            shard: shard_of(req.page, self.engine.policy().table_shards()) as u32,
+            page: req.page,
+            user: req.user,
+            outcome,
+        });
         if R::ACTIVE {
             let ctx = probe(seq);
             match outcome {
@@ -1139,7 +568,7 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
                     req.page,
                     req.user,
                     victim,
-                    self.universe.owner(victim),
+                    universe.owner(victim),
                 ),
                 CommitOutcome::Drop { kind } => recorder.record_fault(&RequestFault {
                     time: seq,
@@ -1154,10 +583,132 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
     }
 }
 
-/// Run `sources[t]` on thread `t` against `engine`, merge everything,
-/// and validate the commit schedule. `sources` and `recorders` are
-/// borrowed so callers keep them afterwards (chaos sources report their
-/// injected-fault tallies; recorders get merged by the caller).
+/// M writers, one cache: the shared-cache engine (see the module docs).
+pub struct ConcurrentEngine<P> {
+    universe: Universe,
+    shared: Mutex<Shared<P>>,
+}
+
+impl<P: ReplacementPolicy> ConcurrentEngine<P> {
+    /// Build an engine of capacity `capacity` with one policy instance
+    /// per shard segment (`policies.len()` = S). Panics on zero capacity
+    /// or an empty shard list, like the sequential engines.
+    pub fn new(
+        capacity: usize,
+        universe: Universe,
+        degrade: FaultPolicy,
+        policies: Vec<P>,
+    ) -> Self {
+        assert!(capacity > 0, "cache capacity must be positive");
+        let engine = SteppingEngine::new(capacity, universe.clone(), ShardedPolicy::new(policies));
+        ConcurrentEngine {
+            shared: Mutex::new(Shared {
+                engine,
+                handler: FaultHandler::new(degrade, universe.num_users()),
+                log: Vec::new(),
+                stopped: false,
+                feed: None,
+                fed: 0,
+            }),
+            universe,
+        }
+    }
+
+    /// The page/user universe.
+    pub fn universe(&self) -> &Universe {
+        &self.universe
+    }
+
+    /// Records committed so far.
+    pub fn committed(&self) -> u64 {
+        self.lock().engine.time()
+    }
+
+    /// Whether a fail-fast fault has stopped the run.
+    pub fn stopped(&self) -> bool {
+        self.lock().stopped
+    }
+
+    /// Quarantined users, ascending.
+    pub fn quarantined_users(&self) -> Vec<UserId> {
+        self.lock().handler.quarantined_users()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Shared<P>> {
+        self.shared
+            .lock()
+            .expect("a worker panicked while holding the cache lock")
+    }
+
+    /// Drive one worker to stream exhaustion (or engine stop), one hold
+    /// per borrowed page run or per [`DEFAULT_BATCH_SIZE`] pulled
+    /// requests. Each hold is timed on one [`LapClock`] started before
+    /// the lock is taken, so every commit gets one latency sample and the
+    /// hold's first sample includes the wait for the lock.
+    fn drive_worker<S: RequestSource, R: Recorder>(
+        &self,
+        thread: u32,
+        source: &mut S,
+        recorder: &mut R,
+    ) -> Result<ThreadLane, SimError> {
+        let mut lane = ThreadLane::new(self.universe.num_users());
+        // Sources in shared mode must be non-adaptive (a thread's stream
+        // must not depend on the interleaving), so the ctx handed to
+        // them views an empty one-slot probe cache on the thread's own
+        // clock. Recorder hooks get the same view at the commit's seq.
+        let probe_cache = CacheSet::new(1, self.universe.num_pages());
+        let probe_stats = SimStats::new(self.universe.num_users());
+        let probe = |time| EngineCtx {
+            time,
+            cache: &probe_cache,
+            stats: &probe_stats,
+            universe: &self.universe,
+        };
+        let mut local_t: Time = 0;
+        loop {
+            let mut lap = LapClock::default();
+            lap.start::<R>();
+            let mut guard = self.lock();
+            let shared = &mut *guard;
+            if shared.stopped {
+                return Ok(lane);
+            }
+            let exhausted = 'hold: {
+                if let Some(run) = source
+                    .next_page_run(DEFAULT_BATCH_SIZE)
+                    .filter(|r| !r.is_empty())
+                {
+                    // Zero-copy sources validate each run, so every id is
+                    // in range and its owner is the record's user.
+                    for &page in run {
+                        let req = self.universe.request(page);
+                        shared.commit(thread, req, &mut lane, recorder, &mut lap, &probe)?;
+                    }
+                    local_t += run.len() as Time;
+                    break 'hold false;
+                }
+                for _ in 0..DEFAULT_BATCH_SIZE {
+                    let Some(req) = source.next_request(&probe(local_t)) else {
+                        break 'hold true;
+                    };
+                    local_t += 1;
+                    shared.commit(thread, req, &mut lane, recorder, &mut lap, &probe)?;
+                }
+                false
+            };
+            shared.hand_over();
+            if exhausted {
+                return Ok(lane);
+            }
+        }
+    }
+}
+
+/// Run `sources[t]` on thread `t` against `engine` and collect the
+/// commit schedule. `sources` and `recorders` are borrowed so callers
+/// keep them afterwards (chaos sources report their injected-fault
+/// tallies; recorders get merged by the caller). An engine serves one
+/// run.
 ///
 /// Fail-fast runs return the first thread's fault (in thread order) and
 /// no outcome; all other policies always complete.
@@ -1165,6 +716,73 @@ pub fn run_shared<P, S, R>(
     engine: &ConcurrentEngine<P>,
     sources: &mut [S],
     recorders: &mut [R],
+) -> Result<SharedOutcome, SimError>
+where
+    P: ReplacementPolicy + Send,
+    S: RequestSource + Send,
+    R: Recorder + Send,
+{
+    run_workers(engine, sources, recorders, None)
+}
+
+/// [`run_shared`] with the replay gate running beside it.
+///
+/// The one lock keeps all but one worker waiting, so a core is free: a
+/// replay thread re-executes each hold's commits (handed over under the
+/// lock, so in commit order) while the workers go on, and only the
+/// replay's tail is left after the last commit. `policies` must be
+/// built like the engine's own, as for [`replay_schedule`]. The outer
+/// error is the run's fail-fast fault; the inner result is the gate's
+/// verdict — the replay's aggregate state once every entry and
+/// [`verify_replay`] agreed, or the first divergence.
+#[allow(clippy::type_complexity)]
+pub fn run_shared_replayed<P, S, R>(
+    engine: &ConcurrentEngine<P>,
+    sources: &mut [S],
+    recorders: &mut [R],
+    policies: Vec<P>,
+) -> Result<(SharedOutcome, Result<ReplayOutcome, ReplayError>), SimError>
+where
+    P: ReplacementPolicy + Send,
+    S: RequestSource + Send,
+    R: Recorder + Send,
+{
+    let mut replayer = {
+        let shared = engine.lock();
+        Replayer::new(
+            shared.engine.cache().capacity(),
+            engine.universe.clone(),
+            policies,
+            shared.handler.policy(),
+        )
+    };
+    let (feed, holds) = mpsc::channel::<Vec<CommitRecord>>();
+    std::thread::scope(|scope| {
+        let replay = scope.spawn(move || {
+            for hold in holds {
+                for entry in &hold {
+                    replayer.check(entry)?;
+                }
+            }
+            Ok(replayer.finish())
+        });
+        let outcome = run_workers(engine, sources, recorders, Some(feed))?;
+        let replayed = replay
+            .join()
+            .expect("replay thread panicked")
+            .and_then(|r| verify_replay(&outcome, &r).map(|()| r));
+        Ok((outcome, replayed))
+    })
+}
+
+/// The workers behind [`run_shared`] and [`run_shared_replayed`]:
+/// `feed`, when given, receives every hold's commits and is closed once
+/// the workers are done.
+fn run_workers<P, S, R>(
+    engine: &ConcurrentEngine<P>,
+    sources: &mut [S],
+    recorders: &mut [R],
+    feed: Option<Sender<Vec<CommitRecord>>>,
 ) -> Result<SharedOutcome, SimError>
 where
     P: ReplacementPolicy + Send,
@@ -1183,6 +801,8 @@ where
             "all shared-mode sources must range over the engine's universe"
         );
     }
+    assert_eq!(engine.committed(), 0, "a ConcurrentEngine serves one run");
+    engine.lock().feed = feed;
     let lanes: Vec<Result<ThreadLane, SimError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = sources
             .iter_mut()
@@ -1197,30 +817,19 @@ where
             .map(|h| h.join().expect("shared-cache worker panicked"))
             .collect()
     });
-    let mut per_thread = Vec::with_capacity(lanes.len());
-    let mut schedules = Vec::with_capacity(lanes.len());
-    let mut stats = SimStats::new(engine.universe().num_users());
-    let mut counters = FaultCounters::default();
-    let mut contention = ContentionCounters::default();
-    for lane in lanes {
-        let lane = lane?;
-        merge_stats(&mut stats, &lane.stats);
-        counters.merge(&lane.counters);
-        contention.merge(&lane.contention);
-        per_thread.push((lane.stats, lane.counters));
-        schedules.push(lane.schedule);
-    }
-    // Contiguity is guaranteed by construction: every consumed record
-    // draws exactly one sequence number and commits it before its locks
-    // drop, so a gap here is an engine bug, not an input condition.
-    let schedule =
-        CommitSchedule::from_threads(schedules).expect("commit schedule must be contiguous");
+    let mut shared = engine.lock();
+    shared.feed = None;
+    let per_thread = lanes
+        .into_iter()
+        .map(|lane| lane.map(|l| (l.stats, l.counters)))
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(SharedOutcome {
-        stats,
-        counters,
-        contention,
-        quarantined: engine.quarantined_users(),
-        schedule,
+        stats: shared.engine.stats().clone(),
+        counters: shared.handler.counters().clone(),
+        quarantined: shared.handler.quarantined_users(),
+        schedule: CommitSchedule {
+            entries: std::mem::take(&mut shared.log),
+        },
         per_thread,
     })
 }
@@ -1255,43 +864,74 @@ pub fn replay_schedule<P: ReplacementPolicy>(
     degrade: FaultPolicy,
     schedule: &CommitSchedule,
 ) -> Result<ReplayOutcome, ReplayError> {
-    let num_users = universe.num_users();
-    let mut engine = SteppingEngine::new(capacity, universe, ShardedPolicy::new(policies));
-    let mut handler = FaultHandler::new(degrade, num_users);
+    let mut replayer = Replayer::new(capacity, universe, policies, degrade);
     for entry in schedule.entries() {
+        replayer.check(entry)?;
+    }
+    Ok(replayer.finish())
+}
+
+/// The single-threaded replay, one schedule entry at a time: the stock
+/// [`SteppingEngine`] + [`ShardedPolicy`] and a fresh [`FaultHandler`].
+struct Replayer<P> {
+    engine: SteppingEngine<ShardedPolicy<P>>,
+    handler: FaultHandler,
+}
+
+impl<P: ReplacementPolicy> Replayer<P> {
+    fn new(capacity: usize, universe: Universe, policies: Vec<P>, degrade: FaultPolicy) -> Self {
+        let handler = FaultHandler::new(degrade, universe.num_users());
+        Replayer {
+            engine: SteppingEngine::new(capacity, universe, ShardedPolicy::new(policies)),
+            handler,
+        }
+    }
+
+    /// Replay the next entry: its step must reproduce the recorded
+    /// outcome.
+    fn check(&mut self, entry: &CommitRecord) -> Result<(), ReplayError> {
+        let seq = self.engine.time();
+        debug_assert_eq!(entry.seq, seq, "schedules are contiguous by construction");
         let req = Request {
             page: entry.page,
             user: entry.user,
         };
-        // Classify before stepping: step_checked reports drops as a bare
-        // `Ok(None)`.
-        let predicted = handler.classify(engine.ctx().universe, req);
-        let stepped = engine
-            .step_checked(req, &mut handler)
-            .map_err(ReplayError::Fault)?;
-        let replayed = match stepped {
+        let replayed = match self
+            .engine
+            .step_checked(req, &mut self.handler)
+            .map_err(ReplayError::Fault)?
+        {
             Some(StepOutcome::Hit) => CommitOutcome::Hit,
             Some(StepOutcome::Inserted) => CommitOutcome::Insert,
             Some(StepOutcome::Evicted(victim)) => CommitOutcome::Evict { victim },
+            // Quarantine is never lifted, so a dropped record classifies
+            // after its step as it did before.
             None => CommitOutcome::Drop {
-                kind: predicted.expect("step_checked dropped a record it classified as clean"),
+                kind: self
+                    .handler
+                    .classify(self.engine.ctx().universe, req)
+                    .expect("step_checked dropped a record it classified as clean"),
             },
         };
         if replayed != entry.outcome {
             return Err(ReplayError::Divergence {
-                seq: entry.seq,
+                seq,
                 detail: format!(
                     "thread {} shard {} {} {}: concurrent committed {:?}, replay produced {:?}",
                     entry.thread, entry.shard, entry.page, entry.user, entry.outcome, replayed
                 ),
             });
         }
+        Ok(())
     }
-    Ok(ReplayOutcome {
-        stats: engine.stats().clone(),
-        counters: handler.counters().clone(),
-        quarantined: handler.quarantined_users(),
-    })
+
+    fn finish(self) -> ReplayOutcome {
+        ReplayOutcome {
+            stats: self.engine.stats().clone(),
+            counters: self.handler.counters().clone(),
+            quarantined: self.handler.quarantined_users(),
+        }
+    }
 }
 
 /// The replay gate: per-user miss vectors (and all other counters),
@@ -1549,46 +1189,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn steady_state_evictions_skip_the_capacity_mutex() {
-        let universe = small_universe();
-        let k = 5;
-        let engine = ConcurrentEngine::new(
-            k,
-            universe.clone(),
-            FaultPolicy::SkipAndCount,
-            vec![VecLru::new()],
-        );
-        // Cycle over all 24 pages: k inserts fill the cache, then every
-        // request misses and evicts without a purge.
-        let reqs = (0..240).map(|i| universe.request(PageId(i % 24))).collect();
-        let trace = Trace::new(universe.clone(), reqs);
-        let shared = run_shared(
-            &engine,
-            &mut [TraceSource::new(&trace)],
-            &mut [NoopRecorder],
-        )
-        .unwrap();
-        assert_eq!(shared.stats.total_evictions(), 240 - k as u64);
-        assert_eq!(
-            shared.contention,
-            ContentionCounters {
-                slow_path: k as u64,
-                revalidated: 0,
-                cross_segment_evictions: 0,
-            }
-        );
-        let replay = replay_schedule(
-            k,
-            universe,
-            vec![VecLru::new()],
-            FaultPolicy::SkipAndCount,
-            &shared.schedule,
-        )
-        .unwrap();
-        verify_replay(&shared, &replay).unwrap();
-    }
-
     /// A fixed page-id list that hands out borrowed runs of at most
     /// `run` pages, like the zero-copy binary readers.
     struct PageRunSource {
@@ -1707,78 +1307,15 @@ mod tests {
 
     #[test]
     fn non_contiguous_schedule_rejected() {
-        let mk = |seq| CommitRecord {
-            seq,
-            thread: 0,
-            shard: 0,
-            page: PageId(0),
-            user: UserId(0),
-            outcome: CommitOutcome::Hit,
+        let parse = |seqs: &[u64]| {
+            let lines: Vec<String> = seqs.iter().map(|s| format!("{s} 0 0 0 0 hit")).collect();
+            CommitSchedule::from_lines(lines.iter().map(String::as_str))
         };
-        assert!(CommitSchedule::from_threads(vec![vec![mk(0), mk(2)]]).is_err());
-        assert!(CommitSchedule::from_threads(vec![vec![mk(0)], vec![mk(0)]]).is_err());
-        assert!(CommitSchedule::from_threads(vec![vec![mk(1), mk(0)]]).is_ok());
-    }
-
-    #[test]
-    fn linear_merge_equals_a_sort() {
-        let mk = |seq, thread| CommitRecord {
-            seq,
-            thread,
-            shard: 0,
-            page: PageId(seq as u32 * 3),
-            user: UserId(thread),
-            outcome: CommitOutcome::Hit,
-        };
-        let mut x = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = |n: u64| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % n
-        };
-        for case in 0..200 {
-            let threads = 1 + next(4) as usize;
-            let len = next(300);
-            let mut logs = vec![Vec::new(); threads];
-            for seq in 0..len {
-                let t = next(threads as u64) as usize;
-                logs[t].push(mk(seq, t as u32));
-            }
-            // Every fifth case hands one log over out of order.
-            if case % 5 == 0 && logs[0].len() > 1 {
-                logs[0].reverse();
-            }
-            let mut sorted: Vec<CommitRecord> = logs.concat();
-            sorted.sort_unstable_by_key(|e| e.seq);
-            let sched = CommitSchedule::from_threads(logs.clone()).unwrap();
-            assert_eq!(sched.entries(), &sorted[..], "case {case}");
-
-            if len < 2 {
-                continue;
-            }
-            // A gap (one commit dropped) and a duplicate (one commit
-            // repeated, in its own or another thread's log).
-            let (t, i) = loop {
-                let t = next(threads as u64) as usize;
-                if !logs[t].is_empty() {
-                    break (t, next(logs[t].len() as u64) as usize);
-                }
-            };
-            let twin = logs[t][i];
-            let mut gap = logs.clone();
-            gap[t].remove(i);
-            // Dropping the last commit leaves `0..len - 1`: no gap.
-            let merged = CommitSchedule::from_threads(gap);
-            assert_eq!(merged.is_ok(), twin.seq == len - 1, "case {case}: gap");
-            let mut dup = logs.clone();
-            let u = next(threads as u64) as usize;
-            dup[u].push(twin);
-            assert!(
-                CommitSchedule::from_threads(dup).is_err(),
-                "case {case}: duplicate"
-            );
-        }
+        assert!(parse(&[0, 2]).is_err(), "a gap");
+        assert!(parse(&[0, 0]).is_err(), "a duplicate");
+        let unordered = parse(&[1, 0]).expect("unordered but contiguous");
+        let seqs: Vec<u64> = unordered.entries().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [0, 1]);
     }
 
     #[test]
@@ -1829,14 +1366,120 @@ mod tests {
     }
 
     #[test]
-    fn fail_fast_stops_and_reports() {
+    fn replay_beside_the_run_equals_the_replay_after_it() {
         let universe = small_universe();
+        let policies = || (0..3).map(|_| VecLru::new()).collect::<Vec<_>>();
+        let engine =
+            ConcurrentEngine::new(3, universe.clone(), FaultPolicy::QuarantineUser, policies());
+        // Three interleaved streams; the last ends with an owner
+        // mismatch, so the replay also has a quarantine purge to match.
+        let mut sources: Vec<RawSource> = interleaved_traces(&universe, 5_000, 3)
+            .into_iter()
+            .map(|t| RawSource {
+                universe: universe.clone(),
+                reqs: t.requests().to_vec(),
+                pos: 0,
+            })
+            .collect();
+        sources[2].reqs.push(Request {
+            page: PageId(20),
+            user: UserId(0),
+        });
+        let mut recorders = vec![NoopRecorder; 3];
+        let (shared, beside) =
+            run_shared_replayed(&engine, &mut sources, &mut recorders, policies()).unwrap();
+        let beside = beside.expect("the replay beside the run agrees");
+        assert_eq!(shared.schedule.len(), 15_001);
+        assert_eq!(shared.quarantined, vec![UserId(2)]);
+        let after = replay_schedule(
+            3,
+            universe,
+            policies(),
+            FaultPolicy::QuarantineUser,
+            &shared.schedule,
+        )
+        .unwrap();
+        assert_eq!(beside.stats, after.stats);
+        assert_eq!(beside.counters, after.counters);
+        assert_eq!(beside.quarantined, after.quarantined);
+    }
+
+    /// LRU that, in every instance but the first built, evicts its
+    /// most recent page instead: a replay built from these disagrees
+    /// with the run at the first eviction.
+    struct Fickle {
+        lru: VecLru,
+        flipped: bool,
+    }
+
+    impl ReplacementPolicy for Fickle {
+        fn name(&self) -> String {
+            "fickle".into()
+        }
+        fn on_hit(&mut self, ctx: &EngineCtx, page: PageId) {
+            self.lru.on_hit(ctx, page);
+        }
+        fn on_insert(&mut self, ctx: &EngineCtx, page: PageId) {
+            self.lru.on_insert(ctx, page);
+        }
+        fn choose_victim(&mut self, ctx: &EngineCtx, incoming: PageId) -> PageId {
+            if self.flipped {
+                self.lru.order.pop().expect("cache is full")
+            } else {
+                self.lru.choose_victim(ctx, incoming)
+            }
+        }
+        fn on_external_removal(&mut self, ctx: &EngineCtx, page: PageId) {
+            self.lru.on_external_removal(ctx, page);
+        }
+    }
+
+    #[test]
+    fn replay_beside_the_run_reports_the_first_divergence() {
+        let universe = small_universe();
+        let fickle = |flipped| Fickle {
+            lru: VecLru::new(),
+            flipped,
+        };
         let engine = ConcurrentEngine::new(
             4,
             universe.clone(),
-            FaultPolicy::FailFast,
-            vec![VecLru::new()],
+            FaultPolicy::SkipAndCount,
+            vec![fickle(false)],
         );
+        let traces = interleaved_traces(&universe, 300, 2);
+        let mut sources: Vec<TraceSource> = traces.iter().map(TraceSource::new).collect();
+        let (shared, verdict) = run_shared_replayed(
+            &engine,
+            &mut sources,
+            &mut [NoopRecorder, NoopRecorder],
+            vec![fickle(true)],
+        )
+        .unwrap();
+        let first_eviction = shared
+            .schedule
+            .entries()
+            .iter()
+            .find(|e| matches!(e.outcome, CommitOutcome::Evict { .. }))
+            .expect("k = 4 over 24 pages evicts")
+            .seq;
+        match verdict {
+            Err(ReplayError::Divergence { seq, .. }) => assert_eq!(seq, first_eviction),
+            other => panic!("expected a divergence, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fail_fast_stops_and_reports() {
+        let universe = small_universe();
+        let engine = || {
+            ConcurrentEngine::new(
+                4,
+                universe.clone(),
+                FaultPolicy::FailFast,
+                vec![VecLru::new()],
+            )
+        };
         let reqs = vec![
             universe.request(PageId(0)),
             Request {
@@ -1845,15 +1488,28 @@ mod tests {
             },
             universe.request(PageId(1)),
         ];
-        let mut sources = vec![RawSource {
-            universe: universe.clone(),
-            reqs,
-            pos: 0,
-        }];
-        let mut recorders = vec![NoopRecorder];
-        let err = run_shared(&engine, &mut sources, &mut recorders).unwrap_err();
+        let sources = || {
+            vec![RawSource {
+                universe: universe.clone(),
+                reqs: reqs.clone(),
+                pos: 0,
+            }]
+        };
+        let alone = engine();
+        let err = run_shared(&alone, &mut sources(), &mut [NoopRecorder]).unwrap_err();
         assert!(err.to_string().contains("page"), "unexpected error: {err}");
-        assert!(engine.stopped());
+        assert!(alone.stopped());
+        // With the replay beside it, the run's fault still wins.
+        let beside = engine();
+        let err = run_shared_replayed(
+            &beside,
+            &mut sources(),
+            &mut [NoopRecorder],
+            vec![VecLru::new()],
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("page"), "unexpected error: {err}");
+        assert_eq!(beside.committed(), 1);
     }
 
     #[test]

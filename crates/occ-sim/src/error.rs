@@ -5,8 +5,8 @@
 //! out-of-range page ids, owner tables that disagree with the stream, and
 //! non-finite cost evaluations. The plain engine treats all of these as
 //! programmer error and panics; the *checked* engines
-//! ([`SteppingEngine::step_checked`], and the concurrent engine's
-//! [`ConcurrentEngine::serve_record`]) classify them into the
+//! ([`SteppingEngine::step_checked`], which the concurrent engine's
+//! workers also serve every record with) classify them into the
 //! [`SimError`] hierarchy instead — all with the one classifier,
 //! [`Universe::malformed`] plus the quarantine set — and apply a
 //! configurable [`FaultPolicy`]:
@@ -22,7 +22,6 @@
 //! returned `SimError` itself.
 //!
 //! [`SteppingEngine::step_checked`]: crate::stepper::SteppingEngine::step_checked
-//! [`ConcurrentEngine::serve_record`]: crate::concurrent::ConcurrentEngine::serve_record
 
 use crate::ids::{PageId, Time, UserId};
 use crate::snapshot::EngineSnapshot;

@@ -76,9 +76,9 @@ pub use binio2::{
 pub use cache::CacheSet;
 pub use checksum::{crc32, Crc32};
 pub use concurrent::{
-    global_of, local_of, merge_stats, replay_schedule, run_shared, shard_of, verify_replay,
-    CommitOutcome, CommitRecord, CommitSchedule, ConcurrentEngine, ContentionCounters, ReplayError,
-    ReplayOutcome, ShardedPolicy, SharedOutcome, ThreadLane,
+    global_of, local_of, merge_stats, replay_schedule, run_shared, run_shared_replayed, shard_of,
+    verify_replay, CommitOutcome, CommitRecord, CommitSchedule, ConcurrentEngine, ReplayError,
+    ReplayOutcome, ShardedPolicy, SharedOutcome,
 };
 pub use engine::{EngineCtx, SimOptions, SimResult, Simulator};
 pub use error::{
@@ -103,8 +103,9 @@ pub use trace::{Request, Trace, TraceBuilder, TraceRecord, Universe};
 pub mod prelude {
     pub use crate::cache::CacheSet;
     pub use crate::concurrent::{
-        replay_schedule, run_shared, verify_replay, CommitOutcome, CommitRecord, CommitSchedule,
-        ConcurrentEngine, ReplayError, ReplayOutcome, ShardedPolicy, SharedOutcome,
+        replay_schedule, run_shared, run_shared_replayed, verify_replay, CommitOutcome,
+        CommitRecord, CommitSchedule, ConcurrentEngine, ReplayError, ReplayOutcome, ShardedPolicy,
+        SharedOutcome,
     };
     pub use crate::engine::{EngineCtx, SimOptions, SimResult, Simulator};
     pub use crate::error::{

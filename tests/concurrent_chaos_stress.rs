@@ -4,13 +4,14 @@
 //! Three contracts:
 //! * the run's merged fault counters equal the exact sum of the
 //!   per-thread counters (no fault lost or double-counted across the
-//!   lock-striped engine's thread lanes);
+//!   engine's thread lanes);
 //! * under the quarantine-user policy, the single-threaded replay of
 //!   the commit schedule quarantines **the same users** and reproduces
 //!   every per-user vector;
 //! * the same holds at soak length under skip-and-count;
-//! * the one-lock steady-state eviction path agrees with the replay
-//!   while quarantine purges keep clearing the engine's `full` latch.
+//! * tiny caches agree with the replay while quarantine purges keep
+//!   freeing room mid-run (written against the lock-striped engine's
+//!   `full` latch, which is gone; kept as a quarantine-churn stress).
 
 use occ_baselines::Lru;
 use occ_sim::concurrent::{

@@ -2,7 +2,7 @@
 //!
 //! Worker threads issue random op batches — probes (repeat requests
 //! that may hit), inserts (first touches with free space), and evicts
-//! (first touches against a full cache) — against the lock-striped
+//! (first touches against a full cache) — against the shared-cache
 //! concurrent engine. The engine records a total commit order (the
 //! `seq`-ordered commit schedule). The test then checks that this
 //! order is a **legal sequential history** of the k-capacity page set
@@ -13,7 +13,7 @@
 //! hits find the page linked in its home segment, inserts link a new
 //! page while below capacity, evictions unlink the recorded victim at
 //! exactly full capacity — and the final model occupancy must match
-//! the engine's accounting. If the striped engine ever tore an update
+//! the engine's accounting. If the engine ever tore an update
 //! (a page in two segments, a lost unlink, a capacity over-grant),
 //! some commit in the recorded order would be inconsistent with every
 //! sequential execution, and this check fails.

@@ -6,12 +6,17 @@
 //! exactly: per-user hit/miss/eviction vectors, every drop's fault kind,
 //! fault counters, and the quarantine set. Plus the deterministic edge-case sweep: k=1, S=1,
 //! more threads than shards, one user owning every page, and empty
-//! request streams.
+//! request streams; and ALG-DISCRETE at S = 1, where its one instance
+//! is the paper's global algorithm.
 
 use occ_baselines::{Fifo, GreedyDual, Lru};
+use occ_core::ConvexCaching;
 use occ_sim::concurrent::{replay_schedule, run_shared, verify_replay, ConcurrentEngine};
 use occ_sim::probe::NoopRecorder;
-use occ_sim::{FaultPolicy, ReplacementPolicy, SharedOutcome, Trace, TraceSource, Universe};
+use occ_sim::{
+    FaultPolicy, ReplacementPolicy, SharedOutcome, SteppingEngine, Trace, TraceSource, Universe,
+};
+use occ_workloads::presets::all_scenarios;
 use occ_workloads::{ChaosSource, FaultPlan};
 use proptest::prelude::*;
 
@@ -203,4 +208,47 @@ fn edge_case_empty_streams_commit_nothing() {
     assert!(outcome.schedule.is_empty());
     assert_eq!(outcome.stats.total_misses(), 0);
     assert_eq!(replayed.stats.total_misses(), 0);
+}
+
+/// ALG-DISCRETE reads only `ctx.universe`, so behind a one-segment
+/// `ShardedPolicy` it is the global algorithm: one worker commits what
+/// the plain engine does, and two workers pass the replay gate.
+#[test]
+fn convex_at_one_segment_is_the_global_algorithm() {
+    let scenario = all_scenarios()
+        .into_iter()
+        .find(|s| s.name == "sqlvm-like")
+        .expect("sqlvm-like scenario");
+    let k = scenario.suggested_k;
+    let traces: Vec<Trace> = (0..2).map(|t| scenario.trace(20_000, 9 + t)).collect();
+    let universe = traces[0].universe().clone();
+    let convex =
+        || -> Vec<SharedPolicy> { vec![Box::new(ConvexCaching::new(scenario.costs.clone()))] };
+    let degrade = FaultPolicy::SkipAndCount;
+
+    let engine = ConcurrentEngine::new(k, universe.clone(), degrade, convex());
+    let one = run_shared(
+        &engine,
+        &mut [TraceSource::new(&traces[0])],
+        &mut [NoopRecorder],
+    )
+    .expect("clean run");
+    let mut plain = SteppingEngine::new(
+        k,
+        universe.clone(),
+        ConvexCaching::new(scenario.costs.clone()),
+    );
+    plain.run_batched(traces[0].requests(), 1_000);
+    assert!(plain.stats().total_evictions() > 0, "the trace must evict");
+    assert_eq!(one.stats.miss_vector(), plain.stats().miss_vector());
+    assert_eq!(&one.stats, plain.stats());
+
+    let engine = ConcurrentEngine::new(k, universe.clone(), degrade, convex());
+    let mut sources: Vec<TraceSource> = traces.iter().map(TraceSource::new).collect();
+    let two =
+        run_shared(&engine, &mut sources, &mut [NoopRecorder, NoopRecorder]).expect("clean run");
+    assert_eq!(two.schedule.len(), 40_000);
+    let replayed = replay_schedule(k, universe, convex(), degrade, &two.schedule)
+        .expect("schedule must replay");
+    verify_replay(&two, &replayed).expect("replay must be identical");
 }
