@@ -62,13 +62,17 @@
 //!   rep; the row's rate is the batched kernel's, with the paired scalar
 //!   rate beside it;
 //! * `recorded` — the recorder layer in isolation: batched replay of
-//!   the 4-tenant trace at `k = 1024` with the fleet's
-//!   `(MetricsRecorder, WindowedRecorder<false>)` pair attached (timed,
-//!   so every request is stamped), for lru and alg-discrete. Stats are
-//!   asserted identical to the untimed batched replay before any rep,
-//!   the reps of the two run interleaved in one window, and the row
-//!   carries the recorded/untimed ratio. `--recorded` runs just this
-//!   block and leaves the baseline file untouched;
+//!   the 4-tenant trace at `k = 1024` with what `occ fleet --window`
+//!   attaches, for lru and alg-discrete: `recorded` rows carry the
+//!   `--timing on` pair `(MetricsRecorder, WindowedRecorder<false>)`
+//!   (timed, so every request is stamped, one sample per request
+//!   asserted), `recorded-untimed` rows the default
+//!   `WindowedRecorder<false>` alone with the whole-run tally folded
+//!   from its series. Stats are asserted identical to the untimed
+//!   batched replay before any rep, the reps of all three run
+//!   interleaved in one window, and each row carries its
+//!   recorded/untimed ratio. `--recorded` prints just this block and
+//!   leaves the baseline file untouched;
 //! * `ingest` — pure trace-ingestion throughput (decode + validation +
 //!   running CRC, no cache attached) over the three binary access
 //!   strategies: zero-copy `mmap` of occbin01, `buffered` chunked reads
@@ -925,49 +929,71 @@ fn tenant_scale_block(
     rows
 }
 
-/// One recorder-layer cell: untimed batched replay and batched replay
-/// with the fleet's recorder pair, stats asserted identical before any
-/// rep, then best-of-`reps` of each with the reps interleaved. Returns
-/// (untimed req/s, recorded req/s, misses).
+/// One recorder-layer cell: untimed batched replay, batched replay with
+/// the timed fleet's recorder pair, and batched replay with the untimed
+/// fleet's windows alone (its whole-run tally folded from the series,
+/// as `occ fleet` does). Stats are asserted identical before any rep,
+/// then best-of-`reps` of each with the reps interleaved. Returns req/s
+/// of (untimed batched, timed pair, untimed windows) and the misses.
 fn measure_recorded<P: ReplacementPolicy>(
     make: impl Fn() -> P,
     wl: &Workload,
     k: usize,
     reps: usize,
-) -> (f64, f64, u64) {
+) -> (f64, f64, f64, u64) {
     let requests = wl.trace.requests();
+    let windows = || WindowedRecorder::<false>::new(RECORDED_WINDOW).with_ring_capacity(usize::MAX);
     let untimed = || {
         let mut engine = SteppingEngine::new(k, wl.trace.universe().clone(), make());
         engine.run_batched(requests, DEFAULT_BATCH_SIZE);
         engine.stats().clone()
     };
     let recorded = || {
-        let windows =
-            WindowedRecorder::<false>::new(RECORDED_WINDOW).with_ring_capacity(usize::MAX);
         let mut engine = SteppingEngine::new(k, wl.trace.universe().clone(), make())
-            .with_recorder((MetricsRecorder::new(), windows));
+            .with_recorder((MetricsRecorder::new(), windows()));
         engine.run_batched(requests, DEFAULT_BATCH_SIZE);
         let samples = engine.recorder().0.latency_ns().count();
         assert_eq!(samples, requests.len() as u64, "one sample per request");
         engine.stats().clone()
     };
+    let recorded_untimed = || {
+        let mut engine =
+            SteppingEngine::new(k, wl.trace.universe().clone(), make()).with_recorder(windows());
+        engine.run_batched(requests, DEFAULT_BATCH_SIZE);
+        let end = engine.time();
+        let stats = engine.stats().clone();
+        let mut windows = engine.into_recorder();
+        windows.finalize(end);
+        let tally = MetricsRecorder::from_total(windows.into_series().total());
+        assert_eq!(tally.total().requests(), requests.len() as u64);
+        assert_eq!(tally.total().misses_by_user, stats.miss_vector());
+        stats
+    };
     let stats = untimed();
     assert_eq!(recorded(), stats, "recorded replay diverged from untimed");
-    let (mut best_u, mut best_r) = (f64::INFINITY, f64::INFINITY);
+    assert_eq!(
+        recorded_untimed(),
+        stats,
+        "untimed recorded replay diverged"
+    );
+    let mut best = [f64::INFINITY; 3];
+    let timed = |run: &dyn Fn() -> SimStats| {
+        let start = Instant::now();
+        std::hint::black_box(run());
+        start.elapsed().as_secs_f64()
+    };
     for _ in 0..reps {
-        let start = Instant::now();
-        std::hint::black_box(untimed());
-        best_u = best_u.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        std::hint::black_box(recorded());
-        best_r = best_r.min(start.elapsed().as_secs_f64());
+        best[0] = best[0].min(timed(&untimed));
+        best[1] = best[1].min(timed(&recorded));
+        best[2] = best[2].min(timed(&recorded_untimed));
     }
     let n = requests.len() as f64;
-    (n / best_u, n / best_r, stats.total_misses())
+    (n / best[0], n / best[1], n / best[2], stats.total_misses())
 }
 
-/// The `recorded` rows: what the fleet's recorder pair costs on top of
-/// the batched kernel, per policy in [`RECORDED_POLICIES`].
+/// The `recorded` rows: what the fleet's recorders cost on top of the
+/// batched kernel, per policy in [`RECORDED_POLICIES`], timed (mode
+/// `recorded`) and untimed (mode `recorded-untimed`).
 fn recorded_block(reps: usize) -> Vec<String> {
     let wl = workloads(RECORDED_K)
         .into_iter()
@@ -975,34 +1001,40 @@ fn recorded_block(reps: usize) -> Vec<String> {
         .expect("the 4-tenant workload");
     let mut rows = Vec::new();
     for label in RECORDED_POLICIES {
-        let (untimed, recorded, misses) = match label {
+        let (untimed, recorded, recorded_untimed, misses) = match label {
             "lru" => measure_recorded(Lru::new, &wl, RECORDED_K, reps),
             _ => {
                 let costs = CostProfile::uniform(wl.num_users, Monomial::power(2.0));
                 measure_recorded(|| ConvexCaching::new(costs.clone()), &wl, RECORDED_K, reps)
             }
         };
-        let ratio = recorded / untimed;
-        println!(
-            "{:>16}  k={RECORDED_K:<5} {:<20} {recorded:>12.0} req/s   (untimed batched {untimed:.0}, \
-             recorded/untimed {ratio:.3}, paired best-of-{reps})   misses {misses} (= untimed)",
-            format!("{label}/recorded"),
-            wl.name,
-        );
-        let mut row = String::new();
-        write!(
-            row,
-            "    {{\"policy\": \"{label}\", \"workload\": \"{}\", \"k\": {RECORDED_K}, \
-             \"universe_pages\": {}, \"trace_len\": {}, \"mode\": \"recorded\", \
-             \"batch_size\": {DEFAULT_BATCH_SIZE}, \"window\": {RECORDED_WINDOW}, \
-             \"requests_per_sec\": {recorded:.0}, \"untimed_requests_per_sec\": {untimed:.0}, \
-             \"recorded_over_untimed\": {ratio:.3}, \"misses\": {misses}}}",
-            wl.name,
-            4 * RECORDED_K,
-            wl.trace.len(),
-        )
-        .unwrap();
-        rows.push(row);
+        for (mode, rate) in [
+            ("recorded", recorded),
+            ("recorded-untimed", recorded_untimed),
+        ] {
+            let ratio = rate / untimed;
+            println!(
+                "{:>24}  k={RECORDED_K:<5} {:<20} {rate:>12.0} req/s   (untimed batched \
+                 {untimed:.0}, recorded/untimed {ratio:.3}, paired best-of-{reps})   \
+                 misses {misses} (= untimed)",
+                format!("{label}/{mode}"),
+                wl.name,
+            );
+            let mut row = String::new();
+            write!(
+                row,
+                "    {{\"policy\": \"{label}\", \"workload\": \"{}\", \"k\": {RECORDED_K}, \
+                 \"universe_pages\": {}, \"trace_len\": {}, \"mode\": \"{mode}\", \
+                 \"batch_size\": {DEFAULT_BATCH_SIZE}, \"window\": {RECORDED_WINDOW}, \
+                 \"requests_per_sec\": {rate:.0}, \"untimed_requests_per_sec\": {untimed:.0}, \
+                 \"recorded_over_untimed\": {ratio:.3}, \"misses\": {misses}}}",
+                wl.name,
+                4 * RECORDED_K,
+                wl.trace.len(),
+            )
+            .unwrap();
+            rows.push(row);
+        }
     }
     rows
 }

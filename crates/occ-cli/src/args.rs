@@ -125,6 +125,17 @@ impl Args {
         Ok(())
     }
 
+    /// Reject the first flag (in name order) that `accepted` does not
+    /// list, naming it and the command line (`what`) it was given to.
+    pub fn check_flags(&self, what: &str, accepted: &[&str]) -> Result<(), String> {
+        match self.flags.keys().find(|f| !accepted.contains(&f.as_str())) {
+            None => Ok(()),
+            Some(flag) => Err(format!(
+                "`{what}` does not take --{flag} (see `occ --help`)"
+            )),
+        }
+    }
+
     /// Reject `--k 0` and `--max-k 0`: no engine can run a cache with
     /// no slot. Values that do not parse are left to the typed getters.
     pub fn check_cache_sizes(&self) -> Result<(), String> {
@@ -208,6 +219,18 @@ mod tests {
         assert!(check(&["mrc", "--max-k", "0"]).is_err());
         assert!(check(&["run", "--k", "1"]).is_ok());
         assert!(check(&["run"]).is_ok());
+    }
+
+    #[test]
+    fn flags_outside_the_accepted_set_are_named() {
+        let a = parse(&["fleet", "--len", "5", "--timng", "on"]).unwrap();
+        assert_eq!(
+            a.check_flags("occ fleet", &["len", "timing"]),
+            Err("`occ fleet` does not take --timng (see `occ --help`)".to_string())
+        );
+        assert_eq!(a.check_flags("occ fleet", &["len", "timng"]), Ok(()));
+        let bare = parse(&["scenarios"]).unwrap();
+        assert_eq!(bare.check_flags("occ scenarios", &[]), Ok(()));
     }
 
     #[test]

@@ -63,10 +63,10 @@ USAGE:
                back to keys. --tenants N hashes tenant keys into N
                users (default: dense first-seen tenant ids).
   occ run      --policy NAME --k K (--trace FILE --scenario NAME | --scenario NAME [--len N] [--seed S])
-  occ compare  --scenario NAME --k K [--len N] [--seed S]
-  occ mrc      --scenario NAME [--len N] [--seed S] [--max-k K]
+  occ compare  --scenario NAME --k K [--len N] [--seed S] [--trace FILE]
+  occ mrc      --scenario NAME [--len N] [--seed S] [--max-k K] [--trace FILE]
   occ observe  --scenario NAME [--policy NAME] [--k K] [--len N] [--seed S]
-               [--every N] [--out FILE] [--events FILE]
+               [--trace FILE] [--every N] [--out FILE] [--events FILE]
                [--checkpoint FILE] [--checkpoint-every N]
                [--chaos-page-rate P] [--chaos-owner-rate P]
                [--chaos-truncate N] [--chaos-seed S] [--degrade POLICY]
@@ -77,15 +77,20 @@ USAGE:
                snapshot every N requests (default 10000) and always at
                the end of the run (N = 0: only at the end). The --chaos-*
                flags inject seeded record corruption; --degrade picks the
-               reaction: fail-fast (default), skip, quarantine.
-  occ resume   --from FILE --scenario NAME [--policy NAME] [--len N] [--seed S]
-               [same --chaos-*/--degrade/--checkpoint/--out flags as observe]
+               reaction: fail-fast (default), skip, quarantine. --trace
+               reads a whole trace file instead of generating one (as in
+               run, compare and mrc).
+  occ resume   --from FILE --scenario NAME [--policy NAME] [--k K] [--len N]
+               [--seed S] [--trace FILE] [--every N] [--out FILE]
+               [--events FILE] [--checkpoint FILE] [--checkpoint-every N]
+               [--chaos-page-rate P] [--chaos-owner-rate P]
+               [--chaos-truncate N] [--chaos-seed S] [--degrade POLICY]
                continue a checkpointed observe run over the same trace;
                the continuation is byte-identical to an uninterrupted run.
   occ soak     --scenario NAME [--len N] [--seed S] [--policy NAME] [--k K]
                [--window W] [--series FILE] [--timing on|off]
                [--checkpoint FILE] [--checkpoint-every N] [--from FILE]
-               [--heartbeat on|off] [--trace FILE]
+               [--heartbeat on|off] [--trace FILE [--csv-flavor F]]
                stream N requests (default 10M) in O(1) memory, closing a
                telemetry window every W requests (default 1M) and
                appending each closed window to the JSONL series file.
@@ -96,7 +101,7 @@ USAGE:
                memory mapping where the platform allows, buffered
                otherwise), occbin02, or a real-trace CSV (msr/twitter
                shapes, tenants hashed into the scenario's user count;
-               [--csv-flavor auto|msr|twitter]); --from resumes a killed
+               --csv-flavor auto|msr|twitter); --from resumes a killed
                soak from its checkpoint, continuing the series
                byte-identically (checkpoints land on window boundaries;
                pass the same --scenario and --seed — the checkpoint
@@ -114,7 +119,7 @@ USAGE:
                with per-window Δ miss-ratio markers
   occ fleet    --scenario NAME [--shards F] [--len N] [--seed S]
                [--policy NAME] [--k K] [--batch B] [--window W]
-               [--trace FILE [--csv-flavor F]]
+               [--trace FILE [--csv-flavor F]] [--timing on|off]
                [--format table|json] [--out FILE]
                [--max-restarts N] [--backoff-ms MS]
                [--checkpoint-dir DIR] [--from-dir DIR] [--series-out FILE]
@@ -128,12 +133,19 @@ USAGE:
                serve batches zero-copy from a shared memory mapping
                (unsupervised runs only). --window W
                additionally collects tumbling-window series per shard
-               and merges them in shard order. Offline policies
-               (belady*) are rejected: the fleet never materializes a
-               trace.
+               and merges them in shard order (an untimed shard counts
+               each event once, into its window). --timing on (default
+               off) times every request: one clock read per request,
+               and the report's merged recorder gains a latency_ns
+               histogram; the counters are identical either way, and an
+               untimed report is byte-reproducible bar its wall-clock
+               fields. Offline policies (belady*) are rejected: the
+               fleet never materializes a trace.
                Supervision (implied by any of --max-restarts,
                --backoff-ms, --checkpoint-dir, --from-dir, --series-out
-               and the --chaos-* flags; requires --window): shards run
+               and the --chaos-* flags; requires --window; rejects
+               --timing on, as supervised runs keep no merged
+               recorder): shards run
                under panic isolation, checkpoint on window boundaries,
                and are restarted from their last checkpoint with seeded
                exponential backoff (--backoff-ms 0 = no sleeping); a
@@ -150,7 +162,7 @@ USAGE:
                (both seeded, deterministic, counts accept k/M/B).
   occ concurrent --scenario NAME [--threads M] [--table-shards S] [--len N]
                [--seed S] [--k K] [--policy lru|fifo|greedy-dual|convex]
-               [--trace FILE [--csv-flavor F]]
+               [--trace FILE [--csv-flavor F]] [--timing on|off]
                [--verify on|off] [--format table|json] [--out FILE]
                [--schedule-out FILE]
                [--chaos-page-rate P] [--chaos-owner-rate P]
@@ -173,7 +185,9 @@ USAGE:
                greedy-dual; convex, the paper's ALG-DISCRETE, at
                --table-shards 1 only). --schedule-out writes the
                commit schedule (CRC-sealed, self-describing header) for
-               offline replay. The --chaos-*/--degrade flags match
+               offline replay. --timing on (default off) times every
+               commit, adding a latency_ns histogram to the report's
+               merged recorder. The --chaos-*/--degrade flags match
                observe; chaos without --degrade fails fast.
   occ concurrent --replay FILE [--format table|json] [--out FILE]
                re-execute a --schedule-out file single-threaded and emit
@@ -192,6 +206,9 @@ USAGE:
                fixture); a FAIL verdict exits with code 6 after shrinking
                a minimal counterexample.
 
+Each command takes exactly the flags its synopsis above lists; any
+other flag is a usage error, reported before any work starts.
+
 EXIT CODES:
   0 ok · 1 error · 2 usage · 3 i/o · 4 unparseable file · 5 simulation fault
   6 conformance FAIL (a checked bound was violated)
@@ -201,6 +218,43 @@ POLICIES:
   convex (the paper's algorithm), lru, fifo, lfu, marking, lru2, random,
   greedy-dual, cost-greedy, belady (offline), belady-cost (offline)
 ";
+
+/// The flags `occ COMMAND [ACTION]` takes, read off [`USAGE`] so the
+/// help text and the parser cannot drift: every `--name` on the
+/// synopsis lines of the command's blocks (the `occ COMMAND` line and
+/// the lines under it that open with `[`, `(` or `--`, up to the first
+/// line of prose). `occ trace` has one block per action. `None` when
+/// USAGE has no such block, which leaves the error to the command.
+pub fn accepted_flags(command: &str, action: Option<&str>) -> Option<Vec<&'static str>> {
+    let mut flags = Vec::new();
+    let mut found = false;
+    let mut in_block = false;
+    for line in USAGE.lines() {
+        let text = line.trim_start();
+        if let Some(head) = line.strip_prefix("  occ ") {
+            let mut words = head.split_whitespace();
+            let name = words.next();
+            in_block = name == Some(command)
+                && (command != "trace" || action.is_some() && words.next() == action);
+        } else if !(line.starts_with("    ") && text.starts_with(['[', '(', '-'])) {
+            in_block = false;
+        }
+        if !in_block {
+            continue;
+        }
+        found = true;
+        for piece in text.split("--").skip(1) {
+            let end = piece
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .unwrap_or(piece.len());
+            let name = &piece[..end];
+            if !name.is_empty() && name != "help" && !flags.contains(&name) {
+                flags.push(name);
+            }
+        }
+    }
+    found.then_some(flags)
+}
 
 /// Classify a flag-parsing error as a usage error (exit 2).
 fn uarg<T>(r: Result<T, String>) -> Result<T, CliError> {
@@ -892,6 +946,14 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
             "supervised fleet runs checkpoint on window boundaries; pass --window W".into(),
         ));
     }
+    let timing = uarg(args.on_off("timing", false))?;
+    if supervised && timing {
+        return Err(CliError::Usage(
+            "--timing on needs an unsupervised fleet: a supervised run keeps no \
+             merged recorder, so its latency would be dropped"
+                .into(),
+        ));
+    }
     let trace_path = args.str_or("trace", "");
     if supervised && !trace_path.is_empty() {
         return Err(CliError::Usage(
@@ -987,6 +1049,7 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
     } else {
         let mut cfg = FleetConfig::new(k);
         cfg.batch_size = batch;
+        cfg.timing = timing;
         if window > 0 {
             cfg.window = Some(window);
         }
@@ -1230,6 +1293,7 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
         )));
     }
     let verify = uarg(args.on_off("verify", true))?;
+    let timing = uarg(args.on_off("timing", false))?;
 
     let chaos = chaos_plan(args)?;
     let chaos_active = !chaos.is_clean();
@@ -1239,6 +1303,7 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
     cfg.table_shards = table_shards;
     cfg.degrade = degrade;
     cfg.verify = verify;
+    cfg.timing = timing;
 
     let costs = &scenario.costs;
     // Same derivation as the plain fleet: decorrelated, reproducible.
@@ -2500,6 +2565,70 @@ mod tests {
     }
 
     #[test]
+    fn accepted_flags_come_from_the_usage_synopses() {
+        let sorted = |command: &str, action: Option<&str>| {
+            let mut flags = accepted_flags(command, action).expect("a USAGE block");
+            flags.sort_unstable();
+            flags.join(" ")
+        };
+        let cases = [
+            ("help", None, ""),
+            ("scenarios", None, ""),
+            ("generate", None, "format len out scenario seed"),
+            ("trace", Some("pack"), "in limit out"),
+            ("trace", Some("unpack"), "in limit out"),
+            (
+                "trace",
+                Some("import"),
+                "csv-flavor dict format in out tenants",
+            ),
+            ("run", None, "k len policy scenario seed trace"),
+            ("compare", None, "k len scenario seed trace"),
+            ("mrc", None, "len max-k scenario seed trace"),
+            (
+                "observe",
+                None,
+                "chaos-owner-rate chaos-page-rate chaos-seed chaos-truncate checkpoint \
+                 checkpoint-every degrade events every k len out policy scenario seed trace",
+            ),
+            (
+                "resume",
+                None,
+                "chaos-owner-rate chaos-page-rate chaos-seed chaos-truncate checkpoint \
+                 checkpoint-every degrade events every from k len out policy scenario seed trace",
+            ),
+            (
+                "soak",
+                None,
+                "checkpoint checkpoint-every csv-flavor from heartbeat k len policy \
+                 scenario seed series timing trace window",
+            ),
+            ("report", None, "format in series"),
+            (
+                "fleet",
+                None,
+                "backoff-ms batch chaos-shard-kill chaos-store-fail checkpoint-dir \
+                 csv-flavor format from-dir k len max-restarts out policy scenario seed \
+                 series-out shards timing trace window",
+            ),
+            (
+                "concurrent",
+                None,
+                "chaos-owner-rate chaos-page-rate chaos-seed chaos-truncate csv-flavor \
+                 degrade format k len out policy replay scenario schedule-out seed \
+                 table-shards threads timing trace verify",
+            ),
+            ("conformance", None, "format grid out seed shrink weaken"),
+        ];
+        for (command, action, want) in cases {
+            assert_eq!(sorted(command, action), want, "occ {command} {action:?}");
+        }
+        assert_eq!(accepted_flags("nope", None), None);
+        assert_eq!(accepted_flags("trace", None), None);
+        assert_eq!(accepted_flags("trace", Some("nope")), None);
+    }
+
+    #[test]
     fn scenarios_lists_without_error() {
         scenarios().unwrap();
     }
@@ -3521,6 +3650,19 @@ mod tests {
             let err = fleet(&base(&v)).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{bad:?}: {err}");
         }
+        // A supervised run keeps no merged recorder, so it cannot honour
+        // --timing on; --timing off is the default and stays accepted.
+        for supervise in [["--max-restarts", "3"], ["--backoff-ms", "0"]] {
+            let mut v = vec!["--window", "50", "--timing", "on"];
+            v.extend_from_slice(&supervise);
+            let err = fleet(&base(&v)).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{supervise:?}: {err}");
+            assert!(err.to_string().contains("--timing on"), "{err}");
+            v[3] = "off";
+            fleet(&base(&v)).unwrap();
+        }
+        let err = fleet(&base(&["--timing", "sometimes"])).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
     }
 
     #[test]

@@ -61,9 +61,18 @@ fn main() {
         eprintln!("{}", commands::USAGE);
         std::process::exit(2);
     }
-    // One set of limits for every command, checked before any work starts.
-    let checked = args
-        .check_json_range()
+    // One set of limits for every command, checked before any work
+    // starts: each command takes only the flags its USAGE block lists.
+    // A bare `occ` prints the usage, like `occ help`.
+    let command = args.command.as_deref().unwrap_or("help");
+    let what = std::iter::once("occ")
+        .chain(args.command.as_deref())
+        .chain(args.action.as_deref())
+        .collect::<Vec<_>>()
+        .join(" ");
+    let checked = commands::accepted_flags(command, args.action.as_deref())
+        .map_or(Ok(()), |flags| args.check_flags(&what, &flags))
+        .and_then(|()| args.check_json_range())
         .and_then(|()| args.check_cache_sizes())
         .map_err(CliError::Usage);
     let result = checked.and_then(|()| match args.command.as_deref() {

@@ -36,7 +36,7 @@ pub mod shared;
 pub mod supervisor;
 
 use occ_probe::{MetricsRecorder, WindowSeries, WindowedRecorder};
-use occ_sim::probe::Recorder;
+use occ_sim::probe::{NoopRecorder, Recorder};
 use occ_sim::{ReplacementPolicy, RequestSource, SimStats, SteppingEngine, DEFAULT_BATCH_SIZE};
 use std::time::{Duration, Instant};
 
@@ -65,12 +65,17 @@ pub struct FleetConfig {
     pub capacity: usize,
     /// Most requests per [`SteppingEngine::serve_from`] batch.
     pub batch_size: usize,
-    /// Attach a [`MetricsRecorder`] to every shard. Costs one monotonic
-    /// clock read per request (the recorder is `TIMED`; stamps chain
-    /// within a batch, see `occ_sim::probe::LapClock`); turn it off
-    /// for pure-throughput runs, which then compile the recorder out
-    /// and leave [`ShardReport::recorder`] empty.
+    /// Attach a [`MetricsRecorder`] to every shard; turn it off for
+    /// pure-throughput runs, which then compile the recorder out and
+    /// leave [`ShardReport::recorder`] empty.
     pub record: bool,
+    /// Time every request (requires [`FleetConfig::record`]): the shard
+    /// recorders become timed, costing one monotonic clock read per
+    /// request (stamps chain within a batch, see
+    /// `occ_sim::probe::LapClock`), and the report gains a `latency_ns`
+    /// histogram. Off by default: the counters are the same either way,
+    /// and an untimed report is a pure function of the request streams.
+    pub timing: bool,
     /// Cap on worker threads; `None` means one per available hardware
     /// thread. The runner never uses more workers than shards, and a
     /// single worker runs every shard sequentially on the calling
@@ -80,17 +85,21 @@ pub struct FleetConfig {
     /// Attach a tumbling-window [`WindowedRecorder`] of this width to
     /// every shard (requires [`FleetConfig::record`]), populating
     /// [`ShardReport::series`] and [`FleetReport::merged_series`]. The
-    /// shard windows are untimed, so the series is deterministic.
+    /// shard windows are untimed, so the series is deterministic. An
+    /// untimed shard then counts each event once, into its window; its
+    /// whole-run tally is the fold of its windows.
     pub window: Option<u64>,
 }
 
 impl FleetConfig {
-    /// A recording fleet with capacity `k` and the default batch size.
+    /// An untimed recording fleet with capacity `k` and the default
+    /// batch size.
     pub fn new(capacity: usize) -> Self {
         FleetConfig {
             capacity,
             batch_size: DEFAULT_BATCH_SIZE,
             record: true,
+            timing: false,
             max_workers: None,
             window: None,
         }
@@ -109,7 +118,8 @@ pub struct ShardReport {
     /// This shard's own wall-clock time.
     pub elapsed: Duration,
     /// The shard's recorder ([`FleetConfig::record`]); empty when
-    /// recording was off.
+    /// recording was off. It carries a latency histogram only when the
+    /// shard was timed ([`FleetConfig::timing`]).
     pub recorder: MetricsRecorder,
     /// This shard's tumbling-window series ([`FleetConfig::window`]);
     /// `None` when windowing was off.
@@ -132,7 +142,8 @@ pub struct FleetReport {
     /// Per-shard outcomes, in shard order.
     pub shards: Vec<ShardReport>,
     /// All shard recorders folded into one (empty when recording was
-    /// off), merged in shard order.
+    /// off), merged in shard order. Its JSON has a `latency_ns` key only
+    /// when the shards were timed.
     pub merged: MetricsRecorder,
     /// All shard window series merged in shard order
     /// ([`FleetConfig::window`]): window `i` of the merge is the sum of
@@ -251,19 +262,30 @@ impl FleetReport {
     }
 }
 
-/// Run a fresh engine to exhaustion of its source, `cfg.batch_size`
-/// requests at a time, through [`SteppingEngine::serve_from`] (zero-copy
-/// page runs, borrowed request runs, or per-request pulls, whichever the
-/// source offers). Returns the requests served.
-fn drive<S, P, R>(engine: &mut SteppingEngine<P, R>, source: &mut S, cfg: &FleetConfig) -> u64
+/// Attach `recorder` to a fresh engine and run it to exhaustion of its
+/// source, `cfg.batch_size` requests at a time, through
+/// [`SteppingEngine::serve_from`] (zero-copy page runs, borrowed request
+/// runs, or per-request pulls, whichever the source offers). Returns the
+/// stats, the requests served, the time since `start` and the recorder.
+fn drive<S, P, R>(
+    engine: SteppingEngine<P>,
+    recorder: R,
+    source: &mut S,
+    cfg: &FleetConfig,
+    start: Instant,
+) -> (SimStats, u64, Duration, R)
 where
     S: RequestSource,
     P: ReplacementPolicy,
     R: Recorder,
 {
+    let mut engine = engine.with_recorder(recorder);
     let mut buf = Vec::new();
     while engine.serve_from(source, cfg.batch_size, &mut buf) > 0 {}
-    engine.time()
+    let elapsed = start.elapsed();
+    let stats = engine.stats().clone();
+    let served = engine.time();
+    (stats, served, elapsed, engine.into_recorder())
 }
 
 fn run_shard<S: RequestSource, P: ReplacementPolicy>(
@@ -272,58 +294,55 @@ fn run_shard<S: RequestSource, P: ReplacementPolicy>(
     cfg: &FleetConfig,
     policy: P,
 ) -> ShardReport {
-    let universe = source.universe().clone();
     let start = Instant::now();
-    match (cfg.record, cfg.window) {
-        (true, Some(width)) => {
-            // Pair recorder: exact whole-run counters plus untimed
-            // tumbling windows. Latency goes to the `MetricsRecorder`
-            // half only, so the window series stays deterministic. The
-            // ring bound is lifted because the report needs every
-            // window — callers size `width` to keep `len / width` sane.
-            let windows = WindowedRecorder::<false>::new(width).with_ring_capacity(usize::MAX);
-            let mut engine = SteppingEngine::new(cfg.capacity, universe, policy)
-                .with_recorder((MetricsRecorder::new(), windows));
-            let served = drive(&mut engine, &mut source, cfg);
-            let stats = engine.stats().clone();
-            let elapsed = start.elapsed();
-            let end = engine.time();
-            let (recorder, mut windows) = engine.into_recorder();
-            windows.finalize(end);
-            ShardReport {
-                shard,
-                stats,
-                served,
-                elapsed,
-                recorder,
-                series: Some(windows.into_series()),
-            }
+    let engine = SteppingEngine::new(cfg.capacity, source.universe().clone(), policy);
+    let source = &mut source;
+    // The ring bound is lifted because the report needs every window —
+    // callers size `width` to keep `len / width` sane. Windows are
+    // untimed, so the series stays deterministic.
+    let windows = |width| WindowedRecorder::<false>::new(width).with_ring_capacity(usize::MAX);
+    let series = |mut windows: WindowedRecorder<false>, end| {
+        windows.finalize(end);
+        windows.into_series()
+    };
+    let (stats, served, elapsed, recorder, series) = match (cfg.record, cfg.timing, cfg.window) {
+        (false, ..) => {
+            let (stats, served, elapsed, _) = drive(engine, NoopRecorder, source, cfg, start);
+            let empty = MetricsRecorder::untimed().into();
+            (stats, served, elapsed, empty, None)
         }
-        (true, None) => {
-            let mut engine = SteppingEngine::new(cfg.capacity, universe, policy)
-                .with_recorder(MetricsRecorder::new());
-            let served = drive(&mut engine, &mut source, cfg);
-            ShardReport {
-                shard,
-                stats: engine.stats().clone(),
-                served,
-                elapsed: start.elapsed(),
-                recorder: engine.recorder().clone(),
-                series: None,
-            }
+        (true, false, None) => {
+            let (stats, served, elapsed, rec) =
+                drive(engine, MetricsRecorder::untimed(), source, cfg, start);
+            (stats, served, elapsed, rec.into(), None)
         }
-        (false, _) => {
-            let mut engine = SteppingEngine::new(cfg.capacity, universe, policy);
-            let served = drive(&mut engine, &mut source, cfg);
-            ShardReport {
-                shard,
-                stats: engine.stats().clone(),
-                served,
-                elapsed: start.elapsed(),
-                recorder: MetricsRecorder::new(),
-                series: None,
-            }
+        (true, true, None) => {
+            let (stats, served, elapsed, rec) =
+                drive(engine, MetricsRecorder::new(), source, cfg, start);
+            (stats, served, elapsed, rec, None)
         }
+        (true, false, Some(width)) => {
+            // One tally per event: the windows alone, and the whole-run
+            // tally is their fold.
+            let (stats, served, elapsed, w) = drive(engine, windows(width), source, cfg, start);
+            let series = series(w, served);
+            let rec = MetricsRecorder::from_total(series.total()).into();
+            (stats, served, elapsed, rec, Some(series))
+        }
+        (true, true, Some(width)) => {
+            // Latency goes to the `MetricsRecorder` half only.
+            let pair = (MetricsRecorder::new(), windows(width));
+            let (stats, served, elapsed, (rec, w)) = drive(engine, pair, source, cfg, start);
+            (stats, served, elapsed, rec, Some(series(w, served)))
+        }
+    };
+    ShardReport {
+        shard,
+        stats,
+        served,
+        elapsed,
+        recorder,
+        series,
     }
 }
 
@@ -444,7 +463,7 @@ fn fleet_report(
     wall: Duration,
     supervisor: Option<SupervisorReport>,
 ) -> FleetReport {
-    let mut merged = MetricsRecorder::new();
+    let mut merged: MetricsRecorder = MetricsRecorder::untimed().into();
     for s in &shards {
         merged.merge(&s.recorder);
     }
@@ -651,6 +670,73 @@ mod tests {
         );
         assert!(plain.merged_series.is_none());
         assert!(plain.to_json_value().get("series").is_none());
+    }
+
+    /// The report's JSON minus its wall-clock fields and, with `strip`,
+    /// the `merged.latency_ns` histogram.
+    fn counters_json(report: &FleetReport, strip: bool) -> Json {
+        let mut v = report.to_json_value();
+        let Json::Obj(fields) = &mut v else {
+            unreachable!("the report is an object")
+        };
+        fields.retain(|(k, _)| k != "wall_ms" && k != "aggregate_requests_per_sec");
+        for (k, f) in fields.iter_mut() {
+            match (k.as_str(), f) {
+                ("merged", Json::Obj(m)) if strip => m.retain(|(k, _)| k != "latency_ns"),
+                ("shards", Json::Arr(shards)) => {
+                    for shard in shards {
+                        if let Json::Obj(s) = shard {
+                            s.retain(|(k, _)| k != "elapsed_ms" && k != "requests_per_sec");
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn timing_adds_latency_and_changes_no_counter() {
+        let scenario = sqlvm_like();
+        for window in [None, Some(700)] {
+            let run = |timing: bool| {
+                let mut cfg = FleetConfig::new(scenario.suggested_k);
+                cfg.window = window;
+                cfg.timing = timing;
+                run_fleet(
+                    (0..3).map(|i| scenario.stream(2_500, 80 + i)).collect(),
+                    &cfg,
+                    lru_factory,
+                )
+            };
+            let (untimed, timed) = (run(false), run(true));
+            for (a, b) in untimed.shards.iter().zip(&timed.shards) {
+                assert_eq!(a.stats, b.stats, "window {window:?}");
+                assert_eq!(a.series, b.series, "window {window:?}");
+                let mut counters = b.recorder.total().clone();
+                counters.latency_ns = None;
+                assert_eq!(a.recorder.total(), &counters, "window {window:?}");
+            }
+            assert_eq!(timed.merged.latency_ns().count(), timed.total_requests);
+            let plain = untimed.to_json_value();
+            let merged = plain.get("merged").unwrap();
+            assert!(merged.get("latency_ns").is_none(), "window {window:?}");
+            assert_eq!(
+                merged.get("requests").and_then(Json::as_u64),
+                Some(untimed.total_requests)
+            );
+            assert_eq!(
+                counters_json(&untimed, false),
+                counters_json(&timed, true),
+                "window {window:?}: same report bar the histogram"
+            );
+            assert_eq!(
+                counters_json(&untimed, false),
+                counters_json(&run(false), false),
+                "window {window:?}: an untimed report is reproducible"
+            );
+        }
     }
 
     #[test]

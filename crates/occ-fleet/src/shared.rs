@@ -73,6 +73,11 @@ pub struct SharedConfig {
     /// Attach a [`MetricsRecorder`] per worker (merged in thread
     /// order). Off = zero-overhead [`NoopRecorder`] workers.
     pub record: bool,
+    /// Time every commit (requires [`SharedConfig::record`]): the worker
+    /// recorders become timed, costing one monotonic clock read per
+    /// request, and the report's `merged` gains a `latency_ns`
+    /// histogram. Off by default; the counters are the same either way.
+    pub timing: bool,
     /// Run the deterministic replay gate beside the concurrent run and
     /// fail on any divergence. On by default; turning it off only
     /// skips the in-process check — the schedule is always recorded.
@@ -80,13 +85,15 @@ pub struct SharedConfig {
 }
 
 impl SharedConfig {
-    /// A recording, replay-verified config with `table_shards` = 8.
+    /// A recording, untimed, replay-verified config with
+    /// `table_shards` = 8.
     pub fn new(capacity: usize) -> Self {
         SharedConfig {
             capacity,
             table_shards: 8,
             degrade: FaultPolicy::SkipAndCount,
             record: true,
+            timing: false,
             verify: true,
         }
     }
@@ -138,6 +145,7 @@ pub struct SharedReport {
     /// Merged stats / counters / quarantine set / commit schedule.
     pub outcome: SharedOutcome,
     /// All worker recorders folded into one (empty when recording off).
+    /// Its JSON has a `latency_ns` key only when the workers were timed.
     pub merged: MetricsRecorder,
     /// The replay gate's aggregate state; `None` when verification was
     /// disabled. When `Some`, the replay matched (mismatch is an error).
@@ -237,19 +245,22 @@ where
         .verify
         .then(|| (0..cfg.table_shards).map(&make_policy).collect());
     let started = Instant::now();
-    let ((outcome, replay), merged) = if cfg.record {
-        let mut recorders: Vec<MetricsRecorder> =
-            (0..threads).map(|_| MetricsRecorder::new()).collect();
-        let run = run_gated(&engine, sources, &mut recorders, replay_policies)?;
-        let mut merged = MetricsRecorder::new();
-        for r in &recorders {
-            merged.merge(r);
+    let ((outcome, replay), merged) = match (cfg.record, cfg.timing) {
+        (false, _) => {
+            let mut recorders = vec![NoopRecorder; threads];
+            let run = run_gated(&engine, sources, &mut recorders, replay_policies)?;
+            (run, MetricsRecorder::untimed().into())
         }
-        (run, merged)
-    } else {
-        let mut recorders = vec![NoopRecorder; threads];
-        let run = run_gated(&engine, sources, &mut recorders, replay_policies)?;
-        (run, MetricsRecorder::new())
+        (true, false) => {
+            let mut recorders = vec![MetricsRecorder::untimed(); threads];
+            let run = run_gated(&engine, sources, &mut recorders, replay_policies)?;
+            (run, fold(&recorders).into())
+        }
+        (true, true) => {
+            let mut recorders = vec![MetricsRecorder::new(); threads];
+            let run = run_gated(&engine, sources, &mut recorders, replay_policies)?;
+            (run, fold(&recorders))
+        }
     };
     let wall = started.elapsed();
     Ok(SharedReport {
@@ -262,6 +273,15 @@ where
         replay,
         wall,
     })
+}
+
+/// The worker recorders merged in thread order.
+fn fold<const TIMED: bool>(recorders: &[MetricsRecorder<TIMED>]) -> MetricsRecorder<TIMED> {
+    let mut merged = MetricsRecorder::default();
+    for r in recorders {
+        merged.merge(r);
+    }
+    merged
 }
 
 /// One run, gated on its replay when `replay_policies` is given (the
@@ -306,6 +326,7 @@ mod tests {
             table_shards: 4,
             degrade: FaultPolicy::SkipAndCount,
             record: true,
+            timing: false,
             verify: true,
         };
         let report =
@@ -327,6 +348,32 @@ mod tests {
     }
 
     #[test]
+    fn timing_adds_latency_and_changes_no_counter() {
+        // One thread: the commit order is the stream order, so the two
+        // runs must agree on every counter, not just on the totals.
+        let scenarios = all_scenarios();
+        let scenario = &scenarios[0];
+        let universe = scenario.stream(1, 1).universe().clone();
+        let run = |timing: bool| {
+            let mut sources = vec![scenario.stream(3_000, 5)];
+            let mut cfg = SharedConfig::new(scenario.suggested_k);
+            cfg.timing = timing;
+            run_shared_fleet(universe.clone(), &cfg, &mut sources, |_| Lru::new()).unwrap()
+        };
+        let (untimed, timed) = (run(false), run(true));
+        assert_eq!(untimed.outcome.stats, timed.outcome.stats);
+        assert_eq!(untimed.outcome.schedule, timed.outcome.schedule);
+        assert_eq!(timed.merged.latency_ns().count(), 3_000);
+        let mut counters = timed.merged.total().clone();
+        counters.latency_ns = None;
+        assert_eq!(untimed.merged.total(), &counters);
+        let v = untimed.to_json_value();
+        assert!(v.get("merged").unwrap().get("latency_ns").is_none());
+        let v = timed.to_json_value();
+        assert!(v.get("merged").unwrap().get("latency_ns").is_some());
+    }
+
+    #[test]
     fn unrecorded_run_matches_recorded_counters() {
         let scenarios = all_scenarios();
         let scenario = &scenarios[1];
@@ -338,6 +385,7 @@ mod tests {
                 table_shards: 3,
                 degrade: FaultPolicy::SkipAndCount,
                 record,
+                timing: false,
                 verify: true,
             };
             run_shared_fleet(universe.clone(), &cfg, &mut sources, |_| Lru::new()).unwrap()

@@ -149,6 +149,8 @@ pub struct SupervisorConfig {
     /// [`FleetConfig::max_workers`]). The supervised driver always
     /// records tumbling windows, so `record`/`window` are ignored here;
     /// its batches also end at every window boundary and pending kill.
+    /// It times nothing: `timing` must stay off, since its
+    /// [`FleetReport::merged`] recorder is always empty.
     pub fleet: FleetConfig,
     /// Window width = checkpoint cadence: every shard checkpoints at
     /// every multiple of this many requests.
@@ -635,7 +637,7 @@ where
         stats,
         served: end - resume_t,
         elapsed: start.elapsed(),
-        recorder: MetricsRecorder::new(),
+        recorder: MetricsRecorder::untimed().into(),
         series: Some(WindowSeries {
             width: cfg.window,
             dropped: 0,
@@ -670,7 +672,9 @@ where
 /// telemetry channel for supervised runs — a `MetricsRecorder` cannot
 /// be reconstructed across restarts).
 ///
-/// Panics if `shards`, `cfg.window` or `cfg.fleet.batch_size` is zero.
+/// Panics if `shards`, `cfg.window` or `cfg.fleet.batch_size` is zero,
+/// or if `cfg.fleet.timing` is set (the latency it asks for would be
+/// silently dropped).
 pub fn run_supervised_fleet<S, P>(
     shards: usize,
     cfg: &SupervisorConfig,
@@ -683,6 +687,10 @@ where
     P: ReplacementPolicy,
 {
     assert!(cfg.window > 0, "supervision needs a positive window width");
+    assert!(
+        !cfg.fleet.timing,
+        "a supervised fleet records no latency; leave timing off"
+    );
     persist.resize_with(shards, || None);
     let start = Instant::now();
     let (reports, statuses) = run_pool(persist, &cfg.fleet, |i, persist| {

@@ -1,15 +1,26 @@
 //! Ready-made [`Recorder`] implementations.
 //!
-//! [`MetricsRecorder`] is the workhorse behind `occ observe`: the
-//! whole-run tally — a [`WindowDelta`] whose window never closes — fed
-//! through the same per-event updates as every
-//! [`WindowedRecorder`](crate::WindowedRecorder) window, plus a
-//! [`LogHistogram`] of per-request service latency (it sets
-//! [`Recorder::TIMED`], so the engine stamps each request with a
-//! [`LapClock`](occ_sim::probe::LapClock)). Stamps chain within a
-//! batch: a sample runs from the previous request's stamp to this one's,
-//! hooks included, so a batch's samples sum to its serving time and a
-//! lone `step` is timed from its own start.
+//! [`MetricsRecorder`] is the workhorse behind `occ observe`, `occ fleet`
+//! and `occ concurrent`: the whole-run tally — a [`WindowDelta`] whose
+//! window never closes — fed through the same per-event updates as every
+//! [`WindowedRecorder`](crate::WindowedRecorder) window. Timing is a
+//! const parameter, as on `WindowedRecorder`:
+//!
+//! * `MetricsRecorder` (= `MetricsRecorder<true>`, from
+//!   [`MetricsRecorder::new`]) sets [`Recorder::TIMED`], so the engine
+//!   stamps each request with a [`LapClock`](occ_sim::probe::LapClock)
+//!   and the recorder keeps a [`LogHistogram`] of per-request service
+//!   latency. Stamps chain within a batch: a sample runs from the
+//!   previous request's stamp to this one's, hooks included, so a
+//!   batch's samples sum to its serving time and a lone `step` is timed
+//!   from its own start. That is one clock read per request.
+//! * `MetricsRecorder<false>` (from [`MetricsRecorder::untimed`]) reads
+//!   no clock and keeps no histogram: the counters alone, which are a
+//!   pure function of the request stream.
+//!
+//! The histogram's presence is what the JSON form reports: a tally that
+//! no timed recorder fed has no `latency_ns` key at all (not an empty
+//! histogram), so an untimed report is byte-reproducible.
 
 use crate::histogram::LogHistogram;
 use crate::json::Json;
@@ -19,30 +30,88 @@ use occ_sim::error::RequestFault;
 use occ_sim::ids::{PageId, Time, UserId};
 use occ_sim::probe::Recorder;
 
-/// Counters + latency histogram for a whole run.
+/// Counters for a whole run, plus a latency histogram when `TIMED`.
+///
+/// The default `TIMED = true` keeps bare `MetricsRecorder` the timed
+/// recorder every existing caller names; pipelines that only count
+/// attach `MetricsRecorder<false>`.
 #[derive(Clone, Debug)]
-pub struct MetricsRecorder {
-    /// Invariant: `total.latency_ns` is always `Some`.
+pub struct MetricsRecorder<const TIMED: bool = true> {
+    /// `total.latency_ns` is `Some` once a timed recorder fed or was
+    /// merged into this one: always for a `MetricsRecorder<true>` built
+    /// by [`MetricsRecorder::new`], never for a `MetricsRecorder<false>`.
     total: WindowDelta,
 }
 
-impl Default for MetricsRecorder {
+impl<const TIMED: bool> Default for MetricsRecorder<TIMED> {
     fn default() -> Self {
         MetricsRecorder {
             total: WindowDelta {
-                latency_ns: Some(LogHistogram::new()),
+                latency_ns: TIMED.then(LogHistogram::new),
                 ..WindowDelta::default()
             },
         }
     }
 }
 
-impl MetricsRecorder {
-    /// An empty recorder.
+impl MetricsRecorder<true> {
+    /// An empty timed recorder: the engine reads the clock once per
+    /// request for it.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Per-request service latency, one sample per served request.
+    ///
+    /// Panics on a recorder re-typed from an untimed one (see the
+    /// `From<MetricsRecorder<false>>` impl), which has no histogram.
+    pub fn latency_ns(&self) -> &LogHistogram {
+        self.total
+            .latency_ns
+            .as_ref()
+            .expect("an untimed tally has no latency histogram")
+    }
+}
+
+impl MetricsRecorder<false> {
+    /// An empty untimed recorder: counters only, no clock reads.
+    pub fn untimed() -> Self {
+        Self::default()
+    }
+
+    /// An untimed recorder holding `total` as its whole-run tally, e.g.
+    /// a window series folded by
+    /// [`WindowSeries::total`](crate::WindowSeries::total): every event
+    /// lands in exactly one window through the same updates, so the fold
+    /// is the tally an attached recorder would have kept. Only the
+    /// counters are kept: the window span, any latency histogram and any
+    /// dual sample are dropped.
+    pub fn from_total(total: WindowDelta) -> Self {
+        MetricsRecorder {
+            total: WindowDelta {
+                index: 0,
+                start: 0,
+                end: 0,
+                latency_ns: None,
+                dual: None,
+                ..total
+            },
+        }
+    }
+}
+
+/// Re-type an untimed tally as the default recorder type, for report
+/// fields that hold either kind. The result still has no histogram, so
+/// its JSON has no `latency_ns` key.
+impl From<MetricsRecorder<false>> for MetricsRecorder<true> {
+    fn from(untimed: MetricsRecorder<false>) -> Self {
+        MetricsRecorder {
+            total: untimed.total,
+        }
+    }
+}
+
+impl<const TIMED: bool> MetricsRecorder<TIMED> {
     /// The whole-run tally: counters, per-user vectors (the
     /// eviction vector counts flush victims) and fault counts. Its
     /// `quarantined_users` stays 0: membership belongs to the engine's
@@ -51,27 +120,20 @@ impl MetricsRecorder {
         &self.total
     }
 
-    /// Per-request service latency, one sample per served request (only
-    /// populated when the engine runs with this recorder attached, since
-    /// `TIMED = true`).
-    pub fn latency_ns(&self) -> &LogHistogram {
-        self.total
-            .latency_ns
-            .as_ref()
-            .expect("a MetricsRecorder always carries a latency histogram")
-    }
-
-    /// Fold another recorder's observations into this one.
-    pub fn merge(&mut self, other: &MetricsRecorder) {
+    /// Fold another recorder's observations into this one. Latency
+    /// histograms merge exactly; merging a timed recorder into an
+    /// untimed tally gives it one.
+    pub fn merge<const OTHER: bool>(&mut self, other: &MetricsRecorder<OTHER>) {
         self.total.merge_from(&other.total);
     }
 
-    /// The recorder's counters and histogram as a JSON object.
+    /// The recorder's counters, and its latency histogram when it has
+    /// one, as a JSON object.
     pub fn to_json_value(&self) -> Json {
         let (t, n) = (&self.total, Json::from_u64);
         let by_user = t.evictions_by_user.iter().map(|&e| n(e)).collect();
         let f = &t.faults;
-        Json::Obj(vec![
+        let mut fields = vec![
             ("requests".into(), n(t.requests())),
             ("hits".into(), n(t.hits)),
             ("inserts".into(), n(t.inserts)),
@@ -87,13 +149,16 @@ impl MetricsRecorder {
                     ("total".into(), n(f.total_records())),
                 ]),
             ),
-            ("latency_ns".into(), self.latency_ns().to_json_value()),
-        ])
+        ];
+        if let Some(h) = &t.latency_ns {
+            fields.push(("latency_ns".into(), h.to_json_value()));
+        }
+        Json::Obj(fields)
     }
 }
 
-impl Recorder for MetricsRecorder {
-    const TIMED: bool = true;
+impl<const TIMED: bool> Recorder for MetricsRecorder<TIMED> {
+    const TIMED: bool = TIMED;
 
     fn record_hit(&mut self, _ctx: &EngineCtx, _t: Time, _page: PageId, user: UserId) {
         self.total.count_hit(user);
@@ -200,6 +265,45 @@ mod tests {
         ] {
             assert!(v.get(key).is_some(), "missing {key}");
         }
+    }
+
+    #[test]
+    fn untimed_recorder_counts_the_same_and_reports_no_latency() {
+        let u = Universe::uniform(2, 8);
+        let pages: Vec<u32> = (0..400u32).map(|i| (i * 13 + 5) % 16).collect();
+        let trace = Trace::from_page_indices(&u, &pages);
+        let mut timed = MetricsRecorder::new();
+        let mut untimed = MetricsRecorder::untimed();
+        Simulator::new(6).run_recorded(&mut Lru::default(), &trace, &mut timed);
+        Simulator::new(6).run_recorded(&mut Lru::default(), &trace, &mut untimed);
+        assert_eq!(untimed.total().latency_ns, None);
+        let mut counters = timed.total().clone();
+        counters.latency_ns = None;
+        assert_eq!(untimed.total(), &counters);
+
+        let v = untimed.to_json_value();
+        assert!(v.get("latency_ns").is_none(), "untimed: no latency key");
+        let mut w = timed.to_json_value();
+        if let Json::Obj(fields) = &mut w {
+            fields.retain(|(k, _)| k != "latency_ns");
+        }
+        assert_eq!(v, w, "same counters, byte for byte");
+
+        // Re-typed for a report field, the tally keeps its form.
+        let report: MetricsRecorder = untimed.clone().into();
+        assert_eq!(report.to_json_value(), v);
+        // A tally rebuilt from its total is the same tally.
+        let rebuilt = MetricsRecorder::from_total(untimed.total().clone());
+        assert_eq!(rebuilt.to_json_value(), v);
+
+        // Merging a timed recorder into an untimed tally brings its
+        // histogram along.
+        let mut mixed = MetricsRecorder::untimed();
+        mixed.merge(&timed);
+        assert_eq!(
+            mixed.total().latency_ns.as_ref().map(|h| h.count()),
+            Some(400)
+        );
     }
 
     #[test]
