@@ -1,6 +1,6 @@
 //! Per-tenant access patterns and single-stream trace generators.
 
-use crate::zipf::{Zipf, ZipfAlias};
+use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -42,16 +42,6 @@ pub enum AccessPattern {
         /// Requests per phase.
         phase_len: u64,
     },
-    /// Zipf popularity sampled through the O(1) alias method (see
-    /// [`ZipfAlias`]) — same distribution family as
-    /// [`AccessPattern::Zipf`] but a different draw sequence, so seeds
-    /// are **not** byte-compatible between the two variants. Use this
-    /// for new high-volume workloads; keep `Zipf` for traces whose
-    /// seeds are already pinned by committed baselines.
-    ZipfAliased {
-        /// Skew exponent.
-        s: f64,
-    },
 }
 
 /// Stateful generator of one tenant's local page indices.
@@ -63,7 +53,6 @@ pub struct PatternGen {
     /// Requests emitted so far (drives Scan/Cycle/Phased).
     count: u64,
     zipf: Option<Zipf>,
-    alias: Option<ZipfAlias>,
 }
 
 impl PatternGen {
@@ -76,17 +65,12 @@ impl PatternGen {
             }
             _ => None,
         };
-        let alias = match &pattern {
-            AccessPattern::ZipfAliased { s } => Some(ZipfAlias::new(pages as usize, *s)),
-            _ => None,
-        };
         PatternGen {
             pattern,
             pages,
             rng: StdRng::seed_from_u64(seed),
             count: 0,
             zipf,
-            alias,
         }
     }
 
@@ -126,22 +110,16 @@ impl PatternGen {
                 // Rotate rank→page mapping each phase.
                 ((rank + phase * 3) % pages as u64) as u32
             }
-            AccessPattern::ZipfAliased { .. } => self
-                .alias
-                .as_ref()
-                .expect("built in new")
-                .sample(&mut self.rng) as u32,
         };
         self.count += 1;
         out
     }
 
-    /// Heap footprint of the generator in bytes: the sampler tables (if
+    /// Heap footprint of the generator in bytes: the Zipf table (if
     /// any). Constant over the generator's lifetime — generation never
     /// allocates per request.
     pub fn state_bytes(&self) -> usize {
         self.zipf.as_ref().map_or(0, |z| z.state_bytes())
-            + self.alias.as_ref().map_or(0, |z| z.state_bytes())
     }
 }
 
@@ -188,6 +166,7 @@ mod tests {
         }
         assert!(counts[0] > counts[3]);
         assert!(counts[3] > counts[7]);
+        assert!(g.state_bytes() > 0, "the Zipf table is accounted");
     }
 
     #[test]
@@ -211,18 +190,6 @@ mod tests {
         let hot1 = first.iter().enumerate().max_by_key(|&(_, c)| c).unwrap().0;
         let hot2 = second.iter().enumerate().max_by_key(|&(_, c)| c).unwrap().0;
         assert_ne!(hot1, hot2, "hot page must drift across phases");
-    }
-
-    #[test]
-    fn aliased_zipf_prefers_low_ranks() {
-        let mut g = PatternGen::new(AccessPattern::ZipfAliased { s: 1.2 }, 8, 3);
-        let mut counts = [0u32; 8];
-        for _ in 0..20_000 {
-            counts[g.next_page() as usize] += 1;
-        }
-        assert!(counts[0] > counts[3]);
-        assert!(counts[3] > counts[7]);
-        assert!(g.state_bytes() > 0, "alias tables are accounted");
     }
 
     #[test]

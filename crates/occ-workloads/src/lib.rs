@@ -9,8 +9,7 @@
 //!   Theorem 1.4's lower bound;
 //! * [`presets`] — ready-made SLA scenarios used by the examples and the
 //!   E7 experiment;
-//! * [`zipf`] — the hand-rolled Zipf samplers (CDF binary search and the
-//!   O(1) alias method);
+//! * [`zipf`] — the hand-rolled Zipf sampler (CDF binary search);
 //! * [`chaos`] — seeded fault injection ([`FaultPlan`], [`ChaosSource`])
 //!   for robustness testing against corrupt request streams;
 //! * [`streaming`] — zero-materialization [`RequestSource`] twins of the
@@ -34,7 +33,7 @@ pub use generators::{AccessPattern, PatternGen};
 pub use mixer::{generate_multi_tenant, TenantSpec};
 pub use presets::{all_scenarios, drifting, sqlvm_like, two_tier, Scenario};
 pub use streaming::{PatternSource, TenantMixSource};
-pub use zipf::{Zipf, ZipfAlias};
+pub use zipf::Zipf;
 
 use occ_sim::{Trace, Universe};
 

@@ -228,7 +228,7 @@ mod tests {
         let specs = vec![
             TenantSpec::new(8, 3.0, AccessPattern::Zipf { s: 1.0 }),
             TenantSpec::new(4, 1.0, AccessPattern::Cycle { len: 4 }),
-            TenantSpec::new(6, 2.0, AccessPattern::ZipfAliased { s: 0.8 }),
+            TenantSpec::new(6, 2.0, AccessPattern::Zipf { s: 0.8 }),
         ];
         let mut src = TenantMixSource::new(&specs, 2000, 11);
         let trace = generate_multi_tenant(&specs, 2000, 11);
@@ -247,8 +247,8 @@ mod tests {
         assert_eq!(short.state_bytes(), long.state_bytes());
         assert!(long.state_bytes() > 0);
 
-        let short = PatternSource::new(AccessPattern::ZipfAliased { s: 1.0 }, 128, 10, 1);
-        let long = PatternSource::new(AccessPattern::ZipfAliased { s: 1.0 }, 128, u64::MAX, 1);
+        let short = PatternSource::new(AccessPattern::Zipf { s: 1.0 }, 128, 10, 1);
+        let long = PatternSource::new(AccessPattern::Zipf { s: 1.0 }, 128, u64::MAX, 1);
         assert_eq!(short.state_bytes(), long.state_bytes());
     }
 

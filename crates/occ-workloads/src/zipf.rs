@@ -2,15 +2,8 @@
 //!
 //! Web/database page popularity is classically Zipfian; the SQLVM-style
 //! multi-tenant experiments draw each tenant's accesses from a Zipf
-//! distribution over its own pages. Two samplers share the distribution:
-//!
-//! * [`Zipf`] — inverse CDF with a precomputed table and binary search,
-//!   exact, `O(log n)` per sample. Kept unchanged so old seeds keep
-//!   producing byte-identical traces.
-//! * [`ZipfAlias`] — Walker/Vose alias method, `O(1)` per sample, built
-//!   on integer fixed-point grains so the alias table reconstructs its
-//!   quantized pmf *exactly* (verified in tests). Its draw sequence
-//!   differs from [`Zipf`]'s, so the two are not seed-compatible.
+//! distribution over its own pages. [`Zipf`] samples by inverse CDF: a
+//! precomputed table and a binary search, exact, `O(log n)` per sample.
 
 use rand::Rng;
 
@@ -69,140 +62,6 @@ impl Zipf {
     }
 }
 
-/// Grains per alias bucket: probabilities are quantized to multiples of
-/// `2^-32`, so a bucket's acceptance threshold and the table invariants
-/// live entirely in `u64` arithmetic — no floating-point drift.
-const ALIAS_SCALE: u64 = 1 << 32;
-
-/// O(1)-per-sample Zipf over `{0, 1, …, n−1}` via the Walker/Vose alias
-/// method.
-///
-/// Construction quantizes the pmf to integer grains (`ALIAS_SCALE` per
-/// bucket, `n · ALIAS_SCALE` total — rounding drift is patched onto rank
-/// 0, the heaviest bucket, where it is relatively smallest) and then
-/// pairs donors and recipients in exact integer arithmetic. The table
-/// therefore satisfies, *exactly*:
-///
-/// ```text
-/// weight[i] == prob[i] + Σ_{j : alias[j] == i} (ALIAS_SCALE − prob[j])
-/// ```
-///
-/// which the unit tests check with `u64` equality (stronger than the
-/// 1-ulp-per-bucket target).
-#[derive(Clone, Debug)]
-pub struct ZipfAlias {
-    /// Acceptance grains per bucket (`≤ ALIAS_SCALE`).
-    prob: Vec<u64>,
-    /// Where a rejected grain lands.
-    alias: Vec<u32>,
-    /// Quantized weights; `Σ weight == n · ALIAS_SCALE`.
-    weight: Vec<u64>,
-}
-
-impl ZipfAlias {
-    /// Build the table. Panics if `n == 0`, `n > 2^31`, or `s < 0`.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "support must be non-empty");
-        assert!(n <= 1 << 31, "alias support capped at 2^31 ranks");
-        assert!(s >= 0.0, "exponent must be non-negative");
-        let raw: Vec<f64> = (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(s)).collect();
-        let total: f64 = raw.iter().sum();
-        let target = n as u64 * ALIAS_SCALE;
-        let mut weight: Vec<u64> = raw
-            .iter()
-            .map(|w| ((w / total) * target as f64).round() as u64)
-            .collect();
-        let sum: u64 = weight.iter().sum();
-        // Per-bucket rounding is < 1 grain, so |drift| < n grains —
-        // far below weight[0] ≥ target/n ≥ ALIAS_SCALE grains.
-        if sum > target {
-            weight[0] -= sum - target;
-        } else {
-            weight[0] += target - sum;
-        }
-
-        let mut work = weight.clone();
-        let mut prob = vec![0u64; n];
-        let mut alias: Vec<u32> = (0..n as u32).collect();
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
-        for (i, &w) in work.iter().enumerate() {
-            if w < ALIAS_SCALE {
-                small.push(i as u32);
-            } else {
-                large.push(i as u32);
-            }
-        }
-        while let (Some(&s_i), Some(&l_i)) = (small.last(), large.last()) {
-            small.pop();
-            large.pop();
-            let (s_i, l_i) = (s_i as usize, l_i as usize);
-            prob[s_i] = work[s_i];
-            alias[s_i] = l_i as u32;
-            // The donor covers the deficit grain-for-grain.
-            work[l_i] -= ALIAS_SCALE - work[s_i];
-            if work[l_i] < ALIAS_SCALE {
-                small.push(l_i as u32);
-            } else {
-                large.push(l_i as u32);
-            }
-        }
-        // Integer grains sum to exactly n·ALIAS_SCALE, so whatever
-        // remains unpaired holds exactly ALIAS_SCALE grains: full
-        // acceptance, self-alias.
-        for &i in small.iter().chain(large.iter()) {
-            debug_assert_eq!(work[i as usize], ALIAS_SCALE);
-            prob[i as usize] = work[i as usize];
-            alias[i as usize] = i;
-        }
-        ZipfAlias {
-            prob,
-            alias,
-            weight,
-        }
-    }
-
-    /// Support size.
-    pub fn n(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// Draw one sample: one uniform bucket pick plus one grain compare.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let bucket = rng.gen_range(0..self.prob.len());
-        let grain = rng.next_u64() >> 32; // uniform in [0, ALIAS_SCALE)
-        if grain < self.prob[bucket] {
-            bucket
-        } else {
-            self.alias[bucket] as usize
-        }
-    }
-
-    /// Probability mass of rank `i` under the quantized distribution the
-    /// table actually samples from.
-    pub fn pmf(&self, i: usize) -> f64 {
-        self.weight[i] as f64 / (self.n() as u64 * ALIAS_SCALE) as f64
-    }
-
-    /// Reconstruct each rank's total grains from the table alone: the
-    /// grains a bucket accepts itself plus every grain other buckets
-    /// forward to it. Equals `weight` exactly by construction.
-    pub fn reconstruct_weights(&self) -> Vec<u64> {
-        let mut rec = self.prob.clone();
-        for (j, &a) in self.alias.iter().enumerate() {
-            // Self-aliased buckets forward 0 grains (prob == ALIAS_SCALE).
-            rec[a as usize] += ALIAS_SCALE - self.prob[j];
-        }
-        rec
-    }
-
-    /// Heap footprint of the table in bytes (three arrays; independent
-    /// of how many samples are drawn).
-    pub fn state_bytes(&self) -> usize {
-        self.prob.len() * 8 + self.alias.len() * 4 + self.weight.len() * 8
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,105 +106,8 @@ mod tests {
     }
 
     #[test]
-    fn samples_in_range() {
+    fn samples_in_range_and_reproducible() {
         let z = Zipf::new(3, 2.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..1000 {
-            assert!(z.sample(&mut rng) < 3);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn empty_support_rejected() {
-        Zipf::new(0, 1.0);
-    }
-
-    // ---- alias sampler ----
-
-    #[test]
-    fn alias_table_reconstructs_pmf_exactly() {
-        // The ISSUE asks for "within 1 ulp per bucket"; integer grains
-        // give exact u64 equality, which is strictly stronger.
-        for &n in &[1usize, 2, 7, 1024] {
-            for &s in &[0.0, 0.5, 0.9, 1.0, 2.5] {
-                let z = ZipfAlias::new(n, s);
-                assert_eq!(
-                    z.reconstruct_weights(),
-                    z.weight,
-                    "n={n} s={s}: alias table must reconstruct the quantized pmf"
-                );
-                let total: u64 = z.weight.iter().sum();
-                assert_eq!(total, n as u64 * ALIAS_SCALE, "n={n} s={s}");
-                let pmf_total: f64 = (0..n).map(|i| z.pmf(i)).sum();
-                assert!((pmf_total - 1.0).abs() < 1e-12, "n={n} s={s}: {pmf_total}");
-            }
-        }
-    }
-
-    #[test]
-    fn alias_pmf_matches_cdf_sampler_pmf() {
-        // Quantization error is < 1 grain (2^-32) per bucket, plus the
-        // drift patch on rank 0 (< n grains) — both far under 1e-6.
-        for &n in &[2usize, 7, 1024] {
-            let cdf = Zipf::new(n, 0.9);
-            let alias = ZipfAlias::new(n, 0.9);
-            for i in 0..n {
-                assert!(
-                    (cdf.pmf(i) - alias.pmf(i)).abs() < 1e-6,
-                    "n={n} rank {i}: {} vs {}",
-                    cdf.pmf(i),
-                    alias.pmf(i)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn alias_degenerate_single_rank() {
-        let z = ZipfAlias::new(1, 1.7);
-        assert_eq!(z.n(), 1);
-        assert_eq!(z.weight, vec![ALIAS_SCALE]);
-        assert_eq!(z.reconstruct_weights(), z.weight);
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..100 {
-            assert_eq!(z.sample(&mut rng), 0);
-        }
-    }
-
-    #[test]
-    fn alias_uniform_when_s_zero() {
-        let z = ZipfAlias::new(8, 0.0);
-        for i in 0..8 {
-            assert_eq!(z.weight[i], ALIAS_SCALE, "uniform weights are exact");
-            assert!((z.pmf(i) - 0.125).abs() < 1e-12);
-        }
-        // Every bucket fully accepts: the alias column is never taken.
-        assert_eq!(z.reconstruct_weights(), z.weight);
-    }
-
-    #[test]
-    fn alias_empirical_frequencies_match_pmf() {
-        let z = ZipfAlias::new(8, 1.0);
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut counts = [0u32; 8];
-        let n = 200_000;
-        for _ in 0..n {
-            counts[z.sample(&mut rng)] += 1;
-        }
-        for (i, &c) in counts.iter().enumerate() {
-            let emp = c as f64 / n as f64;
-            assert!(
-                (emp - z.pmf(i)).abs() < 0.01,
-                "rank {i}: empirical {emp} vs pmf {}",
-                z.pmf(i)
-            );
-        }
-    }
-
-    #[test]
-    fn alias_samples_in_range_and_reproducible() {
-        let z = ZipfAlias::new(3, 2.0);
         let draw = || {
             let mut rng = StdRng::seed_from_u64(11);
             (0..1000).map(|_| z.sample(&mut rng)).collect::<Vec<_>>()
@@ -357,7 +119,18 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "non-empty")]
-    fn alias_empty_support_rejected() {
-        ZipfAlias::new(0, 1.0);
+    fn empty_support_rejected() {
+        Zipf::new(0, 1.0);
+    }
+
+    #[test]
+    fn single_rank_always_draws_zero() {
+        let z = Zipf::new(1, 1.7);
+        assert_eq!(z.n(), 1);
+        assert_eq!(z.pmf(0), 1.0);
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..100 {
+            assert_eq!(z.sample(&mut rng), 0);
+        }
     }
 }

@@ -398,7 +398,7 @@ fn streamed_replay_matches_materialized_replay() {
 #[test]
 fn ten_million_request_stream_runs_in_constant_memory() {
     const LEN: u64 = 10_000_000;
-    let pattern = AccessPattern::ZipfAliased { s: 0.9 };
+    let pattern = AccessPattern::Zipf { s: 0.9 };
 
     // The O(1)-memory claim: the source's heap state is a function of
     // the universe and sampler tables only. A 10M-request source and a
@@ -465,7 +465,7 @@ fn non_regular_file_falls_back_to_buffered_strategy() {
 #[test]
 fn multi_tenant_stream_state_is_length_independent() {
     let specs = vec![
-        TenantSpec::new(256, 3.0, AccessPattern::ZipfAliased { s: 1.0 }),
+        TenantSpec::new(256, 3.0, AccessPattern::Zipf { s: 1.0 }),
         TenantSpec::new(128, 1.0, AccessPattern::Uniform),
     ];
     let long = TenantMixSource::new(&specs, u64::MAX, 9);
