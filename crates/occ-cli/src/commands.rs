@@ -144,8 +144,9 @@ USAGE:
                Supervision (implied by any of --max-restarts,
                --backoff-ms, --checkpoint-dir, --from-dir, --series-out
                and the --chaos-* flags; requires --window; rejects
-               --timing on, as supervised runs keep no merged
-               recorder): shards run
+               --timing on, as supervised runs time nothing: their
+               merged recorder is the fold of the committed windows):
+               shards run
                under panic isolation, checkpoint on window boundaries,
                and are restarted from their last checkpoint with seeded
                exponential backoff (--backoff-ms 0 = no sleeping); a
@@ -949,8 +950,8 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
     let timing = uarg(args.on_off("timing", false))?;
     if supervised && timing {
         return Err(CliError::Usage(
-            "--timing on needs an unsupervised fleet: a supervised run keeps no \
-             merged recorder, so its latency would be dropped"
+            "--timing on needs an unsupervised fleet: a supervised run's merged \
+             recorder is folded from its windows, so its latency would be dropped"
                 .into(),
         ));
     }
@@ -3650,8 +3651,8 @@ mod tests {
             let err = fleet(&base(&v)).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{bad:?}: {err}");
         }
-        // A supervised run keeps no merged recorder, so it cannot honour
-        // --timing on; --timing off is the default and stays accepted.
+        // A supervised run folds its merged recorder from untimed
+        // windows, so it cannot honour --timing on; --timing off is the default and stays accepted.
         for supervise in [["--max-restarts", "3"], ["--backoff-ms", "0"]] {
             let mut v = vec!["--window", "50", "--timing", "on"];
             v.extend_from_slice(&supervise);

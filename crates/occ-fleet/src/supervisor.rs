@@ -150,7 +150,8 @@ pub struct SupervisorConfig {
     /// records tumbling windows, so `record`/`window` are ignored here;
     /// its batches also end at every window boundary and pending kill.
     /// It times nothing: `timing` must stay off, since its
-    /// [`FleetReport::merged`] recorder is always empty.
+    /// [`FleetReport::merged`] recorder is folded from the committed
+    /// windows, which carry no latency.
     pub fleet: FleetConfig,
     /// Window width = checkpoint cadence: every shard checkpoints at
     /// every multiple of this many requests.
@@ -632,17 +633,21 @@ where
             std::thread::sleep(Duration::from_millis(delay));
         }
     };
+    let series = WindowSeries {
+        width: cfg.window,
+        dropped: 0,
+        windows: driver.committed,
+    };
     let report = ShardReport {
         shard,
         stats,
         served: end - resume_t,
         elapsed: start.elapsed(),
-        recorder: MetricsRecorder::untimed().into(),
-        series: Some(WindowSeries {
-            width: cfg.window,
-            dropped: 0,
-            windows: driver.committed,
-        }),
+        // The committed windows tile exactly what this run served, so
+        // their fold is the shard's whole-run tally, as in the plain
+        // windowed fleet.
+        recorder: MetricsRecorder::from_total(series.total()).into(),
+        series: Some(series),
     };
     let status = ShardStatus {
         shard,
@@ -667,10 +672,10 @@ where
 /// shard `i`'s on-disk target; a missing or `None` entry keeps that
 /// shard's recovery state in memory only.
 ///
-/// The returned report always carries [`FleetReport::supervisor`];
-/// [`FleetReport::merged`] stays empty (the window series is the
-/// telemetry channel for supervised runs — a `MetricsRecorder` cannot
-/// be reconstructed across restarts).
+/// The returned report always carries [`FleetReport::supervisor`].
+/// [`FleetReport::merged`] is the fold of the committed windows — the
+/// one tally that survives restarts — so its counters equal a plain
+/// `window`ed fleet's on the same input, and it carries no latency.
 ///
 /// Panics if `shards`, `cfg.window` or `cfg.fleet.batch_size` is zero,
 /// or if `cfg.fleet.timing` is set (the latency it asks for would be
@@ -759,6 +764,20 @@ mod tests {
             .to_json();
         assert_eq!(a, b, "{what}: merged series bytes");
         assert_eq!(plain.total_requests, report.total_requests, "{what}");
+        // The whole-run tally is the same fold of the same windows.
+        assert_eq!(
+            plain.merged.to_json_value().to_json(),
+            report.merged.to_json_value().to_json(),
+            "{what}: merged counters"
+        );
+        assert_merged_counts_what_was_served(report);
+    }
+
+    /// `merged` tallies exactly the requests the report says it served.
+    fn assert_merged_counts_what_was_served(report: &crate::FleetReport) {
+        let merged = report.merged.total();
+        assert_eq!(merged.requests(), report.total_requests);
+        assert_eq!(merged.hits + merged.misses(), report.total_requests);
     }
 
     #[test]
@@ -862,6 +881,8 @@ mod tests {
         let series = sick.series.as_ref().unwrap();
         assert_eq!(series.windows.len(), 2, "windows 0 and 1 committed");
         assert_eq!(sup.shards[2].windows_lost, 0);
+        assert_merged_counts_what_was_served(&report);
+        assert_eq!(report.total_requests, 2 * LEN + 500);
         let v = report.to_json_value();
         let degraded = v.get("degraded").expect("degraded section");
         let q = degraded.get("quarantined").unwrap().as_array().unwrap();
@@ -888,6 +909,7 @@ mod tests {
         assert_eq!(sick.served, 0);
         assert_eq!(sick.stats.total_hits() + sick.stats.total_misses(), 0);
         assert!(sick.series.as_ref().unwrap().windows.is_empty());
+        assert_merged_counts_what_was_served(&report);
     }
 
     #[test]
@@ -1004,5 +1026,7 @@ mod tests {
                 "resumed window 2 is byte-identical"
             );
         }
+        assert_merged_counts_what_was_served(&report);
+        assert_eq!(report.total_requests, SHARDS as u64 * 500);
     }
 }
