@@ -11,9 +11,12 @@
 //! windows can only *reduce* the cost (`f(a) + f(b) ≤ f(a+b)` for
 //! superadditive convex `f`), so the windowed cost is a lower bound on
 //! the total-miss cost — asserted in the tests.
+//!
+//! The conformance harness checks Claim 2.3 on these per-epoch miss
+//! increments, so this is the one place a run is cut into epochs.
 
 use occ_core::CostProfile;
-use occ_sim::{ReplacementPolicy, SteppingEngine, Trace};
+use occ_sim::{Recorder, ReplacementPolicy, SteppingEngine, Trace};
 
 /// Per-epoch cost breakdown of one run.
 #[derive(Clone, Debug)]
@@ -38,25 +41,27 @@ impl EpochCosts {
     }
 }
 
-/// Run `policy` over `trace` with cache size `k`, charging each user's
-/// cost function on its miss count *within each epoch* of `epoch_len`
-/// requests (the final partial epoch counts too).
-pub fn epoch_costs<P: ReplacementPolicy>(
+/// Run `policy` over `trace` with cache size `k` and `recorder`
+/// attached, charging each user's cost function on its miss count
+/// *within each epoch* of `epoch_len` requests (the final partial epoch
+/// counts too).
+pub fn epoch_costs<P: ReplacementPolicy, R: Recorder>(
     policy: P,
     trace: &Trace,
     k: usize,
     costs: &CostProfile,
     epoch_len: u64,
+    recorder: R,
 ) -> EpochCosts {
     assert!(epoch_len >= 1);
     let universe = trace.universe().clone();
     let num_users = universe.num_users() as usize;
-    let mut engine = SteppingEngine::new(k, universe, policy);
+    let mut engine = SteppingEngine::new(k, universe, policy).with_recorder(recorder);
     let mut per_epoch = Vec::new();
     let mut epoch_misses = Vec::new();
     let mut at_epoch_start = vec![0u64; num_users];
 
-    let flush_epoch = |engine: &SteppingEngine<P>,
+    let flush_epoch = |engine: &SteppingEngine<P, R>,
                        at_start: &mut Vec<u64>,
                        per_epoch: &mut Vec<f64>,
                        epoch_misses: &mut Vec<Vec<u64>>| {
@@ -103,7 +108,7 @@ mod tests {
     use super::*;
     use occ_baselines::Lru;
     use occ_core::{ConvexCaching, Linear, Monomial};
-    use occ_sim::Universe;
+    use occ_sim::{NoopRecorder, Universe};
 
     fn trace() -> Trace {
         let u = Universe::uniform(2, 4);
@@ -114,7 +119,7 @@ mod tests {
     #[test]
     fn epochs_partition_the_miss_counts() {
         let costs = CostProfile::uniform(2, Monomial::power(2.0));
-        let ec = epoch_costs(Lru::new(), &trace(), 3, &costs, 100);
+        let ec = epoch_costs(Lru::new(), &trace(), 3, &costs, 100, NoopRecorder);
         assert_eq!(ec.per_epoch.len(), 10);
         // Per-epoch misses sum to the totals.
         let mut summed = vec![0u64; 2];
@@ -129,7 +134,7 @@ mod tests {
     #[test]
     fn windowing_lowers_convex_cost() {
         let costs = CostProfile::uniform(2, Monomial::power(2.0));
-        let ec = epoch_costs(Lru::new(), &trace(), 3, &costs, 100);
+        let ec = epoch_costs(Lru::new(), &trace(), 3, &costs, 100, NoopRecorder);
         assert!(
             ec.windowed_total() <= ec.unwindowed_total(&costs) + 1e-9,
             "superadditivity: windowed {} vs total {}",
@@ -141,14 +146,14 @@ mod tests {
     #[test]
     fn windowing_is_neutral_for_linear_costs() {
         let costs = CostProfile::uniform(2, Linear::new(3.0));
-        let ec = epoch_costs(Lru::new(), &trace(), 3, &costs, 64);
+        let ec = epoch_costs(Lru::new(), &trace(), 3, &costs, 64, NoopRecorder);
         assert!((ec.windowed_total() - ec.unwindowed_total(&costs)).abs() < 1e-9);
     }
 
     #[test]
     fn partial_final_epoch_counted() {
         let costs = CostProfile::uniform(2, Linear::unit());
-        let ec = epoch_costs(Lru::new(), &trace(), 3, &costs, 300);
+        let ec = epoch_costs(Lru::new(), &trace(), 3, &costs, 300, NoopRecorder);
         assert_eq!(ec.per_epoch.len(), 4); // 300+300+300+100
         let total: f64 = ec.per_epoch.iter().sum();
         assert_eq!(total as u64, ec.total_misses.iter().sum::<u64>());
@@ -157,7 +162,14 @@ mod tests {
     #[test]
     fn works_with_the_papers_algorithm() {
         let costs = CostProfile::uniform(2, Monomial::power(2.0));
-        let ec = epoch_costs(ConvexCaching::new(costs.clone()), &trace(), 3, &costs, 250);
+        let ec = epoch_costs(
+            ConvexCaching::new(costs.clone()),
+            &trace(),
+            3,
+            &costs,
+            250,
+            NoopRecorder,
+        );
         assert_eq!(ec.per_epoch.len(), 4);
         assert!(ec.windowed_total() > 0.0);
     }

@@ -2,8 +2,9 @@
 //! Experiment harness: policy comparison, theorem bound checks, summary
 //! statistics, parallel sweeps, and table rendering.
 //!
-//! The binaries in `occ-bench` compose these pieces into the E1–E8
-//! experiments indexed in DESIGN.md.
+//! The conformance grids (`occ-conformance`, E1–E4) and the binaries in
+//! `occ-bench` (E5–E11) compose these pieces into the experiments
+//! indexed in DESIGN.md.
 
 pub mod epochs;
 pub mod mrc;
@@ -14,8 +15,8 @@ pub mod table;
 pub use epochs::{epoch_costs, EpochCosts};
 pub use mrc::{lru_cost_curve, lru_mrc, reuse_distances, MissRatioCurve};
 pub use runner::{
-    check_theorem_1_1, check_theorem_1_1_scaled, check_theorem_1_3, check_theorem_1_3_scaled,
-    compare_policies, evaluate_policy, parallel_sweep, BoundCheck, CostReport,
+    check_theorem_1_1_scaled, check_theorem_1_3_scaled, compare_policies, evaluate_policy,
+    parallel_sweep, BoundCheck, CostReport,
 };
 pub use stats::{geomean, max, mean, percentile, stddev};
 pub use table::{fnum, Table};

@@ -100,18 +100,7 @@ fn make_check(online_cost: f64, offline_cost: f64, rhs: f64) -> BoundCheck {
 }
 
 /// Check Theorem 1.1: online misses `a`, offline misses `b`, curvature
-/// `alpha`, cache size `k`.
-pub fn check_theorem_1_1(
-    costs: &CostProfile,
-    online_misses: &[u64],
-    offline_misses: &[u64],
-    alpha: f64,
-    k: usize,
-) -> BoundCheck {
-    check_theorem_1_1_scaled(costs, online_misses, offline_misses, alpha, k, 1.0)
-}
-
-/// [`check_theorem_1_1`] with the right-hand side multiplied by
+/// `alpha`, cache size `k`, with the right-hand side multiplied by
 /// `rhs_scale`. `1.0` is the theorem as stated; the conformance harness
 /// uses `rhs_scale < 1` as its deliberately-weakened fixture (the bound
 /// is tightened until a correct implementation must fail it).
@@ -130,20 +119,8 @@ pub fn check_theorem_1_1_scaled(
     )
 }
 
-/// Check Theorem 1.3: offline runs with cache `h ≤ k`.
-pub fn check_theorem_1_3(
-    costs: &CostProfile,
-    online_misses: &[u64],
-    offline_misses_h: &[u64],
-    alpha: f64,
-    k: usize,
-    h: usize,
-) -> BoundCheck {
-    check_theorem_1_3_scaled(costs, online_misses, offline_misses_h, alpha, k, h, 1.0)
-}
-
-/// [`check_theorem_1_3`] with the right-hand side multiplied by
-/// `rhs_scale` (see [`check_theorem_1_1_scaled`]).
+/// Check Theorem 1.3: offline runs with cache `h ≤ k`; `rhs_scale` as
+/// in [`check_theorem_1_1_scaled`].
 #[allow(clippy::too_many_arguments)]
 pub fn check_theorem_1_3_scaled(
     costs: &CostProfile,
@@ -247,13 +224,13 @@ mod tests {
         let costs = CostProfile::uniform(1, Monomial::power(2.0));
         // online 3 misses (cost 9), offline 1 miss (cost 1), α=2, k=2 →
         // rhs = f(4) = 16 ≥ 9.
-        let c = check_theorem_1_1(&costs, &[3], &[1], 2.0, 2);
+        let c = check_theorem_1_1_scaled(&costs, &[3], &[1], 2.0, 2, 1.0);
         assert!(c.satisfied);
         assert_eq!(c.online_cost, 9.0);
         assert_eq!(c.rhs, 16.0);
         assert_eq!(c.ratio, 9.0);
         // Violation detected when online exceeds the rhs.
-        let c2 = check_theorem_1_1(&costs, &[10], &[1], 2.0, 2);
+        let c2 = check_theorem_1_1_scaled(&costs, &[10], &[1], 2.0, 2, 1.0);
         assert!(!c2.satisfied);
     }
 
@@ -274,7 +251,7 @@ mod tests {
     #[test]
     fn zero_offline_cost_gives_infinite_ratio() {
         let costs = CostProfile::uniform(1, Monomial::power(2.0));
-        let c = check_theorem_1_1(&costs, &[5], &[0], 2.0, 4);
+        let c = check_theorem_1_1_scaled(&costs, &[5], &[0], 2.0, 4, 1.0);
         assert!(c.ratio.is_infinite());
         assert!(!c.satisfied); // rhs = f(0) = 0 < online
     }
@@ -292,7 +269,7 @@ mod tests {
     fn bicriteria_check_uses_inflated_factor() {
         let costs = CostProfile::uniform(1, Monomial::power(1.0));
         // α=1, k=4, h=3 ⇒ factor 4/2 = 2: rhs = f(2·b).
-        let c = check_theorem_1_3(&costs, &[3], &[2], 1.0, 4, 3);
+        let c = check_theorem_1_3_scaled(&costs, &[3], &[2], 1.0, 4, 3, 1.0);
         assert_eq!(c.rhs, 4.0);
         assert!(c.satisfied);
     }

@@ -196,11 +196,14 @@ USAGE:
                directly comparable to the recording run's (the CI
                concurrency smoke byte-diffs them). Corrupt or
                non-contiguous schedules exit 4; divergence exits 5.
-  occ conformance [--grid smoke|full] [--seed S] [--weaken W]
-               [--shrink on|off] [--out FILE] [--format table|json]
+  occ conformance [--grid smoke|full|e1|e2|e3|e4] [--seed S]
+               [--weaken W] [--shrink on|off] [--out FILE]
+               [--format table|json]
                machine-check the paper's bounds (Theorems 1.1/1.3/1.4,
                Claim 2.3) on a parallel grid of instances and render the
-               PASS/FAIL/VACUOUS verdict table. --out writes the
+               PASS/FAIL/VACUOUS verdict table. e1-e4 rebuild the
+               EXPERIMENTS E1-E4 instances with pinned seeds (--seed
+               leaves them unchanged). --out writes the
                schema-stamped JSON verdicts (byte-identical for a given
                grid, seed, and weaken factor). --weaken scales every
                bound (values < 1 tighten them — the deliberate-failure

@@ -18,16 +18,22 @@
 
 use crate::grid::{Cell, CheckKind, CostKind, PolicyKind, WorkloadKind};
 use crate::verdict::Verdict;
-use occ_analysis::{check_theorem_1_1_scaled, check_theorem_1_3_scaled};
-use occ_baselines::Lru;
+use occ_analysis::{check_theorem_1_1_scaled, check_theorem_1_3_scaled, epoch_costs};
+use occ_baselines::{Fifo, Lru};
+use occ_core::theory::claim23::check_inequality_6;
 use occ_core::{
     theorem_1_4_lower, try_check_claim_2_3, ConvexCaching, CostFn, CostProfile, Linear, Monomial,
-    PiecewiseLinear,
+    PiecewiseLinear, Polynomial,
 };
 use occ_offline::{batch_offline, belady_miss_vector, best_offline_heuristic, try_exact_opt};
 use occ_probe::MetricsRecorder;
-use occ_sim::{ReplacementPolicy, SteppingEngine, Trace, Universe};
-use occ_workloads::{cycle_trace, run_lower_bound, two_tier, uniform_trace, zipf_trace};
+use occ_sim::{ReplacementPolicy, SteppingEngine, Trace, Universe, UserId};
+use occ_workloads::{
+    cycle_trace, generate_multi_tenant, run_lower_bound, two_tier, uniform_trace, zipf_trace,
+    AccessPattern, TenantSpec,
+};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Relative slack for floating-point comparisons (matches the
@@ -99,11 +105,16 @@ pub(crate) fn build_costs(cell: &Cell) -> CostProfile {
         CostKind::FlatSla => {
             CostProfile::uniform(n, PiecewiseLinear::new(vec![0.0, 5.0], vec![3.0]))
         }
+        CostKind::Linear { w } => CostProfile::uniform(n, Linear::new(w)),
+        CostKind::Polynomial { coeffs } => {
+            CostProfile::uniform(n, Polynomial::new(coeffs.to_vec()))
+        }
     }
 }
 
 /// Build the cell's trace. Panics on [`WorkloadKind::Adversary`], whose
-/// trace depends on the online policy (see [`lower_bound`]).
+/// trace depends on the online policy (see [`lower_bound`]), and on
+/// [`WorkloadKind::Partitions`], which has none.
 fn build_trace(cell: &Cell, seed: u64) -> Trace {
     match cell.workload {
         WorkloadKind::Cycle => cycle_trace(cell.pages, cell.len),
@@ -119,9 +130,18 @@ fn build_trace(cell: &Cell, seed: u64) -> Trace {
             Trace::from_page_indices(&u, &pages)
         }
         WorkloadKind::TwoTier => two_tier().trace(cell.len, seed),
+        WorkloadKind::TenantMix => {
+            let tenants = [
+                TenantSpec::new(24, 2.0, AccessPattern::Zipf { s: 0.9 }),
+                TenantSpec::new(24, 1.0, AccessPattern::Cycle { len: 20 }),
+                TenantSpec::new(16, 1.0, AccessPattern::Uniform),
+            ];
+            generate_multi_tenant(&tenants, cell.len, seed)
+        }
         WorkloadKind::Adversary => {
             unreachable!("adversary traces are produced by the online run itself")
         }
+        WorkloadKind::Partitions { .. } => unreachable!("partition cells replay no trace"),
     }
 }
 
@@ -129,49 +149,24 @@ fn make_policy(kind: PolicyKind, costs: &CostProfile) -> Box<dyn ReplacementPoli
     match kind {
         PolicyKind::Convex => Box::new(ConvexCaching::new(costs.clone())),
         PolicyKind::Lru => Box::new(Lru::new()),
+        PolicyKind::Fifo => Box::new(Fifo::new()),
+        PolicyKind::NoPolicy => unreachable!("only partition cells run no policy"),
     }
 }
 
 /// Drive the trace through a [`SteppingEngine`] with the recorder
-/// attached, returning the per-user miss vector and (when `epoch_len`
-/// is set) the per-epoch per-user miss *increments* for Claim 2.3.
+/// attached, returning the per-user miss vector.
 fn run_online(
     policy: Box<dyn ReplacementPolicy>,
     trace: &Trace,
     k: usize,
-    epoch_len: Option<u64>,
     rec: &mut MetricsRecorder,
-) -> (Vec<u64>, Vec<Vec<u64>>) {
-    let universe = trace.universe().clone();
-    let num_users = universe.num_users() as usize;
-    let mut eng = SteppingEngine::new(k, universe, policy).with_recorder(&mut *rec);
-    let mut epochs: Vec<Vec<u64>> = Vec::new();
-    let mut at_epoch_start = vec![0u64; num_users];
-    for (t, req) in trace.iter() {
+) -> Vec<u64> {
+    let mut eng = SteppingEngine::new(k, trace.universe().clone(), policy).with_recorder(rec);
+    for (_, req) in trace.iter() {
         eng.step(req);
-        if let Some(el) = epoch_len {
-            if (t + 1) % el == 0 {
-                push_epoch(eng.stats().miss_vector(), &mut at_epoch_start, &mut epochs);
-            }
-        }
     }
-    let misses = eng.stats().miss_vector();
-    if let Some(el) = epoch_len {
-        if !(trace.len() as u64).is_multiple_of(el) {
-            push_epoch(misses.clone(), &mut at_epoch_start, &mut epochs);
-        }
-    }
-    (misses, epochs)
-}
-
-fn push_epoch(cumulative: Vec<u64>, at_start: &mut Vec<u64>, epochs: &mut Vec<Vec<u64>>) {
-    let delta: Vec<u64> = cumulative
-        .iter()
-        .zip(at_start.iter())
-        .map(|(now, before)| now - before)
-        .collect();
-    epochs.push(delta);
-    *at_start = cumulative;
+    eng.stats().miss_vector()
 }
 
 /// Pick the strongest affordable offline reference (see module docs).
@@ -202,7 +197,10 @@ pub(crate) fn evaluate(
     match cell.check {
         CheckKind::Theorem11 => upper_bound(cell, seed, weaken, cell.k, rec),
         CheckKind::Theorem13 { h } => upper_bound(cell, seed, weaken, h, rec),
-        CheckKind::Claim23 => claim23(cell, seed, weaken, rec),
+        CheckKind::Claim23 => match cell.workload {
+            WorkloadKind::Partitions { from } => claim23_partitions(cell, seed, from, weaken),
+            _ => claim23(cell, seed, weaken, rec),
+        },
         CheckKind::LowerBound14 => lower_bound(cell, weaken, rec),
     }
 }
@@ -219,7 +217,7 @@ fn upper_bound(
         return Evaluated::vacuous("α unbounded for this cost profile: the bound says nothing");
     };
     let trace = build_trace(cell, seed);
-    let (online, _) = run_online(make_policy(cell.policy, &costs), &trace, cell.k, None, rec);
+    let online = run_online(make_policy(cell.policy, &costs), &trace, cell.k, rec);
     let (oracle, offline) = if trace.is_empty() {
         ("none", vec![0u64; cell.users as usize])
     } else {
@@ -267,19 +265,14 @@ fn claim23(cell: &Cell, seed: u64, weaken: f64, rec: &mut MetricsRecorder) -> Ev
     let costs = build_costs(cell);
     let trace = build_trace(cell, seed);
     let epoch_len = (cell.len as u64 / CLAIM23_EPOCHS as u64).max(1);
-    let (misses, epochs) = run_online(
-        make_policy(cell.policy, &costs),
-        &trace,
-        cell.k,
-        Some(epoch_len),
-        rec,
-    );
+    let policy = make_policy(cell.policy, &costs);
+    let run = epoch_costs(policy, &trace, cell.k, &costs, epoch_len, rec);
     // Check the claim for every user's epoch increments; report the
     // worst margin (most FAIL-prone user) as the cell's lhs/rhs.
     let mut worst: Option<(f64, f64)> = None; // (lhs, rhs), by margin
     let mut max_lhs = 0.0f64;
     for user in 0..cell.users as usize {
-        let xs: Vec<f64> = epochs.iter().map(|e| e[user] as f64).collect();
+        let xs: Vec<f64> = run.epoch_misses.iter().map(|e| e[user] as f64).collect();
         let f = costs.user(occ_sim::UserId(user as u32));
         let Some(out) = try_check_claim_2_3(f, &xs, None) else {
             return Evaluated::vacuous("α unbounded for this cost profile: the bound says nothing");
@@ -300,7 +293,7 @@ fn claim23(cell: &Cell, seed: u64, weaken: f64, rec: &mut MetricsRecorder) -> Ev
     }
     let alpha = costs.alpha();
     Evaluated {
-        verdict: if lhs <= rhs * (1.0 + REL_EPS) + REL_EPS {
+        verdict: if at_most(lhs, rhs) {
             Verdict::Pass
         } else {
             Verdict::Fail
@@ -310,10 +303,76 @@ fn claim23(cell: &Cell, seed: u64, weaken: f64, rec: &mut MetricsRecorder) -> Ev
         op: "<=",
         lhs,
         rhs,
-        online_cost: costs.total_cost(&misses),
+        online_cost: costs.total_cost(&run.total_misses),
         offline_cost: 0.0,
         ratio: if lhs > 0.0 { rhs / lhs } else { f64::INFINITY },
         note: format!("worst user over {CLAIM23_EPOCHS} epochs"),
+    }
+}
+
+/// Whether `lhs ≤ rhs` up to [`REL_EPS`] (relative and absolute).
+fn at_most(lhs: f64, rhs: f64) -> bool {
+    lhs <= rhs * (1.0 + REL_EPS) + REL_EPS
+}
+
+/// Claim 2.3 on `cell.len` random partitions (see
+/// [`WorkloadKind::Partitions`]), each also checked against the proof's
+/// inequality (6), `Σ_j x_j f'(prefix_j) ≥ f(Σx)`. The cell reports the
+/// partition with the least slack `rhs/lhs` and counts the violations
+/// of both in its note.
+fn claim23_partitions(cell: &Cell, seed: u64, from: usize, weaken: f64) -> Evaluated {
+    let costs = build_costs(cell);
+    let f = costs.user(UserId(0));
+    let Some(alpha) = f.alpha() else {
+        return Evaluated::vacuous("α unbounded for this cost profile: the bound says nothing");
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut draw = move || -> Vec<f64> {
+        let n = rng.gen_range(1..=12);
+        (0..n).map(|_| rng.gen_range(0.0..5.0)).collect()
+    };
+    for _ in 0..from {
+        draw();
+    }
+    let (mut violations, mut ineq6_violations) = (0usize, 0usize);
+    let mut tightest: Option<(f64, f64)> = None; // (lhs, rhs) with the least rhs/lhs
+    for _ in 0..cell.len {
+        let xs = draw();
+        let out = try_check_claim_2_3(f, &xs, None).expect("α is bounded");
+        let rhs = out.rhs * weaken;
+        if !at_most(out.lhs, rhs) {
+            violations += 1;
+        }
+        let (weighted, total) = check_inequality_6(f, &xs);
+        if weighted + REL_EPS < total {
+            ineq6_violations += 1;
+        }
+        if out.lhs > 0.0 && tightest.is_none_or(|(l, r)| rhs / out.lhs < r / l) {
+            tightest = Some((out.lhs, rhs));
+        }
+    }
+    let Some((lhs, rhs)) = tightest else {
+        return Evaluated::vacuous("every partition sums to 0: both sides of the claim are 0");
+    };
+    Evaluated {
+        verdict: if violations == 0 && ineq6_violations == 0 {
+            Verdict::Pass
+        } else {
+            Verdict::Fail
+        },
+        oracle: "none",
+        alpha: Some(alpha),
+        op: "<=",
+        lhs,
+        rhs,
+        online_cost: 0.0,
+        offline_cost: 0.0,
+        ratio: rhs / lhs,
+        note: format!(
+            "least slack of {} partitions; {violations} violate the claim, \
+             {ineq6_violations} inequality (6)",
+            cell.len
+        ),
     }
 }
 
@@ -329,7 +388,7 @@ fn lower_bound(cell: &Cell, weaken: f64, rec: &mut MetricsRecorder) -> Evaluated
     // observes (same misses, same outcome, hooks attached).
     let mut probe = make_policy(cell.policy, &costs);
     let (_live, trace) = run_lower_bound(&mut probe, n, cell.len as u64);
-    let (online, _) = run_online(make_policy(cell.policy, &costs), &trace, cell.k, None, rec);
+    let online = run_online(make_policy(cell.policy, &costs), &trace, cell.k, rec);
     let online_cost = costs.total_cost(&online);
     let offline = batch_offline(&trace, cell.k);
     let offline_cost = costs.total_cost(&offline.misses);
@@ -371,6 +430,7 @@ mod tests {
             pages: 5,
             k: 4,
             len: 200,
+            seed: None,
         }
     }
 
@@ -423,6 +483,7 @@ mod tests {
             pages: 6,
             k: 3,
             len: 14,
+            seed: None,
         };
         let e = evaluate(&cell, 7, 1.0, &mut MetricsRecorder::new());
         assert_eq!(e.oracle, "exact");
@@ -440,6 +501,7 @@ mod tests {
             pages: 5,
             k: 4,
             len: 200,
+            seed: None,
         };
         let mut rec = MetricsRecorder::new();
         let e = evaluate(&cell, 7, 1.0, &mut rec);
@@ -464,10 +526,80 @@ mod tests {
             pages: 12,
             k: 5,
             len: 320,
+            seed: None,
         };
         let e = evaluate(&cell, 7, 1.0, &mut MetricsRecorder::new());
         assert_eq!(e.verdict, Verdict::Pass, "note: {}", e.note);
         assert!(e.lhs > 0.0);
+    }
+
+    fn partition_cell(cost: CostKind) -> Cell {
+        Cell {
+            check: CheckKind::Claim23,
+            policy: PolicyKind::NoPolicy,
+            workload: WorkloadKind::Partitions { from: 0 },
+            cost,
+            users: 1,
+            pages: 0,
+            k: 0,
+            len: 200,
+            seed: None,
+        }
+    }
+
+    #[test]
+    fn claim23_partitions_hold_tightly_for_linear_costs() {
+        let e = evaluate(
+            &partition_cell(CostKind::Linear { w: 3.0 }),
+            2015,
+            1.0,
+            &mut MetricsRecorder::new(),
+        );
+        assert_eq!(e.verdict, Verdict::Pass, "note: {}", e.note);
+        // Linear f: both sides are w·Σx on every partition.
+        assert!((e.ratio - 1.0).abs() < 1e-12, "ratio {}", e.ratio);
+        assert!(e.note.contains("0 violate the claim, 0 inequality (6)"));
+    }
+
+    #[test]
+    fn claim23_partitions_fail_when_weakened_and_skip_shifts_the_block() {
+        let cell = partition_cell(CostKind::Polynomial {
+            coeffs: &[2.0, 0.0, 1.0],
+        });
+        let e = evaluate(&cell, 2015, 1e-6, &mut MetricsRecorder::new());
+        assert_eq!(e.verdict, Verdict::Fail);
+        assert!(e.lhs > e.rhs);
+        let shifted = Cell {
+            workload: WorkloadKind::Partitions { from: 200 },
+            ..cell.clone()
+        };
+        let a = evaluate(&cell, 2015, 1.0, &mut MetricsRecorder::new());
+        let b = evaluate(&shifted, 2015, 1.0, &mut MetricsRecorder::new());
+        assert_eq!(a.verdict, Verdict::Pass);
+        assert_ne!(a.lhs, b.lhs, "a later block holds other partitions");
+    }
+
+    #[test]
+    fn fifo_and_the_tenant_mix_run_through_the_engine() {
+        let fifo = Cell {
+            policy: PolicyKind::Fifo,
+            ..base_cell()
+        };
+        let e = evaluate(&fifo, 7, 1.0, &mut MetricsRecorder::new());
+        assert_eq!(e.verdict, Verdict::Pass, "note: {}", e.note);
+        let mix = Cell {
+            workload: WorkloadKind::TenantMix,
+            users: 3,
+            pages: 64,
+            k: 8,
+            len: 600,
+            ..base_cell()
+        };
+        let mut rec = MetricsRecorder::new();
+        let e = evaluate(&mix, 13, 1.0, &mut rec);
+        assert_eq!(e.oracle, "heuristic");
+        assert_eq!(e.verdict, Verdict::Pass, "note: {}", e.note);
+        assert_eq!(rec.total().requests(), 600);
     }
 
     #[test]

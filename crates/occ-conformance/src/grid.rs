@@ -5,6 +5,11 @@
 //! cost profiles from it happens in the cell evaluator, so the grid
 //! itself is trivially serializable into cell ids and stays cheap to
 //! clone into the shrinker.
+//!
+//! `smoke` and `full` derive each cell's seed from the grid seed; the
+//! experiment grids `e1`–`e4` pin every cell's seed, so they rebuild
+//! the same instances whatever `--seed` says and their committed
+//! tables (`results/conformance-eN.txt`) stay reproducible.
 
 /// Which paper statement a cell machine-checks.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -19,7 +24,8 @@ pub enum CheckKind {
         h: usize,
     },
     /// Claim 2.3: `f'(Σx)·Σx ≤ α·Σ_j x_j·f'(x_1+…+x_j)` on the per-epoch
-    /// miss increments of a real run.
+    /// miss increments of a real run, or on random partitions
+    /// ([`WorkloadKind::Partitions`]).
     Claim23,
     /// Theorem 1.4: on the §4 adversary the online/offline cost ratio
     /// must reach the analytic `(n/4)^β` growth.
@@ -56,6 +62,11 @@ pub enum PolicyKind {
     /// Classical LRU — the cost-blind baseline with the textbook
     /// `k`-competitive guarantee (a linear-cost special case of T1.1).
     Lru,
+    /// FIFO, the other cost-blind baseline Theorem 1.4 binds (E3).
+    Fifo,
+    /// No online run: the cell checks a pointwise inequality
+    /// (Claim 2.3 on [`WorkloadKind::Partitions`]).
+    NoPolicy,
 }
 
 impl PolicyKind {
@@ -64,6 +75,8 @@ impl PolicyKind {
         match self {
             PolicyKind::Convex => "convex",
             PolicyKind::Lru => "lru",
+            PolicyKind::Fifo => "fifo",
+            PolicyKind::NoPolicy => "none",
         }
     }
 }
@@ -85,9 +98,20 @@ pub enum WorkloadKind {
     TinyMix,
     /// The `two_tier` preset scenario (two Zipf tenants, 64 pages).
     TwoTier,
+    /// E1c's three tenants (64 pages): Zipf(0.9) over 24 pages at
+    /// arrival rate 2, a 20-page cycle over 24 pages and uniform over
+    /// 16 pages, each at rate 1.
+    TenantMix,
     /// The §4 adaptive missing-page adversary (Theorem 1.4 instances:
     /// one page per user, `k = n − 1`; the trace is policy-dependent).
     Adversary,
+    /// Claim 2.3's `x` vectors instead of a trace: `len` partitions of
+    /// 1–12 entries, each uniform on `[0, 5)`, taken from the seeded
+    /// stream after its first `from` partitions.
+    Partitions {
+        /// Partitions drawn and discarded before the cell's own.
+        from: usize,
+    },
 }
 
 impl WorkloadKind {
@@ -99,7 +123,9 @@ impl WorkloadKind {
             WorkloadKind::Uniform => "uniform",
             WorkloadKind::TinyMix => "tinymix",
             WorkloadKind::TwoTier => "twotier",
+            WorkloadKind::TenantMix => "tenantmix",
             WorkloadKind::Adversary => "adversary",
+            WorkloadKind::Partitions { .. } => "partitions",
         }
     }
 }
@@ -124,6 +150,16 @@ pub enum CostKind {
     },
     /// The `two_tier` preset mix: user 0 quadratic, user 1 linear.
     TwoTierMix,
+    /// Every user pays `w·x` (α = 1).
+    Linear {
+        /// The slope.
+        w: f64,
+    },
+    /// Every user pays `Σ_d coeffs[d−1]·x^d` (α = the degree).
+    Polynomial {
+        /// Coefficients of `x^1, x^2, …`.
+        coeffs: &'static [f64],
+    },
     /// A *flat-start* piecewise-linear profile whose curvature constant
     /// is unbounded (`alpha()` = `None`): the paper's guarantee is
     /// vacuous, and the harness must say so rather than pass or fail.
@@ -134,17 +170,25 @@ impl CostKind {
     /// Stable display name.
     pub fn name(self) -> String {
         match self {
-            CostKind::Monomial { beta } => {
-                if beta.fract() == 0.0 {
-                    format!("mono{}", beta as u64)
-                } else {
-                    format!("mono{beta}")
-                }
-            }
+            CostKind::Monomial { beta } => format!("mono{}", num_tag(beta)),
             CostKind::Sla { .. } => "sla".into(),
             CostKind::TwoTierMix => "mix".into(),
+            CostKind::Linear { w } => format!("lin{}", num_tag(w)),
+            CostKind::Polynomial { coeffs } => {
+                let tags: Vec<String> = coeffs.iter().map(|&c| num_tag(c)).collect();
+                format!("poly{}", tags.join("-"))
+            }
             CostKind::FlatSla => "flat".into(),
         }
+    }
+}
+
+/// `3` for integral values, `1.5` otherwise.
+fn num_tag(x: f64) -> String {
+    if x.fract() == 0.0 {
+        format!("{}", x as u64)
+    } else {
+        format!("{x}")
     }
 }
 
@@ -167,8 +211,12 @@ pub struct Cell {
     pub pages: u32,
     /// Online cache size `k`.
     pub k: usize,
-    /// Trace length `T`.
+    /// Trace length `T` (the partition count for
+    /// [`WorkloadKind::Partitions`]).
     pub len: usize,
+    /// Pinned workload seed; `None` derives one from the grid seed and
+    /// the cell's index ([`cell_seed`]).
+    pub seed: Option<u64>,
 }
 
 impl Cell {
@@ -215,12 +263,16 @@ pub fn grid(name: &str) -> Option<Grid> {
     match name {
         "smoke" => Some(smoke()),
         "full" => Some(full()),
+        "e1" => Some(e1()),
+        "e2" => Some(e2()),
+        "e3" => Some(e3()),
+        "e4" => Some(e4()),
         _ => None,
     }
 }
 
 /// Names of all built-in grids (for usage messages).
-pub const GRID_NAMES: &[&str] = &["smoke", "full"];
+pub const GRID_NAMES: &[&str] = &["smoke", "full", "e1", "e2", "e3", "e4"];
 
 #[allow(clippy::too_many_arguments)] // a cell IS this tuple; a builder would obscure the grid tables
 fn cell(
@@ -242,11 +294,19 @@ fn cell(
         pages,
         k,
         len,
+        seed: None,
     }
 }
 
 fn mono(beta: f64) -> CostKind {
     CostKind::Monomial { beta }
+}
+
+fn pinned(seed: u64, cell: Cell) -> Cell {
+    Cell {
+        seed: Some(seed),
+        ..cell
+    }
 }
 
 /// A Theorem 1.4 cell: `n` single-page users, `k = n − 1`, and the §4
@@ -432,6 +492,117 @@ fn full() -> Grid {
     }
 }
 
+/// E1 — Theorem 1.1 / Corollary 1.2, in three parts:
+///
+/// * E1a: two users with 3 or 4 pages each, 16 requests, against the
+///   exact convex OPT (`exact_opt`);
+/// * E1b: one user, 20k requests, where Belady's MIN is the exact OPT:
+///   the `(k+1)`-cycle, Zipf(0.9) over `4k` pages and uniform over `2k`;
+/// * E1c: the three-tenant mix, 30k requests, against the offline
+///   heuristic (a necessary-side check).
+fn e1() -> Grid {
+    use CheckKind::*;
+    use PolicyKind::*;
+    use WorkloadKind::*;
+    let mut cells = Vec::new();
+    for &beta in &[1.0, 2.0, 3.0] {
+        for &k in &[2usize, 3] {
+            for &pages in &[6u32, 8] {
+                let c = cell(Theorem11, Convex, TinyMix, mono(beta), 2, pages, k, 16);
+                cells.push(pinned(0, c));
+            }
+        }
+    }
+    for &beta in &[1.0, 2.0, 3.0] {
+        for &k in &[4usize, 8, 16] {
+            let p = k as u32;
+            for (workload, pages) in [(Cycle, p + 1), (Zipf { s: 0.9 }, 4 * p), (Uniform, 2 * p)] {
+                let c = cell(Theorem11, Convex, workload, mono(beta), 1, pages, k, 20_000);
+                cells.push(pinned(7, c));
+            }
+        }
+    }
+    for &beta in &[1.0, 2.0] {
+        for &k in &[8usize, 16] {
+            let c = cell(Theorem11, Convex, TenantMix, mono(beta), 3, 64, k, 30_000);
+            cells.push(pinned(13, c));
+        }
+    }
+    Grid { name: "e1", cells }
+}
+
+/// E2 — Theorem 1.3: one ALG-DISCRETE run per workload (`k = 12`,
+/// 20k requests) against Belady with every offline cache
+/// `h ∈ {1, 2, 4, …, 12}`, for `x` and `x²`.
+fn e2() -> Grid {
+    use PolicyKind::*;
+    use WorkloadKind::*;
+    let mut cells = Vec::new();
+    for &beta in &[1.0, 2.0] {
+        for (workload, pages) in [(Cycle, 13), (Zipf { s: 0.9 }, 48)] {
+            for h in [1usize, 2, 4, 6, 8, 10, 12] {
+                let check = CheckKind::Theorem13 { h };
+                let c = cell(check, Convex, workload, mono(beta), 1, pages, 12, 20_000);
+                cells.push(pinned(3, c));
+            }
+        }
+    }
+    Grid { name: "e2", cells }
+}
+
+/// E3 — Theorem 1.4: ALG-DISCRETE, LRU and FIFO on the §4 adversary for
+/// `n ∈ {5, 9, 17, 33}` and `β ∈ {1, 2, 3}`.
+fn e3() -> Grid {
+    let mut cells = Vec::new();
+    for &beta in &[1.0, 2.0, 3.0] {
+        for &n in &[5u32, 9, 17, 33] {
+            for policy in [PolicyKind::Convex, PolicyKind::Lru, PolicyKind::Fifo] {
+                cells.push(pinned(0, adversary_cell(policy, beta, n)));
+            }
+        }
+    }
+    Grid { name: "e3", cells }
+}
+
+/// E4 — Claim 2.3 on 2,000 random partitions per cost family. The
+/// families take consecutive blocks of one seed-2015 stream.
+fn e4() -> Grid {
+    const TRIALS: usize = 2_000;
+    let families = [
+        CostKind::Linear { w: 3.0 },
+        mono(1.5),
+        mono(2.0),
+        mono(4.0),
+        CostKind::Polynomial {
+            coeffs: &[2.0, 0.0, 1.0],
+        },
+        CostKind::Sla {
+            tolerance: 5.0,
+            base: 1.0,
+            penalty: 10.0,
+        },
+    ];
+    let cells = families
+        .into_iter()
+        .enumerate()
+        .map(|(i, cost)| {
+            let workload = WorkloadKind::Partitions { from: i * TRIALS };
+            let c = cell(
+                CheckKind::Claim23,
+                PolicyKind::NoPolicy,
+                workload,
+                cost,
+                1,
+                0,
+                0,
+                TRIALS,
+            );
+            pinned(2015, c)
+        })
+        .collect();
+    Grid { name: "e4", cells }
+}
+
 /// Derive a per-cell seed from the grid seed and the cell's index, so
 /// cells are independent yet the whole run is reproducible from one
 /// number. SplitMix64 finalizer — same mixer as the workload generators.
@@ -500,6 +671,16 @@ mod tests {
                 if let CheckKind::Theorem13 { h } = c.check {
                     assert!(h >= 1 && h <= c.k, "h out of range in {}", c.id());
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_experiment_grids_pin_seeds() {
+        for name in GRID_NAMES {
+            let pinned = name.starts_with('e');
+            for c in grid(name).unwrap().cells {
+                assert_eq!(c.seed.is_some(), pinned, "{name}: {}", c.id());
             }
         }
     }

@@ -12,7 +12,7 @@
 //! * **Theorem 1.3** — the bi-criteria variant with offline cache
 //!   `h ≤ k` and factor `α·k/(k−h+1)`;
 //! * **Claim 2.3** — the derivative inequality, evaluated on the
-//!   per-epoch miss increments of an actual run;
+//!   per-epoch miss increments of an actual run or on random partitions;
 //! * **Theorem 1.4** — the `(n/4)^β` lower-bound growth on the §4
 //!   adaptive adversary, certified against the batch offline schedule.
 //!
@@ -34,7 +34,9 @@
 //! harness that cannot fail is not checking anything).
 //!
 //! `occ conformance --grid smoke` is the CLI entry; the smoke grid is
-//! the CI gate.
+//! the CI gate. The grids `e1`–`e4` rebuild the instances of
+//! EXPERIMENTS E1–E4 with pinned seeds; CI compares their tables with
+//! the committed `results/conformance-eN.txt`.
 
 pub mod cell;
 pub mod grid;

@@ -18,7 +18,8 @@ use occ_probe::MetricsRecorder;
 /// Knobs for one grid run.
 #[derive(Clone, Copy, Debug)]
 pub struct RunConfig {
-    /// Master seed; each cell derives its own via [`cell_seed`].
+    /// Master seed; each cell without a pinned seed derives its own via
+    /// [`cell_seed`].
     pub seed: u64,
     /// Bound-weakening factor. `1.0` checks the theorems as stated;
     /// `< 1` tightens every bound (the deliberate-failure fixture for
@@ -55,7 +56,7 @@ pub fn run_grid(grid: &Grid, cfg: &RunConfig) -> GridOutcome {
     assert!(cfg.weaken > 0.0, "weaken factor must be positive");
     let items: Vec<(usize, Cell)> = grid.cells.iter().cloned().enumerate().collect();
     let results = parallel_sweep(items, |(index, cell)| {
-        let seed = cell_seed(cfg.seed, *index);
+        let seed = cell.seed.unwrap_or_else(|| cell_seed(cfg.seed, *index));
         let mut rec = MetricsRecorder::new();
         let start = std::time::Instant::now();
         let e = evaluate(cell, seed, cfg.weaken, &mut rec);

@@ -14,7 +14,7 @@
 //! deterministic, logarithmically many re-evaluations, small result.
 
 use crate::cell::evaluate;
-use crate::grid::{Cell, CheckKind};
+use crate::grid::{Cell, CheckKind, WorkloadKind};
 use crate::verdict::Verdict;
 use occ_probe::MetricsRecorder;
 
@@ -49,9 +49,11 @@ pub(crate) fn shrink_failure(cell: &Cell, seed: u64, weaken: f64) -> Option<Shru
         return None;
     }
 
-    // Adversary instances tie k to n; only the length shrinks there.
-    let (min_len, shrink_k) = match cell.check {
-        CheckKind::LowerBound14 => (cell.users as usize, false),
+    // Adversary instances tie k to n, and partition cells have no
+    // cache: only the length (the partition count) shrinks there.
+    let (min_len, shrink_k) = match (cell.check, cell.workload) {
+        (CheckKind::LowerBound14, _) => (cell.users as usize, false),
+        (_, WorkloadKind::Partitions { .. }) => (1, false),
         _ => (1, true),
     };
 
@@ -90,7 +92,7 @@ fn bisect_first_failing(lo: usize, hi: usize, fails: impl Fn(usize) -> bool) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{CostKind, PolicyKind, WorkloadKind};
+    use crate::grid::{CostKind, PolicyKind};
 
     fn failing_cell() -> Cell {
         // With an absurdly weakened bound every non-vacuous upper-bound
@@ -104,6 +106,7 @@ mod tests {
             pages: 5,
             k: 4,
             len: 200,
+            seed: None,
         }
     }
 
@@ -145,6 +148,7 @@ mod tests {
             pages: 5,
             k: 4,
             len: 200,
+            seed: None,
         };
         // Demanding a ratio 1e9× the analytic bound fails at full size.
         let s = shrink_failure(&cell, 7, 1e-9).expect("fails under weaken=1e-9");

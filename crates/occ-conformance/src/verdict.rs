@@ -223,7 +223,7 @@ impl VerdictTable {
         out.push('\n');
 
         let mut t = Table::new(vec![
-            "cell", "verdict", "lhs", "op", "rhs", "ratio", "oracle", "note",
+            "cell", "verdict", "lhs", "op", "rhs", "ratio", "online", "offline", "oracle", "note",
         ]);
         for c in &self.cells {
             t.row(vec![
@@ -237,6 +237,8 @@ impl VerdictTable {
                 } else {
                     "inf".to_string()
                 },
+                fnum(c.online_cost),
+                fnum(c.offline_cost),
                 c.oracle.to_string(),
                 c.note.clone(),
             ]);

@@ -5,6 +5,7 @@
 
 use occ_conformance::{grid, run_grid, RunConfig, Verdict, VerdictTable};
 use occ_probe::Json;
+use std::collections::BTreeMap;
 
 #[test]
 fn smoke_grid_passes_every_non_vacuous_cell() {
@@ -65,6 +66,69 @@ fn full_grid_passes_every_non_vacuous_cell() {
             c.rhs,
             c.note
         );
+    }
+}
+
+#[test]
+fn experiment_grids_pass_every_cell() {
+    for name in ["e1", "e2", "e3", "e4"] {
+        let out = run_grid(&grid(name).unwrap(), &RunConfig::default());
+        let (pass, _, _) = out.verdicts.counts();
+        assert_eq!(
+            pass,
+            out.verdicts.cells.len(),
+            "{name} must PASS every cell:\n{}",
+            out.verdicts.to_table()
+        );
+        // E1a's two-user cells are certified against the exact OPT,
+        // never the heuristic fallback.
+        for c in out
+            .verdicts
+            .cells
+            .iter()
+            .filter(|c| c.workload == "tinymix")
+        {
+            assert_eq!(c.oracle, "exact", "{}", c.id);
+        }
+    }
+}
+
+#[test]
+fn experiment_grids_ignore_the_grid_seed() {
+    // Every e-grid cell pins its seed, so `--seed` cannot move a
+    // committed results/conformance-eN.txt number.
+    let g = grid("e4").unwrap();
+    let a = run_grid(&g, &RunConfig::default()).verdicts;
+    let b = run_grid(
+        &g,
+        &RunConfig {
+            seed: 99,
+            ..RunConfig::default()
+        },
+    )
+    .verdicts;
+    for (x, y) in a.cells.iter().zip(&b.cells) {
+        assert_eq!((x.lhs, x.rhs, &x.note), (y.lhs, y.rhs, &y.note), "{}", x.id);
+    }
+}
+
+#[test]
+fn lower_bound_ratio_grows_strictly_with_n_on_e3() {
+    // Theorem 1.4's (n/4)^β growth, read off the e3 verdicts: for each
+    // (policy, β), the measured ratio rises strictly along n.
+    let out = run_grid(&grid("e3").unwrap(), &RunConfig::default());
+    let mut series: BTreeMap<String, Vec<(u32, f64)>> = BTreeMap::new();
+    for c in &out.verdicts.cells {
+        let key = format!("{} {}", c.policy, c.cost);
+        series.entry(key).or_default().push((c.users, c.ratio));
+    }
+    assert_eq!(series.len(), 9, "3 policies × 3 exponents");
+    for (key, mut points) in series {
+        points.sort_by_key(|&(n, _)| n);
+        assert_eq!(points.len(), 4, "{key}: n ∈ {{5, 9, 17, 33}}");
+        for w in points.windows(2) {
+            assert!(w[1].1 > w[0].1, "{key}: ratio not growing: {points:?}");
+        }
     }
 }
 

@@ -1,8 +1,10 @@
 //! Cross-crate integration tests: workloads → engine → algorithms →
 //! offline references → theory checks, exercised together the way the
-//! experiment binaries use them.
+//! conformance harness uses them.
 
-use occ_analysis::{check_theorem_1_1, check_theorem_1_3, compare_policies, evaluate_policy};
+use occ_analysis::{
+    check_theorem_1_1_scaled, check_theorem_1_3_scaled, compare_policies, evaluate_policy,
+};
 use occ_baselines::{standard_suite, Lru};
 use occ_core::{ConvexCaching, CostProfile, Monomial};
 use occ_offline::{batch_offline, belady_miss_vector, best_offline_heuristic};
@@ -24,7 +26,7 @@ fn theorem_1_1_holds_on_single_user_workloads() {
                 let mut alg = ConvexCaching::new(costs.clone());
                 let a = Simulator::new(k).run(&mut alg, &trace).miss_vector();
                 let b = belady_miss_vector(&trace, k);
-                let check = check_theorem_1_1(&costs, &a, &b, beta, k);
+                let check = check_theorem_1_1_scaled(&costs, &a, &b, beta, k, 1.0);
                 assert!(
                     check.satisfied,
                     "Theorem 1.1 violated at beta={beta}, k={k}: online {} > rhs {}",
@@ -45,7 +47,7 @@ fn theorem_1_3_holds_for_all_h() {
     let a = Simulator::new(k).run(&mut alg, &trace).miss_vector();
     for h in 1..=k {
         let b = belady_miss_vector(&trace, h);
-        let check = check_theorem_1_3(&costs, &a, &b, beta, k, h);
+        let check = check_theorem_1_3_scaled(&costs, &a, &b, beta, k, h, 1.0);
         assert!(check.satisfied, "Theorem 1.3 violated at h={h}");
     }
 }

@@ -6,7 +6,9 @@ use occ_analysis::{epoch_costs, lru_mrc};
 use occ_baselines::{GreedyDual, Lru, RandomizedMarking};
 use occ_core::{ConvexCaching, CostFn, CostProfile, Linear, Monomial};
 use occ_pools::{run_pools, PoolsConfig, StaticAssigner};
-use occ_sim::{read_trace, write_trace, ReplacementPolicy, Simulator, Trace, Universe};
+use occ_sim::{
+    read_trace, write_trace, NoopRecorder, ReplacementPolicy, Simulator, Trace, Universe,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -49,7 +51,7 @@ proptest! {
         let n = trace.universe().num_users();
         let costs = CostProfile::uniform(n, Monomial::power(2.0));
         let k = (trace.universe().num_pages() as usize / 2).max(1);
-        let ec = epoch_costs(Lru::new(), &trace, k, &costs, epoch_len);
+        let ec = epoch_costs(Lru::new(), &trace, k, &costs, epoch_len, NoopRecorder);
         prop_assert!(ec.windowed_total() <= ec.unwindowed_total(&costs) + 1e-9);
         // Per-epoch misses partition the totals.
         let mut sums = vec![0u64; n as usize];
