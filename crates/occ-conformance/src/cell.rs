@@ -22,8 +22,8 @@ use occ_analysis::{check_theorem_1_1_scaled, check_theorem_1_3_scaled, epoch_cos
 use occ_baselines::{Fifo, Lru};
 use occ_core::theory::claim23::check_inequality_6;
 use occ_core::{
-    theorem_1_4_lower, try_check_claim_2_3, ConvexCaching, CostFn, CostProfile, Linear, Monomial,
-    PiecewiseLinear, Polynomial,
+    check_claim_2_3, theorem_1_4_lower, try_check_claim_2_3, ConvexCaching, CostFn, CostProfile,
+    Linear, Monomial, PiecewiseLinear, Polynomial,
 };
 use occ_offline::{batch_offline, belady_miss_vector, best_offline_heuristic, try_exact_opt};
 use occ_probe::MetricsRecorder;
@@ -338,7 +338,7 @@ fn claim23_partitions(cell: &Cell, seed: u64, from: usize, weaken: f64) -> Evalu
     let mut tightest: Option<(f64, f64)> = None; // (lhs, rhs) with the least rhs/lhs
     for _ in 0..cell.len {
         let xs = draw();
-        let out = try_check_claim_2_3(f, &xs, None).expect("α is bounded");
+        let out = check_claim_2_3(f, &xs, None);
         let rhs = out.rhs * weaken;
         if !at_most(out.lhs, rhs) {
             violations += 1;
