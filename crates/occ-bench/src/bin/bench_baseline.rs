@@ -62,16 +62,18 @@
 //!   rep; the row's rate is the batched kernel's, with the paired scalar
 //!   rate beside it;
 //! * `recorded` — the recorder layer in isolation: batched replay of
-//!   the 4-tenant trace at `k = 1024` with what `occ fleet --window`
-//!   attaches, for lru and alg-discrete: `recorded` rows carry the
-//!   `--timing on` pair `(MetricsRecorder, WindowedRecorder<false>)`
-//!   (timed, so every request is stamped, one sample per request
-//!   asserted), `recorded-untimed` rows the default
-//!   `WindowedRecorder<false>` alone with the whole-run tally folded
-//!   from its series. Stats are asserted identical to the untimed
-//!   batched replay before any rep, the reps of all three run
-//!   interleaved in one window, and each row carries its
-//!   recorded/untimed ratio. `--recorded` prints just this block and
+//!   the 4-tenant trace at `k = 1024`, windows of 10k requests, for lru
+//!   and alg-discrete: `recorded` rows carry the timed pair
+//!   `(MetricsRecorder, WindowedRecorder<false>)` (every request
+//!   stamped, one sample per request asserted), `recorded-untimed` rows
+//!   a hook-counting `WindowedRecorder<false>` alone with the whole-run
+//!   tally folded from its series, and `recorded-cut` rows what `occ
+//!   fleet --window` attaches: `StatsWindows<false>`, which compiles out
+//!   of the engine, each window cut from the engine's counters at its
+//!   boundary. Stats are asserted identical to the untimed batched
+//!   replay, and the cut series identical to the hook-counted one,
+//!   before any rep; the reps of all four run interleaved in one
+//!   window, and each row carries its recorded/untimed ratio. `--recorded` prints just this block and
 //!   leaves the baseline file untouched;
 //! * `ingest` — pure trace-ingestion throughput (decode + validation +
 //!   running CRC, no cache attached) over the three binary access
@@ -102,7 +104,7 @@
 use occ_baselines::{Fifo, GreedyDual, Lru, LruReference, Marking};
 use occ_core::{ConvexCaching, CostProfile, DiscreteReference, Monomial};
 use occ_fleet::{run_fleet_typed, run_shared_fleet, FleetConfig, SharedConfig};
-use occ_probe::{Json, MetricsRecorder, WindowedRecorder};
+use occ_probe::{Json, MetricsRecorder, StatsWindows, WindowedRecorder};
 use occ_sim::{
     read_trace_binary_v2, write_trace_binary, write_trace_binary_v2, Binary2TraceReader,
     Binary2TraceWriter, BinarySource, BinaryTraceReader, PageId, ReplacementPolicy, Request,
@@ -930,17 +932,21 @@ fn tenant_scale_block(
 }
 
 /// One recorder-layer cell: untimed batched replay, batched replay with
-/// the timed fleet's recorder pair, and batched replay with the untimed
-/// fleet's windows alone (its whole-run tally folded from the series,
-/// as `occ fleet` does). Stats are asserted identical before any rep,
-/// then best-of-`reps` of each with the reps interleaved. Returns req/s
-/// of (untimed batched, timed pair, untimed windows) and the misses.
+/// the timed fleet's recorder pair, batched replay with hook-counted
+/// untimed windows alone (the whole-run tally folded from the series),
+/// and batched replay with the windows `occ fleet --window` now cuts
+/// from the engine's counters at each boundary ([`StatsWindows`],
+/// batches ending on window boundaries). Stats are asserted identical,
+/// and the cut series identical to the hook-counted one, before any
+/// rep; then best-of-`reps` of each with the reps interleaved. Returns
+/// req/s of (untimed batched, timed pair, hook-counted windows, cut
+/// windows) and the misses.
 fn measure_recorded<P: ReplacementPolicy>(
     make: impl Fn() -> P,
     wl: &Workload,
     k: usize,
     reps: usize,
-) -> (f64, f64, f64, u64) {
+) -> (f64, f64, f64, f64, u64) {
     let requests = wl.trace.requests();
     let windows = || WindowedRecorder::<false>::new(RECORDED_WINDOW).with_ring_capacity(usize::MAX);
     let untimed = || {
@@ -964,36 +970,60 @@ fn measure_recorded<P: ReplacementPolicy>(
         let stats = engine.stats().clone();
         let mut windows = engine.into_recorder();
         windows.finalize(end);
-        let tally = MetricsRecorder::from_total(windows.into_series().total());
+        let series = windows.into_series();
+        let tally = MetricsRecorder::<false>::from_total(series.total());
         assert_eq!(tally.total().requests(), requests.len() as u64);
         assert_eq!(tally.total().misses_by_user, stats.miss_vector());
-        stats
+        (stats, series)
+    };
+    let recorded_cut = || {
+        let engine = SteppingEngine::new(k, wl.trace.universe().clone(), make());
+        let cut = StatsWindows::<false>::starting_at(RECORDED_WINDOW, 0, engine.stats())
+            .with_ring_capacity(usize::MAX);
+        let mut engine = engine.with_recorder(cut);
+        for window in requests.chunks(RECORDED_WINDOW as usize) {
+            engine.run_batched(window, DEFAULT_BATCH_SIZE);
+            let t = engine.time();
+            let (cut, stats) = engine.recorder_and_stats();
+            cut.cut(t, stats);
+        }
+        let end = engine.time();
+        let (cut, stats) = engine.recorder_and_stats();
+        cut.finalize(end, stats);
+        let stats = stats.clone();
+        let series = engine.into_recorder().into_series();
+        let tally = MetricsRecorder::<false>::from_total(series.total());
+        assert_eq!(tally.total().requests(), requests.len() as u64);
+        (stats, series)
     };
     let stats = untimed();
     assert_eq!(recorded(), stats, "recorded replay diverged from untimed");
-    assert_eq!(
-        recorded_untimed(),
-        stats,
-        "untimed recorded replay diverged"
-    );
-    let mut best = [f64::INFINITY; 3];
-    let timed = |run: &dyn Fn() -> SimStats| {
+    let (hooked_stats, hooked) = recorded_untimed();
+    assert_eq!(hooked_stats, stats, "untimed recorded replay diverged");
+    let (cut_stats, cut) = recorded_cut();
+    assert_eq!(cut_stats, stats, "cut-window replay diverged");
+    assert_eq!(cut, hooked, "cut windows differ from hook-counted windows");
+    fn secs<T>(run: &impl Fn() -> T) -> f64 {
         let start = Instant::now();
         std::hint::black_box(run());
         start.elapsed().as_secs_f64()
-    };
+    }
+    let mut best = [f64::INFINITY; 4];
     for _ in 0..reps {
-        best[0] = best[0].min(timed(&untimed));
-        best[1] = best[1].min(timed(&recorded));
-        best[2] = best[2].min(timed(&recorded_untimed));
+        best[0] = best[0].min(secs(&untimed));
+        best[1] = best[1].min(secs(&recorded));
+        best[2] = best[2].min(secs(&recorded_untimed));
+        best[3] = best[3].min(secs(&recorded_cut));
     }
     let n = requests.len() as f64;
-    (n / best[0], n / best[1], n / best[2], stats.total_misses())
+    let [untimed, recorded, hooked, cut] = best.map(|s| n / s);
+    (untimed, recorded, hooked, cut, stats.total_misses())
 }
 
 /// The `recorded` rows: what the fleet's recorders cost on top of the
 /// batched kernel, per policy in [`RECORDED_POLICIES`], timed (mode
-/// `recorded`) and untimed (mode `recorded-untimed`).
+/// `recorded`), untimed hook-counted windows (mode `recorded-untimed`)
+/// and untimed windows cut from the counters (mode `recorded-cut`).
 fn recorded_block(reps: usize) -> Vec<String> {
     let wl = workloads(RECORDED_K)
         .into_iter()
@@ -1001,7 +1031,7 @@ fn recorded_block(reps: usize) -> Vec<String> {
         .expect("the 4-tenant workload");
     let mut rows = Vec::new();
     for label in RECORDED_POLICIES {
-        let (untimed, recorded, recorded_untimed, misses) = match label {
+        let (untimed, recorded, recorded_untimed, recorded_cut, misses) = match label {
             "lru" => measure_recorded(Lru::new, &wl, RECORDED_K, reps),
             _ => {
                 let costs = CostProfile::uniform(wl.num_users, Monomial::power(2.0));
@@ -1011,6 +1041,7 @@ fn recorded_block(reps: usize) -> Vec<String> {
         for (mode, rate) in [
             ("recorded", recorded),
             ("recorded-untimed", recorded_untimed),
+            ("recorded-cut", recorded_cut),
         ] {
             let ratio = rate / untimed;
             println!(

@@ -6,14 +6,15 @@ use occ_analysis::{compare_policies, evaluate_policy, fnum, lru_cost_curve, lru_
 use occ_baselines::{CostGreedy, Fifo, GreedyDual, Lfu, Lru, LruK, Marking, RandomEvict};
 use occ_core::{ConvexCaching, CostProfile};
 use occ_fleet::{
-    faults_json, run_fleet, run_shared_fleet, run_supervised_fleet, users_json, BackoffPolicy,
-    DirPersist, FleetConfig, ShardKill, SharedConfig, SharedError, StoreFault, SupervisorConfig,
+    faults_json, run_fleet, run_fleet_typed, run_shared_fleet, run_supervised_fleet, users_json,
+    BackoffPolicy, DirPersist, FleetConfig, FleetReport, ShardKill, SharedConfig, SharedError,
+    StoreFault, SupervisorConfig,
 };
 use occ_offline::{Belady, CostAwareBelady};
 use occ_probe::{
     require_trailer, snapshot_from_json, snapshot_to_json, write_atomic, write_atomic_with_trailer,
     AtomicFile, CrcWriter, DualPoint, DualTrace, Json, JsonlSink, MetricsRecorder, ObserveReport,
-    SeriesFile, SeriesSink, WindowDelta, WindowedRecorder,
+    SeriesFile, SeriesSink, StatsWindows, WindowDelta,
 };
 use occ_sim::concurrent::{replay_schedule, CommitSchedule, ReplayError, ReplayOutcome};
 use occ_sim::{
@@ -1022,13 +1023,14 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
                 persist.push(Some(p));
             }
         }
-        let report = run_supervised_fleet(
-            shards,
-            &scfg,
-            |i| scenario.stream(len, shard_seed(i)),
-            |_| make_online_policy(&policy_name, costs).expect("validated above"),
-            persist,
-        );
+        let sources = |i| scenario.stream(len, shard_seed(i));
+        let report = if policy_name == "convex" {
+            let convex = |_| ConvexCaching::new(costs.clone());
+            run_supervised_fleet(shards, &scfg, sources, convex, persist)
+        } else {
+            let boxed = |_| make_online_policy(&policy_name, costs).expect("validated above");
+            run_supervised_fleet(shards, &scfg, sources, boxed, persist)
+        };
 
         if !series_out.is_empty() {
             let series = report
@@ -1063,9 +1065,7 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
             let sources: Vec<_> = (0..shards)
                 .map(|i| scenario.stream(len, shard_seed(i)))
                 .collect();
-            run_fleet(sources, &cfg, |_| {
-                make_online_policy(&policy_name, costs).expect("validated above")
-            })
+            run_plain_fleet(sources, &cfg, &policy_name, costs)
         } else {
             // Every shard replays the same trace file through its own
             // feed; occbin01 shards each map the file (the kernel
@@ -1079,9 +1079,7 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
                 feeds[0].total_requests(),
                 feeds[0].strategy()
             );
-            let report = run_fleet(feeds.iter_mut().collect(), &cfg, |_| {
-                make_online_policy(&policy_name, costs).expect("validated above")
-            });
+            let report = run_plain_fleet(feeds.iter_mut().collect(), &cfg, &policy_name, costs);
             finish_feeds(feeds)?;
             report
         }
@@ -1159,6 +1157,25 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         }
     }
     Ok(())
+}
+
+/// Run an unsupervised fleet of `policy` shards (a name
+/// [`make_online_policy`] knows). ALG-DISCRETE is served monomorphized,
+/// as `occ soak` and the supervised fleet serve it; the other policies
+/// go through the boxed trait object.
+fn run_plain_fleet<S: RequestSource + Send>(
+    sources: Vec<S>,
+    cfg: &FleetConfig,
+    policy: &str,
+    costs: &CostProfile,
+) -> FleetReport {
+    if policy == "convex" {
+        run_fleet_typed(sources, cfg, |_| ConvexCaching::new(costs.clone()))
+    } else {
+        run_fleet(sources, cfg, |_| {
+            make_online_policy(policy, costs).expect("validated by the caller")
+        })
+    }
 }
 
 /// The policies whose decisions read only `ctx.universe`, so each of
@@ -1682,7 +1699,7 @@ fn skip_served<P: ReplacementPolicy, R: occ_sim::Recorder, S: RequestSource>(
 
 /// Soak's work at a sampling boundary (see [`drive`]).
 type BoundaryHook<'a, R> =
-    &'a mut dyn FnMut(&mut R, Time, Option<DualPoint>, bool) -> Result<(), CliError>;
+    &'a mut dyn FnMut(&mut R, &SimStats, Time, Option<DualPoint>, bool) -> Result<(), CliError>;
 
 /// Serve `source` to exhaustion — the one loop behind `occ observe`,
 /// `occ resume` and `occ soak`; returns how many records it consumed.
@@ -1695,11 +1712,13 @@ type BoundaryHook<'a, R> =
 /// into a buffer, then each record is served by
 /// [`step_checked`](SteppingEngine::step_checked). At each multiple of
 /// `cadence` the dual state is read off `eng.policy()` into `dual` and
-/// handed to `on_boundary` with the recorder and the time; the hook
-/// runs once more at the end (last argument `true`) with the dual point
-/// of a trailing partial interval. The checkpoint `ckpt = (path, every)` is
-/// written at each multiple of `every` (0 = none along the way) and,
-/// when a path is named, always at the end of the run.
+/// handed to `on_boundary` with the recorder, the engine's counters and
+/// the time; the hook runs once more at the end (last argument `true`)
+/// with the dual point of a trailing partial interval. The checkpoint
+/// `ckpt = (path, every)` is written at each multiple of `every` (0 =
+/// none along the way) and, when a path is named, always at the end of
+/// the run, unless the last write along the way already holds the end
+/// state.
 ///
 /// Always inlined: each caller's instantiation then folds away the paths
 /// it cannot take (soak has no fault handler and no dual trace). Out of
@@ -1726,6 +1745,7 @@ where
         d.maybe_sample(eng.time(), alg);
     }
     let mut served = 0u64;
+    let mut checkpointed = None;
     let mut buf = Vec::new();
     loop {
         let t = eng.time();
@@ -1759,11 +1779,13 @@ where
             }
             if let Some(hook) = on_boundary.as_mut() {
                 let point = eng.policy().convex().map(DualPoint::of);
-                hook(eng.recorder_mut(), t, point, false)?;
+                let (rec, stats) = eng.recorder_and_stats();
+                hook(rec, stats, t, point, false)?;
             }
         }
         if ckpt_every > 0 && t.is_multiple_of(ckpt_every) {
             write_checkpoint(ckpt_path, eng, handler.as_deref())?;
+            checkpointed = Some(t);
         }
     }
     let end = eng.time();
@@ -1776,9 +1798,10 @@ where
         } else {
             eng.policy().convex().map(DualPoint::of)
         };
-        hook(eng.recorder_mut(), end, point, true)?;
+        let (rec, stats) = eng.recorder_and_stats();
+        hook(rec, stats, end, point, true)?;
     }
-    if !ckpt_path.is_empty() {
+    if !ckpt_path.is_empty() && checkpointed != Some(end) {
         write_checkpoint(ckpt_path, eng, handler.as_deref())?;
     }
     Ok(served)
@@ -2099,10 +2122,11 @@ fn check_window_totals(
 
 /// Drive a soak run through [`drive`] with the window width as the
 /// sampling cadence: at each window boundary attach the dual point to
-/// the closing window, roll, stream closed windows to the series sink
-/// and beat the heartbeat; checkpoint at aligned multiples; verify at
-/// the end that the window deltas sum exactly to the engine's own
-/// totals; and print the summary tables.
+/// the closing window, cut it from the engine's counters
+/// ([`StatsWindows`]), stream closed windows to the series sink and
+/// beat the heartbeat; checkpoint at aligned multiples; verify at the
+/// end that the windows tile the run (their deltas sum exactly to the
+/// engine's own totals); and print the summary tables.
 fn run_soak<P, const TIMED: bool>(
     k: usize,
     snap: Option<&EngineSnapshot>,
@@ -2118,10 +2142,10 @@ where
         None => SteppingEngine::new(k, source.universe().clone(), policy),
     };
     let start_t = eng.time();
-    let mut eng = eng.with_recorder(
-        WindowedRecorder::<TIMED>::starting_at(opts.window, start_t).with_ring_capacity(64),
-    );
     let base = eng.stats().clone();
+    let mut eng = eng.with_recorder(
+        StatsWindows::<TIMED>::starting_at(opts.window, start_t, &base).with_ring_capacity(64),
+    );
 
     skip_served(&eng, &mut source)?;
 
@@ -2156,21 +2180,23 @@ where
     let mut last_beat = started;
     let mut total = WindowDelta::default();
     let mut windows = 0u64;
-    let mut on_boundary = |rec: &mut WindowedRecorder<TIMED>,
+    let mut on_boundary = |rec: &mut StatsWindows<TIMED>,
+                           stats: &SimStats,
                            t: Time,
                            point: Option<DualPoint>,
                            end: bool|
      -> Result<(), CliError> {
         // Attach the dual point to the window that is about to close,
-        // roll (or close the trailing partial window at the end), and
-        // drain closed windows to the sink.
+        // cut it from the engine's counters (or close the trailing
+        // partial window at the end), and drain closed windows to the
+        // sink.
         if let Some(point) = point {
             rec.note_dual(point);
         }
         if end {
-            rec.finalize(t);
+            rec.finalize(t, stats);
         } else {
-            rec.roll_to(t);
+            rec.cut(t, stats);
         }
         for w in rec.drain_new() {
             total.merge_from(&w);
@@ -2524,12 +2550,19 @@ pub fn conformance(args: &Args) -> Result<(), CliError> {
     // so the JSON below stays byte-deterministic.
     let total_ns: u64 = outcome.cell_elapsed_ns.iter().map(|(_, ns)| ns).sum();
     if let Some((slowest, ns)) = outcome.cell_elapsed_ns.iter().max_by_key(|(_, ns)| *ns) {
+        // Some grids (e4's partition cells) serve no requests at all,
+        // and an empty histogram has no p99 to report.
+        let latency = outcome.metrics.latency_ns();
+        let steps = if latency.count() == 0 {
+            "no requests served".to_string()
+        } else {
+            format!("step latency p99 {} ns", latency.p99())
+        };
         eprintln!(
-            "{} cells in {:.1} ms (slowest {slowest}: {:.1} ms); step latency p99 {} ns",
+            "{} cells in {:.1} ms (slowest {slowest}: {:.1} ms); {steps}",
             grid.cells.len(),
             total_ns as f64 / 1e6,
             *ns as f64 / 1e6,
-            outcome.metrics.latency_ns().p99(),
         );
     }
 

@@ -2,7 +2,8 @@
 //! against the real binary: 0 on an all-PASS grid, 6 when a bound is
 //! violated (the weakened fixture), and the existing 2/3/4 classes for
 //! operational failures — so CI scripts can tell "a theorem broke"
-//! apart from "the tool broke".
+//! apart from "the tool broke". The table's seed row and the stderr
+//! timing line say only what the run actually used.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -114,4 +115,34 @@ fn operational_failures_keep_their_existing_codes() {
     );
     // 2: unknown subcommand stays a usage error.
     assert_eq!(occ(&["conform"]).status.code(), Some(2));
+}
+
+#[test]
+fn summaries_show_the_seed_only_where_it_moved_something() {
+    // Every e4 cell pins its seed and serves no requests: the table
+    // says the seeds are pinned, and stderr reports no latency.
+    let out = occ(&["conformance", "--grid", "e4", "--seed", "99"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let seed_row = |text: &str| {
+        text.lines()
+            .find(|l| l.starts_with("| seed "))
+            .map(str::to_string)
+    };
+    let row = seed_row(&stdout).expect("a seed row");
+    assert!(
+        row.contains("pinned per cell") && !row.contains("99"),
+        "{row}"
+    );
+    assert!(stderr.contains("no requests served"), "{stderr}");
+    assert!(!stderr.contains("p99"), "{stderr}");
+
+    // The smoke grid derives its cells' seeds from --seed.
+    let out = occ(&["conformance", "--grid", "smoke", "--seed", "99"]);
+    assert!(out.status.success());
+    let row = seed_row(&String::from_utf8_lossy(&out.stdout)).expect("a seed row");
+    assert!(row.contains("99"), "{row}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("step latency p99"), "{stderr}");
 }

@@ -134,6 +134,43 @@ fn killed_soak_resumes_the_series_byte_identically() {
 }
 
 #[test]
+fn a_run_ending_on_its_checkpoint_cadence_keeps_that_checkpoint() {
+    // 20k at a 5k cadence ends on a cadence multiple, so the write at
+    // 20k is the end state and the exit write is skipped. At a 15k
+    // cadence the exit write is the one that holds t=20000. Both files
+    // must be the same bytes, and resuming continues the series.
+    let full = tmp("end-full.jsonl");
+    let head = tmp("end-head.jsonl");
+    let resumed = tmp("end-resumed.jsonl");
+    let on_cadence = tmp("end-on-cadence.json");
+    let at_exit = tmp("end-at-exit.json");
+
+    soak("30k", &full, &[]);
+    let (on, exit) = (on_cadence.to_str().unwrap(), at_exit.to_str().unwrap());
+    soak(
+        "20k",
+        &head,
+        &["--checkpoint", on, "--checkpoint-every", "5k"],
+    );
+    let other = tmp("end-other.jsonl");
+    soak(
+        "20k",
+        &other,
+        &["--checkpoint", exit, "--checkpoint-every", "15k"],
+    );
+    assert_eq!(
+        std::fs::read(&on_cadence).unwrap(),
+        std::fs::read(&at_exit).unwrap(),
+        "the cadence write and the exit write hold the same end state"
+    );
+
+    soak("30k", &resumed, &["--from", on]);
+    let mut spliced = window_lines(&head);
+    spliced.extend(window_lines(&resumed));
+    assert_eq!(spliced, window_lines(&full));
+}
+
+#[test]
 fn mid_window_checkpoint_cadence_is_rounded_to_a_boundary() {
     let series = tmp("rounded.jsonl");
     let ck = tmp("rounded-ck.json");

@@ -1,10 +1,12 @@
-//! `--timing on|off` on `occ fleet` and `occ concurrent`, through the
-//! real binary. Timing is off by default; turning it on adds one latency
-//! sample per request to the report's `merged` recorder and changes no
-//! counter, vector or window. An untimed report has no `latency_ns` key
-//! and is byte-identical run to run once its wall-clock fields are cut.
+//! `--timing on|off` on `occ fleet`, `occ concurrent` and `occ soak`,
+//! through the real binary. Timing is off by default; turning it on adds
+//! one latency sample per request to the report's `merged` recorder (or
+//! to each soak window) and changes no counter, vector or window. An
+//! untimed report has no `latency_ns` key and is byte-identical run to
+//! run once its wall-clock fields are cut. A supervised fleet is always
+//! untimed, and its report matches the plain windowed fleet's.
 
-use occ_probe::Json;
+use occ_probe::{Json, SeriesFile};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -171,4 +173,85 @@ fn concurrent_timing_adds_one_sample_per_commit_and_changes_no_counter() {
             );
         }
     }
+}
+
+/// `occ soak` with `args` plus a series file; returns the parsed series.
+fn soak_series(args: &[&str], name: &str) -> SeriesFile {
+    let out = tmp(name);
+    let o = Command::new(env!("CARGO_BIN_EXE_occ"))
+        .args(args)
+        .args(["--heartbeat", "off", "--series", out.to_str().unwrap()])
+        .output()
+        .expect("run occ");
+    let stderr = String::from_utf8_lossy(&o.stderr);
+    assert_eq!(o.status.code(), Some(0), "{args:?}: {stderr}");
+    SeriesFile::parse(&std::fs::read_to_string(&out).expect("read series")).expect("parses")
+}
+
+#[test]
+fn soak_timing_adds_one_sample_per_request_to_each_window_and_changes_nothing_else() {
+    for policy in ["lru", "convex"] {
+        let argv = [
+            "soak",
+            "--scenario",
+            "sqlvm-like",
+            "--len",
+            "30000",
+            "--window",
+            "7000",
+            "--seed",
+            "11",
+            "--policy",
+            policy,
+        ];
+        let untimed = soak_series(&argv, &format!("soak-{policy}-off.jsonl"));
+        let mut on = argv.to_vec();
+        on.extend(["--timing", "on"]);
+        let timed = soak_series(&on, &format!("soak-{policy}-on.jsonl"));
+
+        assert_eq!(untimed.header, timed.header, "{policy}");
+        assert_eq!(untimed.windows.len(), 5, "{policy}: 30000 / 7000");
+        let mut stripped = timed.windows.clone();
+        for w in &mut stripped {
+            let samples = w.latency_ns.take().map(|h| h.count());
+            assert_eq!(samples, Some(w.requests()), "{policy}: window {}", w.index);
+        }
+        assert!(untimed.windows.iter().all(|w| w.latency_ns.is_none()));
+        assert_eq!(
+            untimed.windows, stripped,
+            "{policy}: --timing on changed a window"
+        );
+    }
+}
+
+#[test]
+fn supervised_fleet_is_untimed_and_reports_what_the_plain_fleet_does() {
+    let plain = deterministic(report(&fleet_args("convex"), "plain.json"), false);
+    let mut argv = fleet_args("convex");
+    argv.extend(["--max-restarts", "2"]);
+    let mut supervised = deterministic(report(&argv, "supervised.json"), false);
+    assert!(
+        supervised
+            .get("merged")
+            .unwrap()
+            .get("latency_ns")
+            .is_none(),
+        "a supervised fleet is untimed"
+    );
+    let Json::Obj(fields) = &mut supervised else {
+        panic!("a report is an object")
+    };
+    fields.retain(|(k, _)| k != "supervisor");
+    assert_eq!(plain.to_json(), supervised.to_json());
+
+    argv.extend(["--timing", "on"]);
+    let o = Command::new(env!("CARGO_BIN_EXE_occ"))
+        .args(&argv)
+        .output()
+        .expect("run occ");
+    assert_eq!(
+        o.status.code(),
+        Some(2),
+        "--timing on needs an unsupervised fleet"
+    );
 }

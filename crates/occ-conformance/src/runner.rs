@@ -103,6 +103,7 @@ pub fn run_grid(grid: &Grid, cfg: &RunConfig) -> GridOutcome {
         verdicts: VerdictTable {
             grid: grid.name.to_string(),
             seed: cfg.seed,
+            seeds_pinned: grid.cells.iter().all(|c| c.seed.is_some()),
             weaken: cfg.weaken,
             cells,
         },

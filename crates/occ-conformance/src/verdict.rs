@@ -106,6 +106,10 @@ pub struct VerdictTable {
     pub grid: String,
     /// Grid seed.
     pub seed: u64,
+    /// Every cell pins its own seed (the experiment grids), so `seed`
+    /// moved nothing: the table says so instead of printing it (the
+    /// JSON keeps the key and its value, as its schema requires).
+    pub seeds_pinned: bool,
     /// Bound-weakening factor (1.0 = the theorems as stated).
     pub weaken: f64,
     /// One verdict per cell, in grid order.
@@ -213,7 +217,12 @@ impl VerdictTable {
         let mut out = String::new();
         let mut summary = Table::new(vec!["metric", "value"]);
         summary.row(vec!["grid".to_string(), self.grid.clone()]);
-        summary.row(vec!["seed".to_string(), self.seed.to_string()]);
+        let seed = if self.seeds_pinned {
+            "pinned per cell".to_string()
+        } else {
+            self.seed.to_string()
+        };
+        summary.row(vec!["seed".to_string(), seed]);
         summary.row(vec!["weaken".to_string(), fnum(self.weaken)]);
         summary.row(vec!["cells".to_string(), self.cells.len().to_string()]);
         summary.row(vec!["pass".to_string(), pass.to_string()]);
@@ -345,6 +354,7 @@ mod tests {
         VerdictTable {
             grid: "smoke".into(),
             seed: 7,
+            seeds_pinned: false,
             weaken: 1.0,
             cells: vec![sample_cell(Verdict::Pass), sample_cell(Verdict::Vacuous)],
         }

@@ -15,10 +15,13 @@
 //! feeds each shard from a streaming [`RequestSource`] through the
 //! engine's batch loop ([`SteppingEngine::serve_from`], trace-backed
 //! sources handing over whole slices via [`RequestSource::next_run`]),
-//! and folds the per-shard [`MetricsRecorder`]s into one merged
-//! recorder with the same shard-merge machinery the observability layer
-//! already ships — so the merged report is indistinguishable from a
-//! single recorder that watched every shard.
+//! and folds the per-shard tallies into one merged [`MetricsRecorder`]
+//! with the same shard-merge machinery the observability layer already
+//! ships — so the merged report is indistinguishable from a single
+//! recorder that watched every shard. Each request is counted once, in
+//! its shard engine's `SimStats`: untimed tallies and window series are
+//! cut from those counters, and only a timed run attaches a recorder
+//! to the serve loop.
 //!
 //! Determinism: each shard's outcome depends only on its own source and
 //! policy, never on scheduling, so per-shard stats are byte-identical
@@ -35,7 +38,7 @@
 pub mod shared;
 pub mod supervisor;
 
-use occ_probe::{MetricsRecorder, WindowSeries, WindowedRecorder};
+use occ_probe::{LogHistogram, MetricsRecorder, StatsWindows, WindowDelta, WindowSeries};
 use occ_sim::probe::{NoopRecorder, Recorder};
 use occ_sim::{ReplacementPolicy, RequestSource, SimStats, SteppingEngine, DEFAULT_BATCH_SIZE};
 use std::time::{Duration, Instant};
@@ -65,12 +68,13 @@ pub struct FleetConfig {
     pub capacity: usize,
     /// Most requests per [`SteppingEngine::serve_from`] batch.
     pub batch_size: usize,
-    /// Attach a [`MetricsRecorder`] to every shard; turn it off for
-    /// pure-throughput runs, which then compile the recorder out and
-    /// leave [`ShardReport::recorder`] empty.
+    /// Report each shard's whole-run tally in [`ShardReport::recorder`];
+    /// turn it off for pure-throughput runs, which leave it empty. An
+    /// untimed tally is read off the engine's own counters, so it costs
+    /// nothing per request either way.
     pub record: bool,
-    /// Time every request (requires [`FleetConfig::record`]): the shard
-    /// recorders become timed, costing one monotonic clock read per
+    /// Time every request (requires [`FleetConfig::record`]): each shard
+    /// attaches a latency recorder, costing one monotonic clock read per
     /// request (stamps chain within a batch, see
     /// `occ_sim::probe::LapClock`), and the report gains a `latency_ns`
     /// histogram. Off by default: the counters are the same either way,
@@ -82,12 +86,12 @@ pub struct FleetConfig {
     /// thread with no spawn at all — oversubscribing cores buys nothing
     /// but context switches, so the default matches the hardware.
     pub max_workers: Option<usize>,
-    /// Attach a tumbling-window [`WindowedRecorder`] of this width to
-    /// every shard (requires [`FleetConfig::record`]), populating
-    /// [`ShardReport::series`] and [`FleetReport::merged_series`]. The
-    /// shard windows are untimed, so the series is deterministic. An
-    /// untimed shard then counts each event once, into its window; its
-    /// whole-run tally is the fold of its windows.
+    /// Cut tumbling windows of this width from every shard's counters
+    /// ([`StatsWindows`]; requires [`FleetConfig::record`]), populating
+    /// [`ShardReport::series`] and [`FleetReport::merged_series`].
+    /// Batches then also end at every window boundary. The shard
+    /// windows carry no latency, so the series is deterministic, and a
+    /// shard's whole-run tally is the fold of its windows.
     pub window: Option<u64>,
 }
 
@@ -288,6 +292,46 @@ where
     (stats, served, elapsed, engine.into_recorder())
 }
 
+/// [`drive`] with tumbling windows of `width` requests cut from the
+/// engine's counters ([`StatsWindows`]): batches also end at every
+/// window boundary, where the window closes. Returns the series in
+/// place of the recorder; with `TIMED` each window carries its latency.
+fn drive_windows<S, P, const TIMED: bool>(
+    engine: SteppingEngine<P>,
+    width: u64,
+    source: &mut S,
+    cfg: &FleetConfig,
+    start: Instant,
+) -> (SimStats, u64, Duration, WindowSeries)
+where
+    S: RequestSource,
+    P: ReplacementPolicy,
+{
+    // The ring bound is lifted because the report needs every window —
+    // callers size `width` to keep `len / width` sane.
+    let windows =
+        StatsWindows::<TIMED>::starting_at(width, 0, engine.stats()).with_ring_capacity(usize::MAX);
+    let mut engine = engine.with_recorder(windows);
+    let mut buf = Vec::new();
+    loop {
+        let max = (width - engine.time() % width).min(cfg.batch_size as u64);
+        if engine.serve_from(source, max as usize, &mut buf) == 0 {
+            break;
+        }
+        let t = engine.time();
+        if t.is_multiple_of(width) {
+            let (windows, stats) = engine.recorder_and_stats();
+            windows.cut(t, stats);
+        }
+    }
+    let elapsed = start.elapsed();
+    let served = engine.time();
+    let (windows, stats) = engine.recorder_and_stats();
+    windows.finalize(served, stats);
+    let stats = stats.clone();
+    (stats, served, elapsed, engine.into_recorder().into_series())
+}
+
 fn run_shard<S: RequestSource, P: ReplacementPolicy>(
     shard: usize,
     mut source: S,
@@ -297,44 +341,50 @@ fn run_shard<S: RequestSource, P: ReplacementPolicy>(
     let start = Instant::now();
     let engine = SteppingEngine::new(cfg.capacity, source.universe().clone(), policy);
     let source = &mut source;
-    // The ring bound is lifted because the report needs every window —
-    // callers size `width` to keep `len / width` sane. Windows are
-    // untimed, so the series stays deterministic.
-    let windows = |width| WindowedRecorder::<false>::new(width).with_ring_capacity(usize::MAX);
-    let series = |mut windows: WindowedRecorder<false>, end| {
-        windows.finalize(end);
-        windows.into_series()
-    };
-    let (stats, served, elapsed, recorder, series) = match (cfg.record, cfg.timing, cfg.window) {
-        (false, ..) => {
-            let (stats, served, elapsed, _) = drive(engine, NoopRecorder, source, cfg, start);
-            let empty = MetricsRecorder::untimed().into();
-            (stats, served, elapsed, empty, None)
-        }
-        (true, false, None) => {
-            let (stats, served, elapsed, rec) =
-                drive(engine, MetricsRecorder::untimed(), source, cfg, start);
-            (stats, served, elapsed, rec.into(), None)
-        }
+    // Each event is counted once, in the engine's `SimStats`: the tally
+    // is read off it, or folded from the windows cut from it, and a
+    // timed shard's recorder carries latency alone.
+    let whole_run = |stats: &SimStats| WindowDelta::between(&SimStats::default(), stats);
+    let (stats, served, elapsed, total, series) = match (cfg.record, cfg.timing, cfg.window) {
         (true, true, None) => {
-            let (stats, served, elapsed, rec) =
-                drive(engine, MetricsRecorder::new(), source, cfg, start);
-            (stats, served, elapsed, rec, None)
+            let (stats, served, elapsed, latency) =
+                drive(engine, LogHistogram::new(), source, cfg, start);
+            let total = WindowDelta {
+                latency_ns: Some(latency),
+                ..whole_run(&stats)
+            };
+            (stats, served, elapsed, total, None)
         }
         (true, false, Some(width)) => {
-            // One tally per event: the windows alone, and the whole-run
-            // tally is their fold.
-            let (stats, served, elapsed, w) = drive(engine, windows(width), source, cfg, start);
-            let series = series(w, served);
-            let rec = MetricsRecorder::from_total(series.total()).into();
-            (stats, served, elapsed, rec, Some(series))
+            let (stats, served, elapsed, series) =
+                drive_windows::<_, _, false>(engine, width, source, cfg, start);
+            (stats, served, elapsed, series.total(), Some(series))
         }
         (true, true, Some(width)) => {
-            // Latency goes to the `MetricsRecorder` half only.
-            let pair = (MetricsRecorder::new(), windows(width));
-            let (stats, served, elapsed, (rec, w)) = drive(engine, pair, source, cfg, start);
-            (stats, served, elapsed, rec, Some(series(w, served)))
+            // The latency moves from the windows to the tally, so the
+            // series stays untimed and deterministic.
+            let (stats, served, elapsed, mut series) =
+                drive_windows::<_, _, true>(engine, width, source, cfg, start);
+            let total = series.total();
+            for w in &mut series.windows {
+                w.latency_ns = None;
+            }
+            (stats, served, elapsed, total, Some(series))
         }
+        (record, ..) => {
+            let (stats, served, elapsed, _) = drive(engine, NoopRecorder, source, cfg, start);
+            let total = if record {
+                whole_run(&stats)
+            } else {
+                WindowDelta::default()
+            };
+            (stats, served, elapsed, total, None)
+        }
+    };
+    let recorder = if cfg.record && cfg.timing {
+        MetricsRecorder::from_total(total)
+    } else {
+        MetricsRecorder::<false>::from_total(total).into()
     };
     ShardReport {
         shard,

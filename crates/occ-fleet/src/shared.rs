@@ -5,12 +5,13 @@
 //! instead — one engine behind one lock, every worker committing into
 //! the same capacity, which is the deployment the paper's shared-cache
 //! model actually describes. It layers on top of `occ_sim::concurrent`:
-//! per-thread [`MetricsRecorder`]s merged in thread order, the
+//! a whole-run [`MetricsRecorder`] tally read off the engine's counters
+//! (timed, with the per-thread latency histograms merged in), the
 //! deterministic replay gate run in-process beside the workers (on by
 //! default), and a schema-stamped JSON report for `occ concurrent`.
 
 use crate::Json;
-use occ_probe::MetricsRecorder;
+use occ_probe::{LogHistogram, MetricsRecorder, WindowDelta};
 use occ_sim::concurrent::{
     run_shared, run_shared_replayed, ConcurrentEngine, ReplayError, ReplayOutcome, SharedOutcome,
 };
@@ -70,13 +71,15 @@ pub struct SharedConfig {
     pub table_shards: usize,
     /// Degradation policy applied to malformed records.
     pub degrade: FaultPolicy,
-    /// Attach a [`MetricsRecorder`] per worker (merged in thread
-    /// order). Off = zero-overhead [`NoopRecorder`] workers.
+    /// Report the run's tally in [`SharedReport::merged`], read off the
+    /// engine's counters after the run; off leaves it empty. Either way
+    /// untimed workers run [`NoopRecorder`]s.
     pub record: bool,
-    /// Time every commit (requires [`SharedConfig::record`]): the worker
-    /// recorders become timed, costing one monotonic clock read per
-    /// request, and the report's `merged` gains a `latency_ns`
-    /// histogram. Off by default; the counters are the same either way.
+    /// Time every commit (requires [`SharedConfig::record`]): each worker
+    /// attaches a latency histogram, costing one monotonic clock read
+    /// per request, and the report's `merged` gains their merge as its
+    /// `latency_ns`. Off by default; the counters are the same either
+    /// way.
     pub timing: bool,
     /// Run the deterministic replay gate beside the concurrent run and
     /// fail on any divergence. On by default; turning it off only
@@ -144,8 +147,9 @@ pub struct SharedReport {
     pub degrade: FaultPolicy,
     /// Merged stats / counters / quarantine set / commit schedule.
     pub outcome: SharedOutcome,
-    /// All worker recorders folded into one (empty when recording off).
-    /// Its JSON has a `latency_ns` key only when the workers were timed.
+    /// The run's whole tally (empty when recording off), read off the
+    /// engine's counters. Its JSON has a `latency_ns` key only when the
+    /// workers were timed.
     pub merged: MetricsRecorder,
     /// The replay gate's aggregate state; `None` when verification was
     /// disabled. When `Some`, the replay matched (mismatch is an error).
@@ -219,7 +223,7 @@ impl SharedReport {
 }
 
 /// Drive `sources[t]` on worker thread `t` against one shared cache,
-/// merge recorders in thread order, and (unless disabled) gate the run
+/// tally the run, and (unless disabled) gate the run
 /// on its own deterministic replay. `make_policy(s)` builds the policy
 /// instance for shard segment `s`; the replay gate calls it again for
 /// its mirror instances, so it must be deterministic.
@@ -245,22 +249,34 @@ where
         .verify
         .then(|| (0..cfg.table_shards).map(&make_policy).collect());
     let started = Instant::now();
-    let ((outcome, replay), merged) = match (cfg.record, cfg.timing) {
-        (false, _) => {
-            let mut recorders = vec![NoopRecorder; threads];
-            let run = run_gated(&engine, sources, &mut recorders, replay_policies)?;
-            (run, MetricsRecorder::untimed().into())
+    // The counters are the engine's own; a timed worker's recorder
+    // carries latency alone, and none runs inside an untimed commit.
+    let ((outcome, replay), latency) = if cfg.record && cfg.timing {
+        let mut recorders = vec![LogHistogram::new(); threads];
+        let run = run_gated(&engine, sources, &mut recorders, replay_policies)?;
+        let mut latency = LogHistogram::new();
+        for h in &recorders {
+            latency.merge(h);
         }
-        (true, false) => {
-            let mut recorders = vec![MetricsRecorder::untimed(); threads];
-            let run = run_gated(&engine, sources, &mut recorders, replay_policies)?;
-            (run, fold(&recorders).into())
-        }
-        (true, true) => {
-            let mut recorders = vec![MetricsRecorder::new(); threads];
-            let run = run_gated(&engine, sources, &mut recorders, replay_policies)?;
-            (run, fold(&recorders))
-        }
+        (run, Some(latency))
+    } else {
+        let mut recorders = vec![NoopRecorder; threads];
+        (
+            run_gated(&engine, sources, &mut recorders, replay_policies)?,
+            None,
+        )
+    };
+    let total = if cfg.record {
+        tally(&outcome)
+    } else {
+        WindowDelta::default()
+    };
+    let merged = match latency {
+        Some(h) => MetricsRecorder::from_total(WindowDelta {
+            latency_ns: Some(h),
+            ..total
+        }),
+        None => MetricsRecorder::<false>::from_total(total).into(),
     };
     let wall = started.elapsed();
     Ok(SharedReport {
@@ -275,13 +291,17 @@ where
     })
 }
 
-/// The worker recorders merged in thread order.
-fn fold<const TIMED: bool>(recorders: &[MetricsRecorder<TIMED>]) -> MetricsRecorder<TIMED> {
-    let mut merged = MetricsRecorder::default();
-    for r in recorders {
-        merged.merge(r);
+/// The tally counting recorders would have kept, read off the shared
+/// engine's counters: its per-user stats, and the records it dropped
+/// (a recorder counts dropped records, not quarantined users).
+fn tally(outcome: &SharedOutcome) -> WindowDelta {
+    WindowDelta {
+        faults: FaultCounters {
+            quarantined_users: 0,
+            ..outcome.counters.clone()
+        },
+        ..WindowDelta::between(&SimStats::default(), &outcome.stats)
     }
-    merged
 }
 
 /// One run, gated on its replay when `replay_policies` is given (the

@@ -31,8 +31,9 @@
 //! never crashed: the checkpoint restores the engine and policy
 //! losslessly (PR 3), the source factory plus
 //! [`SeekableSource::seek_forward`] reproduces the exact request
-//! stream from the crash point (same RNG state), and the windowed
-//! recorder restarts at the checkpoint boundary. The property test
+//! stream from the crash point (same RNG state), and the windows
+//! restart at the checkpoint boundary, cut from the restored counters
+//! ([`StatsWindows`]). The property test
 //! pins merged series and per-user miss vectors across arbitrary kill
 //! schedules, shard counts, and window widths.
 //!
@@ -49,8 +50,8 @@
 use crate::{fleet_report, run_pool, FleetConfig, FleetReport, ShardReport};
 use occ_probe::atomicio;
 use occ_probe::{
-    snapshot_to_json, CrcWriter, Json, MetricsRecorder, SeriesSink, WindowDelta, WindowSeries,
-    WindowedRecorder,
+    snapshot_to_json, CrcWriter, Json, MetricsRecorder, SeriesSink, StatsWindows, WindowDelta,
+    WindowSeries,
 };
 use occ_sim::{EngineSnapshot, ReplacementPolicy, SeekableSource, SimStats, SteppingEngine};
 use std::fs::File;
@@ -463,9 +464,9 @@ impl ShardDriver {
         };
         let t0 = eng.time();
         source.seek_forward(t0);
-        let mut eng = eng.with_recorder(
-            WindowedRecorder::<false>::starting_at(self.width, t0).with_ring_capacity(usize::MAX),
-        );
+        let windows = StatsWindows::<false>::starting_at(self.width, t0, eng.stats())
+            .with_ring_capacity(usize::MAX);
+        let mut eng = eng.with_recorder(windows);
         let mut buf = Vec::new();
         loop {
             let t = eng.time();
@@ -488,14 +489,16 @@ impl ShardDriver {
             }
             let t = eng.time();
             if t % self.width == 0 {
-                eng.recorder_mut().roll_to(t);
-                let drained = eng.recorder_mut().drain_new();
+                let (windows, stats) = eng.recorder_and_stats();
+                windows.cut(t, stats);
+                let drained = windows.drain_new();
                 self.commit(&mut eng, drained, true)?;
             }
         }
         let end = eng.time();
-        eng.recorder_mut().finalize(end);
-        let drained = eng.recorder_mut().drain_new();
+        let (windows, stats) = eng.recorder_and_stats();
+        windows.finalize(end, stats);
+        let drained = windows.drain_new();
         // A trailing partial window cannot be checkpointed (resume
         // requires a boundary), but the stream is over: commit it
         // without a snapshot. A crash after this point is impossible —
@@ -646,7 +649,7 @@ where
         // The committed windows tile exactly what this run served, so
         // their fold is the shard's whole-run tally, as in the plain
         // windowed fleet.
-        recorder: MetricsRecorder::from_total(series.total()).into(),
+        recorder: MetricsRecorder::<false>::from_total(series.total()).into(),
         series: Some(series),
     };
     let status = ShardStatus {

@@ -16,6 +16,8 @@
 //! empty benches don't pay for 1 900 zero buckets.
 
 use crate::json::Json;
+use occ_sim::ids::Time;
+use occ_sim::probe::Recorder;
 
 /// Linear sub-buckets per octave, as a bit count: 32 sub-buckets, ≤3.1%
 /// relative quantile error.
@@ -279,6 +281,17 @@ impl LogHistogram {
     /// Parse from a JSON string (see [`Self::from_json_value`]).
     pub fn from_json(text: &str) -> Result<Self, String> {
         Self::from_json_value(&Json::parse(text)?)
+    }
+}
+
+/// A histogram is the latency-only recorder: attached to an engine it
+/// keeps one sample per request and counts nothing else, since the
+/// engine's `SimStats` already count every request.
+impl Recorder for LogHistogram {
+    const TIMED: bool = true;
+
+    fn record_latency_ns(&mut self, _t: Time, ns: u64) {
+        self.record(ns);
     }
 }
 

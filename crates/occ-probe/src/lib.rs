@@ -17,7 +17,7 @@
 //!   `Y`, eviction counts `m(i,t)`, and primal objective `Σ f_i(m_i)`
 //!   over time;
 //! * [`timeseries`] — tumbling-window deltas ([`WindowedRecorder`],
-//!   [`SeriesSink`]) behind `occ soak`'s streaming JSONL series, sealed
+//!   [`StatsWindows`], [`SeriesSink`]) behind `occ soak`'s streaming JSONL series, sealed
 //!   with a CRC trailer by [`SeriesSink::seal`];
 //! * [`ObserveReport`] — the JSON/table report `occ observe` emits and
 //!   `occ report` renders;
@@ -59,7 +59,8 @@ pub use recorder::MetricsRecorder;
 pub use report::{ObserveReport, REPORT_SCHEMA, REQUIRED_KEYS};
 pub use sink::JsonlSink;
 pub use timeseries::{
-    DualPoint, SeriesFile, SeriesSink, WindowDelta, WindowSeries, WindowedRecorder, SERIES_SCHEMA,
+    DualPoint, SeriesFile, SeriesSink, StatsWindows, WindowDelta, WindowSeries, WindowedRecorder,
+    SERIES_SCHEMA,
 };
 
 // Re-export the contract so downstream users need only this crate.

@@ -1,10 +1,12 @@
 //! Ready-made [`Recorder`] implementations.
 //!
-//! [`MetricsRecorder`] is the workhorse behind `occ observe`, `occ fleet`
-//! and `occ concurrent`: the whole-run tally — a [`WindowDelta`] whose
+//! [`MetricsRecorder`] is the whole-run tally — a [`WindowDelta`] whose
 //! window never closes — fed through the same per-event updates as every
-//! [`WindowedRecorder`](crate::WindowedRecorder) window. Timing is a
-//! const parameter, as on `WindowedRecorder`:
+//! [`WindowedRecorder`](crate::WindowedRecorder) window. `occ observe`
+//! attaches it, and so do timed `occ fleet` and `occ concurrent` runs;
+//! untimed, those build it after the run from the engine's own counters
+//! with [`MetricsRecorder::from_total`]. Timing is a const parameter, as
+//! on `WindowedRecorder`:
 //!
 //! * `MetricsRecorder` (= `MetricsRecorder<true>`, from
 //!   [`MetricsRecorder::new`]) sets [`Recorder::TIMED`], so the engine
@@ -78,26 +80,6 @@ impl MetricsRecorder<false> {
     pub fn untimed() -> Self {
         Self::default()
     }
-
-    /// An untimed recorder holding `total` as its whole-run tally, e.g.
-    /// a window series folded by
-    /// [`WindowSeries::total`](crate::WindowSeries::total): every event
-    /// lands in exactly one window through the same updates, so the fold
-    /// is the tally an attached recorder would have kept. Only the
-    /// counters are kept: the window span, any latency histogram and any
-    /// dual sample are dropped.
-    pub fn from_total(total: WindowDelta) -> Self {
-        MetricsRecorder {
-            total: WindowDelta {
-                index: 0,
-                start: 0,
-                end: 0,
-                latency_ns: None,
-                dual: None,
-                ..total
-            },
-        }
-    }
 }
 
 /// Re-type an untimed tally as the default recorder type, for report
@@ -112,6 +94,27 @@ impl From<MetricsRecorder<false>> for MetricsRecorder<true> {
 }
 
 impl<const TIMED: bool> MetricsRecorder<TIMED> {
+    /// A recorder holding `total` as its whole-run tally: a window
+    /// series folded by [`WindowSeries::total`](crate::WindowSeries::total),
+    /// or the engine's counters cut by [`WindowDelta::between`]. Either
+    /// is the tally an attached recorder would have kept, since the
+    /// hooks report exactly what the engine counts. The counters and
+    /// fault counts are kept, the window span and any dual sample
+    /// dropped. A timed recorder keeps `total`'s latency histogram (an
+    /// empty one if it has none); an untimed one drops it.
+    pub fn from_total(total: WindowDelta) -> Self {
+        MetricsRecorder {
+            total: WindowDelta {
+                index: 0,
+                start: 0,
+                end: 0,
+                latency_ns: TIMED.then(|| total.latency_ns.unwrap_or_default()),
+                dual: None,
+                ..total
+            },
+        }
+    }
+
     /// The whole-run tally: counters, per-user vectors (the
     /// eviction vector counts flush victims) and fault counts. Its
     /// `quarantined_users` stays 0: membership belongs to the engine's
@@ -293,7 +296,7 @@ mod tests {
         let report: MetricsRecorder = untimed.clone().into();
         assert_eq!(report.to_json_value(), v);
         // A tally rebuilt from its total is the same tally.
-        let rebuilt = MetricsRecorder::from_total(untimed.total().clone());
+        let rebuilt = MetricsRecorder::<false>::from_total(untimed.total().clone());
         assert_eq!(rebuilt.to_json_value(), v);
 
         // Merging a timed recorder into an untimed tally brings its

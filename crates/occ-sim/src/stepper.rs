@@ -519,6 +519,12 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
         &mut self.recorder
     }
 
+    /// The attached recorder beside the current counters, for a recorder
+    /// that cuts its windows from them (`occ_probe::StatsWindows`).
+    pub fn recorder_and_stats(&mut self) -> (&mut R, &SimStats) {
+        (&mut self.recorder, &self.stats)
+    }
+
     /// Tear down the engine, returning the recorder.
     pub fn into_recorder(self) -> R {
         self.recorder
