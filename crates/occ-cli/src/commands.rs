@@ -18,10 +18,11 @@ use occ_probe::{
 };
 use occ_sim::concurrent::{replay_schedule, CommitSchedule, ReplayError, ReplayOutcome};
 use occ_sim::{
-    read_trace_auto, write_trace, write_trace_binary, write_trace_binary_v2, Binary2TraceWriter,
-    BinarySource, BinaryTraceWriter, EngineSnapshot, FaultHandler, FaultPolicy, PageId,
-    ReplacementPolicy, Request, RequestSource, SimStats, SteppingEngine, Time, Trace, TraceIoError,
-    TraceRecord, TraceSource, Universe, UserId, BINARY2_TRACE_MAGIC, BINARY_TRACE_MAGIC,
+    next_multiple, read_trace_auto, write_trace, write_trace_binary, write_trace_binary_v2,
+    Binary2TraceWriter, BinarySource, BinaryTraceWriter, EngineSnapshot, FaultHandler, FaultPolicy,
+    PageId, ReplacementPolicy, Request, RequestSource, SeekableSource, SimStats, SteppingEngine,
+    Time, Trace, TraceIoError, TraceRecord, TraceSource, Universe, UserId, BINARY2_TRACE_MAGIC,
+    BINARY_TRACE_MAGIC,
 };
 use occ_workloads::{
     all_scenarios, ChaosSource, CsvAdapter, CsvFlavor, FaultPlan, Scenario, TenantMixSource,
@@ -119,7 +120,7 @@ USAGE:
                render an `occ soak` window series as an aligned table
                with per-window Δ miss-ratio markers
   occ fleet    --scenario NAME [--shards F] [--len N] [--seed S]
-               [--policy NAME] [--k K] [--batch B] [--window W]
+               [--policy NAME] [--k K] [--window W]
                [--trace FILE [--csv-flavor F]] [--timing on|off]
                [--format table|json] [--out FILE]
                [--max-restarts N] [--backoff-ms MS]
@@ -545,6 +546,16 @@ impl RequestSource for Feed {
     }
 }
 
+impl SeekableSource for Feed {
+    fn seek_forward(&mut self, n: u64) {
+        match self {
+            Feed::Mix(m) => m.seek_forward(n),
+            Feed::Bin(b) => b.seek_forward(n),
+            Feed::Csv(c) => c.seek_forward(n),
+        }
+    }
+}
+
 /// Check every feed once its run is over: a trace that failed mid-stream
 /// parked its error and ended early, and must not pass as a shorter
 /// run — exit 4 for a parse error, 3 for an I/O error.
@@ -886,10 +897,6 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
     let len: u64 = uarg(args.scaled_or("len", 60_000))?;
     let seed: u64 = uarg(args.num_or("seed", 7u64))?;
     let k: usize = uarg(args.num_or("k", scenario.suggested_k))?;
-    let batch: usize = uarg(args.num_or("batch", occ_sim::DEFAULT_BATCH_SIZE))?;
-    if batch == 0 {
-        return Err(CliError::Usage("--batch must be positive".into()));
-    }
     let policy_name = args.str_or("policy", "lru");
     if policy_name == "belady" || policy_name == "belady-cost" {
         return Err(CliError::Usage(format!(
@@ -972,7 +979,6 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
     let shard_seed = |i: usize| seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let report = if supervised {
         let mut scfg = SupervisorConfig::new(k, window);
-        scfg.fleet.batch_size = batch;
         scfg.max_restarts = max_restarts;
         scfg.backoff = if backoff_ms == 0 {
             BackoffPolicy::none()
@@ -1054,7 +1060,6 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         report
     } else {
         let mut cfg = FleetConfig::new(k);
-        cfg.batch_size = batch;
         cfg.timing = timing;
         if window > 0 {
             cfg.window = Some(window);
@@ -1115,7 +1120,7 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
             }
             emit(&t.to_markdown());
             emit(&format!(
-                "fleet: {} shards x {len} requests ({policy_name}, k={k}, batch={batch}) — \
+                "fleet: {} shards x {len} requests ({policy_name}, k={k}) — \
                  {} requests in {:.1} ms, aggregate {} req/s",
                 shards,
                 report.total_requests,
@@ -1578,21 +1583,6 @@ fn parse_chaos_plan(text: &str, shards: usize, flag: &str) -> Result<Vec<(usize,
     Ok(out)
 }
 
-/// Snapshot `eng` — with the handler's fault state, when there is one —
-/// into a checksummed checkpoint at `path`.
-fn write_checkpoint<P: ReplacementPolicy, R: occ_sim::Recorder>(
-    path: &str,
-    eng: &SteppingEngine<P, R>,
-    handler: Option<&FaultHandler>,
-) -> Result<(), CliError> {
-    let snap = match handler {
-        Some(h) => eng.snapshot_with_faults(h)?,
-        None => eng.snapshot()?,
-    };
-    write_atomic_with_trailer(Path::new(path), &(snapshot_to_json(&snap) + "\n"))
-        .map_err(|e| CliError::Io(format!("write checkpoint {path}: {e}")))
-}
-
 /// Read a checkpoint back, insisting on an intact CRC trailer: a torn,
 /// truncated, or bit-flipped snapshot is a parse error (exit 4), never
 /// a silent partial resume.
@@ -1668,143 +1658,105 @@ impl DualView for Box<dyn ReplacementPolicy> {
     }
 }
 
-/// Skip the records a restored engine already served, so `source`
-/// continues exactly where the interrupted run left off. The prefix is
-/// consumed in the same runs the drive loop would serve it: page runs
-/// first, then request runs, then single pulls.
-fn skip_served<P: ReplacementPolicy, R: occ_sim::Recorder, S: RequestSource>(
-    eng: &SteppingEngine<P, R>,
-    source: &mut S,
-) -> Result<(), CliError> {
-    let (n, mut held) = (eng.time(), 0u64);
-    while held < n {
-        let max = usize::try_from(n - held).unwrap_or(usize::MAX);
-        let got = match source.next_page_run(max) {
-            Some(run) => run.len(),
-            None => match source.next_run(max) {
-                Some(run) => run.len(),
-                None => usize::from(source.next_request(&eng.ctx()).is_some()),
-            },
-        };
-        if got == 0 {
-            return Err(CliError::Usage(format!(
-                "checkpoint is at t={n} but the trace ended after {held} requests \
-                 (is this the right trace?)"
-            )));
-        }
-        held += got as u64;
+/// Skip the `t` requests a checkpoint already served, so `source`
+/// continues exactly where the interrupted run left off; `total` is how
+/// many requests the source holds, checked first.
+fn seek_served<S: SeekableSource>(source: &mut S, t: Time, total: u64) -> Result<(), CliError> {
+    if t > total {
+        return Err(CliError::Usage(format!(
+            "checkpoint is at t={t} but the trace ended after {total} requests \
+             (is this the right trace?)"
+        )));
     }
+    source.seek_forward(t);
     Ok(())
 }
 
-/// Soak's work at a sampling boundary (see [`drive`]).
-type BoundaryHook<'a, R> =
-    &'a mut dyn FnMut(&mut R, &SimStats, Time, Option<DualPoint>, bool) -> Result<(), CliError>;
+/// A run's `--checkpoint` file and its cadence, as stops of the serve
+/// loop ([`SteppingEngine::serve_stops`]): written at each multiple of
+/// `every` (0 = none along the way) and, when a path is named, at the
+/// end of the run, unless the last write along the way already holds
+/// the end state.
+struct Checkpoints<'a> {
+    path: &'a str,
+    every: u64,
+    written_at: Option<Time>,
+}
 
-/// Serve `source` to exhaustion — the one loop behind `occ observe`,
-/// `occ resume` and `occ soak`; returns how many records it consumed.
-///
-/// Batches end on every multiple of `cadence` (the sampling cadence:
-/// `--every` or `--window`) and of the checkpoint cadence, so the work
-/// between batches happens at exact request counts. Without a fault
-/// handler a batch goes through
-/// [`serve_from`](SteppingEngine::serve_from); with one it is pulled
-/// into a buffer, then each record is served by
-/// [`step_checked`](SteppingEngine::step_checked). At each multiple of
-/// `cadence` the dual state is read off `eng.policy()` into `dual` and
-/// handed to `on_boundary` with the recorder, the engine's counters and
-/// the time; the hook runs once more at the end (last argument `true`)
-/// with the dual point of a trailing partial interval. The checkpoint
-/// `ckpt = (path, every)` is written at each multiple of `every` (0 =
-/// none along the way) and, when a path is named, always at the end of
-/// the run, unless the last write along the way already holds the end
-/// state.
-///
-/// Always inlined: each caller's instantiation then folds away the paths
-/// it cannot take (soak has no fault handler and no dual trace). Out of
-/// line, `soak-mmap-convex` ran about 10% slower.
-#[inline(always)]
-fn drive<P, R, S>(
+impl<'a> Checkpoints<'a> {
+    fn new(path: &'a str, every: u64) -> Self {
+        let every = if path.is_empty() { 0 } else { every };
+        Checkpoints {
+            path,
+            every,
+            written_at: None,
+        }
+    }
+
+    /// At a stop, snapshot `eng` — with the handler's fault state, when
+    /// there is one — into a checksummed checkpoint if one is due.
+    fn at_stop<P: ReplacementPolicy, R: occ_sim::Recorder>(
+        &mut self,
+        eng: &SteppingEngine<P, R>,
+        handler: Option<&FaultHandler>,
+        end: bool,
+    ) -> Result<(), CliError> {
+        let t = eng.time();
+        let due = if end {
+            !self.path.is_empty() && self.written_at != Some(t)
+        } else {
+            self.every > 0 && t.is_multiple_of(self.every)
+        };
+        if !due {
+            return Ok(());
+        }
+        let snap = match handler {
+            Some(h) => eng.snapshot_with_faults(h)?,
+            None => eng.snapshot()?,
+        };
+        self.written_at = Some(t);
+        write_atomic_with_trailer(Path::new(self.path), &(snapshot_to_json(&snap) + "\n"))
+            .map_err(|e| CliError::Io(format!("write checkpoint {}: {e}", self.path)))
+    }
+}
+
+/// Serve an observe run to the end of `source`, stopping at every
+/// multiple of `every` to sample the dual state into `dual` (closed with
+/// the end state) and at the checkpoint cadence.
+fn serve_observed<P, R>(
     eng: &mut SteppingEngine<P, R>,
-    source: &mut S,
-    cadence: u64,
-    ckpt: (&str, u64),
-    mut handler: Option<&mut FaultHandler>,
+    source: &mut TraceSource,
+    every: u64,
+    mut ckpt: Checkpoints,
+    handler: Option<&mut FaultHandler>,
     mut dual: Option<&mut DualTrace>,
-    mut on_boundary: Option<BoundaryHook<'_, R>>,
-) -> Result<u64, CliError>
+) -> Result<(), CliError>
 where
     P: ReplacementPolicy + DualView,
     R: occ_sim::Recorder,
-    S: RequestSource,
 {
-    let (ckpt_path, ckpt_every) = ckpt;
-    let ckpt_every = if ckpt_path.is_empty() { 0 } else { ckpt_every };
-    let to_next = |t: Time, every: u64| t.checked_rem(every).map_or(u64::MAX, |r| every - r);
     if let (Some(d), Some(alg)) = (dual.as_deref_mut(), eng.policy().convex()) {
         d.maybe_sample(eng.time(), alg);
     }
-    let mut served = 0u64;
-    let mut checkpointed = None;
-    let mut buf = Vec::new();
-    loop {
-        let t = eng.time();
-        let max = to_next(t, cadence)
-            .min(to_next(t, ckpt_every))
-            .min(occ_sim::DEFAULT_BATCH_SIZE as u64) as usize;
-        let n = match handler.as_deref_mut() {
-            None => eng.serve_from(source, max, &mut buf),
-            Some(h) => {
-                buf.clear();
-                while buf.len() < max {
-                    let Some(req) = source.next_request(&eng.ctx()) else {
-                        break;
-                    };
-                    buf.push(req);
-                }
-                for &req in &buf {
-                    eng.step_checked(req, h)?;
-                }
-                buf.len()
-            }
-        };
-        if n == 0 {
-            break;
-        }
-        served += n as u64;
-        let t = eng.time();
-        if t.is_multiple_of(cadence) {
+    let ckpt_every = ckpt.every;
+    eng.serve_stops(
+        source,
+        occ_sim::DEFAULT_BATCH_SIZE,
+        handler,
+        |t| next_multiple(t, every).min(next_multiple(t, ckpt_every)),
+        |eng, handler, end| {
+            let t = eng.time();
             if let (Some(d), Some(alg)) = (dual.as_deref_mut(), eng.policy().convex()) {
-                d.maybe_sample(t, alg);
+                if end {
+                    d.finalize(t, alg);
+                } else if t.is_multiple_of(every) {
+                    d.maybe_sample(t, alg);
+                }
             }
-            if let Some(hook) = on_boundary.as_mut() {
-                let point = eng.policy().convex().map(DualPoint::of);
-                let (rec, stats) = eng.recorder_and_stats();
-                hook(rec, stats, t, point, false)?;
-            }
-        }
-        if ckpt_every > 0 && t.is_multiple_of(ckpt_every) {
-            write_checkpoint(ckpt_path, eng, handler.as_deref())?;
-            checkpointed = Some(t);
-        }
-    }
-    let end = eng.time();
-    if let (Some(d), Some(alg)) = (dual, eng.policy().convex()) {
-        d.finalize(end, alg);
-    }
-    if let Some(hook) = on_boundary {
-        let point = if end.is_multiple_of(cadence) {
-            None
-        } else {
-            eng.policy().convex().map(DualPoint::of)
-        };
-        let (rec, stats) = eng.recorder_and_stats();
-        hook(rec, stats, end, point, true)?;
-    }
-    if !ckpt_path.is_empty() && checkpointed != Some(end) {
-        write_checkpoint(ckpt_path, eng, handler.as_deref())?;
-    }
-    Ok(served)
+            ckpt.at_stop(eng, handler, end)
+        },
+    )?;
+    Ok(())
 }
 
 /// Build one observe run's engine (fresh or from `snap`), attach the
@@ -1824,26 +1776,25 @@ fn observe_with<P: ReplacementPolicy + DualView>(
     let every: u64 = uarg(args.num_or("every", 1_000u64))?;
     let events_path = args.str_or("events", "");
     let checkpoint_path = args.str_or("checkpoint", "");
-    let ckpt = (
-        checkpoint_path.as_str(),
+    let ckpt = Checkpoints::new(
+        &checkpoint_path,
         uarg(args.num_or("checkpoint-every", 10_000u64))?,
     );
     let eng = match snap {
         Some(s) => SteppingEngine::from_snapshot(s, policy)?,
         None => SteppingEngine::new(k, source.universe().clone(), policy),
     };
-    skip_served(&eng, source)?;
     let mut dual = eng.policy().convex().map(|_| DualTrace::new(every));
     let every = every.max(1);
     if events_path.is_empty() {
         let mut eng = eng.with_recorder(rec);
-        drive(&mut eng, source, every, ckpt, handler, dual.as_mut(), None)?;
+        serve_observed(&mut eng, source, every, ckpt, handler, dual.as_mut())?;
         return Ok((eng.stats().clone(), eng.policy().name(), dual));
     }
     let file = File::create(&events_path)
         .map_err(|e| CliError::Io(format!("create {events_path}: {e}")))?;
     let mut eng = eng.with_recorder((rec, JsonlSink::new(BufWriter::new(file))));
-    drive(&mut eng, source, every, ckpt, handler, dual.as_mut(), None)?;
+    serve_observed(&mut eng, source, every, ckpt, handler, dual.as_mut())?;
     let (stats, name) = (eng.stats().clone(), eng.policy().name());
     let (_, sink) = eng.into_recorder();
     sink.finish()
@@ -1993,6 +1944,9 @@ fn observe_from(args: &Args, snap: Option<&EngineSnapshot>) -> Result<(), CliErr
     }
 
     let mut src = TraceSource::raw(trace.universe(), &records);
+    if let Some(s) = snap {
+        seek_served(&mut src, s.time, records.len() as u64)?;
+    }
     let mut rec = MetricsRecorder::new();
     let (stats, name, dual) = if policy_name == "convex" {
         let alg = ConvexCaching::new(scenario.costs.clone());
@@ -2088,8 +2042,9 @@ fn rss_sample() -> Option<RssSample> {
     })
 }
 
-/// Check that the window-delta totals match the engine's own counters
-/// exactly — the windows tile the run, so any drift is a bug.
+/// Check that the window deltas tile the run: summed, they must equal
+/// what the engine's counters gained from `base` to `stats`, so a window
+/// lost or drained twice between the ring and the sink is caught.
 fn check_window_totals(
     total: &WindowDelta,
     stats: &SimStats,
@@ -2100,7 +2055,7 @@ fn check_window_totals(
     let d_evictions = stats.total_evictions() - base.total_evictions();
     if total.hits != d_hits || total.misses() != d_misses || total.evictions != d_evictions {
         return Err(format!(
-            "window sums (hits {}, misses {}, evictions {}) != engine totals \
+            "window deltas (hits {}, misses {}, evictions {}) do not tile the run \
              (hits {d_hits}, misses {d_misses}, evictions {d_evictions})",
             total.hits,
             total.misses(),
@@ -2114,19 +2069,17 @@ fn check_window_totals(
             || at(&total.misses_by_user, u) != us.misses - b.misses
             || at(&total.evictions_by_user, u) != us.evictions - b.evictions
         {
-            return Err(format!("per-tenant window sums diverged for tenant {u}"));
+            return Err(format!("window deltas do not tile the run for tenant {u}"));
         }
     }
     Ok(())
 }
 
-/// Drive a soak run through [`drive`] with the window width as the
-/// sampling cadence: at each window boundary attach the dual point to
-/// the closing window, cut it from the engine's counters
-/// ([`StatsWindows`]), stream closed windows to the series sink and
-/// beat the heartbeat; checkpoint at aligned multiples; verify at the
-/// end that the windows tile the run (their deltas sum exactly to the
-/// engine's own totals); and print the summary tables.
+/// Serve a soak run, stopping at every window boundary: attach the dual
+/// point to the closing window, cut it from the engine's counters
+/// ([`StatsWindows`]), stream closed windows to the series sink, beat
+/// the heartbeat and checkpoint at aligned multiples; check at the end
+/// that the window deltas tile the run; and print the summary tables.
 fn run_soak<P, const TIMED: bool>(
     k: usize,
     snap: Option<&EngineSnapshot>,
@@ -2147,7 +2100,7 @@ where
         StatsWindows::<TIMED>::starting_at(opts.window, start_t, &base).with_ring_capacity(64),
     );
 
-    skip_served(&eng, &mut source)?;
+    seek_served(&mut source, start_t, opts.target)?;
 
     // The series streams to `<path>.tmp` through a CRC accumulator and
     // only moves to its final name — trailer appended, fsynced, renamed
@@ -2180,66 +2133,69 @@ where
     let mut last_beat = started;
     let mut total = WindowDelta::default();
     let mut windows = 0u64;
-    let mut on_boundary = |rec: &mut StatsWindows<TIMED>,
-                           stats: &SimStats,
-                           t: Time,
-                           point: Option<DualPoint>,
-                           end: bool|
-     -> Result<(), CliError> {
-        // Attach the dual point to the window that is about to close,
-        // cut it from the engine's counters (or close the trailing
-        // partial window at the end), and drain closed windows to the
-        // sink.
-        if let Some(point) = point {
-            rec.note_dual(point);
-        }
-        if end {
-            rec.finalize(t, stats);
-        } else {
-            rec.cut(t, stats);
-        }
-        for w in rec.drain_new() {
-            total.merge_from(&w);
-            windows += 1;
-            if let Some(s) = &mut sink {
-                s.write_window(&w);
-            }
-        }
-        if opts.heartbeat && !end && last_beat.elapsed().as_secs_f64() >= 1.0 {
-            last_beat = Instant::now();
-            let rate = (t - start_t) as f64 / started.elapsed().as_secs_f64();
-            let eta = if opts.target > t && rate > 0.0 {
-                format!("{:.0}s", (opts.target - t) as f64 / rate)
-            } else {
-                "-".into()
-            };
-            let rss = match rss_sample() {
-                // Report anon separately: the mmap ingestion path
-                // legitimately pins file-backed pages into RSS.
-                Some(RssSample {
-                    total,
-                    anon: Some(anon),
-                }) => format!("{} MB (anon {} MB)", total / (1 << 20), anon / (1 << 20)),
-                Some(RssSample { total, anon: None }) => format!("{} MB", total / (1 << 20)),
-                None => "n/a".into(),
-            };
-            eprintln!(
-                "soak: {t}/{} requests · {} req/s · ETA {eta} · RSS {rss}",
-                opts.target,
-                fnum(rate)
-            );
-        }
-        Ok(())
-    };
-    let ckpt = (opts.checkpoint_path, opts.checkpoint_every);
-    let served = drive(
-        &mut eng,
+    let mut ckpt = Checkpoints::new(opts.checkpoint_path, opts.checkpoint_every);
+    let window = opts.window;
+    // The checkpoint cadence is a multiple of the window width, so the
+    // window boundaries are every stop the run needs.
+    let served = eng.serve_stops(
         &mut source,
-        opts.window,
-        ckpt,
+        occ_sim::DEFAULT_BATCH_SIZE,
         None,
-        None,
-        Some(&mut on_boundary),
+        |t| next_multiple(t, window),
+        |eng, handler, end| {
+            // Attach the dual point to the window that is about to close
+            // (a run that ends on a boundary closed it at that stop), cut
+            // it from the engine's counters (or close the trailing
+            // partial window at the end), and drain closed windows to the
+            // sink.
+            let t = eng.time();
+            let point = if end && t.is_multiple_of(window) {
+                None
+            } else {
+                eng.policy().convex().map(DualPoint::of)
+            };
+            let (rec, stats) = eng.recorder_and_stats();
+            if let Some(point) = point {
+                rec.note_dual(point);
+            }
+            if end {
+                rec.finalize(t, stats);
+            } else {
+                rec.cut(t, stats);
+            }
+            for w in rec.drain_new() {
+                total.merge_from(&w);
+                windows += 1;
+                if let Some(s) = &mut sink {
+                    s.write_window(&w);
+                }
+            }
+            if opts.heartbeat && !end && last_beat.elapsed().as_secs_f64() >= 1.0 {
+                last_beat = Instant::now();
+                let rate = (t - start_t) as f64 / started.elapsed().as_secs_f64();
+                let eta = if opts.target > t && rate > 0.0 {
+                    format!("{:.0}s", (opts.target - t) as f64 / rate)
+                } else {
+                    "-".into()
+                };
+                let rss = match rss_sample() {
+                    // Report anon separately: the mmap ingestion path
+                    // legitimately pins file-backed pages into RSS.
+                    Some(RssSample {
+                        total,
+                        anon: Some(anon),
+                    }) => format!("{} MB (anon {} MB)", total / (1 << 20), anon / (1 << 20)),
+                    Some(RssSample { total, anon: None }) => format!("{} MB", total / (1 << 20)),
+                    None => "n/a".into(),
+                };
+                eprintln!(
+                    "soak: {t}/{} requests · {} req/s · ETA {eta} · RSS {rss}",
+                    opts.target,
+                    fnum(rate)
+                );
+            }
+            ckpt.at_stop(eng, handler, end)
+        },
     )?;
     let end_t = eng.time();
 
@@ -2310,7 +2266,7 @@ where
     }
     emit(&per.to_markdown());
     eprintln!(
-        "soak: window sums verified against engine totals ({windows} windows, t={}..{end_t})",
+        "soak: window deltas tile the run ({windows} windows, t={}..{end_t})",
         base.total_hits() + base.total_misses()
     );
     Ok(())
@@ -2644,7 +2600,7 @@ mod tests {
             (
                 "fleet",
                 None,
-                "backoff-ms batch chaos-shard-kill chaos-store-fail checkpoint-dir \
+                "backoff-ms chaos-shard-kill chaos-store-fail checkpoint-dir \
                  csv-flavor format from-dir k len max-restarts out policy scenario seed \
                  series-out shards timing trace window",
             ),
@@ -3365,6 +3321,44 @@ mod tests {
         // Malformed value or a line with no field after the key.
         assert_eq!(parse_vmrss_kb("VmRSS:\tlots kB\n"), None);
         assert_eq!(parse_vmrss_kb("VmRSS:\n"), None);
+    }
+
+    #[test]
+    fn window_totals_must_tile_the_run() {
+        let scenario = find_scenario("two-tier").unwrap();
+        let trace = scenario.trace(3_000, 5);
+        let mut eng =
+            SteppingEngine::new(scenario.suggested_k, trace.universe().clone(), Lru::new());
+        let mut cuts = vec![eng.stats().clone()];
+        let mut windows = Vec::new();
+        for chunk in trace.requests().chunks(1_000) {
+            eng.step_batch(chunk);
+            windows.push(WindowDelta::between(cuts.last().unwrap(), eng.stats()));
+            cuts.push(eng.stats().clone());
+        }
+        let start = &cuts[0];
+        let sum = |ws: &[WindowDelta]| {
+            let mut total = WindowDelta::default();
+            for w in ws {
+                total.merge_from(w);
+            }
+            total
+        };
+        let end = eng.stats();
+        assert_eq!(check_window_totals(&sum(&windows), end, start), Ok(()));
+        // A resumed run's windows tile the run from its checkpoint on.
+        assert_eq!(
+            check_window_totals(&sum(&windows[1..]), end, &cuts[1]),
+            Ok(())
+        );
+        let err = check_window_totals(&sum(&windows[1..]), end, start).unwrap_err();
+        assert!(err.contains("do not tile the run"), "a lost window: {err}");
+        let mut twice = windows.clone();
+        twice.push(windows[2].clone());
+        assert!(
+            check_window_totals(&sum(&twice), end, start).is_err(),
+            "a window drained twice"
+        );
     }
 
     #[test]

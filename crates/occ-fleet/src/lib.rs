@@ -13,15 +13,15 @@
 //! per available hardware thread, each replaying its queue of shards
 //! sequentially, and no thread at all when a single worker suffices —
 //! feeds each shard from a streaming [`RequestSource`] through the
-//! engine's batch loop ([`SteppingEngine::serve_from`], trace-backed
+//! engine's one serve loop ([`SteppingEngine::serve_stops`], trace-backed
 //! sources handing over whole slices via [`RequestSource::next_run`]),
 //! and folds the per-shard tallies into one merged [`MetricsRecorder`]
 //! with the same shard-merge machinery the observability layer already
 //! ships — so the merged report is indistinguishable from a single
 //! recorder that watched every shard. Each request is counted once, in
-//! its shard engine's `SimStats`: untimed tallies and window series are
-//! cut from those counters, and only a timed run attaches a recorder
-//! to the serve loop.
+//! its shard engine's `SimStats`: every shard's windows (one window for
+//! an un-windowed shard) are cut from those counters at the loop's
+//! stops, and only a timed run's windows hook the loop, for latency.
 //!
 //! Determinism: each shard's outcome depends only on its own source and
 //! policy, never on scheduling, so per-shard stats are byte-identical
@@ -38,9 +38,11 @@
 pub mod shared;
 pub mod supervisor;
 
-use occ_probe::{LogHistogram, MetricsRecorder, StatsWindows, WindowDelta, WindowSeries};
-use occ_sim::probe::{NoopRecorder, Recorder};
-use occ_sim::{ReplacementPolicy, RequestSource, SimStats, SteppingEngine, DEFAULT_BATCH_SIZE};
+use occ_probe::{MetricsRecorder, StatsWindows, WindowDelta, WindowSeries};
+use occ_sim::{
+    next_multiple, ReplacementPolicy, RequestSource, SimError, SimStats, SteppingEngine,
+    DEFAULT_BATCH_SIZE,
+};
 use std::time::{Duration, Instant};
 
 pub use occ_probe::Json;
@@ -66,7 +68,8 @@ pub struct FleetConfig {
     /// Cache capacity `k` of every shard (each shard gets its own full
     /// `k` — see the module docs).
     pub capacity: usize,
-    /// Most requests per [`SteppingEngine::serve_from`] batch.
+    /// Most requests per batch of the serve loop
+    /// ([`SteppingEngine::serve_stops`]); `occ fleet` keeps the default.
     pub batch_size: usize,
     /// Report each shard's whole-run tally in [`ShardReport::recorder`];
     /// turn it off for pure-throughput runs, which leave it empty. An
@@ -91,7 +94,8 @@ pub struct FleetConfig {
     /// [`ShardReport::series`] and [`FleetReport::merged_series`].
     /// Batches then also end at every window boundary. The shard
     /// windows carry no latency, so the series is deterministic, and a
-    /// shard's whole-run tally is the fold of its windows.
+    /// shard's whole-run tally is the fold of its windows. A supervised
+    /// fleet needs a positive width: it is also the checkpoint cadence.
     pub window: Option<u64>,
 }
 
@@ -266,73 +270,14 @@ impl FleetReport {
     }
 }
 
-/// Attach `recorder` to a fresh engine and run it to exhaustion of its
-/// source, `cfg.batch_size` requests at a time, through
-/// [`SteppingEngine::serve_from`] (zero-copy page runs, borrowed request
-/// runs, or per-request pulls, whichever the source offers). Returns the
-/// stats, the requests served, the time since `start` and the recorder.
-fn drive<S, P, R>(
-    engine: SteppingEngine<P>,
-    recorder: R,
-    source: &mut S,
-    cfg: &FleetConfig,
-    start: Instant,
-) -> (SimStats, u64, Duration, R)
-where
-    S: RequestSource,
-    P: ReplacementPolicy,
-    R: Recorder,
-{
-    let mut engine = engine.with_recorder(recorder);
-    let mut buf = Vec::new();
-    while engine.serve_from(source, cfg.batch_size, &mut buf) > 0 {}
-    let elapsed = start.elapsed();
-    let stats = engine.stats().clone();
-    let served = engine.time();
-    (stats, served, elapsed, engine.into_recorder())
-}
-
-/// [`drive`] with tumbling windows of `width` requests cut from the
-/// engine's counters ([`StatsWindows`]): batches also end at every
-/// window boundary, where the window closes. Returns the series in
-/// place of the recorder; with `TIMED` each window carries its latency.
-fn drive_windows<S, P, const TIMED: bool>(
-    engine: SteppingEngine<P>,
-    width: u64,
-    source: &mut S,
-    cfg: &FleetConfig,
-    start: Instant,
-) -> (SimStats, u64, Duration, WindowSeries)
-where
-    S: RequestSource,
-    P: ReplacementPolicy,
-{
-    // The ring bound is lifted because the report needs every window —
-    // callers size `width` to keep `len / width` sane.
-    let windows =
-        StatsWindows::<TIMED>::starting_at(width, 0, engine.stats()).with_ring_capacity(usize::MAX);
-    let mut engine = engine.with_recorder(windows);
-    let mut buf = Vec::new();
-    loop {
-        let max = (width - engine.time() % width).min(cfg.batch_size as u64);
-        if engine.serve_from(source, max as usize, &mut buf) == 0 {
-            break;
-        }
-        let t = engine.time();
-        if t.is_multiple_of(width) {
-            let (windows, stats) = engine.recorder_and_stats();
-            windows.cut(t, stats);
-        }
-    }
-    let elapsed = start.elapsed();
-    let served = engine.time();
-    let (windows, stats) = engine.recorder_and_stats();
-    windows.finalize(served, stats);
-    let stats = stats.clone();
-    (stats, served, elapsed, engine.into_recorder().into_series())
-}
-
-fn run_shard<S: RequestSource, P: ReplacementPolicy>(
+/// Serve one shard to the end of its source through the engine's serve
+/// loop ([`SteppingEngine::serve_stops`]), stopping at each window
+/// boundary to cut the window from the engine's counters
+/// ([`StatsWindows`]). An un-windowed shard is one window, cut at the
+/// end. Each request is counted once, in the engine's `SimStats`: the
+/// tally is the fold of the windows, and a timed shard's windows carry
+/// latency alone.
+fn run_shard<S: RequestSource, P: ReplacementPolicy, const TIMED: bool>(
     shard: usize,
     mut source: S,
     cfg: &FleetConfig,
@@ -340,48 +285,45 @@ fn run_shard<S: RequestSource, P: ReplacementPolicy>(
 ) -> ShardReport {
     let start = Instant::now();
     let engine = SteppingEngine::new(cfg.capacity, source.universe().clone(), policy);
-    let source = &mut source;
-    // Each event is counted once, in the engine's `SimStats`: the tally
-    // is read off it, or folded from the windows cut from it, and a
-    // timed shard's recorder carries latency alone.
-    let whole_run = |stats: &SimStats| WindowDelta::between(&SimStats::default(), stats);
-    let (stats, served, elapsed, total, series) = match (cfg.record, cfg.timing, cfg.window) {
-        (true, true, None) => {
-            let (stats, served, elapsed, latency) =
-                drive(engine, LogHistogram::new(), source, cfg, start);
-            let total = WindowDelta {
-                latency_ns: Some(latency),
-                ..whole_run(&stats)
-            };
-            (stats, served, elapsed, total, None)
-        }
-        (true, false, Some(width)) => {
-            let (stats, served, elapsed, series) =
-                drive_windows::<_, _, false>(engine, width, source, cfg, start);
-            (stats, served, elapsed, series.total(), Some(series))
-        }
-        (true, true, Some(width)) => {
-            // The latency moves from the windows to the tally, so the
-            // series stays untimed and deterministic.
-            let (stats, served, elapsed, mut series) =
-                drive_windows::<_, _, true>(engine, width, source, cfg, start);
-            let total = series.total();
-            for w in &mut series.windows {
-                w.latency_ns = None;
-            }
-            (stats, served, elapsed, total, Some(series))
-        }
-        (record, ..) => {
-            let (stats, served, elapsed, _) = drive(engine, NoopRecorder, source, cfg, start);
-            let total = if record {
-                whole_run(&stats)
-            } else {
-                WindowDelta::default()
-            };
-            (stats, served, elapsed, total, None)
-        }
+    let window = cfg.window.filter(|_| cfg.record);
+    let width = window.unwrap_or(u64::MAX);
+    // The ring bound is lifted because the report needs every window —
+    // callers size `width` to keep `len / width` sane.
+    let windows =
+        StatsWindows::<TIMED>::starting_at(width, 0, engine.stats()).with_ring_capacity(usize::MAX);
+    let mut engine = engine.with_recorder(windows);
+    let served = engine
+        .serve_stops(
+            &mut source,
+            cfg.batch_size,
+            None,
+            |t| next_multiple(t, width),
+            |engine, _, end| {
+                let t = engine.time();
+                let (windows, stats) = engine.recorder_and_stats();
+                if end {
+                    windows.finalize(t, stats);
+                } else {
+                    windows.cut(t, stats);
+                }
+                Ok::<_, SimError>(())
+            },
+        )
+        .expect("an unchecked serve loop has no fault to report");
+    let elapsed = start.elapsed();
+    let stats = engine.stats().clone();
+    let mut series = engine.into_recorder().into_series();
+    let total = if cfg.record {
+        series.total()
+    } else {
+        WindowDelta::default()
     };
-    let recorder = if cfg.record && cfg.timing {
+    // The latency moves from the windows to the tally, so the series
+    // stays untimed and deterministic.
+    for w in &mut series.windows {
+        w.latency_ns = None;
+    }
+    let recorder = if TIMED {
         MetricsRecorder::from_total(total)
     } else {
         MetricsRecorder::<false>::from_total(total).into()
@@ -392,7 +334,7 @@ fn run_shard<S: RequestSource, P: ReplacementPolicy>(
         served,
         elapsed,
         recorder,
-        series,
+        series: window.map(|_| series),
     }
 }
 
@@ -435,7 +377,11 @@ where
 {
     let start = Instant::now();
     let shards = run_pool(sources, cfg, |i, source| {
-        run_shard(i, source, cfg, make_policy(i))
+        if cfg.record && cfg.timing {
+            run_shard::<_, _, true>(i, source, cfg, make_policy(i))
+        } else {
+            run_shard::<_, _, false>(i, source, cfg, make_policy(i))
+        }
     });
     let window = cfg.window.filter(|_| cfg.record);
     fleet_report(shards, window, start.elapsed(), None)

@@ -29,20 +29,21 @@
 //!
 //! **Determinism.** A restarted shard is byte-identical to one that
 //! never crashed: the checkpoint restores the engine and policy
-//! losslessly (PR 3), the source factory plus
-//! [`SeekableSource::seek_forward`] reproduces the exact request
-//! stream from the crash point (same RNG state), and the windows
-//! restart at the checkpoint boundary, cut from the restored counters
-//! ([`StatsWindows`]). The property test
-//! pins merged series and per-user miss vectors across arbitrary kill
-//! schedules, shard counts, and window widths.
+//! losslessly, the source factory plus [`SeekableSource::seek_forward`]
+//! reproduces the exact request stream from the crash point (same RNG
+//! state), and the windows restart at the checkpoint boundary, cut from
+//! the restored counters ([`StatsWindows`]). Each attempt runs the
+//! engine's one serve loop ([`SteppingEngine::serve_stops`]), whose
+//! stops are the window boundaries and the pending kills. The property
+//! test pins merged series and per-user miss vectors across arbitrary
+//! kill schedules, shard counts, and window widths.
 //!
-//! **Crash ordering.** At every window boundary the driver (1) appends
-//! the closed windows to the shard's [`DirPersist`] (when it has one),
-//! (2) saves the checkpoint, (3) commits both to memory. A crash between (1) and (2)
-//! re-appends the same windows after restart; [`DirPersist`] drops
-//! duplicates by window index, so the on-disk series never tears or
-//! double-counts. Writing the series line *before* its checkpoint is
+//! **Crash ordering.** At every window boundary the shard (1) appends
+//! the closed windows to its [`DirPersist`] (when it has one), (2)
+//! saves the checkpoint, (3) commits both to memory. A crash between
+//! (1) and (2) re-appends the same windows after restart; [`DirPersist`]
+//! drops duplicates by window index, so the on-disk series never tears
+//! or double-counts. Writing the series line *before* its checkpoint is
 //! load-bearing: the opposite order could persist a checkpoint whose
 //! preceding window was never written, and nothing would ever
 //! regenerate it.
@@ -53,7 +54,9 @@ use occ_probe::{
     snapshot_to_json, CrcWriter, Json, MetricsRecorder, SeriesSink, StatsWindows, WindowDelta,
     WindowSeries,
 };
-use occ_sim::{EngineSnapshot, ReplacementPolicy, SeekableSource, SimStats, SteppingEngine};
+use occ_sim::{
+    next_multiple, EngineSnapshot, ReplacementPolicy, SeekableSource, SimStats, SteppingEngine,
+};
 use std::fs::File;
 use std::io::{self, BufWriter};
 use std::panic::{self, AssertUnwindSafe};
@@ -145,18 +148,16 @@ fn splitmix64(mut z: u64) -> u64 {
 /// Configuration for [`run_supervised_fleet`].
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
-    /// Shard capacity, batch size and worker cap
+    /// Shard capacity, batch size, worker cap and window width
     /// ([`FleetConfig::capacity`], [`FleetConfig::batch_size`],
-    /// [`FleetConfig::max_workers`]). The supervised driver always
-    /// records tumbling windows, so `record`/`window` are ignored here;
-    /// its batches also end at every window boundary and pending kill.
-    /// It times nothing: `timing` must stay off, since its
+    /// [`FleetConfig::max_workers`], [`FleetConfig::window`]). The window
+    /// width is also the checkpoint cadence: every shard checkpoints at
+    /// every multiple of it, so it must be set. The supervised shard
+    /// always records its windows, so `record` is ignored here. It times
+    /// nothing: `timing` must stay off, since its
     /// [`FleetReport::merged`] recorder is folded from the committed
     /// windows, which carry no latency.
     pub fleet: FleetConfig,
-    /// Window width = checkpoint cadence: every shard checkpoints at
-    /// every multiple of this many requests.
-    pub window: u64,
     /// Restarts allowed per shard before it is quarantined.
     pub max_restarts: u32,
     /// Backoff between restarts.
@@ -171,12 +172,14 @@ pub struct SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    /// A supervised fleet with capacity `k`, checkpoint cadence
-    /// `window`, 3 restarts per shard, and no chaos.
+    /// A supervised fleet with capacity `k`, window width and checkpoint
+    /// cadence `window`, 3 restarts per shard, and no chaos.
     pub fn new(capacity: usize, window: u64) -> Self {
         SupervisorConfig {
-            fleet: FleetConfig::new(capacity),
-            window,
+            fleet: FleetConfig {
+                window: Some(window),
+                ..FleetConfig::new(capacity)
+            },
             max_restarts: 3,
             backoff: BackoffPolicy::none(),
             kills: Vec::new(),
@@ -464,68 +467,76 @@ impl ShardDriver {
         };
         let t0 = eng.time();
         source.seek_forward(t0);
-        let windows = StatsWindows::<false>::starting_at(self.width, t0, eng.stats())
-            .with_ring_capacity(usize::MAX);
+        self.kill_if_due(t0);
+        let windows =
+            StatsWindows::starting_at(self.width, t0, eng.stats()).with_ring_capacity(usize::MAX);
         let mut eng = eng.with_recorder(windows);
-        let mut buf = Vec::new();
-        loop {
-            let t = eng.time();
-            // A batch ends at the next window boundary and at the next
-            // pending kill, so both land at exactly their `t`.
-            let mut max = (self.width - t % self.width).min(self.batch_size as u64);
-            match self.pending_kills.front() {
-                Some(&at) if at == t => {
-                    self.pending_kills.pop_front();
-                    panic::panic_any(InjectedKill {
-                        shard: self.shard,
-                        at: t,
-                    });
-                }
-                Some(&at) if at > t => max = max.min(at - t),
-                _ => {}
-            }
-            if eng.serve_from(&mut source, max as usize, &mut buf) == 0 {
-                break;
-            }
-            let t = eng.time();
-            if t % self.width == 0 {
-                let (windows, stats) = eng.recorder_and_stats();
-                windows.cut(t, stats);
-                let drained = windows.drain_new();
-                self.commit(&mut eng, drained, true)?;
-            }
-        }
-        let end = eng.time();
-        let (windows, stats) = eng.recorder_and_stats();
-        windows.finalize(end, stats);
-        let drained = windows.drain_new();
-        // A trailing partial window cannot be checkpointed (resume
-        // requires a boundary), but the stream is over: commit it
-        // without a snapshot. A crash after this point is impossible —
-        // the attempt only returns.
-        self.commit(&mut eng, drained, end % self.width == 0)?;
+        // Window boundaries and pending kills are the loop's stops; the
+        // kill times are copied out, as `at_stop` consumes them.
+        let (width, kills) = (self.width, Vec::from(self.pending_kills.clone()));
+        let next_kill = move |t| kills.iter().copied().find(|&at| at > t);
+        eng.serve_stops(
+            &mut source,
+            self.batch_size,
+            None,
+            |t| next_multiple(t, width).min(next_kill(t).unwrap_or(u64::MAX)),
+            |eng, _, end| -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
+                // Commit before a kill due at the same instant fires, so
+                // its restart resumes from this boundary.
+                self.commit(eng, end)?;
+                self.kill_if_due(eng.time());
+                Ok(())
+            },
+        )
+        .map_err(|e| e.to_string())?;
         if let Some(p) = &mut self.persist {
             p.finish().map_err(|e| format!("sealing series: {e}"))?;
         }
-        Ok((eng.stats().clone(), end))
+        Ok((eng.stats().clone(), eng.time()))
     }
 
-    /// Commit point: persist the windows, then (at boundaries) the
-    /// checkpoint, then update in-memory state. Ordering is the crash
-    /// contract — see the module docs.
-    fn commit<S: occ_sim::probe::Recorder, P: ReplacementPolicy>(
+    /// Drop the pending kills before `t`, which belong to a stretch this
+    /// attempt does not serve (a resumed run's past), and fire one due at
+    /// `t`: consume it and unwind the attempt.
+    fn kill_if_due(&mut self, t: u64) {
+        while let Some(at) = self.pending_kills.front().copied().filter(|&at| at <= t) {
+            self.pending_kills.pop_front();
+            if at == t {
+                panic::panic_any(InjectedKill {
+                    shard: self.shard,
+                    at,
+                });
+            }
+        }
+    }
+
+    /// Commit point at a stop of the serve loop: close the windows that
+    /// end here, persist them, then (at boundaries) the checkpoint, then
+    /// update in-memory state. Ordering is the crash contract — see the
+    /// module docs. At the `end` of the stream the trailing partial
+    /// window closes too: it cannot be checkpointed (resume requires a
+    /// boundary), but the stream is over, so it is committed without a
+    /// snapshot.
+    fn commit<P: ReplacementPolicy>(
         &mut self,
-        eng: &mut SteppingEngine<P, S>,
-        drained: Vec<WindowDelta>,
-        checkpoint: bool,
+        eng: &mut SteppingEngine<P, StatsWindows>,
+        end: bool,
     ) -> Result<(), String> {
+        let t = eng.time();
+        let (windows, stats) = eng.recorder_and_stats();
+        if end {
+            windows.finalize(t, stats);
+        } else {
+            windows.cut(t, stats);
+        }
+        let drained = windows.drain_new();
         if let Some(p) = &mut self.persist {
             for w in &drained {
                 p.append_window(w)
                     .map_err(|e| format!("appending window {}: {e}", w.index))?;
             }
         }
-        let snap = if checkpoint {
+        if t % self.width == 0 {
             let snap = eng.snapshot().map_err(|e| format!("snapshotting: {e}"))?;
             self.saves += 1;
             if self.fail_saves.contains(&self.saves) {
@@ -538,12 +549,7 @@ impl ShardDriver {
                 p.save_checkpoint(&snap)
                     .map_err(|e| format!("saving checkpoint: {e}"))?;
             }
-            Some(snap)
-        } else {
-            None
-        };
-        // Everything durable — commit to memory.
-        if let Some(snap) = snap {
+            // Everything durable — commit to memory.
             self.last_good = Some(snap);
         }
         for w in drained {
@@ -560,6 +566,7 @@ impl ShardDriver {
 fn supervise_shard<S, P>(
     shard: usize,
     cfg: &SupervisorConfig,
+    width: u64,
     make_source: &(impl Fn(usize) -> S + Sync),
     make_policy: &(impl Fn(usize) -> P + Sync),
     persist: Option<DirPersist>,
@@ -581,12 +588,12 @@ where
     kills.sort_unstable();
     let mut driver = ShardDriver {
         shard,
-        width: cfg.window,
+        width,
         capacity: cfg.fleet.capacity,
         batch_size: cfg.fleet.batch_size,
         last_good: initial,
         committed: Vec::new(),
-        next_commit: resume_t / cfg.window,
+        next_commit: resume_t / width,
         pending_kills: kills.into(),
         persist,
         saves: 0,
@@ -637,7 +644,7 @@ where
         }
     };
     let series = WindowSeries {
-        width: cfg.window,
+        width,
         dropped: 0,
         windows: driver.committed,
     };
@@ -680,7 +687,8 @@ where
 /// one tally that survives restarts — so its counters equal a plain
 /// `window`ed fleet's on the same input, and it carries no latency.
 ///
-/// Panics if `shards`, `cfg.window` or `cfg.fleet.batch_size` is zero,
+/// Panics if `shards` or `cfg.fleet.batch_size` is zero, if
+/// `cfg.fleet.window` is not a positive width,
 /// or if `cfg.fleet.timing` is set (the latency it asks for would be
 /// silently dropped).
 pub fn run_supervised_fleet<S, P>(
@@ -694,7 +702,11 @@ where
     S: SeekableSource,
     P: ReplacementPolicy,
 {
-    assert!(cfg.window > 0, "supervision needs a positive window width");
+    let width = cfg
+        .fleet
+        .window
+        .filter(|&w| w > 0)
+        .expect("supervision needs a positive window width");
     assert!(
         !cfg.fleet.timing,
         "a supervised fleet records no latency; leave timing off"
@@ -702,12 +714,12 @@ where
     persist.resize_with(shards, || None);
     let start = Instant::now();
     let (reports, statuses) = run_pool(persist, &cfg.fleet, |i, persist| {
-        supervise_shard(i, cfg, &make_source, &make_policy, persist)
+        supervise_shard(i, cfg, width, &make_source, &make_policy, persist)
     })
     .into_iter()
     .unzip();
     let supervisor = SupervisorReport { shards: statuses };
-    fleet_report(reports, Some(cfg.window), start.elapsed(), Some(supervisor))
+    fleet_report(reports, Some(width), start.elapsed(), Some(supervisor))
 }
 
 #[cfg(test)]
@@ -984,13 +996,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn resume_continues_from_mid_stream_snapshots() {
-        // Run the first half supervised, snapshot by hand, then resume
-        // a second supervised fleet from those snapshots: the stitched
-        // stats must equal the one-shot run.
-        let plain = plain_fleet();
-        let snaps: Vec<Option<occ_sim::EngineSnapshot>> = (0..SHARDS)
+    /// Every shard's engine after serving the first 500 requests of its
+    /// stream, as a resume point.
+    fn half_way_snapshots() -> Vec<Option<occ_sim::EngineSnapshot>> {
+        (0..SHARDS)
             .map(|shard| {
                 let mut src = source_for(shard);
                 let mut eng = occ_sim::SteppingEngine::new(
@@ -1008,9 +1017,17 @@ mod tests {
                 }
                 Some(eng.snapshot().unwrap())
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn resume_continues_from_mid_stream_snapshots() {
+        // Run the first half supervised, snapshot by hand, then resume
+        // a second supervised fleet from those snapshots: the stitched
+        // stats must equal the one-shot run.
+        let plain = plain_fleet();
         let mut cfg = base_cfg();
-        cfg.resume = snaps;
+        cfg.resume = half_way_snapshots();
         cfg.kills = vec![ShardKill { shard: 1, at: 750 }];
         let report = supervised(&cfg);
         for (shard, s) in report.shards.iter().enumerate() {
@@ -1031,5 +1048,32 @@ mod tests {
         }
         assert_merged_counts_what_was_served(&report);
         assert_eq!(report.total_requests, SHARDS as u64 * 500);
+    }
+
+    #[test]
+    fn a_kill_before_the_resume_point_does_not_block_a_later_one() {
+        // Shard 1 resumes at t=500 with one kill in its past and one in
+        // its future: the past one is dropped, the later one fires.
+        let plain = plain_fleet();
+        let mut cfg = base_cfg();
+        cfg.resume = half_way_snapshots();
+        cfg.kills = vec![
+            ShardKill { shard: 1, at: 100 },
+            ShardKill { shard: 1, at: 800 },
+        ];
+        let report = supervised(&cfg);
+        let sup = report.supervisor.as_ref().unwrap();
+        let s = &sup.shards[1];
+        assert_eq!(s.state, ShardState::Recovered);
+        assert_eq!(s.restarts, 1);
+        assert!(
+            s.error.as_deref().unwrap().contains("at t=800"),
+            "{:?}",
+            s.error
+        );
+        for (shard, s) in report.shards.iter().enumerate() {
+            assert_eq!(s.stats, plain.shards[shard].stats, "shard {shard}");
+        }
+        assert_eq!(sup.total_restarts(), 1);
     }
 }

@@ -461,7 +461,7 @@ impl<const WITH_LATENCY: bool> WindowedRecorder<WITH_LATENCY> {
         let index = t / width;
         WindowedRecorder {
             width,
-            cur: WindowDelta::fresh(index, t, t + width),
+            cur: WindowDelta::fresh(index, t, t.saturating_add(width)),
             ring: VecDeque::new(),
             ring_capacity: DEFAULT_RING_CAPACITY,
             dropped: 0,
@@ -490,11 +490,17 @@ impl<const WITH_LATENCY: bool> WindowedRecorder<WITH_LATENCY> {
     }
 
     fn close_current(&mut self) {
+        // Saturating, so one window of width `u64::MAX` (a whole run) can
+        // close too.
         let next_index = self.cur.index + 1;
-        let next_start = self.cur.index * self.width + self.width;
+        let next_start = next_index.saturating_mul(self.width);
         let done = std::mem::replace(
             &mut self.cur,
-            WindowDelta::fresh(next_index, next_start, next_start + self.width),
+            WindowDelta::fresh(
+                next_index,
+                next_start,
+                next_start.saturating_add(self.width),
+            ),
         );
         if self.ring.len() == self.ring_capacity {
             if let Some(old) = self.ring.pop_front() {

@@ -95,7 +95,9 @@ pub use probe::{NoopRecorder, Recorder};
 pub use snapshot::{EngineSnapshot, PolicyState, StateValue, SNAPSHOT_VERSION};
 pub use source::{AdaptiveSource, RequestSource, SeekableSource, TraceSource};
 pub use stats::{SimStats, UserStats};
-pub use stepper::{StepOutcome, SteppingEngine, DEFAULT_BATCH_SIZE, PREFETCH_DISTANCE};
+pub use stepper::{
+    next_multiple, StepOutcome, SteppingEngine, DEFAULT_BATCH_SIZE, PREFETCH_DISTANCE,
+};
 pub use textio::{read_trace, write_trace, TraceIoError};
 pub use trace::{Request, Trace, TraceBuilder, TraceRecord, Universe};
 

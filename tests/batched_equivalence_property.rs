@@ -10,6 +10,10 @@
 //! Recorded and unrecorded engines run the same batch loop, so both are
 //! pinned: the event log comes from an `EventLog` recorder, including
 //! on `step_page_batch`, the zero-copy path the trace pipelines take.
+//! The serve loop every product command runs (`serve_stops`) is pinned
+//! too: under any stop schedule, over every source style, it fires its
+//! hook at exactly the stops and once at the end, and serves what a
+//! plain `serve_from` loop serves.
 
 use occ_baselines::{
     Fifo, FifoReference, GreedyDual, Lru, LruK, LruKReference, LruReference, Marking,
@@ -17,8 +21,8 @@ use occ_baselines::{
 };
 use occ_core::{ConvexCaching, CostProfile, Monomial};
 use occ_sim::{
-    EventLog, NoopRecorder, PageId, Recorder, ReplacementPolicy, Request, SimEvent, SteppingEngine,
-    Universe,
+    next_multiple, EngineCtx, EventLog, FaultHandler, FaultPolicy, NoopRecorder, PageId, Recorder,
+    ReplacementPolicy, Request, RequestSource, SimError, SimEvent, SteppingEngine, Time, Universe,
 };
 use proptest::prelude::*;
 
@@ -315,4 +319,157 @@ fn step_batch_boundary_sizes_match_scalar_on_long_traces() {
             }
         }
     }
+}
+
+/// How a [`Styled`] source hands out its requests: zero-copy page runs,
+/// borrowed request runs, or one pulled request at a time.
+#[derive(Clone, Copy, Debug)]
+enum Style {
+    PageRuns,
+    RequestRuns,
+    Pulls,
+}
+
+/// A fixed request sequence served in one [`Style`].
+struct Styled {
+    universe: Universe,
+    requests: Vec<Request>,
+    pages: Vec<PageId>,
+    pos: usize,
+    style: Style,
+}
+
+impl Styled {
+    fn new(universe: &Universe, requests: &[Request], style: Style) -> Self {
+        Styled {
+            universe: universe.clone(),
+            requests: requests.to_vec(),
+            pages: requests.iter().map(|r| r.page).collect(),
+            pos: 0,
+            style,
+        }
+    }
+
+    /// The next run of at most `max` items, advancing past it.
+    fn take(&mut self, max: usize) -> std::ops::Range<usize> {
+        let end = self.requests.len().min(self.pos + max);
+        let run = self.pos..end;
+        self.pos = end;
+        run
+    }
+}
+
+impl RequestSource for Styled {
+    fn universe(&self) -> &Universe {
+        &self.universe
+    }
+
+    fn next_request(&mut self, _ctx: &EngineCtx) -> Option<Request> {
+        let r = self.requests.get(self.pos).copied();
+        self.pos += usize::from(r.is_some());
+        r
+    }
+
+    fn next_run(&mut self, max: usize) -> Option<&[Request]> {
+        let run = match self.style {
+            Style::RequestRuns => self.take(max),
+            _ => return None,
+        };
+        Some(&self.requests[run])
+    }
+
+    fn next_page_run(&mut self, max: usize) -> Option<&[PageId]> {
+        let run = match self.style {
+            Style::PageRuns => self.take(max),
+            _ => return None,
+        };
+        Some(&self.pages[run])
+    }
+}
+
+/// A random instance with a random stop schedule (some stops past the
+/// end of the stream, never reached), batch size, source style and
+/// whether the loop serves through a fault handler.
+#[allow(clippy::type_complexity)]
+fn arb_stop_instance(
+) -> impl Strategy<Value = (Universe, Vec<u32>, usize, Vec<Time>, usize, usize, bool)> {
+    (1u32..=3, 3u32..=6).prop_flat_map(|(users, per_user)| {
+        let total = users * per_user;
+        (
+            proptest::collection::vec(0..total, 0..300),
+            1..=(total as usize - 1),
+            proptest::collection::vec(1u64..330, 0..40),
+            1usize..=64,
+            0usize..3,
+            0u32..2,
+        )
+            .prop_map(move |(pages, k, mut stops, batch, style, checked)| {
+                stops.sort_unstable();
+                stops.dedup();
+                let universe = Universe::uniform(users, per_user);
+                (universe, pages, k, stops, batch, style, checked == 1)
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn serve_loop_stops_exactly_where_asked_and_serves_the_plain_loop(
+        (universe, pages, k, stops, batch, style, checked) in arb_stop_instance()
+    ) {
+        let requests: Vec<Request> =
+            pages.iter().map(|&p| universe.request(PageId(p))).collect();
+        let style = [Style::PageRuns, Style::RequestRuns, Style::Pulls][style];
+        let len = requests.len() as Time;
+        // Every stop inside the stream fires, in order, then the end.
+        let mut expected: Vec<(Time, bool)> =
+            stops.iter().filter(|&&t| t <= len).map(|&t| (t, false)).collect();
+        expected.push((len, true));
+        for mut policy in batched_grid_suite(universe.num_users()) {
+            let mut plain = SteppingEngine::new(k, universe.clone(), &mut *policy);
+            let mut source = Styled::new(&universe, &requests, style);
+            let mut buf = Vec::new();
+            while plain.serve_from(&mut source, batch, &mut buf) > 0 {}
+            let plain = finish(plain);
+
+            policy.reset();
+            let mut eng = SteppingEngine::new(k, universe.clone(), &mut *policy);
+            let mut source = Styled::new(&universe, &requests, style);
+            let mut handler = FaultHandler::new(FaultPolicy::SkipAndCount, universe.num_users());
+            let mut fired = Vec::new();
+            let served = eng
+                .serve_stops(
+                    &mut source,
+                    batch,
+                    checked.then_some(&mut handler),
+                    |t| stops.iter().copied().find(|&s| s > t).unwrap_or(Time::MAX),
+                    |eng, handler, end| {
+                        assert_eq!(handler.is_some(), checked);
+                        fired.push((eng.time(), end));
+                        Ok::<_, SimError>(())
+                    },
+                )
+                .unwrap();
+            prop_assert_eq!(served, len);
+            prop_assert_eq!(
+                &fired, &expected,
+                "policy {} style {:?} batch {}", policy.name(), style, batch
+            );
+            prop_assert_eq!(
+                &finish(eng), &plain,
+                "policy {} style {:?} batch {} checked {}", policy.name(), style, batch, checked
+            );
+        }
+    }
+}
+
+#[test]
+fn next_multiple_is_the_first_multiple_after_t() {
+    assert_eq!(next_multiple(0, 5), 5);
+    assert_eq!(next_multiple(4, 5), 5);
+    assert_eq!(next_multiple(5, 5), 10);
+    assert_eq!(next_multiple(7, 0), Time::MAX, "cadence 0 never stops");
+    assert_eq!(next_multiple(Time::MAX - 1, Time::MAX), Time::MAX);
 }
