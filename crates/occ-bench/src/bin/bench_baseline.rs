@@ -89,8 +89,12 @@
 //!   row: occbin02 encode of the fixture through the writer's run-level
 //!   appends (64 Ki-page runs, as `occ trace pack` feeds it) into an
 //!   in-memory sink, asserted byte-identical to the whole-trace writer's
-//!   file and to decode back before any rep. That row is printed only,
-//!   never written to the baseline file.
+//!   file and to decode back before any rep, and an `ingest/mixer` row:
+//!   the `sqlvm-like` tenant mixer read by per-request pulls and by
+//!   `next_run`, drained with no engine and served by `serve_from` with
+//!   LRU, streams and stats asserted identical first, reps interleaved.
+//!   Those two rows are printed only, never written to the baseline
+//!   file.
 //!
 //! `--smoke` runs a reduced matrix (lru/fifo/greedy-dual/alg-discrete ×
 //! zipf-0.9 × both cache sizes, scalar vs batched, plus a 1-shard
@@ -107,10 +111,13 @@ use occ_fleet::{run_fleet_typed, run_shared_fleet, FleetConfig, SharedConfig};
 use occ_probe::{Json, MetricsRecorder, StatsWindows, WindowedRecorder};
 use occ_sim::{
     read_trace_binary_v2, write_trace_binary, write_trace_binary_v2, Binary2TraceReader,
-    Binary2TraceWriter, BinarySource, BinaryTraceReader, PageId, ReplacementPolicy, Request,
-    RequestSource, SimStats, Simulator, SteppingEngine, Trace, TraceSource, DEFAULT_BATCH_SIZE,
+    Binary2TraceWriter, BinarySource, BinaryTraceReader, CacheSet, EngineCtx, PageId,
+    ReplacementPolicy, Request, RequestSource, SimStats, Simulator, SteppingEngine, Trace,
+    TraceSource, Universe, DEFAULT_BATCH_SIZE,
 };
-use occ_workloads::{generate_multi_tenant, zipf_trace, AccessPattern, TenantSpec};
+use occ_workloads::{
+    generate_multi_tenant, sqlvm_like, zipf_trace, AccessPattern, TenantMixSource, TenantSpec,
+};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufReader, Write as _};
@@ -1079,6 +1086,7 @@ fn run_ingest(committed: &[CommittedCell]) {
     let fx = IngestFixture::materialize(INGEST_TRACE_LEN);
     ingest_block(&fx, THROUGHPUT_REPS, "", committed, &mut regressions);
     encode_row(&fx, THROUGHPUT_REPS);
+    mixer_row(THROUGHPUT_REPS);
     if regressions > 0 {
         eprintln!(
             "warning: {regressions} ingest cell(s) regressed more than 20% vs the committed baseline"
@@ -1087,6 +1095,137 @@ fn run_ingest(committed: &[CommittedCell]) {
     println!(
         "INGEST OK: all three strategies replay miss-identical to the in-memory trace, and the \
          run-level encode is byte-identical to the whole-trace writer"
+    );
+}
+
+/// Requests per pass in the `ingest/mixer` row.
+const MIXER_LEN: u64 = 4_000_000;
+/// Cache size of the row's served passes: `sqlvm-like`'s suggested k.
+const MIXER_K: usize = 96;
+
+/// The mixer with its runs hidden: read one request at a time, as
+/// `serve_from` reads every source that hands out no runs.
+struct Pulled(TenantMixSource);
+
+impl RequestSource for Pulled {
+    fn universe(&self) -> &Universe {
+        self.0.universe()
+    }
+
+    fn next_request(&mut self, ctx: &EngineCtx) -> Option<Request> {
+        self.0.next_request(ctx)
+    }
+}
+
+/// Drain `src` with no engine, in [`DEFAULT_BATCH_SIZE`] batches taken
+/// the way `serve_from` takes them (a run if the source has one, else
+/// pulls into `buf`), handing each batch to `each`.
+fn drain_mixer<S: RequestSource>(
+    mut src: S,
+    buf: &mut Vec<Request>,
+    mut each: impl FnMut(&[Request]),
+) {
+    let universe = src.universe().clone();
+    let (cache, stats) = (CacheSet::new(1, universe.num_pages()), SimStats::new(1));
+    let ctx = EngineCtx {
+        time: 0,
+        cache: &cache,
+        stats: &stats,
+        universe: &universe,
+    };
+    loop {
+        if let Some(run) = src.next_run(DEFAULT_BATCH_SIZE) {
+            each(run);
+            continue;
+        }
+        buf.clear();
+        while buf.len() < DEFAULT_BATCH_SIZE {
+            let Some(req) = src.next_request(&ctx) else {
+                break;
+            };
+            buf.push(req);
+        }
+        if buf.is_empty() {
+            return;
+        }
+        each(buf);
+    }
+}
+
+/// Serve `src` with LRU at [`MIXER_K`] through `serve_from`, as every
+/// `--scenario` command does, and return the stats.
+fn serve_mixer<S: RequestSource>(mut src: S, buf: &mut Vec<Request>) -> SimStats {
+    let mut eng = SteppingEngine::new(MIXER_K, src.universe().clone(), Lru::new());
+    while eng.serve_from(&mut src, DEFAULT_BATCH_SIZE, buf) > 0 {}
+    assert_eq!(eng.time(), MIXER_LEN, "served a short stream");
+    eng.stats().clone()
+}
+
+/// Wall-clock seconds `f` takes.
+fn timed(f: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64()
+}
+
+/// The `ingest/mixer` row (`--ingest` only): the `sqlvm-like` tenant
+/// mixer read by per-request pulls ([`Pulled`]) and by `next_run`, once
+/// drained with no engine and once served by `serve_from` with LRU.
+/// The two streams are first asserted identical batch for batch, and
+/// the two served passes' stats equal; then the reps of all four run
+/// interleaved in one window. Best of `reps` each, wall-clock on one
+/// core; printed only, never written to the baseline file. The two
+/// read alike here, where the pull loop gets the mixer's draw inlined.
+/// In `occ`, before `next_run` and an always-inlined draw, the pull
+/// loops called the draw out of line, and that was the cost (DESIGN.md,
+/// "Zero-materialization workloads").
+fn mixer_row(reps: usize) {
+    use std::hash::{DefaultHasher, Hash, Hasher};
+    let digest = |b: &[Request]| {
+        let mut h = DefaultHasher::new();
+        b.hash(&mut h);
+        h.finish()
+    };
+    let stream = || sqlvm_like().stream(MIXER_LEN, 11);
+    let mut buf = Vec::with_capacity(DEFAULT_BATCH_SIZE);
+    let mut pulled = Vec::new();
+    drain_mixer(Pulled(stream()), &mut buf, |b| pulled.push(digest(b)));
+    let mut seen = 0;
+    drain_mixer(stream(), &mut buf, |b| {
+        assert!(
+            pulled.get(seen) == Some(&digest(b)),
+            "mixer batch {seen}: next_run differs from next_request pulls"
+        );
+        seen += 1;
+    });
+    assert_eq!(seen, pulled.len(), "next_run ended early");
+    let pulled_stats = serve_mixer(Pulled(stream()), &mut buf);
+    assert_eq!(serve_mixer(stream(), &mut buf), pulled_stats);
+
+    let consume = |b: &[Request]| {
+        std::hint::black_box(b);
+    };
+    let mut best = [f64::INFINITY; 4];
+    for _ in 0..reps {
+        let secs = [
+            timed(|| drain_mixer(Pulled(stream()), &mut buf, consume)),
+            timed(|| drain_mixer(stream(), &mut buf, consume)),
+            timed(|| drop(serve_mixer(Pulled(stream()), &mut buf))),
+            timed(|| drop(serve_mixer(stream(), &mut buf))),
+        ];
+        for (b, s) in best.iter_mut().zip(secs) {
+            *b = b.min(s);
+        }
+    }
+    let [drain_pull, drain_run, serve_pull, serve_run] = best.map(|b| b * 1e9 / MIXER_LEN as f64);
+    println!(
+        "{:>16}  k={MIXER_K:<5} {:<20} drained: {drain_run:.2} ns/req by next_run, {drain_pull:.2} \
+         by pulls ({:.2}x); served by serve_from with lru: {serve_run:.2} ns/req by next_run, \
+         {serve_pull:.2} by pulls ({:.2}x); wall-clock, one core, identical streams and stats",
+        "ingest/mixer",
+        "sqlvm-like",
+        drain_pull / drain_run,
+        serve_pull / serve_run
     );
 }
 

@@ -533,8 +533,9 @@ impl RequestSource for Feed {
 
     fn next_run(&mut self, max: usize) -> Option<&[Request]> {
         match self {
+            Feed::Mix(m) => m.next_run(max),
             Feed::Bin(b) => b.next_run(max),
-            Feed::Mix(_) | Feed::Csv(_) => None,
+            Feed::Csv(_) => None,
         }
     }
 
@@ -1015,15 +1016,35 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
             ("len", Json::from_u64(len)),
         ];
         // Open every shard's persist files up front so filesystem
-        // problems are classified errors here, not worker panics. Each
-        // series resumes at its checkpoint's window.
+        // problems are classified errors here, not worker panics. A
+        // resumed shard's series starts with the windows its checkpoint
+        // covers, read from the series beside that checkpoint before
+        // any file is rewritten (the two directories may be one).
         let mut persist = Vec::new();
         if !ckpt_dir.is_empty() {
+            let committed = (0..shards)
+                .map(|i| {
+                    let Some(snap) = scfg.resume.get(i).and_then(Option::as_ref) else {
+                        return Ok(Vec::new());
+                    };
+                    let from = Path::new(&from_dir);
+                    DirPersist::committed_windows(from, i, window, snap.time / window).map_err(
+                        |e| {
+                            let what = format!(
+                                "shard {i} series {}: {e}",
+                                DirPersist::series_path(from, i).display()
+                            );
+                            match e.kind() {
+                                std::io::ErrorKind::InvalidData => CliError::Parse(what),
+                                _ => CliError::Io(what),
+                            }
+                        },
+                    )
+                })
+                .collect::<Result<Vec<_>, CliError>>()?;
             let dir = Path::new(&ckpt_dir);
-            for i in 0..shards {
-                let snap = scfg.resume.get(i).and_then(Option::as_ref);
-                let resume_index = snap.map_or(0, |s| s.time / window);
-                let p = DirPersist::open(dir, i, window, resume_index, &meta).map_err(|e| {
+            for (i, committed) in committed.iter().enumerate() {
+                let p = DirPersist::open(dir, i, window, committed, &meta).map_err(|e| {
                     CliError::Io(format!("open checkpoint dir {ckpt_dir} for shard {i}: {e}"))
                 })?;
                 persist.push(Some(p));

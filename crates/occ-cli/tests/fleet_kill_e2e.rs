@@ -1,6 +1,6 @@
 //! End-to-end crash test for the supervised fleet: SIGKILL the real
 //! `occ fleet` process mid-run, then resume from its per-shard
-//! checkpoint directory and verify the stitched window series equals
+//! checkpoint directory and verify the resumed window series equals
 //! the uninterrupted run byte-for-byte. This is the integration-level
 //! counterpart of the in-process recovery property test in occ-fleet —
 //! here nothing is simulated, the process actually dies.
@@ -141,8 +141,9 @@ fn sigkilled_fleet_resumes_byte_identically_from_checkpoints() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // Per shard: killed-run windows up to the checkpoint, then the
-    // resumed run's windows, must equal the clean run's byte-for-byte.
+    // Per shard: the killed run flushed every window its checkpoint
+    // covers, and the resumed run's series, which carries those windows
+    // over, equals the clean run's window for window.
     for shard in 0..SHARDS {
         let resume_index = (checkpoint_time(&ckpt_path(&killed_dir, shard)) / WIDTH) as usize;
         let killed = window_lines(&series_path(&killed_dir, shard));
@@ -152,18 +153,116 @@ fn sigkilled_fleet_resumes_byte_identically_from_checkpoints() {
              flushed before it ({} lines, resume index {resume_index})",
             killed.len()
         );
-        let mut stitched = killed[..resume_index].to_vec();
-        stitched.extend(window_lines(&series_path(&resumed_dir, shard)));
         assert_eq!(
-            stitched,
+            window_lines(&series_path(&resumed_dir, shard)),
             window_lines(&series_path(&clean_dir, shard)),
-            "shard {shard}: stitched series differs from the clean run"
+            "shard {shard}: resumed series differs from the clean run"
         );
     }
 
     for d in [&clean_dir, &killed_dir, &resumed_dir] {
         std::fs::remove_dir_all(d).ok();
     }
+}
+
+/// A small supervised `sqlvm-like` fleet persisting into `dir`.
+fn small_fleet(dir: &Path, extra: &[&str]) -> std::process::Output {
+    occ()
+        .args([
+            "fleet",
+            "--scenario",
+            "sqlvm-like",
+            "--shards",
+            "2",
+            "--len",
+            "40k",
+            "--seed",
+            "11",
+            "--policy",
+            "lru",
+            "--window",
+            "5k",
+            "--format",
+            "json",
+            "--checkpoint-dir",
+            dir.to_str().unwrap(),
+        ])
+        .args(extra)
+        .output()
+        .expect("run occ")
+}
+
+/// Resuming into the directory it resumes from rewrites each shard's
+/// series, and must carry over the windows the checkpoint covers: shard
+/// 0 is quarantined by a kill at t=12000 (checkpoint at 10000, windows
+/// 0–1 on disk), shard 1 finishes; after `--from-dir D
+/// --checkpoint-dir D` both series equal an uninterrupted run's, window
+/// for window and byte for byte.
+#[test]
+fn resuming_into_its_own_checkpoint_dir_keeps_the_committed_windows() {
+    let clean = tmp("own-dir-clean");
+    let dir = tmp("own-dir");
+    for d in [&clean, &dir] {
+        std::fs::remove_dir_all(d).ok();
+    }
+    assert!(small_fleet(&clean, &[]).status.success());
+    let out = small_fleet(
+        &dir,
+        &["--chaos-shard-kill", "0@12000", "--max-restarts", "0"],
+    );
+    assert_eq!(out.status.code(), Some(7), "shard 0 is quarantined");
+    assert_eq!(checkpoint_time(&ckpt_path(&dir, 0)), 10_000);
+
+    let from = ["--from-dir", dir.to_str().unwrap()];
+    let out = small_fleet(&dir, &from);
+    assert!(
+        out.status.success(),
+        "resume failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for shard in 0..2 {
+        let (got, want) = (series_path(&dir, shard), series_path(&clean, shard));
+        assert_eq!(window_lines(&got).len(), 8, "shard {shard}");
+        assert_eq!(window_lines(&got), window_lines(&want), "shard {shard}");
+        assert_eq!(std::fs::read(&got).unwrap(), std::fs::read(&want).unwrap());
+    }
+    for d in [&clean, &dir] {
+        std::fs::remove_dir_all(d).ok();
+    }
+}
+
+/// A resume whose checkpoint covers windows the series beside it does
+/// not hold is refused before any file is rewritten: exit 4 for a
+/// series cut short, exit 3 for a missing one.
+#[test]
+fn a_resume_without_its_committed_windows_is_refused() {
+    let dir = tmp("short-series");
+    std::fs::remove_dir_all(&dir).ok();
+    let out = small_fleet(
+        &dir,
+        &["--chaos-shard-kill", "0@12000", "--max-restarts", "0"],
+    );
+    assert_eq!(out.status.code(), Some(7));
+    let series = series_path(&dir, 0);
+    let text = std::fs::read_to_string(&series).unwrap();
+    let header_and_one: String = text.split_inclusive('\n').take(2).collect();
+    std::fs::write(&series, &header_and_one).unwrap();
+
+    let from = ["--from-dir", dir.to_str().unwrap()];
+    let out = small_fleet(&dir, &from);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "stderr: {stderr}");
+    assert!(stderr.contains("fewer than the 2 windows"), "{stderr}");
+    assert_eq!(
+        std::fs::read_to_string(&series).unwrap(),
+        header_and_one,
+        "the refused resume left the series as it was"
+    );
+
+    std::fs::remove_file(&series).unwrap();
+    let out = small_fleet(&dir, &from);
+    assert_eq!(out.status.code(), Some(3));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

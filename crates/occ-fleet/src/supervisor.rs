@@ -51,8 +51,8 @@
 use crate::{fleet_report, run_pool, FleetConfig, FleetReport, ShardReport};
 use occ_probe::atomicio;
 use occ_probe::{
-    snapshot_to_json, CrcWriter, Json, MetricsRecorder, SeriesSink, StatsWindows, WindowDelta,
-    WindowSeries,
+    snapshot_to_json, CrcWriter, Json, MetricsRecorder, SeriesFile, SeriesSink, StatsWindows,
+    WindowDelta, WindowSeries,
 };
 use occ_sim::{
     next_multiple, EngineSnapshot, ReplacementPolicy, SeekableSource, SimStats, SteppingEngine,
@@ -334,28 +334,81 @@ impl DirPersist {
     }
 
     /// Open shard `shard`'s persist files under `dir` (created if
-    /// missing). `resume_index` is the window index the shard resumes
-    /// at (`checkpoint.time / width`), i.e. the first window this run
-    /// will append; `header_meta` is written as the series header's
-    /// metadata (shard identity etc.).
+    /// missing). The series file is rewritten: its header carries
+    /// `header_meta` (shard identity etc.), followed by `committed`, the
+    /// windows `0..resume_index` a resumed shard already closed (see
+    /// [`committed_windows`](Self::committed_windows); empty for a fresh
+    /// start), so the file never starts mid-run. This run appends from
+    /// window `committed.len()` on.
     pub fn open(
         dir: &Path,
         shard: usize,
         width: u64,
-        resume_index: u64,
+        committed: &[WindowDelta],
         header_meta: &[(&str, Json)],
     ) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         let file = File::create(Self::series_path(dir, shard))?;
         let mut series = SeriesSink::new(CrcWriter::new(BufWriter::new(file)));
         series.write_header(width, header_meta);
+        for w in committed {
+            series.write_window(w);
+        }
         series.flush()?;
         Ok(DirPersist {
             ckpt_path: Self::ckpt_path(dir, shard),
             series,
-            next_index: resume_index,
+            next_index: committed.len() as u64,
             finished: false,
         })
+    }
+
+    /// The windows `0..resume_index` of shard `shard`'s series under
+    /// `dir`, the ones covered by the checkpoint beside it: what a shard
+    /// resumed from that checkpoint hands [`open`](Self::open). Lines
+    /// after them (windows the killed run wrote past its last
+    /// checkpoint, perhaps torn mid-write) are not read. A file that
+    /// cannot be read is an I/O error; one with a failing checksum
+    /// trailer, another window width, or fewer than `resume_index`
+    /// windows numbered from 0 is [`io::ErrorKind::InvalidData`].
+    pub fn committed_windows(
+        dir: &Path,
+        shard: usize,
+        width: u64,
+        resume_index: u64,
+    ) -> io::Result<Vec<WindowDelta>> {
+        if resume_index == 0 {
+            return Ok(Vec::new());
+        }
+        let invalid = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
+        let text = std::fs::read_to_string(Self::series_path(dir, shard))?;
+        let (text, _) = atomicio::verify_trailer(&text).map_err(invalid)?;
+        // The header line and one line per committed window, each whole.
+        let wanted = resume_index as usize + 1;
+        let end = text
+            .match_indices('\n')
+            .nth(wanted - 1)
+            .map(|(i, _)| i + 1)
+            .ok_or_else(|| {
+                invalid(format!(
+                    "series holds fewer than the {resume_index} windows its checkpoint covers"
+                ))
+            })?;
+        let file = SeriesFile::parse(&text[..end]).map_err(invalid)?;
+        if file.width != width {
+            return Err(invalid(format!(
+                "series windows are {} requests wide, not {width}",
+                file.width
+            )));
+        }
+        if let Some((i, w)) = (0..).zip(&file.windows).find(|&(i, w)| w.index != i) {
+            return Err(invalid(format!(
+                "series line {} holds window {}, expected window {i}",
+                i + 2,
+                w.index
+            )));
+        }
+        Ok(file.windows)
     }
 
     /// Durably save `snap` as the shard's latest checkpoint (atomic
@@ -970,7 +1023,7 @@ mod tests {
         ];
         let persist = (0..SHARDS)
             .map(|shard| {
-                Some(DirPersist::open(&dir, shard, WIDTH, 0, &[]).expect("persist dir opens"))
+                Some(DirPersist::open(&dir, shard, WIDTH, &[], &[]).expect("persist dir opens"))
             })
             .collect();
         let report = run_supervised_fleet(SHARDS, &cfg, source_for, |_| Lru::new(), persist);

@@ -23,12 +23,14 @@ pub trait RequestSource {
 
     /// Bulk twin of [`next_request`](Self::next_request): hand out a
     /// borrowed run of up to `max` upcoming requests and advance past
-    /// them, or `None` when no run is available. Replay loops (the
-    /// fleet runner's shard driver) try this first and fall back to
-    /// per-request pulls, so a fixed trace feeds
+    /// them, or `None` when no run is available.
+    /// [`serve_from`](crate::SteppingEngine::serve_from) tries this
+    /// (after [`next_page_run`](Self::next_page_run)) before falling
+    /// back to per-request pulls, so a fixed trace feeds
     /// [`step_batch`](crate::SteppingEngine::step_batch) slices of its
-    /// own backing storage — no copy, no per-request engine-state
-    /// round-trip. The default returns `None`, which is the only
+    /// own backing storage, and a seeded generator a buffer it fills
+    /// in one loop — no per-request engine-state round-trip. The
+    /// default returns `None`, which is the only
     /// correct answer for adaptive sources: handing out a run commits
     /// to requests that cannot observe the engine mid-run.
     fn next_run(&mut self, max: usize) -> Option<&[Request]> {

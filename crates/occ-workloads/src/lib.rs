@@ -12,7 +12,7 @@
 //! * [`zipf`] — the hand-rolled Zipf sampler (CDF binary search);
 //! * [`chaos`] — seeded fault injection ([`FaultPlan`], [`ChaosSource`])
 //!   for robustness testing against corrupt request streams;
-//! * [`streaming`] — zero-materialization [`RequestSource`] twins of the
+//! * [`streaming`] — zero-materialization [`RequestSource`]s behind the
 //!   trace generators, for workloads too long to hold in memory.
 //!
 //! [`RequestSource`]: occ_sim::RequestSource
@@ -36,6 +36,7 @@ pub use streaming::{PatternSource, TenantMixSource};
 pub use zipf::Zipf;
 
 use occ_sim::{Trace, Universe};
+use streaming::collect_trace;
 
 /// The classical single-user `(k+1)`-page cycle — the adversarial pattern
 /// on which LRU/FIFO pay every request while OPT pays one per `k`.
@@ -47,18 +48,14 @@ pub fn cycle_trace(num_pages: u32, len: usize) -> Trace {
 
 /// A seeded uniform-random single-user trace.
 pub fn uniform_trace(num_pages: u32, len: usize, seed: u64) -> Trace {
-    let u = Universe::single_user(num_pages);
-    let mut g = PatternGen::new(AccessPattern::Uniform, num_pages, seed);
-    let pages: Vec<u32> = (0..len).map(|_| g.next_page()).collect();
-    Trace::from_page_indices(&u, &pages)
+    let uniform = PatternSource::new(AccessPattern::Uniform, num_pages, len as u64, seed);
+    collect_trace(uniform)
 }
 
 /// A seeded Zipf single-user trace.
 pub fn zipf_trace(num_pages: u32, len: usize, s: f64, seed: u64) -> Trace {
-    let u = Universe::single_user(num_pages);
-    let mut g = PatternGen::new(AccessPattern::Zipf { s }, num_pages, seed);
-    let pages: Vec<u32> = (0..len).map(|_| g.next_page()).collect();
-    Trace::from_page_indices(&u, &pages)
+    let zipf = PatternSource::new(AccessPattern::Zipf { s }, num_pages, len as u64, seed);
+    collect_trace(zipf)
 }
 
 #[cfg(test)]

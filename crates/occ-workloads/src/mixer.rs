@@ -6,10 +6,9 @@
 //! pattern, and arrival weight; the mixer draws the next requester
 //! proportionally to weight and the requester's pattern picks the page.
 
-use crate::generators::{AccessPattern, PatternGen};
-use occ_sim::{PageId, Trace, TraceBuilder, Universe};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::generators::AccessPattern;
+use crate::streaming::{collect_trace, TenantMixSource};
+use occ_sim::Trace;
 use serde::{Deserialize, Serialize};
 
 /// One tenant's workload specification.
@@ -35,49 +34,12 @@ impl TenantSpec {
     }
 }
 
-/// Generate a `len`-request multi-tenant trace from per-tenant specs.
+/// Generate a `len`-request multi-tenant trace from per-tenant specs:
+/// [`TenantMixSource`] drained into memory.
 ///
 /// Deterministic in `(specs, len, seed)`.
 pub fn generate_multi_tenant(specs: &[TenantSpec], len: usize, seed: u64) -> Trace {
-    assert!(!specs.is_empty(), "need at least one tenant");
-    let universe = Universe::with_sizes(&specs.iter().map(|s| s.pages).collect::<Vec<_>>());
-    // Page-id offset of each tenant's first page.
-    let mut offsets = Vec::with_capacity(specs.len());
-    let mut acc = 0u32;
-    for s in specs {
-        offsets.push(acc);
-        acc += s.pages;
-    }
-    let mut gens: Vec<PatternGen> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            PatternGen::new(
-                s.pattern.clone(),
-                s.pages,
-                seed ^ (0x9E37 + i as u64 * 0x79B9),
-            )
-        })
-        .collect();
-    // Cumulative arrival weights.
-    let total_w: f64 = specs.iter().map(|s| s.weight).sum();
-    let cum: Vec<f64> = specs
-        .iter()
-        .scan(0.0, |a, s| {
-            *a += s.weight / total_w;
-            Some(*a)
-        })
-        .collect();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut builder = TraceBuilder::new(universe);
-    for _ in 0..len {
-        let u: f64 = rng.gen();
-        let tenant = cum.partition_point(|&c| c < u).min(specs.len() - 1);
-        let local = gens[tenant].next_page();
-        builder.push(PageId(offsets[tenant] + local));
-    }
-    builder.build()
+    collect_trace(TenantMixSource::new(specs, len as u64, seed))
 }
 
 #[cfg(test)]

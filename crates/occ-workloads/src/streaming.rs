@@ -1,89 +1,81 @@
 //! Zero-materialization request sources: synthetic workloads streamed
-//! one request at a time in O(1) memory.
+//! in O(1) memory.
 //!
 //! The materializing generators ([`crate::zipf_trace`],
-//! [`crate::generate_multi_tenant`], …) build a `Vec<Request>` up front,
-//! so trace length is bounded by memory. The sources here are their
-//! streaming twins: the same RNGs seeded the same way drawing in the
-//! same order, so for a given `(spec, len, seed)` the streamed requests
-//! are **byte-identical** to the materialized trace — pinned by tests —
-//! while the source's heap footprint ([`state_bytes`](PatternSource::state_bytes))
-//! is a function of the universe and sampler tables only, independent of
-//! `len`. A 10-million-request run holds a few kilobytes, not a
-//! trace.
+//! [`crate::generate_multi_tenant`], …) drain these sources into a
+//! `Vec<Request>`, so trace length there is bounded by memory, while a
+//! source's heap footprint ([`state_bytes`](TenantMixSource::state_bytes))
+//! is a function of the universe, the sampler tables and its run buffer
+//! only, independent of `len`. A 10-million-request run holds a few
+//! kilobytes, not a trace.
 //!
-//! Pair them with
-//! [`Simulator::run_source_batched`](occ_sim::Simulator::run_source_batched)
-//! (or a [`SteppingEngine`](occ_sim::SteppingEngine) loop) to keep the
-//! whole replay allocation-free per request.
+//! One `draw` serves `next_request`, `seek_forward` and `next_run`, so
+//! the three interleave freely without changing the stream. `next_run`
+//! fills one reused buffer in a tight loop: that is how
+//! [`SteppingEngine::serve_from`](occ_sim::SteppingEngine::serve_from)
+//! takes these sources, a borrowed run per batch.
 
 use crate::generators::{AccessPattern, PatternGen};
 use crate::mixer::TenantSpec;
-use occ_sim::{EngineCtx, PageId, Request, RequestSource, SeekableSource, Universe};
+use occ_sim::{EngineCtx, PageId, Request, RequestSource, SeekableSource, Trace, Universe, UserId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Streaming twin of the single-user trace helpers: `pattern` over
-/// `num_pages` pages, `len` requests, drawn exactly as
-/// [`crate::zipf_trace`] / [`crate::uniform_trace`] would.
-pub struct PatternSource {
-    universe: Universe,
-    gen: PatternGen,
-    remaining: u64,
+/// Drain `source` into a [`Trace`] over its universe, a run at a time.
+pub(crate) fn collect_trace<S: RequestSource>(mut source: S) -> Trace {
+    let mut requests = Vec::new();
+    while let Some(run) = source.next_run(occ_sim::DEFAULT_BATCH_SIZE) {
+        requests.extend_from_slice(run);
+    }
+    Trace::new(source.universe().clone(), requests)
 }
+
+/// A single-user source: `pattern` over `num_pages` pages, `len`
+/// requests. It is a one-tenant mixer whose tenant draws from `seed`
+/// itself; the mixer's tenant draw always picks that tenant, so the
+/// stream is the pattern's own.
+pub struct PatternSource(TenantMixSource);
 
 impl PatternSource {
     /// A `len`-request single-user source.
     pub fn new(pattern: AccessPattern, num_pages: u32, len: u64, seed: u64) -> Self {
-        PatternSource {
-            universe: Universe::single_user(num_pages),
-            gen: PatternGen::new(pattern, num_pages, seed),
-            remaining: len,
-        }
+        let tenant = TenantSpec::new(num_pages, 1.0, pattern);
+        PatternSource(TenantMixSource::seeded(&[tenant], len, seed, |_| seed))
     }
 
     /// Requests left to produce.
     pub fn remaining(&self) -> u64 {
-        self.remaining
+        self.0.remaining
     }
 
-    /// Heap footprint in bytes: owner table + sampler tables. Constant
-    /// over the source's lifetime and independent of `len`.
+    /// Heap footprint in bytes; see [`TenantMixSource::state_bytes`].
     pub fn state_bytes(&self) -> usize {
-        self.universe.num_pages() as usize * std::mem::size_of::<occ_sim::UserId>()
-            + self.gen.state_bytes()
+        self.0.state_bytes()
     }
 }
 
 impl RequestSource for PatternSource {
     fn universe(&self) -> &Universe {
-        &self.universe
+        &self.0.universe
     }
 
-    fn next_request(&mut self, _ctx: &EngineCtx) -> Option<Request> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        Some(self.universe.request(PageId(self.gen.next_page())))
+    fn next_request(&mut self, ctx: &EngineCtx) -> Option<Request> {
+        self.0.next_request(ctx)
+    }
+
+    fn next_run(&mut self, max: usize) -> Option<&[Request]> {
+        self.0.next_run(max)
     }
 }
 
 impl SeekableSource for PatternSource {
-    /// Draw and discard the next `n` requests, advancing the RNG state
-    /// exactly as `n` calls to `next_request` would.
     fn seek_forward(&mut self, n: u64) {
-        for _ in 0..n.min(self.remaining) {
-            self.remaining -= 1;
-            self.gen.next_page();
-        }
+        self.0.seek_forward(n)
     }
 }
 
-/// Streaming twin of [`crate::generate_multi_tenant`]: the same mixer
-/// RNG, the same per-tenant generator seeds, the same draw order — so
-/// the emitted stream is byte-identical to the materialized trace for
-/// the same `(specs, len, seed)`.
+/// A multi-tenant source: tenants drawn by arrival weight, each
+/// tenant's page from its own pattern.
 pub struct TenantMixSource {
     universe: Universe,
     /// Page-id offset of each tenant's first page.
@@ -93,34 +85,45 @@ pub struct TenantMixSource {
     cum: Vec<f64>,
     rng: StdRng,
     remaining: u64,
+    /// Reused buffer behind `next_run`.
+    run: Vec<Request>,
 }
 
 impl TenantMixSource {
     /// A `len`-request multi-tenant source. Deterministic in
-    /// `(specs, len, seed)`; panics if `specs` is empty (matching
-    /// [`crate::generate_multi_tenant`]).
+    /// `(specs, len, seed)`; panics if `specs` is empty.
     pub fn new(specs: &[TenantSpec], len: u64, seed: u64) -> Self {
+        Self::seeded(specs, len, seed, |i| seed ^ (0x9E37 + i as u64 * 0x79B9))
+    }
+
+    /// [`new`](Self::new), with tenant `i`'s generator seeded by
+    /// `tenant_seed(i)`.
+    fn seeded(
+        specs: &[TenantSpec],
+        len: u64,
+        seed: u64,
+        tenant_seed: impl Fn(usize) -> u64,
+    ) -> Self {
         assert!(!specs.is_empty(), "need at least one tenant");
         let universe = Universe::with_sizes(&specs.iter().map(|s| s.pages).collect::<Vec<_>>());
-        let mut offsets = Vec::with_capacity(specs.len());
-        let mut acc = 0u32;
-        for s in specs {
-            offsets.push(acc);
-            acc += s.pages;
-        }
-        let gens: Vec<PatternGen> = specs
+        let offsets: Vec<u32> = specs
+            .iter()
+            .scan(0, |next, s| Some(std::mem::replace(next, *next + s.pages)))
+            .collect();
+        debug_assert!(
+            (0..universe.num_pages()).all(|p| {
+                let owner = universe.owner(PageId(p)).0 as usize;
+                (offsets[owner]..offsets[owner] + specs[owner].pages).contains(&p)
+            }),
+            "tenant i owns its offset range"
+        );
+        let gens = specs
             .iter()
             .enumerate()
-            .map(|(i, s)| {
-                PatternGen::new(
-                    s.pattern.clone(),
-                    s.pages,
-                    seed ^ (0x9E37 + i as u64 * 0x79B9),
-                )
-            })
+            .map(|(i, s)| PatternGen::new(s.pattern.clone(), s.pages, tenant_seed(i)))
             .collect();
         let total_w: f64 = specs.iter().map(|s| s.weight).sum();
-        let cum: Vec<f64> = specs
+        let cum = specs
             .iter()
             .scan(0.0, |a, s| {
                 *a += s.weight / total_w;
@@ -134,6 +137,7 @@ impl TenantMixSource {
             cum,
             rng: StdRng::seed_from_u64(seed),
             remaining: len,
+            run: Vec::new(),
         }
     }
 
@@ -143,23 +147,30 @@ impl TenantMixSource {
     }
 
     /// Heap footprint in bytes: owner table, per-tenant generator
-    /// tables, offsets and weights. Constant over the source's lifetime
-    /// and independent of `len`.
+    /// tables, offsets, weights and the run buffer, which grows to the
+    /// largest run asked for. Independent of `len`.
     pub fn state_bytes(&self) -> usize {
-        self.universe.num_pages() as usize * std::mem::size_of::<occ_sim::UserId>()
+        self.universe.num_pages() as usize * std::mem::size_of::<UserId>()
             + self.offsets.len() * 4
             + self.cum.len() * 8
             + self.gens.iter().map(|g| g.state_bytes()).sum::<usize>()
+            + self.run.capacity() * std::mem::size_of::<Request>()
     }
 
     /// One mixed draw: pick a tenant by arrival weight, then its next
-    /// page. Shared by `next_request` and `seek_forward` so the two
-    /// advance the RNG state identically.
-    fn draw(&mut self) -> PageId {
+    /// page. The owner is the tenant just drawn. Always inlined: called
+    /// out of line, a draw cost about 20 ns more per request in
+    /// `serve_from`'s per-request pulls and about 5 ns more in
+    /// `next_run` (the `ingest/mixer` row of `bench_baseline --ingest`).
+    #[inline(always)]
+    fn draw(&mut self) -> Request {
         let u: f64 = self.rng.gen();
         let tenant = self.cum.partition_point(|&c| c < u).min(self.cum.len() - 1);
         let local = self.gens[tenant].next_page();
-        PageId(self.offsets[tenant] + local)
+        Request {
+            page: PageId(self.offsets[tenant] + local),
+            user: UserId(tenant as u32),
+        }
     }
 }
 
@@ -173,8 +184,22 @@ impl RequestSource for TenantMixSource {
             return None;
         }
         self.remaining -= 1;
-        let page = self.draw();
-        Some(self.universe.request(page))
+        Some(self.draw())
+    }
+
+    /// Draw `min(max, remaining)` requests into the run buffer in one
+    /// loop and hand them out.
+    fn next_run(&mut self, max: usize) -> Option<&[Request]> {
+        let n = self.remaining.min(max as u64) as usize;
+        if n == 0 {
+            return None;
+        }
+        self.remaining -= n as u64;
+        let mut run = std::mem::take(&mut self.run);
+        run.clear();
+        run.extend((0..n).map(|_| self.draw()));
+        self.run = run;
+        Some(&self.run)
     }
 }
 

@@ -16,8 +16,8 @@ use occ_baselines::Lru;
 use occ_sim::{
     read_trace, read_trace_auto, read_trace_binary, read_trace_binary_v2, write_trace,
     write_trace_binary, write_trace_binary_v2, Binary2TraceReader, BinaryTraceReader, Crc32,
-    PageId, Request, RequestSource, Simulator, SteppingEngine, Trace, TraceBuilder, Universe,
-    UserId, DEFAULT_BATCH_SIZE,
+    PageId, Request, RequestSource, SeekableSource, Simulator, SteppingEngine, Trace, TraceBuilder,
+    Universe, UserId, DEFAULT_BATCH_SIZE,
 };
 use occ_workloads::{zipf_trace, AccessPattern, PatternSource, TenantMixSource, TenantSpec};
 use proptest::prelude::*;
@@ -471,4 +471,189 @@ fn multi_tenant_stream_state_is_length_independent() {
     let long = TenantMixSource::new(&specs, u64::MAX, 9);
     let short = TenantMixSource::new(&specs, 1, 9);
     assert_eq!(long.state_bytes(), short.state_bytes());
+}
+
+/// Every pattern a [`PatternSource`] can stream, and the three presets'
+/// mixers, as fresh sources of `len` requests at `seed`.
+fn every_stream(len: u64, seed: u64) -> Vec<(String, Box<dyn SeekableSource>)> {
+    let patterns = [
+        AccessPattern::Uniform,
+        AccessPattern::Zipf { s: 0.9 },
+        AccessPattern::Cycle { len: 7 },
+        AccessPattern::Scan,
+        AccessPattern::HotSet {
+            hot_pages: 5,
+            hot_prob: 0.8,
+        },
+        AccessPattern::Phased {
+            s: 1.1,
+            phase_len: 50,
+        },
+    ];
+    let mut out: Vec<(String, Box<dyn SeekableSource>)> = patterns
+        .into_iter()
+        .map(|p| {
+            let name = format!("{p:?}");
+            let src = PatternSource::new(p, 40, len, seed);
+            (name, Box::new(src) as Box<dyn SeekableSource>)
+        })
+        .collect();
+    for scenario in occ_workloads::all_scenarios() {
+        let src = scenario.stream(len, seed);
+        out.push((scenario.name.to_string(), Box::new(src)));
+    }
+    out
+}
+
+/// An engine context for pulling from a source outside an engine; the
+/// synthetic sources ignore it.
+fn with_ctx<T>(f: impl FnOnce(&occ_sim::EngineCtx) -> T) -> T {
+    let universe = Universe::single_user(1);
+    let cache = occ_sim::CacheSet::new(1, 1);
+    let stats = occ_sim::SimStats::new(1);
+    f(&occ_sim::EngineCtx {
+        time: 0,
+        cache: &cache,
+        stats: &stats,
+        universe: &universe,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `next_run(m)` (m = 1, random, or past what is left),
+    /// `next_request` and `seek_forward(n)` interleaved at random hand
+    /// out exactly the requests a pure `next_request` drain does at the
+    /// same positions, for every pattern source and preset mixer.
+    #[test]
+    fn interleaved_runs_pulls_and_seeks_match_a_pull_drain(
+        len in prop_oneof![0u64..40, 0u64..5_000],
+        seed in 0u64..u64::MAX,
+        ops in proptest::collection::vec((0u8..6, 1u64..700), 0..60),
+    ) {
+        let drains = with_ctx(|ctx| {
+            every_stream(len, seed)
+                .into_iter()
+                .map(|(_, mut src)| {
+                    std::iter::from_fn(|| src.next_request(ctx)).collect::<Vec<_>>()
+                })
+                .collect::<Vec<_>>()
+        });
+        for ((name, mut src), full) in every_stream(len, seed).into_iter().zip(drains) {
+            prop_assert_eq!(full.len() as u64, len);
+            let mut pos = 0usize;
+            for &(kind, size) in &ops {
+                let left = full.len() - pos;
+                match kind {
+                    0..=2 => {
+                        let max = match kind {
+                            0 => 1,
+                            1 => size as usize,
+                            _ => left + size as usize,
+                        };
+                        let want = &full[pos..pos + max.min(left)];
+                        match src.next_run(max) {
+                            Some(run) => prop_assert_eq!(run, want, "{} at {}", name, pos),
+                            None => prop_assert!(want.is_empty(), "{} ran dry at {}", name, pos),
+                        }
+                        pos += want.len();
+                    }
+                    3 | 4 => {
+                        let got = with_ctx(|ctx| src.next_request(ctx));
+                        prop_assert_eq!(got, full.get(pos).copied(), "{} at {}", name, pos);
+                        pos = (pos + 1).min(full.len());
+                    }
+                    _ => {
+                        src.seek_forward(size);
+                        pos = (pos + size as usize).min(full.len());
+                    }
+                }
+            }
+            let rest: Vec<Request> =
+                with_ctx(|ctx| std::iter::from_fn(|| src.next_request(ctx)).collect());
+            prop_assert_eq!(&rest[..], &full[pos..], "{} tail from {}", name, pos);
+            prop_assert!(src.next_run(1).is_none(), "{} is dry", name);
+        }
+    }
+}
+
+/// FNV-1a (64-bit) over each request's page id then owner, both as
+/// little-endian `u32`s.
+fn request_digest(requests: impl IntoIterator<Item = Request>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for r in requests {
+        for b in r
+            .page
+            .0
+            .to_le_bytes()
+            .into_iter()
+            .chain(r.user.0.to_le_bytes())
+        {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Pins the mixer's stream itself, not its agreement with a twin: the
+/// first 100k requests of every preset at two seeds, drained one
+/// `next_request` at a time, hash to these digests. Any change to a
+/// preset, a sampler, a seed derivation or the draw order moves one.
+#[test]
+fn preset_streams_match_golden_digests() {
+    const GOLDEN: [(&str, u64, u64); 6] = [
+        ("sqlvm-like", 5, 0x195b_d8a6_4b62_bb4b),
+        ("sqlvm-like", 11, 0x2255_8352_0ccf_2658),
+        ("two-tier", 5, 0x5664_839c_d78f_d194),
+        ("two-tier", 11, 0xd14e_3c70_a172_73c5),
+        ("drifting", 5, 0xacb2_cf91_38b1_0624),
+        ("drifting", 11, 0x9180_dfb1_be4d_c52d),
+    ];
+    let mut got = Vec::new();
+    for scenario in occ_workloads::all_scenarios() {
+        for seed in [5, 11] {
+            let mut src = scenario.stream(100_000, seed);
+            let digest =
+                with_ctx(|ctx| request_digest(std::iter::from_fn(|| src.next_request(ctx))));
+            got.push((scenario.name, seed, digest));
+        }
+    }
+    assert_eq!(got, GOLDEN, "digests: {got:#x?}");
+}
+
+/// The single-user twin of [`preset_streams_match_golden_digests`]:
+/// every [`AccessPattern`] over 512 pages, 100k requests at seed 5.
+#[test]
+fn pattern_streams_match_golden_digests() {
+    let golden: [(AccessPattern, u64); 6] = [
+        (AccessPattern::Uniform, 0x3161_be13_29e1_77ef),
+        (AccessPattern::Zipf { s: 0.9 }, 0x91c1_9779_465e_988b),
+        (AccessPattern::Cycle { len: 100 }, 0xeff6_3b61_09ca_7d25),
+        (AccessPattern::Scan, 0x3f94_3c7f_73de_a225),
+        (
+            AccessPattern::HotSet {
+                hot_pages: 16,
+                hot_prob: 0.8,
+            },
+            0xaa03_2581_f433_c71d,
+        ),
+        (
+            AccessPattern::Phased {
+                s: 1.1,
+                phase_len: 2000,
+            },
+            0xb5fb_f30a_75bb_ba3a,
+        ),
+    ];
+    let mut got = Vec::new();
+    let mut want = Vec::new();
+    for (pattern, digest) in golden {
+        let mut src = PatternSource::new(pattern, 512, 100_000, 5);
+        got.push(with_ctx(|ctx| {
+            request_digest(std::iter::from_fn(|| src.next_request(ctx)))
+        }));
+        want.push(digest);
+    }
+    assert_eq!(got, want, "digests: {got:#x?}");
 }
