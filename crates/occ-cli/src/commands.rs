@@ -8,7 +8,7 @@ use occ_core::{ConvexCaching, CostProfile};
 use occ_fleet::{
     faults_json, run_fleet, run_fleet_typed, run_shared_fleet, run_supervised_fleet, users_json,
     BackoffPolicy, DirPersist, FleetConfig, FleetReport, ShardKill, SharedConfig, SharedError,
-    StoreFault, SupervisorConfig,
+    SharedReport, StoreFault, SupervisorConfig,
 };
 use occ_offline::{Belady, CostAwareBelady};
 use occ_probe::{
@@ -170,10 +170,11 @@ USAGE:
                [--schedule-out FILE]
                [--chaos-page-rate P] [--chaos-owner-rate P]
                [--chaos-truncate N] [--chaos-seed S] [--degrade POLICY]
-               run M worker threads against ONE shared k-sized cache
-               (one engine behind one lock, a page run or up to 4096
-               pulled requests per lock hold; the policy keeps S
-               segment instances), each thread streaming N scenario
+               run M worker threads (1 to 256) against ONE shared
+               k-sized cache (one engine behind one lock, a run or up
+               to 4096 pulled requests per lock hold, clean runs served
+               by the batch loop; the policy keeps S segment
+               instances), each thread streaming N scenario
                requests with a per-thread seed (or, with --trace and no
                --len, each thread replaying the same whole trace file —
                occbin01/occbin02/CSV; chaos flags need the synthetic
@@ -1204,27 +1205,41 @@ fn run_plain_fleet<S: RequestSource + Send>(
     }
 }
 
-/// The policies whose decisions read only `ctx.universe`, so each of
-/// the shared cache's S segment instances behaves as that policy on its
-/// own segment. ALG-DISCRETE (`convex`) qualifies only at S = 1: its one
-/// instance is then the global algorithm, while S > 1 instances would
-/// each keep their own dual offset and eviction counts. Everything else
-/// is rejected for `occ concurrent`.
-fn make_shared_policy(
-    name: &str,
-    costs: &CostProfile,
-    table_shards: usize,
-) -> Option<Box<dyn ReplacementPolicy + Send>> {
-    let weights: Vec<f64> = (0..costs.num_users())
-        .map(|u| costs.user(UserId(u)).eval(1.0).max(1e-9))
-        .collect();
-    Some(match name {
-        "lru" => Box::new(Lru::new()),
-        "fifo" => Box::new(Fifo::new()),
-        "greedy-dual" => Box::new(GreedyDual::new(weights)),
-        "convex" if table_shards == 1 => Box::new(ConvexCaching::new(costs.clone())),
-        _ => return None,
-    })
+/// Evaluate `$body` with `$make: Fn(usize) -> P` building the named
+/// policy, monomorphized per policy: `Some(body)` for a policy that may
+/// share the cache, `None` otherwise. Shareable policies are those whose
+/// decisions read only `ctx.universe`, so each of the shared cache's S
+/// segment instances behaves as that policy on its own segment.
+/// ALG-DISCRETE (`convex`) qualifies only at S = 1: its one instance is
+/// then the global algorithm, while S > 1 instances would each keep
+/// their own dual offset and eviction counts. Everything else is
+/// rejected for `occ concurrent`.
+macro_rules! with_shared_policy {
+    ($name:expr, $costs:expr, $table_shards:expr, |$make:ident| $body:expr) => {{
+        let costs: &CostProfile = $costs;
+        match $name {
+            "lru" => Some({
+                let $make = |_: usize| Lru::new();
+                $body
+            }),
+            "fifo" => Some({
+                let $make = |_: usize| Fifo::new();
+                $body
+            }),
+            "greedy-dual" => Some({
+                let weights: Vec<f64> = (0..costs.num_users())
+                    .map(|u| costs.user(UserId(u)).eval(1.0).max(1e-9))
+                    .collect();
+                let $make = |_: usize| GreedyDual::new(weights.clone());
+                $body
+            }),
+            "convex" if $table_shards == 1 => Some({
+                let $make = |_: usize| ConvexCaching::new(costs.clone());
+                $body
+            }),
+            _ => None,
+        }
+    }};
 }
 
 /// `--trace` serves the whole file, so a `--len` beside it would be
@@ -1314,10 +1329,10 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
 
     let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
     let threads: usize = uarg(args.num_or("threads", 4usize))?;
-    if threads == 0 {
-        return Err(CliError::Usage(
-            "a concurrent run needs at least one worker thread".into(),
-        ));
+    if threads == 0 || threads > MAX_CONCURRENT_THREADS {
+        return Err(CliError::Usage(format!(
+            "--threads must be 1 to {MAX_CONCURRENT_THREADS}: each worker is one OS thread"
+        )));
     }
     let table_shards: usize = uarg(args.num_or("table-shards", 8usize))?;
     if table_shards == 0 {
@@ -1331,7 +1346,8 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
     let seed: u64 = uarg(args.num_or("seed", 7u64))?;
     let k: usize = uarg(args.num_or("k", scenario.suggested_k))?;
     let policy_name = args.str_or("policy", "lru");
-    if make_shared_policy(&policy_name, &scenario.costs, table_shards).is_none() {
+    let costs = &scenario.costs;
+    if with_shared_policy!(policy_name.as_str(), costs, table_shards, |_make| ()).is_none() {
         return Err(CliError::Usage(format!(
             "policy '{policy_name}' cannot share a cache across threads at \
              --table-shards {table_shards}: segment instances must read only the \
@@ -1352,9 +1368,6 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
     cfg.verify = verify;
     cfg.timing = timing;
 
-    let costs = &scenario.costs;
-    // Same derivation as the plain fleet: decorrelated, reproducible.
-    let thread_seed = |t: usize| seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let trace_path = args.str_or("trace", "");
     if chaos_active && !trace_path.is_empty() {
         return Err(CliError::Usage(
@@ -1363,51 +1376,19 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
                 .into(),
         ));
     }
-    let result = if chaos_active {
-        let universe = scenario.stream(1, 0).universe().clone();
-        let mut sources: Vec<_> = (0..threads)
-            .map(|t| {
-                let plan = FaultPlan {
-                    seed: chaos.seed ^ thread_seed(t),
-                    ..chaos
-                };
-                ChaosSource::new(scenario.stream(len, thread_seed(t)), plan)
-            })
-            .collect();
-        run_shared_fleet(universe, &cfg, &mut sources, |_| {
-            make_shared_policy(&policy_name, costs, table_shards).expect("validated above")
-        })
-    } else {
-        let mut feeds = if trace_path.is_empty() {
-            (0..threads)
-                .map(|t| Feed::Mix(scenario.stream(len, thread_seed(t))))
-                .collect()
-        } else {
-            // Every worker thread replays the same trace file through
-            // its own feed (occbin01 threads share the kernel's cached
-            // pages).
-            let feeds = (0..threads)
-                .map(|_| open_trace_feed(args, &trace_path, &scenario))
-                .collect::<Result<Vec<_>, _>>()?;
-            eprintln!(
-                "concurrent: replaying {trace_path} ({} requests) on every thread \
-                 via the {} path",
-                feeds[0].total_requests(),
-                feeds[0].strategy()
-            );
-            feeds
-        };
-        let universe = RequestSource::universe(&feeds[0]).clone();
-        let result = run_shared_fleet(universe, &cfg, &mut feeds, |_| {
-            make_shared_policy(&policy_name, costs, table_shards).expect("validated above")
-        });
-        finish_feeds(feeds)?;
-        result
+    let run = ConcurrentRun {
+        args,
+        scenario: &scenario,
+        cfg: &cfg,
+        threads,
+        len,
+        seed,
+        chaos: chaos_active.then_some(chaos),
+        trace_path: &trace_path,
     };
-    let report = result.map_err(|e| match e {
-        SharedError::Sim(e) => CliError::from(e),
-        SharedError::Replay(e) => CliError::Fault(format!("deterministic replay gate: {e}")),
-    })?;
+    let report = with_shared_policy!(policy_name.as_str(), costs, table_shards, |make| run
+        .serve(make))
+    .expect("validated above")?;
 
     let sched_out = args.str_or("schedule-out", "");
     if !sched_out.is_empty() {
@@ -1486,6 +1467,80 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Ceiling on `occ concurrent --threads`: each worker is one OS thread
+/// with its own trace feed and a probe table as wide as the page
+/// universe, so a typo must not ask the OS for 100k of them.
+const MAX_CONCURRENT_THREADS: usize = 256;
+
+/// A validated `occ concurrent` run, served by [`ConcurrentRun::serve`]
+/// once per shareable policy type.
+struct ConcurrentRun<'a> {
+    args: &'a Args,
+    scenario: &'a Scenario,
+    cfg: &'a SharedConfig,
+    threads: usize,
+    len: u64,
+    seed: u64,
+    /// The chaos plan, when any `--chaos-*` flag is set.
+    chaos: Option<FaultPlan>,
+    trace_path: &'a str,
+}
+
+impl ConcurrentRun<'_> {
+    /// Open the workers' sources and run them against one shared cache
+    /// whose segment policies `make_policy` builds.
+    fn serve<P: ReplacementPolicy + Send>(
+        &self,
+        make_policy: impl Fn(usize) -> P,
+    ) -> Result<SharedReport, CliError> {
+        let (scenario, len) = (self.scenario, self.len);
+        // Same derivation as the plain fleet: decorrelated, reproducible.
+        let thread_seed = |t: usize| self.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let result = if let Some(chaos) = self.chaos {
+            let universe = scenario.stream(1, 0).universe().clone();
+            let mut sources: Vec<_> = (0..self.threads)
+                .map(|t| {
+                    let plan = FaultPlan {
+                        seed: chaos.seed ^ thread_seed(t),
+                        ..chaos
+                    };
+                    ChaosSource::new(scenario.stream(len, thread_seed(t)), plan)
+                })
+                .collect();
+            run_shared_fleet(universe, self.cfg, &mut sources, make_policy)
+        } else {
+            let mut feeds = if self.trace_path.is_empty() {
+                (0..self.threads)
+                    .map(|t| Feed::Mix(scenario.stream(len, thread_seed(t))))
+                    .collect()
+            } else {
+                // Every worker thread replays the same trace file through
+                // its own feed (occbin01 threads share the kernel's cached
+                // pages).
+                let feeds = (0..self.threads)
+                    .map(|_| open_trace_feed(self.args, self.trace_path, scenario))
+                    .collect::<Result<Vec<_>, _>>()?;
+                eprintln!(
+                    "concurrent: replaying {} ({} requests) on every thread \
+                     via the {} path",
+                    self.trace_path,
+                    feeds[0].total_requests(),
+                    feeds[0].strategy()
+                );
+                feeds
+            };
+            let universe = RequestSource::universe(&feeds[0]).clone();
+            let result = run_shared_fleet(universe, self.cfg, &mut feeds, make_policy);
+            finish_feeds(feeds)?;
+            result
+        };
+        result.map_err(|e| match e {
+            SharedError::Sim(e) => CliError::from(e),
+            SharedError::Replay(e) => CliError::Fault(format!("deterministic replay gate: {e}")),
+        })
+    }
+}
+
 /// `occ concurrent --replay FILE`
 fn concurrent_replay(args: &Args, path: &str) -> Result<(), CliError> {
     let text =
@@ -1498,7 +1553,15 @@ fn concurrent_replay(args: &Args, path: &str) -> Result<(), CliError> {
     let meta =
         parse_schedule_header(header).map_err(|m| CliError::Parse(format!("{path}: {m}")))?;
     let scenario = find_scenario(&meta.scenario)?;
-    if make_shared_policy(&meta.policy, &scenario.costs, meta.table_shards).is_none() {
+    let table_shards = meta.table_shards;
+    if with_shared_policy!(
+        meta.policy.as_str(),
+        &scenario.costs,
+        table_shards,
+        |_make| ()
+    )
+    .is_none()
+    {
         return Err(CliError::Parse(format!(
             "{path}: schedule header names non-shareable policy '{}'",
             meta.policy
@@ -1509,22 +1572,24 @@ fn concurrent_replay(args: &Args, path: &str) -> Result<(), CliError> {
             .map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
 
     let universe = scenario.stream(1, 0).universe().clone();
-    let policies: Vec<Box<dyn ReplacementPolicy + Send>> = (0..meta.table_shards)
-        .map(|_| {
-            make_shared_policy(&meta.policy, &scenario.costs, meta.table_shards)
-                .expect("validated above")
-        })
-        .collect();
     let started = Instant::now();
-    let outcome: ReplayOutcome =
-        replay_schedule(meta.k, universe, policies, meta.degrade, &schedule).map_err(
-            |e| match e {
-                ReplayError::Schedule(m) => {
-                    CliError::Parse(format!("{path}: bad commit schedule: {m}"))
-                }
-                other => CliError::Fault(other.to_string()),
-            },
-        )?;
+    let replayed = with_shared_policy!(
+        meta.policy.as_str(),
+        &scenario.costs,
+        table_shards,
+        |make| replay_schedule(
+            meta.k,
+            universe,
+            (0..table_shards).map(make).collect(),
+            meta.degrade,
+            &schedule
+        )
+    )
+    .expect("validated above");
+    let outcome: ReplayOutcome = replayed.map_err(|e| match e {
+        ReplayError::Schedule(m) => CliError::Parse(format!("{path}: bad commit schedule: {m}")),
+        other => CliError::Fault(other.to_string()),
+    })?;
     let wall = started.elapsed();
 
     let quarantined = outcome
@@ -2845,6 +2910,18 @@ mod tests {
     fn concurrent_rejects_bad_flags_as_usage_errors() {
         for bad in [
             vec!["concurrent", "--scenario", "two-tier", "--threads", "0"],
+            vec!["concurrent", "--scenario", "two-tier", "--threads", "257"],
+            // Rejected before any feed opens: a missing trace would be
+            // an i/o error (exit 3).
+            vec![
+                "concurrent",
+                "--scenario",
+                "two-tier",
+                "--threads",
+                "100000",
+                "--trace",
+                "/nonexistent/trace.occbin01",
+            ],
             vec![
                 "concurrent",
                 "--scenario",

@@ -9,16 +9,32 @@
 //! # One engine behind one lock
 //!
 //! The cache is one [`SteppingEngine`] over a [`ShardedPolicy`], kept
-//! with its [`FaultHandler`] and the commit log behind one `Mutex`. A
-//! worker takes the lock once per *hold* and serves every record of the
-//! hold with [`SteppingEngine::step_checked`] — the same call the replay
-//! makes — so the run has one hit/insert/evict state machine, and skips,
-//! quarantine purges and fail-fast stops all go through the one handler.
-//! A hold is one borrowed page run of at most [`DEFAULT_BATCH_SIZE`]
-//! requests from a zero-copy source, or up to that many requests pulled
-//! one at a time from any other source (the mixer, a chaos source); it
-//! ends early when the source runs dry or at a fail-fast fault, so chaos
-//! tallies and the fail-fast stop point stay exact.
+//! with its [`FaultHandler`] behind one `Mutex`. The engine's recorder is
+//! the commit log: its hit/insert/evict/fault hooks append one
+//! [`CommitRecord`] per consumed record, so the log is written by the
+//! engine's own hook dispatch and the concurrent engine has no
+//! hit/insert/evict state machine of its own. A worker takes the lock
+//! once per *hold*: one borrowed run of at most [`DEFAULT_BATCH_SIZE`]
+//! requests (page ids from a zero-copy source, or requests from a
+//! source's `next_run`), or up to that many requests pulled one at a
+//! time from any other source (a chaos source, a pull-only source).
+//!
+//! A clean hold is served by the sequential engine's batch loop
+//! ([`SteppingEngine::step_page_batch`] / [`SteppingEngine::step_batch`]:
+//! prefetch, full-cache hoisting). A hold is clean when it is a page run,
+//! or a request run whose every record classifies clean first; no user
+//! is quarantined; and the worker's recorder is untimed. An active
+//! untimed worker recorder gets its hooks fired from the hold's log
+//! entries afterwards. Every other hold — pulled requests, chaos,
+//! anything after a quarantine, timed recorders — is served record by
+//! record with [`SteppingEngine::step_checked`], so skips, quarantine
+//! purges and fail-fast stops go through the one handler, a pulled hold
+//! ends exactly at a fail-fast fault (which commits nothing), and a timed
+//! hold runs on one [`LapClock`] started before the lock is taken: every
+//! commit gets one latency sample, and the first includes the lock wait.
+//! Each worker's `(SimStats, FaultCounters)` lane is cut as the delta of
+//! the engine's counters across each of its holds, so the lanes sum to
+//! the engine's counters by construction.
 //!
 //! A lock-striped protocol (per-segment mutexes, a capacity mutex, a
 //! `full` latch and an atomic commit counter) served this engine before;
@@ -35,35 +51,44 @@
 //! engine's clock before the record's step. The run is therefore a
 //! sequential history in `seq` order by construction, and the log is
 //! contiguous with no merge. A single-threaded replay of the schedule
-//! through a fresh [`SteppingEngine`] + [`ShardedPolicy`] must reproduce
-//! every per-request outcome, the per-user miss vectors, the fault
-//! counters and the quarantine set *byte-identically*; the replay gate
-//! ([`replay_schedule`] + [`verify_replay`]) checks all of it.
+//! through a fresh [`SteppingEngine`] + [`ShardedPolicy`], logging
+//! through the same recorder, must reproduce every per-request outcome,
+//! the per-user miss vectors, the fault counters and the quarantine set
+//! *byte-identically*; the replay gate ([`replay_schedule`] +
+//! [`verify_replay`]) checks all of it. The replay goes a hold at a
+//! time: a hold with no drop, whose records all classify clean and with
+//! no user quarantined, is re-served in one batch and its outcomes are
+//! compared elementwise; any other hold is checked entry by entry.
+//! Either way the first mismatch is reported at its `seq`.
 //! [`run_shared_replayed`] runs the same replay beside the workers, on
 //! the core the one lock leaves idle: each hold hands its commits over
 //! before it releases the lock, so the replay sees them in commit order.
+//! [`replay_schedule`] cuts a whole schedule into [`DEFAULT_BATCH_SIZE`]
+//! chunks.
 //!
 //! # Segment tables
 //!
 //! [`ShardedPolicy`] keeps S policy instances. Page `p` lives in segment
 //! `shard(p) = p mod S` under the dense local id `p / S` ([`local_of`],
 //! inverse [`global_of`]). Each segment owns a segment-local
-//! [`Universe`] (owners of `p = s, s+S, …`) plus a [`CacheSet`] sized to
-//! it; a victim comes from the first non-empty segment from
+//! [`Universe`] (owners of `p = s, s+S, …`) and a count of its cached
+//! pages; a victim comes from the first segment holding a page from
 //! `shard(incoming)` upward. Commit records, stats and victims stay in
-//! global ids.
+//! global ids. At S = 1 the one instance is handed the engine's own ctx.
 //!
 //! # The policy purity contract
 //!
-//! Segment instances see segment-local `EngineCtx` views: the segment
-//! universe, the segment's cache in local ids, and an all-zero stats
-//! table. A policy whose decisions read only `ctx.universe` (LRU, FIFO,
-//! greedy-dual) behaves in each segment as it would on that segment
-//! alone. ALG-DISCRETE also reads only the universe, and at S = 1 its
-//! one instance is the global algorithm; at S > 1 each segment would keep
-//! its own `Y` and `m_u`, which is not the paper's algorithm. Policies
-//! that read `ctx.stats` (the cost-greedy family) see zeros in a segment
-//! and should not be handed to [`ConcurrentEngine`].
+//! At S > 1 segment instances see segment-local `EngineCtx` views: the
+//! segment universe, **no cache** (an empty zero-page set: a policy that
+//! probes it panics) and an all-zero stats table. A policy whose
+//! decisions read only `ctx.universe` (LRU, FIFO, greedy-dual) behaves
+//! in each segment as it would on that segment alone. ALG-DISCRETE also
+//! reads only the universe (and asserts on `ctx.cache` in debug builds),
+//! and at S = 1 its one instance is the global algorithm on the engine's
+//! own ctx; at S > 1 each segment would keep its own `Y` and `m_u`, which
+//! is not the paper's algorithm. Policies that read `ctx.stats` (the
+//! cost-greedy family) see zeros in a segment and should not be handed
+//! to [`ConcurrentEngine`].
 
 use crate::cache::CacheSet;
 use crate::engine::EngineCtx;
@@ -72,12 +97,12 @@ use crate::ids::{PageId, Time, UserId};
 use crate::policy::ReplacementPolicy;
 use crate::probe::{LapClock, Recorder};
 use crate::source::RequestSource;
-use crate::stats::SimStats;
-use crate::stepper::{StepOutcome, SteppingEngine, DEFAULT_BATCH_SIZE};
+use crate::stats::{SimStats, UserStats};
+use crate::stepper::{BatchItem, SteppingEngine, DEFAULT_BATCH_SIZE};
 use crate::trace::{Request, Universe};
 use std::fmt;
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Which shard segment a page hashes to: dense page ids stripe round-robin.
 #[inline]
@@ -97,6 +122,41 @@ pub fn local_of(page: PageId, table_shards: usize) -> PageId {
 #[inline]
 pub fn global_of(local: PageId, shard: usize, table_shards: usize) -> PageId {
     PageId((local.0 as usize * table_shards + shard) as u32)
+}
+
+/// [`shard_of`] and [`local_of`] for a fixed S without a hardware
+/// divide, which the segment callbacks and the commit log pay several
+/// times per commit: Lemire, Kaser and Kurz's direct remainder ("Faster
+/// remainder by direct computation", 2019), exact for every 32-bit page
+/// id and every S below 2^32.
+#[derive(Clone, Copy, Debug)]
+struct Stripes {
+    n: u64,
+    /// ⌈2^64 / S⌉, or 0 at S = 1 (every page is its own local id in
+    /// segment 0).
+    m: u64,
+}
+
+impl Stripes {
+    fn new(table_shards: usize) -> Self {
+        let n = u32::try_from(table_shards).expect("fewer than 2^32 segments") as u64;
+        let m = if n == 1 { 0 } else { u64::MAX / n + 1 };
+        Stripes { n, m }
+    }
+
+    #[inline(always)]
+    fn shard(self, page: PageId) -> usize {
+        let low = self.m.wrapping_mul(page.0 as u64);
+        ((low as u128 * self.n as u128) >> 64) as usize
+    }
+
+    #[inline(always)]
+    fn local(self, page: PageId) -> PageId {
+        if self.m == 0 {
+            return page;
+        }
+        PageId(((self.m as u128 * page.0 as u128) >> 64) as u32)
+    }
 }
 
 /// What one committed request did to the shared cache.
@@ -299,20 +359,18 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// The segment-local world one shard's policy instance lives in: the
-/// segment's [`Universe`] (local page `l` of segment `s` is global page
-/// `s + l·S`, same owner), its cache in local ids, and an all-zero stats
-/// table (the supported policies never read stats — see the purity
-/// contract in the module docs). Every table is sized to the segment,
-/// not to the global page range.
+/// The segment-local world one shard's policy instance lives in (S > 1):
+/// the segment's [`Universe`] (local page `l` of segment `s` is global
+/// page `s + l·S`, same owner) and how many of its pages are cached.
+/// Every table is sized to the segment, not to the global page range.
 struct SegmentView {
     universe: Universe,
-    cache: CacheSet,
-    stats: SimStats,
+    /// Cached pages of this segment: the victim scan's emptiness test.
+    cached: usize,
 }
 
 impl SegmentView {
-    fn new(global: &Universe, capacity: usize, shard: usize, table_shards: usize) -> Self {
+    fn new(global: &Universe, shard: usize, table_shards: usize) -> Self {
         let owners = global
             .owners()
             .iter()
@@ -320,37 +378,68 @@ impl SegmentView {
             .skip(shard)
             .step_by(table_shards)
             .collect();
-        let universe = Universe::new(global.num_users(), owners);
-        // A segment never holds more than its own pages, nor more than k.
-        let room = capacity.min(universe.num_pages() as usize).max(1);
         SegmentView {
-            cache: CacheSet::new(room, universe.num_pages()),
-            stats: SimStats::new(global.num_users()),
-            universe,
+            universe: Universe::new(global.num_users(), owners),
+            cached: 0,
+        }
+    }
+}
+
+/// The segment views of a [`ShardedPolicy`] with S > 1, plus the empty
+/// cache and all-zero stats every segment sees (the purity contract).
+struct Segments {
+    views: Vec<SegmentView>,
+    stripes: Stripes,
+    no_cache: CacheSet,
+    zero_stats: SimStats,
+}
+
+impl Segments {
+    fn new(table_shards: usize) -> Self {
+        Segments {
+            views: Vec::new(),
+            stripes: Stripes::new(table_shards),
+            no_cache: CacheSet::new(1, 0),
+            zero_stats: SimStats::default(),
         }
     }
 
-    fn ctx(&self, time: Time) -> EngineCtx<'_> {
+    /// `(shard, local id)` of a global page, building the views from
+    /// the first callback's universe.
+    #[inline]
+    fn route(&mut self, ctx: &EngineCtx, page: PageId, n: usize) -> (usize, PageId) {
+        if self.views.is_empty() {
+            self.views = (0..n)
+                .map(|s| SegmentView::new(ctx.universe, s, n))
+                .collect();
+            self.zero_stats = SimStats::new(ctx.universe.num_users());
+        }
+        (self.stripes.shard(page), self.stripes.local(page))
+    }
+
+    #[inline]
+    fn ctx(&self, shard: usize, time: Time) -> EngineCtx<'_> {
         EngineCtx {
             time,
-            cache: &self.cache,
-            stats: &self.stats,
-            universe: &self.universe,
+            cache: &self.no_cache,
+            stats: &self.zero_stats,
+            universe: &self.views[shard].universe,
         }
     }
 }
 
 /// The shared cache's policy: S inner policy instances, each behind a
-/// segment-local view (universe, local-id cache), driven through the
-/// stock [`SteppingEngine`] by the concurrent run and its replay alike.
+/// segment-local view, driven through the stock [`SteppingEngine`] by
+/// the concurrent run and its replay alike.
 ///
-/// Callbacks translate global ids to segment-local ones, and
-/// `choose_victim` takes the victim from the first non-empty segment
-/// from `shard(incoming)` upward. The views are built from the first
-/// callback's universe and capacity.
+/// At S = 1 every callback goes to the one instance with the engine's
+/// own ctx. At S > 1 callbacks translate global ids to segment-local
+/// ones, and `choose_victim` takes the victim from the first segment
+/// holding a page from `shard(incoming)` upward. The views are built
+/// from the first callback's universe.
 pub struct ShardedPolicy<P> {
     inners: Vec<P>,
-    views: Vec<SegmentView>,
+    segments: Segments,
 }
 
 impl<P: ReplacementPolicy> ShardedPolicy<P> {
@@ -358,26 +447,14 @@ impl<P: ReplacementPolicy> ShardedPolicy<P> {
     pub fn new(inners: Vec<P>) -> Self {
         assert!(!inners.is_empty(), "need at least one shard");
         ShardedPolicy {
+            segments: Segments::new(inners.len()),
             inners,
-            views: Vec::new(),
         }
     }
 
     /// Number of shard segments.
     pub fn table_shards(&self) -> usize {
         self.inners.len()
-    }
-
-    /// `(shard, local id)` of a global page, building the segment views
-    /// on first use.
-    fn route(&mut self, ctx: &EngineCtx, page: PageId) -> (usize, PageId) {
-        let n = self.inners.len();
-        if self.views.is_empty() {
-            self.views = (0..n)
-                .map(|s| SegmentView::new(ctx.universe, ctx.cache.capacity(), s, n))
-                .collect();
-        }
-        (shard_of(page, n), local_of(page, n))
     }
 }
 
@@ -387,61 +464,188 @@ impl<P: ReplacementPolicy> ReplacementPolicy for ShardedPolicy<P> {
     }
 
     fn on_hit(&mut self, ctx: &EngineCtx, page: PageId) {
-        let (s, local) = self.route(ctx, page);
-        self.inners[s].on_hit(&self.views[s].ctx(ctx.time), local);
+        let n = self.inners.len();
+        if n == 1 {
+            return self.inners[0].on_hit(ctx, page);
+        }
+        let (s, local) = self.segments.route(ctx, page, n);
+        self.inners[s].on_hit(&self.segments.ctx(s, ctx.time), local);
     }
 
     fn on_insert(&mut self, ctx: &EngineCtx, page: PageId) {
-        let (s, local) = self.route(ctx, page);
-        self.views[s].cache.insert(local);
-        self.inners[s].on_insert(&self.views[s].ctx(ctx.time), local);
+        let n = self.inners.len();
+        if n == 1 {
+            return self.inners[0].on_insert(ctx, page);
+        }
+        let (s, local) = self.segments.route(ctx, page, n);
+        self.segments.views[s].cached += 1;
+        self.inners[s].on_insert(&self.segments.ctx(s, ctx.time), local);
     }
 
     fn choose_victim(&mut self, ctx: &EngineCtx, incoming: PageId) -> PageId {
-        let (start, local) = self.route(ctx, incoming);
         let n = self.inners.len();
-        let v = (0..n)
-            .map(|i| (start + i) % n)
-            .find(|&i| !self.views[i].cache.is_empty())
+        if n == 1 {
+            return self.inners[0].choose_victim(ctx, incoming);
+        }
+        let (start, local) = self.segments.route(ctx, incoming, n);
+        let v = (start..n)
+            .chain(0..start)
+            .find(|&i| self.segments.views[i].cached > 0)
             .expect("cache is full but no shard holds a page");
-        let victim = self.inners[v].choose_victim(&self.views[v].ctx(ctx.time), local);
+        let victim = self.inners[v].choose_victim(&self.segments.ctx(v, ctx.time), local);
         global_of(victim, v, n)
     }
 
     fn on_evicted(&mut self, ctx: &EngineCtx, victim: PageId) {
-        let (s, local) = self.route(ctx, victim);
-        self.views[s].cache.remove(local);
-        self.inners[s].on_evicted(&self.views[s].ctx(ctx.time), local);
+        let n = self.inners.len();
+        if n == 1 {
+            return self.inners[0].on_evicted(ctx, victim);
+        }
+        let (s, local) = self.segments.route(ctx, victim, n);
+        self.segments.views[s].cached -= 1;
+        self.inners[s].on_evicted(&self.segments.ctx(s, ctx.time), local);
     }
 
     fn on_external_removal(&mut self, ctx: &EngineCtx, page: PageId) {
-        let (s, local) = self.route(ctx, page);
-        self.views[s].cache.remove(local);
-        self.inners[s].on_external_removal(&self.views[s].ctx(ctx.time), local);
+        let n = self.inners.len();
+        if n == 1 {
+            return self.inners[0].on_external_removal(ctx, page);
+        }
+        let (s, local) = self.segments.route(ctx, page, n);
+        self.segments.views[s].cached -= 1;
+        self.inners[s].on_external_removal(&self.segments.ctx(s, ctx.time), local);
     }
 
     fn reset(&mut self) {
         for p in &mut self.inners {
             p.reset();
         }
-        self.views.clear();
+        self.segments = Segments::new(self.inners.len());
     }
 }
 
-/// One worker's tallies of its own commits. The merged counters come
-/// from the shared engine; the lanes must sum to them.
+/// The shared engine's recorder: one [`CommitRecord`] per consumed
+/// record, appended by the engine's own hooks. `thread` is the worker
+/// whose hold is being served.
+struct CommitLog {
+    entries: Vec<CommitRecord>,
+    thread: u32,
+    stripes: Stripes,
+}
+
+impl CommitLog {
+    fn new(table_shards: usize) -> Self {
+        CommitLog {
+            entries: Vec::new(),
+            thread: 0,
+            stripes: Stripes::new(table_shards),
+        }
+    }
+
+    #[inline(always)]
+    fn push(&mut self, seq: u64, page: PageId, user: UserId, outcome: CommitOutcome) {
+        self.entries.push(CommitRecord {
+            seq,
+            thread: self.thread,
+            shard: self.stripes.shard(page) as u32,
+            page,
+            user,
+            outcome,
+        });
+    }
+}
+
+impl Recorder for CommitLog {
+    #[inline(always)]
+    fn record_hit(&mut self, _ctx: &EngineCtx, t: Time, page: PageId, user: UserId) {
+        self.push(t, page, user, CommitOutcome::Hit);
+    }
+
+    #[inline(always)]
+    fn record_insert(&mut self, _ctx: &EngineCtx, t: Time, page: PageId, user: UserId) {
+        self.push(t, page, user, CommitOutcome::Insert);
+    }
+
+    #[inline(always)]
+    fn record_eviction(
+        &mut self,
+        _ctx: &EngineCtx,
+        t: Time,
+        page: PageId,
+        user: UserId,
+        victim: PageId,
+        _victim_user: UserId,
+    ) {
+        self.push(t, page, user, CommitOutcome::Evict { victim });
+    }
+
+    fn record_fault(&mut self, fault: &RequestFault) {
+        let drop = CommitOutcome::Drop { kind: fault.kind };
+        self.push(fault.time, fault.page, fault.user, drop);
+    }
+}
+
+/// Fire `recorder`'s hook for one committed entry, with `ctx` as the
+/// view the hook sees.
+fn fire<R: Recorder>(recorder: &mut R, ctx: &EngineCtx, e: &CommitRecord) {
+    match e.outcome {
+        CommitOutcome::Hit => recorder.record_hit(ctx, e.seq, e.page, e.user),
+        CommitOutcome::Insert => recorder.record_insert(ctx, e.seq, e.page, e.user),
+        CommitOutcome::Evict { victim } => {
+            let victim_user = ctx.universe.owner(victim);
+            recorder.record_eviction(ctx, e.seq, e.page, e.user, victim, victim_user)
+        }
+        CommitOutcome::Drop { kind } => recorder.record_fault(&RequestFault {
+            time: e.seq,
+            kind,
+            page: e.page,
+            user: e.user,
+        }),
+    }
+}
+
+/// One worker's share of the engine's counters: the sum of their deltas
+/// across each of its holds.
 #[derive(Clone, Debug, Default)]
 struct ThreadLane {
-    stats: SimStats,
+    per_user: Vec<UserStats>,
     counters: FaultCounters,
 }
 
 impl ThreadLane {
     fn new(num_users: u32) -> Self {
         ThreadLane {
-            stats: SimStats::new(num_users),
-            ..ThreadLane::default()
+            per_user: vec![UserStats::default(); num_users as usize],
+            counters: FaultCounters::default(),
         }
+    }
+
+    /// Take the engine's counters as they stand (`self` as a snapshot).
+    fn snapshot(&mut self, stats: &SimStats, counters: &FaultCounters) {
+        self.per_user.clear();
+        self.per_user.extend_from_slice(stats.per_user());
+        self.counters.clone_from(counters);
+    }
+
+    /// Add what the engine counted since `before` was taken.
+    fn add_since(&mut self, before: &ThreadLane, stats: &SimStats, counters: &FaultCounters) {
+        for ((lane, b), a) in self
+            .per_user
+            .iter_mut()
+            .zip(&before.per_user)
+            .zip(stats.per_user())
+        {
+            lane.hits = lane.hits.saturating_add(a.hits - b.hits);
+            lane.misses = lane.misses.saturating_add(a.misses - b.misses);
+            lane.evictions = lane.evictions.saturating_add(a.evictions - b.evictions);
+        }
+        let (c, b) = (counters, &before.counters);
+        self.counters.merge(&FaultCounters {
+            page_out_of_range: c.page_out_of_range - b.page_out_of_range,
+            owner_mismatch: c.owner_mismatch - b.owner_mismatch,
+            quarantined_drops: c.quarantined_drops - b.quarantined_drops,
+            quarantined_users: c.quarantined_users - b.quarantined_users,
+        });
     }
 }
 
@@ -474,112 +678,141 @@ pub struct ReplayOutcome {
 
 /// Everything behind the engine's one lock.
 struct Shared<P> {
-    engine: SteppingEngine<ShardedPolicy<P>>,
+    /// The engine; its recorder holds the commit log, entry `i` at seq `i`.
+    engine: SteppingEngine<ShardedPolicy<P>, CommitLog>,
     handler: FaultHandler,
-    /// Commit records in `seq` order; entry `i` holds seq `i`.
-    log: Vec<CommitRecord>,
     /// Set by a fail-fast fault; every later hold ends at once.
     stopped: bool,
     /// Where each hold's commits go when a replay runs beside the run.
     feed: Option<Sender<Vec<CommitRecord>>>,
-    /// How much of `log` the feed has been handed.
+    /// How much of the log the feed has been handed.
     fed: usize,
 }
 
 impl<P: ReplacementPolicy> Shared<P> {
+    fn log(&self) -> &[CommitRecord] {
+        &self.engine.recorder().entries
+    }
+
     /// Hand the commits since the last hand-over to the replay feed, if
     /// one is attached. Holds hand over under the lock, so the replay
     /// receives them in commit order.
     fn hand_over(&mut self) {
         if let Some(feed) = &self.feed {
-            if self.fed < self.log.len() {
+            let log = &self.engine.recorder().entries;
+            if self.fed < log.len() {
                 // A closed feed means the replay has already diverged,
                 // and its verdict is the one that counts.
-                let _ = feed.send(self.log[self.fed..].to_vec());
-                self.fed = self.log.len();
+                let _ = feed.send(log[self.fed..].to_vec());
+                self.fed = log.len();
             }
         }
     }
 
-    /// Serve one untrusted record for `thread` with `step_checked`, log
-    /// its commit, tally it into `lane`, and fire `recorder`'s hooks. The
-    /// only error is a fail-fast fault, which also stops the run.
+    /// A fault stops the run; the log keeps only what was served, so a
+    /// fail-fast record commits nothing.
+    fn stop(&mut self, e: impl Into<SimError>) -> SimError {
+        let served = self.engine.time() as usize;
+        self.engine.recorder_mut().entries.truncate(served);
+        self.stopped = true;
+        e.into()
+    }
+
+    /// Serve a run of clean records through the engine's batch loop,
+    /// then fire `recorder`'s hooks from the run's log entries.
+    fn commit_batch<'a, I: BatchItem, R: Recorder>(
+        &mut self,
+        items: &[I],
+        recorder: &mut R,
+        probe: &impl Fn(Time) -> EngineCtx<'a>,
+    ) -> Result<(), SimError> {
+        let start = self.engine.time() as usize;
+        if let Err(v) = self.engine.serve_batch(items) {
+            return Err(self.stop(v));
+        }
+        if R::ACTIVE {
+            for e in &self.log()[start..] {
+                fire(recorder, &probe(e.seq), e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Serve one untrusted record with `step_checked` and fire
+    /// `recorder`'s hook from its log entry. The only error is a
+    /// fail-fast fault or a policy violation, which also stops the run.
     fn commit<'a, R: Recorder>(
         &mut self,
-        thread: u32,
         req: Request,
-        lane: &mut ThreadLane,
         recorder: &mut R,
         lap: &mut LapClock,
         probe: &impl Fn(Time) -> EngineCtx<'a>,
     ) -> Result<(), SimError> {
         let seq = self.engine.time();
-        let quarantined = self.handler.counters().quarantined_users;
-        let stepped = self.engine.step_checked(req, &mut self.handler);
-        let outcome = match stepped {
-            Ok(Some(StepOutcome::Hit)) => {
-                lane.stats.record_hit(req.user);
-                CommitOutcome::Hit
-            }
-            Ok(Some(StepOutcome::Inserted)) => {
-                lane.stats.record_miss(req.user);
-                CommitOutcome::Insert
-            }
-            Ok(Some(StepOutcome::Evicted(victim))) => {
-                lane.stats
-                    .record_eviction(self.engine.ctx().universe.owner(victim));
-                lane.stats.record_miss(req.user);
-                CommitOutcome::Evict { victim }
-            }
-            Ok(None) => {
-                // Quarantine is never lifted, so the record classifies
-                // after its step as it did before.
-                let kind = self
-                    .handler
-                    .classify(self.engine.ctx().universe, req)
-                    .expect("step_checked dropped a record it classified as clean");
-                lane.counters.count(kind);
-                lane.counters.quarantined_users +=
-                    self.handler.counters().quarantined_users - quarantined;
-                CommitOutcome::Drop { kind }
-            }
-            Err(e) => {
-                self.stopped = true;
-                return Err(e);
-            }
-        };
-        let universe = self.engine.ctx().universe;
-        self.log.push(CommitRecord {
-            seq,
-            thread,
-            shard: shard_of(req.page, self.engine.policy().table_shards()) as u32,
-            page: req.page,
-            user: req.user,
-            outcome,
-        });
+        if let Err(e) = self.engine.step_checked(req, &mut self.handler) {
+            return Err(self.stop(e));
+        }
         if R::ACTIVE {
-            let ctx = probe(seq);
-            match outcome {
-                CommitOutcome::Hit => recorder.record_hit(&ctx, seq, req.page, req.user),
-                CommitOutcome::Insert => recorder.record_insert(&ctx, seq, req.page, req.user),
-                CommitOutcome::Evict { victim } => recorder.record_eviction(
-                    &ctx,
-                    seq,
-                    req.page,
-                    req.user,
-                    victim,
-                    universe.owner(victim),
-                ),
-                CommitOutcome::Drop { kind } => recorder.record_fault(&RequestFault {
-                    time: seq,
-                    kind,
-                    page: req.page,
-                    user: req.user,
-                }),
-            }
+            fire(recorder, &probe(seq), &self.log()[seq as usize]);
         }
         lap.lap(recorder, seq);
         Ok(())
+    }
+
+    /// Serve one hold from `source` for the worker whose recorder is
+    /// `recorder` (see the module docs for which holds are batched), and
+    /// return whether the source ran dry.
+    fn serve_hold<'a, S: RequestSource, R: Recorder>(
+        &mut self,
+        source: &mut S,
+        recorder: &mut R,
+        lap: &mut LapClock,
+        probe: &impl Fn(Time) -> EngineCtx<'a>,
+        local_t: &mut Time,
+    ) -> Result<bool, SimError> {
+        let batched = !R::TIMED && self.handler.counters().quarantined_users == 0;
+        if let Some(run) = source
+            .next_page_run(DEFAULT_BATCH_SIZE)
+            .filter(|r| !r.is_empty())
+        {
+            // Zero-copy sources validate each run, so every id is in
+            // range and its owner is the record's user.
+            *local_t += run.len() as Time;
+            if batched {
+                self.commit_batch(run, recorder, probe)?;
+            } else {
+                for &page in run {
+                    let req = self.engine.ctx().universe.request(page);
+                    self.commit(req, recorder, lap, probe)?;
+                }
+            }
+        } else if let Some(run) = source
+            .next_run(DEFAULT_BATCH_SIZE)
+            .filter(|r| !r.is_empty())
+        {
+            *local_t += run.len() as Time;
+            let universe = self.engine.ctx().universe;
+            if batched
+                && run
+                    .iter()
+                    .all(|&r| self.handler.classify(universe, r).is_none())
+            {
+                self.commit_batch(run, recorder, probe)?;
+            } else {
+                for &req in run {
+                    self.commit(req, recorder, lap, probe)?;
+                }
+            }
+        } else {
+            for _ in 0..DEFAULT_BATCH_SIZE {
+                let Some(req) = source.next_request(&probe(*local_t)) else {
+                    return Ok(true);
+                };
+                *local_t += 1;
+                self.commit(req, recorder, lap, probe)?;
+            }
+        }
+        Ok(false)
     }
 }
 
@@ -600,12 +833,13 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
         policies: Vec<P>,
     ) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
-        let engine = SteppingEngine::new(capacity, universe.clone(), ShardedPolicy::new(policies));
+        let log = CommitLog::new(policies.len());
+        let engine = SteppingEngine::new(capacity, universe.clone(), ShardedPolicy::new(policies))
+            .with_recorder(log);
         ConcurrentEngine {
             shared: Mutex::new(Shared {
                 engine,
                 handler: FaultHandler::new(degrade, universe.num_users()),
-                log: Vec::new(),
                 stopped: false,
                 feed: None,
                 fed: 0,
@@ -641,10 +875,10 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
     }
 
     /// Drive one worker to stream exhaustion (or engine stop), one hold
-    /// per borrowed page run or per [`DEFAULT_BATCH_SIZE`] pulled
-    /// requests. Each hold is timed on one [`LapClock`] started before
-    /// the lock is taken, so every commit gets one latency sample and the
-    /// hold's first sample includes the wait for the lock.
+    /// per lock. Each hold is timed on one [`LapClock`] started before
+    /// the lock is taken, so a timed worker gets one latency sample per
+    /// commit and the hold's first sample includes the wait for the
+    /// lock.
     fn drive_worker<S: RequestSource, R: Recorder>(
         &self,
         thread: u32,
@@ -652,6 +886,7 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
         recorder: &mut R,
     ) -> Result<ThreadLane, SimError> {
         let mut lane = ThreadLane::new(self.universe.num_users());
+        let mut before = ThreadLane::default();
         // Sources in shared mode must be non-adaptive (a thread's stream
         // must not depend on the interleaving), so the ctx handed to
         // them views an empty one-slot probe cache on the thread's own
@@ -673,29 +908,10 @@ impl<P: ReplacementPolicy> ConcurrentEngine<P> {
             if shared.stopped {
                 return Ok(lane);
             }
-            let exhausted = 'hold: {
-                if let Some(run) = source
-                    .next_page_run(DEFAULT_BATCH_SIZE)
-                    .filter(|r| !r.is_empty())
-                {
-                    // Zero-copy sources validate each run, so every id is
-                    // in range and its owner is the record's user.
-                    for &page in run {
-                        let req = self.universe.request(page);
-                        shared.commit(thread, req, &mut lane, recorder, &mut lap, &probe)?;
-                    }
-                    local_t += run.len() as Time;
-                    break 'hold false;
-                }
-                for _ in 0..DEFAULT_BATCH_SIZE {
-                    let Some(req) = source.next_request(&probe(local_t)) else {
-                        break 'hold true;
-                    };
-                    local_t += 1;
-                    shared.commit(thread, req, &mut lane, recorder, &mut lap, &probe)?;
-                }
-                false
-            };
+            shared.engine.recorder_mut().thread = thread;
+            before.snapshot(shared.engine.stats(), shared.handler.counters());
+            let exhausted = shared.serve_hold(source, recorder, &mut lap, &probe, &mut local_t)?;
+            lane.add_since(&before, shared.engine.stats(), shared.handler.counters());
             shared.hand_over();
             if exhausted {
                 return Ok(lane);
@@ -760,9 +976,7 @@ where
     std::thread::scope(|scope| {
         let replay = scope.spawn(move || {
             for hold in holds {
-                for entry in &hold {
-                    replayer.check(entry)?;
-                }
+                replayer.check_hold(&hold)?;
             }
             Ok(replayer.finish())
         });
@@ -803,6 +1017,7 @@ where
     }
     assert_eq!(engine.committed(), 0, "a ConcurrentEngine serves one run");
     engine.lock().feed = feed;
+    let _detach = DetachFeed(engine);
     let lanes: Vec<Result<ThreadLane, SimError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = sources
             .iter_mut()
@@ -818,31 +1033,42 @@ where
             .collect()
     });
     let mut shared = engine.lock();
-    shared.feed = None;
     let per_thread = lanes
         .into_iter()
-        .map(|lane| lane.map(|l| (l.stats, l.counters)))
+        .map(|lane| lane.map(|l| (SimStats::from_per_user(l.per_user), l.counters)))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(SharedOutcome {
         stats: shared.engine.stats().clone(),
         counters: shared.handler.counters().clone(),
         quarantined: shared.handler.quarantined_users(),
         schedule: CommitSchedule {
-            entries: std::mem::take(&mut shared.log),
+            entries: std::mem::take(&mut shared.engine.recorder_mut().entries),
         },
         per_thread,
     })
+}
+
+/// Closes the replay feed once the workers are done — also when one of
+/// them panicked, so a replay beside the run never waits for holds that
+/// will not come.
+struct DetachFeed<'a, P>(&'a ConcurrentEngine<P>);
+
+impl<P> Drop for DetachFeed<'_, P> {
+    fn drop(&mut self) {
+        let mut shared = self.0.shared.lock().unwrap_or_else(PoisonError::into_inner);
+        shared.feed = None;
+    }
 }
 
 /// Sum `from` into `into`, user by user (saturating, like the engine's
 /// own counters).
 pub fn merge_stats(into: &mut SimStats, from: &SimStats) {
     assert_eq!(into.num_users(), from.num_users());
-    let merged: Vec<crate::stats::UserStats> = into
+    let merged: Vec<UserStats> = into
         .per_user()
         .iter()
         .zip(from.per_user())
-        .map(|(a, b)| crate::stats::UserStats {
+        .map(|(a, b)| UserStats {
             hits: a.hits.saturating_add(b.hits),
             misses: a.misses.saturating_add(b.misses),
             evictions: a.evictions.saturating_add(b.evictions),
@@ -853,7 +1079,8 @@ pub fn merge_stats(into: &mut SimStats, from: &SimStats) {
 
 /// Replay a commit schedule single-threaded through the stock
 /// [`SteppingEngine`] + [`ShardedPolicy`], verifying every per-entry
-/// outcome (hit/insert/evict victim/drop kind) along the way.
+/// outcome (hit/insert/evict victim/drop kind) along the way, a
+/// [`DEFAULT_BATCH_SIZE`] chunk at a time (see the module docs).
 ///
 /// `policies` must be constructed exactly like the concurrent engine's
 /// shard instances (same policy, same parameters, same count).
@@ -865,64 +1092,64 @@ pub fn replay_schedule<P: ReplacementPolicy>(
     schedule: &CommitSchedule,
 ) -> Result<ReplayOutcome, ReplayError> {
     let mut replayer = Replayer::new(capacity, universe, policies, degrade);
-    for entry in schedule.entries() {
-        replayer.check(entry)?;
+    for hold in schedule.entries().chunks(DEFAULT_BATCH_SIZE) {
+        replayer.check_hold(hold)?;
     }
     Ok(replayer.finish())
 }
 
-/// The single-threaded replay, one schedule entry at a time: the stock
-/// [`SteppingEngine`] + [`ShardedPolicy`] and a fresh [`FaultHandler`].
+/// The single-threaded replay, a hold at a time: the stock
+/// [`SteppingEngine`] + [`ShardedPolicy`] logging through the run's own
+/// recorder, and a fresh [`FaultHandler`].
 struct Replayer<P> {
-    engine: SteppingEngine<ShardedPolicy<P>>,
+    engine: SteppingEngine<ShardedPolicy<P>, CommitLog>,
     handler: FaultHandler,
 }
 
 impl<P: ReplacementPolicy> Replayer<P> {
     fn new(capacity: usize, universe: Universe, policies: Vec<P>, degrade: FaultPolicy) -> Self {
         let handler = FaultHandler::new(degrade, universe.num_users());
+        let log = CommitLog::new(policies.len());
         Replayer {
-            engine: SteppingEngine::new(capacity, universe, ShardedPolicy::new(policies)),
+            engine: SteppingEngine::new(capacity, universe, ShardedPolicy::new(policies))
+                .with_recorder(log),
             handler,
         }
     }
 
-    /// Replay the next entry: its step must reproduce the recorded
-    /// outcome.
-    fn check(&mut self, entry: &CommitRecord) -> Result<(), ReplayError> {
-        let seq = self.engine.time();
-        debug_assert_eq!(entry.seq, seq, "schedules are contiguous by construction");
-        let req = Request {
-            page: entry.page,
-            user: entry.user,
-        };
-        let replayed = match self
-            .engine
-            .step_checked(req, &mut self.handler)
-            .map_err(ReplayError::Fault)?
-        {
-            Some(StepOutcome::Hit) => CommitOutcome::Hit,
-            Some(StepOutcome::Inserted) => CommitOutcome::Insert,
-            Some(StepOutcome::Evicted(victim)) => CommitOutcome::Evict { victim },
-            // Quarantine is never lifted, so a dropped record classifies
-            // after its step as it did before.
-            None => CommitOutcome::Drop {
-                kind: self
-                    .handler
-                    .classify(self.engine.ctx().universe, req)
-                    .expect("step_checked dropped a record it classified as clean"),
-            },
-        };
-        if replayed != entry.outcome {
-            return Err(ReplayError::Divergence {
-                seq,
-                detail: format!(
-                    "thread {} shard {} {} {}: concurrent committed {:?}, replay produced {:?}",
-                    entry.thread, entry.shard, entry.page, entry.user, entry.outcome, replayed
-                ),
-            });
+    /// Replay the next hold: each entry's step must reproduce its
+    /// recorded outcome. A clean hold is re-served in one batch, any
+    /// other entry by entry; the replay's log keeps one hold at a time.
+    fn check_hold(&mut self, hold: &[CommitRecord]) -> Result<(), ReplayError> {
+        if let Some(first) = hold.first() {
+            let time = self.engine.time();
+            debug_assert_eq!(first.seq, time, "schedules are contiguous by construction");
         }
-        Ok(())
+        self.engine.recorder_mut().entries.clear();
+        let universe = self.engine.ctx().universe;
+        let clean = self.handler.counters().quarantined_users == 0
+            && hold.iter().all(|e| {
+                !matches!(e.outcome, CommitOutcome::Drop { .. })
+                    && self.handler.classify(universe, request(e)).is_none()
+            });
+        if !clean {
+            for e in hold {
+                self.engine
+                    .step_checked(request(e), &mut self.handler)
+                    .map_err(ReplayError::Fault)?;
+                let replayed = self.engine.recorder().entries.last();
+                check_outcome(e, replayed.expect("every step logs").outcome)?;
+            }
+            return Ok(());
+        }
+        let served = self.engine.serve_batch(hold);
+        // Outcomes before a policy violation still count: the first
+        // mismatch among them is the first divergence.
+        let log = &self.engine.recorder().entries;
+        if let Some((e, r)) = hold.iter().zip(log).find(|(e, r)| e.outcome != r.outcome) {
+            check_outcome(e, r.outcome)?;
+        }
+        served.map_err(|v| ReplayError::Fault(v.into()))
     }
 
     fn finish(self) -> ReplayOutcome {
@@ -932,6 +1159,40 @@ impl<P: ReplacementPolicy> Replayer<P> {
             quarantined: self.handler.quarantined_users(),
         }
     }
+}
+
+/// The request a schedule entry committed.
+fn request(e: &CommitRecord) -> Request {
+    Request {
+        page: e.page,
+        user: e.user,
+    }
+}
+
+/// A replayed hold is served straight from its schedule entries.
+impl BatchItem for CommitRecord {
+    #[inline(always)]
+    fn page(self) -> PageId {
+        self.page
+    }
+    #[inline(always)]
+    fn request(self, _universe: &Universe) -> Request {
+        request(&self)
+    }
+}
+
+/// Whether the replay reproduced the outcome `e` recorded.
+fn check_outcome(e: &CommitRecord, replayed: CommitOutcome) -> Result<(), ReplayError> {
+    if replayed == e.outcome {
+        return Ok(());
+    }
+    Err(ReplayError::Divergence {
+        seq: e.seq,
+        detail: format!(
+            "thread {} shard {} {} {}: concurrent committed {:?}, replay produced {:?}",
+            e.thread, e.shard, e.page, e.user, e.outcome, replayed
+        ),
+    })
 }
 
 /// The replay gate: per-user miss vectors (and all other counters),
@@ -1083,6 +1344,33 @@ mod tests {
     }
 
     #[test]
+    fn stripes_divide_exactly() {
+        let edges = [
+            0,
+            1,
+            2,
+            3,
+            7,
+            8,
+            1 << 31,
+            u32::MAX - 2,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        let divisors = (1..=300).chain([641, 65_535, 65_536, 65_537, 1 << 31, u32::MAX - 1]);
+        for n in divisors.chain([u32::MAX]).map(|n| n as usize) {
+            let stripes = Stripes::new(n);
+            let pages = (0..2_000u32)
+                .chain(edges)
+                .chain((0..64).map(|i| i * 67_108_859));
+            for p in pages.map(PageId) {
+                assert_eq!(stripes.shard(p), shard_of(p, n), "S={n} {p}");
+                assert_eq!(stripes.local(p), local_of(p, n), "S={n} {p}");
+            }
+        }
+    }
+
+    #[test]
     fn dense_ids_round_trip_and_segment_universes_match() {
         let universe = small_universe();
         for n in [1usize, 2, 3, 8, 64] {
@@ -1091,7 +1379,7 @@ mod tests {
             }
             let mut covered = 0;
             for s in 0..n {
-                let view = SegmentView::new(&universe, 4, s, n);
+                let view = SegmentView::new(&universe, s, n);
                 assert_eq!(view.universe.num_users(), universe.num_users());
                 for l in (0..view.universe.num_pages()).map(PageId) {
                     let g = global_of(l, s, n);
@@ -1466,6 +1754,69 @@ mod tests {
         match verdict {
             Err(ReplayError::Divergence { seq, .. }) => assert_eq!(seq, first_eviction),
             other => panic!("expected a divergence, got {other:?}"),
+        }
+    }
+
+    /// LRU that panics at its first eviction.
+    struct Bomb(VecLru);
+
+    impl ReplacementPolicy for Bomb {
+        fn name(&self) -> String {
+            "bomb".into()
+        }
+        fn on_hit(&mut self, ctx: &EngineCtx, page: PageId) {
+            self.0.on_hit(ctx, page);
+        }
+        fn on_insert(&mut self, ctx: &EngineCtx, page: PageId) {
+            self.0.on_insert(ctx, page);
+        }
+        fn choose_victim(&mut self, _ctx: &EngineCtx, _incoming: PageId) -> PageId {
+            panic!("bomb went off");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shared-cache worker panicked")]
+    fn a_panicking_worker_does_not_hang_the_replay_beside_it() {
+        let universe = small_universe();
+        let bombs = || vec![Bomb(VecLru::new()), Bomb(VecLru::new())];
+        let engine = ConcurrentEngine::new(4, universe.clone(), FaultPolicy::SkipAndCount, bombs());
+        let traces = interleaved_traces(&universe, 300, 2);
+        let mut sources: Vec<TraceSource> = traces.iter().map(TraceSource::new).collect();
+        let _ = run_shared_replayed(&engine, &mut sources, &mut [NoopRecorder; 2], bombs());
+    }
+
+    #[test]
+    fn a_flipped_outcome_inside_a_clean_hold_diverges_at_its_seq() {
+        let universe = small_universe();
+        let trace = &interleaved_traces(&universe, 3 * DEFAULT_BATCH_SIZE, 1)[0];
+        let policies = || (0..3).map(|_| VecLru::new()).collect::<Vec<_>>();
+        let degrade = FaultPolicy::SkipAndCount;
+        let engine = ConcurrentEngine::new(5, universe.clone(), degrade, policies());
+        let shared =
+            run_shared(&engine, &mut [TraceSource::new(trace)], &mut [NoopRecorder]).unwrap();
+        assert!(shared.counters.is_clean(), "every hold is clean");
+        for at in [0, 1, DEFAULT_BATCH_SIZE + 17, 3 * DEFAULT_BATCH_SIZE - 1] {
+            let mut entries = shared.schedule.entries().to_vec();
+            let e = &mut entries[at];
+            e.outcome = match e.outcome {
+                CommitOutcome::Hit => CommitOutcome::Insert,
+                CommitOutcome::Insert => CommitOutcome::Hit,
+                CommitOutcome::Evict { victim } => CommitOutcome::Evict {
+                    victim: PageId(victim.0 ^ 1),
+                },
+                CommitOutcome::Drop { .. } => unreachable!("the run is clean"),
+            };
+            let flipped = CommitSchedule { entries };
+            match replay_schedule(5, universe.clone(), policies(), degrade, &flipped) {
+                Err(ReplayError::Divergence { seq, detail }) => {
+                    assert_eq!(seq, at as u64, "{detail}");
+                    let e = &flipped.entries()[at];
+                    let who = format!("thread 0 shard {} {} {}:", e.shard, e.page, e.user);
+                    assert!(detail.starts_with(&who), "{detail}");
+                }
+                other => panic!("flip at {at}: expected a divergence, got {other:?}"),
+            }
         }
     }
 

@@ -90,7 +90,7 @@ macro_rules! ctx {
 /// An element of a batch: a full [`Request`], or a bare [`PageId`] whose
 /// owner is looked up in the universe at the one point it is consumed —
 /// the same lookup a decoding source performs to build a `Request`.
-trait BatchItem: Copy {
+pub(crate) trait BatchItem: Copy {
     fn page(self) -> PageId;
     fn request(self, universe: &Universe) -> Request;
 }
@@ -428,8 +428,9 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
     /// check. Prefetches are pure hints: the outcome is byte-identical to
     /// serving each item with [`step`](Self::step). One [`LapClock`]
     /// spans all three loops, so a timed batch reads the clock once per
-    /// request plus once to start.
-    fn serve_batch<I: BatchItem>(&mut self, items: &[I]) -> Result<(), PolicyViolation> {
+    /// request plus once to start. A policy contract violation ends the
+    /// batch at the request that broke it and is returned.
+    pub(crate) fn serve_batch<I: BatchItem>(&mut self, items: &[I]) -> Result<(), PolicyViolation> {
         let mut lap = LapClock::default();
         let mut i = 0;
         while i < items.len() && !self.cache.is_full() {
