@@ -15,7 +15,7 @@
 //! cache scan. [`LruKReference`] is the original form; both make
 //! byte-identical eviction decisions.
 
-use crate::state_util::{corrupt, decode_u32s};
+use crate::state_util::{corrupt, decode_u32s, PageDecoder};
 use occ_sim::{EngineCtx, PageId, PolicyState, ReplacementPolicy, SnapshotError};
 use std::collections::{BTreeSet, VecDeque};
 
@@ -138,12 +138,36 @@ impl ReplacementPolicy for LruK {
     }
 
     fn save_state(&self) -> Option<PolicyState> {
+        // Histories outlive evictions (a re-inserted page keeps its
+        // K-distance), so every page with a recorded reference travels:
+        // `pages` lists them, and `count`, `head` and the K-stamp rings
+        // of `hist` are aligned to it. A page never referenced has an
+        // all-zero ring, so a checkpoint grows with the pages touched,
+        // not the page universe.
+        let k = self.k;
+        let touched: Vec<usize> = (0..self.count.len())
+            .filter(|&p| self.count[p] > 0)
+            .collect();
         let mut s = PolicyState::new();
-        s.set_u64("k", self.k as u64);
+        s.set_u64("k", k as u64);
         s.set_u64("seq", self.seq);
-        s.set_u64s("hist", self.hist.clone());
-        s.set_u64s("head", self.head.iter().map(|&h| h as u64).collect());
-        s.set_u64s("count", self.count.iter().map(|&c| c as u64).collect());
+        s.set_u64s("pages", touched.iter().map(|&p| p as u64).collect());
+        s.set_u64s(
+            "count",
+            touched.iter().map(|&p| self.count[p] as u64).collect(),
+        );
+        s.set_u64s(
+            "head",
+            touched.iter().map(|&p| self.head[p] as u64).collect(),
+        );
+        s.set_u64s(
+            "hist",
+            touched
+                .iter()
+                .flat_map(|&p| &self.hist[p * k..(p + 1) * k])
+                .copied()
+                .collect(),
+        );
         Some(s)
     }
 
@@ -155,42 +179,66 @@ impl ReplacementPolicy for LruK {
                 format!("checkpointed K={k}, policy has K={}", self.k),
             ));
         }
+        let k = self.k;
         let seq = state.u64("seq")?;
-        let head = decode_u32s(state.u64s("head")?, "head")?;
-        let count = decode_u32s(state.u64s_len("count", head.len())?, "count")?;
-        let hist = state.u64s_len("hist", head.len() * self.k)?;
-        if head.len() > ctx.universe.num_pages() as usize {
+        let n = ctx.universe.num_pages() as usize;
+        // `pages` lists the pages the columns describe; without it
+        // (the dense layout of earlier checkpoints) entry `i` of every
+        // column is page `i`, for a prefix of the universe.
+        let listed = match state.get("pages") {
+            Some(_) => Some(PageDecoder::new(ctx).pages(ctx, state.u64s("pages")?, "pages")?),
+            None => None,
+        };
+        let rows = match &listed {
+            Some(pages) => pages.len(),
+            None => state.u64s("head")?.len(),
+        };
+        let head = decode_u32s(state.u64s_len("head", rows)?, "head")?;
+        let count = decode_u32s(state.u64s_len("count", rows)?, "count")?;
+        let hist = state.u64s_len("hist", rows * k)?;
+        if listed.is_none() && rows > n {
+            return Err(corrupt("head", format!("{rows} entries for {n} pages")));
+        }
+        if let Some(h) = head.iter().find(|&&h| h as usize >= k) {
             return Err(corrupt(
                 "head",
-                format!(
-                    "{} entries for {} pages",
-                    head.len(),
-                    ctx.universe.num_pages()
-                ),
+                format!("ring slot {h} out of range for K={k}"),
             ));
         }
-        if let Some(h) = head.iter().find(|&&h| h as usize >= self.k) {
-            return Err(corrupt(
-                "head",
-                format!("ring slot {h} out of range for K={}", self.k),
-            ));
-        }
-        if let Some(c) = count.iter().find(|&&c| c as usize > self.k) {
+        if let Some(c) = count.iter().find(|&&c| c as usize > k) {
             return Err(corrupt(
                 "count",
-                format!("{c} recorded references exceed K={}", self.k),
+                format!("{c} recorded references exceed K={k}"),
             ));
         }
-        if let Some(p) = ctx.cache.iter().find(|p| p.index() >= head.len()) {
-            return Err(corrupt("head", format!("no entry for cached page {}", p.0)));
+        let page_of = |row: usize| listed.as_ref().map_or(row, |pages| pages[row].index());
+        if listed.is_some() {
+            if let Some(row) = count.iter().position(|&c| c == 0) {
+                return Err(corrupt(
+                    "count",
+                    format!("page {} is listed with no references", page_of(row)),
+                ));
+            }
         }
-        self.seq = seq;
-        self.hist = hist.to_vec();
-        self.head = head;
-        self.count = count;
+        let mut restored = LruK::new(k);
+        restored.hist = vec![0; n * k];
+        restored.head = vec![0; n];
+        restored.count = vec![0; n];
+        for row in 0..rows {
+            let p = page_of(row);
+            restored.head[p] = head[row];
+            restored.count[p] = count[row];
+            restored.hist[p * k..(p + 1) * k].copy_from_slice(&hist[row * k..(row + 1) * k]);
+        }
+        if let Some(p) = ctx.cache.iter().find(|p| restored.count[p.index()] == 0) {
+            let key = if listed.is_some() { "pages" } else { "head" };
+            return Err(corrupt(key, format!("no entry for cached page {}", p.0)));
+        }
+        restored.seq = seq;
         // The order set holds exactly the cached pages keyed by the saved
         // histories, so it is rebuilt rather than stored.
-        self.order = ctx.cache.iter().map(|p| self.set_entry(p)).collect();
+        restored.order = ctx.cache.iter().map(|p| restored.set_entry(p)).collect();
+        *self = restored;
         Ok(())
     }
 }
@@ -273,7 +321,132 @@ impl ReplacementPolicy for LruKReference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use occ_sim::{Simulator, Trace, Universe};
+    use occ_sim::{Request, Simulator, SteppingEngine, Trace, Universe};
+    use std::collections::BTreeSet;
+
+    /// A 12-page universe served by LRU-3 at k = 4 up to `cut`, the
+    /// engine's snapshot there, and the uninterrupted engine.
+    fn cut_run(cut: usize) -> (occ_sim::EngineSnapshot, SteppingEngine<LruK>, Vec<Request>) {
+        let u = Universe::uniform(3, 4);
+        let pages: Vec<u32> = (0..300u32).map(|i| (i * i / 3 + i * 5) % 10).collect();
+        let reqs = Trace::from_page_indices(&u, &pages).requests().to_vec();
+        let mut head = SteppingEngine::new(4, u.clone(), LruK::new(3));
+        let mut full = SteppingEngine::new(4, u, LruK::new(3));
+        for &r in &reqs[..cut] {
+            head.step(r);
+        }
+        for &r in &reqs {
+            full.step(r);
+        }
+        (head.snapshot().unwrap(), full, reqs)
+    }
+
+    /// Serve `reqs[cut..]` from `snap` and check the run ends where the
+    /// uninterrupted one did.
+    fn resumes_like_full(
+        snap: &occ_sim::EngineSnapshot,
+        full: &SteppingEngine<LruK>,
+        reqs: &[Request],
+        cut: usize,
+    ) {
+        let mut tail = SteppingEngine::from_snapshot(snap, LruK::new(3)).unwrap();
+        for &r in &reqs[cut..] {
+            tail.step(r);
+        }
+        assert_eq!(tail.stats(), full.stats());
+        assert_eq!(tail.snapshot().unwrap(), full.snapshot().unwrap());
+    }
+
+    #[test]
+    fn checkpoints_list_touched_pages_only() {
+        let cut = 120;
+        let (snap, full, reqs) = cut_run(cut);
+        let touched = reqs[..cut]
+            .iter()
+            .map(|r| r.page.0 as u64)
+            .collect::<BTreeSet<_>>();
+        let listed = snap.policy.u64s("pages").unwrap();
+        assert_eq!(listed, touched.iter().copied().collect::<Vec<_>>());
+        assert!(touched.len() < 12, "two pages are never touched");
+        assert_eq!(snap.policy.u64s("count").unwrap().len(), listed.len());
+        assert_eq!(snap.policy.u64s("head").unwrap().len(), listed.len());
+        assert_eq!(snap.policy.u64s("hist").unwrap().len(), 3 * listed.len());
+        resumes_like_full(&snap, &full, &reqs, cut);
+    }
+
+    #[test]
+    fn a_dense_bag_still_resumes() {
+        let cut = 120;
+        let (mut snap, full, reqs) = cut_run(cut);
+        let (mut head, mut count, mut hist) = (vec![0; 12], vec![0; 12], vec![0; 36]);
+        let policy = &snap.policy;
+        for (row, &p) in policy.u64s("pages").unwrap().iter().enumerate() {
+            let p = p as usize;
+            head[p] = policy.u64s("head").unwrap()[row];
+            count[p] = policy.u64s("count").unwrap()[row];
+            hist[p * 3..p * 3 + 3].copy_from_slice(&policy.u64s("hist").unwrap()[row * 3..][..3]);
+        }
+        let mut dense = PolicyState::new();
+        dense.set_u64("k", 3);
+        dense.set_u64("seq", policy.u64("seq").unwrap());
+        dense.set_u64s("hist", hist);
+        dense.set_u64s("head", head);
+        dense.set_u64s("count", count);
+        snap.policy = dense;
+        resumes_like_full(&snap, &full, &reqs, cut);
+    }
+
+    #[test]
+    fn malformed_lists_are_corrupt() {
+        let (snap, _, _) = cut_run(120);
+        let listed = snap.policy.u64s("pages").unwrap().to_vec();
+        let cached_row = listed
+            .iter()
+            .position(|&p| snap.cache_pages.contains(&PageId(p as u32)))
+            .unwrap();
+        let edit = |key: &str, f: &dyn Fn(&mut Vec<u64>)| {
+            let mut bad = snap.clone();
+            let mut xs = bad.policy.u64s(key).unwrap().to_vec();
+            f(&mut xs);
+            bad.policy.set_u64s(key, xs);
+            bad
+        };
+        let cases = [
+            ("page out of range", edit("pages", &|xs| xs[0] = 12)),
+            (
+                "page far out of range",
+                edit("pages", &|xs| xs[0] = u64::MAX),
+            ),
+            ("page listed twice", edit("pages", &|xs| xs[1] = xs[0])),
+            (
+                "short count",
+                edit("count", &|xs| xs.truncate(xs.len() - 1)),
+            ),
+            ("long head", edit("head", &|xs| xs.push(0))),
+            ("short hist", edit("hist", &|xs| xs.truncate(xs.len() - 1))),
+            (
+                "listed page without references",
+                edit("count", &|xs| xs[0] = 0),
+            ),
+            ("count above K", edit("count", &|xs| xs[0] = 4)),
+            ("ring slot out of range", edit("head", &|xs| xs[0] = 3)),
+            ("cached page unlisted", {
+                let mut bad = snap.clone();
+                for (key, width) in [("pages", 1), ("count", 1), ("head", 1), ("hist", 3)] {
+                    let mut xs = bad.policy.u64s(key).unwrap().to_vec();
+                    xs.drain(cached_row * width..(cached_row + 1) * width);
+                    bad.policy.set_u64s(key, xs);
+                }
+                bad
+            }),
+        ];
+        for (why, bad) in cases {
+            let err = SteppingEngine::from_snapshot(&bad, LruK::new(3))
+                .err()
+                .unwrap_or_else(|| panic!("{why}: must be rejected"));
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{why}: got {err}");
+        }
+    }
 
     #[test]
     fn k1_equals_lru() {

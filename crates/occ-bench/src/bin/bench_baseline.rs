@@ -92,7 +92,9 @@
 //!   file and to decode back before any rep, and an `ingest/mixer` row:
 //!   the `sqlvm-like` tenant mixer read by per-request pulls and by
 //!   `next_run`, drained with no engine and served by `serve_from` with
-//!   LRU, streams and stats asserted identical first, reps interleaved.
+//!   LRU, streams and stats asserted identical first, reps interleaved,
+//!   plus its `next_run` runs served with ALG-DISCRETE at k = 96, what
+//!   each `fleet-mix-convex` shard of the end-to-end benchmark pays.
 //!   Those two rows are printed only, never written to the baseline
 //!   file.
 //!
@@ -1151,10 +1153,14 @@ fn drain_mixer<S: RequestSource>(
     }
 }
 
-/// Serve `src` with LRU at [`MIXER_K`] through `serve_from`, as every
-/// `--scenario` command does, and return the stats.
-fn serve_mixer<S: RequestSource>(mut src: S, buf: &mut Vec<Request>) -> SimStats {
-    let mut eng = SteppingEngine::new(MIXER_K, src.universe().clone(), Lru::new());
+/// Serve `src` with `policy` at [`MIXER_K`] through `serve_from`, as
+/// every `--scenario` command does, and return the stats.
+fn serve_mixer<S: RequestSource, P: ReplacementPolicy>(
+    mut src: S,
+    policy: P,
+    buf: &mut Vec<Request>,
+) -> SimStats {
+    let mut eng = SteppingEngine::new(MIXER_K, src.universe().clone(), policy);
     while eng.serve_from(&mut src, DEFAULT_BATCH_SIZE, buf) > 0 {}
     assert_eq!(eng.time(), MIXER_LEN, "served a short stream");
     eng.stats().clone()
@@ -1171,12 +1177,13 @@ fn timed(f: impl FnOnce()) -> f64 {
 /// mixer read by per-request pulls ([`Pulled`]) and by `next_run`, once
 /// drained with no engine and once served by `serve_from` with LRU.
 /// The two streams are first asserted identical batch for batch, and
-/// the two served passes' stats equal; then the reps of all four run
+/// the two served passes' stats equal; then the reps of all four, and
+/// of the `next_run` stream served with ALG-DISCRETE (`sqlvm-like`'s
+/// costs, as `occ fleet --policy convex` serves each shard), run
 /// interleaved in one window. Best of `reps` each, wall-clock on one
-/// core; printed only, never written to the baseline file. The two
-/// read alike here, where the pull loop gets the mixer's draw inlined.
-/// In `occ`, before `next_run` and an always-inlined draw, the pull
-/// loops called the draw out of line, and that was the cost (DESIGN.md,
+/// core; printed only, never written to the baseline file. A pull
+/// hands out one request of a run the mixer filled in passes, so the
+/// two drains differ by the per-request loop alone (DESIGN.md,
 /// "Zero-materialization workloads").
 fn mixer_row(reps: usize) {
     use std::hash::{DefaultHasher, Hash, Hasher};
@@ -1198,29 +1205,33 @@ fn mixer_row(reps: usize) {
         seen += 1;
     });
     assert_eq!(seen, pulled.len(), "next_run ended early");
-    let pulled_stats = serve_mixer(Pulled(stream()), &mut buf);
-    assert_eq!(serve_mixer(stream(), &mut buf), pulled_stats);
+    let pulled_stats = serve_mixer(Pulled(stream()), Lru::new(), &mut buf);
+    assert_eq!(serve_mixer(stream(), Lru::new(), &mut buf), pulled_stats);
+    let convex = || ConvexCaching::new(sqlvm_like().costs);
 
     let consume = |b: &[Request]| {
         std::hint::black_box(b);
     };
-    let mut best = [f64::INFINITY; 4];
+    let mut best = [f64::INFINITY; 5];
     for _ in 0..reps {
         let secs = [
             timed(|| drain_mixer(Pulled(stream()), &mut buf, consume)),
             timed(|| drain_mixer(stream(), &mut buf, consume)),
-            timed(|| drop(serve_mixer(Pulled(stream()), &mut buf))),
-            timed(|| drop(serve_mixer(stream(), &mut buf))),
+            timed(|| drop(serve_mixer(Pulled(stream()), Lru::new(), &mut buf))),
+            timed(|| drop(serve_mixer(stream(), Lru::new(), &mut buf))),
+            timed(|| drop(serve_mixer(stream(), convex(), &mut buf))),
         ];
         for (b, s) in best.iter_mut().zip(secs) {
             *b = b.min(s);
         }
     }
-    let [drain_pull, drain_run, serve_pull, serve_run] = best.map(|b| b * 1e9 / MIXER_LEN as f64);
+    let [drain_pull, drain_run, serve_pull, serve_run, serve_convex] =
+        best.map(|b| b * 1e9 / MIXER_LEN as f64);
     println!(
         "{:>16}  k={MIXER_K:<5} {:<20} drained: {drain_run:.2} ns/req by next_run, {drain_pull:.2} \
          by pulls ({:.2}x); served by serve_from with lru: {serve_run:.2} ns/req by next_run, \
-         {serve_pull:.2} by pulls ({:.2}x); wall-clock, one core, identical streams and stats",
+         {serve_pull:.2} by pulls ({:.2}x); with alg-discrete: {serve_convex:.2} ns/req by \
+         next_run; wall-clock, one core, identical streams and stats",
         "ingest/mixer",
         "sqlvm-like",
         drain_pull / drain_run,

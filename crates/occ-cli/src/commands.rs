@@ -447,7 +447,7 @@ fn csv_flavor_from_args(args: &Args) -> Result<Option<CsvFlavor>, CliError> {
 /// path's pages are file-backed): no command behind it materializes a
 /// trace.
 enum Feed {
-    Mix(TenantMixSource),
+    Mix(Box<TenantMixSource>),
     Bin(Box<BinarySource>),
     Csv(Box<CsvAdapter>),
 }
@@ -1526,7 +1526,7 @@ impl ConcurrentRun<'_> {
         } else {
             let mut feeds = if self.trace_path.is_empty() {
                 (0..self.threads)
-                    .map(|t| Feed::Mix(scenario.stream(len, thread_seed(t))))
+                    .map(|t| Feed::Mix(Box::new(scenario.stream(len, thread_seed(t)))))
                     .collect()
             } else {
                 // Every worker thread replays the same trace file through
@@ -2203,28 +2203,18 @@ where
 
     seek_served(&mut source, start_t, opts.target)?;
 
-    // The series streams to `<path>.tmp` through a CRC accumulator and
-    // only moves to its final name — trailer appended, fsynced, renamed
-    // — after a successful finish. A killed soak leaves the temp file
-    // behind; readers never see a torn or trailer-less final series.
-    // Targets that are not regular files (a device like /dev/full, a
-    // fifo feeding a live consumer) cannot be atomically replaced —
-    // renaming over them would swap the node out — so those are written
-    // in place and write errors still surface with the i/o class.
-    let series_direct = !opts.series_path.is_empty()
-        && std::fs::metadata(opts.series_path)
-            .map(|m| !m.is_file())
-            .unwrap_or(false);
-    let series_tmp = if series_direct {
-        Path::new(opts.series_path).to_path_buf()
-    } else {
-        occ_probe::atomicio::tmp_path(Path::new(opts.series_path))
-    };
+    // The series streams through a CRC accumulator into an
+    // `AtomicFile`, which lands it — trailer appended, fsynced, renamed
+    // — only after a successful finish. A killed soak leaves the temp
+    // file behind; readers never see a torn or trailer-less final
+    // series. A target that is not a regular file (a device like
+    // /dev/full, a fifo feeding a live consumer) is written in place,
+    // and its write errors still surface with the i/o class.
     let mut sink = if opts.series_path.is_empty() {
         None
     } else {
-        let file = File::create(&series_tmp)
-            .map_err(|e| CliError::Io(format!("create {}: {e}", series_tmp.display())))?;
+        let file = AtomicFile::create(Path::new(opts.series_path))
+            .map_err(|e| CliError::Io(format!("create {}: {e}", opts.series_path)))?;
         let mut s = SeriesSink::new(CrcWriter::new(BufWriter::new(file)));
         s.write_header(opts.window, opts.meta);
         Some(s)
@@ -2312,15 +2302,7 @@ where
             s.seal().map_err(ioerr)?;
             let (buf, _) = s.finish().map_err(ioerr)?.into_parts();
             let file = buf.into_inner().map_err(|e| ioerr(e.into_error()))?;
-            if series_direct {
-                // In-place target: nothing to rename, and fsync is not
-                // meaningful on devices/fifos.
-                drop(file);
-            } else {
-                file.sync_all().map_err(ioerr)?;
-                drop(file);
-                std::fs::rename(&series_tmp, opts.series_path).map_err(ioerr)?;
-            }
+            file.commit().map_err(ioerr)?;
             lines
         }
     };
@@ -2419,7 +2401,7 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
     // tenant structure against the scenario).
     let trace_path = args.str_or("trace", "");
     let source = if trace_path.is_empty() {
-        Feed::Mix(scenario.stream(len, seed))
+        Feed::Mix(Box::new(scenario.stream(len, seed)))
     } else {
         let feed = open_trace_feed(args, &trace_path, &scenario)?;
         eprintln!(

@@ -1,8 +1,8 @@
 //! Black-box contract for `occ soak` and the window-series pipeline
 //! through the real binary: the series tiles the run and survives a
-//! kill/resume byte-identically, sticky sink I/O errors exit 3, an
-//! unknown series schema exits 4, and `occ report --series` renders the
-//! file it just wrote.
+//! kill/resume byte-identically, sticky sink I/O errors exit 3, a FIFO
+//! output stays a FIFO, an unknown series schema exits 4, and `occ
+//! report --series` renders the file it just wrote.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -230,6 +230,80 @@ fn sticky_series_sink_errors_exit_with_io_code() {
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("/dev/full"), "names the path: {stderr}");
+}
+
+/// Outputs aimed at a FIFO are written into it in place, not renamed
+/// over it: a soak's `--series` reaches the FIFO's reader as the bytes
+/// a regular file gets, and so does `occ concurrent --schedule-out`,
+/// and the node is still a FIFO after each.
+#[cfg(unix)]
+#[test]
+fn fifo_outputs_are_written_in_place() {
+    use std::os::unix::fs::FileTypeExt;
+    let fifo = tmp("live-output.pipe");
+    std::fs::remove_file(&fifo).ok();
+    let status = Command::new("mkfifo").arg(&fifo).status().expect("mkfifo");
+    assert!(status.success(), "mkfifo failed");
+    let through_fifo = |args: &[&str]| {
+        let reader = {
+            let fifo = fifo.clone();
+            std::thread::spawn(move || std::fs::read(fifo).unwrap())
+        };
+        let out = occ(args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        // Checked before the join: a FIFO renamed away would leave its
+        // reader waiting.
+        let kind = std::fs::metadata(&fifo).unwrap().file_type();
+        assert!(kind.is_fifo(), "{args:?} replaced the FIFO");
+        reader.join().unwrap()
+    };
+    let fifo_arg = fifo.to_str().unwrap();
+
+    let file = tmp("fifo-twin.jsonl");
+    soak("12k", &file, &[]);
+    let streamed = through_fifo(&[
+        "soak",
+        "--scenario",
+        "two-tier",
+        "--len",
+        "12k",
+        "--window",
+        "5k",
+        "--k",
+        "24",
+        "--seed",
+        "9",
+        "--heartbeat",
+        "off",
+        "--series",
+        fifo_arg,
+    ]);
+    assert_eq!(streamed, std::fs::read(&file).unwrap());
+
+    fn concurrent(out: &str) -> Vec<&str> {
+        vec![
+            "concurrent",
+            "--scenario",
+            "two-tier",
+            "--threads",
+            "1",
+            "--len",
+            "1000",
+            "--schedule-out",
+            out,
+        ]
+    }
+    let schedule = tmp("fifo-twin.schedule");
+    assert!(occ(&concurrent(schedule.to_str().unwrap()))
+        .status
+        .success());
+    let streamed = through_fifo(&concurrent(fifo_arg));
+    assert_eq!(streamed, std::fs::read(&schedule).unwrap());
+    std::fs::remove_file(&fifo).ok();
 }
 
 #[test]

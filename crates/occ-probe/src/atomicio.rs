@@ -93,7 +93,8 @@ pub fn require_trailer(text: &str) -> Result<&str, String> {
 /// Write `bytes` to `path` atomically: same-directory temp file →
 /// `fsync` → rename over `path` → `fsync` the directory. A crash at
 /// any point leaves either the old file or the complete new one,
-/// never a prefix.
+/// never a prefix. A `path` that exists and is not a regular file is
+/// written in place instead (see [`AtomicFile`]).
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut f = AtomicFile::create(path)?;
     f.write_all(bytes)?;
@@ -108,19 +109,29 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// its temp file behind — only a killed process leaves the temp file.
 /// Output that is produced as it is computed streams through this
 /// instead of being held whole in memory first.
+///
+/// A `path` that exists and is not a regular file (a FIFO feeding a
+/// live reader, a device such as `/dev/full`) cannot be replaced
+/// atomically: renaming over it would swap the node itself for a
+/// regular file. Such a target is opened and written in place, with
+/// no temp file, no `fsync` and no rename, so its write errors surface
+/// as they happen.
 #[derive(Debug)]
 pub struct AtomicFile {
     path: std::path::PathBuf,
-    tmp: std::path::PathBuf,
+    /// The temp file, or `None` for a target written in place.
+    tmp: Option<std::path::PathBuf>,
     /// `None` once committed.
     file: Option<File>,
 }
 
 impl AtomicFile {
-    /// Create (or truncate) the temp file for `path`.
+    /// Create (or truncate) the temp file for `path`, or open `path`
+    /// itself for writing if it exists and is not a regular file.
     pub fn create(path: &Path) -> io::Result<Self> {
-        let tmp = tmp_path(path);
-        let file = File::create(&tmp)?;
+        let in_place = fs::metadata(path).is_ok_and(|m| !m.is_file());
+        let tmp = (!in_place).then(|| tmp_path(path));
+        let file = File::create(tmp.as_deref().unwrap_or(path))?;
         Ok(AtomicFile {
             path: path.to_path_buf(),
             tmp,
@@ -136,13 +147,16 @@ impl AtomicFile {
 
     /// Make the written bytes durable and move them to the destination.
     /// On failure the temp file is removed and the destination is
-    /// untouched.
+    /// untouched. A target written in place is only flushed.
     pub fn commit(mut self) -> io::Result<()> {
-        let file = self.file.take().expect("commit runs once");
+        let mut file = self.file.take().expect("commit runs once");
+        let Some(tmp) = &self.tmp else {
+            return file.flush();
+        };
         let synced = file.sync_all();
         drop(file);
-        if let Err(e) = synced.and_then(|()| fs::rename(&self.tmp, &self.path)) {
-            let _ = fs::remove_file(&self.tmp);
+        if let Err(e) = synced.and_then(|()| fs::rename(tmp, &self.path)) {
+            let _ = fs::remove_file(tmp);
             return Err(e);
         }
         sync_parent_dir(&self.path);
@@ -168,8 +182,8 @@ impl Seek for AtomicFile {
 
 impl Drop for AtomicFile {
     fn drop(&mut self) {
-        if self.file.take().is_some() {
-            let _ = fs::remove_file(&self.tmp);
+        if let (Some(_), Some(tmp)) = (self.file.take(), &self.tmp) {
+            let _ = fs::remove_file(tmp);
         }
     }
 }
@@ -381,6 +395,42 @@ mod tests {
         f.commit().unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"newHDR. body");
         assert!(!tmp_path(&path).exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A FIFO target is written in place: its reader gets the bytes and
+    /// the node is still a FIFO afterwards, with no temp file beside it.
+    #[cfg(unix)]
+    #[test]
+    fn a_fifo_target_is_written_in_place() {
+        use std::os::unix::fs::FileTypeExt;
+        let dir = tdir("fifo");
+        let fifo = dir.join("live.pipe");
+        let status = std::process::Command::new("mkfifo")
+            .arg(&fifo)
+            .status()
+            .expect("mkfifo");
+        assert!(status.success(), "mkfifo failed");
+        let is_fifo = |p: &Path| fs::metadata(p).unwrap().file_type().is_fifo();
+        for body in [&b"committed\n"[..], b"abandoned\n"] {
+            // Opening a FIFO for writing waits for its reader.
+            let reader = {
+                let fifo = fifo.clone();
+                std::thread::spawn(move || fs::read(fifo).unwrap())
+            };
+            let mut f = AtomicFile::create(&fifo).unwrap();
+            assert!(!tmp_path(&fifo).exists(), "no temp file for a FIFO");
+            f.write_all(body).unwrap();
+            if body.starts_with(b"committed") {
+                f.commit().unwrap();
+            } else {
+                drop(f);
+            }
+            // Checked before the join: a FIFO renamed away would leave
+            // its reader waiting.
+            assert!(is_fifo(&fifo), "the FIFO must stay a FIFO");
+            assert_eq!(reader.join().unwrap(), body);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

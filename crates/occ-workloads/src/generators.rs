@@ -74,45 +74,62 @@ impl PatternGen {
         }
     }
 
-    /// Next local page index.
+    /// Next local page index: a one-page [`fill`](Self::fill).
     pub fn next_page(&mut self) -> u32 {
+        let mut one = [0];
+        self.fill(0, &mut one);
+        one[0]
+    }
+
+    /// Write the next `out.len()` page indices, each plus `offset`, into
+    /// `out`: the same pages and the same RNG draws as that many
+    /// [`next_page`](Self::next_page) calls. The pattern is matched once
+    /// per call, so each loop below runs without a per-page branch on
+    /// it; Scan and Cycle walk a wrapping cursor instead of dividing.
+    pub fn fill(&mut self, offset: u32, out: &mut [u32]) {
         let pages = self.pages;
-        let out = match &self.pattern {
-            AccessPattern::Uniform => self.rng.gen_range(0..pages),
-            AccessPattern::Zipf { .. } => self
-                .zipf
-                .as_ref()
-                .expect("built in new")
-                .sample(&mut self.rng) as u32,
-            AccessPattern::Cycle { len } => {
-                let len = (*len).clamp(1, pages);
-                (self.count % len as u64) as u32
+        let rng = &mut self.rng;
+        match &self.pattern {
+            AccessPattern::Uniform => {
+                for o in out.iter_mut() {
+                    *o = offset + rng.gen_range(0..pages);
+                }
             }
-            AccessPattern::Scan => (self.count % pages as u64) as u32,
+            AccessPattern::Zipf { .. } => {
+                let zipf = self.zipf.as_ref().expect("built in new");
+                for o in out.iter_mut() {
+                    *o = offset + zipf.sample(rng) as u32;
+                }
+            }
+            AccessPattern::Cycle { len } => {
+                cycle(self.count, (*len).clamp(1, pages), offset, out);
+            }
+            AccessPattern::Scan => cycle(self.count, pages, offset, out),
             AccessPattern::HotSet {
                 hot_pages,
                 hot_prob,
             } => {
                 let hot = (*hot_pages).clamp(1, pages);
-                if pages == hot || self.rng.gen::<f64>() < *hot_prob {
-                    self.rng.gen_range(0..hot)
-                } else {
-                    self.rng.gen_range(hot..pages)
+                for o in out.iter_mut() {
+                    let local = if pages == hot || rng.gen::<f64>() < *hot_prob {
+                        rng.gen_range(0..hot)
+                    } else {
+                        rng.gen_range(hot..pages)
+                    };
+                    *o = offset + local;
                 }
             }
             AccessPattern::Phased { phase_len, .. } => {
-                let rank = self
-                    .zipf
-                    .as_ref()
-                    .expect("built in new")
-                    .sample(&mut self.rng) as u64;
-                let phase = self.count / (*phase_len).max(1);
-                // Rotate rank→page mapping each phase.
-                ((rank + phase * 3) % pages as u64) as u32
+                let zipf = self.zipf.as_ref().expect("built in new");
+                let phase_len = (*phase_len).max(1);
+                for (i, o) in (self.count..).zip(out.iter_mut()) {
+                    let rank = zipf.sample(rng) as u64;
+                    // Rotate rank→page mapping each phase.
+                    *o = offset + ((rank + i / phase_len * 3) % pages as u64) as u32;
+                }
             }
-        };
-        self.count += 1;
-        out
+        }
+        self.count += out.len() as u64;
     }
 
     /// Heap footprint of the generator in bytes: the Zipf table (if
@@ -120,6 +137,19 @@ impl PatternGen {
     /// allocates per request.
     pub fn state_bytes(&self) -> usize {
         self.zipf.as_ref().map_or(0, |z| z.state_bytes())
+    }
+}
+
+/// Fill `out` with `offset` plus the cycle `0, 1, …, len − 1` repeated,
+/// starting where a walk that has taken `count` steps stands.
+fn cycle(count: u64, len: u32, offset: u32, out: &mut [u32]) {
+    let mut at = (count % len as u64) as u32;
+    for o in out.iter_mut() {
+        *o = offset + at;
+        at += 1;
+        if at == len {
+            at = 0;
+        }
     }
 }
 

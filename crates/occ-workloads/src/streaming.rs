@@ -9,9 +9,16 @@
 //! only, independent of `len`. A 10-million-request run holds a few
 //! kilobytes, not a trace.
 //!
-//! One `draw` serves `next_request`, `seek_forward` and `next_run`, so
-//! the three interleave freely without changing the stream. `next_run`
-//! fills one reused buffer in a tight loop: that is how
+//! A [`TenantMixSource`] fills one reused run buffer in three passes:
+//! the run's tenant sequence from the mixer RNG, then each tenant's
+//! pages in one [`PatternGen::fill`] call, then the pages scattered into
+//! the run in tenant-sequence order. Tenant `t`'s `j`-th request takes
+//! tenant `t`'s `j`-th page however the stream is cut into runs, and
+//! every RNG is drawn in the order a request-at-a-time mixer draws it,
+//! so the stream does not depend on run sizes. `next_run`,
+//! `next_request` and `seek_forward` all hand out that buffer through
+//! one cursor, and interleave freely without changing the stream.
+//! `next_run` is how
 //! [`SteppingEngine::serve_from`](occ_sim::SteppingEngine::serve_from)
 //! takes these sources, a borrowed run per batch.
 
@@ -45,7 +52,7 @@ impl PatternSource {
 
     /// Requests left to produce.
     pub fn remaining(&self) -> u64 {
-        self.0.remaining
+        self.0.remaining()
     }
 
     /// Heap footprint in bytes; see [`TenantMixSource::state_bytes`].
@@ -84,9 +91,17 @@ pub struct TenantMixSource {
     /// Cumulative normalized arrival weights.
     cum: Vec<f64>,
     rng: StdRng,
-    remaining: u64,
-    /// Reused buffer behind `next_run`.
+    /// Requests not yet filled into `run`.
+    unfilled: u64,
+    /// The filled run buffer; `run[pos..]` is not yet handed out.
     run: Vec<Request>,
+    pos: usize,
+    /// [`fill`](Self::fill) scratch: the pages it draws, grouped by
+    /// tenant.
+    pages: Vec<u32>,
+    /// [`fill`](Self::fill) scratch: each tenant's request count, then
+    /// its cursor into `pages`.
+    next: Vec<usize>,
 }
 
 impl TenantMixSource {
@@ -136,40 +151,67 @@ impl TenantMixSource {
             gens,
             cum,
             rng: StdRng::seed_from_u64(seed),
-            remaining: len,
+            unfilled: len,
             run: Vec::new(),
+            pos: 0,
+            pages: Vec::new(),
+            next: vec![0; specs.len()],
         }
     }
 
-    /// Requests left to produce.
+    /// Requests left to hand out.
     pub fn remaining(&self) -> u64 {
-        self.remaining
+        self.unfilled + (self.run.len() - self.pos) as u64
     }
 
     /// Heap footprint in bytes: owner table, per-tenant generator
-    /// tables, offsets, weights and the run buffer, which grows to the
-    /// largest run asked for. Independent of `len`.
+    /// tables, offsets, weights, and the run buffer and its scratch,
+    /// which grow to the largest run filled. Independent of `len`.
     pub fn state_bytes(&self) -> usize {
         self.universe.num_pages() as usize * std::mem::size_of::<UserId>()
             + self.offsets.len() * 4
             + self.cum.len() * 8
             + self.gens.iter().map(|g| g.state_bytes()).sum::<usize>()
             + self.run.capacity() * std::mem::size_of::<Request>()
+            + self.pages.capacity() * 4
+            + self.next.len() * std::mem::size_of::<usize>()
     }
 
-    /// One mixed draw: pick a tenant by arrival weight, then its next
-    /// page. The owner is the tenant just drawn. Always inlined: called
-    /// out of line, a draw cost about 20 ns more per request in
-    /// `serve_from`'s per-request pulls and about 5 ns more in
-    /// `next_run` (the `ingest/mixer` row of `bench_baseline --ingest`).
-    #[inline(always)]
-    fn draw(&mut self) -> Request {
-        let u: f64 = self.rng.gen();
-        let tenant = self.cum.partition_point(|&c| c < u).min(self.cum.len() - 1);
-        let local = self.gens[tenant].next_page();
-        Request {
-            page: PageId(self.offsets[tenant] + local),
-            user: UserId(tenant as u32),
+    /// Append the next `n` requests to the run buffer, in three passes.
+    /// Each request draws its tenant by arrival weight from the mixer
+    /// RNG, then its page from that tenant's generator; the owner is
+    /// the tenant drawn.
+    fn fill(&mut self, n: usize) {
+        debug_assert!(n as u64 <= self.unfilled);
+        self.unfilled -= n as u64;
+        // 1. The tenant sequence, in request order, into the new
+        //    requests' owners; `next` counts each tenant's share.
+        let base = self.run.len();
+        let last = self.cum.len() - 1;
+        self.next.fill(0);
+        for _ in 0..n {
+            let u: f64 = self.rng.gen();
+            let tenant = self.cum.partition_point(|&c| c < u).min(last);
+            self.next[tenant] += 1;
+            self.run.push(Request {
+                page: PageId(0),
+                user: UserId(tenant as u32),
+            });
+        }
+        // 2. Each tenant's pages in one call, tenant after tenant; `next`
+        //    turns into each tenant's cursor into `pages`.
+        self.pages.resize(n, 0);
+        let mut start = 0;
+        for ((gen, &offset), next) in self.gens.iter_mut().zip(&self.offsets).zip(&mut self.next) {
+            let count = std::mem::replace(next, start);
+            gen.fill(offset, &mut self.pages[start..start + count]);
+            start += count;
+        }
+        // 3. Scatter: each request takes its tenant's next page.
+        for r in &mut self.run[base..] {
+            let at = &mut self.next[r.user.0 as usize];
+            r.page = PageId(self.pages[*at]);
+            *at += 1;
         }
     }
 }
@@ -179,38 +221,50 @@ impl RequestSource for TenantMixSource {
         &self.universe
     }
 
+    /// Hand out the buffer's next request, filling a
+    /// [`DEFAULT_BATCH_SIZE`](occ_sim::DEFAULT_BATCH_SIZE) run first if
+    /// it is spent.
     fn next_request(&mut self, _ctx: &EngineCtx) -> Option<Request> {
-        if self.remaining == 0 {
-            return None;
+        if self.pos == self.run.len() {
+            if self.unfilled == 0 {
+                return None;
+            }
+            self.run.clear();
+            self.pos = 0;
+            self.fill(self.unfilled.min(occ_sim::DEFAULT_BATCH_SIZE as u64) as usize);
         }
-        self.remaining -= 1;
-        Some(self.draw())
+        self.pos += 1;
+        Some(self.run[self.pos - 1])
     }
 
-    /// Draw `min(max, remaining)` requests into the run buffer in one
-    /// loop and hand them out.
+    /// Hand out the next `min(max, remaining)` requests: those already
+    /// filled first, moved to the front of the buffer, then a fill of
+    /// the rest behind them.
     fn next_run(&mut self, max: usize) -> Option<&[Request]> {
-        let n = self.remaining.min(max as u64) as usize;
+        let n = self.remaining().min(max as u64) as usize;
         if n == 0 {
             return None;
         }
-        self.remaining -= n as u64;
-        let mut run = std::mem::take(&mut self.run);
-        run.clear();
-        run.extend((0..n).map(|_| self.draw()));
-        self.run = run;
-        Some(&self.run)
+        let filled = self.run.len() - self.pos;
+        if filled < n {
+            self.run.drain(..self.pos);
+            self.pos = 0;
+            self.fill(n - filled);
+        }
+        self.pos += n;
+        Some(&self.run[self.pos - n..self.pos])
     }
 }
 
 impl SeekableSource for TenantMixSource {
-    /// Draw and discard the next `n` requests, advancing the mixer RNG
-    /// and the chosen tenants' generators exactly as `n` calls to
+    /// Hand out and discard the next `n` requests, advancing the mixer
+    /// RNG and the chosen tenants' generators exactly as `n` calls to
     /// `next_request` would.
     fn seek_forward(&mut self, n: u64) {
-        for _ in 0..n.min(self.remaining) {
-            self.remaining -= 1;
-            self.draw();
+        let mut left = n.min(self.remaining());
+        while left > 0 {
+            let run = self.next_run(left.min(occ_sim::DEFAULT_BATCH_SIZE as u64) as usize);
+            left -= run.expect("requests remain").len() as u64;
         }
     }
 }

@@ -8,6 +8,9 @@
 //!   the same footer verdict however its input is split into reads;
 //! * streamed workloads replay byte-identically to their materialized
 //!   twins through the batched engine;
+//! * the tenant mixer, which fills runs in passes, hands out the stream
+//!   of a per-request draw kept here as an oracle, under any mix of
+//!   runs, pulls and seeks;
 //! * a 10-million-request streamed run completes with source state
 //!   whose size is provably independent of the workload length — the
 //!   memory claim behind "no `Vec<Request>` ever exists".
@@ -19,8 +22,10 @@ use occ_sim::{
     PageId, Request, RequestSource, SeekableSource, Simulator, SteppingEngine, Trace, TraceBuilder,
     Universe, UserId, DEFAULT_BATCH_SIZE,
 };
-use occ_workloads::{zipf_trace, AccessPattern, PatternSource, TenantMixSource, TenantSpec};
+use occ_workloads::{zipf_trace, AccessPattern, PatternSource, TenantMixSource, TenantSpec, Zipf};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::io::{Cursor, Read};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -575,6 +580,182 @@ proptest! {
             prop_assert_eq!(&rest[..], &full[pos..], "{} tail from {}", name, pos);
             prop_assert!(src.next_run(1).is_none(), "{} is dry", name);
         }
+    }
+}
+
+/// The mixer as it drew before runs were filled in passes, kept here
+/// as an oracle: per request, one tenant draw from the mixer RNG by
+/// arrival weight, then that tenant's next page from its own RNG.
+/// Seeds, weights and offsets are derived as `TenantMixSource::new`
+/// derives them.
+struct DrawOracle {
+    rng: StdRng,
+    cum: Vec<f64>,
+    offsets: Vec<u32>,
+    gens: Vec<OracleGen>,
+}
+
+/// One tenant's generator, one page per call, with the pattern matched
+/// per page.
+struct OracleGen {
+    pattern: AccessPattern,
+    pages: u32,
+    rng: StdRng,
+    count: u64,
+    zipf: Option<Zipf>,
+}
+
+impl OracleGen {
+    fn next_page(&mut self) -> u32 {
+        let pages = self.pages;
+        let out = match &self.pattern {
+            AccessPattern::Uniform => self.rng.gen_range(0..pages),
+            AccessPattern::Zipf { .. } => self.zipf.as_ref().unwrap().sample(&mut self.rng) as u32,
+            AccessPattern::Cycle { len } => (self.count % (*len).clamp(1, pages) as u64) as u32,
+            AccessPattern::Scan => (self.count % pages as u64) as u32,
+            AccessPattern::HotSet {
+                hot_pages,
+                hot_prob,
+            } => {
+                let hot = (*hot_pages).clamp(1, pages);
+                if pages == hot || self.rng.gen::<f64>() < *hot_prob {
+                    self.rng.gen_range(0..hot)
+                } else {
+                    self.rng.gen_range(hot..pages)
+                }
+            }
+            AccessPattern::Phased { phase_len, .. } => {
+                let rank = self.zipf.as_ref().unwrap().sample(&mut self.rng) as u64;
+                let phase = self.count / (*phase_len).max(1);
+                ((rank + phase * 3) % pages as u64) as u32
+            }
+        };
+        self.count += 1;
+        out
+    }
+}
+
+impl DrawOracle {
+    fn new(specs: &[TenantSpec], seed: u64) -> Self {
+        let total_w: f64 = specs.iter().map(|s| s.weight).sum();
+        let mut acc = 0.0;
+        let mut next_offset = 0;
+        let (mut cum, mut offsets, mut gens) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, s) in specs.iter().enumerate() {
+            acc += s.weight / total_w;
+            cum.push(acc);
+            offsets.push(next_offset);
+            next_offset += s.pages;
+            let zipf = match s.pattern {
+                AccessPattern::Zipf { s: e } | AccessPattern::Phased { s: e, .. } => {
+                    Some(Zipf::new(s.pages as usize, e))
+                }
+                _ => None,
+            };
+            gens.push(OracleGen {
+                pattern: s.pattern.clone(),
+                pages: s.pages,
+                rng: StdRng::seed_from_u64(seed ^ (0x9E37 + i as u64 * 0x79B9)),
+                count: 0,
+                zipf,
+            });
+        }
+        DrawOracle {
+            rng: StdRng::seed_from_u64(seed),
+            cum,
+            offsets,
+            gens,
+        }
+    }
+
+    fn draw(&mut self) -> Request {
+        let u: f64 = self.rng.gen();
+        let tenant = self.cum.partition_point(|&c| c < u).min(self.cum.len() - 1);
+        let local = self.gens[tenant].next_page();
+        Request {
+            page: PageId(self.offsets[tenant] + local),
+            user: UserId(tenant as u32),
+        }
+    }
+}
+
+/// A tenant for [`mixer_matches_the_per_request_draw`]: any of the six
+/// patterns with random parameters, from 1 page up, with weights from
+/// near zero up.
+fn arb_tenant() -> impl Strategy<Value = TenantSpec> {
+    (
+        prop_oneof![Just(1u32), 1u32..60],
+        prop_oneof![1e-9f64..1e-6, 0.05f64..5.0],
+        0u8..6,
+        (0.0f64..2.0, 1u32..80, 0.0f64..1.0, 1u64..200),
+    )
+        .prop_map(|(pages, weight, kind, (s, len, prob, phase_len))| {
+            let pattern = match kind {
+                0 => AccessPattern::Uniform,
+                1 => AccessPattern::Zipf { s },
+                2 => AccessPattern::Cycle { len },
+                3 => AccessPattern::Scan,
+                4 => AccessPattern::HotSet {
+                    hot_pages: len,
+                    hot_prob: prob,
+                },
+                _ => AccessPattern::Phased { s, phase_len },
+            };
+            TenantSpec::new(pages, weight, pattern)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Runs filled in passes (tenant sequence, per-tenant pages,
+    /// scatter) hand out the per-request draw's stream: `next_run(m)`
+    /// with m = 1, random, or past what is left, `next_request` and
+    /// `seek_forward` interleaved at random, over 1–8 random tenants.
+    #[test]
+    fn mixer_matches_the_per_request_draw(
+        specs in proptest::collection::vec(arb_tenant(), 1..=8),
+        len in prop_oneof![0u64..40, 0u64..20_000],
+        seed in 0u64..u64::MAX,
+        ops in proptest::collection::vec((0u8..6, 1u64..9_000), 0..40),
+    ) {
+        let mut oracle = DrawOracle::new(&specs, seed);
+        let full: Vec<Request> = (0..len).map(|_| oracle.draw()).collect();
+        let mut src = TenantMixSource::new(&specs, len, seed);
+        let mut pos = 0usize;
+        for &(kind, size) in &ops {
+            let left = full.len() - pos;
+            prop_assert_eq!(src.remaining(), left as u64);
+            match kind {
+                0..=2 => {
+                    let max = match kind {
+                        0 => 1,
+                        1 => size as usize,
+                        _ => left + size as usize,
+                    };
+                    let want = &full[pos..pos + max.min(left)];
+                    match src.next_run(max) {
+                        Some(run) => prop_assert_eq!(run, want, "run at {}", pos),
+                        None => prop_assert!(want.is_empty(), "ran dry at {}", pos),
+                    }
+                    pos += want.len();
+                }
+                3 | 4 => {
+                    let got = with_ctx(|ctx| src.next_request(ctx));
+                    prop_assert_eq!(got, full.get(pos).copied(), "pull at {}", pos);
+                    pos = (pos + 1).min(full.len());
+                }
+                _ => {
+                    src.seek_forward(size);
+                    pos = (pos + size as usize).min(full.len());
+                }
+            }
+        }
+        let rest: Vec<Request> =
+            with_ctx(|ctx| std::iter::from_fn(|| src.next_request(ctx)).collect());
+        prop_assert_eq!(&rest[..], &full[pos..], "tail from {}", pos);
+        prop_assert_eq!(src.remaining(), 0);
+        prop_assert!(src.next_run(1).is_none());
     }
 }
 
