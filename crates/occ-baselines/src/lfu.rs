@@ -75,27 +75,39 @@ impl ReplacementPolicy for Lfu {
 
     fn save_state(&self) -> Option<PolicyState> {
         // Counts outlive evictions, so every page with a nonzero count
-        // travels, with its count in the aligned `count` column. A stamp
-        // is read only while its page is cached (an insert overwrites
-        // it), so only the cached pages' stamps travel, in victim order
-        // with `stamp` aligned to `cached`. A checkpoint therefore grows
-        // with the pages touched and the cache, not the page universe.
-        let (pages, count) = (0u64..)
+        // travels. A stamp is read only while its page is cached (an
+        // insert overwrites it), so only the cached pages' stamps travel.
+        // The sparse layout lists the counted pages with `count` aligned
+        // to `pages`, and the cached ones in victim order with `stamp`
+        // aligned to `cached`; the dense one has a `count` and a `stamp`
+        // per page, 0 for an uncached page's stamp. Whichever has fewer
+        // entries is written (dense on a tie), so a checkpoint grows with
+        // the pages touched and the cache, and never past the universe.
+        let (pages, count): (Vec<u64>, Vec<u64>) = (0u64..)
             .zip(&self.count)
             .filter(|&(_, &c)| c > 0)
             .map(|(p, &c)| (p, c))
             .unzip();
-        let (cached, stamp) = self
+        let (cached, stamp): (Vec<u64>, Vec<u64>) = self
             .order
             .iter()
             .map(|&(_, stamp, p)| (p as u64, stamp))
             .unzip();
         let mut s = PolicyState::new();
         s.set_u64("seq", self.seq);
-        s.set_u64s("pages", pages);
-        s.set_u64s("count", count);
-        s.set_u64s("cached", cached);
-        s.set_u64s("stamp", stamp);
+        if self.count.len() <= pages.len() + cached.len() {
+            let mut stamps = vec![0; self.count.len()];
+            for (&p, &t) in cached.iter().zip(&stamp) {
+                stamps[p as usize] = t;
+            }
+            s.set_u64s("count", self.count.clone());
+            s.set_u64s("stamp", stamps);
+        } else {
+            s.set_u64s("pages", pages);
+            s.set_u64s("count", count);
+            s.set_u64s("cached", cached);
+            s.set_u64s("stamp", stamp);
+        }
         Some(s)
     }
 
@@ -199,7 +211,16 @@ mod tests {
     /// snapshot there, and the uninterrupted engine.
     fn cut_run(cut: usize) -> (occ_sim::EngineSnapshot, SteppingEngine<Lfu>, Vec<Request>) {
         let u = Universe::uniform(3, 4);
-        let pages: Vec<u32> = (0..300u32).map(|i| (i * i / 3 + i * 5) % 10).collect();
+        // A skewed prefix over six pages, then a cycle over all twelve.
+        let pages: Vec<u32> = (0..300u32)
+            .map(|i| {
+                if i < 100 {
+                    (i * i / 3 + i * 5) % 10
+                } else {
+                    i % 12
+                }
+            })
+            .collect();
         let reqs = Trace::from_page_indices(&u, &pages).requests().to_vec();
         let mut head = SteppingEngine::new(4, u.clone(), Lfu::new());
         let mut full = SteppingEngine::new(4, u, Lfu::new());
@@ -214,50 +235,42 @@ mod tests {
 
     #[test]
     fn checkpoints_list_touched_counts_and_cached_stamps() {
-        let (snap, _, reqs) = cut_run(120);
-        let touched = reqs[..120]
-            .iter()
-            .map(|r| r.page.0)
-            .collect::<BTreeSet<_>>();
+        // Six pages touched and four cached: 20 sparse entries beat the
+        // 24 dense ones.
+        let (snap, _, reqs) = cut_run(10);
+        let touched = reqs[..10].iter().map(|r| r.page.0).collect::<BTreeSet<_>>();
         let listed = snap.policy.u64s("pages").unwrap();
         assert_eq!(
             listed,
             touched.iter().map(|&p| p as u64).collect::<Vec<_>>()
         );
         assert_eq!(snap.policy.u64s("count").unwrap().len(), listed.len());
-        assert!(touched.len() < 12, "two pages are never touched");
+        assert!(touched.len() < 12, "six pages are not yet touched");
         assert_eq!(snap.policy.u64s("cached").unwrap().len(), 4);
         assert_eq!(snap.policy.u64s("stamp").unwrap().len(), 4);
     }
 
     #[test]
     fn a_dense_bag_still_resumes() {
+        // Every page touched and four cached: the 24 dense entries beat
+        // the 32 sparse ones.
         let cut = 120;
         let (mut snap, full, reqs) = cut_run(cut);
-        let (mut count, mut stamp) = (vec![0; 12], vec![0; 12]);
-        for (&p, &c) in snap
-            .policy
-            .u64s("pages")
-            .unwrap()
-            .iter()
-            .zip(snap.policy.u64s("count").unwrap())
-        {
-            count[p as usize] = c;
+        assert!(snap.policy.get("pages").is_none(), "dense layout");
+        let mut stamp = snap.policy.u64s("stamp").unwrap().to_vec();
+        assert_eq!(snap.policy.u64s("count").unwrap().len(), 12);
+        assert_eq!(stamp.len(), 12);
+        for (p, &t) in stamp.iter().enumerate() {
+            let cached = snap.cache_pages.contains(&PageId(p as u32));
+            assert_eq!(t > 0, cached, "page {p}: only cached pages carry a stamp");
         }
-        for (&p, &s) in snap
-            .policy
-            .u64s("cached")
-            .unwrap()
-            .iter()
-            .zip(snap.policy.u64s("stamp").unwrap())
-        {
-            stamp[p as usize] = s;
-        }
-        let mut dense = PolicyState::new();
-        dense.set_u64("seq", snap.policy.u64("seq").unwrap());
-        dense.set_u64s("count", count);
-        dense.set_u64s("stamp", stamp);
-        snap.policy = dense;
+        // Earlier builds also wrote the stale stamps of uncached pages,
+        // which a load must ignore.
+        let uncached = (0..12)
+            .find(|&p| !snap.cache_pages.contains(&PageId(p as u32)))
+            .unwrap();
+        stamp[uncached] = 7;
+        snap.policy.set_u64s("stamp", stamp);
         let mut tail = SteppingEngine::from_snapshot(&snap, Lfu::new()).unwrap();
         for &r in &reqs[cut..] {
             tail.step(r);
@@ -268,7 +281,7 @@ mod tests {
 
     #[test]
     fn malformed_lists_are_corrupt() {
-        let (snap, _, _) = cut_run(120);
+        let (snap, _, _) = cut_run(10);
         let listed = snap.policy.u64s("pages").unwrap().to_vec();
         let cached = snap.policy.u64s("cached").unwrap().to_vec();
         let uncached = listed

@@ -139,11 +139,13 @@ impl ReplacementPolicy for LruK {
 
     fn save_state(&self) -> Option<PolicyState> {
         // Histories outlive evictions (a re-inserted page keeps its
-        // K-distance), so every page with a recorded reference travels:
-        // `pages` lists them, and `count`, `head` and the K-stamp rings
-        // of `hist` are aligned to it. A page never referenced has an
-        // all-zero ring, so a checkpoint grows with the pages touched,
-        // not the page universe.
+        // K-distance), so every page with a recorded reference travels.
+        // The sparse layout lists them in `pages`, with `count`, `head`
+        // and the K-stamp rings of `hist` aligned to it; the dense one
+        // has a row per page. A page never referenced has an all-zero
+        // row, so whichever layout has fewer entries is written (dense on
+        // a tie): a checkpoint grows with the pages touched, and never
+        // past the universe.
         let k = self.k;
         let touched: Vec<usize> = (0..self.count.len())
             .filter(|&p| self.count[p] > 0)
@@ -151,6 +153,12 @@ impl ReplacementPolicy for LruK {
         let mut s = PolicyState::new();
         s.set_u64("k", k as u64);
         s.set_u64("seq", self.seq);
+        if self.count.len() * (k + 2) <= touched.len() * (k + 3) {
+            s.set_u64s("hist", self.hist.clone());
+            s.set_u64s("head", self.head.iter().map(|&h| h as u64).collect());
+            s.set_u64s("count", self.count.iter().map(|&c| c as u64).collect());
+            return Some(s);
+        }
         s.set_u64s("pages", touched.iter().map(|&p| p as u64).collect());
         s.set_u64s(
             "count",
@@ -328,7 +336,16 @@ mod tests {
     /// engine's snapshot there, and the uninterrupted engine.
     fn cut_run(cut: usize) -> (occ_sim::EngineSnapshot, SteppingEngine<LruK>, Vec<Request>) {
         let u = Universe::uniform(3, 4);
-        let pages: Vec<u32> = (0..300u32).map(|i| (i * i / 3 + i * 5) % 10).collect();
+        // A skewed prefix over six pages, then a cycle over all twelve.
+        let pages: Vec<u32> = (0..300u32)
+            .map(|i| {
+                if i < 100 {
+                    (i * i / 3 + i * 5) % 10
+                } else {
+                    i % 12
+                }
+            })
+            .collect();
         let reqs = Trace::from_page_indices(&u, &pages).requests().to_vec();
         let mut head = SteppingEngine::new(4, u.clone(), LruK::new(3));
         let mut full = SteppingEngine::new(4, u, LruK::new(3));
@@ -359,7 +376,8 @@ mod tests {
 
     #[test]
     fn checkpoints_list_touched_pages_only() {
-        let cut = 120;
+        // Six pages touched: 36 sparse entries beat the 60 dense ones.
+        let cut = 10;
         let (snap, full, reqs) = cut_run(cut);
         let touched = reqs[..cut]
             .iter()
@@ -367,7 +385,7 @@ mod tests {
             .collect::<BTreeSet<_>>();
         let listed = snap.policy.u64s("pages").unwrap();
         assert_eq!(listed, touched.iter().copied().collect::<Vec<_>>());
-        assert!(touched.len() < 12, "two pages are never touched");
+        assert!(touched.len() < 12, "six pages are not yet touched");
         assert_eq!(snap.policy.u64s("count").unwrap().len(), listed.len());
         assert_eq!(snap.policy.u64s("head").unwrap().len(), listed.len());
         assert_eq!(snap.policy.u64s("hist").unwrap().len(), 3 * listed.len());
@@ -376,29 +394,20 @@ mod tests {
 
     #[test]
     fn a_dense_bag_still_resumes() {
+        // Every page touched: the 60 dense entries beat the 72 sparse
+        // ones.
         let cut = 120;
-        let (mut snap, full, reqs) = cut_run(cut);
-        let (mut head, mut count, mut hist) = (vec![0; 12], vec![0; 12], vec![0; 36]);
-        let policy = &snap.policy;
-        for (row, &p) in policy.u64s("pages").unwrap().iter().enumerate() {
-            let p = p as usize;
-            head[p] = policy.u64s("head").unwrap()[row];
-            count[p] = policy.u64s("count").unwrap()[row];
-            hist[p * 3..p * 3 + 3].copy_from_slice(&policy.u64s("hist").unwrap()[row * 3..][..3]);
-        }
-        let mut dense = PolicyState::new();
-        dense.set_u64("k", 3);
-        dense.set_u64("seq", policy.u64("seq").unwrap());
-        dense.set_u64s("hist", hist);
-        dense.set_u64s("head", head);
-        dense.set_u64s("count", count);
-        snap.policy = dense;
+        let (snap, full, reqs) = cut_run(cut);
+        assert!(snap.policy.get("pages").is_none(), "dense layout");
+        assert_eq!(snap.policy.u64s("count").unwrap().len(), 12);
+        assert_eq!(snap.policy.u64s("head").unwrap().len(), 12);
+        assert_eq!(snap.policy.u64s("hist").unwrap().len(), 36);
         resumes_like_full(&snap, &full, &reqs, cut);
     }
 
     #[test]
     fn malformed_lists_are_corrupt() {
-        let (snap, _, _) = cut_run(120);
+        let (snap, _, _) = cut_run(10);
         let listed = snap.policy.u64s("pages").unwrap().to_vec();
         let cached_row = listed
             .iter()

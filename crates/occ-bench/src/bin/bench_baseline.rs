@@ -65,15 +65,15 @@
 //!   the 4-tenant trace at `k = 1024`, windows of 10k requests, for lru
 //!   and alg-discrete: `recorded` rows carry the timed pair
 //!   `(MetricsRecorder, WindowedRecorder<false>)` (every request
-//!   stamped, one sample per request asserted), `recorded-untimed` rows
-//!   a hook-counting `WindowedRecorder<false>` alone with the whole-run
-//!   tally folded from its series, and `recorded-cut` rows what `occ
-//!   fleet --window` attaches: `StatsWindows<false>`, which compiles out
-//!   of the engine, each window cut from the engine's counters at its
-//!   boundary. Stats are asserted identical to the untimed batched
-//!   replay, and the cut series identical to the hook-counted one,
-//!   before any rep; the reps of all four run interleaved in one
-//!   window, and each row carries its recorded/untimed ratio. `--recorded` prints just this block and
+//!   stamped, one sample per request asserted), and `recorded-cut` rows
+//!   what `occ fleet --window` attaches: `StatsWindows<false>`, which
+//!   compiles out of the engine, each window cut from the engine's
+//!   counters at its boundary. Stats are asserted identical to the
+//!   untimed batched replay, and the cut series identical to a
+//!   hook-counting `WindowedRecorder<false>`'s (with the whole-run tally
+//!   folded from it), before any rep; the reps of all three run
+//!   interleaved in one window, and each row carries its
+//!   recorded/untimed ratio. `--recorded` prints just this block and
 //!   leaves the baseline file untouched;
 //! * `ingest` — pure trace-ingestion throughput (decode + validation +
 //!   running CRC, no cache attached) over the three binary access
@@ -940,21 +940,20 @@ fn tenant_scale_block(
 }
 
 /// One recorder-layer cell: untimed batched replay, batched replay with
-/// the timed fleet's recorder pair, batched replay with hook-counted
-/// untimed windows alone (the whole-run tally folded from the series),
-/// and batched replay with the windows `occ fleet --window` now cuts
-/// from the engine's counters at each boundary ([`StatsWindows`],
-/// batches ending on window boundaries). Stats are asserted identical,
-/// and the cut series identical to the hook-counted one, before any
-/// rep; then best-of-`reps` of each with the reps interleaved. Returns
-/// req/s of (untimed batched, timed pair, hook-counted windows, cut
+/// the timed fleet's recorder pair, and batched replay with the windows
+/// `occ fleet --window` cuts from the engine's counters at each boundary
+/// ([`StatsWindows`], batches ending on window boundaries). Stats are
+/// asserted identical, and the cut series identical to one run of
+/// hook-counted untimed windows (the whole-run tally folded from the
+/// series), before any rep; then best-of-`reps` of the three with the
+/// reps interleaved. Returns req/s of (untimed batched, timed pair, cut
 /// windows) and the misses.
 fn measure_recorded<P: ReplacementPolicy>(
     make: impl Fn() -> P,
     wl: &Workload,
     k: usize,
     reps: usize,
-) -> (f64, f64, f64, f64, u64) {
+) -> (f64, f64, f64, u64) {
     let requests = wl.trace.requests();
     let windows = || WindowedRecorder::<false>::new(RECORDED_WINDOW).with_ring_capacity(usize::MAX);
     let untimed = || {
@@ -970,7 +969,7 @@ fn measure_recorded<P: ReplacementPolicy>(
         assert_eq!(samples, requests.len() as u64, "one sample per request");
         engine.stats().clone()
     };
-    let recorded_untimed = || {
+    let hook_counted = || {
         let mut engine =
             SteppingEngine::new(k, wl.trace.universe().clone(), make()).with_recorder(windows());
         engine.run_batched(requests, DEFAULT_BATCH_SIZE);
@@ -1006,7 +1005,7 @@ fn measure_recorded<P: ReplacementPolicy>(
     };
     let stats = untimed();
     assert_eq!(recorded(), stats, "recorded replay diverged from untimed");
-    let (hooked_stats, hooked) = recorded_untimed();
+    let (hooked_stats, hooked) = hook_counted();
     assert_eq!(hooked_stats, stats, "untimed recorded replay diverged");
     let (cut_stats, cut) = recorded_cut();
     assert_eq!(cut_stats, stats, "cut-window replay diverged");
@@ -1016,22 +1015,21 @@ fn measure_recorded<P: ReplacementPolicy>(
         std::hint::black_box(run());
         start.elapsed().as_secs_f64()
     }
-    let mut best = [f64::INFINITY; 4];
+    let mut best = [f64::INFINITY; 3];
     for _ in 0..reps {
         best[0] = best[0].min(secs(&untimed));
         best[1] = best[1].min(secs(&recorded));
-        best[2] = best[2].min(secs(&recorded_untimed));
-        best[3] = best[3].min(secs(&recorded_cut));
+        best[2] = best[2].min(secs(&recorded_cut));
     }
     let n = requests.len() as f64;
-    let [untimed, recorded, hooked, cut] = best.map(|s| n / s);
-    (untimed, recorded, hooked, cut, stats.total_misses())
+    let [untimed, recorded, cut] = best.map(|s| n / s);
+    (untimed, recorded, cut, stats.total_misses())
 }
 
 /// The `recorded` rows: what the fleet's recorders cost on top of the
 /// batched kernel, per policy in [`RECORDED_POLICIES`], timed (mode
-/// `recorded`), untimed hook-counted windows (mode `recorded-untimed`)
-/// and untimed windows cut from the counters (mode `recorded-cut`).
+/// `recorded`) and untimed windows cut from the counters (mode
+/// `recorded-cut`).
 fn recorded_block(reps: usize) -> Vec<String> {
     let wl = workloads(RECORDED_K)
         .into_iter()
@@ -1039,18 +1037,14 @@ fn recorded_block(reps: usize) -> Vec<String> {
         .expect("the 4-tenant workload");
     let mut rows = Vec::new();
     for label in RECORDED_POLICIES {
-        let (untimed, recorded, recorded_untimed, recorded_cut, misses) = match label {
+        let (untimed, recorded, recorded_cut, misses) = match label {
             "lru" => measure_recorded(Lru::new, &wl, RECORDED_K, reps),
             _ => {
                 let costs = CostProfile::uniform(wl.num_users, Monomial::power(2.0));
                 measure_recorded(|| ConvexCaching::new(costs.clone()), &wl, RECORDED_K, reps)
             }
         };
-        for (mode, rate) in [
-            ("recorded", recorded),
-            ("recorded-untimed", recorded_untimed),
-            ("recorded-cut", recorded_cut),
-        ] {
+        for (mode, rate) in [("recorded", recorded), ("recorded-cut", recorded_cut)] {
             let ratio = rate / untimed;
             println!(
                 "{:>24}  k={RECORDED_K:<5} {:<20} {rate:>12.0} req/s   (untimed batched \

@@ -4,15 +4,17 @@
 //!    deterministic rules satisfy the bound; costs differ only slightly.
 //! 2. Marginals: analytic derivative `f'(m+1)` vs discrete `Δf(m)`
 //!    (§2.5) — near-identical on smooth costs, required for
-//!    discontinuous ones.
+//!    discontinuous ones. `ConvexCaching` takes convex costs only, so
+//!    the discontinuous rows run the literal Figure 3
+//!    (`DiscreteReference`), which decides the same way.
 //! 3. Accounting: fetch-counted vs eviction-counted (flush) cost — equal
 //!    up to the additive cache-size term, per §2.1's dummy-user argument.
 
 use occ_analysis::{fnum, Table};
 use occ_bench::{finish, Reporter};
 use occ_core::{
-    ConvexCaching, CostFn, CostProfile, Linear, Marginals, Monomial, PiecewiseLinear,
-    ThresholdCost, TieBreak,
+    ConvexCaching, CostFn, CostProfile, DiscreteReference, Linear, Marginals, Monomial,
+    PiecewiseLinear, ThresholdCost, TieBreak,
 };
 use occ_sim::{Simulator, Trace};
 use occ_workloads::{generate_multi_tenant, AccessPattern, TenantSpec};
@@ -87,8 +89,18 @@ fn main() {
     ];
     for (name, profile) in &profiles {
         for mode in [Marginals::Derivative, Marginals::Discrete] {
-            let mut alg = ConvexCaching::new(profile.clone()).with_marginals(mode);
-            let res = Simulator::new(k).run(&mut alg, &trace);
+            let sim = Simulator::new(k);
+            let res = if profile.all_convex() {
+                sim.run(
+                    &mut ConvexCaching::new(profile.clone()).with_marginals(mode),
+                    &trace,
+                )
+            } else {
+                sim.run(
+                    &mut DiscreteReference::new(profile.clone()).with_marginals(mode),
+                    &trace,
+                )
+            };
             let c = profile.total_cost(&res.miss_vector());
             t.row(vec![
                 name.to_string(),

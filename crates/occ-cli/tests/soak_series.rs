@@ -1,8 +1,10 @@
 //! Black-box contract for `occ soak` and the window-series pipeline
 //! through the real binary: the series tiles the run and survives a
 //! kill/resume byte-identically, sticky sink I/O errors exit 3, a FIFO
-//! output stays a FIFO, an unknown series schema exits 4, and `occ
-//! report --series` renders the file it just wrote.
+//! output stays a FIFO, an unknown series schema exits 4, `occ report
+//! --series` renders the file it just wrote, a checkpoint of the
+//! removed non-convex ALG-DISCRETE path exits 4, and LFU/LRU-K
+//! checkpoints take the smaller of their two layouts.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -627,4 +629,104 @@ fn checkpoint_written_now_resumes_to_the_committed_series() {
         window_lines(&full),
         "a checkpoint this build writes must resume to the committed uninterrupted series"
     );
+}
+
+#[test]
+fn a_checkpoint_from_the_non_convex_path_is_refused() {
+    // The committed checkpoint with ALG-DISCRETE's `fast` tag set to 0,
+    // as the non-convex path wrote it, re-sealed so that only the
+    // policy bag is wrong: no such path exists any more, so the file
+    // cannot be resumed and is refused as unparseable.
+    let text = std::fs::read_to_string(fixture("sqlvm-like-seed9-10k.ckpt.json")).unwrap();
+    let body = occ_probe::require_trailer(&text).unwrap();
+    let fast = r#"{"key":"fast","type":"u64","value":"1"}"#;
+    assert_eq!(body.matches(fast).count(), 1, "one fast tag");
+    let ck = tmp("non-convex.ckpt.json");
+    let edited = body.replace(fast, r#"{"key":"fast","type":"u64","value":"0"}"#);
+    std::fs::write(&ck, occ_probe::with_trailer(&edited)).unwrap();
+
+    let out = soak_sqlvm(
+        "20k",
+        &tmp("non-convex.jsonl"),
+        &["--from", ck.to_str().unwrap()],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "exit 4: {stderr}");
+    assert!(stderr.contains("no longer exists"), "says why: {stderr}");
+}
+
+/// `occ soak --scenario sqlvm-like --policy P` stopped after `len`
+/// requests with a checkpoint, windows of `window`; returns the series
+/// file.
+fn soak_policy(policy: &str, len: &str, window: &str, extra: &[&str]) -> PathBuf {
+    let series = tmp(&format!("{policy}-{len}-w{window}-{}.jsonl", extra.len()));
+    let mut args = vec![
+        "soak",
+        "--scenario",
+        "sqlvm-like",
+        "--policy",
+        policy,
+        "--len",
+        len,
+        "--window",
+        window,
+        "--heartbeat",
+        "off",
+        "--series",
+        series.to_str().unwrap(),
+    ];
+    args.extend_from_slice(extra);
+    let out = occ(&args);
+    assert!(
+        out.status.success(),
+        "{policy} soak failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    series
+}
+
+#[test]
+fn lfu_and_lru_k_checkpoints_take_the_smaller_layout() {
+    // Bytes after one request (the sparse layout: one page listed), and
+    // the dense layout's bytes after 100k requests, when nearly every
+    // page has been referenced and a row per page is the smaller form.
+    for (policy, one, dense) in [("lru2", 734, 7_173), ("lfu", 695, 4_549)] {
+        let sizes = ["1", "100k"].map(|len| {
+            let ck = tmp(&format!("{policy}-{len}.ckpt.json"));
+            soak_policy(policy, len, "50k", &["--checkpoint", ck.to_str().unwrap()]);
+            let text = std::fs::read_to_string(&ck).unwrap();
+            (text.len(), text.contains(r#""key":"pages""#))
+        });
+        assert_eq!(sizes[0], (one, true), "{policy} after one request");
+        assert!(!sizes[1].1, "{policy} after 100k requests is dense");
+        assert!(
+            sizes[1].0 <= dense,
+            "{policy} after 100k requests: {} B > {dense} B",
+            sizes[1].0
+        );
+    }
+}
+
+#[test]
+fn lfu_and_lru_k_resume_from_either_layout() {
+    // After 100 requests few pages have been referenced (the sparse
+    // layout); after 1k most have (the dense one). Either checkpoint
+    // must resume to the uninterrupted run's windows.
+    for policy in ["lru2", "lfu"] {
+        let full = window_lines(&soak_policy(policy, "2k", "100", &[]));
+        for (cut, sparse) in [("100", true), ("1k", false)] {
+            let ck = tmp(&format!("{policy}-cut-{cut}.ckpt.json"));
+            let head = soak_policy(policy, cut, "100", &["--checkpoint", ck.to_str().unwrap()]);
+            let text = std::fs::read_to_string(&ck).unwrap();
+            assert_eq!(
+                text.contains(r#""key":"pages""#),
+                sparse,
+                "{policy} at {cut}"
+            );
+            let resumed = soak_policy(policy, "2k", "100", &["--from", ck.to_str().unwrap()]);
+            let mut spliced = window_lines(&head);
+            spliced.extend(window_lines(&resumed));
+            assert_eq!(spliced, full, "{policy} resumed at {cut}");
+        }
+    }
 }

@@ -29,7 +29,7 @@
 //! page with the smallest `Y_p`. Each eviction then does an `O(n)` scan
 //! across users (`n` = number of users, typically ≪ `k`).
 //!
-//! # The `O(1)` convex fast path
+//! # The `O(1)` recency lists
 //!
 //! For *convex* costs the keys `g_u(m_u) + Y_p` only grow, budgets stay
 //! non-negative and `Y` is non-decreasing — the dual feasibility the
@@ -58,18 +58,17 @@
 //! always set to the minimum key, every surviving key is `≥` that
 //! minimum, and both touches (`key = g + Y`, `g ≥ 0`) and marginal
 //! growth (`g` non-decreasing in `m` — convexity) move keys upward under
-//! monotone rounding. The fast path is selected at construction iff
-//! [`CostProfile::all_convex`] holds.
+//! monotone rounding.
 //!
-//! For non-convex costs (allowed per §2.5, no guarantee) `Y` can
+//! For non-convex costs (allowed per §2.5, with no guarantee) `Y` can
 //! decrease, a later touch can record a *smaller* `Y_p`, and recency
-//! order no longer agrees with key order. The policy then falls back to
-//! the original per-user `BTreeSet` keyed by `(Y_p, seq, page)`, which
-//! stays correct because it orders by `Y_p` directly rather than relying
-//! on insertion order; it reads and writes `(Y_p, seq)` in the same
-//! nodes and leaves their links unused. Equivalence of both paths
-//! against the literal Figure 3 transcription is enforced by
-//! `DiscreteReference` property tests.
+//! order no longer agrees with key order. [`ConvexCaching::new`]
+//! therefore refuses any profile that is not [`CostProfile::all_convex`];
+//! such profiles run on the literal Figure 3 transcription,
+//! [`DiscreteReference`](super::DiscreteReference), which orders by the
+//! budgets themselves. Property tests pin this policy to it
+//! decision-for-decision under every [`TieBreak`] and both marginal
+//! modes.
 //!
 //! # The per-user arena
 //!
@@ -92,23 +91,6 @@
 use crate::alg::tiebreak::{Candidate, TieBreak};
 use crate::cost::{CostProfile, Marginals};
 use occ_sim::{EngineCtx, PageId, PolicyState, ReplacementPolicy, SnapshotError, UserId};
-use std::collections::BTreeSet;
-
-/// Totally ordered `f64` key (never NaN in this module).
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct Key(f64);
-
-impl Eq for Key {}
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
 
 /// Offset magnitude beyond which stored `Y_p` values are rebased to keep
 /// float resolution (budgets are differences of same-magnitude keys).
@@ -136,9 +118,9 @@ pub struct AlgDiagnostics {
     pub nan_marginals: u64,
 }
 
-/// All per-page state: the closed form's `(Y_p, seq)` and, on the fast
-/// path, the page's links in its owner's recency list (oldest at the
-/// lane's `head`). Unlinked pages have `prev == next == NIL`.
+/// All per-page state: the closed form's `(Y_p, seq)` and the page's
+/// links in its owner's recency list (oldest at the lane's `head`).
+/// Unlinked pages have `prev == next == NIL`.
 #[derive(Clone, Copy, Debug)]
 struct Node {
     /// Global offset `Y_p` at the page's last request.
@@ -171,9 +153,9 @@ struct UserLane {
     /// Invariant: equals `clamp(next_eviction_cost(mode, u, m))` for the
     /// lane's current `m` — recomputed exactly when `m` changes.
     g: f64,
-    /// Oldest page of the user's recency list (fast path), or `NIL`.
+    /// Oldest page of the user's recency list, or `NIL`.
     head: u32,
-    /// Newest page of the user's recency list (fast path), or `NIL`.
+    /// Newest page of the user's recency list, or `NIL`.
     tail: u32,
 }
 
@@ -211,13 +193,6 @@ pub struct ConvexCaching {
     users: Vec<UserLane>,
     /// The per-page nodes, indexed by page id.
     nodes: Vec<Node>,
-    /// Whether the `O(1)` convex fast path is active (decided at
-    /// construction from [`CostProfile::all_convex`]). Touch order
-    /// equals `(Y_p, seq)` order when `Y` is monotone.
-    fast: bool,
-    /// Slow path (non-convex costs): per-user ordered set of cached
-    /// pages, `(Y_p, seq, page)`.
-    sets: Vec<BTreeSet<(Key, u64, u32)>>,
     diag: AlgDiagnostics,
 }
 
@@ -225,8 +200,19 @@ impl ConvexCaching {
     /// Create the policy for the given per-user cost profile, using the
     /// analytic derivative marginals and LRU-like tie-breaking (the
     /// paper's defaults).
+    ///
+    /// # Panics
+    ///
+    /// If any cost function in the profile is not convex
+    /// ([`CostProfile::all_convex`]): the recency lists are the victim
+    /// order only while the dual offset is monotone, which convexity
+    /// guarantees. Run a non-convex profile (§2.5) on
+    /// [`DiscreteReference`](super::DiscreteReference) instead.
     pub fn new(costs: CostProfile) -> Self {
-        let fast = costs.all_convex();
+        assert!(
+            costs.all_convex(),
+            "ConvexCaching needs convex costs; run a non-convex profile on DiscreteReference"
+        );
         ConvexCaching {
             costs,
             mode: Marginals::Derivative,
@@ -237,8 +223,6 @@ impl ConvexCaching {
             seq: 0,
             users: Vec::new(),
             nodes: Vec::new(),
-            fast,
-            sets: Vec::new(),
             diag: AlgDiagnostics {
                 min_budget: f64::INFINITY,
                 ..Default::default()
@@ -299,12 +283,6 @@ impl ConvexCaching {
             .sum()
     }
 
-    /// Whether the `O(1)` intrusive-list fast path is active (true iff
-    /// every cost function in the profile is convex).
-    pub fn uses_fast_path(&self) -> bool {
-        self.fast
-    }
-
     /// Current eviction count of a user (the algorithm's `m(u, t)`).
     pub fn eviction_count(&self, user: UserId) -> u64 {
         self.users.get(user.index()).map(|lane| lane.m).unwrap_or(0)
@@ -347,35 +325,22 @@ impl ConvexCaching {
             self.users.push(UserLane::new(0, g));
         }
         self.nodes = vec![Node::FRESH; pages];
-        if !self.fast {
-            self.sets = vec![BTreeSet::new(); users];
-        }
         self.ready = true;
     }
 
     /// Record a request of `page` (hit or fresh insert): open a new
-    /// interval, i.e. reset the page's budget to `g_u(m_u)`.
+    /// interval, i.e. reset the page's budget to `g_u(m_u)`. Monotone `Y`
+    /// makes touch order equal key order, so moving the page to the back
+    /// of its owner's list is the whole update. O(1), no allocation, and
+    /// the page's node is written in one store.
     #[inline]
     fn touch(&mut self, ctx: &EngineCtx, page: PageId) {
         if !self.ready {
             self.init(ctx);
         }
-        let u = ctx.universe.owner(page).index();
+        let p = page.0;
         self.seq += 1;
-        if self.fast {
-            self.touch_listed(u, page.0);
-        } else {
-            self.touch_ordered(u, page.0);
-        }
-    }
-
-    /// Fast-path touch: monotone `Y` makes touch order equal key order,
-    /// so moving the page to the back of its owner's list is the whole
-    /// update. O(1), no allocation, and the page's node is written in
-    /// one store.
-    #[inline]
-    fn touch_listed(&mut self, u: usize, p: u32) {
-        let lane = &mut self.users[u];
+        let lane = &mut self.users[ctx.universe.owner(page).index()];
         let node = self.nodes[p as usize];
         // Already the newest page (a re-touch of the hottest page, the
         // common case under skew): the links stay as they are.
@@ -408,18 +373,7 @@ impl ConvexCaching {
         };
     }
 
-    /// Slow-path touch: re-key the page's entry in its owner's set (a
-    /// hit drops the previous entry; a fresh insert has none).
-    fn touch_ordered(&mut self, u: usize, p: u32) {
-        let node = &mut self.nodes[p as usize];
-        let set = &mut self.sets[u];
-        set.remove(&(Key(node.y), node.seq, p));
-        node.y = self.global_y;
-        node.seq = self.seq;
-        set.insert((Key(self.global_y), self.seq, p));
-    }
-
-    /// Unlink fast-path page `p` from owner `u`'s list. It must be linked.
+    /// Unlink page `p` from owner `u`'s list. It must be linked.
     fn unlink(&mut self, u: usize, p: u32) {
         let Node { prev, next, .. } = self.nodes[p as usize];
         let lane = &mut self.users[u];
@@ -438,8 +392,8 @@ impl ConvexCaching {
         node.next = NIL;
     }
 
-    /// Append fast-path page `p` to the back of owner `u`'s list. It must
-    /// be unlinked.
+    /// Append page `p` to the back of owner `u`'s list. It must be
+    /// unlinked.
     fn push_back(&mut self, u: usize, p: u32) {
         let lane = &mut self.users[u];
         self.nodes[p as usize].prev = lane.tail;
@@ -451,44 +405,10 @@ impl ConvexCaching {
         lane.tail = p;
     }
 
-    /// The best victim across users, given each user's minimum page as
-    /// `(Y_p, seq, page)`. Pure float arithmetic over the arena with the
-    /// memoized, already-clamped marginals — no cost-function calls.
-    #[inline(always)]
-    fn best_candidate(
-        &self,
-        user_min: impl Fn(usize, &UserLane) -> Option<(f64, u64, u32)>,
-    ) -> Option<Candidate> {
-        let mut best: Option<Candidate> = None;
-        for (u, lane) in self.users.iter().enumerate() {
-            let Some((y_p, seq, page)) = user_min(u, lane) else {
-                continue;
-            };
-            let cand = Candidate {
-                key: lane.g + y_p,
-                seq,
-                page,
-                user: u as u32,
-            };
-            if best.is_none_or(|b| cand.beats(&b, self.tiebreak, 0.0)) {
-                best = Some(cand);
-            }
-        }
-        best
-    }
-
     fn renormalize(&mut self) {
         let shift = self.global_y;
-        // The fast path orders by recency, not by stored keys, so rebasing
-        // is just the subtraction from the nodes; only the slow path must
-        // rebuild its ordered sets.
-        for set in &mut self.sets {
-            let rebased: BTreeSet<_> = set
-                .iter()
-                .map(|&(Key(y), s, p)| (Key(y - shift), s, p))
-                .collect();
-            *set = rebased;
-        }
+        // The lists order by recency, not by stored keys, so rebasing is
+        // just the subtraction from the nodes.
         for node in &mut self.nodes {
             node.y -= shift;
         }
@@ -504,21 +424,14 @@ impl ConvexCaching {
     }
 
     /// The pages the policy tracks (exactly the cached ones), user by
-    /// user in victim order: each recency list head to tail on the fast
-    /// path, each ordered set in key order on the slow path.
+    /// user in victim order: each recency list head to tail.
     fn cached_pages(&self) -> Vec<u64> {
         let mut pages = Vec::new();
-        if self.fast {
-            for lane in &self.users {
-                let mut p = lane.head;
-                while p != NIL {
-                    pages.push(p as u64);
-                    p = self.nodes[p as usize].next;
-                }
-            }
-        } else {
-            for set in &self.sets {
-                pages.extend(set.iter().map(|&(_, _, p)| p as u64));
+        for lane in &self.users {
+            let mut p = lane.head;
+            while p != NIL {
+                pages.push(p as u64);
+                p = self.nodes[p as usize].next;
             }
         }
         pages
@@ -573,18 +486,26 @@ impl ReplacementPolicy for ConvexCaching {
         if !self.ready {
             self.init(ctx);
         }
-        // Per-user minimum: list head on the fast path (touch order
-        // equals key order under monotone `Y`), set minimum otherwise.
-        let best = if self.fast {
-            self.best_candidate(|_, lane| {
-                (lane.head != NIL).then(|| {
-                    let node = &self.nodes[lane.head as usize];
-                    (node.y, node.seq, lane.head)
-                })
-            })
-        } else {
-            self.best_candidate(|u, _| self.sets[u].first().map(|&(Key(y), s, p)| (y, s, p)))
-        };
+        // Each user's minimum is its list head (touch order equals key
+        // order under monotone `Y`); across users, pure float arithmetic
+        // over the arena with the memoized, already-clamped marginals —
+        // no cost-function calls.
+        let mut best: Option<Candidate> = None;
+        for (u, lane) in self.users.iter().enumerate() {
+            if lane.head == NIL {
+                continue;
+            }
+            let node = &self.nodes[lane.head as usize];
+            let cand = Candidate {
+                key: lane.g + node.y,
+                seq: node.seq,
+                page: lane.head,
+                user: u as u32,
+            };
+            if best.is_none_or(|b| cand.beats(&b, self.tiebreak, 0.0)) {
+                best = Some(cand);
+            }
+        }
         let c = best.expect("full cache implies at least one cached page");
         debug_assert!(ctx.cache.contains(PageId(c.page)));
 
@@ -593,7 +514,7 @@ impl ReplacementPolicy for ConvexCaching {
         let budget = c.key - self.global_y;
         self.diag.min_budget = self.diag.min_budget.min(budget);
         debug_assert!(
-            !self.fast || budget >= -1e-9 || !c.key.is_finite(),
+            budget >= -1e-9 || !c.key.is_finite(),
             "convex costs must keep budgets non-negative, got {budget}"
         );
         if c.key.is_finite() {
@@ -607,12 +528,7 @@ impl ReplacementPolicy for ConvexCaching {
         self.diag.evictions = self.diag.evictions.saturating_add(1);
 
         let u = c.user as usize;
-        if self.fast {
-            self.unlink(u, c.page);
-        } else {
-            let y = self.nodes[c.page as usize].y;
-            self.sets[u].remove(&(Key(y), c.seq, c.page));
-        }
+        self.unlink(u, c.page);
         // `m` changed for exactly one user: refresh exactly that lane's
         // memoized marginal. Every other lane stays valid.
         let m = self.users[u].m.saturating_add(1);
@@ -626,17 +542,12 @@ impl ReplacementPolicy for ConvexCaching {
     }
 
     fn on_external_removal(&mut self, ctx: &EngineCtx, page: PageId) {
-        // Drop the page's entry from its owner's structure so it can
-        // never be selected as a victim while uncached. The dual state
-        // (Y, m) is untouched: an external removal is not an eviction.
+        // Unlink the page from its owner's list so it can never be
+        // selected as a victim while uncached. The dual state (Y, m) is
+        // untouched: an external removal is not an eviction.
         let u = ctx.universe.owner(page).index();
-        let node = self.nodes[page.index()];
-        if self.fast {
-            if node.prev != NIL || self.users[u].head == page.0 {
-                self.unlink(u, page.0);
-            }
-        } else {
-            self.sets[u].remove(&(Key(node.y), node.seq, page.0));
+        if self.nodes[page.index()].prev != NIL || self.users[u].head == page.0 {
+            self.unlink(u, page.0);
         }
     }
 
@@ -647,7 +558,6 @@ impl ReplacementPolicy for ConvexCaching {
         self.seq = 0;
         self.users.clear();
         self.nodes.clear();
-        self.sets.clear();
         self.diag = AlgDiagnostics {
             min_budget: f64::INFINITY,
             ..Default::default()
@@ -661,7 +571,9 @@ impl ReplacementPolicy for ConvexCaching {
         // policy is constructed independently and these tags let
         // `load_state` reject a differently-configured twin.
         s.set_text("tiebreak", self.tiebreak.label());
-        s.set_u64("fast", self.fast as u64);
+        // Always 1, so checkpoints keep their layout: a 0 was written by
+        // the non-convex path, which no longer exists.
+        s.set_u64("fast", 1);
         s.set_u64("ready", self.ready as u64);
         s.set_f64("global_y", self.global_y);
         s.set_f64("y_shifted", self.y_shifted);
@@ -670,9 +582,8 @@ impl ReplacementPolicy for ConvexCaching {
         // Only the cached pages' nodes travel, as `(Y_p, seq)` columns
         // aligned with `pages`: an evicted page's pair is overwritten by
         // its next touch before anything reads it. The list is each
-        // user's victim order (recency list head to tail, or set order),
-        // so it holds at most k pages; the links are rebuilt from the
-        // cache on load.
+        // user's victim order (recency list head to tail), so it holds at
+        // most k pages; the links are rebuilt from the cache on load.
         let pages = self.cached_pages();
         let (y_at, last_seq) = pages
             .iter()
@@ -700,12 +611,12 @@ impl ReplacementPolicy for ConvexCaching {
                 self.tiebreak.label()
             )));
         }
-        if state.u64("fast")? != self.fast as u64 {
-            return Err(SnapshotError::Mismatch(
-                "checkpoint and policy disagree on convexity (fast path selection); \
-                 the resuming cost profile differs from the checkpointed one"
-                    .into(),
-            ));
+        let fast = state.u64("fast")?;
+        if fast != 1 {
+            return Err(corrupt(format!(
+                "policy.fast is {fast}, not 1: a checkpoint with fast = 0 was written by \
+                 ALG-DISCRETE's non-convex path, which no longer exists"
+            )));
         }
         self.reset();
         if state.u64("ready")? == 0 {
@@ -790,27 +701,17 @@ impl ReplacementPolicy for ConvexCaching {
             nan_marginals: state.u64("diag_nan_marginals")?,
         };
 
-        // Rebuild the per-user page structures from the restored cache.
-        // Fast path: ascending `seq` *is* touch order (monotone `Y`), so
-        // sorting each user's cached pages by it reproduces the recency
-        // lists exactly. Slow path: the sets are keyed by stored
-        // `(Y_p, seq, page)` values, which round-tripped bit-exactly.
-        if self.fast {
-            let mut by_user: Vec<Vec<u32>> = vec![Vec::new(); users];
-            for p in ctx.cache.iter() {
-                by_user[ctx.universe.owner(p).index()].push(p.0);
-            }
-            for (u, mut cached) in by_user.into_iter().enumerate() {
-                cached.sort_by_key(|&p| self.nodes[p as usize].seq);
-                for p in cached {
-                    self.push_back(u, p);
-                }
-            }
-        } else {
-            self.sets = vec![BTreeSet::new(); users];
-            for p in ctx.cache.iter() {
-                let node = self.nodes[p.index()];
-                self.sets[ctx.universe.owner(p).index()].insert((Key(node.y), node.seq, p.0));
+        // Rebuild the recency lists from the restored cache: ascending
+        // `seq` *is* touch order (monotone `Y`), so sorting each user's
+        // cached pages by it reproduces the lists exactly.
+        let mut by_user: Vec<Vec<u32>> = vec![Vec::new(); users];
+        for p in ctx.cache.iter() {
+            by_user[ctx.universe.owner(p).index()].push(p.0);
+        }
+        for (u, mut cached) in by_user.into_iter().enumerate() {
+            cached.sort_by_key(|&p| self.nodes[p as usize].seq);
+            for p in cached {
+                self.push_back(u, p);
             }
         }
         self.ready = true;
@@ -930,15 +831,14 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_selection_follows_convexity() {
+    #[should_panic(expected = "ConvexCaching needs convex costs")]
+    fn non_convex_profiles_are_refused() {
         use crate::cost::ThresholdCost;
-        let convex = CostProfile::uniform(2, Monomial::power(2.0));
-        assert!(ConvexCaching::new(convex).uses_fast_path());
         let non_convex = CostProfile::new(vec![
             std::sync::Arc::new(Linear::unit()) as crate::cost::CostFn,
             std::sync::Arc::new(ThresholdCost::new(1.0, 2, 5.0)) as crate::cost::CostFn,
         ]);
-        assert!(!ConvexCaching::new(non_convex).uses_fast_path());
+        ConvexCaching::new(non_convex);
     }
 
     #[test]
@@ -971,89 +871,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn checkpoint_resume_is_byte_identical_on_both_paths() {
-        use crate::cost::ThresholdCost;
-        use occ_sim::{Request, SteppingEngine};
-
-        let convex = CostProfile::uniform(3, Monomial::power(2.0));
-        let non_convex = CostProfile::new(vec![
-            std::sync::Arc::new(Linear::unit()) as crate::cost::CostFn,
-            std::sync::Arc::new(ThresholdCost::new(1.0, 2, 5.0)) as crate::cost::CostFn,
-            std::sync::Arc::new(Linear::new(2.0)) as crate::cost::CostFn,
-        ]);
-
-        for costs in [convex, non_convex] {
-            let fast = ConvexCaching::new(costs.clone()).uses_fast_path();
-            let u = Universe::uniform(3, 4);
-            let mut state = 0xFEED_F00Du64;
-            let pages: Vec<u32> = (0..500)
-                .map(|_| {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    (state % 12) as u32
-                })
-                .collect();
-            let trace = Trace::from_page_indices(&u, &pages);
-            let reqs: Vec<Request> = trace.requests().to_vec();
-            let (k, cut) = (5, 231);
-
-            let mut full_alg = ConvexCaching::new(costs.clone());
-            let mut full =
-                SteppingEngine::new(k, u.clone(), &mut full_alg).with_recorder(EventLog::new());
-            for &r in &reqs {
-                full.step(r);
-            }
-            let full_events: Vec<_> = full.recorder().iter().cloned().collect();
-            let full_stats = full.stats().clone();
-            let full_dual = full_alg.cumulative_dual_offset();
-            let full_m = full_alg.eviction_counts();
-
-            let mut head_alg = ConvexCaching::new(costs.clone());
-            let mut head =
-                SteppingEngine::new(k, u.clone(), &mut head_alg).with_recorder(EventLog::new());
-            for &r in &reqs[..cut] {
-                head.step(r);
-            }
-            let snap = head.snapshot().unwrap();
-            let mut stitched: Vec<_> = head.recorder().iter().cloned().collect();
-
-            let mut tail_alg = ConvexCaching::new(costs.clone());
-            let mut tail = SteppingEngine::from_snapshot(&snap, &mut tail_alg)
-                .unwrap()
-                .with_recorder(EventLog::new());
-            for &r in &reqs[cut..] {
-                tail.step(r);
-            }
-            stitched.extend(tail.recorder().iter().cloned());
-            let tail_stats = tail.stats().clone();
-
-            assert_eq!(stitched, full_events, "fast={fast}: events diverged");
-            assert_eq!(tail_stats, full_stats, "fast={fast}: stats diverged");
-            assert_eq!(
-                tail_alg.cumulative_dual_offset().to_bits(),
-                full_dual.to_bits(),
-                "fast={fast}: dual offset diverged"
-            );
-            assert_eq!(
-                tail_alg.eviction_counts(),
-                full_m,
-                "fast={fast}: eviction counts diverged"
-            );
-        }
-    }
-
-    /// The convex (list) and non-convex (set) profiles over three
-    /// users, a 12-page universe and a 400-request xorshift stream.
-    fn two_paths() -> (Vec<CostProfile>, Universe, Vec<occ_sim::Request>) {
-        use crate::cost::ThresholdCost;
-        let convex = CostProfile::uniform(3, Monomial::power(2.0));
-        let non_convex = CostProfile::new(vec![
-            std::sync::Arc::new(Linear::unit()) as crate::cost::CostFn,
-            std::sync::Arc::new(ThresholdCost::new(1.0, 2, 5.0)) as crate::cost::CostFn,
-            std::sync::Arc::new(Linear::new(2.0)) as crate::cost::CostFn,
-        ]);
+    /// A convex profile over three users, a 12-page universe and a
+    /// 400-request xorshift stream.
+    fn convex_run() -> (CostProfile, Universe, Vec<occ_sim::Request>) {
+        let costs = CostProfile::uniform(3, Monomial::power(2.0));
         let u = Universe::uniform(3, 4);
         let mut state = 0x5EED_CAFEu64;
         let pages: Vec<u32> = (0..400)
@@ -1065,43 +886,92 @@ mod tests {
             })
             .collect();
         let reqs = Trace::from_page_indices(&u, &pages).requests().to_vec();
-        (vec![convex, non_convex], u, reqs)
+        (costs, u, reqs)
+    }
+
+    #[test]
+    fn checkpoint_resume_is_byte_identical() {
+        use occ_sim::SteppingEngine;
+
+        let (costs, u, reqs) = convex_run();
+        let (k, cut) = (5, 231);
+
+        let mut full_alg = ConvexCaching::new(costs.clone());
+        let mut full =
+            SteppingEngine::new(k, u.clone(), &mut full_alg).with_recorder(EventLog::new());
+        for &r in &reqs {
+            full.step(r);
+        }
+        let full_events: Vec<_> = full.recorder().iter().cloned().collect();
+        let full_stats = full.stats().clone();
+        let full_dual = full_alg.cumulative_dual_offset();
+        let full_m = full_alg.eviction_counts();
+
+        let mut head_alg = ConvexCaching::new(costs.clone());
+        let mut head =
+            SteppingEngine::new(k, u.clone(), &mut head_alg).with_recorder(EventLog::new());
+        for &r in &reqs[..cut] {
+            head.step(r);
+        }
+        let snap = head.snapshot().unwrap();
+        let mut stitched: Vec<_> = head.recorder().iter().cloned().collect();
+
+        let mut tail_alg = ConvexCaching::new(costs);
+        let mut tail = SteppingEngine::from_snapshot(&snap, &mut tail_alg)
+            .unwrap()
+            .with_recorder(EventLog::new());
+        for &r in &reqs[cut..] {
+            tail.step(r);
+        }
+        stitched.extend(tail.recorder().iter().cloned());
+        let tail_stats = tail.stats().clone();
+
+        assert_eq!(stitched, full_events, "events diverged");
+        assert_eq!(tail_stats, full_stats, "stats diverged");
+        assert_eq!(
+            tail_alg.cumulative_dual_offset().to_bits(),
+            full_dual.to_bits(),
+            "dual offset diverged"
+        );
+        assert_eq!(
+            tail_alg.eviction_counts(),
+            full_m,
+            "eviction counts diverged"
+        );
     }
 
     #[test]
     fn checkpoint_lists_only_cached_pages_in_victim_order() {
         use occ_sim::SteppingEngine;
-        let (profiles, u, reqs) = two_paths();
-        for costs in profiles {
-            let k = 5;
-            let mut alg = ConvexCaching::new(costs);
-            let mut eng = SteppingEngine::new(k, u.clone(), &mut alg);
-            for (i, &r) in reqs.iter().enumerate() {
-                eng.step(r);
-                let snap = eng.snapshot().unwrap();
-                let listed = snap.policy.u64s("pages").unwrap();
-                assert!(listed.len() <= k);
-                let mut cached: Vec<u64> = eng.cache().iter().map(|p| p.0 as u64).collect();
-                let mut sorted = listed.to_vec();
-                cached.sort_unstable();
-                sorted.sort_unstable();
-                assert_eq!(sorted, cached, "step {i}: pages must be the cached set");
-                assert_eq!(snap.policy.f64s("y_at").unwrap().len(), listed.len());
-                assert_eq!(snap.policy.u64s("last_seq").unwrap().len(), listed.len());
-            }
-            // Per user, the list runs oldest key first: the next victim
-            // among that user's pages leads.
+        let (costs, u, reqs) = convex_run();
+        let k = 5;
+        let mut alg = ConvexCaching::new(costs);
+        let mut eng = SteppingEngine::new(k, u.clone(), &mut alg);
+        for (i, &r) in reqs.iter().enumerate() {
+            eng.step(r);
             let snap = eng.snapshot().unwrap();
             let listed = snap.policy.u64s("pages").unwrap();
-            let y = snap.policy.f64s("y_at").unwrap();
-            let seq = snap.policy.u64s("last_seq").unwrap();
-            for i in 1..listed.len() {
-                let owner = |j: usize| u.owner(PageId(listed[j] as u32));
-                if owner(i) == owner(i - 1) {
-                    assert!((y[i - 1], seq[i - 1]) < (y[i], seq[i]));
-                } else {
-                    assert!(owner(i) > owner(i - 1), "users in id order");
-                }
+            assert!(listed.len() <= k);
+            let mut cached: Vec<u64> = eng.cache().iter().map(|p| p.0 as u64).collect();
+            let mut sorted = listed.to_vec();
+            cached.sort_unstable();
+            sorted.sort_unstable();
+            assert_eq!(sorted, cached, "step {i}: pages must be the cached set");
+            assert_eq!(snap.policy.f64s("y_at").unwrap().len(), listed.len());
+            assert_eq!(snap.policy.u64s("last_seq").unwrap().len(), listed.len());
+        }
+        // Per user, the list runs oldest key first: the next victim
+        // among that user's pages leads.
+        let snap = eng.snapshot().unwrap();
+        let listed = snap.policy.u64s("pages").unwrap();
+        let y = snap.policy.f64s("y_at").unwrap();
+        let seq = snap.policy.u64s("last_seq").unwrap();
+        for i in 1..listed.len() {
+            let owner = |j: usize| u.owner(PageId(listed[j] as u32));
+            if owner(i) == owner(i - 1) {
+                assert!((y[i - 1], seq[i - 1]) < (y[i], seq[i]));
+            } else {
+                assert!(owner(i) > owner(i - 1), "users in id order");
             }
         }
     }
@@ -1109,111 +979,109 @@ mod tests {
     #[test]
     fn dense_v1_state_resumes_like_the_sparse_list() {
         use occ_sim::{PolicyState, SteppingEngine};
-        let (profiles, u, reqs) = two_paths();
-        for costs in profiles {
-            let (k, cut) = (5, 173);
-            let mut full = SteppingEngine::new(k, u.clone(), ConvexCaching::new(costs.clone()));
-            for &r in &reqs {
-                full.step(r);
-            }
-            let mut head_alg = ConvexCaching::new(costs.clone());
-            let mut head = SteppingEngine::new(k, u.clone(), &mut head_alg);
-            for &r in &reqs[..cut] {
-                head.step(r);
-            }
-            let mut snap = head.snapshot().unwrap();
-            // The v1 bag: no `pages`, one `(Y_p, seq)` pair per page.
-            let mut dense = PolicyState::new();
-            for (key, v) in snap.policy.fields() {
-                match key.as_str() {
-                    "pages" => {}
-                    "y_at" => {
-                        dense.set_f64s(key, head_alg.nodes.iter().map(|n| n.y).collect());
-                    }
-                    "last_seq" => {
-                        dense.set_u64s(key, head_alg.nodes.iter().map(|n| n.seq).collect());
-                    }
-                    _ => {
-                        dense.set(key, v.clone());
-                    }
+        let (costs, u, reqs) = convex_run();
+        let (k, cut) = (5, 173);
+        let mut full = SteppingEngine::new(k, u.clone(), ConvexCaching::new(costs.clone()));
+        for &r in &reqs {
+            full.step(r);
+        }
+        let mut head_alg = ConvexCaching::new(costs.clone());
+        let mut head = SteppingEngine::new(k, u.clone(), &mut head_alg);
+        for &r in &reqs[..cut] {
+            head.step(r);
+        }
+        let mut snap = head.snapshot().unwrap();
+        // The v1 bag: no `pages`, one `(Y_p, seq)` pair per page.
+        let mut dense = PolicyState::new();
+        for (key, v) in snap.policy.fields() {
+            match key.as_str() {
+                "pages" => {}
+                "y_at" => {
+                    dense.set_f64s(key, head_alg.nodes.iter().map(|n| n.y).collect());
+                }
+                "last_seq" => {
+                    dense.set_u64s(key, head_alg.nodes.iter().map(|n| n.seq).collect());
+                }
+                _ => {
+                    dense.set(key, v.clone());
                 }
             }
-            snap.policy = dense;
-            let mut tail =
-                SteppingEngine::from_snapshot(&snap, ConvexCaching::new(costs.clone())).unwrap();
-            for &r in &reqs[cut..] {
-                tail.step(r);
-            }
-            assert_eq!(tail.stats(), full.stats());
-            assert_eq!(tail.snapshot().unwrap(), full.snapshot().unwrap());
         }
+        snap.policy = dense;
+        let mut tail =
+            SteppingEngine::from_snapshot(&snap, ConvexCaching::new(costs.clone())).unwrap();
+        for &r in &reqs[cut..] {
+            tail.step(r);
+        }
+        assert_eq!(tail.stats(), full.stats());
+        assert_eq!(tail.snapshot().unwrap(), full.snapshot().unwrap());
     }
 
     #[test]
     fn malformed_page_lists_are_corrupt() {
         use occ_sim::{SnapshotError, StateValue, SteppingEngine};
-        let (profiles, u, reqs) = two_paths();
-        for costs in profiles {
-            let k = 5;
-            let mut eng = SteppingEngine::new(k, u.clone(), ConvexCaching::new(costs.clone()));
-            for &r in &reqs[..100] {
-                eng.step(r);
-            }
-            let snap = eng.snapshot().unwrap();
-            let listed = snap.policy.u64s("pages").unwrap().to_vec();
-            assert_eq!(listed.len(), k);
-            let uncached = (0..12u64).find(|p| !listed.contains(p)).unwrap();
-            let edit = |key: &str, f: &dyn Fn(&mut StateValue)| {
-                let mut bad = snap.clone();
-                let mut v = bad.policy.get(key).unwrap().clone();
-                f(&mut v);
-                bad.policy.set(key, v);
-                bad
-            };
-            let pages = |f: &dyn Fn(&mut Vec<u64>)| {
-                edit("pages", &|v| {
-                    let StateValue::U64s(xs) = v else { panic!() };
-                    f(xs)
-                })
-            };
-            let cases = [
-                ("out of range", pages(&|xs| xs[0] = 12)),
-                ("far out of range", pages(&|xs| xs[0] = u64::MAX)),
-                ("uncached", pages(&|xs| xs[0] = uncached)),
-                ("listed twice", pages(&|xs| xs[1] = xs[0])),
-                (
-                    "short y_at",
-                    edit("y_at", &|v| {
-                        let StateValue::F64s(xs) = v else { panic!() };
-                        xs.pop();
-                    }),
-                ),
-                (
-                    "long last_seq",
-                    edit("last_seq", &|v| {
-                        let StateValue::U64s(xs) = v else { panic!() };
-                        xs.push(1);
-                    }),
-                ),
-                ("cached page missing", {
-                    let mut bad = snap.clone();
-                    for key in ["pages", "last_seq"] {
-                        let mut xs = bad.policy.u64s(key).unwrap().to_vec();
-                        xs.pop();
-                        bad.policy.set_u64s(key, xs);
-                    }
-                    let mut ys = bad.policy.f64s("y_at").unwrap().to_vec();
-                    ys.pop();
-                    bad.policy.set_f64s("y_at", ys);
-                    bad
+        let (costs, u, reqs) = convex_run();
+        let k = 5;
+        let mut eng = SteppingEngine::new(k, u.clone(), ConvexCaching::new(costs.clone()));
+        for &r in &reqs[..100] {
+            eng.step(r);
+        }
+        let snap = eng.snapshot().unwrap();
+        let listed = snap.policy.u64s("pages").unwrap().to_vec();
+        assert_eq!(listed.len(), k);
+        let uncached = (0..12u64).find(|p| !listed.contains(p)).unwrap();
+        let edit = |key: &str, f: &dyn Fn(&mut StateValue)| {
+            let mut bad = snap.clone();
+            let mut v = bad.policy.get(key).unwrap().clone();
+            f(&mut v);
+            bad.policy.set(key, v);
+            bad
+        };
+        let pages = |f: &dyn Fn(&mut Vec<u64>)| {
+            edit("pages", &|v| {
+                let StateValue::U64s(xs) = v else { panic!() };
+                f(xs)
+            })
+        };
+        let cases = [
+            ("out of range", pages(&|xs| xs[0] = 12)),
+            ("far out of range", pages(&|xs| xs[0] = u64::MAX)),
+            ("uncached", pages(&|xs| xs[0] = uncached)),
+            ("listed twice", pages(&|xs| xs[1] = xs[0])),
+            // Written by the non-convex path, which no longer exists.
+            ("fast = 0", edit("fast", &|v| *v = StateValue::U64(0))),
+            (
+                "short y_at",
+                edit("y_at", &|v| {
+                    let StateValue::F64s(xs) = v else { panic!() };
+                    xs.pop();
                 }),
-            ];
-            for (why, bad) in cases {
-                let err = SteppingEngine::from_snapshot(&bad, ConvexCaching::new(costs.clone()))
-                    .err()
-                    .unwrap_or_else(|| panic!("{why}: must be rejected"));
-                assert!(matches!(err, SnapshotError::Corrupt(_)), "{why}: got {err}");
-            }
+            ),
+            (
+                "long last_seq",
+                edit("last_seq", &|v| {
+                    let StateValue::U64s(xs) = v else { panic!() };
+                    xs.push(1);
+                }),
+            ),
+            ("cached page missing", {
+                let mut bad = snap.clone();
+                for key in ["pages", "last_seq"] {
+                    let mut xs = bad.policy.u64s(key).unwrap().to_vec();
+                    xs.pop();
+                    bad.policy.set_u64s(key, xs);
+                }
+                let mut ys = bad.policy.f64s("y_at").unwrap().to_vec();
+                ys.pop();
+                bad.policy.set_f64s("y_at", ys);
+                bad
+            }),
+        ];
+        for (why, bad) in cases {
+            let err = SteppingEngine::from_snapshot(&bad, ConvexCaching::new(costs.clone()))
+                .err()
+                .unwrap_or_else(|| panic!("{why}: must be rejected"));
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{why}: got {err}");
         }
     }
 

@@ -253,34 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn reference_equals_slow_path_non_convex() {
-        // A non-convex threshold cost disables the intrusive-list fast
-        // path (its marginal jumps at the threshold and then drops back,
-        // so the dual offset is not monotone); the BTreeSet fallback must
-        // still match the literal Figure 3 sweeps decision-for-decision.
-        use crate::cost::ThresholdCost;
-        let u = Universe::uniform(2, 4);
-        let pages = pseudo_pages(500, 8, 13);
-        let trace = Trace::from_page_indices(&u, &pages);
-        let costs = CostProfile::new(vec![
-            Arc::new(ThresholdCost::new(1.0, 3, 10.0)) as CostFn,
-            Arc::new(Linear::new(2.0)) as CostFn,
-        ]);
-        assert!(!costs.all_convex());
-        for k in [2, 3, 5] {
-            let mut fast = ConvexCaching::new(costs.clone()).with_marginals(Marginals::Discrete);
-            assert!(!fast.uses_fast_path(), "non-convex profile must fall back");
-            let mut slow =
-                DiscreteReference::new(costs.clone()).with_marginals(Marginals::Discrete);
-            assert_eq!(
-                eviction_seq(&mut fast, &trace, k),
-                eviction_seq(&mut slow, &trace, k),
-                "divergence at k={k}"
-            );
-        }
-    }
-
-    #[test]
     fn all_tiebreaks_agree_between_implementations() {
         let u = Universe::uniform(3, 2);
         let pages = pseudo_pages(250, 6, 5);

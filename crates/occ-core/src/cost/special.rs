@@ -50,7 +50,9 @@ impl CostFunction for Exponential {
 ///
 /// §2.5: *"the cost functions need not even be continuous; the derivatives
 /// in the algorithms can be replaced by their discrete versions."* This
-/// type exists to exercise exactly that regime.
+/// type exists to exercise exactly that regime. It runs on
+/// [`DiscreteReference`](crate::DiscreteReference), the literal Figure 3:
+/// [`ConvexCaching`](crate::ConvexCaching) takes convex costs only.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ThresholdCost {
     slope: f64,

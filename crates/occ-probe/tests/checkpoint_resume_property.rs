@@ -9,33 +9,15 @@
 //!
 //! The "relay" form below is stronger than a single cut: the engine is
 //! torn down and rebuilt from JSON every `stride` steps, so one case
-//! exercises many resume points. ALG-DISCRETE runs on both of its paths
-//! (convex list, non-convex ordered set), and one suite interleaves
-//! external removals, user purges and quarantines with the requests,
-//! since its checkpoint keeps state for cached pages only.
+//! exercises many resume points. One suite interleaves external
+//! removals, user purges and quarantines with the requests, since
+//! ALG-DISCRETE's checkpoint keeps state for cached pages only.
 
 use occ_baselines::{Fifo, Lfu, Lru, Marking, RandomizedMarking};
-use occ_core::{ConvexCaching, CostFn, CostProfile, Linear, Monomial, ThresholdCost};
+use occ_core::{ConvexCaching, CostProfile, Linear, Monomial};
 use occ_probe::{snapshot_from_json, snapshot_to_json};
 use occ_sim::prelude::*;
 use proptest::prelude::*;
-use std::sync::Arc;
-
-/// A non-convex profile (threshold costs on even users), which puts
-/// ALG-DISCRETE on its ordered-set slow path.
-fn non_convex(users: u32) -> CostProfile {
-    CostProfile::new(
-        (0..users)
-            .map(|u| {
-                if u % 2 == 0 {
-                    Arc::new(ThresholdCost::new(1.0, 2, 5.0)) as CostFn
-                } else {
-                    Arc::new(Linear::new(2.0)) as CostFn
-                }
-            })
-            .collect(),
-    )
-}
 
 /// One operation on an engine besides plain requests: pages and users
 /// leave the cache from outside the policy, and a wrong-owner record
@@ -272,11 +254,6 @@ proptest! {
             || ConvexCaching::new(costs.clone()),
             &universe, reqs, k, stride,
         );
-        let costs = non_convex(universe.num_users());
-        relay_matches_uninterrupted(
-            || ConvexCaching::new(costs.clone()),
-            &universe, reqs, k, stride,
-        );
     }
 
     #[test]
@@ -286,8 +263,6 @@ proptest! {
         relay_ops_match(Lru::new, &universe, &ops, k, stride);
         let convex = CostProfile::uniform(universe.num_users(), Monomial::power(2.0));
         relay_ops_match(|| ConvexCaching::new(convex.clone()), &universe, &ops, k, stride);
-        let costs = non_convex(universe.num_users());
-        relay_ops_match(|| ConvexCaching::new(costs.clone()), &universe, &ops, k, stride);
     }
 
     #[test]
@@ -311,11 +286,6 @@ proptest! {
         };
         relay_matches_checked(Lru::new, &universe, &reqs, k, stride, policy);
         let costs = CostProfile::uniform(universe.num_users(), Linear::unit());
-        relay_matches_checked(
-            || ConvexCaching::new(costs.clone()),
-            &universe, &reqs, k, stride, policy,
-        );
-        let costs = non_convex(universe.num_users());
         relay_matches_checked(
             || ConvexCaching::new(costs.clone()),
             &universe, &reqs, k, stride, policy,

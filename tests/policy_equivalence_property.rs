@@ -6,11 +6,10 @@
 //! run on intrusive recency lists, dense swap-remove pools, and flat
 //! history rings. For the deterministic policies the eviction sequences
 //! must be **byte-identical** on arbitrary traces and cache sizes.
-//! ALG-DISCRETE is additionally pinned on its *slow* path: a non-convex
-//! cost profile disables the intrusive-list fast path and must still
-//! reproduce the literal Figure 3 sweeps decision-for-decision, also
-//! when pages and whole users leave the cache externally between
-//! requests.
+//! ALG-DISCRETE must reproduce the literal Figure 3 sweeps
+//! decision-for-decision under every tie-break rule and both marginal
+//! modes, also when pages and whole users leave the cache externally
+//! between requests.
 
 use occ_baselines::{
     Fifo, FifoReference, GreedyDual, GreedyDualReference, Lru, LruK, LruKReference, LruReference,
@@ -18,7 +17,7 @@ use occ_baselines::{
 };
 use occ_core::{
     ConvexCaching, CostFn, CostProfile, DiscreteReference, Linear, Marginals, Monomial,
-    ThresholdCost,
+    PiecewiseLinear, TieBreak,
 };
 use occ_sim::{
     PageId, ReplacementPolicy, Simulator, StepOutcome, SteppingEngine, Trace, Universe, UserId,
@@ -131,17 +130,34 @@ proptest! {
     }
 }
 
-/// Integer-parameter costs, including a non-convex threshold function,
-/// keep all budget arithmetic exact so the slow path can be required to
-/// match the reference bit-for-bit.
-fn arb_cost_with_nonconvex() -> impl Strategy<Value = CostFn> {
+/// Integer-parameter convex costs, including the SLA shape of the
+/// sqlvm-like presets, keep all budget arithmetic exact so the policy
+/// can be required to match the reference bit-for-bit.
+fn arb_convex_cost() -> impl Strategy<Value = CostFn> {
     prop_oneof![
         (1u32..=5).prop_map(|w| Arc::new(Linear::new(w as f64)) as CostFn),
         (2u32..=3).prop_map(|b| Arc::new(Monomial::power(b as f64)) as CostFn),
-        ((1u32..=3), (1u64..=6), (2u32..=12)).prop_map(|(s, th, j)| {
-            Arc::new(ThresholdCost::new(s as f64, th, j as f64)) as CostFn
+        ((1u32..=6), (1u32..=3), (0u32..=12)).prop_map(|(tolerance, base, extra)| {
+            Arc::new(PiecewiseLinear::sla(
+                tolerance as f64,
+                base as f64,
+                (base + extra) as f64,
+            )) as CostFn
         }),
     ]
+}
+
+/// A tie-break rule and a marginal mode, the two variants both
+/// implementations take.
+fn arb_variant() -> impl Strategy<Value = (TieBreak, Marginals)> {
+    (0..TieBreak::ALL.len(), 0u8..2).prop_map(|(tb, mode)| {
+        let mode = if mode == 0 {
+            Marginals::Derivative
+        } else {
+            Marginals::Discrete
+        };
+        (TieBreak::ALL[tb], mode)
+    })
 }
 
 fn arb_multiuser_instance() -> impl Strategy<Value = (Universe, Vec<u32>, CostProfile, usize)> {
@@ -149,7 +165,7 @@ fn arb_multiuser_instance() -> impl Strategy<Value = (Universe, Vec<u32>, CostPr
         let total = users * pages_per;
         (
             proptest::collection::vec(0..total, 30..250),
-            proptest::collection::vec(arb_cost_with_nonconvex(), users as usize),
+            proptest::collection::vec(arb_convex_cost(), users as usize),
             2..=((total - 1).max(2) as usize),
         )
             .prop_map(move |(pages, fns, k)| {
@@ -167,49 +183,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn alg_discrete_matches_figure3_on_both_paths(
-        (universe, pages, costs, k) in arb_multiuser_instance()
+    fn alg_discrete_matches_figure3(
+        (universe, pages, costs, k) in arb_multiuser_instance(),
+        (tiebreak, mode) in arb_variant(),
     ) {
-        // Depending on the drawn profile this exercises the intrusive-list
-        // fast path (all functions convex) or the BTreeSet fallback (a
-        // ThresholdCost present). Discrete marginals make the threshold
-        // function meaningful.
         let trace = Trace::from_page_indices(&universe, &pages);
-        let mut fast = ConvexCaching::new(costs.clone()).with_marginals(Marginals::Discrete);
-        prop_assert_eq!(fast.uses_fast_path(), costs.all_convex());
-        let mut reference = DiscreteReference::new(costs).with_marginals(Marginals::Discrete);
+        let mut alg = ConvexCaching::new(costs.clone())
+            .with_tiebreak(tiebreak)
+            .with_marginals(mode);
+        let mut reference = DiscreteReference::new(costs)
+            .with_tiebreak(tiebreak)
+            .with_marginals(mode);
         prop_assert_eq!(
-            evictions(&mut fast, &trace, k),
-            evictions(&mut reference, &trace, k)
-        );
-    }
-
-    #[test]
-    fn alg_discrete_slow_path_matches_figure3(
-        (universe, pages, _unused, k) in arb_multiuser_instance(),
-        slope in 1u32..=3,
-        threshold in 1u64..=6,
-        jump in 2u32..=12,
-    ) {
-        // Force the slow path: at least one user always gets the
-        // non-convex threshold cost.
-        let users = universe.num_users();
-        let mut fns: Vec<CostFn> = vec![Arc::new(ThresholdCost::new(
-            slope as f64,
-            threshold,
-            jump as f64,
-        )) as CostFn];
-        for u in 1..users {
-            fns.push(Arc::new(Linear::new(u as f64)) as CostFn);
-        }
-        let costs = CostProfile::new(fns);
-        prop_assert!(!costs.all_convex());
-        let trace = Trace::from_page_indices(&universe, &pages);
-        let mut slow = ConvexCaching::new(costs.clone()).with_marginals(Marginals::Discrete);
-        prop_assert!(!slow.uses_fast_path());
-        let mut reference = DiscreteReference::new(costs).with_marginals(Marginals::Discrete);
-        prop_assert_eq!(
-            evictions(&mut slow, &trace, k),
+            evictions(&mut alg, &trace, k),
             evictions(&mut reference, &trace, k)
         );
     }
@@ -233,20 +219,16 @@ enum Effect {
 }
 
 /// A random multi-user instance with a mixed op stream (about one op
-/// in five is an external removal) and two cost profiles over the same
-/// users: an all-convex one (the fast path) and the same with user 0
-/// switched to a non-convex threshold cost (the slow path).
-fn arb_removal_instance(
-) -> impl Strategy<Value = (Universe, Vec<Op>, CostProfile, CostProfile, usize)> {
+/// in five is an external removal) and a convex cost profile.
+fn arb_removal_instance() -> impl Strategy<Value = (Universe, Vec<Op>, CostProfile, usize)> {
     (2u32..=4, 2u32..=4).prop_flat_map(|(users, pages_per)| {
         let total = users * pages_per;
         (
             proptest::collection::vec((0u32..10, 0..total), 30..250),
-            proptest::collection::vec((1u32..=5, 0u32..=2), users as usize),
-            ((1u32..=3), (1u64..=6), (2u32..=12)),
+            proptest::collection::vec(arb_convex_cost(), users as usize),
             2..=((total - 1).max(2) as usize),
         )
-            .prop_map(move |(raw_ops, shapes, (slope, th, jump), k)| {
+            .prop_map(move |(raw_ops, fns, k)| {
                 let ops = raw_ops
                     .into_iter()
                     .map(|(kind, p)| match kind {
@@ -255,21 +237,10 @@ fn arb_removal_instance(
                         _ => Op::Step(p),
                     })
                     .collect();
-                let convex: Vec<CostFn> = shapes
-                    .iter()
-                    .map(|&(w, shape)| match shape {
-                        0 => Arc::new(Linear::new(w as f64)) as CostFn,
-                        s => Arc::new(Monomial::power(s as f64 + 1.0)) as CostFn,
-                    })
-                    .collect();
-                let mut threshold = convex.clone();
-                threshold[0] =
-                    Arc::new(ThresholdCost::new(slope as f64, th, jump as f64)) as CostFn;
                 (
                     Universe::uniform(users, pages_per),
                     ops,
-                    CostProfile::new(convex),
-                    CostProfile::new(threshold),
+                    CostProfile::new(fns),
                     k.min(total as usize - 1),
                 )
             })
@@ -301,21 +272,22 @@ proptest! {
 
     #[test]
     fn alg_discrete_matches_figure3_under_external_removals(
-        (universe, ops, convex, threshold, k) in arb_removal_instance()
+        (universe, ops, costs, k) in arb_removal_instance(),
+        (tiebreak, mode) in arb_variant(),
     ) {
         // An externally removed page must leave its owner's recency list
-        // (fast path) or ordered set (slow path) and never come back as
-        // a victim; re-requesting it must link it afresh. The reference
-        // scans the cache itself, so it is the oracle for both.
-        for (costs, fast) in [(convex, true), (threshold, false)] {
-            let alg = ConvexCaching::new(costs.clone()).with_marginals(Marginals::Discrete);
-            prop_assert_eq!(alg.uses_fast_path(), fast);
-            let reference = DiscreteReference::new(costs).with_marginals(Marginals::Discrete);
-            prop_assert_eq!(
-                drive_ops(alg, &universe, &ops, k),
-                drive_ops(reference, &universe, &ops, k),
-                "fast path: {}", fast
-            );
-        }
+        // and never come back as a victim; re-requesting it must link it
+        // afresh. The reference scans the cache itself, so it is the
+        // oracle.
+        let alg = ConvexCaching::new(costs.clone())
+            .with_tiebreak(tiebreak)
+            .with_marginals(mode);
+        let reference = DiscreteReference::new(costs)
+            .with_tiebreak(tiebreak)
+            .with_marginals(mode);
+        prop_assert_eq!(
+            drive_ops(alg, &universe, &ops, k),
+            drive_ops(reference, &universe, &ops, k)
+        );
     }
 }
